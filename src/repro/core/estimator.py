@@ -213,8 +213,10 @@ class SlidingWindowPercentile:
         this is the per-transaction hot path and the extra method call
         is measurable at S=1000.
         """
-        if value < 0:
-            raise ValueError("execution times cannot be negative")
+        # ``not >=`` rather than ``<``: NaN fails every comparison, and
+        # one NaN in the sorted runs corrupts every later bisect.
+        if not value >= 0.0:
+            raise ValueError("execution times must be non-negative numbers")
         self.observations += 1
         order = self._order
         chunks = self._chunks
@@ -309,8 +311,8 @@ class ListSlidingWindowPercentile:
         self.observations = 0
 
     def observe(self, value: float) -> None:
-        if value < 0:
-            raise ValueError("execution times cannot be negative")
+        if not value >= 0.0:
+            raise ValueError("execution times must be non-negative numbers")
         self.observations += 1
         if len(self._order) == self.window:
             oldest = self._order.popleft()
@@ -334,37 +336,84 @@ class ListSlidingWindowPercentile:
         return len(self._sorted) == self.window
 
 
+class EstimateRows(dict):
+    """``rows[c][j] == estimate(c, freqs[j])``, one row per workload.
+
+    A row is built on first lookup (``rows[c]``; ``rows.get(c)`` never
+    builds), through whatever ``estimate`` callable the table was given,
+    and is then the one list object every reader of that workload holds.
+    ``bind(c, freqs, row)`` tells the owner of a *live* table about the
+    new row so it can keep it current; without it the table is a
+    snapshot, valid for as long as ``estimate`` is pure.
+    """
+
+    __slots__ = ("_estimate", "_freqs", "_bind")
+
+    def __init__(self, estimate, freqs: Tuple[float, ...], bind=None):
+        super().__init__()
+        self._estimate = estimate
+        self._freqs = freqs
+        self._bind = bind
+
+    def __missing__(self, workload: str) -> List[float]:
+        estimate = self._estimate
+        row = self[workload] = [estimate(workload, f) for f in self._freqs]
+        if self._bind is not None:
+            self._bind(workload, self._freqs, row)
+        return row
+
+
 class ExecutionTimeEstimator:
-    """The full ``mu(c, f)`` table: one percentile tracker per pair."""
+    """The full ``mu(c, f)`` table: one percentile tracker per pair.
+
+    The estimator also owns the *estimate rows* SetProcessorFreq reads
+    (:meth:`mu_rows`): per frequency ladder, one identity-stable list
+    per workload with ``row[j] == estimate(c, freqs[j])`` at all times.
+    Every mutation patches the one slot it changes, so a reader that
+    holds a row --- each queued request carries its workload's --- never
+    validates or rebuilds anything.  Estimator *proxies* whose estimates
+    move without an observation (repro.faults skew windows) expose no
+    ``mu_rows`` and are read through ``estimate`` instead.
+    """
 
     def __init__(self, window: int = DEFAULT_WINDOW,
                  percentile: float = DEFAULT_PERCENTILE):
         self.window = window
         self.percentile = percentile
         self._trackers: Dict[Tuple[str, float], SlidingWindowPercentile] = {}
-        #: Bumped on every mutation.  Consumers (the POLARIS mu-vector
-        #: cache) may reuse estimates as long as this hasn't moved;
-        #: estimator *proxies* that vary estimates over time without
-        #: observing (repro.faults skew windows) deliberately do not
-        #: expose a ``version``, which disables such caching.
-        self.version = 0
-        #: Per-workload mutation counters: an observation for workload
-        #: ``c`` moves only ``workload_versions[c]``, so cached
-        #: estimate vectors for *other* workloads stay valid --- the
-        #: global counter alone would invalidate the whole cache on
-        #: every completion.
-        self.workload_versions: Dict[str, int] = {}
-        #: Estimate-vector caches, keyed by frequency tuple then
-        #: workload (see PolarisScheduler).  Living on the estimator
-        #: rather than the scheduler lets every worker sharing this
-        #: estimator share one cache: a vector built after any
-        #: observation is valid for all of them, instead of each of N
-        #: workers rebuilding it once per mutation.
-        self.mu_vector_caches: Dict[Tuple[float, ...], dict] = {}
+        self._rows: Dict[Tuple[float, ...], EstimateRows] = {}
+        #: ``(workload, freq) -> [(row, index), ...]``: every row slot
+        #: that mirrors this pair, across all ladders, pre-bound when
+        #: the row is built so a mutation writes them without searching.
+        self._slots: Dict[Tuple[str, float],
+                          List[Tuple[List[float], int]]] = {}
 
-    def _tracker(self, workload: str,
-                 freq_ghz: float) -> SlidingWindowPercentile:
-        key = (workload, freq_ghz)
+    def mu_rows(self, freqs: Tuple[float, ...]) -> EstimateRows:
+        """The live ``workload -> row`` table for one frequency ladder,
+        shared by every scheduler built on this estimator with it."""
+        rows = self._rows.get(freqs)
+        if rows is None:
+            rows = self._rows[freqs] = EstimateRows(
+                self.estimate, freqs, self._bind_row)
+        return rows
+
+    def _bind_row(self, workload: str, freqs: Tuple[float, ...],
+                  row: List[float]) -> None:
+        slots = self._slots
+        for index, freq_ghz in enumerate(freqs):
+            slots.setdefault((workload, freq_ghz), []).append((row, index))
+
+    def _mutated(self, key: Tuple[str, float],
+                 tracker: SlidingWindowPercentile) -> None:
+        """Bring every row slot mirroring ``key`` up to date.  One
+        tracker changed, so every other slot of every row is current."""
+        slots = self._slots.get(key)
+        if slots is not None:
+            value = tracker.value()
+            for row, index in slots:
+                row[index] = value
+
+    def _tracker(self, key: Tuple[str, float]) -> SlidingWindowPercentile:
         tracker = self._trackers.get(key)
         if tracker is None:
             tracker = SlidingWindowPercentile(self.window, self.percentile)
@@ -379,13 +428,10 @@ class ExecutionTimeEstimator:
         dispatch, as in the prototype (a transaction occasionally spans
         a frequency change; the sliding window absorbs the noise).
         """
-        tracker = self._tracker(workload, freq_ghz)
+        key = (workload, freq_ghz)
+        tracker = self._tracker(key)
         tracker.observe(execution_seconds)
-        self.version += 1
-        version = self.workload_versions.get(workload, 0) + 1
-        self.workload_versions[workload] = version
-        if self.mu_vector_caches:
-            self._refresh_vectors(workload, freq_ghz, tracker, version)
+        self._mutated(key, tracker)
 
     def estimate(self, workload: str, freq_ghz: float) -> float:
         """``mu(c, f)``: predicted execution time in seconds (0 if unseen)."""
@@ -397,37 +443,11 @@ class ExecutionTimeEstimator:
     def prime(self, workload: str, freq_ghz: float, value: float,
               count: int = 1) -> None:
         """Seed a tracker (the harness's training phase, Section 6.1)."""
-        tracker = self._tracker(workload, freq_ghz)
+        key = (workload, freq_ghz)
+        tracker = self._tracker(key)
         for _ in range(count):
             tracker.observe(value)
-        self.version += 1
-        version = self.workload_versions.get(workload, 0) + 1
-        self.workload_versions[workload] = version
-        if self.mu_vector_caches:
-            self._refresh_vectors(workload, freq_ghz, tracker, version)
-
-    def _refresh_vectors(self, workload: str, freq_ghz: float,
-                         tracker: SlidingWindowPercentile,
-                         version: int) -> None:
-        """Patch cached estimate vectors in place after a mutation.
-
-        An observation for ``(workload, freq_ghz)`` changes exactly one
-        tracker, so a cached vector for this workload stays correct at
-        every *other* frequency --- only the observed frequency's slot
-        needs the fresh ``tracker.value()``, and the entry's version
-        stamp moves up so consumers treat it as current.  This replaces
-        a full ``[estimate(c, f) for f in freqs]`` rebuild per mutation
-        with one slot write, and is value-identical to the rebuild.
-        """
-        for freqs, cache in self.mu_vector_caches.items():
-            entry = cache.get(workload)
-            if entry is not None:
-                vector = entry[1]
-                if freq_ghz in freqs:
-                    vector[freqs.index(freq_ghz)] = tracker.value()
-                # A frequency outside this cache's ladder touches no
-                # slot, so the vector is already current either way.
-                cache[workload] = (version, vector)
+        self._mutated(key, tracker)
 
     def observation_count(self, workload: str, freq_ghz: float) -> int:
         tracker = self._trackers.get((workload, freq_ghz))

@@ -48,15 +48,12 @@ class OnlineSpeedScaler(PolarisScheduler):
 
     def _work_gcycles(self, request: Request) -> float:
         """Inferred work: predicted time at ``f_max`` times ``f_max``."""
-        f_max = self.frequencies[-1]
-        return self.estimator.estimate(request.workload_name, f_max) * f_max
+        return request.mu[-1] * self.frequencies[-1]
 
     def _remaining_gcycles(self, running: Request,
                            elapsed_s: float) -> float:
         """Running transaction's inferred remaining work (clamped at 0)."""
-        f_max = self.frequencies[-1]
-        predicted = self.estimator.estimate(running.workload_name, f_max)
-        return max(0.0, predicted - elapsed_s) * f_max
+        return max(0.0, running.mu[-1] - elapsed_s) * self.frequencies[-1]
 
     def _relation_l(self, target_ghz: float) -> float:
         """Lowest grid frequency at or above ``target_ghz`` (relation L);
@@ -82,6 +79,7 @@ class OnlineSpeedScaler(PolarisScheduler):
                     "early_exit": True, "panic": True,
                 }
             return freqs[-1]
+        self._current_rows(running, self.queue)
         target = self._target_speed(now, running, running_elapsed)
         self.queue_items_scanned += len(self.queue)
         selected = self._relation_l(target)

@@ -19,10 +19,27 @@ their deadlines:
 3. The moment the highest frequency is required, stop checking and run
    flat out --- late transactions then finish as fast as possible.
 
-The walk keeps one running sum per frequency, so one invocation costs
-O(|Q| * |F|) --- the prototype measures ~10 us per invocation at high
-load, one to two orders of magnitude below mean transaction times
-(Section 5); the overhead bench reproduces the scaling.
+**How the walk is computed.**  The literal Figure 2 keeps one running
+``q(t, f)`` sum per frequency, O(|Q| * |F|) adds per invocation.  Only
+the sum at the *current* candidate frequency is ever compared, and the
+candidate never decreases, so this implementation keeps one scalar:
+each item costs one add, and an escalation rebuilds the sum at the
+higher frequency by replaying the already-walked prefix in walk order
+--- the additions the per-frequency form would have made, so the result
+is bit-identical.  A feasible queue costs |Q| adds; a queue that climbs
+every level replays its prefix once per level and approaches the
+literal O(|Q| * |F|).  The overhead bench times both regimes against
+the prototype's ~10 us per invocation at high load (Section 5).
+
+**Where the estimates come from.**  No estimate is computed, looked up
+by name or validated inside the walk.  The estimator owns one
+always-current row ``[mu(c, f) for f in freqs]`` per workload
+(:meth:`~repro.core.estimator.ExecutionTimeEstimator.mu_rows`), and
+:meth:`PolarisScheduler.enqueue` stamps a reference to it on the
+request as ``request.mu``; the walk reads ``request.mu[chosen]`` and a
+replay reads ``w.mu[j]``.  An estimator that exposes no rows (the
+faults subsystem's skew proxy, whose estimates move with virtual time)
+gets rows stamped per call instead, and then the same walk runs.
 
 **Shared frequency domains.**  ``select_frequency`` assumes per-core
 DVFS, as the paper does.  On coarse topologies
@@ -39,10 +56,10 @@ the harness's granularity figure quantifies exactly that cost.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.analysis.sanitizer import invariant, simsan_enabled
-from repro.core.estimator import ExecutionTimeEstimator
+from repro.core.estimator import EstimateRows, ExecutionTimeEstimator
 from repro.core.request import Request
 from repro.db.queues import EdfQueue, RequestQueue
 
@@ -88,26 +105,14 @@ class PolarisScheduler:
         #: pop/selection, so the disabled cost is one boolean test.
         self.sanitize = simsan_enabled(sanitize)
         self._freq_set = frozenset(freqs)
-        #: mu-vector cache: workload name -> ``(workload_version,
-        #: [estimate(c, f) for f in freqs])``.  SetProcessorFreq runs
-        #: once per arrival *and* per completion, so between
-        #: observations the same vectors are rebuilt thousands of
-        #: times; caching them is value-identical (the estimator is
-        #: pure between mutations).  Entries are validated against the
-        #: estimator's *per-workload* mutation counters, so observing
-        #: workload ``c`` invalidates only ``c``'s vector.  Estimators
-        #: without a ``workload_versions`` attribute (the faults
-        #: subsystem's time-varying skew proxy) disable the cache.
-        #: When the estimator exposes ``mu_vector_caches`` the cache is
-        #: *shared* across every scheduler built on that estimator with
-        #: the same frequency ladder: the vectors are a pure function of
-        #: (workload, freqs, estimator state), so one worker's rebuild
-        #: after an observation serves all of them.
-        caches = getattr(estimator, "mu_vector_caches", None)
-        if caches is None:
-            self._mu_cache: dict = {}
-        else:
-            self._mu_cache = caches.setdefault(freqs, {})
+        #: The estimator's live ``workload -> estimate row`` table for
+        #: this ladder (shared by every scheduler built on the estimator
+        #: with the same frequencies), or None for an estimator proxy
+        #: that exposes none --- see :meth:`_current_rows`.
+        mu_rows = getattr(estimator, "mu_rows", None)
+        self._rows: Optional[EstimateRows] = \
+            mu_rows(freqs) if mu_rows is not None else None
+        self._zeros = (0.0,) * len(freqs)
         #: repro.obs: the worker flips this on when tracing and reads
         #: :attr:`last_decision` right after each ``select_frequency``
         #: call.  The scheduler stays simulation-agnostic --- it records
@@ -127,7 +132,11 @@ class PolarisScheduler:
     # Queue management
     # ------------------------------------------------------------------
     def enqueue(self, request: Request) -> None:
-        """Queue a request (EDF position for POLARIS proper)."""
+        """Queue a request (EDF position for POLARIS proper), carrying
+        its workload's estimate row for this scheduler's ladder."""
+        rows = self._rows
+        if rows is not None:
+            request.mu = rows[request.workload_name]
         self.queue.push(request)
 
     def next_request(self) -> Optional[Request]:
@@ -174,170 +183,107 @@ class PolarisScheduler:
                     "slack_s": None, "early_exit": True, "panic": True,
                 }
             return freqs[-1]
-        nf = len(freqs)
-        estimator = self.estimator
-        estimate = estimator.estimate
-        # The mu-vector cache only engages for estimators that declare
-        # per-workload mutation counters; between bumps ``estimate`` is
-        # a pure function of (workload, freq), so the per-workload
-        # vectors are reusable verbatim.  Looking estimates up
-        # vector-at-a-time is value-identical to the original per-call
-        # form: the walk below consumes exactly ``estimate(c, f)`` for
-        # every frequency, in the same arithmetic order.
-        versions = getattr(estimator, "workload_versions", None)
-        if versions is None:
-            mu_get = None
-            versions_get = None
-            mu_cache = None
-        else:
-            mu_cache = self._mu_cache
-            mu_get = mu_cache.get
-            versions_get = versions.get
-            # No observation can land mid-call, so validate the cache
-            # once per estimator mutation instead of once per queue
-            # item: evict entries whose per-workload counter moved,
-            # then record the estimator version under the reserved
-            # ``None`` key (shared by every scheduler on this cache).
-            # After the sweep, every stored entry is fresh and the
-            # per-item path below is a bare dict get.
-            ver = estimator.version
-            if mu_get(None) != ver:
-                stale = [c_ for c_, e_ in mu_cache.items()
-                         if c_ is not None and e_[0] != versions_get(c_, 0)]
-                for c_ in stale:
-                    del mu_cache[c_]
-                mu_cache[None] = ver
+        last = len(freqs) - 1
+        items, index = self.queue.scan()
+        live = items[index:] if index < len(items) else ()
+        if self._rows is None or (running is not None
+                                  and running.mu is None):
+            self._current_rows(running, live)
 
-        # Lines 2-4: minimum frequency for the running transaction, and
-        # its predicted remaining time per frequency (feeds q-hat).
+        # Lines 2-4: minimum frequency for the running transaction.  Its
+        # predicted remaining time max(0, mu0[j] - e0) also seeds q-hat
+        # at every frequency j; no running transaction reads as zeros.
         if running is not None:
-            c0 = running.workload.name
-            if mu_get is not None:
-                entry = mu_get(c0)
-                if entry is not None:
-                    mu0 = entry[1]
-                else:
-                    mu0 = [estimate(c0, f) for f in freqs]
-                    mu_cache[c0] = (versions_get(c0, 0), mu0)
-            else:
-                mu0 = [estimate(c0, f) for f in freqs]
-            # With e0 == 0 the clamp is the identity (estimates are
-            # never negative), so reuse the vector as-is.
-            if running_elapsed:
-                remaining_s = [max(0.0, m - running_elapsed) for m in mu0]
-            else:
-                remaining_s = mu0
-            chosen = nf - 1
-            for j in range(nf):
-                if now + remaining_s[j] <= running.deadline:
-                    chosen = j
+            mu0 = running.mu
+            e0 = running_elapsed
+            deadline = running.deadline
+            chosen = 0
+            while True:
+                q = mu0[chosen] - e0
+                if not q > 0.0:
+                    q = 0.0
+                if now + q <= deadline or chosen == last:
                     break
+                chosen += 1
         else:
-            remaining_s = [0.0] * nf
+            mu0 = self._zeros
+            e0 = q = 0.0
             chosen = 0
         floor_index = chosen  # the running transaction's frequency floor
 
         # Lines 5-16: ensure all queued transactions finish in time.
-        # Only q-hat at the *current* candidate frequency is read per
-        # item, and ``chosen`` never decreases, so the full q-hat
-        # vector is never materialized: the walk keeps one scalar
-        # accumulator ``q`` (== ``cumulative[chosen]`` of the vector
-        # form) plus a per-level ``workload -> mu[chosen]`` memo, and
-        # an escalation rebuilds q-hat at the higher frequency by
-        # replaying the walked items' estimates in walk order --- the
-        # exact addition sequence the vector form would have performed.
-        # Results are bit-identical; the per-item cost drops from one
-        # add per frequency to one add total.
-        items, index = self.queue.scan()
-        end = len(items)
+        # ``q`` is q-hat at the current candidate frequency (see the
+        # module docstring); every addition below is a left fold in
+        # walk order, which is what keeps the result bit-identical to
+        # the per-frequency form.
         early_exit = False
-        scanned = 0
-        if index < end and mu_get is not None:
-            q = remaining_s[chosen]
-            live = items[index:end]
-            scanned = len(live)
-            lm: dict = {}  # level memo: workload -> mu[chosen]
-            lm_get = lm.get
-            for request in live:
-                c = request.workload_name
-                m = lm_get(c)
-                if m is None:
-                    entry = mu_get(c)
-                    if entry is None:
-                        vec = [estimate(c, f) for f in freqs]
-                        mu_cache[c] = (versions_get(c, 0), vec)
-                    else:
-                        vec = entry[1]
-                    m = lm[c] = vec[chosen]
-                deadline = request.deadline
-                if now + q + m > deadline:
-                    # Position of the current item (identity match ---
-                    # requests are unique); escalations are rare enough
-                    # that one C scan here beats per-item bookkeeping.
-                    at = live.index(request)
-                    mu = mu_cache[c][1]
-                    # Find the lowest higher frequency that is fast
-                    # enough.
-                    j = chosen + 1
-                    while j < nf:
-                        chosen = j
-                        qj = remaining_s[j]
-                        for w in live[:at]:
-                            qj += mu_cache[w.workload_name][1][j]
-                        q = qj
-                        m = mu[j]
-                        if now + qj + m <= deadline:
-                            break
-                        j += 1
-                    if chosen == nf - 1:
-                        # Line 14: no further checking once we need
-                        # the highest frequency.
-                        scanned = at + 1
-                        early_exit = True
+        scanned = len(live)
+        for request in live:
+            mu = request.mu
+            m = mu[chosen]
+            deadline = request.deadline
+            if now + q + m > deadline:
+                # Find the lowest higher frequency that is fast enough,
+                # replaying the walked prefix at each level tried.
+                # Position by identity match (requests are unique): one
+                # C scan per escalation beats per-item bookkeeping.
+                at = live.index(request)
+                walked = live[:at]
+                while chosen < last:
+                    chosen += 1
+                    q = mu0[chosen] - e0
+                    if not q > 0.0:
+                        q = 0.0
+                    for w in walked:
+                        q += w.mu[chosen]
+                    m = mu[chosen]
+                    if now + q + m <= deadline:
                         break
-                    lm = {c: m}  # new level, fresh memo
-                    lm_get = lm.get
-                q += m
-        elif index < end:
-            # Cache disabled (estimator without per-workload version
-            # counters): the original interpreted walk, with estimates
-            # drawn per item.
-            q = remaining_s[chosen]
-            vectors: List[List[float]] = []
-            vectors_append = vectors.append
-            while index < end:
-                request = items[index]
-                index += 1
-                scanned += 1
-                mu = [estimate(request.workload_name, f) for f in freqs]
-                m = mu[chosen]
-                deadline = request.deadline
-                if now + q + m > deadline:
-                    j = chosen + 1
-                    while j < nf:
-                        chosen = j
-                        qj = remaining_s[j]
-                        for w in vectors:
-                            qj += w[j]
-                        q = qj
-                        m = mu[j]
-                        if now + qj + m <= deadline:
-                            break
-                        j += 1
-                    if chosen == nf - 1:
-                        early_exit = True
-                        break
-                q += m
-                vectors_append(mu)
+                if chosen == last:
+                    # Line 14: no further checking once we need the
+                    # highest frequency.
+                    scanned = at + 1
+                    early_exit = True
+                    break
+            q += m
         self.queue_items_scanned += scanned
         selected = freqs[chosen]
         if self.sanitize:
             self._sanitize_selected(selected, floor_index, now)
+            walked = list(live[:scanned])
+            if running is not None:
+                walked.append(running)
+            self._sanitize_rows(walked, now)
         if self.trace_decisions:
-            self._record_decision(now, running, remaining_s[chosen],
+            remaining_s = mu0[chosen] - e0
+            self._record_decision(now, running,
+                                  remaining_s if remaining_s > 0.0 else 0.0,
                                   selected, freqs[floor_index],
                                   early_exit=early_exit)
         return selected
+
+    def _current_rows(self, running: Optional[Request],
+                      queued: Iterable[Request]) -> EstimateRows:
+        """The estimate-row table to read during this call, after
+        making ``running.mu`` and every queued ``.mu`` current.
+
+        With a live table the queued requests already are (``enqueue``
+        stamped them); only a ``running`` request that never passed
+        ``enqueue`` needs its row looked up.  An estimator that exposes
+        no rows gets a table built for this call alone: ``estimate`` is
+        pure within a call, so one row per workload name holds exactly
+        the values a per-item ``estimate`` would return.
+        """
+        rows = self._rows
+        if rows is None:
+            rows = EstimateRows(self.estimator.estimate, self.frequencies)
+            for request in queued:
+                request.mu = rows[request.workload_name]
+            if running is not None:
+                running.mu = rows[running.workload_name]
+        elif running is not None and running.mu is None:
+            running.mu = rows[running.workload_name]
+        return rows
 
     def _record_decision(self, now_s: float, running: Optional[Request],
                          remaining_s: float, selected_ghz: float,
@@ -380,6 +326,28 @@ class PolarisScheduler:
                   "queue walk lowered the frequency below the running "
                   "transaction's floor",
                   selected=selected, floor_index=floor_index, now=now)
+
+    def _sanitize_rows(self, requests: Iterable[Request],
+                       now: float) -> None:
+        """simsan: every request the walk read carries *the estimator's*
+        row for its workload, and that row equals ``estimate(c, f)``
+        slot for slot.  (Per-call rows are built from ``estimate`` in
+        the same call; there is nothing to go stale.)"""
+        rows = self._rows
+        if rows is None:
+            return
+        estimate = self.estimator.estimate
+        for request in requests:
+            c = request.workload_name
+            invariant(request.mu is rows.get(c), "mu-row-fresh",
+                      "request does not carry the estimator's row for "
+                      "its workload", workload=c,
+                      request_id=request.request_id, now=now)
+            invariant(request.mu
+                      == [estimate(c, f) for f in self.frequencies],
+                      "mu-row-fresh",
+                      "estimate row differs from estimate(c, f)",
+                      workload=c, row=list(request.mu), now=now)
 
     # ------------------------------------------------------------------
     # Admission control (Section 1: the DBMS "can reorder requests, or

@@ -42,7 +42,7 @@ class Request:
     __slots__ = ("request_id", "workload", "workload_name", "txn_type",
                  "arrival_time", "deadline", "work", "state",
                  "dispatch_time", "finish_time", "worker_id",
-                 "dispatch_freq", "single_freq", "result")
+                 "dispatch_freq", "single_freq", "result", "mu")
 
     _next_id = 0
 
@@ -69,6 +69,10 @@ class Request:
         #: ran; only such runs are clean per-frequency measurements.
         self.single_freq: bool = True
         self.result: Any = None
+        #: The estimate row ``[mu(c, f) for f in freqs]`` of this
+        #: request's workload, stamped by the scheduler that queued it
+        #: (see ``PolarisScheduler.enqueue``); None until then.
+        self.mu: Optional[list] = None
 
     # ------------------------------------------------------------------
     @property

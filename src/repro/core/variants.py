@@ -63,15 +63,13 @@ class PolarisShedScheduler(PolarisScheduler):
     name = "polaris-shed"
 
     def admits(self, now, running, running_elapsed, request) -> bool:
-        f_max = self.frequencies[-1]
-        estimate = self.estimator.estimate
+        rows = self._current_rows(running, self.queue)
         queueing = 0.0
         if running is not None:
-            queueing = max(0.0, estimate(running.workload.name, f_max)
-                           - running_elapsed)
+            queueing = max(0.0, running.mu[-1] - running_elapsed)
         for queued in self.queue:
             if queued.deadline <= request.deadline:
-                queueing += estimate(queued.workload.name, f_max)
+                queueing += queued.mu[-1]
         predicted_finish = now + queueing \
-            + estimate(request.workload.name, f_max)
+            + rows[request.workload_name][-1]
         return predicted_finish <= request.deadline

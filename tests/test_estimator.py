@@ -194,3 +194,34 @@ def test_estimator_p95_is_conservative():
     above = sum(1 for s in samples if s > estimate)
     assert above <= 0.05 * len(samples)
     assert estimate > sum(samples) / len(samples)  # above the mean
+
+
+def test_nan_observation_is_rejected_before_it_corrupts_the_window():
+    """``nan < 0`` is False, so the old guard let NaN into the sorted
+    runs, after which bisect placed every later value wrongly."""
+    tracker = SlidingWindowPercentile(window=4, percentile=100)
+    for value in (3.0, 1.0):
+        tracker.observe(value)
+    with pytest.raises(ValueError):
+        tracker.observe(float("nan"))
+    assert tracker.observations == 2
+    for value in (2.0, 4.0):
+        tracker.observe(value)
+    assert tracker._sorted == [1.0, 2.0, 3.0, 4.0]
+    assert tracker.value() == 4.0
+    with pytest.raises(ValueError):
+        ListSlidingWindowPercentile().observe(float("nan"))
+
+
+def test_estimator_rejects_nan_and_keeps_its_rows():
+    estimator = ExecutionTimeEstimator(window=4, percentile=100)
+    estimator.observe("w", 2.0, 0.5)
+    row = estimator.mu_rows((1.0, 2.0))["w"]
+    with pytest.raises(ValueError):
+        estimator.observe("w", 2.0, float("nan"))
+    with pytest.raises(ValueError):
+        estimator.prime("w", 1.0, float("nan"), count=3)
+    assert row == [0.0, 0.5]
+    assert estimator.estimate("w", 2.0) == 0.5
+    assert estimator.observation_count("w", 2.0) == 1
+    assert estimator.observation_count("w", 1.0) == 0

@@ -81,8 +81,10 @@ def test_theory_competitive_structure():
 
 def test_overhead_structure():
     result = figures.polaris_overhead(queue_lengths=(0, 8), repeats=20)
-    assert set(result.micros) == {0, 8}
+    assert set(result.micros) == set(result.escalating) == {0, 8}
     assert all(us > 0 for us in result.micros.values())
+    assert all(us > 0 for us in result.escalating.values())
+    assert "escalating" in result.render()
     assert "queue length" in result.render()
 
 

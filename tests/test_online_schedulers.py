@@ -158,5 +158,5 @@ def test_nonclairvoyant_never_touches_estimator():
     popped.dispatch_freq = 2.8
     popped.finish_time = 1.0
     scheduler.record_completion(popped)
-    assert estimator.version == 0
+    assert estimator.pairs() == []
     assert estimator.estimate("j1", 2.8) == 0.0

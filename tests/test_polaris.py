@@ -222,8 +222,8 @@ def test_noarrive_variant_flag():
 
 
 def test_mu_cache_invalidated_by_observe():
-    """New observations must change subsequent selections (no stale
-    cached estimate vectors)."""
+    """New observations must change subsequent selections (the
+    estimator patches the rows its requests carry)."""
     estimator = primed_estimator({"w": 1e-3})
     scheduler = PolarisScheduler(FREQS, estimator)
     tight = Request(Workload("w", 1.5e-3), "w", 0.0, 1.0)
@@ -236,8 +236,8 @@ def test_mu_cache_invalidated_by_observe():
 
 
 def test_mu_cache_disabled_for_versionless_estimator():
-    """Estimator proxies without a ``version`` attribute (e.g. the
-    fault injector's time-varying skew wrapper) must not be cached."""
+    """Estimator proxies that expose no ``mu_rows`` (e.g. the fault
+    injector's time-varying skew wrapper) are re-read on every call."""
 
     class TimeVaryingProxy:
         def __init__(self, inner):
@@ -248,11 +248,11 @@ def test_mu_cache_disabled_for_versionless_estimator():
             return self._inner.estimate(workload, freq) * self.scale
 
     proxy = TimeVaryingProxy(primed_estimator({"w": 1e-3}))
-    assert not hasattr(proxy, "version")
+    assert not hasattr(proxy, "mu_rows")
     scheduler = PolarisScheduler(FREQS, proxy)
     tight = Request(Workload("w", 1.5e-3), "w", 0.0, 1.0)
     assert scheduler.select_frequency(0.0, tight, 0.0) == 2.0
-    # The proxy's estimates drift without any version bump; the
+    # The proxy's estimates drift without any observation; the
     # scheduler must see the change immediately.
     proxy.scale = 10.0
     assert scheduler.select_frequency(0.0, tight, 0.0) == 2.8

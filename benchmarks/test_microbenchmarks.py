@@ -523,8 +523,7 @@ def test_bench_fleet_events_recorded(benchmark):
     import random as _random
 
     from repro.fleet import FleetConfig
-    from repro.fleet.experiment import run_fleet_experiment
-    from repro.harness import ExperimentConfig
+    from repro.harness import ExperimentConfig, run_experiment
     from repro.harness.profiling import (
         TimingReport, append_trajectory, load_trajectory, perf_clock,
     )
@@ -541,7 +540,7 @@ def test_bench_fleet_events_recorded(benchmark):
                           node_workers=2))
 
     def cell():
-        return run_fleet_experiment(config)
+        return run_experiment(config)
 
     warm = cell()
     assert warm.completed > 0 and warm.sim_events > 0

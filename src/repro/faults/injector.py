@@ -9,7 +9,7 @@ only expose the seams it needs:
   silently dropped), or ``None``.
 * ``Core.set_throttle_ceiling`` / ``Core.stall`` / ``Core.resume`` ---
   driven by scheduled window-boundary events.
-* :meth:`FaultInjector.wrap_rate` --- a pure function of the plan and
+* :func:`wrap_rate` --- a pure function of the plan's bursts and
   the virtual clock multiplying the offered-load rate inside burst
   windows (no extra RNG draws, so the arrival *pattern* outside bursts
   is untouched).
@@ -246,30 +246,33 @@ class FaultInjector:
                                 self.sim.now, scenario=self.plan.name,
                                 **payload)
 
-    # ------------------------------------------------------------------
-    # Pure wrappers
-    # ------------------------------------------------------------------
-    def wrap_rate(self, rate_fn: Callable[[float], float]
-                  ) -> Callable[[float], float]:
-        """Multiply the offered-load rate inside burst windows."""
-        bursts = self.plan.bursts
-        if not bursts:
-            return rate_fn
 
-        def burst_rate(now_s: float) -> float:
-            rate = rate_fn(now_s)
-            for spec in bursts:
-                if spec.start_s <= now_s < spec.end_s:
-                    rate *= spec.multiplier
-            return rate
+# ----------------------------------------------------------------------
+# Pure wrappers: functions of the plan and the virtual clock alone, so
+# the experiment kernel applies them at either tier without an injector
+# ----------------------------------------------------------------------
+def wrap_rate(rate_fn: Callable[[float], float], bursts
+              ) -> Callable[[float], float]:
+    """Multiply the offered-load rate inside burst windows."""
+    if not bursts:
+        return rate_fn
 
-        return burst_rate
+    def burst_rate(now_s: float) -> float:
+        rate = rate_fn(now_s)
+        for spec in bursts:
+            if spec.start_s <= now_s < spec.end_s:
+                rate *= spec.multiplier
+        return rate
 
-    def wrap_estimator(self, estimator):
-        """Proxy the estimator through the plan's misprediction skews."""
-        if not self.plan.skews:
-            return estimator
-        return SkewedEstimator(estimator, self.sim, self.plan.skews)
+    return burst_rate
 
 
-__all__ = ["FaultInjector", "SkewedEstimator"]
+def wrap_estimator(estimator, sim, skews):
+    """Proxy the estimator through the plan's misprediction skews."""
+    if not skews:
+        return estimator
+    return SkewedEstimator(estimator, sim, skews)
+
+
+__all__ = ["FaultInjector", "SkewedEstimator", "wrap_estimator",
+           "wrap_rate"]

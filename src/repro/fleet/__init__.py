@@ -8,9 +8,12 @@ replicated cluster: :class:`Node` wraps a
 replicas (bouncing stale reads to primaries), and
 :class:`ElasticController` parks and boots whole replicas from the
 windowed per-shard load --- the paper's race-to-idle argument applied
-to nodes instead of cores.  :func:`run_fleet_experiment` runs one fleet
-cell through the standard harness methodology; reach it by setting the
-``fleet`` field of :class:`~repro.harness.experiment.ExperimentConfig`.
+to nodes instead of cores.  A fleet cell runs through the one
+experiment kernel, :func:`repro.harness.experiment.run_experiment`:
+set the ``fleet`` field of
+:class:`~repro.harness.experiment.ExperimentConfig`, and the kernel
+drives a :class:`~repro.fleet.experiment.FleetPlant` (imported lazily,
+only for fleet cells) instead of a single server.
 
 PR 9 adds the failure model: :class:`FleetFaultInjector` schedules a
 fault plan's node crashes / partitions / replica-lag windows onto the
@@ -51,12 +54,3 @@ __all__ = [
     "read_only_types",
 ]
 
-
-def __getattr__(name):
-    # run_fleet_experiment imports the harness (which imports
-    # FleetConfig from this package); resolve it lazily so
-    # ``import repro.fleet`` stays cycle-free.
-    if name == "run_fleet_experiment":
-        from repro.fleet.experiment import run_fleet_experiment
-        return run_fleet_experiment
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

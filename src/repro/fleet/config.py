@@ -155,6 +155,12 @@ class FleetConfig:
         if self.route_retry_backoff_s <= 0:
             raise ValueError("route retry backoff must be positive")
 
+    def static_replicas(self) -> int:
+        """Replicas per shard a static fleet starts active."""
+        return self.replicas_per_shard \
+            if self.static_active_replicas is None \
+            else self.static_active_replicas
+
     def provisioned_nodes(self) -> int:
         """Node count at peak provisioning (primaries + all replicas)."""
         return self.shards * (1 + self.replicas_per_shard)

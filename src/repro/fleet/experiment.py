@@ -1,18 +1,17 @@
-"""Run one fleet-tier experimental cell.
+"""The fleet plant: what a fleet-tier cell puts under the run loop.
 
-Single-server cells (:func:`repro.harness.experiment.run_experiment`)
-measure one multi-core server under POLARIS; a fleet cell measures a
-whole sharded/replicated cluster of such servers behind a
+A fleet cell measures a whole sharded/replicated cluster of
+:class:`~repro.db.server.DatabaseServer` nodes behind a
 :class:`~repro.fleet.router.ClusterRouter`, with (optionally) the
 :class:`~repro.fleet.controller.ElasticController` parking and booting
-replicas as the offered load breathes.  The methodology mirrors the
-paper's three phases --- warmup, estimator training (shared fleet-wide:
-every worker of every node uses the same calibrated estimator),
-measured test window with a wall meter over the *fleet's* power ---
-and the result is reported through the same
-:class:`~repro.harness.experiment.ExperimentResult`, with fleet extras
-(per-shard miss rates, stale-read bounces, node-lifecycle actions, the
-active-node timeline) on defaulted fields.
+replicas as the offered load breathes.  The methodology is the paper's
+three phases, and :func:`repro.harness.experiment.run_experiment` is
+its one implementation for both tiers: it builds the shared parts (one
+estimator trained once --- every worker of every node reads it), drives
+the phases and collects the result.  :class:`FleetPlant` is what
+differs: the nodes and their router, the key draw in front of
+``route``, the *fleet's* wall energy under the meter, chaos/failover
+arming, per-shard books, and the fleet-only result fields.
 
 Offered load is expressed against the **peak-provisioned** fleet
 (every node active), so elastic and static cells of the same shape see
@@ -24,14 +23,11 @@ per-shard deadline-miss rates.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.request import Request
-from repro.core.workload import WorkloadManager
-from repro.cpu.topology import SocketTopology, make_topology
-from repro.db.server import DatabaseServer, ServerConfig
-from repro.faults.plan import resolve_fault_plan
+from repro.db.server import DatabaseServer
+from repro.faults.plan import FaultPlan
 from repro.fleet.chaos import FleetFaultInjector, ShardReplication
 from repro.fleet.config import FleetConfig
 from repro.fleet.controller import ElasticController
@@ -40,28 +36,18 @@ from repro.fleet.node import Fleet, Node, NodeState, PRIMARY, REPLICA
 from repro.fleet.router import (
     ClusterRouter, RouterPolicy, ShardState, read_only_types,
 )
-from repro.governors.base import GovernorSet
-from repro.harness.experiment import (
-    BENCHMARKS, ExperimentConfig, ExperimentResult, _train_estimator,
-    effective_load_fraction,
-)
-from repro.harness.profiling import perf_clock
-from repro.harness.schemes import scheme_named
-from repro.metrics.latency import LatencyRecorder, WorkloadStats, percentile
-from repro.metrics.power import PowerMeter
-from repro.obs.export import export_chrome_trace, export_series_csv
-from repro.obs.metrics import MetricRegistry, MetricsSampler
-from repro.obs.trace import NULL_TRACER, Tracer, trace_enabled
+from repro.harness.experiment import ExperimentConfig
+from repro.metrics.latency import LatencyRecorder, percentile
+from repro.obs.metrics import MetricRegistry
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.workloads.arrivals import OpenLoopGenerator, RateSchedule
 
 
 def _build_fleet(sim: Simulator, fleet_config: FleetConfig,
-                 server_config: ServerConfig, scheme, scheduler_factory,
-                 streams: RandomStreams
-                 ) -> Tuple[Fleet, List[ShardState], List[GovernorSet]]:
-    """Construct nodes, shards, and (for OS schemes) their governors.
+                 make_server: Callable[[], DatabaseServer],
+                 streams: RandomStreams) -> Tuple[Fleet, List[ShardState]]:
+    """Construct nodes and shards (``make_server`` also attaches an OS
+    scheme's governors, node by node).
 
     Replication lags are drawn for every replica in build order from
     the seeded lifecycle stream, *before* any controller decision can
@@ -69,14 +55,9 @@ def _build_fleet(sim: Simulator, fleet_config: FleetConfig,
     identical lag assignments.
     """
     lifecycle_rng = streams.get("fleet-lifecycle")
-    static_replicas = fleet_config.replicas_per_shard \
-        if fleet_config.static_active_replicas is None \
-        else fleet_config.static_active_replicas
-
+    static_replicas = fleet_config.static_replicas()
     nodes: List[Node] = []
     shards: List[ShardState] = []
-    governor_sets: List[GovernorSet] = []
-    node_id = 0
     for shard_id in range(fleet_config.shards):
         shard_members: List[Node] = []
         for replica_index in range(1 + fleet_config.replicas_per_shard):
@@ -89,207 +70,121 @@ def _build_fleet(sim: Simulator, fleet_config: FleetConfig,
             start_parked = (role == REPLICA
                             and not fleet_config.elastic
                             and replica_index > static_replicas)
-            server = DatabaseServer(sim, server_config,
-                                    scheduler_factory=scheduler_factory,
-                                    initial_freq=scheme.initial_freq)
-            if scheduler_factory is None:
-                assert scheme.governor_factory is not None
-                governors = GovernorSet(scheme.governor_factory)
-                governors.attach_all(server.cores, sim)
-                governor_sets.append(governors)
-            node = Node(sim, node_id, shard_id, role, server,
+            node = Node(sim, len(nodes), shard_id, role, make_server(),
                         parked_floor_watts=fleet_config.parked_floor_watts,
                         replication_lag_s=lag_s,
                         start_parked=start_parked)
             shard_members.append(node)
             nodes.append(node)
-            node_id += 1
         shards.append(ShardState(shard_id, shard_members[0],
                                  shard_members[1:]))
-    return Fleet(sim, nodes), shards, governor_sets
+    return Fleet(sim, nodes), shards
 
 
-def run_fleet_experiment(config: ExperimentConfig,
-                         tracer: Optional[Tracer] = None
-                         ) -> ExperimentResult:
-    """Execute one fleet cell (``config.fleet`` must be set)."""
-    wall_start = perf_clock()
-    fleet_config = config.fleet
-    if fleet_config is None:
-        raise ValueError("run_fleet_experiment needs config.fleet")
-    fleet_config.validate()
-    # repro.faults: fleet cells take fleet-scope fault plans (node
-    # crashes, partitions, replica lag) plus load-side bursts; the
-    # single-server fault classes act below the node abstraction and do
-    # not compose with fleets.
-    plan = resolve_fault_plan(config.faults)
-    if plan is not None and plan.is_empty:
-        plan = None
-    if plan is not None:
-        if plan.has_server_faults:
-            raise ValueError(
-                "the fault plan carries single-server faults "
-                "(MSR/throttle/stall/skew), which do not compose with "
-                "fleet cells; use fleet faults (node crashes, "
-                "partitions, replica lag) or bursts instead")
-        if plan.degradation.any_enabled:
-            raise ValueError(
-                "fleet cells do not arm the single-server degradation "
-                "policy of a fault plan; the fleet's self-healing "
-                "router and failover machinery play that role")
-    chaos_armed = plan is not None and plan.has_fleet_faults
-    if config.workload_policy != "per-type":
-        raise ValueError("fleet cells support the per-type workload "
-                         "policy only")
-    scheme = scheme_named(config.scheme)
-    spec = BENCHMARKS[config.benchmark]()
-    streams = RandomStreams(config.seed)
-    if tracer is None:
-        want_trace = config.trace
-        if want_trace is None and (config.trace_path
-                                   or config.trace_series_path):
-            want_trace = True
-        tracer = Tracer() if trace_enabled(want_trace) else NULL_TRACER
-    sim = Simulator(tracer=tracer)
-    manager = WorkloadManager.per_type_with_slack(spec, config.slack)
+class FleetPlant:
+    """A sharded, replicated fleet under the experiment kernel (the
+    plant contract is :class:`repro.harness.experiment.ServerPlant`'s)."""
 
-    topology = make_topology(config.topology)
-    if not topology.per_core and config.topology_switch_latency > 0:
-        topology = SocketTopology(
-            granularity=topology.granularity,
-            cores_per_socket=topology.cores_per_socket,
-            cores_per_module=topology.cores_per_module,
-            switch_latency_s=config.topology_switch_latency)
-    server_config = ServerConfig(
-        workers=fleet_config.node_workers,
-        request_handlers=fleet_config.node_request_handlers,
-        transition_latency=config.transition_latency,
-        routing=config.routing,
-        cstate_ladder=config.cstate_ladder,
-        topology=topology,
-    )
+    stream_prefix = "fleet-"
 
-    estimator = ExecutionTimeEstimator(config.estimator_window,
-                                       config.estimator_percentile)
-    if scheme.uses_scheduler:
-        scheduler_factory = scheme.make_scheduler_factory(
-            server_config.scheduler_frequencies, estimator)
-    else:
-        scheduler_factory = None
-    fleet, shards, governor_sets = _build_fleet(
-        sim, fleet_config, server_config, scheme, scheduler_factory,
-        streams)
-    if scheme.uses_scheduler and config.train_estimators:
-        _train_estimator(estimator, manager, spec,
-                         server_config.scheduler_frequencies, config,
-                         streams.get("fleet-training"))
-    read_types = read_only_types(config.benchmark)
-    router = ClusterRouter(sim, shards, read_types)
+    def __init__(self, sim: Simulator, config: ExperimentConfig, scheme,
+                 plan: Optional[FaultPlan], streams: RandomStreams,
+                 make_server: Callable[[], DatabaseServer],
+                 node_peak: float):
+        # repro.faults: fleet cells take fleet-scope fault plans (node
+        # crashes, partitions, replica lag) plus load-side bursts; the
+        # single-server fault classes act below the node abstraction and
+        # do not compose with fleets.
+        if plan is not None:
+            if plan.has_server_faults:
+                raise ValueError(
+                    "the fault plan carries single-server faults "
+                    "(MSR/throttle/stall/skew), which do not compose with "
+                    "fleet cells; use fleet faults (node crashes, "
+                    "partitions, replica lag) or bursts instead")
+            if plan.degradation.any_enabled:
+                raise ValueError(
+                    "fleet cells do not arm the single-server degradation "
+                    "policy of a fault plan; the fleet's self-healing "
+                    "router and failover machinery play that role")
+        if config.workload_policy != "per-type":
+            raise ValueError("fleet cells support the per-type workload "
+                             "policy only")
+        self.sim = sim
+        self.fleet_config = fleet_config = config.fleet
+        self.plan = plan
+        self.streams = streams
+        active = fleet_config.shards * (1 + fleet_config.static_replicas())
+        fleet_label = "elastic" if fleet_config.elastic else f"static-{active}"
+        self.scheme_label = f"fleet-{fleet_label} {scheme.label}"
+        self.node_peak = node_peak
+        self.peak_throughput = node_peak * fleet_config.provisioned_nodes()
+        self.fleet, self.shards = _build_fleet(sim, fleet_config,
+                                               make_server, streams)
+        self.read_types = read_only_types(config.benchmark)
+        self.router = ClusterRouter(sim, self.shards, self.read_types)
+        self.wall_energy = self.fleet.wall_energy
+        self.sanitize_accounting = self.fleet.sanitize_accounting
+        #: Per-shard books beside the kernel's fleet-wide recorder: a
+        #: counting-only recorder per shard, indexed by shard id.
+        self.shard_books = [LatencyRecorder(keep_latencies=False)
+                            for _ in self.shards]
+        self.books_of = {node.server: self.shard_books[node.shard_id]
+                         for node in self.fleet.nodes}
+        self.servers = list(self.books_of)
+        # Chaos cells only (see _arm_chaos); healthy cells build none of
+        # it, so they stay byte-identical to the pinned PR 8 runs.
+        self.replication: Dict[int, ShardReplication] = {}
+        self.tracker: Optional[AvailabilityTracker] = None
+        self.failover: Optional[FailoverManager] = None
+        self.injector: Optional[FleetFaultInjector] = None
+        self.controller: Optional[ElasticController] = None
 
-    # ------------------------------------------------------------------
-    # Offered load, against the peak-provisioned fleet
-    # ------------------------------------------------------------------
-    per_node_peak = spec.peak_throughput(fleet_config.node_workers)
-    fleet_peak = per_node_peak * fleet_config.provisioned_nodes()
-    if config.load_trace is not None:
-        low = effective_load_fraction(config.trace_low_fraction) * fleet_peak
-        high = effective_load_fraction(config.trace_high_fraction) \
-            * fleet_peak
-        schedule: Optional[RateSchedule] = RateSchedule(
-            [low + v * (high - low) for v in config.load_trace])
-        rate_fn = schedule.rate_at
-    else:
-        schedule = None
-        target = effective_load_fraction(config.load_fraction) * fleet_peak
-        rate_fn = lambda _now: target  # noqa: E731 - tiny adapter
+        key_rng = streams.get_batched("fleet-keys")
+        keyspace = fleet_config.keyspace
+        route = self.router.route
 
-    if plan is not None and plan.bursts:
-        # Same arithmetic as FaultInjector.wrap_rate, against the
-        # fleet-wide offered rate.
-        base_rate_fn, bursts = rate_fn, plan.bursts
+        def admit(request: Request) -> None:
+            # Keys shard the data; int(u * keyspace) keeps the stream
+            # batched (randrange would fork a BatchedStream's sequence).
+            route(request, int(key_rng.random() * keyspace))
 
-        def rate_fn(now_s: float) -> float:
-            rate = base_rate_fn(now_s)
-            for spec in bursts:
-                if spec.start_s <= now_s < spec.end_s:
-                    rate *= spec.multiplier
-            return rate
+        self.admit = admit
 
-    service_rng = streams.get_batched("fleet-service-times")
-    mix_rng = streams.get_batched("fleet-mix")
-    key_rng = streams.get_batched("fleet-keys")
-    keyspace = fleet_config.keyspace
-    choose_type = spec.choose_type
-    manager_get = manager.get
-    route = router.route
+    def charge_loss(self, server: DatabaseServer, request: Request) -> None:
+        self.books_of[server].on_lost(request)
 
-    def on_arrival(now: float) -> None:
-        txn_type = choose_type(mix_rng)
-        # Keys shard the data; int(u * keyspace) keeps the stream
-        # batched (randrange would fork a BatchedStream's sequence).
-        key = int(key_rng.random() * keyspace)
-        route(Request(manager_get(txn_type.name), txn_type.name, now,
-                      txn_type.service.draw_work(service_rng)), key)
+    def attach(self, recorder: LatencyRecorder) -> None:
+        """Wire the recorder and the shard books, arm chaos, start the
+        failover and elastic timers --- in that (pinned) order."""
+        self.recorder = recorder
+        for books in self.shard_books:
+            books.set_window(*recorder.window)
+        for server, books in self.books_of.items():
+            server.add_completion_listener(recorder.on_completion)
+            server.add_rejection_listener(recorder.on_rejection)
+            server.add_completion_listener(books.on_completion)
+            server.add_rejection_listener(books.on_rejection)
+        if self.plan is not None and self.plan.has_fleet_faults:
+            self._arm_chaos(recorder)
+        if self.fleet_config.elastic:
+            self.controller = ElasticController(
+                self.sim, self.fleet, self.router, self.fleet_config,
+                self.node_peak, self.streams.get("fleet-lifecycle"))
+            self.controller.start()
 
-    generator = OpenLoopGenerator(sim, rate_fn, on_arrival,
-                                  streams.get_batched("fleet-arrivals"))
-
-    # ------------------------------------------------------------------
-    # Instrumentation: fleet-wide recorder plus per-shard books
-    # ------------------------------------------------------------------
-    recorder = LatencyRecorder()
-    test_start = config.warmup_seconds
-    test_duration = schedule.duration if schedule is not None \
-        else config.test_seconds
-    test_end = test_start + test_duration
-    recorder.set_window(test_start, test_end)
-    shard_stats: Dict[int, WorkloadStats] = {
-        shard.shard_id: WorkloadStats() for shard in shards}
-
-    def _shard_completion(shard_id: int, request: Request) -> None:
-        if not test_start <= request.arrival_time < test_end:
-            return
-        stats = shard_stats[shard_id]
-        stats.offered += 1
-        stats.completed += 1
-        if not request.met_deadline:
-            stats.missed += 1
-
-    def _shard_failure(shard_id: int, request: Request) -> None:
-        # Rejections and end-of-run losses: offered but never finished.
-        if not test_start <= request.arrival_time < test_end:
-            return
-        stats = shard_stats[shard_id]
-        stats.offered += 1
-        stats.missed += 1
-
-    for node in fleet.nodes:
-        server = node.server
-        server.add_completion_listener(recorder.on_completion)
-        server.add_rejection_listener(recorder.on_rejection)
-        server.add_completion_listener(
-            partial(_shard_completion, node.shard_id))
-        server.add_rejection_listener(
-            partial(_shard_failure, node.shard_id))
-
-    # ------------------------------------------------------------------
-    # Chaos cells only: replication/WAL model, self-healing router,
-    # fault injection, and (when enabled) the failover machinery.
-    # Healthy cells build none of this, so they stay byte-identical to
-    # the pinned PR 8 runs.
-    # ------------------------------------------------------------------
-    replication: Dict[int, ShardReplication] = {}
-    tracker: Optional[AvailabilityTracker] = None
-    failover: Optional[FailoverManager] = None
-    fleet_injector: Optional[FleetFaultInjector] = None
-    if chaos_armed:
-        replication = {
+    def _arm_chaos(self, recorder: LatencyRecorder) -> None:
+        """Replication/WAL model, self-healing router, fault injection,
+        and (when enabled) the failover machinery."""
+        sim, shards, fleet_config = self.sim, self.shards, self.fleet_config
+        replication = self.replication = {
             shard.shard_id: ShardReplication(
                 sim, shard.shard_id, fleet_config.group_commit_size)
             for shard in shards}
-        tracker = AvailabilityTracker(sim,
-                                      [s.shard_id for s in shards])
+        tracker = self.tracker = AvailabilityTracker(
+            sim, [s.shard_id for s in shards])
         write_seq = {shard.shard_id: 0 for shard in shards}
+        read_types = self.read_types
 
         def _log_write(node: Node, request: Request) -> None:
             # Completed writes reach the shard's WAL iff this node is
@@ -302,7 +197,7 @@ def run_fleet_experiment(config: ExperimentConfig,
             replication[node.shard_id].on_write_committed(
                 write_seq[node.shard_id])
 
-        for node in fleet.nodes:
+        for node in self.fleet.nodes:
             node.server.add_completion_listener(partial(_log_write, node))
 
         def _on_shed(request: Request, shard_id: int) -> None:
@@ -310,209 +205,98 @@ def run_fleet_experiment(config: ExperimentConfig,
             # and rejected, the unavailability the availability figure
             # charges against the baseline.
             recorder.on_rejection(request)
-            _shard_failure(shard_id, request)
+            self.shard_books[shard_id].on_rejection(request)
 
         def _on_crash(node: Node, lost: List[Request]) -> None:
             for request in lost:
                 recorder.on_lost(request)
-                _shard_failure(node.shard_id, request)
+                self.shard_books[node.shard_id].on_lost(request)
             if shards[node.shard_id].primary is node:
                 tracker.mark_down(node.shard_id)
 
-        fleet_injector = FleetFaultInjector(sim, plan, fleet, shards,
-                                            replication, _on_crash)
-        router.arm_self_healing(RouterPolicy.from_config(fleet_config),
-                                _on_shed,
-                                fleet_injector.effective_lag_s)
-        fleet_injector.attach()
+        self.injector = FleetFaultInjector(sim, self.plan, self.fleet,
+                                           shards, replication, _on_crash)
+        self.router.arm_self_healing(RouterPolicy.from_config(fleet_config),
+                                     _on_shed,
+                                     self.injector.effective_lag_s)
+        self.injector.attach()
         if fleet_config.failover_enabled:
-            failover = FailoverManager(sim, fleet, shards, replication,
-                                       fleet_config, tracker,
-                                       streams.get("fleet-failover"))
-            failover.start()
+            self.failover = FailoverManager(
+                sim, self.fleet, shards, replication, fleet_config,
+                tracker, self.streams.get("fleet-failover"))
+            self.failover.start()
 
-    meter_interval = min(config.meter_interval, test_duration / 4.0)
-    meter = PowerMeter(sim, fleet.wall_energy,
-                       streams.get("fleet-meter-noise"),
-                       interval=meter_interval)
-
-    controller: Optional[ElasticController] = None
-    if fleet_config.elastic:
-        controller = ElasticController(sim, fleet, router, fleet_config,
-                                       per_node_peak,
-                                       streams.get("fleet-lifecycle"))
-        controller.start()
-
-    sampler: Optional[MetricsSampler] = None
-    if tracer.enabled:
-        registry = MetricRegistry()
+    def register_gauges(self, registry: MetricRegistry) -> None:
+        fleet = self.fleet
         registry.gauge("fleet_power_watts", "instantaneous fleet draw",
                        fn=fleet.wall_power)
         registry.gauge("active_nodes", "nodes in the active state",
                        fn=lambda: float(fleet.active_count()))
         registry.gauge("queue_depth_total", "requests queued, fleet-wide",
                        fn=lambda: float(fleet.total_queue_length()))
-        sampler = MetricsSampler(
-            sim, registry, interval_s=config.trace_sample_interval_s,
-            tracer=tracer)
-        sampler.start()
 
-    # ------------------------------------------------------------------
-    # Run the phases, then drain
-    # ------------------------------------------------------------------
-    generator.start()
-    sim.schedule_at(test_start, meter.start, priority=-10)
-    sim.run(until=test_end)
-    generator.stop()
-    if controller is not None:
-        controller.stop()
-    drain_end = test_end + config.drain_limit_seconds
-    while sim.now < drain_end:
-        if fleet.all_idle():
-            break
-        if not sim.step():
-            break
-    meter.stop()
-    if failover is not None:
-        failover.stop()
-    if router.policy is not None:
-        # Requests still waiting on a scheduled retry at the drain
-        # limit will never route; shed them so the books close.
-        router.flush_pending_retries()
-    # Anything still queued when the drain limit passes will never
-    # finish; count it offered-and-missed rather than censoring.
-    for node in fleet.nodes:
-        for worker in node.server.workers:
-            queue = getattr(worker.dispatcher, "queue", None)
-            if queue is not None:
-                for request in queue:
-                    recorder.on_lost(request)
-                    _shard_failure(node.shard_id, request)
-    if sim.sanitize:
-        fleet.sanitize_accounting()
+    def end_of_test(self) -> None:
+        # Scaling follows offered load; once the generator stops the
+        # controller must not park nodes out from under the drain.
+        if self.controller is not None:
+            self.controller.stop()
 
-    trace_event_count = 0
-    if tracer.enabled:
-        if sampler is not None:
-            sampler.stop()
-            sampler.sample_once()  # final state at the end of the drain
-        tracer.finalize(sim.now)
-        trace_event_count = len(tracer.events)
-        if config.trace_path:
-            export_chrome_trace(tracer, config.trace_path)
-        if config.trace_series_path and sampler is not None:
-            export_series_csv(sampler, config.trace_series_path)
+    def end_of_drain(self) -> None:
+        if self.failover is not None:
+            self.failover.stop()
+        if self.router.policy is not None:
+            # Requests still waiting on a scheduled retry at the drain
+            # limit will never route; shed them so the books close.
+            self.router.flush_pending_retries()
 
-    # ------------------------------------------------------------------
-    # Collect
-    # ------------------------------------------------------------------
-    residency: Dict[float, float] = {}
-    for node in fleet.nodes:
-        for core in node.server.cores:
-            core.flush_accounting()
-            for freq, seconds in core.freq_residency.items():
-                residency[freq] = residency.get(freq, 0.0) + seconds
-    for governors in governor_sets:
-        governors.detach_all()
-
-    per_shard_failure = {f"shard{shard_id}": stats.failure_rate
-                         for shard_id, stats in shard_stats.items()}
-    per_shard_offered = {f"shard{shard_id}": stats.offered
-                         for shard_id, stats in shard_stats.items()}
-    fleet_actions = dict(router.decision_counts())
-    if controller is not None:
-        fleet_actions.update(controller.actions)
-    fleet_actions["boots"] = sum(n.boots for n in fleet.nodes)
-    fleet_actions["drains"] = sum(n.drains for n in fleet.nodes)
-
-    availability: Dict[str, float] = {}
-    failover_timeline: List[Tuple[float, int, str, int]] = []
-    lost_commits = 0
-    failovers = 0
-    mttr_s = 0.0
-    unserved_shards = 0
-    faults_injected = 0
-    if chaos_armed:
-        assert tracker is not None and fleet_injector is not None
-        availability = {
-            f"shard{shard_id}": fraction for shard_id, fraction in
-            tracker.availability(test_start, test_end).items()}
-        lost_commits = sum(r.lost_commits for r in replication.values())
-        # Shards whose write path is still down when the run ends ---
-        # the metric the chaos acceptance pins: zero with failover,
-        # positive for the no-failover baseline.
-        unserved_shards = sum(
-            1 for shard in shards
-            if shard.primary.state is not NodeState.ACTIVE)
-        faults_injected = fleet_injector.total_injected
-        fleet_actions["node_crashes"] = \
-            fleet_injector.injected["node_crash"]
-        if failover is not None:
-            failovers = failover.failovers
-            mttr_s = failover.mean_mttr_s
-            failover_timeline = list(failover.timeline)
-            fleet_actions["failovers"] = failover.failovers
-            fleet_actions["replayed_records"] = failover.records_replayed
-    all_latencies = [latency for stats in recorder.per_workload.values()
-                     for latency in stats.latencies]
-    p999_latency_s = percentile(all_latencies, 99.9) \
-        if all_latencies else 0.0
-
-    if fleet_config.elastic:
-        fleet_label = "elastic"
-    else:
-        active_replicas = fleet_config.replicas_per_shard \
-            if fleet_config.static_active_replicas is None \
-            else fleet_config.static_active_replicas
-        fleet_label = \
-            f"static-{fleet_config.shards * (1 + active_replicas)}"
-
-    return ExperimentResult(
-        config=config,
-        scheme_label=f"fleet-{fleet_label} {scheme.label}",
-        avg_power_watts=meter.average_power(test_start, test_end),
-        failure_rate=recorder.failure_rate,
-        offered=recorder.total_offered,
-        completed=recorder.total_completed,
-        missed=recorder.total_missed,
-        rejected=recorder.total_rejected,
-        throughput=recorder.total_completed / test_duration,
-        peak_throughput=fleet_peak,
-        per_workload_failure={
-            name: stats.failure_rate
-            for name, stats in recorder.per_workload.items()},
-        per_workload_offered={
-            name: stats.offered
-            for name, stats in recorder.per_workload.items()},
-        cpu_energy_joules=fleet.cpu_energy(),
-        wall_energy_joules=fleet.wall_energy(),
-        freq_residency=residency,
-        power_timeline=(meter.binned_average(test_start, test_end,
-                                             config.timeline_bin_seconds)
-                        if meter.samples else []),
-        load_timeline=list(config.load_trace or []),
-        mean_latency_by_workload={
-            name: stats.mean_latency()
-            for name, stats in recorder.per_workload.items()
-            if stats.latencies},
-        sim_events=sim.events_processed,
-        wall_seconds=perf_clock() - wall_start,
-        trace_events=trace_event_count,
-        lost=recorder.total_lost,
-        faults_injected=faults_injected,
-        per_shard_failure=per_shard_failure,
-        per_shard_offered=per_shard_offered,
-        stale_reads=router.stale_read_bounces,
-        fleet_actions=fleet_actions,
-        node_timeline=list(fleet.node_timeline),
-        availability=availability,
-        lost_commits=lost_commits,
-        failovers=failovers,
-        mttr_s=mttr_s,
-        unserved_shards=unserved_shards,
-        p999_latency_s=p999_latency_s,
-        failover_timeline=failover_timeline,
-    )
+    def extras(self) -> Dict[str, object]:
+        fleet, router = self.fleet, self.router
+        fleet_actions = dict(router.decision_counts())
+        if self.controller is not None:
+            fleet_actions.update(self.controller.actions)
+        fleet_actions["boots"] = sum(n.boots for n in fleet.nodes)
+        fleet_actions["drains"] = sum(n.drains for n in fleet.nodes)
+        all_latencies = [
+            latency for stats in self.recorder.per_workload.values()
+            for latency in stats.latencies]
+        extras: Dict[str, object] = dict(
+            scheme_label=self.scheme_label,
+            per_shard_failure={
+                f"shard{shard_id}": books.failure_rate
+                for shard_id, books in enumerate(self.shard_books)},
+            per_shard_offered={
+                f"shard{shard_id}": books.total_offered
+                for shard_id, books in enumerate(self.shard_books)},
+            stale_reads=router.stale_read_bounces,
+            fleet_actions=fleet_actions,
+            node_timeline=list(fleet.node_timeline),
+            p999_latency_s=(percentile(all_latencies, 99.9)
+                            if all_latencies else 0.0))
+        if self.injector is not None:
+            extras.update(
+                availability={
+                    f"shard{shard_id}": fraction for shard_id, fraction in
+                    self.tracker.availability(
+                        *self.recorder.window).items()},
+                lost_commits=sum(r.lost_commits
+                                 for r in self.replication.values()),
+                # Shards whose write path is still down when the run
+                # ends --- the metric the chaos acceptance pins: zero
+                # with failover, positive for the no-failover baseline.
+                unserved_shards=sum(
+                    1 for shard in self.shards
+                    if shard.primary.state is not NodeState.ACTIVE),
+                faults_injected=self.injector.total_injected)
+            fleet_actions["node_crashes"] = \
+                self.injector.injected["node_crash"]
+            failover = self.failover
+            if failover is not None:
+                extras.update(failovers=failover.failovers,
+                              mttr_s=failover.mean_mttr_s,
+                              failover_timeline=list(failover.timeline))
+                fleet_actions["failovers"] = failover.failovers
+                fleet_actions["replayed_records"] = failover.records_replayed
+        return extras
 
 
-__all__ = ["run_fleet_experiment"]
+__all__ = ["FleetPlant"]

@@ -271,16 +271,8 @@ class Fleet:
         now_s = self.sim.now
         return sum(n.energy_joules_at(now_s) for n in self.nodes)
 
-    def cpu_energy(self) -> float:
-        """Sum of the nodes' RAPL views (powered-state diagnostics)."""
-        return sum(n.server.cpu_energy() for n in self.nodes)
-
     def total_queue_length(self) -> int:
         return sum(n.server.total_queue_length() for n in self.nodes)
-
-    def all_idle(self) -> bool:
-        return all(w.idle for n in self.nodes for w in n.server.workers) \
-            and self.total_queue_length() == 0
 
     # ------------------------------------------------------------------
     # simsan: conservation of requests at fleet scope

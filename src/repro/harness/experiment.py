@@ -23,17 +23,18 @@ derived from the service-time model exactly as the paper derives its
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.request import Request
 from repro.core.workload import Workload, WorkloadManager
-from repro.cpu.topology import SocketTopology, make_topology
+from repro.cpu.topology import make_topology
 from repro.db.server import DatabaseServer, ServerConfig
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultsLike, resolve_fault_plan
+from repro.faults.injector import FaultInjector, wrap_estimator, wrap_rate
+from repro.faults.plan import FaultPlan, FaultsLike, resolve_fault_plan
 from repro.faults.resilience import ResilienceController
 from repro.fleet.config import FleetConfig
 from repro.governors.base import GovernorSet
@@ -124,7 +125,9 @@ class ExperimentConfig:
     train_estimators: bool = True
     #: Ablation: feed mixed-frequency runs back into the estimator (the
     #: naive attribute-to-dispatch-frequency policy; see
-    #: PolarisScheduler.update_on_mixed_freq).
+    #: PolarisScheduler.update_on_mixed_freq).  Applies to every
+    #: scheduler of the cell: each worker of the server, or of every
+    #: node of a fleet.
     estimator_mixed_freq_updates: bool = False
     #: Meter cadence/noise (paper: 1 s, +/-1.5%).
     meter_interval: float = 1.0
@@ -171,6 +174,31 @@ class ExperimentConfig:
     #: nested dataclass, every fleet knob salts the sweep-cache key
     #: through ``asdict``.
     fleet: Optional[FleetConfig] = None
+
+    def validate(self) -> None:
+        """Reject out-of-range fields here, by name, rather than from
+        inside the engine (``scheme`` is checked by ``scheme_named``).
+        Every rule is written so that NaN fails it."""
+        def need(ok: bool, name: str, rule: str) -> None:
+            if not ok:
+                raise ValueError(
+                    f"{name} {rule}, got {getattr(self, name)!r}")
+
+        need(self.benchmark in BENCHMARKS, "benchmark",
+             f"must be one of {', '.join(sorted(BENCHMARKS))}")
+        need(math.isfinite(self.slack) and self.slack > 0, "slack",
+             "must be finite and positive")
+        for name in ("load_fraction", "warmup_seconds",
+                     "drain_limit_seconds"):
+            need(getattr(self, name) >= 0, name, "cannot be negative")
+        need(self.load_trace is not None or self.test_seconds > 0,
+             "test_seconds", "must be positive without a load_trace")
+        need(self.load_trace is None or len(self.load_trace) > 0,
+             "load_trace", "cannot be empty")
+        for name in ("meter_interval", "timeline_bin_seconds"):
+            need(getattr(self, name) > 0, name, "must be positive")
+        if self.fleet is not None:
+            self.fleet.validate()
 
 
 @dataclass
@@ -286,165 +314,65 @@ def _train_estimator(estimator: ExecutionTimeEstimator,
                                   ref_seconds * model.ref_freq_ghz / freq)
 
 
-def run_experiment(config: ExperimentConfig,
-                   tracer: Optional[Tracer] = None) -> ExperimentResult:
-    """Execute one cell and return the paper's metrics for it.
+class ServerPlant:
+    """The paper's plant: one :class:`DatabaseServer` under load.
 
-    Pass an explicit ``tracer`` to capture the run's trace in-process;
-    otherwise ``config.trace`` / ``REPRO_TRACE`` decide (and setting
-    ``config.trace_path`` or ``config.trace_series_path`` implies
-    tracing on, since an export was asked for).
+    A plant is what :func:`run_experiment` drives; it hides what differs
+    between tiers (``FleetPlant`` in :mod:`repro.fleet.experiment` is
+    the other): the admit sink, the servers in a fixed order, the wall
+    energy, the trace gauges, fault arming, timers and result extras.
     """
-    if config.fleet is not None:
-        # Fleet cells route through repro.fleet (which itself builds on
-        # this module --- hence the local import).
-        from repro.fleet.experiment import run_fleet_experiment
-        return run_fleet_experiment(config, tracer)
-    wall_start = perf_clock()
-    scheme = scheme_named(config.scheme)
-    spec = BENCHMARKS[config.benchmark]()
-    streams = RandomStreams(config.seed)
-    # repro.faults: resolve the plan up front (config > REPRO_FAULTS >
-    # none).  Everything fault-related below is gated on `plan is not
-    # None`, so a healthy run touches no fault code path at all.
-    plan = resolve_fault_plan(config.faults)
-    if plan is not None and plan.has_fleet_faults:
-        raise ValueError(
-            "the fault plan carries fleet faults (node crashes / "
-            "partitions / replica lag) but this is a single-server "
-            "cell; set config.fleet to run it as a fleet")
-    if tracer is None:
-        want_trace = config.trace
-        if want_trace is None and (config.trace_path
-                                   or config.trace_series_path):
-            want_trace = True
-        tracer = Tracer() if trace_enabled(want_trace) else NULL_TRACER
-    sim = Simulator(tracer=tracer)
-    manager = _build_workloads(config, spec)
-    injector: Optional[FaultInjector] = None
-    resilience: Optional[ResilienceController] = None
-    if plan is not None:
-        injector = FaultInjector(sim, plan, streams.get("faults"))
 
-    topology = make_topology(config.topology)
-    if not topology.per_core and config.topology_switch_latency > 0:
-        topology = SocketTopology(
-            granularity=topology.granularity,
-            cores_per_socket=topology.cores_per_socket,
-            cores_per_module=topology.cores_per_module,
-            switch_latency_s=config.topology_switch_latency)
-    server_config = ServerConfig(
-        workers=config.workers,
-        request_handlers=config.request_handlers,
-        transition_latency=config.transition_latency,
-        routing=config.routing,
-        cstate_ladder=config.cstate_ladder,
-        topology=topology,
-    )
+    #: Prefix of the kernel's RNG stream names at this tier.
+    stream_prefix = ""
 
-    estimator = ExecutionTimeEstimator(config.estimator_window,
-                                       config.estimator_percentile)
-    if injector is not None:
-        # Misprediction skew wraps the estimator *before* the scheduler
-        # factory captures it, so every scheduler sees skewed estimates
-        # while observations still feed the real windows.
-        estimator = injector.wrap_estimator(estimator)
-    if scheme.uses_scheduler:
-        base_factory = scheme.make_scheduler_factory(
-            server_config.scheduler_frequencies, estimator)
-        if config.estimator_mixed_freq_updates:
-            def factory(_base=base_factory):
-                scheduler = _base()
-                scheduler.update_on_mixed_freq = True
-                return scheduler
-        else:
-            factory = base_factory
-        server = DatabaseServer(sim, server_config,
-                                scheduler_factory=factory,
-                                initial_freq=scheme.initial_freq)
-        if config.train_estimators:
-            _train_estimator(estimator, manager, spec,
-                             server_config.scheduler_frequencies, config,
-                             streams.get("training"))
-        governors = None
-    else:
-        server = DatabaseServer(sim, server_config,
-                                scheduler_factory=None,
-                                initial_freq=scheme.initial_freq)
-        assert scheme.governor_factory is not None
-        governors = GovernorSet(scheme.governor_factory)
-        governors.attach_all(server.cores, sim)
+    def __init__(self, sim: Simulator, config: "ExperimentConfig", scheme,
+                 plan: Optional[FaultPlan], streams: RandomStreams,
+                 make_server: Callable[[], DatabaseServer],
+                 node_peak: float):
+        if plan is not None and plan.has_fleet_faults:
+            raise ValueError(
+                "the fault plan carries fleet faults (node crashes / "
+                "partitions / replica lag) but this is a single-server "
+                "cell; set config.fleet to run it as a fleet")
+        self.scheme_label = scheme.label
+        self.peak_throughput = node_peak
+        # repro.faults: everything fault-related is gated on `plan is
+        # not None`, so a healthy run touches no fault code path at all.
+        self.injector = FaultInjector(sim, plan, streams.get("faults")) \
+            if plan is not None else None
+        self.server = server = make_server()
+        self.resilience = ResilienceController(sim, server, plan.degradation) \
+            if plan is not None and plan.degradation.any_enabled else None
+        self.servers = [server]
+        self.admit = server.submit
+        self.wall_energy = server.wall_energy
+        self.sanitize_accounting = server.sanitize_accounting
 
-    if injector is not None:
-        assert plan is not None
-        if plan.degradation.any_enabled:
-            resilience = ResilienceController(sim, server, plan.degradation)
-            resilience.attach()
-        injector.attach(server)
+    def attach(self, recorder: LatencyRecorder) -> None:
+        """Arm the plan's faults, then wire the recorder (listener
+        order is pinned: the degradation controller's come first)."""
+        server = self.server
+        if self.resilience is not None:
+            self.resilience.attach()
+        if self.injector is not None:
+            self.injector.attach(server)
+        server.add_completion_listener(recorder.on_completion)
+        server.add_rejection_listener(recorder.on_rejection)
 
-    # ------------------------------------------------------------------
-    # Offered load
-    # ------------------------------------------------------------------
-    peak = spec.peak_throughput(config.workers)
-    if config.load_trace is not None:
-        low = effective_load_fraction(config.trace_low_fraction) * peak
-        high = effective_load_fraction(config.trace_high_fraction) * peak
-        rates = [low + v * (high - low) for v in config.load_trace]
-        schedule: Optional[RateSchedule] = RateSchedule(rates)
-        rate_fn = schedule.rate_at
-    else:
-        schedule = None
-        target = effective_load_fraction(config.load_fraction) * peak
-        rate_fn = lambda _now: target  # noqa: E731 - tiny adapter
-
-    if injector is not None:
-        rate_fn = injector.wrap_rate(rate_fn)
-
-    # The three per-arrival streams consume entropy through random()
-    # only, so they serve pre-drawn blocks (bit-identical; see
-    # BatchedStream).  The tier stream draws with randrange() and must
-    # stay unbatched.
-    service_rng = streams.get_batched("service-times")
-    mix_rng = streams.get_batched("mix")
-    tier_rng = streams.get("tier-assignment")
-    tiers = manager.workloads if config.workload_policy == "tiers" else None
-    choose_type = spec.choose_type
-    manager_get = manager.get
-    submit = server.submit
-
-    def on_arrival(now: float) -> None:
-        txn_type = choose_type(mix_rng)
-        if tiers is not None:
-            workload = tiers[tier_rng.randrange(len(tiers))]
-        else:
-            workload = manager_get(txn_type.name)
-        submit(Request(workload, txn_type.name, now,
-                       txn_type.service.draw_work(service_rng)))
-
-    generator = OpenLoopGenerator(sim, rate_fn, on_arrival,
-                                  streams.get_batched("arrivals"))
-
-    # ------------------------------------------------------------------
-    # Instrumentation
-    # ------------------------------------------------------------------
-    recorder = LatencyRecorder()
-    server.add_completion_listener(recorder.on_completion)
-    server.add_rejection_listener(recorder.on_rejection)
-
-    # repro.obs: the Prometheus-style registry mirrors what the paper
-    # plots over time (Figures 6-12): wall power, queue depth, per-core
-    # frequency, misses, latency.  Gauges read live simulation state
-    # through callbacks; the sampler snapshots everything on the
-    # virtual clock, so the series are seed-deterministic.
-    sampler: Optional[MetricsSampler] = None
-    if tracer.enabled:
-        registry = MetricRegistry()
+    def register_gauges(self, registry: MetricRegistry) -> None:
+        """The Prometheus-style registry mirrors what the paper plots
+        over time (Figures 6-12): wall power, queue depth, per-core
+        frequency, misses, latency.  Gauges read live simulation state
+        through callbacks; the sampler snapshots everything on the
+        virtual clock, so the series are seed-deterministic."""
+        server = self.server
         registry.gauge("power_watts", "instantaneous wall draw",
                        fn=server.wall_power)
         registry.gauge("queue_depth_total", "requests queued, all workers",
                        fn=lambda: float(server.total_queue_length()))
         registry.gauge("pending_events", "live simulator events",
-                       fn=lambda: float(sim.pending_count()))
+                       fn=lambda: float(server.sim.pending_count()))
         for core in server.cores:
             registry.gauge(f"freq_ghz.core{core.core_id}",
                            "core operating frequency",
@@ -462,96 +390,234 @@ def run_experiment(config: ExperimentConfig,
 
         server.add_completion_listener(_obs_completion)
         server.add_rejection_listener(lambda _r: reject_counter.inc())
+
+    def end_of_test(self) -> None:
+        """Nothing on a single server scales with offered load."""
+
+    def end_of_drain(self) -> None:
+        """No tier-level timers to stop."""
+
+    def charge_loss(self, server: DatabaseServer, request: Request) -> None:
+        """One server, one set of books: the recorder's."""
+
+    def extras(self) -> Dict[str, object]:
+        return dict(
+            scheme_label=self.scheme_label,
+            faults_injected=(self.injector.total_injected
+                             if self.injector is not None else 0),
+            degradation_actions=(
+                {k: v for k, v in self.resilience.actions.items() if v}
+                if self.resilience is not None else {}))
+
+
+def run_experiment(config: ExperimentConfig,
+                   tracer: Optional[Tracer] = None) -> ExperimentResult:
+    """Execute one cell and return the paper's metrics for it.
+
+    The one run loop --- build, drive, collect --- over a single server
+    or (``config.fleet`` set) a fleet.  Pass an explicit ``tracer`` to
+    capture the run's trace in-process; otherwise ``config.trace`` /
+    ``REPRO_TRACE`` decide (and setting ``config.trace_path`` or
+    ``config.trace_series_path`` implies tracing on, since an export
+    was asked for).
+    """
+    wall_start = perf_clock()
+    config.validate()
+    # -- Build -------------------------------------------------------
+    scheme = scheme_named(config.scheme)
+    spec = BENCHMARKS[config.benchmark]()
+    streams = RandomStreams(config.seed)
+    # repro.faults: resolve the plan up front (config > REPRO_FAULTS >
+    # none); an empty plan resolves to None.
+    plan = resolve_fault_plan(config.faults)
+    if tracer is None:
+        want_trace = config.trace
+        if want_trace is None and (config.trace_path
+                                   or config.trace_series_path):
+            want_trace = True
+        tracer = Tracer() if trace_enabled(want_trace) else NULL_TRACER
+    sim = Simulator(tracer=tracer)
+    manager = _build_workloads(config, spec)
+    if config.fleet is None:
+        plant_class = ServerPlant
+        workers, handlers = config.workers, config.request_handlers
+    else:
+        # repro.fleet builds on this module, and server cells must not
+        # pay its import --- hence the local import.
+        from repro.fleet.experiment import FleetPlant as plant_class
+        workers = config.fleet.node_workers
+        handlers = config.fleet.node_request_handlers
+    prefix = plant_class.stream_prefix
+
+    topology = make_topology(config.topology)
+    if not topology.per_core and config.topology_switch_latency > 0:
+        topology = replace(
+            topology, switch_latency_s=config.topology_switch_latency)
+    server_config = ServerConfig(
+        workers=workers,
+        request_handlers=handlers,
+        transition_latency=config.transition_latency,
+        routing=config.routing,
+        cstate_ladder=config.cstate_ladder,
+        topology=topology,
+    )
+
+    estimator = ExecutionTimeEstimator(config.estimator_window,
+                                       config.estimator_percentile)
+    if plan is not None:
+        # Misprediction skew wraps the estimator *before* the scheduler
+        # factory captures it, so every scheduler sees skewed estimates
+        # while observations still feed the real windows.
+        estimator = wrap_estimator(estimator, sim, plan.skews)
+    factory: Optional[Callable[[], object]] = None
+    if scheme.uses_scheduler:
+        factory = scheme.make_scheduler_factory(
+            server_config.scheduler_frequencies, estimator)
+        if config.estimator_mixed_freq_updates:
+            def factory(_base=factory):
+                scheduler = _base()
+                scheduler.update_on_mixed_freq = True
+                return scheduler
+        if config.train_estimators:
+            _train_estimator(estimator, manager, spec,
+                             server_config.scheduler_frequencies, config,
+                             streams.get(prefix + "training"))
+    governor_sets: List[GovernorSet] = []
+
+    def make_server() -> DatabaseServer:
+        server = DatabaseServer(sim, server_config,
+                                scheduler_factory=factory,
+                                initial_freq=scheme.initial_freq)
+        if factory is None:
+            assert scheme.governor_factory is not None
+            governors = GovernorSet(scheme.governor_factory)
+            governors.attach_all(server.cores, sim)
+            governor_sets.append(governors)
+        return server
+
+    plant = plant_class(sim, config, scheme, plan, streams, make_server,
+                        spec.peak_throughput(workers))
+
+    # -- Drive -------------------------------------------------------
+    peak = plant.peak_throughput
+    if config.load_trace is not None:
+        low = effective_load_fraction(config.trace_low_fraction) * peak
+        high = effective_load_fraction(config.trace_high_fraction) * peak
+        schedule = RateSchedule(
+            [low + v * (high - low) for v in config.load_trace])
+        rate_fn, test_duration = schedule.rate_at, schedule.duration
+    else:
+        target = effective_load_fraction(config.load_fraction) * peak
+        rate_fn = lambda _now: target  # noqa: E731 - tiny adapter
+        test_duration = config.test_seconds
+    if plan is not None:
+        rate_fn = wrap_rate(rate_fn, plan.bursts)
+
+    # The three per-arrival streams consume entropy through random()
+    # only, so they serve pre-drawn blocks (bit-identical; see
+    # BatchedStream).  The tier stream draws with randrange() and must
+    # stay unbatched.
+    service_rng = streams.get_batched(prefix + "service-times")
+    mix_rng = streams.get_batched(prefix + "mix")
+    tier_rng = streams.get(prefix + "tier-assignment")
+    tiers = manager.workloads if config.workload_policy == "tiers" else None
+    choose_type = spec.choose_type
+    manager_get = manager.get
+    admit = plant.admit
+
+    def on_arrival(now: float) -> None:
+        txn_type = choose_type(mix_rng)
+        if tiers is not None:
+            workload = tiers[tier_rng.randrange(len(tiers))]
+        else:
+            workload = manager_get(txn_type.name)
+        admit(Request(workload, txn_type.name, now,
+                      txn_type.service.draw_work(service_rng)))
+
+    generator = OpenLoopGenerator(sim, rate_fn, on_arrival,
+                                  streams.get_batched(prefix + "arrivals"))
+
+    # Setup-time scheduling order is part of determinism (event seq
+    # breaks ties): governors at build, then the plant's faults and
+    # timers, the sampler, the generator, the meter at priority -10.
+    test_start = config.warmup_seconds
+    test_end = test_start + test_duration
+    recorder = LatencyRecorder()
+    recorder.set_window(test_start, test_end)
+    plant.attach(recorder)
+
+    sampler: Optional[MetricsSampler] = None
+    if tracer.enabled:
+        registry = MetricRegistry()
+        plant.register_gauges(registry)
         sampler = MetricsSampler(
             sim, registry, interval_s=config.trace_sample_interval_s,
             tracer=tracer)
         sampler.start()
 
-    test_start = config.warmup_seconds
-    if schedule is not None:
-        test_duration = schedule.duration
-    else:
-        test_duration = config.test_seconds
-    test_end = test_start + test_duration
     # The meter's cadence is the paper's 1 s, clamped so short test
     # windows (small-scale tests) still collect several readings.
     meter_interval = min(config.meter_interval, test_duration / 4.0)
-    meter = PowerMeter(sim, server.wall_energy, streams.get("meter-noise"),
+    meter = PowerMeter(sim, plant.wall_energy,
+                       streams.get(prefix + "meter-noise"),
                        interval=meter_interval)
-    recorder.set_window(test_start, test_end)
 
-    # ------------------------------------------------------------------
-    # Run the three phases
-    # ------------------------------------------------------------------
     generator.start()
     sim.schedule_at(test_start, meter.start, priority=-10)
     sim.run(until=test_end)
     generator.stop()
+    plant.end_of_test()
     # Drain: let in-flight and queued test-phase requests finish so late
     # completions register as failures instead of being censored.
+    servers = plant.servers
     drain_end = test_end + config.drain_limit_seconds
     while sim.now < drain_end:
-        if all(w.idle for w in server.workers) \
-                and server.total_queue_length() == 0:
+        if all(w.idle and not w.queue_length()
+               for server in servers for w in server.workers):
             break
         if not sim.step():
             break
     meter.stop()
-    if plan is not None:
-        # Requests stranded when a faulted run ends --- still queued (an
-        # undrainable dead core) or frozen mid-execution on a stalled
-        # core --- count as offered-and-missed, so killing a core cannot
-        # censor its casualties into a better failure rate.
+    plant.end_of_drain()
+    # Whatever is still queued or in flight when the drain ends --- the
+    # drain limit passed, a core is dead or stalled --- will never
+    # finish; it counts as offered-and-missed, so neither a short drain
+    # nor a killed core can censor casualties into a better failure rate.
+    for server in servers:
         for worker in server.workers:
-            queue = getattr(worker.dispatcher, "queue", None)
-            if queue is not None:
-                for request in queue:
-                    recorder.on_lost(request)
-            if worker.current is not None and worker.core.stalled:
-                recorder.on_lost(worker.current)
-        if sim.sanitize:
-            server.sanitize_accounting()
+            stranded = list(getattr(worker.dispatcher, "queue", None) or ())
+            if worker.current is not None:
+                stranded.append(worker.current)
+            for request in stranded:
+                recorder.on_lost(request)
+                plant.charge_loss(server, request)
+    if sim.sanitize:
+        plant.sanitize_accounting()
 
     trace_event_count = 0
-    if tracer.enabled:
-        if sampler is not None:
-            sampler.stop()
-            sampler.sample_once()  # final state at the end of the drain
+    if sampler is not None:  # tracing is on
+        sampler.stop()
+        sampler.sample_once()  # final state at the end of the drain
         tracer.finalize(sim.now)
         trace_event_count = len(tracer.events)
         if config.trace_path:
             export_chrome_trace(tracer, config.trace_path)
-        if config.trace_series_path and sampler is not None:
+        if config.trace_series_path:
             export_series_csv(sampler, config.trace_series_path)
 
-    # ------------------------------------------------------------------
-    # Collect
-    # ------------------------------------------------------------------
+    # -- Collect -----------------------------------------------------
     residency: Dict[float, float] = {}
-    for core in server.cores:
-        core.flush_accounting()
-        for freq, seconds in core.freq_residency.items():
-            residency[freq] = residency.get(freq, 0.0) + seconds
-
-    per_workload_failure = {
-        name: stats.failure_rate
-        for name, stats in recorder.per_workload.items()}
-    per_workload_offered = {
-        name: stats.offered for name, stats in recorder.per_workload.items()}
-    mean_latency = {
-        name: stats.mean_latency()
-        for name, stats in recorder.per_workload.items() if stats.latencies}
-
-    timeline = meter.binned_average(test_start, test_end,
-                                    config.timeline_bin_seconds) \
-        if meter.samples else []
-
-    if governors is not None:
+    for server in servers:
+        for core in server.cores:
+            core.flush_accounting()
+            for freq, seconds in core.freq_residency.items():
+                residency[freq] = residency.get(freq, 0.0) + seconds
+    for governors in governor_sets:
         governors.detach_all()
 
+    per_workload = recorder.per_workload.items()
     return ExperimentResult(
         config=config,
-        scheme_label=scheme.label,
         avg_power_watts=meter.average_power(test_start, test_end),
         failure_rate=recorder.failure_rate,
         offered=recorder.total_offered,
@@ -560,20 +626,23 @@ def run_experiment(config: ExperimentConfig,
         rejected=recorder.total_rejected,
         throughput=recorder.total_completed / test_duration,
         peak_throughput=peak,
-        per_workload_failure=per_workload_failure,
-        per_workload_offered=per_workload_offered,
-        cpu_energy_joules=server.cpu_energy(),
-        wall_energy_joules=server.wall_energy(),
+        per_workload_failure={
+            name: stats.failure_rate for name, stats in per_workload},
+        per_workload_offered={
+            name: stats.offered for name, stats in per_workload},
+        cpu_energy_joules=sum(server.cpu_energy() for server in servers),
+        wall_energy_joules=plant.wall_energy(),
         freq_residency=residency,
-        power_timeline=timeline,
+        power_timeline=(meter.binned_average(test_start, test_end,
+                                             config.timeline_bin_seconds)
+                        if meter.samples else []),
         load_timeline=list(config.load_trace or []),
-        mean_latency_by_workload=mean_latency,
+        mean_latency_by_workload={
+            name: stats.mean_latency()
+            for name, stats in per_workload if stats.latencies},
         sim_events=sim.events_processed,
         wall_seconds=perf_clock() - wall_start,
         trace_events=trace_event_count,
-        faults_injected=injector.total_injected if injector is not None else 0,
-        degradation_actions=(
-            {k: v for k, v in resilience.actions.items() if v}
-            if resilience is not None else {}),
         lost=recorder.total_lost,
+        **plant.extras(),
     )

@@ -8,7 +8,9 @@ from repro.core.estimator import ExecutionTimeEstimator
 from repro.cpu.core import Job
 from repro.cpu.msr import IA32_PERF_CTL, MsrError, encode_perf_ctl
 from repro.db.server import DatabaseServer, ServerConfig
-from repro.faults.injector import FaultInjector, SkewedEstimator
+from repro.faults.injector import (
+    FaultInjector, SkewedEstimator, wrap_estimator, wrap_rate,
+)
 from repro.faults.plan import (
     BurstSpec, FaultPlan, MsrFaultSpec, SkewSpec, StallSpec, ThrottleSpec,
 )
@@ -162,22 +164,17 @@ def test_stalled_core_rejects_new_jobs(sim):
 # ----------------------------------------------------------------------
 # Bursts and estimator skew (pure wrappers)
 # ----------------------------------------------------------------------
-def test_wrap_rate_multiplies_only_inside_burst_window(sim):
-    server = make_server(sim, workers=1)
-    injector = attach(sim, server, FaultPlan(
-        bursts=(BurstSpec(1.0, 2.0, multiplier=3.0),)))
-    rate = injector.wrap_rate(lambda now_s: 100.0)
+def test_wrap_rate_multiplies_only_inside_burst_window():
+    rate = wrap_rate(lambda now_s: 100.0,
+                     (BurstSpec(1.0, 2.0, multiplier=3.0),))
     assert rate(0.5) == 100.0
     assert rate(1.5) == 300.0
     assert rate(2.0) == 100.0  # window is half-open
 
 
-def test_wrap_rate_passthrough_without_bursts(sim):
-    server = make_server(sim, workers=1)
-    injector = attach(sim, server, FaultPlan(
-        skews=(SkewSpec(0.0, 1.0, factor=0.5),)))
+def test_wrap_rate_passthrough_without_bursts():
     base = lambda now_s: 42.0  # noqa: E731
-    assert injector.wrap_rate(base) is base
+    assert wrap_rate(base, ()) is base
 
 
 def test_skewed_estimator_scales_inside_window_only(sim):
@@ -196,11 +193,8 @@ def test_skewed_estimator_scales_inside_window_only(sim):
 
 
 def test_wrap_estimator_passthrough_without_skews(sim):
-    server = make_server(sim, workers=1)
-    injector = attach(sim, server, FaultPlan(
-        bursts=(BurstSpec(0.0, 1.0),)))
     estimator = ExecutionTimeEstimator()
-    assert injector.wrap_estimator(estimator) is estimator
+    assert wrap_estimator(estimator, sim, ()) is estimator
 
 
 # ----------------------------------------------------------------------

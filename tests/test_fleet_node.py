@@ -146,4 +146,4 @@ def test_fleet_accounting_clean_on_idle_fleet(sim):
     fleet = Fleet(sim, [make_node(sim, node_id=0, role=PRIMARY),
                         make_node(sim, node_id=1)])
     fleet.sanitize_accounting()  # must not raise
-    assert fleet.all_idle()
+    assert fleet.total_queue_length() == 0

@@ -26,22 +26,22 @@ from repro.harness import figures
 
 
 def test_extension_granularity(benchmark, figure_options, archive):
-    result = benchmark.pedantic(figures.granularity_figure,
-                                args=(figure_options,),
-                                iterations=1, rounds=1)
+    result = benchmark.pedantic(
+        figures.run_figure,
+        args=(figures.FIGURES["granularity"], figure_options),
+        iterations=1, rounds=1)
     archive("extension_granularity", result.render())
 
-    for label in ("POLARIS", "OnDemand", "Conservative"):
-        assert (label, "per-core") in result.series
-        assert (label, "per-socket") in result.series
+    assert result.axis(0) == ["polaris", "ondemand", "conservative"]
+    assert result.axis(1) == ["per-core", "per-socket"]
 
     # Max-of-votes only ever raises member frequencies: the coarse
     # domain cannot draw less power than per-core control --- at every
     # slack, not just on average.
-    fine_power = result.power("POLARIS", "per-core")
-    coarse_power = result.power("POLARIS", "per-socket")
+    fine_power = result.power("polaris", "per-core")
+    coarse_power = result.power("polaris", "per-socket")
     assert all(c >= f for f, c in zip(fine_power, coarse_power))
-    assert result.power_gap("POLARIS") > 0.0
+    assert figures.coarse_dvfs_gap(result, "polaris")[0] > 0.0
 
     # At the feasible operating points (per-core POLARIS meets its
     # deadlines, <2% misses --- where the paper's claims live) the
@@ -50,8 +50,8 @@ def test_extension_granularity(benchmark, figure_options, archive):
     # overload cells (slack=10, ~14% misses either way) are excluded:
     # there a domain pegged at max genuinely misses less, by
     # degenerating into static-2.8 and paying its power bill.
-    fine_fail = result.failure("POLARIS", "per-core")
-    coarse_fail = result.failure("POLARIS", "per-socket")
+    fine_fail = result.failure("polaris", "per-core")
+    coarse_fail = result.failure("polaris", "per-socket")
     feasible = [(f, c) for f, c in zip(fine_fail, coarse_fail) if f < 0.02]
     assert feasible, "no feasible slack cells in the sweep"
     assert all(c >= f - 0.002 for f, c in feasible)

@@ -21,16 +21,19 @@ from repro.harness import figures
 
 
 def test_extension_worker_parking(benchmark, figure_options, archive):
-    result = benchmark.pedantic(figures.extension_worker_parking,
-                                args=(figure_options,),
-                                iterations=1, rounds=1)
+    result = benchmark.pedantic(
+        figures.run_figure,
+        args=(figures.FIGURES["extension"], figure_options),
+        iterations=1, rounds=1)
     archive("extension_worker_parking", result.render())
-    rows = result.cells
 
-    rr_c1 = rows[("rh-round-robin", "c1")]
-    rr_deep = rows[("rh-round-robin", "deep")]
-    ll_deep = rows[("least-loaded", "deep")]
-    pack_deep = rows[("packing", "deep")]
+    def cell(*key):
+        return result.power(*key), result.failure(*key)
+
+    rr_c1 = cell("rh-round-robin", "c1")
+    rr_deep = cell("rh-round-robin", "deep")
+    ll_deep = cell("least-loaded", "deep")
+    pack_deep = cell("packing", "deep")
 
     # Deep C-states save additional power under round-robin.
     assert rr_c1[0] - rr_deep[0] > 1.0

@@ -11,24 +11,26 @@ from repro.harness import figures
 
 
 def test_fig10_worldcup(benchmark, figure_options, archive):
-    result = benchmark.pedantic(figures.fig10_worldcup,
-                                args=(figure_options,),
-                                iterations=1, rounds=1)
+    result = benchmark.pedantic(
+        figures.run_figure, args=(figures.FIGURES["fig10"], figure_options),
+        iterations=1, rounds=1)
     archive("fig10_worldcup", result.render())
 
-    power = {label: p for label, (p, _) in result.summary.items()}
-    failure = {label: f for label, (_, f) in result.summary.items()}
+    power = {scheme: result.power(scheme) for scheme in result.axis(0)}
+    failure = {scheme: result.failure(scheme) for scheme in result.axis(0)}
+    timelines = {scheme: result.cells[(scheme,)].power_timeline
+                 for scheme in result.axis(0)}
 
     # Paper Figure 10(b) ordering: Conservative 168.9/0.09,
     # OnDemand 152.9/0.13, POLARIS 139/0.07.
-    assert power["POLARIS"] < power["OnDemand"] < power["Conservative"]
-    assert failure["POLARIS"] <= failure["OnDemand"]
-    assert failure["POLARIS"] <= failure["Conservative"] + 0.01
+    assert power["polaris"] < power["ondemand"] < power["conservative"]
+    assert failure["polaris"] <= failure["ondemand"]
+    assert failure["polaris"] <= failure["conservative"] + 0.01
 
     # Every scheme's power timeline tracks the load: power in the
     # highest-load fifth of bins exceeds the lowest-load fifth.
-    trace = result.trace
-    for label, series in result.timelines.items():
+    trace = result.results[0].config.load_trace
+    for label, series in timelines.items():
         assert len(series) >= 4
         paired = []
         bin_width = figure_options.timeline_bin_seconds \
@@ -45,5 +47,5 @@ def test_fig10_worldcup(benchmark, figure_options, archive):
 
     # POLARIS's adjustments are the deepest: largest power swing.
     swings = {label: max(w for _, w in series) - min(w for _, w in series)
-              for label, series in result.timelines.items()}
-    assert swings["POLARIS"] >= swings["Conservative"] - 2.0
+              for label, series in timelines.items()}
+    assert swings["polaris"] >= swings["conservative"] - 2.0

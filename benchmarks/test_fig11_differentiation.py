@@ -11,28 +11,29 @@ from repro.harness import figures
 
 
 def test_fig11_differentiation(benchmark, figure_options, archive):
-    result = benchmark.pedantic(figures.fig11_differentiation,
-                                args=(figure_options,),
-                                iterations=1, rounds=1)
+    result = benchmark.pedantic(
+        figures.run_figure, args=(figures.FIGURES["fig11"], figure_options),
+        iterations=1, rounds=1)
     archive("fig11_differentiation", result.render())
 
     # Deadline-blind schemes: large gold-vs-silver gap.
-    for label in ("2.8 GHz", "Conservative", "OnDemand"):
-        assert result.gap(label) > 0.10, label
+    blind = ("static-2.8", "conservative", "ondemand")
+    for scheme in blind:
+        assert figures.tier_gap(result, scheme) > 0.10, scheme
 
     # POLARIS equalizes the tiers: its gap is far smaller...
-    polaris_gap = result.gap("POLARIS")
-    assert polaris_gap < 0.6 * min(result.gap(label) for label in
-                                   ("2.8 GHz", "Conservative", "OnDemand"))
+    assert figures.tier_gap(result, "polaris") < 0.6 * min(
+        figures.tier_gap(result, scheme) for scheme in blind)
 
     # ...its gold tier beats OnDemand's gold tier outright...
-    assert result.failures[("POLARIS", "gold")] \
-        < result.failures[("OnDemand", "gold")]
+    def failure(scheme, tier):
+        return result.cells[(scheme,)].per_workload_failure[tier]
+
+    assert failure("polaris", "gold") < failure("ondemand", "gold")
 
     # ...silver pays slightly (but only slightly) for it...
-    assert result.failures[("POLARIS", "silver")] \
-        >= result.failures[("2.8 GHz", "silver")]
-    assert result.failures[("POLARIS", "silver")] < 0.15
+    assert failure("polaris", "silver") >= failure("static-2.8", "silver")
+    assert failure("polaris", "silver") < 0.15
 
     # ...and POLARIS still draws the least power.
-    assert result.power["POLARIS"] == min(result.power.values())
+    assert result.power("polaris") == min(result.power())

@@ -11,24 +11,24 @@ from repro.harness import figures
 
 
 def test_fig12_variants(benchmark, figure_options, archive):
-    result = benchmark.pedantic(figures.fig12_variants,
-                                args=(figure_options,),
-                                iterations=1, rounds=1)
+    result = benchmark.pedantic(
+        figures.run_figure, args=(figures.FIGURES["fig12"], figure_options),
+        iterations=1, rounds=1)
     archive("fig12_variants", result.render())
 
-    polaris_f = result.failure("POLARIS")
-    fifo_f = result.failure("POLARIS-FIFO")
-    noarrive_f = result.failure("POLARIS-FIFO-NOARRIVE")
+    polaris_f = result.failure("polaris")
+    fifo_f = result.failure("polaris-fifo")
+    noarrive_f = result.failure("polaris-fifo-noarrive")
 
     # Failure ordering holds across the whole slack axis.
-    for i in range(len(result.slacks)):
-        assert polaris_f[i] <= fifo_f[i] + 0.01, result.slacks[i]
-        assert fifo_f[i] <= noarrive_f[i] + 0.01, result.slacks[i]
+    for i in range(len(result.axis(1))):
+        assert polaris_f[i] <= fifo_f[i] + 0.01, result.axis(1)[i]
+        assert fifo_f[i] <= noarrive_f[i] + 0.01, result.axis(1)[i]
 
     # At tight slack the gaps are substantial.
     assert noarrive_f[0] > 1.5 * polaris_f[0]
 
     # EDF also saves power: POLARIS draws the least at loose slack.
-    polaris_p = result.power("POLARIS")
-    fifo_p = result.power("POLARIS-FIFO")
+    polaris_p = result.power("polaris")
+    fifo_p = result.power("polaris-fifo")
     assert polaris_p[-1] <= fifo_p[-1]

@@ -18,16 +18,16 @@ from repro.harness import figures
 
 
 def test_fig6_medium_load(benchmark, figure_options, archive):
-    result = benchmark.pedantic(figures.fig6_tpcc_medium,
-                                args=(figure_options,),
-                                iterations=1, rounds=1)
+    result = benchmark.pedantic(
+        figures.run_figure, args=(figures.FIGURES["fig6"], figure_options),
+        iterations=1, rounds=1)
     archive("fig6_medium_load", result.render())
 
-    polaris_p = result.power("POLARIS")
-    static28_p = result.power("2.8 GHz")
-    static24_p = result.power("2.4 GHz")
-    conservative_p = result.power("Conservative")
-    ondemand_p = result.power("OnDemand")
+    polaris_p = result.power("polaris")
+    static28_p = result.power("static-2.8")
+    static24_p = result.power("static-2.4")
+    conservative_p = result.power("conservative")
+    ondemand_p = result.power("ondemand")
 
     # Wall-power levels (paper: ~170 W at 2.8 GHz, ~30 W step to 2.4).
     assert all(160 < p < 180 for p in static28_p)
@@ -46,12 +46,12 @@ def test_fig6_medium_load(benchmark, figure_options, archive):
     assert all(o > p for o, p in zip(ondemand_p, polaris_p))
 
     # Failure shape at tight slack (slack=10).
-    tight = {label: result.failure(label)[0] for label in result.series}
-    assert tight["POLARIS"] <= tight["2.8 GHz"] + 0.01
-    assert tight["POLARIS"] < 0.65 * tight["OnDemand"]
-    assert tight["2.4 GHz"] > 1.5 * tight["2.8 GHz"]
+    tight = {label: result.failure(label)[0] for label in result.axis(0)}
+    assert tight["polaris"] <= tight["static-2.8"] + 0.01
+    assert tight["polaris"] < 0.65 * tight["ondemand"]
+    assert tight["static-2.4"] > 1.5 * tight["static-2.8"]
 
     # With loose slack everyone converges near zero, POLARIS included.
-    loose = {label: result.failure(label)[-1] for label in result.series}
-    assert loose["POLARIS"] < 0.01
-    assert loose["2.8 GHz"] < 0.02
+    loose = {label: result.failure(label)[-1] for label in result.axis(0)}
+    assert loose["polaris"] < 0.01
+    assert loose["static-2.8"] < 0.02

@@ -10,15 +10,15 @@ from repro.harness import figures
 
 
 def test_fig7_tpce_medium(benchmark, figure_options, archive):
-    result = benchmark.pedantic(figures.fig7_tpce_medium,
-                                args=(figure_options,),
-                                iterations=1, rounds=1)
+    result = benchmark.pedantic(
+        figures.run_figure, args=(figures.FIGURES["fig7"], figure_options),
+        iterations=1, rounds=1)
     archive("fig7_tpce_medium", result.render())
 
-    polaris_p = result.power("POLARIS")
-    static28_p = result.power("2.8 GHz")
-    ondemand_p = result.power("OnDemand")
-    conservative_p = result.power("Conservative")
+    polaris_p = result.power("polaris")
+    static28_p = result.power("static-2.8")
+    ondemand_p = result.power("ondemand")
+    conservative_p = result.power("conservative")
 
     # POLARIS saves ~30-40 W vs peak frequency.
     assert all(s - p > 18 for s, p in zip(static28_p, polaris_p))
@@ -30,11 +30,11 @@ def test_fig7_tpce_medium(benchmark, figure_options, archive):
     # OnDemand: more power and more misses than POLARIS beyond the
     # tightest slack.
     assert all(o >= p - 1.0 for o, p in zip(ondemand_p, polaris_p))
-    for i in range(1, len(result.slacks)):
-        assert result.failure("OnDemand")[i] \
-            >= result.failure("POLARIS")[i]
+    for i in range(1, len(result.axis(1))):
+        assert result.failure("ondemand")[i] \
+            >= result.failure("polaris")[i]
 
     # Failures decline monotonically with slack for every scheme.
-    for label in result.series:
+    for label in result.axis(0):
         failures = result.failure(label)
         assert all(a >= b - 0.02 for a, b in zip(failures, failures[1:]))

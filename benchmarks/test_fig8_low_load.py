@@ -11,15 +11,15 @@ from repro.harness import figures
 
 
 def test_fig8_low_load(benchmark, figure_options, archive):
-    result = benchmark.pedantic(figures.fig8_tpcc_low,
-                                args=(figure_options,),
-                                iterations=1, rounds=1)
+    result = benchmark.pedantic(
+        figures.run_figure, args=(figures.FIGURES["fig8"], figure_options),
+        iterations=1, rounds=1)
     archive("fig8_low_load", result.render())
 
-    polaris_p = result.power("POLARIS")
-    static28_p = result.power("2.8 GHz")
-    conservative_p = result.power("Conservative")
-    ondemand_p = result.power("OnDemand")
+    polaris_p = result.power("polaris")
+    static28_p = result.power("static-2.8")
+    conservative_p = result.power("conservative")
+    ondemand_p = result.power("ondemand")
 
     # ~40 W savings for POLARIS vs the 2.8 GHz baseline.
     assert all(30 < s - p < 55 for s, p in zip(static28_p, polaris_p))
@@ -29,10 +29,10 @@ def test_fig8_low_load(benchmark, figure_options, archive):
 
     # ...but misses far more deadlines at tight slack, and OnDemand is
     # dominated by POLARIS (the paper's role-switch observation).
-    tight = {label: result.failure(label)[0] for label in result.series}
-    assert tight["Conservative"] > 1.3 * tight["POLARIS"]
-    assert tight["OnDemand"] > tight["POLARIS"]
-    assert tight["Conservative"] > tight["2.8 GHz"]
+    tight = {label: result.failure(label)[0] for label in result.axis(0)}
+    assert tight["conservative"] > 1.3 * tight["polaris"]
+    assert tight["ondemand"] > tight["polaris"]
+    assert tight["conservative"] > tight["static-2.8"]
 
     # OnDemand's power lies between POLARIS/Conservative and 2.8 GHz.
     assert all(p - 3 <= o <= s for p, o, s in

@@ -11,27 +11,27 @@ from repro.harness import figures
 
 
 def test_fig9_high_load(benchmark, figure_options, archive):
-    result = benchmark.pedantic(figures.fig9_tpcc_high,
-                                args=(figure_options,),
-                                iterations=1, rounds=1)
+    result = benchmark.pedantic(
+        figures.run_figure, args=(figures.FIGURES["fig9"], figure_options),
+        iterations=1, rounds=1)
     archive("fig9_high_load", result.render())
 
-    polaris_p = result.power("POLARIS")
-    static28_p = result.power("2.8 GHz")
-    ondemand_p = result.power("OnDemand")
+    polaris_p = result.power("polaris")
+    static28_p = result.power("static-2.8")
+    ondemand_p = result.power("ondemand")
 
     # Savings shrink to roughly 10 W (paper: "only by about 10 watts").
     assert all(3 < s - p < 20 for s, p in zip(static28_p, polaris_p))
     assert all(2 < s - o < 15 for s, o in zip(static28_p, ondemand_p))
 
     # Tight slack: everyone fails a lot; POLARIS fails least.
-    tight = {label: result.failure(label)[0] for label in result.series}
-    assert tight["2.8 GHz"] > 0.25
-    assert tight["POLARIS"] < tight["2.8 GHz"]
-    assert tight["POLARIS"] < tight["OnDemand"]
+    tight = {label: result.failure(label)[0] for label in result.axis(0)}
+    assert tight["static-2.8"] > 0.25
+    assert tight["polaris"] < tight["static-2.8"]
+    assert tight["polaris"] < tight["ondemand"]
 
     # Loose slack: POLARIS exploits its deadline-awareness to recover
     # almost completely while still saving power.
-    loose = {label: result.failure(label)[-1] for label in result.series}
-    assert loose["POLARIS"] < 0.05
-    assert loose["POLARIS"] <= loose["2.8 GHz"]
+    loose = {label: result.failure(label)[-1] for label in result.axis(0)}
+    assert loose["polaris"] < 0.05
+    assert loose["polaris"] <= loose["static-2.8"]

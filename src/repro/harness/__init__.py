@@ -6,9 +6,10 @@ paper's three phases (warmup, estimator training, measured test phase)
 and returns the metrics the paper reports: average wall power over the
 test phase and failure rates overall and per workload.
 
-:mod:`repro.harness.figures` maps each table/figure of the paper's
-evaluation section onto a function that regenerates it; the benchmark
-suite and the CLI both call through here.
+:mod:`repro.harness.figures` holds the evaluation section as one table
+(``FIGURES``: each figure's cells and printed sections) and
+``run_figure``, which regenerates any entry; the benchmark suite and the
+CLI both call through here.
 
 :mod:`repro.harness.parallel` fans independent cells out over worker
 processes behind a content-addressed on-disk cache, and

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Callable, Dict
 
 from repro.faults.plan import resolve_fault_plan
@@ -29,23 +30,13 @@ from repro.harness import figures
 from repro.harness.parallel import SweepCache, resolve_jobs
 from repro.harness.profiling import TimingReport, append_trajectory
 
+#: Every grid figure of the table, plus the three that are not grids.
 COMMANDS: Dict[str, Callable[[figures.FigureOptions], object]] = {
-    "fig3": lambda o: figures.fig3_exec_times(o),
-    "fig6": lambda o: figures.fig6_tpcc_medium(o),
-    "fig7": lambda o: figures.fig7_tpce_medium(o),
-    "fig8": lambda o: figures.fig8_tpcc_low(o),
-    "fig9": lambda o: figures.fig9_tpcc_high(o),
-    "fig10": lambda o: figures.fig10_worldcup(o),
-    "fig11": lambda o: figures.fig11_differentiation(o),
-    "fig12": lambda o: figures.fig12_variants(o),
-    "theory": lambda o: figures.theory_competitive(),
-    "overhead": lambda o: figures.polaris_overhead(),
-    "extension": lambda o: figures.extension_worker_parking(o),
-    "resilience": lambda o: figures.resilience_figure(o),
-    "arena": lambda o: figures.arena_tournament(o),
-    "granularity": lambda o: figures.granularity_figure(o),
-    "fleet": lambda o: figures.fleet_elastic_frontier(o),
-    "availability": lambda o: figures.availability_figure(o),
+    **{name: partial(figures.run_figure, figure)
+       for name, figure in figures.FIGURES.items()},
+    "fig3": figures.fig3_exec_times,
+    "theory": lambda _options: figures.theory_competitive(),
+    "overhead": lambda _options: figures.polaris_overhead(),
 }
 
 
@@ -62,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--test-seconds", type=float, default=None,
                         help="measured test-phase length per cell")
     parser.add_argument("--trace-seconds", type=int, default=None,
-                        help="trace length for fig10 (paper: ~300)")
+                        help="trace length for fig10, fleet and availability "
+                             "(paper: ~300)")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed")
     parser.add_argument("--jobs", "-j", type=int, default=None,
@@ -93,29 +85,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Every run-size input is checked here, so a bad value is a clean
+    # usage error (exit 2) rather than a mid-sweep traceback.
     try:
         resolved_jobs = resolve_jobs(args.jobs)
-    except ValueError as exc:
+        options = figures.FigureOptions.from_env()
+        for name in ("workers", "test_seconds", "trace_seconds", "seed"):
+            if getattr(args, name) is not None:
+                setattr(options, name, getattr(args, name))
+        options.validate()
+        if args.faults is not None:
+            resolve_fault_plan(args.faults)
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    options = figures.FigureOptions.from_env()
-    if args.workers is not None:
-        options.workers = args.workers
-    if args.test_seconds is not None:
-        options.test_seconds = args.test_seconds
-    if args.trace_seconds is not None:
-        options.trace_seconds = args.trace_seconds
-    if args.seed is not None:
-        options.seed = args.seed
     options.jobs = args.jobs
     options.use_cache = not args.no_cache
     options.trace_dir = args.trace
-    if args.faults is not None:
-        # Resolve eagerly so a typo'd scenario name or unreadable plan
-        # file is a clean usage error, not a mid-sweep traceback.
-        try:
-            resolve_fault_plan(args.faults)
-        except (ValueError, OSError) as exc:
-            parser.error(str(exc))
     options.faults = args.faults
 
     if args.clear_cache:

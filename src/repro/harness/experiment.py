@@ -188,6 +188,7 @@ class ExperimentConfig:
              f"must be one of {', '.join(sorted(BENCHMARKS))}")
         need(math.isfinite(self.slack) and self.slack > 0, "slack",
              "must be finite and positive")
+        need(self.workers >= 1, "workers", "must be at least 1")
         for name in ("load_fraction", "warmup_seconds",
                      "drain_limit_seconds"):
             need(getattr(self, name) >= 0, name, "cannot be negative")

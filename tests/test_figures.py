@@ -1,28 +1,99 @@
-"""Figure-reproduction functions: structure smoke tests at tiny scale.
+"""Figure reproductions at tiny scale: every command's output is pinned.
 
-The full-size shape assertions live in benchmarks/; here we only check
-that each figure function produces well-formed results quickly.
+The full-size shape assertions live in benchmarks/; here every entry of
+the figure table is run at ``TINY`` and its ``render()`` compared to a
+golden captured from the commit before figures became data.
 """
+
+import pathlib
+from dataclasses import replace
 
 import pytest
 
 from repro.harness import figures
+from repro.harness.figures import FIGURES, Figure, Grid
 
 TINY = figures.FigureOptions(workers=2, warmup_seconds=0.3,
                              test_seconds=0.8, trace_seconds=10,
                              seed=5, slacks=(10, 70))
 
+RENDERS = pathlib.Path(__file__).parent / "data" / "figure_renders"
+
+#: The full arena is 77 cells; its tier-1 pin runs two schemes on one
+#: workload at two loads plus one fault round (6 cells).
+SMALL_ARENA = replace(FIGURES["arena"], grids=(
+    Grid((("scheme", ("polaris", "ondemand")), ("benchmark", ("tpcc",)),
+          ("load_fraction", (0.3, 0.6))), dict(slack=figures.ARENA_SLACK)),
+    Grid((("scheme", ("polaris", "ondemand")), ("faults", ("burst",))),
+         dict(benchmark="tpcc", load_fraction=0.6,
+              slack=figures.ARENA_SLACK))))
+
+TWO_SCHEME_SWEEP = Figure(
+    "sweep", "test sweep",
+    (Grid((("scheme", ("polaris", "static-2.8")), figures.SLACK_AXIS),
+          dict(benchmark="tpcc", load_fraction=0.6)),),
+    (figures.heading, figures.slack_table()))
+
+
+@pytest.mark.parametrize(
+    "figure", [*(f for f in FIGURES.values() if f.name != "arena"),
+               SMALL_ARENA], ids=lambda figure: figure.name)
+def test_render_pinned(figure):
+    result = figures.run_figure(figure, TINY)
+    for cell in result.results:
+        assert cell.avg_power_watts > 0
+        assert 0 <= cell.failure_rate <= 1
+    golden = (RENDERS / f"{figure.name}.txt").read_text()
+    assert result.render() + "\n" == golden
+
 
 def test_slack_sweep_structure():
-    result = figures.slack_sweep("tpcc", 0.6, ("polaris", "static-2.8"),
-                                 TINY, "test sweep")
-    assert set(result.series) == {"POLARIS", "2.8 GHz"}
-    assert result.slacks == (10, 70)
-    assert len(result.power("POLARIS")) == 2
-    assert all(p > 0 for p in result.power("POLARIS"))
-    assert all(0 <= f <= 1 for f in result.failure("2.8 GHz"))
+    """The accessor rule: full key -> number, prefix -> list in grid
+    order; schemes are keyed by registry name and shown by label."""
+    result = figures.run_figure(TWO_SCHEME_SWEEP, TINY)
+    assert list(result.cells) == [("polaris", 10), ("polaris", 70),
+                                  ("static-2.8", 10), ("static-2.8", 70)]
+    assert result.axis(0) == ["polaris", "static-2.8"]
+    assert result.axis(1) == [10, 70]
+    assert result.power("polaris") == [result.power("polaris", 10),
+                                       result.power("polaris", 70)]
+    assert result.failure() == [r.failure_rate for r in result.results]
+    assert isinstance(result.failure("static-2.8", 70), float)
+    with pytest.raises(KeyError):
+        result.power("POLARIS")
     text = result.render()
-    assert "slack=10" in text and "POLARIS" in text
+    assert text.startswith("test sweep\n\n")
+    assert "slack=10" in text and "2.8 GHz" in text
+
+
+def test_unknown_config_name_is_rejected():
+    """A typo'd override used to run (and cache as) the default cell."""
+    with pytest.raises(TypeError):
+        TINY.base_config(cstate_laddr="deep")
+    assert TINY.base_config(cstate_ladder="deep").cstate_ladder == "deep"
+    with pytest.raises(ValueError, match="cstate_laddr"):
+        Grid((("scheme", ("polaris",)),), dict(cstate_laddr="deep"))
+    with pytest.raises(ValueError, match="schem"):
+        Grid((("schem", ("polaris",)),))
+    with pytest.raises(ValueError, match="topolgy"):
+        Grid((("topology", {"coarse": {"topolgy": "per-socket"}}),))
+
+
+def test_cell_slugs():
+    slugs = {name: [figures._cell_slug(config)
+                    for _key, config in FIGURES[name].cells(TINY)]
+             for name in ("fig6", "fleet", "availability", "resilience")}
+    assert slugs["fig6"][0] == "tpcc-polaris-load0.6-slack10"
+    assert "tpcc-static-2.8-load0.6-slack70" in slugs["fig6"]
+    assert slugs["fleet"] == [
+        "tpcc-polaris-load0.6-slack60-fleet_elastic",
+        "tpcc-polaris-load0.6-slack60-fleet_static4",
+        "tpcc-polaris-load0.6-slack60-fleet_static2"]
+    assert slugs["availability"][1] == \
+        "tpcc-polaris-load0.6-slack60-faults_shard-crash-fleet_elastic"
+    assert slugs["resilience"][:2] == [
+        "tpcc-polaris-load0.6-slack40",
+        "tpcc-polaris-load0.6-slack40-faults_burst"]
 
 
 def test_fig3_structure():
@@ -33,41 +104,6 @@ def test_fig3_structure():
         assert 0 < m28 <= p28, name
         assert m28 < m12, name  # slower at 1.2 GHz
     assert "Figure 3" in result.render()
-
-
-def test_fig10_structure():
-    result = figures.fig10_worldcup(TINY)
-    assert set(result.summary) == {"POLARIS", "OnDemand", "Conservative"}
-    assert len(result.trace) == TINY.trace_seconds
-    for label, series in result.timelines.items():
-        assert series, label
-    rendered = result.render()
-    assert "Failure Rate" in rendered
-
-
-def test_fleet_frontier_structure():
-    result = figures.fleet_elastic_frontier(TINY)
-    labels = set(result.summary)
-    assert any("elastic" in label for label in labels)
-    assert any("static" in label for label in labels)
-    assert len(result.trace) == TINY.trace_seconds
-    assert result.peak_rate_tps > 100.0  # 1000x-scaled diurnal peak
-    for label in labels:
-        assert result.power(label) > 0
-        assert 0 <= result.failure(label) <= 1
-        assert set(result.per_shard[label]) == {"shard0", "shard1"}
-    rendered = result.render()
-    assert "provisioning frontier" in rendered
-    assert "Stale Bounces" in rendered
-
-
-def test_fig11_structure():
-    result = figures.fig11_differentiation(TINY)
-    assert ("POLARIS", "gold") in result.failures
-    assert ("POLARIS", "silver") in result.failures
-    assert result.power["POLARIS"] > 0
-    assert isinstance(result.gap("POLARIS"), float)
-    assert "gold" in result.render()
 
 
 def test_theory_competitive_structure():
@@ -99,15 +135,39 @@ def test_figure_options_env(monkeypatch):
     assert figures.FigureOptions.from_env().workers == 16
 
 
+@pytest.mark.parametrize("env, argv, message", [
+    ({"REPRO_BENCH_SCALE": "abc"}, [], "REPRO_BENCH_SCALE"),
+    ({"REPRO_BENCH_SCALE": "nan"}, [], "REPRO_BENCH_SCALE"),
+    ({"REPRO_BENCH_SCALE": "0"}, [], "REPRO_BENCH_SCALE"),
+    ({"REPRO_BENCH_WORKERS": "x"}, [], "REPRO_BENCH_WORKERS"),
+    ({}, ["--workers", "0"], "workers"),
+    ({}, ["--test-seconds", "-1"], "test_seconds"),
+    ({}, ["--trace-seconds", "0"], "trace_seconds"),
+])
+def test_bad_run_size_is_a_usage_error(monkeypatch, capsys, env, argv,
+                                       message):
+    """Exit 2 from the argument boundary, before any cell runs."""
+    from repro.harness.cli import main
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(figures.FigureOptions, "run_cells",
+                        lambda self, configs: pytest.fail("a cell ran"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig6", "--no-cache", "--no-bench-log", *argv])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_parser():
     from repro.harness.cli import COMMANDS, build_parser
     parser = build_parser()
     args = parser.parse_args(["theory", "--workers", "4"])
     assert args.figure == "theory"
     assert args.workers == 4
-    assert set(COMMANDS) >= {"fig3", "fig6", "fig7", "fig8", "fig9",
-                             "fig10", "fig11", "fig12", "theory",
-                             "overhead", "fleet"}
+    assert sorted(COMMANDS) == sorted([
+        "fig3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+        "theory", "overhead", "extension", "resilience", "arena",
+        "granularity", "fleet", "availability"])
 
 
 def test_cli_runs_theory(capsys):

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.harness.experiment import ExperimentConfig
-from repro.harness.figures import FigureOptions, slack_sweep
+from repro.harness.figures import FIGURES, FigureOptions, run_figure
 from repro.harness.parallel import (
     SweepCache, SweepRunner, code_version_salt, config_key, resolve_jobs,
     run_sweep,
@@ -227,12 +227,11 @@ def test_slack_sweep_parallel_render_identical(tmp_path):
     """Figure-level equivalence: rendered rows are byte-identical."""
     base = dict(workers=2, warmup_seconds=0.3, test_seconds=0.8,
                 seed=5, slacks=(10, 70), use_cache=False)
-    serial = slack_sweep("tpcc", 0.6, ("polaris", "static-2.8"),
-                         FigureOptions(jobs=1, **base), "sweep")
-    parallel = slack_sweep("tpcc", 0.6, ("polaris", "static-2.8"),
-                           FigureOptions(jobs=2, **base), "sweep")
+    serial = run_figure(FIGURES["fig12"], FigureOptions(jobs=1, **base))
+    parallel = run_figure(FIGURES["fig12"], FigureOptions(jobs=2, **base))
     assert serial.render() == parallel.render()
-    assert serial.series == parallel.series
+    assert serial.power() == parallel.power()
+    assert serial.failure() == parallel.failure()
 
 
 def test_runner_reports_cells(tmp_path):
@@ -294,13 +293,13 @@ def test_slack_sweep_trace_dir_writes_per_cell_artifacts(tmp_path):
     base = dict(workers=2, warmup_seconds=0.3, test_seconds=0.8,
                 seed=5, slacks=(10,), use_cache=False)
     options = FigureOptions(jobs=1, trace_dir=str(tmp_path / "t"), **base)
-    slack_sweep("tpcc", 0.6, ("polaris", "static-2.8"), options, "sweep")
+    run_figure(FIGURES["fig12"], options)
     names = sorted(os.listdir(tmp_path / "t"))
     traces = [n for n in names if n.endswith(".trace.json")]
-    assert len(traces) == 2
-    assert any("polaris" in n for n in traces)
-    assert any("static-2.8" in n for n in traces)
-    assert sum(n.endswith(".series.csv") for n in names) == 2
+    assert traces == sorted(
+        f"tpcc-{scheme}-load0.6-slack10.trace.json" for scheme in
+        ("polaris", "polaris-fifo", "polaris-fifo-noarrive"))
+    assert sum(n.endswith(".series.csv") for n in names) == 3
     from repro.obs.export import validate_chrome_trace
     for name in traces:
         stats = validate_chrome_trace(str(tmp_path / "t" / name))

@@ -4,19 +4,17 @@ from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.polaris import PolarisScheduler
 from repro.cpu.pstates import POLARIS_FREQUENCIES
 from repro.governors.base import Governor
-from repro.harness import figures
-from repro.harness.schemes import (
-    ARENA_SCHEMES, FIGURE_BASELINE_SCHEMES, SCHEMES, VARIANT_SCHEMES,
-    scheme_named,
-)
+from repro.harness.figures import FIGURES
+from repro.harness.schemes import ARENA_SCHEMES, SCHEMES, scheme_named
 
+#: Every scheme line-up any figure names: a scheme axis, or a grid's
+#: fixed scheme.
 LINEUPS = {
-    "FIGURE_BASELINE_SCHEMES": FIGURE_BASELINE_SCHEMES,
-    "VARIANT_SCHEMES": VARIANT_SCHEMES,
-    "ARENA_SCHEMES": ARENA_SCHEMES,
-    "RESILIENCE_SCHEMES": figures.RESILIENCE_SCHEMES,
-    "GRANULARITY_SCHEMES": figures.GRANULARITY_SCHEMES,
-}
+    f"{figure.name}[{index}]": next(
+        (values for name, values in grid.axes if name == "scheme"),
+        (grid.fixed.get("scheme"),))
+    for figure in FIGURES.values()
+    for index, grid in enumerate(figure.grids)}
 
 
 def test_every_scheme_is_constructible_and_consistently_named():
@@ -43,6 +41,7 @@ def test_every_scheme_is_constructible_and_consistently_named():
 
 
 def test_every_lineup_references_registered_schemes():
+    assert len(LINEUPS) == len(FIGURES) + 1  # the arena has two grids
     for lineup_name, lineup in LINEUPS.items():
         assert lineup, lineup_name
         assert len(set(lineup)) == len(lineup), \

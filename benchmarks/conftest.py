@@ -22,11 +22,10 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 @pytest.fixture(autouse=True)
 def _hermetic_harness_paths(tmp_path, monkeypatch):
-    """Point the sweep cache and bench trajectory at a fresh tmp dir so
-    bench timings measure real simulation (no cross-run cache hits) and
-    the repo root stays clean."""
+    """Point the sweep cache at a fresh tmp dir so bench timings
+    measure real simulation (no cross-run cache hits) and the repo root
+    stays clean."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
-    monkeypatch.setenv("REPRO_BENCH_FILE", str(tmp_path / "bench.json"))
 
 
 @pytest.fixture(scope="session")

@@ -74,14 +74,10 @@ def test_bench_simsan_off_is_noop(benchmark, monkeypatch):
     assert calls  # and they do fire when enabled
 
 
-def test_bench_simsan_on_overhead_recorded(benchmark):
-    """Measure the sanitizer's enabled overhead and log it to the bench
-    trajectory (``REPRO_BENCH_FILE``, default ``BENCH_harness.json``) so
-    the cost of running figures under ``REPRO_SIMSAN=1`` is tracked
-    PR-over-PR."""
-    from repro.harness.profiling import (
-        TimingReport, append_trajectory, load_trajectory, perf_clock,
-    )
+def test_bench_simsan_on_overhead(benchmark):
+    """The sanitizer's enabled overhead: what running figures under
+    ``REPRO_SIMSAN=1`` costs the event loop."""
+    from repro.harness.profiling import perf_clock
 
     def best_of(sanitize, repeats=3):
         _event_loop_ticks(sanitize)  # warm
@@ -99,15 +95,6 @@ def test_bench_simsan_on_overhead_recorded(benchmark):
     # run() and per compaction.  Generous bound: catches only a hook
     # accidentally landing on the per-event path.
     assert on < off * 5, f"simsan on {on:.4f}s vs off {off:.4f}s"
-
-    report = TimingReport(name="simsan-overhead", jobs=1)
-    report.phases["simsan_off"] = off
-    report.phases["simsan_on"] = on
-    report.phases["overhead_ratio"] = on / off
-    append_trajectory(report)
-    recorded = load_trajectory()
-    assert recorded[-1]["name"] == "simsan-overhead"
-    assert "simsan_on" in recorded[-1]["phases"]
 
 
 def _traced_event_loop_ticks(tracer, ticks=10000):
@@ -158,15 +145,12 @@ def test_bench_trace_off_is_noop(benchmark, monkeypatch):
     assert benchmark(_traced_event_loop_ticks, NULL_TRACER) == 10000
 
 
-def test_bench_trace_overhead_recorded(benchmark, monkeypatch):
-    """Measure disabled-tracing overhead on the event loop and log it to
-    the bench trajectory (``BENCH_harness.json``).  The acceptance bar
-    is <=1%; the structural proof above guarantees it, the timing here
-    documents it PR-over-PR (with a noise allowance on the assert, since
-    best-of wall timings on a ~10ms loop still jitter)."""
-    from repro.harness.profiling import (
-        TimingReport, append_trajectory, load_trajectory, perf_clock,
-    )
+def test_bench_trace_overhead(benchmark, monkeypatch):
+    """Measure disabled-tracing overhead on the event loop.  The
+    acceptance bar is <=1%; the structural proof above guarantees it,
+    the timing here checks it (with a noise allowance on the assert,
+    since best-of wall timings on a ~10ms loop still jitter)."""
+    from repro.harness.profiling import perf_clock
     from repro.obs.trace import NULL_TRACER, TRACE_ENV, Tracer
 
     monkeypatch.delenv(TRACE_ENV, raising=False)
@@ -189,16 +173,6 @@ def test_bench_trace_overhead_recorded(benchmark, monkeypatch):
     # deterministic no-op test is the real <=1% guarantee.
     assert off < plain * 1.25, f"trace off {off:.4f}s vs plain {plain:.4f}s"
     assert on < plain * 1.25, f"trace on {on:.4f}s vs plain {plain:.4f}s"
-
-    report = TimingReport(name="trace-overhead", jobs=1)
-    report.phases["trace_plain"] = plain
-    report.phases["trace_off"] = off
-    report.phases["trace_on"] = on
-    report.phases["overhead_ratio"] = off / plain
-    append_trajectory(report)
-    recorded = load_trajectory()
-    assert recorded[-1]["name"] == "trace-overhead"
-    assert "overhead_ratio" in recorded[-1]["phases"]
 
 
 def test_bench_percentile_tracker_observe(benchmark):
@@ -335,12 +309,9 @@ def test_bench_edf_pop_headpointer_vs_popzero(benchmark):
     """The head-pointer pop is amortized O(1) where ``pop(0)`` memmoves
     the whole backing list; at deep-backlog churn (the overload regimes
     of Figures 7/9, where EDF queues grow into the thousands) the win is
-    asymptotic.  Recorded to the bench trajectory (``BENCH_harness.json``)
-    so the gap is tracked PR-over-PR."""
+    asymptotic."""
     from repro.db.queues import EdfQueue
-    from repro.harness.profiling import (
-        TimingReport, append_trajectory, load_trajectory, perf_clock,
-    )
+    from repro.harness.profiling import perf_clock
 
     workload = Workload("w", 0.05)
     depth = 16000
@@ -379,27 +350,14 @@ def test_bench_edf_pop_headpointer_vs_popzero(benchmark):
     assert fast < slow * 0.5, (
         f"head-pointer {fast:.4f}s vs pop(0) {slow:.4f}s")
 
-    report = TimingReport(name="edf-pop-headpointer", jobs=1)
-    report.phases["headpointer"] = fast
-    report.phases["popzero"] = slow
-    report.phases["speedup"] = slow / fast
-    append_trajectory(report)
-    recorded = load_trajectory()
-    assert recorded[-1]["name"] == "edf-pop-headpointer"
-    assert recorded[-1]["phases"]["speedup"] > 1.0
-
 
 def test_bench_calendar_vs_heap_event_queue(benchmark):
     """The calendar queue's near-O(1) push/pop vs the binary heap's
     O(log n), at a server-shaped backlog (~4000 pending timers, every
     fired event scheduling a successor).  Both engines produce the same
     fire count by construction (the oracle-equivalence suite proves
-    order equality); here only the clock differs.  Recorded to the
-    bench trajectory (``BENCH_harness.json``) so the gap is tracked
-    PR-over-PR."""
-    from repro.harness.profiling import (
-        TimingReport, append_trajectory, load_trajectory, perf_clock,
-    )
+    order equality); here only the clock differs."""
+    from repro.harness.profiling import perf_clock
 
     total = 200_000
     pending = 4000
@@ -442,34 +400,17 @@ def test_bench_calendar_vs_heap_event_queue(benchmark):
     assert fast < slow * 0.8, (
         f"calendar {fast:.4f}s vs heap {slow:.4f}s")
 
-    report = TimingReport(name="engine-calendar-queue", jobs=1)
-    report.phases["calendar"] = fast
-    report.phases["heap"] = slow
-    report.phases["speedup"] = slow / fast
-    append_trajectory(report)
-    recorded = load_trajectory()
-    assert recorded[-1]["name"] == "engine-calendar-queue"
-    assert recorded[-1]["phases"]["speedup"] > 1.0
 
-
-def test_bench_reprolint_full_tree_recorded(benchmark):
-    """The whole-program analyzer over the shipped tree, phase by phase.
-
-    CI runs reprolint on every push with a 10 s wall budget; this bench
-    keeps a trajectory of where that budget goes (project load vs the
-    unit and flow analyses) so a slowdown is attributable, not just
-    detected.  The tree itself must analyze clean --- a finding here
-    means the baseline gate in the lint job is about to fail too.
-    """
+def test_bench_reprolint_full_tree(benchmark):
+    """The whole-program analyzer over the shipped tree, inside the
+    10 s wall budget CI gives the lint job, and finding nothing."""
     from pathlib import Path
 
     from repro.analysis.callgraph import CallGraph
     from repro.analysis.flows import FlowAnalysis
     from repro.analysis.project import Project
     from repro.analysis.units import UnitAnalysis
-    from repro.harness.profiling import (
-        TimingReport, append_trajectory, load_trajectory, perf_clock,
-    )
+    from repro.harness.profiling import perf_clock
 
     src = Path(__file__).resolve().parent.parent / "src"
 
@@ -477,56 +418,28 @@ def test_bench_reprolint_full_tree_recorded(benchmark):
         project = Project.load([src])
         findings = UnitAnalysis(project).run()
         findings += FlowAnalysis(project, CallGraph(project)).run()
-        return project, findings
+        return findings
 
     start = perf_clock()
-    project = Project.load([src])
-    load_s = perf_clock() - start
-
-    start = perf_clock()
-    unit_findings = UnitAnalysis(project).run()
-    units_s = perf_clock() - start
-
-    start = perf_clock()
-    graph = CallGraph(project)
-    flow_findings = FlowAnalysis(project, graph).run()
-    flows_s = perf_clock() - start
-
-    _, findings = benchmark(analyze)
-    assert findings == unit_findings + flow_findings == []
-
-    total_s = load_s + units_s + flows_s
+    assert analyze() == []
+    total_s = perf_clock() - start
     assert total_s < 10.0, (
         f"analyzer took {total_s:.2f}s; the CI budget is 10s")
-
-    report = TimingReport(name="reprolint-analyzer", jobs=1)
-    report.phases["project_load"] = load_s
-    report.phases["unit_analysis"] = units_s
-    report.phases["flow_analysis"] = flows_s
-    report.phases["total"] = total_s
-    report.phases["modules"] = float(len(project.modules))
-    append_trajectory(report)
-    recorded = load_trajectory()
-    assert recorded[-1]["name"] == "reprolint-analyzer"
-    assert recorded[-1]["phases"]["total"] < 10.0
+    assert benchmark(analyze) == []
 
 
-def test_bench_fleet_events_recorded(benchmark):
-    """Fleet-cell simulated-events/sec, logged to the bench trajectory.
+def test_bench_fleet_events(benchmark):
+    """One elastic fleet cell under pytest-benchmark timing.
 
     A fleet cell multiplies the per-server hot paths by the node count
-    and layers the router and elastic controller on top; this bench
-    keeps the aggregate engine rate visible PR-over-PR so a regression
-    in any layer shows up as a drop in events/sec, attributable via the
-    recorded event and wall-clock phases.
+    and layers the router and elastic controller on top.  The number
+    to compare across commits is ``python -m bench``'s ``fleet_diurnal``
+    row; this one only has to run and repeat itself exactly.
     """
     import random as _random
 
     from repro.fleet import FleetConfig
     from repro.harness import ExperimentConfig, run_experiment
-    from repro.harness.profiling import (
-        TimingReport, append_trajectory, load_trajectory, perf_clock,
-    )
     from repro.workloads.traces import normalize, synthesize_diurnal_trace
 
     trace = normalize(synthesize_diurnal_trace(
@@ -545,19 +458,4 @@ def test_bench_fleet_events_recorded(benchmark):
     warm = cell()
     assert warm.completed > 0 and warm.sim_events > 0
 
-    best_wall = float("inf")
-    for _ in range(3):
-        start = perf_clock()
-        result = cell()
-        best_wall = min(best_wall, perf_clock() - start)
-    assert benchmark(cell).sim_events == result.sim_events
-
-    rate = result.sim_events / best_wall
-    report = TimingReport(name="fleet-smoke", jobs=1)
-    report.phases["sim_events"] = float(result.sim_events)
-    report.phases["wall_seconds"] = best_wall
-    report.phases["events_per_sec"] = rate
-    append_trajectory(report)
-    recorded = load_trajectory()
-    assert recorded[-1]["name"] == "fleet-smoke"
-    assert recorded[-1]["phases"]["events_per_sec"] > 1000.0
+    assert benchmark(cell).sim_events == warm.sim_events

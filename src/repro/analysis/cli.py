@@ -1,40 +1,25 @@
 """``python -m repro.analysis`` --- the reprolint command line.
 
-v2 drives both rule layers through :mod:`repro.analysis.driver` and
-adds the CI enforcement surface:
+Drives both rule layers through :mod:`repro.analysis.driver`.  A
+finding fails the run; the only exemption is an inline
+``# reprolint: disable=RLxxx - reason`` on the flagged line.
 
-``--baseline FILE``
-    Apply the checked-in finding baseline; only *new* findings fail
-    the run.  ``--update-baseline`` rewrites the file ratcheted down
-    to the current findings (stale entries pruned, reasons preserved).
-``--sarif [FILE]``
-    Emit SARIF 2.1.0 (to FILE, or stdout with no argument) for CI
-    annotation surfaces; composes with ``--baseline`` via
-    ``baselineState``.
-``--fix``
-    Apply the mechanical autofixes (RL003 ``sorted()`` wraps, unused
-    suppression removal) and re-analyze.
-``--incremental [CACHE]``
-    Reuse per-file and program results for unchanged files via the
-    cache file (default ``.reprolint-cache.json``).
-
-Exit status: 0 when clean or fully baselined, 1 when new findings
-remain, 2 on usage errors.
+Exit status: 0 when clean, 1 when findings remain, 2 on usage errors
+(unknown rule code, a path that does not exist, nothing to analyze).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis import rules  # noqa: F401 - populates the registry
 from repro.analysis.driver import (
-    PROGRAM_CODES, AnalysisResult, program_rule_table, run_analysis,
+    PROGRAM_CODES, program_rule_table, run_analysis,
 )
 from repro.analysis.linter import RULE_REGISTRY, render_json, render_text
-
-DEFAULT_CACHE = ".reprolint-cache.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,23 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-program", action="store_true",
         help="per-file rules only; skip the whole-program analyses")
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="apply the finding baseline; only new findings fail")
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline FILE from the current findings "
-             "(ratchet: stale entries pruned, reasons preserved)")
-    parser.add_argument(
-        "--sarif", metavar="FILE", nargs="?", const="-",
-        help="write a SARIF 2.1.0 log to FILE (stdout if omitted)")
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply mechanical autofixes, then re-analyze")
-    parser.add_argument(
-        "--incremental", metavar="CACHE", nargs="?", const=DEFAULT_CACHE,
-        help=f"cache per-file/program results keyed on file hashes "
-             f"(default cache file: {DEFAULT_CACHE})")
     return parser
 
 
@@ -105,17 +73,6 @@ def _parse_select(parser: argparse.ArgumentParser,
     return select
 
 
-def _analyze(args, select: Optional[List[str]]) -> AnalysisResult:
-    if args.no_program:
-        effective = select if select is not None else \
-            sorted(RULE_REGISTRY)
-        effective = [c for c in effective if c not in PROGRAM_CODES]
-    else:
-        effective = select
-    return run_analysis(args.paths, select=effective,
-                        cache_path=args.incremental)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -123,74 +80,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         print(list_rules())
         return 0
-    if args.update_baseline and not args.baseline:
-        parser.error("--update-baseline requires --baseline FILE")
 
     select = _parse_select(parser, args.select)
+    if args.no_program:
+        select = [c for c in (select if select is not None
+                              else sorted(RULE_REGISTRY))
+                  if c not in PROGRAM_CODES]
+    # A mistyped path must not read as a clean tree.
+    for path in args.paths:
+        if not Path(path).exists():
+            parser.error(f"no such file or directory: {path}")
 
     from repro.harness.profiling import perf_clock
     started = perf_clock()
-    result = _analyze(args, select)
-
-    if args.fix and result.findings:
-        from repro.analysis.fixes import apply_fixes
-        applied = apply_fixes(result.findings)
-        for path, descriptions in sorted(applied.items()):
-            for description in descriptions:
-                print(f"fixed {path}:{description}", file=sys.stderr)
-        if applied:
-            result = _analyze(args, select)
-
-    new = list(result.findings)
-    baselined: List = []
-    stale: List[str] = []
-    baseline = None
-    if args.baseline:
-        from repro.analysis.baseline import Baseline
-        baseline = Baseline.load(args.baseline)
-        new, baselined, stale = baseline.partition(result.findings)
-        if args.update_baseline:
-            baseline.updated(result.findings).save(args.baseline)
-
+    result = run_analysis(args.paths, select=select)
     elapsed_s = perf_clock() - started
+    if result.files_checked == 0:
+        parser.error(
+            f"no Python files under: {', '.join(map(str, args.paths))}")
 
-    if args.sarif is not None:
-        from repro.analysis.sarif import render_sarif
-        log = render_sarif(new, baselined,
-                           baseline_applied=baseline is not None)
-        if args.sarif == "-":
-            print(log)
-        else:
-            with open(args.sarif, "w", encoding="utf-8") as handle:
-                handle.write(log + "\n")
-
-    reported = new + (result.suppressed if args.show_suppressed else [])
+    reported = result.findings + \
+        (result.suppressed if args.show_suppressed else [])
     reported.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    if args.sarif != "-":
-        if args.format == "json":
-            print(render_json(reported,
-                              files_checked=result.files_checked))
-        else:
-            print(render_text(reported,
-                              files_checked=result.files_checked))
-            notes = [f"analyzed {result.files_checked} file(s) in "
-                     f"{elapsed_s:.2f}s"]
-            if result.files_from_cache:
-                notes.append(
-                    f"{result.files_from_cache} from cache")
-            if baseline is not None:
-                notes.append(f"{len(baselined)} baselined finding(s)")
-                if stale:
-                    notes.append(
-                        f"{len(stale)} stale baseline entr"
-                        f"{'y' if len(stale) == 1 else 'ies'}"
-                        + ("" if args.update_baseline
-                           else " (run --update-baseline)"))
-            print("reprolint: " + ", ".join(notes))
-
-    if args.update_baseline:
-        return 0
-    return 1 if new else 0
+    if args.format == "json":
+        print(render_json(reported, files_checked=result.files_checked))
+    else:
+        print(render_text(reported, files_checked=result.files_checked))
+        print(f"reprolint: analyzed {result.files_checked} file(s) in "
+              f"{elapsed_s:.2f}s")
+    return 1 if result.findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

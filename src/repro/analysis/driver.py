@@ -13,22 +13,12 @@
    through the module's :class:`FileContext`), and on a full run every
    suppression that silenced nothing is reported as an unused-RL009
    finding, so dead opt-outs cannot linger.
-
-Incremental mode (``cache_path``) persists per-file results keyed on
-``(mtime_ns, sha256)`` plus one program-level fingerprint over all
-file hashes, so a pre-commit run on an unchanged tree does no AST
-work at all.  The cache is an optimisation only: a cold, stale, or
-corrupt cache file just means a full re-analysis.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import rules  # noqa: F401 - populates the registry
 from repro.analysis.linter import (
@@ -36,8 +26,6 @@ from repro.analysis.linter import (
     Suppression, _select_rules, iter_python_files, parse_suppressions,
     suppression_covers,
 )
-
-CACHE_VERSION = 1
 
 #: Whole-program rule codes, by analysis.
 UNIT_CODES = ("RL101", "RL102", "RL103", "RL104")
@@ -56,12 +44,11 @@ def program_rule_table() -> List[Tuple[str, str, str]]:
 
 @dataclass
 class AnalysisResult:
-    """Everything one analysis run produced, before baselining."""
+    """Everything one analysis run produced."""
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     files_checked: int = 0
-    files_from_cache: int = 0
     program_ran: bool = False
 
     def sort(self) -> None:
@@ -71,7 +58,7 @@ class AnalysisResult:
 
 
 # ----------------------------------------------------------------------
-# Per-file unit of work (cacheable)
+# Per-file unit of work
 # ----------------------------------------------------------------------
 @dataclass
 class _FileResult:
@@ -79,24 +66,6 @@ class _FileResult:
     suppressed: List[Finding]
     used_lines: List[int]
     suppressions: List[Suppression]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kept": [f.to_dict() for f in self.kept],
-            "suppressed": [f.to_dict() for f in self.suppressed],
-            "used_lines": sorted(self.used_lines),
-            "suppressions": [s.to_dict() for s in self.suppressions],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "_FileResult":
-        return cls(
-            kept=_findings_from(payload.get("kept", [])),
-            suppressed=_findings_from(payload.get("suppressed", [])),
-            used_lines=[int(n) for n in payload.get("used_lines", [])],
-            suppressions=[Suppression.from_dict(d)
-                          for d in payload.get("suppressions", [])],
-        )
 
 
 def _lint_one(path: str, source: str,
@@ -124,76 +93,6 @@ def _lint_one(path: str, source: str,
     return _FileResult(kept=kept, suppressed=suppressed,
                        used_lines=sorted(used),
                        suppressions=list(ctx.suppressions.values()))
-
-
-# ----------------------------------------------------------------------
-# Incremental cache
-# ----------------------------------------------------------------------
-class _Cache:
-    """``.reprolint-cache.json``: per-file and program-level results."""
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self.files: Dict[str, Dict] = {}
-        self.program: Dict[str, object] = {}
-        self.dirty = False
-        try:
-            payload = json.loads(self.path.read_text(encoding="utf-8"))
-            if payload.get("version") == CACHE_VERSION:
-                self.files = payload.get("files", {})
-                self.program = payload.get("program", {})
-        except (OSError, ValueError):
-            pass  # cold/corrupt cache: plain full run
-
-    def lookup(self, path: str, mtime_ns: int,
-               sha: Optional[str]) -> Optional[Dict]:
-        """The cached entry when it still matches the file on disk.
-
-        ``sha=None`` means the caller has not hashed the file yet and
-        only an mtime match counts; with a hash, a content match
-        revalidates the entry even after a touch.
-        """
-        entry = self.files.get(path)
-        if entry is None:
-            return None
-        if entry.get("mtime_ns") == mtime_ns:  # reprolint: disable=RL004 - exact integer os.stat key, not computed time
-            return entry
-        if sha is not None and entry.get("sha256") == sha:
-            entry["mtime_ns"] = mtime_ns  # touch-only change
-            self.dirty = True
-            return entry
-        return None
-
-    def store(self, path: str, mtime_ns: int, sha: str,
-              result: _FileResult) -> None:
-        payload = result.to_dict()
-        payload.update({"mtime_ns": mtime_ns, "sha256": sha})
-        self.files[path] = payload
-        self.dirty = True
-
-    def save(self, current_paths: Iterable[str]) -> None:
-        keep = set(current_paths)
-        stale = [p for p in self.files if p not in keep]
-        for p in stale:
-            del self.files[p]
-        if stale:
-            self.dirty = True
-        if not self.dirty:
-            return
-        payload = {"version": CACHE_VERSION, "files": self.files,
-                   "program": self.program}
-        self.path.write_text(json.dumps(payload, sort_keys=True) + "\n",
-                             encoding="utf-8")
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _findings_from(payloads: Iterable[Dict]) -> List[Finding]:
-    return [Finding(code=d["code"], rule=d["rule"], path=d["path"],
-                    line=int(d["line"]), col=int(d["col"]),
-                    message=d["message"]) for d in payloads]
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +162,7 @@ def _unused_suppression_findings(
 
 
 def run_analysis(paths: Sequence,
-                 select: Optional[Sequence[str]] = None,
-                 cache_path=None) -> AnalysisResult:
+                 select: Optional[Sequence[str]] = None) -> AnalysisResult:
     """Analyze ``paths`` with both rule layers; see the module docstring.
 
     ``select`` restricts the run to the listed codes (per-file and/or
@@ -272,42 +170,11 @@ def run_analysis(paths: Sequence,
     runs, where "nothing needed this suppression" is actually known.
     """
     result = AnalysisResult()
-    # The cache only describes unrestricted runs; a --select run with a
-    # cache would poison (or be poisoned by) full-run entries.
-    cache = _Cache(cache_path) \
-        if cache_path is not None and select is None else None
-
-    files = [str(p) for p in iter_python_files(paths)]
     per_file: Dict[str, _FileResult] = {}
-    hashes: Dict[str, str] = {}
-    for path in files:
-        entry = None
-        mtime_ns = 0
-        if cache is not None:
-            try:
-                mtime_ns = os.stat(path).st_mtime_ns
-            except OSError:
-                mtime_ns = 0
-            entry = cache.lookup(path, mtime_ns, None)
-        if entry is not None:
-            hashes[path] = str(entry["sha256"])
-            per_file[path] = _FileResult.from_dict(entry)
-            result.files_from_cache += 1
-            continue
-        data = Path(path).read_bytes()
-        sha = _sha256(data)
-        hashes[path] = sha
-        if cache is not None:
-            entry = cache.lookup(path, mtime_ns, sha)
-            if entry is not None:
-                per_file[path] = _FileResult.from_dict(entry)
-                result.files_from_cache += 1
-                continue
-        file_result = _lint_one(path, data.decode("utf-8"), select)
-        per_file[path] = file_result
-        if cache is not None:
-            cache.store(path, mtime_ns, sha, file_result)
-    result.files_checked = len(files)
+    for path in iter_python_files(paths):
+        per_file[str(path)] = _lint_one(
+            str(path), path.read_text(encoding="utf-8"), select)
+    result.files_checked = len(per_file)
 
     for file_result in per_file.values():
         result.findings.extend(file_result.kept)
@@ -318,47 +185,18 @@ def run_analysis(paths: Sequence,
     # ------------------------------------------------------------------
     used_program: Dict[str, Set[int]] = {}
     if _wants_program(select):
-        fingerprint = _sha256("\n".join(
-            f"{p}:{hashes[p]}" for p in sorted(hashes)).encode("utf-8"))
-        if cache is not None and \
-                cache.program.get("fingerprint") == fingerprint:
-            cached = cache.program
-            program_findings = _findings_from(cached.get("findings", []))
-            program_suppressed = _findings_from(
-                cached.get("suppressed", []))
-            used_program = {p: set(lines) for p, lines in
-                            cached.get("used_lines", {}).items()}
-        else:
-            raw = _run_program_rules(paths, select)
-            # Program findings honour per-file disable comments.
-            program_findings = []
-            program_suppressed = []
-            suppressions = {
-                path: {s.line: s for s in file_result.suppressions}
-                for path, file_result in per_file.items()}
-            for finding in raw:
-                sup = suppressions.get(finding.path, {}) \
-                    .get(finding.line)
-                if sup is not None and \
-                        suppression_covers(sup, finding.code):
-                    program_suppressed.append(finding)
-                    used_program.setdefault(finding.path,
-                                            set()).add(finding.line)
-                else:
-                    program_findings.append(finding)
-            if cache is not None:
-                cache.program = {
-                    "fingerprint": fingerprint,
-                    "findings": [f.to_dict()
-                                 for f in program_findings],
-                    "suppressed": [f.to_dict()
-                                   for f in program_suppressed],
-                    "used_lines": {p: sorted(lines) for p, lines
-                                   in used_program.items()},
-                }
-                cache.dirty = True
-        result.findings.extend(program_findings)
-        result.suppressed.extend(program_suppressed)
+        # Program findings honour per-file disable comments.
+        suppressions = {
+            path: {s.line: s for s in file_result.suppressions}
+            for path, file_result in per_file.items()}
+        for finding in _run_program_rules(paths, select):
+            sup = suppressions.get(finding.path, {}).get(finding.line)
+            if sup is not None and suppression_covers(sup, finding.code):
+                result.suppressed.append(finding)
+                used_program.setdefault(finding.path,
+                                        set()).add(finding.line)
+            else:
+                result.findings.append(finding)
         result.program_ran = True
 
     # ------------------------------------------------------------------
@@ -370,8 +208,6 @@ def run_analysis(paths: Sequence,
         result.findings.extend(unused_kept)
         result.suppressed.extend(unused_suppressed)
 
-    if cache is not None:
-        cache.save(files)
     result.sort()
     return result
 

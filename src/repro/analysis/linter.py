@@ -96,19 +96,6 @@ class Suppression:
     def covers(self, code: str) -> bool:
         return self.codes is None or code in self.codes
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"line": self.line, "col": self.col,
-                "codes": sorted(self.codes) if self.codes is not None
-                else None,
-                "reason": self.reason}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Suppression":
-        codes = payload.get("codes")
-        return cls(line=int(payload["line"]), col=int(payload["col"]),
-                   codes=frozenset(codes) if codes is not None else None,
-                   reason=str(payload.get("reason", "")))
-
 
 def suppression_covers(suppression: Suppression, code: str) -> bool:
     """Whether one disable comment silences ``code`` --- with the RL009
@@ -308,13 +295,6 @@ def lint_source(source: str, path: str = "<string>",
     return findings
 
 
-def lint_file(path, select: Optional[Iterable[str]] = None,
-              include_suppressed: bool = False) -> List[Finding]:
-    source = Path(path).read_text(encoding="utf-8")
-    return lint_source(source, path=str(path), select=select,
-                       include_suppressed=include_suppressed)
-
-
 def iter_python_files(paths: Sequence) -> Iterator[Path]:
     """Expand files/directories into ``.py`` files, sorted, skipping
     hidden directories, caches, and egg-info."""
@@ -330,16 +310,6 @@ def iter_python_files(paths: Sequence) -> Iterator[Path]:
                 yield path
         elif entry.suffix == ".py":
             yield entry
-
-
-def lint_paths(paths: Sequence, select: Optional[Iterable[str]] = None,
-               include_suppressed: bool = False) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    findings: List[Finding] = []
-    for path in iter_python_files(paths):
-        findings.extend(lint_file(path, select=select,
-                                  include_suppressed=include_suppressed))
-    return findings
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +346,7 @@ def _count_by_code(findings: Sequence[Finding]) -> Dict[str, int]:
 __all__ = [
     "FileContext", "Finding", "LintRule", "PARSE_ERROR_CODE",
     "RULE_REGISTRY", "SUPPRESSION_HYGIENE_CODE", "Suppression",
-    "iter_python_files", "lint_file", "lint_paths", "lint_source",
+    "iter_python_files", "lint_source",
     "parse_suppressions", "register", "render_json", "render_text",
     "suppression_covers",
 ]

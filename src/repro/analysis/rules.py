@@ -7,8 +7,8 @@ obey the paper's invariants:
 
 ========  =============================================================
 RL001     Wall-clock reads (``time.time``/``monotonic``/``perf_counter``,
-          ``datetime.now``) anywhere except the two sanctioned helpers
-          in ``harness/profiling.py`` (``wall_clock``/``perf_clock``).
+          ``datetime.now``) anywhere except the one sanctioned helper
+          in ``harness/profiling.py`` (``perf_clock``).
           Wall time leaking into simulation state breaks run-to-run
           reproducibility and poisons the sweep cache.
 RL002     Module-level / unseeded :mod:`random` usage.  Every RNG must
@@ -38,19 +38,6 @@ RL009     Suppression hygiene: a ``# reprolint: disable`` comment
           reports suppressions that silenced nothing as unused.  The
           code is special-cased so a blanket/reasonless comment cannot
           silence the finding about itself.
-RL120     Fault-plan serializer round-trip: every ``*Spec`` dataclass
-          in ``repro.faults.plan`` must be reconstructed by
-          ``FaultPlan.from_dict``.  A spec class the deserializer never
-          names silently vanishes from plans that cross a JSON
-          boundary (``REPRO_FAULTS`` files, the sweep cache), breaking
-          the byte-determinism contract for chaos cells.
-RL121     Scheme-registry consistency: every ``SCHEMES`` entry in
-          ``harness/schemes.py`` must declare the name it is registered
-          under and exactly one control mechanism (scheduler class or
-          governor factory), and every ``*_SCHEMES`` figure line-up in
-          that module may only reference registered keys.  A key/name
-          mismatch makes ``scheme_named`` results lie about their own
-          identity in rendered tables and pinned fingerprints.
 ========  =============================================================
 
 Suppress a deliberate exception with
@@ -66,7 +53,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.analysis.linter import (
     SUPPRESSION_HYGIENE_CODE, FileContext, Finding, LintRule, register,
@@ -88,10 +75,9 @@ WALL_CLOCK_FQNS = frozenset({
 })
 
 #: The allowlist: (repro-relative path, enclosing function) pairs whose
-#: bodies may read the host clock.  Kept to exactly the two helpers in
+#: bodies may read the host clock.  Kept to exactly the one helper in
 #: ``harness/profiling.py`` so "who can see wall time" is grep-sized.
 RL001_ALLOWED_FUNCTIONS = frozenset({
-    ("harness/profiling.py", "wall_clock"),
     ("harness/profiling.py", "perf_clock"),
 })
 
@@ -123,8 +109,7 @@ class WallClockRule(LintRule):
                 yield self.finding(
                     ctx, node,
                     f"wall-clock read `{fqn}` leaks host time into the "
-                    f"run; use repro.harness.profiling.wall_clock()/"
-                    f"perf_clock()")
+                    f"run; use repro.harness.profiling.perf_clock()")
         elif isinstance(node, ast.Name):
             fqn = ctx.imported_names.get(node.id)
             if fqn in WALL_CLOCK_FQNS and \
@@ -532,163 +517,6 @@ class DataclassSlotsRule(LintRule):
 
 
 # ----------------------------------------------------------------------
-# RL120 --- fault-plan spec serializer round-trip
-# ----------------------------------------------------------------------
-#: The one file this rule audits: the fault-plan vocabulary module.
-RL120_PLAN_FILE = "faults/plan.py"
-
-
-@register
-class SpecRoundTripRule(LintRule):
-    code = "RL120"
-    name = "spec-roundtrip"
-    description = ("*Spec dataclass in repro.faults.plan that "
-                   "FaultPlan.from_dict never reconstructs (the spec "
-                   "would vanish over a JSON round-trip)")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.rel != RL120_PLAN_FILE:
-            return
-        spec_classes: Dict[str, ast.ClassDef] = {}
-        from_dict: Optional[ast.AST] = None
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if node.name.endswith("Spec") and \
-                    _dataclass_decorator(node, ctx) is not None:
-                spec_classes[node.name] = node
-            if node.name == "FaultPlan":
-                for stmt in node.body:
-                    if isinstance(stmt, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)) \
-                            and stmt.name == "from_dict":
-                        from_dict = stmt
-        if not spec_classes:
-            return
-        referenced = set()
-        if from_dict is not None:
-            referenced = {n.id for n in ast.walk(from_dict)
-                          if isinstance(n, ast.Name)}
-        for name in sorted(spec_classes):
-            if name not in referenced:
-                yield self.finding(
-                    ctx, spec_classes[name],
-                    f"`{name}` is part of the fault-plan vocabulary but "
-                    f"FaultPlan.from_dict never reconstructs it; plans "
-                    f"carrying it would not survive to_dict/from_dict "
-                    f"(REPRO_FAULTS JSON files, the sweep cache)")
-
-
-# ----------------------------------------------------------------------
-# RL121 --- scheme-registry consistency
-# ----------------------------------------------------------------------
-#: The one file this rule audits: the frequency-control scheme registry.
-RL121_SCHEMES_FILE = "harness/schemes.py"
-
-#: The Scheme fields that select a control mechanism; exactly one must
-#: be set per registry entry.
-RL121_MECHANISMS = ("scheduler_class", "governor_factory")
-
-
-@register
-class SchemeRegistryRule(LintRule):
-    code = "RL121"
-    name = "scheme-registry"
-    description = ("SCHEMES registry entry whose key and declared name "
-                   "disagree, without exactly one control mechanism, or "
-                   "a *_SCHEMES line-up naming an unregistered scheme")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.rel != RL121_SCHEMES_FILE:
-            return
-        schemes_dict: Optional[ast.Dict] = None
-        lineups: List[Tuple[str, ast.Tuple]] = []
-        for node in ctx.tree.body:
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)):
-                continue
-            target = node.targets[0].id
-            if target == "SCHEMES" and isinstance(node.value, ast.Dict):
-                schemes_dict = node.value
-            elif target.endswith("_SCHEMES") \
-                    and isinstance(node.value, ast.Tuple):
-                lineups.append((target, node.value))
-        if schemes_dict is None:
-            yield self.finding(
-                ctx, ctx.tree,
-                "harness/schemes.py no longer defines SCHEMES as a "
-                "literal dict; RL121 cannot audit the registry")
-            return
-        keys: List[str] = []
-        for key_node, value in zip(schemes_dict.keys, schemes_dict.values):
-            if not (isinstance(key_node, ast.Constant)
-                    and isinstance(key_node.value, str)):
-                yield self.finding(
-                    ctx, value, "SCHEMES key is not a string literal; "
-                    "the registry must stay statically auditable")
-                continue
-            key = key_node.value
-            keys.append(key)
-            if not isinstance(value, ast.Call) \
-                    or not isinstance(value.func, ast.Name):
-                continue
-            if value.func.id == "Scheme":
-                declared = self._declared_name(value)
-                if declared is not None and declared != key:
-                    yield self.finding(
-                        ctx, value,
-                        f"scheme registered as {key!r} declares "
-                        f"name={declared!r}; scheme_named({key!r}) would "
-                        f"answer to the wrong identity")
-                mechanisms = [kw.arg for kw in value.keywords
-                              if kw.arg in RL121_MECHANISMS
-                              and not (isinstance(kw.value, ast.Constant)
-                                       and kw.value.value is None)]
-                if len(mechanisms) != 1:
-                    yield self.finding(
-                        ctx, value,
-                        f"scheme {key!r} sets "
-                        f"{len(mechanisms)} of {RL121_MECHANISMS}; "
-                        f"exactly one control mechanism is required for "
-                        f"the scheme to be constructible")
-            elif value.func.id == "_static":
-                arg = value.args[0] if value.args else None
-                if isinstance(arg, ast.Constant) \
-                        and isinstance(arg.value, (int, float)):
-                    expected = f"static-{arg.value:.1f}"
-                    if expected != key:
-                        yield self.finding(
-                            ctx, value,
-                            f"_static({arg.value!r}) builds a scheme "
-                            f"named {expected!r} but is registered "
-                            f"under {key!r}")
-        registered = set(keys)
-        for lineup_name, tup in lineups:
-            for elt in tup.elts:
-                if isinstance(elt, ast.Constant) \
-                        and isinstance(elt.value, str) \
-                        and elt.value not in registered:
-                    yield self.finding(
-                        ctx, elt,
-                        f"line-up {lineup_name} references "
-                        f"{elt.value!r}, which is not a SCHEMES key")
-
-    @staticmethod
-    def _declared_name(call: ast.Call) -> Optional[str]:
-        """The ``name`` a ``Scheme(...)`` call declares, if literal."""
-        if call.args:
-            first = call.args[0]
-            if isinstance(first, ast.Constant) \
-                    and isinstance(first.value, str):
-                return first.value
-        for kw in call.keywords:
-            if kw.arg == "name" and isinstance(kw.value, ast.Constant) \
-                    and isinstance(kw.value.value, str):
-                return kw.value.value
-        return None
-
-
-# ----------------------------------------------------------------------
 # RL009 --- suppression hygiene
 # ----------------------------------------------------------------------
 @register
@@ -711,15 +539,7 @@ class SuppressionHygieneRule(LintRule):
                 f"to the disable comment")
 
 
-#: Rendered rule table for ``--list-rules`` and the docs.
-def rule_table() -> List[Tuple[str, str, str]]:
-    """(code, name, description) for every registered rule, sorted."""
-    from repro.analysis.linter import RULE_REGISTRY
-    return [(code, cls.name, cls.description)
-            for code, cls in sorted(RULE_REGISTRY.items())]
-
-
 __all__ = [
     "GLOBAL_RANDOM_FNS", "RL001_ALLOWED_FUNCTIONS",
-    "RL006_AUDITED_EXEMPTIONS", "WALL_CLOCK_FQNS", "rule_table",
+    "RL006_AUDITED_EXEMPTIONS", "WALL_CLOCK_FQNS",
 ]

@@ -27,7 +27,7 @@ The analysis is *suffix-anchored*: a name's suffix is authoritative,
 inference only fills the gaps (unsuffixed locals, call results via the
 project signature table).  Unknown stays unknown --- no finding is ever
 raised on a value whose unit could not be established, so the engine
-errs silent, and the baseline ratchet handles the survivors.
+errs silent, and an inline suppression handles the survivors.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ class Unit:
     def rescaled(self, factor: float) -> "Unit":
         """The unit after the *value* is multiplied by ``factor``."""
         return Unit(self.dims, self.scale / factor)
-
-    @property
-    def dimensionless(self) -> bool:
-        return not self.dims
 
     def same_dims(self, other: "Unit") -> bool:
         return self.dims == other.dims

@@ -147,10 +147,6 @@ class Core:
         """True while a job is executing."""
         return self._job is not None
 
-    @property
-    def running_job(self) -> Optional[Job]:
-        return self._job
-
     def running_elapsed(self) -> float:
         """Run time so far of the current job (the paper's ``e0``)."""
         if self._job is None or self._job.start_time is None:

@@ -47,9 +47,6 @@ class Database:
             raise NoSuchTableError(f"no table named {name}")
         return table
 
-    def table_names(self) -> List[str]:
-        return sorted(self._tables)
-
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------

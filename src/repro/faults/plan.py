@@ -30,8 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import (
+    Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints,
+)
 
 #: Environment variable naming a scenario (or a JSON plan file) that
 #: applies to every experiment not configured explicitly.
@@ -200,6 +202,23 @@ class ReplicaLagSpec:
         if self.extra_lag_s <= 0:
             raise ValueError("extra lag must be positive")
         _check_window(self.start_s, self.end_s)
+
+
+def _build(spec_cls, entry: object, where: str):
+    """``spec_cls(**entry)`` for one JSON object of a plan, with every
+    way it can fail reported as a :class:`ValueError` naming ``where``."""
+    if not isinstance(entry, dict):
+        raise ValueError(
+            f"fault plan {where} must be an object, not "
+            f"{type(entry).__name__}")
+    hints = get_type_hints(spec_cls)
+    try:
+        # JSON round-trips the id tuples (workers/nodes/shards) as lists.
+        return spec_cls(**{
+            key: tuple(value) if get_origin(hints.get(key)) is tuple
+            else value for key, value in entry.items()})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"fault plan {where}: {exc}") from None
 
 
 def _check_window(start_s: float, end_s: float) -> None:
@@ -374,33 +393,41 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "FaultPlan":
-        def tup(key: str, spec_cls):
-            entries = payload.get(key, ()) or ()
-            specs = []
-            for entry in entries:
-                entry = dict(entry)
-                # JSON round-trips tuples as lists; restore every
-                # id-tuple field (reprolint RL120 audits that each
-                # *Spec class survives this path).
-                for ids_field in ("workers", "nodes", "shards"):
-                    if ids_field in entry:
-                        entry[ids_field] = tuple(entry[ids_field])
-                specs.append(spec_cls(**entry))
-            return tuple(specs)
+        """Rebuild a plan from its ``to_dict`` form, or raise
+        :class:`ValueError` naming the key that does not fit.
 
-        degradation = DegradationPolicy(**payload.get("degradation", {}))
-        return cls(
-            msr_faults=tup("msr_faults", MsrFaultSpec),
-            throttles=tup("throttles", ThrottleSpec),
-            stalls=tup("stalls", StallSpec),
-            bursts=tup("bursts", BurstSpec),
-            skews=tup("skews", SkewSpec),
-            node_crashes=tup("node_crashes", NodeCrashSpec),
-            partitions=tup("partitions", PartitionSpec),
-            replica_lags=tup("replica_lags", ReplicaLagSpec),
-            degradation=degradation,
-            name=str(payload.get("name", "custom")),
-        )
+        The sections are read off the dataclass itself: a field typed
+        ``Tuple[<X>Spec, ...]`` is a list of ``<X>Spec`` objects, so a
+        spec class added to the plan cannot be left out here.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"fault plan must be a JSON object, not "
+                f"{type(payload).__name__}")
+        types = get_type_hints(cls)
+        hints = {f.name: types[f.name] for f in fields(cls)}
+        unknown = sorted(set(payload) - set(hints))
+        if unknown:
+            raise ValueError(
+                f"unknown fault plan key(s) {', '.join(map(repr, unknown))}"
+                f"; expected any of {', '.join(sorted(hints))}")
+        kwargs: Dict[str, object] = {}
+        for key, value in payload.items():
+            hint = hints[key]
+            if get_origin(hint) is tuple:
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(
+                        f"fault plan key {key!r} must be a list of "
+                        f"objects, not {type(value).__name__}")
+                spec_cls = get_args(hint)[0]
+                kwargs[key] = tuple(
+                    _build(spec_cls, entry, f"{key}[{index}]")
+                    for index, entry in enumerate(value))
+            elif hint is DegradationPolicy:
+                kwargs[key] = _build(DegradationPolicy, value, key)
+            else:
+                kwargs[key] = str(value)
+        return cls(**kwargs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

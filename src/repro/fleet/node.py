@@ -248,9 +248,6 @@ class Fleet:
         return sum(1 for n in self.nodes
                    if n.state is not NodeState.PARKED)
 
-    def shard_nodes(self, shard_id: int) -> List[Node]:
-        return [n for n in self.nodes if n.shard_id == shard_id]
-
     def _note_transition(self, node: Node, old_state: NodeState,
                          new_state: NodeState) -> None:
         count = self.active_count()

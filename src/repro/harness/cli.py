@@ -13,9 +13,7 @@ recorded paper-vs-measured comparisons), followed by a timing report.
 Grid-shaped figures run their cells through the parallel sweep runner:
 ``--jobs N`` (or ``REPRO_JOBS``) controls worker processes, and results
 are cached under ``.repro-cache/`` so re-runs only simulate changed
-cells (``--no-cache`` bypasses, ``--clear-cache`` wipes).  Timing
-summaries append to ``BENCH_harness.json`` (``REPRO_BENCH_FILE``
-overrides) so harness speed is tracked over time.
+cells (``--no-cache`` bypasses, ``--clear-cache`` wipes).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Callable, Dict
 from repro.faults.plan import resolve_fault_plan
 from repro.harness import figures
 from repro.harness.parallel import SweepCache, resolve_jobs
-from repro.harness.profiling import TimingReport, append_trajectory
+from repro.harness.profiling import TimingReport
 
 #: Every grid figure of the table, plus the three that are not grids.
 COMMANDS: Dict[str, Callable[[figures.FigureOptions], object]] = {
@@ -77,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bypass the on-disk result cache")
     parser.add_argument("--clear-cache", action="store_true",
                         help="wipe .repro-cache/ before running")
-    parser.add_argument("--no-bench-log", action="store_true",
-                        help="skip appending to BENCH_harness.json")
     return parser
 
 
@@ -116,9 +112,6 @@ def main(argv=None) -> int:
         print(result.render())
         print()
         print(report.render())
-        if not args.no_bench_log:
-            target = append_trajectory(report)
-            print(f"[timing appended to {target}]")
         print()
     return 0
 

@@ -2,49 +2,28 @@
 
 Every sweep produces a :class:`TimingReport`: per-phase wall time,
 per-cell wall time and simulator events/second, and cache hit counts.
-The CLI renders the report after each figure and appends a compact
-summary entry to a ``BENCH_harness.json`` trajectory file, so harness
-speed (serial vs ``--jobs N``, cold vs warm cache) is tracked
-PR-over-PR.
-
-The trajectory file is a JSON object ``{"runs": [...]}``; each entry
-records what was run, how it was run (jobs, cache hits) and how fast it
-went.  Entries are appended, never rewritten, so the file is a
-time-ordered log.  Set ``REPRO_BENCH_FILE`` to redirect it (the default
-is ``BENCH_harness.json`` in the current directory).
+The CLI renders the report after each figure.  Numbers that are meant
+to be compared across commits come from ``python -m bench`` (the
+repo's one benchmark ledger), not from here.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional
-
-BENCH_FILE_ENV = "REPRO_BENCH_FILE"
-DEFAULT_BENCH_FILE = "BENCH_harness.json"
-
-
-def wall_clock() -> float:
-    """Unix epoch seconds --- the ONLY sanctioned wall-clock read.
-
-    Wall time may only ever label *metadata* (trajectory timestamps,
-    report headers); it must never feed simulation state.  reprolint
-    RL001 enforces this: every other ``time.time()``/``datetime.now()``
-    in the tree is a lint error, so "what can observe the host clock"
-    stays exactly two grep-sized functions.
-    """
-    return time.time()
+from typing import Dict, Iterator, List
 
 
 def perf_clock() -> float:
-    """Monotonic high-resolution seconds for measuring *harness* speed.
+    """Monotonic high-resolution seconds for measuring *harness* speed
+    --- the ONLY sanctioned host-clock read.
 
-    Same contract as :func:`wall_clock`: results may be recorded
-    (phase timings, cells/sec) but never influence simulated behaviour.
+    Results may be recorded (phase timings, cells/sec) but never
+    influence simulated behaviour.  reprolint RL001 enforces this:
+    every other ``time.time()``/``perf_counter()``/``datetime.now()``
+    in the tree is a lint error, so "what can observe the host clock"
+    stays one grep-sized function.
     """
     return time.perf_counter()
 
@@ -73,7 +52,6 @@ class TimingReport:
     jobs: int = 1
     phases: Dict[str, float] = field(default_factory=dict)
     cells: List[CellTiming] = field(default_factory=list)
-    started_at: float = field(default_factory=wall_clock)
     #: Sweep wall-clock seconds, accumulated across the runner's
     #: ``run()`` calls.  This is the parallel-aware throughput
     #: denominator: per-cell walls overlap under ``jobs > 1``, so
@@ -110,14 +88,6 @@ class TimingReport:
     def cache_misses(self) -> int:
         return sum(1 for c in self.cells if not c.cached)
 
-    @property
-    def total_wall_seconds(self) -> float:
-        return sum(self.phases.values())
-
-    @property
-    def total_sim_events(self) -> int:
-        return sum(c.sim_events for c in self.cells)
-
     def aggregate_events_per_sec(self) -> float:
         """Simulated events per wall second, over executed (uncached)
         cells --- the harness's end-to-end simulation throughput.
@@ -152,57 +122,5 @@ class TimingReport:
                        f"({slowest.wall_seconds:.2f} s)")
         return "\n".join(out)
 
-    def to_entry(self) -> Dict[str, object]:
-        """The compact summary appended to the trajectory file."""
-        return {
-            "name": self.name,
-            "started_at": self.started_at,
-            "jobs": self.jobs,
-            "phases": {k: round(v, 4) for k, v in self.phases.items()},
-            "wall_seconds": round(self.total_wall_seconds, 4),
-            "cells": len(self.cells),
-            "cache_hits": self.cache_hits,
-            "sim_events": self.total_sim_events,
-            "events_per_sec": round(self.aggregate_events_per_sec(), 1),
-        }
 
-
-def bench_file_path(path: Optional[str] = None) -> Path:
-    return Path(path or os.environ.get(BENCH_FILE_ENV, DEFAULT_BENCH_FILE))
-
-
-def append_trajectory(report: TimingReport,
-                      path: Optional[str] = None) -> Path:
-    """Append ``report``'s summary entry to the trajectory file."""
-    target = bench_file_path(path)
-    data: Dict[str, List[Dict[str, object]]] = {"runs": []}
-    if target.exists():
-        try:
-            loaded = json.loads(target.read_text())
-            if isinstance(loaded, dict) and isinstance(
-                    loaded.get("runs"), list):
-                data = loaded
-        except (ValueError, OSError):
-            pass  # corrupt trajectory: start a fresh log rather than die
-    data["runs"].append(report.to_entry())
-    target.write_text(json.dumps(data, indent=2) + "\n")
-    return target
-
-
-def load_trajectory(path: Optional[str] = None) -> List[Dict[str, object]]:
-    """All recorded runs (empty if the file is missing or corrupt)."""
-    target = bench_file_path(path)
-    if not target.exists():
-        return []
-    try:
-        loaded = json.loads(target.read_text())
-    except (ValueError, OSError):
-        return []
-    runs = loaded.get("runs") if isinstance(loaded, dict) else None
-    return runs if isinstance(runs, list) else []
-
-
-__all__ = [
-    "CellTiming", "TimingReport", "append_trajectory", "bench_file_path",
-    "load_trajectory", "perf_clock", "wall_clock",
-]
+__all__ = ["CellTiming", "TimingReport", "perf_clock"]

@@ -11,10 +11,9 @@ from repro.sim.rng import RandomStreams
 
 @pytest.fixture(autouse=True)
 def _hermetic_harness_paths(tmp_path, monkeypatch):
-    """Keep the sweep cache and bench trajectory out of the repo during
-    tests: both default to the current directory otherwise."""
+    """Keep the sweep cache out of the repo during tests: it defaults
+    to the current directory otherwise."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
-    monkeypatch.setenv("REPRO_BENCH_FILE", str(tmp_path / "bench.json"))
 
 
 @pytest.fixture

@@ -1,26 +1,11 @@
-"""Driver, baseline ratchet, SARIF export, autofixes, incremental cache.
-
-These exercise the v2 enforcement surface end to end on synthetic
-trees: suppression accounting (incl. the driver-synthesized unused-
-suppression findings), baseline add/ratchet/expire semantics, SARIF
-2.1.0 shape, ``--fix`` rewrites, and cache reuse/invalidation.
-"""
-
-import json
-from pathlib import Path
+"""The analysis driver on synthetic trees: suppression accounting,
+including the driver-synthesized unused-suppression findings."""
 
 import pytest
 
-from repro.analysis.baseline import Baseline, fingerprint
 from repro.analysis.cli import main as cli_main
 from repro.analysis.driver import run_analysis
-from repro.analysis.fixes import fix_source
-from repro.analysis.linter import (
-    Finding, parse_suppressions, suppression_covers,
-)
-from repro.analysis.sarif import FINGERPRINT_KEY, sarif_log
-
-DIRTY = "import time\n\ndef now_s():\n    return time.time()\n"
+from repro.analysis.linter import parse_suppressions, suppression_covers
 
 
 def write_tree(tmp_path, files):
@@ -112,211 +97,8 @@ def test_driver_select_skips_unused_detection(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Baseline: add / ratchet / expire
-# ----------------------------------------------------------------------
-def finding(code="RL001", path="src/repro/sim/x.py", line=1,
-            message="msg"):
-    return Finding(code, "rule", path, line, 0, message)
-
-
-def test_baseline_partition_new_vs_known(tmp_path):
-    known = finding(message="known")
-    fresh = finding(message="fresh")
-    baseline = Baseline().updated([known])
-    new, baselined, stale = baseline.partition([known, fresh])
-    assert new == [fresh]
-    assert baselined == [known]
-    assert stale == []
-
-
-def test_baseline_counts_ratchet(tmp_path):
-    # Two identical occurrences baselined; a third is a new finding.
-    twice = [finding(line=1), finding(line=9)]
-    baseline = Baseline().updated(twice)
-    new, baselined, _ = baseline.partition(twice + [finding(line=30)])
-    assert len(baselined) == 2
-    assert len(new) == 1
-
-
-def test_baseline_stale_entries_expire(tmp_path):
-    gone = finding(message="fixed meanwhile")
-    kept = finding(message="still here")
-    baseline = Baseline().updated([gone, kept])
-    new, baselined, stale = baseline.partition([kept])
-    assert new == [] and baselined == [kept]
-    assert stale == [fingerprint(gone)]
-    refreshed = baseline.updated([kept])
-    assert fingerprint(gone) not in refreshed.entries
-    assert fingerprint(kept) in refreshed.entries
-
-
-def test_baseline_preserves_reasons_and_roundtrips(tmp_path):
-    kept = finding(message="audited")
-    baseline = Baseline().updated([kept])
-    fp = fingerprint(kept)
-    baseline.entries[fp]["reason"] = "intentional: documented in README"
-    target = tmp_path / "bl.json"
-    baseline.save(target)
-    loaded = Baseline.load(target)
-    updated = loaded.updated([kept])
-    assert updated.entries[fp]["reason"] == \
-        "intentional: documented in README"
-    assert loaded.reason_for(kept) == "intentional: documented in README"
-
-
-def test_baseline_fingerprint_is_line_independent():
-    a = finding(line=10)
-    b = finding(line=99)
-    assert fingerprint(a) == fingerprint(b)
-    assert fingerprint(a) != fingerprint(finding(message="other"))
-
-
-def test_baseline_load_missing_and_bad_version(tmp_path):
-    assert len(Baseline.load(tmp_path / "absent.json")) == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"version": 99, "findings": {}}))
-    with pytest.raises(ValueError):
-        Baseline.load(bad)
-
-
-# ----------------------------------------------------------------------
-# SARIF 2.1.0 shape
-# ----------------------------------------------------------------------
-def test_sarif_log_schema_shape():
-    new = [finding(message="fresh")]
-    old = [finding(message="known")]
-    log = sarif_log(new, old, baseline_applied=True)
-    assert log["version"] == "2.1.0"
-    assert "sarif-schema-2.1.0" in log["$schema"]
-    run = log["runs"][0]
-    rules = run["tool"]["driver"]["rules"]
-    rule_ids = [r["id"] for r in rules]
-    assert rule_ids == sorted(rule_ids)
-    assert "RL001" in rule_ids and "RL111" in rule_ids
-    assert all(r["shortDescription"]["text"] for r in rules)
-    results = run["results"]
-    assert [r["baselineState"] for r in results] == ["new", "unchanged"]
-    for result in results:
-        assert result["ruleId"] == "RL001"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
-        assert FINGERPRINT_KEY in result["partialFingerprints"]
-        assert rules[result["ruleIndex"]]["id"] == result["ruleId"]
-
-
-def test_sarif_without_baseline_has_no_baseline_state():
-    log = sarif_log([finding()], baseline_applied=False)
-    assert all("baselineState" not in r
-               for r in log["runs"][0]["results"])
-
-
-# ----------------------------------------------------------------------
-# Autofixes
-# ----------------------------------------------------------------------
-def test_fix_wraps_set_iteration():
-    source = "for x in {2, 1}:\n    use(x)\n"
-    f = Finding("RL003", "set-iteration-order", "x.py", 1, 9, "iter")
-    fixed, descriptions = fix_source(source, [f])
-    assert fixed == "for x in sorted({2, 1}):\n    use(x)\n"
-    assert any("sorted" in d for d in descriptions)
-
-
-def test_fix_removes_unused_suppression_comment():
-    source = "x = 1  # reprolint: disable=RL001 - stale\n"
-    f = Finding("RL009", "suppression-hygiene", "x.py", 1, 7,
-                "unused suppression of RL001: ...")
-    fixed, _ = fix_source(source, [f])
-    assert fixed == "x = 1\n"
-
-
-def test_fix_leaves_missing_reason_alone():
-    source = "import time\nt = time.time()  # reprolint: disable\n"
-    f = Finding("RL009", "suppression-hygiene", "x.py", 2, 17,
-                "blanket suppression has no reason; ...")
-    fixed, descriptions = fix_source(source, [f])
-    assert fixed == source and descriptions == []
-
-
-def test_fix_skips_stale_locations():
-    source = "x = 1\n"
-    f = Finding("RL003", "set-iteration-order", "x.py", 1, 9, "moved")
-    fixed, descriptions = fix_source(source, [f])
-    assert fixed == source and descriptions == []
-
-
-# ----------------------------------------------------------------------
-# Incremental cache
-# ----------------------------------------------------------------------
-def test_incremental_cache_reuses_unchanged_files(tmp_path):
-    root = write_tree(tmp_path, {"sim/x.py": DIRTY,
-                                 "sim/y.py": "y = 1\n"})
-    cache = tmp_path / "cache.json"
-    cold = run_analysis([root], cache_path=cache)
-    assert cold.files_from_cache == 0
-    warm = run_analysis([root], cache_path=cache)
-    assert warm.files_from_cache == warm.files_checked
-    assert [f.to_dict() for f in warm.findings] == \
-        [f.to_dict() for f in cold.findings]
-
-
-def test_incremental_cache_invalidates_on_edit(tmp_path):
-    root = write_tree(tmp_path, {"sim/x.py": DIRTY})
-    cache = tmp_path / "cache.json"
-    before = run_analysis([root], cache_path=cache)
-    assert {f.code for f in before.findings} >= {"RL001"}
-    (root / "sim/x.py").write_text("def now_s():\n    return 0.0\n")
-    after = run_analysis([root], cache_path=cache)
-    assert all(f.code != "RL001" for f in after.findings)
-
-
-def test_incremental_cache_survives_corruption(tmp_path):
-    root = write_tree(tmp_path, {"sim/x.py": DIRTY})
-    cache = tmp_path / "cache.json"
-    cache.write_text("{not json")
-    result = run_analysis([root], cache_path=cache)
-    assert {f.code for f in result.findings} >= {"RL001"}
-
-
-# ----------------------------------------------------------------------
 # CLI end to end
 # ----------------------------------------------------------------------
-def test_cli_baseline_gates_exit_code(tmp_path, capsys):
-    root = write_tree(tmp_path, {"sim/x.py": DIRTY})
-    baseline = tmp_path / "bl.json"
-    args = [str(root), "--baseline", str(baseline)]
-    assert cli_main(args) == 1  # new finding, no baseline yet
-    assert cli_main(args + ["--update-baseline"]) == 0
-    capsys.readouterr()
-    assert cli_main(args) == 0  # baselined now
-    out = capsys.readouterr().out
-    assert "baselined" in out
-
-
-def test_cli_sarif_writes_file(tmp_path, capsys):
-    root = write_tree(tmp_path, {"sim/x.py": DIRTY})
-    sarif_path = tmp_path / "out.sarif"
-    assert cli_main([str(root), "--sarif", str(sarif_path)]) == 1
-    payload = json.loads(sarif_path.read_text())
-    assert payload["version"] == "2.1.0"
-    assert any(r["ruleId"] == "RL001"
-               for r in payload["runs"][0]["results"])
-
-
-def test_cli_fix_rewrites_and_reexits(tmp_path, capsys):
-    root = write_tree(tmp_path, {
-        "sim/x.py": "names = ['b', 'a']\n"
-                    "def f():\n"
-                    "    return [x for x in set(names)]\n",
-    })
-    assert cli_main([str(root), "--fix"]) == 0
-    assert "sorted(set(names))" in (root / "sim/x.py").read_text()
-
-
-def test_cli_update_baseline_requires_baseline(tmp_path):
-    with pytest.raises(SystemExit):
-        cli_main([str(tmp_path), "--update-baseline"])
-
-
 def test_cli_select_accepts_program_codes(tmp_path, capsys):
     root = write_tree(tmp_path, {"sim/x.py": "x = 1\n"})
     assert cli_main([str(root), "--select", "RL111"]) == 0

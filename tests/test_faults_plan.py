@@ -1,7 +1,11 @@
 """Fault plans: validation, serialization, merging, enable contract."""
 
+import dataclasses
+import typing
+
 import pytest
 
+from repro.faults import plan as plan_module
 from repro.faults.plan import (
     FAULTS_ENV, BurstSpec, DegradationPolicy, FaultPlan, MsrFaultSpec,
     NodeCrashSpec, PartitionSpec, ReplicaLagSpec, SkewSpec, StallSpec,
@@ -180,6 +184,20 @@ def test_resolve_json_path(tmp_path, monkeypatch):
     assert resolve_fault_plan(str(path)) == _sample_plan()
 
 
+@pytest.mark.parametrize("payload, named", [
+    ('[1, 2]', "JSON object"),
+    ('{"bursts": 5}', "'bursts'"),
+    ('{"bursts": [{"start_s": "x"}]}', "bursts[0]"),
+    ('{"burst": []}', "'burst'"),
+], ids=["non-object", "non-list-section", "bad-spec-field", "unknown-key"])
+def test_malformed_plan_json_is_a_value_error(tmp_path, payload, named):
+    path = tmp_path / "plan.json"
+    path.write_text(payload, encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        resolve_fault_plan(str(path))
+    assert named in str(raised.value)
+
+
 def test_unknown_scenario_raises():
     with pytest.raises(ValueError, match="unknown fault scenario"):
         scenario_named("meteor-strike")
@@ -227,6 +245,19 @@ def test_fleet_plan_json_roundtrip():
     assert isinstance(restored.partitions[0].shards, tuple)
     assert isinstance(restored.replica_lags[0].nodes, tuple)
     assert restored.fingerprint() == plan.fingerprint()
+    # from_dict reads its sections off the dataclass, so the round trips
+    # cover the vocabulary as long as every *Spec class is the element
+    # type of exactly one section and the two samples fill them all.
+    hints = typing.get_type_hints(FaultPlan)
+    sections = {f.name: typing.get_args(hints[f.name])[0]
+                for f in dataclasses.fields(FaultPlan)
+                if typing.get_origin(hints[f.name]) is tuple}
+    spec_classes = [cls for name, cls in vars(plan_module).items()
+                    if name.endswith("Spec") and dataclasses.is_dataclass(cls)]
+    assert sorted(sections.values(), key=lambda cls: cls.__name__) \
+        == sorted(spec_classes, key=lambda cls: cls.__name__)
+    assert all(getattr(_sample_plan(), name) or getattr(plan, name)
+               for name in sections)
 
 
 def test_fleet_faults_show_in_the_tier_predicates():

@@ -153,7 +153,7 @@ def test_bad_run_size_is_a_usage_error(monkeypatch, capsys, env, argv,
     monkeypatch.setattr(figures.FigureOptions, "run_cells",
                         lambda self, configs: pytest.fail("a cell ran"))
     with pytest.raises(SystemExit) as exit_info:
-        main(["fig6", "--no-cache", "--no-bench-log", *argv])
+        main(["fig6", "--no-cache", *argv])
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
 

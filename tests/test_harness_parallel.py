@@ -11,7 +11,7 @@ from repro.harness.parallel import (
     SweepCache, SweepRunner, code_version_salt, config_key, resolve_jobs,
     run_sweep,
 )
-from repro.harness.profiling import TimingReport, append_trajectory, load_trajectory
+from repro.harness.profiling import TimingReport
 
 FAST = dict(workers=2, warmup_seconds=0.3, test_seconds=0.8, seed=5)
 
@@ -248,32 +248,6 @@ def test_runner_reports_cells(tmp_path):
     assert all(c.wall_seconds > 0 for c in executed)
     assert report.aggregate_events_per_sec() > 0
     assert "cells: 4" in report.render()
-
-
-# ----------------------------------------------------------------------
-# trajectory file
-# ----------------------------------------------------------------------
-def test_trajectory_appends(tmp_path):
-    target = tmp_path / "bench.json"
-    report = TimingReport("fig6", jobs=2)
-    with report.phase("total"):
-        pass
-    append_trajectory(report, str(target))
-    append_trajectory(report, str(target))
-    runs = load_trajectory(str(target))
-    assert len(runs) == 2
-    assert runs[0]["name"] == "fig6"
-    assert runs[0]["jobs"] == 2
-    assert "wall_seconds" in runs[0]
-
-
-def test_trajectory_survives_corrupt_file(tmp_path):
-    target = tmp_path / "bench.json"
-    target.write_text("{broken")
-    report = TimingReport("fig6")
-    append_trajectory(report, str(target))
-    assert len(load_trajectory(str(target))) == 1
-    assert load_trajectory(str(tmp_path / "missing.json")) == []
 
 
 def test_cli_flags(tmp_path, monkeypatch):

@@ -170,6 +170,13 @@ class PolarisScheduler:
         ``running`` is the transaction currently executing (``t0``) and
         ``running_elapsed`` its run time so far (``e0``); both may be
         absent when the worker is about to dispatch from an idle state.
+
+        ``running`` reaches this call through this scheduler's
+        :meth:`enqueue` or unstamped (``running.mu is None``: it is
+        stamped here, with this estimator's row).  A request another
+        scheduler has stamped is not re-stamped --- the walk would read
+        the other estimator's row (simsan: ``mu-row-fresh``) --- so one
+        hand-built request must not be passed to two schedulers.
         """
         self.invocations += 1
         freqs = self.frequencies
@@ -340,8 +347,10 @@ class PolarisScheduler:
         for request in requests:
             c = request.workload_name
             invariant(request.mu is rows.get(c), "mu-row-fresh",
-                      "request does not carry the estimator's row for "
-                      "its workload", workload=c,
+                      "request carries an estimate row that is not this "
+                      "estimator's (stamped by another scheduler; "
+                      "requests reach `select_frequency` through this "
+                      "scheduler's `enqueue` or unstamped)", workload=c,
                       request_id=request.request_id, now=now)
             invariant(request.mu
                       == [estimate(c, f) for f in self.frequencies],

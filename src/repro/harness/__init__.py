@@ -12,7 +12,8 @@ test phase and failure rates overall and per workload.
 CLI both call through here.
 
 :mod:`repro.harness.parallel` fans independent cells out over worker
-processes behind a content-addressed on-disk cache, and
+processes behind a content-addressed on-disk cache (cells that are the
+same simulation scored against different deadlines run it once), and
 :mod:`repro.harness.profiling` accounts for where the wall time went.
 """
 

@@ -23,9 +23,10 @@ derived from the service-time model exactly as the paper derives its
 
 from __future__ import annotations
 
+import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.estimator import ExecutionTimeEstimator
@@ -411,16 +412,50 @@ class ServerPlant:
                 if self.resilience is not None else {}))
 
 
+def _traces(config: ExperimentConfig) -> bool:
+    """Whether the cell runs traced: ``config.trace`` / ``REPRO_TRACE``
+    decide, and setting ``config.trace_path`` or
+    ``config.trace_series_path`` implies tracing on, since an export
+    was asked for."""
+    want_trace = config.trace
+    if want_trace is None and (config.trace_path
+                               or config.trace_series_path):
+        want_trace = True
+    return trace_enabled(want_trace)
+
+
+def dynamics_key(config: ExperimentConfig) -> str:
+    """Cells with equal keys run the same simulation.
+
+    ``slack`` only sets deadlines, so the key drops it for a cell in
+    which nothing reads a deadline before the recorder scores a
+    completion: the scheme has no in-DBMS scheduler (FIFO dispatch
+    under a governor), no fault plan resolves (the degradation
+    controller watches the miss rate), the run is not traced (trace
+    arguments and the obs miss counter carry deadlines) and it is not a
+    fleet (the shard books score completions too).  Such cells differ
+    only in what :func:`rescored` recomputes.  Any other cell keeps
+    every field, so only an identical cell shares its key.
+    """
+    fields = asdict(config)
+    if not (scheme_named(config.scheme).uses_scheduler
+            or resolve_fault_plan(config.faults) is not None
+            or _traces(config) or config.fleet is not None):
+        del fields["slack"]
+    return json.dumps(fields, sort_keys=True, default=repr)
+
+
 def run_experiment(config: ExperimentConfig,
-                   tracer: Optional[Tracer] = None) -> ExperimentResult:
+                   tracer: Optional[Tracer] = None,
+                   recorder: Optional[LatencyRecorder] = None
+                   ) -> ExperimentResult:
     """Execute one cell and return the paper's metrics for it.
 
     The one run loop --- build, drive, collect --- over a single server
     or (``config.fleet`` set) a fleet.  Pass an explicit ``tracer`` to
-    capture the run's trace in-process; otherwise ``config.trace`` /
-    ``REPRO_TRACE`` decide (and setting ``config.trace_path`` or
-    ``config.trace_series_path`` implies tracing on, since an export
-    was asked for).
+    capture the run's trace in-process (otherwise :func:`_traces`
+    decides), and an explicit ``recorder`` to keep the run's completion
+    instants (what :func:`rescored` reads).
     """
     wall_start = perf_clock()
     config.validate()
@@ -432,11 +467,7 @@ def run_experiment(config: ExperimentConfig,
     # none); an empty plan resolves to None.
     plan = resolve_fault_plan(config.faults)
     if tracer is None:
-        want_trace = config.trace
-        if want_trace is None and (config.trace_path
-                                   or config.trace_series_path):
-            want_trace = True
-        tracer = Tracer() if trace_enabled(want_trace) else NULL_TRACER
+        tracer = Tracer() if _traces(config) else NULL_TRACER
     sim = Simulator(tracer=tracer)
     manager = _build_workloads(config, spec)
     if config.fleet is None:
@@ -543,7 +574,8 @@ def run_experiment(config: ExperimentConfig,
     # timers, the sampler, the generator, the meter at priority -10.
     test_start = config.warmup_seconds
     test_end = test_start + test_duration
-    recorder = LatencyRecorder()
+    if recorder is None:
+        recorder = LatencyRecorder()
     recorder.set_window(test_start, test_end)
     plant.attach(recorder)
 
@@ -640,10 +672,35 @@ def run_experiment(config: ExperimentConfig,
         load_timeline=list(config.load_trace or []),
         mean_latency_by_workload={
             name: stats.mean_latency()
-            for name, stats in per_workload if stats.latencies},
+            for name, stats in per_workload if stats.arrivals},
         sim_events=sim.events_processed,
         wall_seconds=perf_clock() - wall_start,
         trace_events=trace_event_count,
         lost=recorder.total_lost,
         **plant.extras(),
     )
+
+
+def rescored(result: ExperimentResult, recorder: LatencyRecorder,
+             config: ExperimentConfig) -> ExperimentResult:
+    """What ``run_experiment(config)`` would have returned, given the
+    ``result`` and ``recorder`` of a run with the same
+    :func:`dynamics_key`: the same simulation, scored against
+    ``config``'s latency targets.  Only ``missed``, ``failure_rate``,
+    ``per_workload_failure`` and ``config`` change; every other field
+    is shared with ``result``."""
+    config.validate()
+    if dynamics_key(config) != dynamics_key(result.config):
+        raise ValueError("config does not run the simulation the result "
+                         "came from (dynamics keys differ)")
+    targets = _build_workloads(config, BENCHMARKS[config.benchmark]())
+    missed = {name: stats.missed_under(targets.get(name).latency_target)
+              for name, stats in recorder.per_workload.items()}
+    total_missed = sum(missed.values())
+    return replace(
+        result, config=config, missed=total_missed,
+        failure_rate=(total_missed / result.offered
+                      if result.offered else 0.0),
+        per_workload_failure={
+            name: missed[name] / stats.offered
+            for name, stats in recorder.per_workload.items()})

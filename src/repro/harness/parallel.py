@@ -13,6 +13,13 @@ exploits both properties:
   submission order --- parallel output is byte-identical to serial.
   Cells cross the process boundary as compact dicts (non-default
   config fields only) and are submitted in chunks to amortize IPC.
+* **Shared dynamics** --- cells whose configs have the same
+  :func:`~repro.harness.experiment.dynamics_key` (a governor scheme
+  swept over slack: nothing reads a deadline until a completion is
+  scored) are one simulation.  The runner's unit of work is that
+  *group*: its first member is simulated, the others are
+  :func:`~repro.harness.experiment.rescored` from the same run, and
+  every member is still cached and returned as its own cell.
 * **Caching** --- each cell's result is stored on disk under a key that
   hashes the full config dataclass **and** a digest of the
   :mod:`repro` package's source code.  Re-running a figure only
@@ -53,9 +60,11 @@ from repro.analysis.sanitizer import simsan_enabled
 from repro.faults.plan import plan_fingerprint
 from repro.obs.trace import trace_enabled
 from repro.harness.experiment import (
-    ExperimentConfig, ExperimentResult, run_experiment,
+    ExperimentConfig, ExperimentResult, dynamics_key, rescored,
+    run_experiment,
 )
 from repro.harness.profiling import TimingReport, perf_clock
+from repro.metrics.latency import LatencyRecorder
 
 JOBS_ENV = "REPRO_JOBS"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -184,9 +193,17 @@ class SweepCache:
         return sum(1 for _ in self.root.rglob("*.pkl"))
 
 
-def _run_cell(config: ExperimentConfig) -> ExperimentResult:
-    """Top-level so ProcessPoolExecutor can pickle it by reference."""
-    return run_experiment(config)
+def _run_group(configs: Sequence[ExperimentConfig]
+               ) -> List[ExperimentResult]:
+    """One simulation for cells that share a dynamics key: run the
+    first, score the others from its recorder.  The simulation's wall
+    is split evenly over the group, so cell walls still sum to the
+    time spent."""
+    recorder = LatencyRecorder()
+    first = run_experiment(configs[0], recorder=recorder)
+    first.wall_seconds /= len(configs)
+    return [first] + [rescored(first, recorder, config)
+                      for config in configs[1:]]
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +296,12 @@ def _config_to_wire(config: ExperimentConfig) -> Dict[str, object]:
     return wire
 
 
-def _run_chunk(wires: Sequence[Dict[str, object]]) -> List[ExperimentResult]:
-    """Worker-side entry point: rebuild each compact config and run it."""
-    return [run_experiment(ExperimentConfig(**wire)) for wire in wires]
+def _run_chunk(groups: Sequence[Sequence[Dict[str, object]]]
+               ) -> List[List[ExperimentResult]]:
+    """Worker-side entry point: rebuild each group's compact configs
+    and run it."""
+    return [_run_group([ExperimentConfig(**wire) for wire in wires])
+            for wires in groups]
 
 
 def _cacheable(config: ExperimentConfig) -> bool:
@@ -303,7 +323,11 @@ class SweepStats:
 
     cells: int = 0
     cache_hits: int = 0
+    #: Cells not served from the cache.
     executed: int = 0
+    #: Simulations that produced the executed cells: one per group of
+    #: cells sharing a dynamics key.
+    simulated: int = 0
     wall_seconds: float = 0.0
     #: per-cell wall seconds, aligned with the submitted config order.
     cell_seconds: List[float] = field(default_factory=list)
@@ -353,28 +377,37 @@ class SweepRunner:
                     continue
             misses.append(i)
 
-        def finish(i: int, result: ExperimentResult) -> None:
+        # Group the misses by dynamics key, in first-seen order: the
+        # group is the unit of work on every path below.
+        grouped: Dict[str, List[int]] = {}
+        for i in misses:
+            grouped.setdefault(dynamics_key(configs[i]), []).append(i)
+        groups = list(grouped.values())
+
+        def finish(group: Sequence[int],
+                   group_results: Sequence[ExperimentResult]) -> None:
             # Cache each cell the moment it lands, so an interrupted
             # sweep resumes from the cells it already finished.
-            results[i] = result
-            cell_seconds[i] = result.wall_seconds
-            if self.use_cache and keys[i] is not None:
-                self.cache.put(keys[i], result)
-            if self.report is not None:
-                self.report.record_cell(
-                    _cell_label(configs[i]), cached=False,
-                    wall_seconds=result.wall_seconds,
-                    sim_events=result.sim_events)
+            for i, result in zip(group, group_results):
+                results[i] = result
+                cell_seconds[i] = result.wall_seconds
+                if self.use_cache and keys[i] is not None:
+                    self.cache.put(keys[i], result)
+                if self.report is not None:
+                    self.report.record_cell(
+                        _cell_label(configs[i]), cached=False,
+                        wall_seconds=result.wall_seconds,
+                        sim_events=result.sim_events,
+                        shared=i != group[0])
 
-        if misses:
-            if self.jobs > 1 and len(misses) > 1:
-                self._run_parallel(configs, misses, finish)
-            else:
-                for i in misses:
-                    finish(i, _run_cell(configs[i]))
+        if self.jobs > 1 and len(groups) > 1:
+            groups = self._run_parallel(configs, groups, finish)
+        for group in groups:
+            finish(group, _run_group([configs[i] for i in group]))
 
         self.stats = SweepStats(
             cells=len(configs), cache_hits=hits, executed=len(misses),
+            simulated=len(grouped),
             wall_seconds=perf_clock() - start,
             cell_seconds=cell_seconds)
         if self.report is not None:
@@ -386,16 +419,20 @@ class SweepRunner:
         return [r for r in results if r is not None]
 
     def _run_parallel(self, configs: Sequence[ExperimentConfig],
-                      misses: Sequence[int],
-                      finish: Callable[[int, ExperimentResult], None]
-                      ) -> None:
+                      groups: Sequence[Sequence[int]],
+                      finish: Callable[[Sequence[int],
+                                        Sequence[ExperimentResult]], None]
+                      ) -> List[Sequence[int]]:
+        """Run ``groups`` on the pool; returns the groups that did not
+        land (none, unless the pool broke) for the caller to run
+        in-process."""
         # Chunking amortizes per-task IPC; several chunks per worker
-        # keep the tail balanced when cell costs vary across the grid.
-        chunk_size = max(1, len(misses)
-                         // (min(self.jobs, len(misses)) * 4))
-        chunks = [list(misses[pos:pos + chunk_size])
-                  for pos in range(0, len(misses), chunk_size)]
-        finished = set()
+        # keep the tail balanced when group costs vary across the grid.
+        chunk_size = max(1, len(groups)
+                         // (min(self.jobs, len(groups)) * 4))
+        chunks = [groups[pos:pos + chunk_size]
+                  for pos in range(0, len(groups), chunk_size)]
+        unfinished = {group[0]: group for group in groups}
         broken = False
         try:
             # Sized by self.jobs (not this sweep's miss count) so the
@@ -405,7 +442,8 @@ class SweepRunner:
             pool = shared_pool(self.jobs)
             future_chunk = {
                 pool.submit(_run_chunk,
-                            [_config_to_wire(configs[i]) for i in chunk]):
+                            [[_config_to_wire(configs[i]) for i in group]
+                             for group in chunk]):
                 chunk for chunk in chunks}
             pending = set(future_chunk)
             while pending and not broken:
@@ -414,17 +452,17 @@ class SweepRunner:
                 for future in done:
                     # Harvest every completed chunk in this batch even
                     # if a sibling future carries the pool's death ---
-                    # cells that already landed must not re-run.
+                    # groups that already landed must not re-run.
                     try:
                         chunk_results = future.result()
                     except (BrokenProcessPool, OSError,
                             PermissionError):
                         broken = True
                         continue
-                    for i, result in zip(future_chunk[future],
-                                         chunk_results):
-                        finish(i, result)
-                        finished.add(i)
+                    for group, group_results in zip(future_chunk[future],
+                                                    chunk_results):
+                        finish(group, group_results)
+                        del unfinished[group[0]]
         except (BrokenProcessPool, OSError, PermissionError):
             # Pool construction or submission failed outright (no
             # process spawning in sandboxes/some CI runners, or the
@@ -433,12 +471,10 @@ class SweepRunner:
         if broken:
             # A dead worker (OOM-kill, signal) poisons the whole
             # executor --- discard it so the next sweep gets a fresh
-            # pool, and degrade to serial for exactly the cells that
+            # pool, and degrade to serial for exactly the groups that
             # have not already landed rather than fail the sweep.
             shutdown_shared_pool()
-            for i in misses:
-                if i not in finished:
-                    finish(i, _run_cell(configs[i]))
+        return list(unfinished.values())
 
 
 def run_sweep(configs: Sequence[ExperimentConfig],

@@ -36,6 +36,10 @@ class CellTiming:
     cached: bool
     wall_seconds: float
     sim_events: int = 0
+    #: Scored from a simulation another cell of the sweep already
+    #: counts (same dynamics, different deadlines): its ``sim_events``
+    #: are that simulation's, not additional work.
+    shared: bool = False
 
     @property
     def events_per_sec(self) -> float:
@@ -69,8 +73,9 @@ class TimingReport:
             self.phases[name] = self.phases.get(name, 0.0) + elapsed
 
     def record_cell(self, label: str, cached: bool, wall_seconds: float,
-                    sim_events: int = 0) -> None:
-        self.cells.append(CellTiming(label, cached, wall_seconds, sim_events))
+                    sim_events: int = 0, shared: bool = False) -> None:
+        self.cells.append(
+            CellTiming(label, cached, wall_seconds, sim_events, shared))
 
     def record_sweep(self, wall_seconds: float) -> None:
         """Accumulate one sweep's wall-clock time (the runner calls
@@ -88,9 +93,19 @@ class TimingReport:
     def cache_misses(self) -> int:
         return sum(1 for c in self.cells if not c.cached)
 
+    @property
+    def shared_cells(self) -> int:
+        return sum(1 for c in self.cells if c.shared)
+
+    @property
+    def simulations(self) -> int:
+        """Simulations run: uncached cells, a shared one counted once."""
+        return self.cache_misses - self.shared_cells
+
     def aggregate_events_per_sec(self) -> float:
         """Simulated events per wall second, over executed (uncached)
-        cells --- the harness's end-to-end simulation throughput.
+        cells --- the harness's end-to-end simulation throughput.  A
+        simulation that served several cells counts once.
 
         The denominator is the sweep wall clock when the runner
         recorded one (correct under ``jobs > 1``, where per-cell walls
@@ -98,7 +113,7 @@ class TimingReport:
         summed per-cell walls, which equal the sweep wall serially.
         """
         executed = [c for c in self.cells if not c.cached]
-        events = sum(c.sim_events for c in executed)
+        events = sum(c.sim_events for c in executed if not c.shared)
         wall = self.sweep_wall_seconds if self.sweep_wall_seconds > 0 \
             else sum(c.wall_seconds for c in executed)
         return events / wall if wall > 0 else 0.0
@@ -111,9 +126,12 @@ class TimingReport:
         for phase, seconds in self.phases.items():
             out.append(f"  {phase:24s} {seconds:8.2f} s")
         if self.cells:
-            out.append(
-                f"  cells: {len(self.cells)} "
-                f"({self.cache_hits} cached, {self.cache_misses} simulated)")
+            counts = [f"{self.cache_hits} cached",
+                      f"{self.simulations} simulated"]
+            if self.shared_cells:
+                counts.append(f"{self.shared_cells} scored from a shared "
+                              "simulation")
+            out.append(f"  cells: {len(self.cells)} ({', '.join(counts)})")
             rate = self.aggregate_events_per_sec()
             if rate > 0:
                 out.append(f"  simulated events/sec: {rate:,.0f}")

@@ -11,6 +11,7 @@ which regenerate the paper's Figure 3 table.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -28,6 +29,10 @@ def percentile(values: List[float], p: float) -> float:
     return ordered[max(0, rank - 1)]
 
 
+def _instants() -> array:
+    return array("d")
+
+
 @dataclass
 class WorkloadStats:
     """Per-workload accumulator."""
@@ -35,7 +40,13 @@ class WorkloadStats:
     offered: int = 0
     completed: int = 0
     missed: int = 0
-    latencies: List[float] = field(default_factory=list)
+    #: Arrival and finish instant of every counted completion, in
+    #: completion order (empty when the recorder keeps no latencies).
+    #: Both instants rather than their difference: a deadline is
+    #: ``arrival + target``, and ``finish <= arrival + target`` cannot be
+    #: re-derived bit for bit from ``finish - arrival``.
+    arrivals: array = field(default_factory=_instants)
+    finishes: array = field(default_factory=_instants)
 
     @property
     def failure_rate(self) -> float:
@@ -44,10 +55,28 @@ class WorkloadStats:
             return 0.0
         return self.missed / self.offered
 
+    @property
+    def latencies(self) -> List[float]:
+        """Response time of every counted completion."""
+        return [finish - arrival for arrival, finish
+                in zip(self.arrivals, self.finishes)]
+
     def mean_latency(self) -> float:
-        if not self.latencies:
+        latencies = self.latencies
+        if not latencies:
             raise ValueError("no completions recorded")
-        return sum(self.latencies) / len(self.latencies)
+        return sum(latencies) / len(latencies)
+
+    def missed_under(self, target: float) -> int:
+        """What :attr:`missed` would read had every request of this
+        workload carried the latency target ``target``: the live test's
+        arithmetic over the kept instants, and a request that never
+        finished (rejected, lost) misses every deadline."""
+        if len(self.arrivals) != self.completed:
+            raise ValueError("the recorder kept no completion instants")
+        late = sum(not finish <= (arrival + target) + 1e-12
+                   for arrival, finish in zip(self.arrivals, self.finishes))
+        return late + (self.offered - self.completed)
 
 
 class LatencyRecorder:
@@ -143,7 +172,8 @@ class LatencyRecorder:
             stats.missed += 1
             self.total_missed += 1
         if self.keep_latencies:
-            stats.latencies.append(finish - arrival)
+            stats.arrivals.append(arrival)
+            stats.finishes.append(finish)
             key = (request.txn_type, request.dispatch_freq)
             times = self.exec_times.get(key)
             if times is None:

@@ -9,7 +9,8 @@ kernel and its two plants:
   single-server cell on every common result field;
 * the end-of-run loss rule is one rule: ``offered`` does not depend on
   how long the drain was allowed to run, and the books always close;
-* config knobs mean the same thing at both tiers; and
+* config knobs mean the same thing at both tiers;
+* slack moves a governor cell's score and nothing else; and
 * bad configs fail at the boundary, naming the field.
 
 Every cell pins ``trace=False`` (as the pinned grids do): ambient
@@ -115,6 +116,33 @@ def test_mixed_freq_updates_reach_fleet_schedulers():
             estimator_mixed_freq_updates=flag,
             fleet=FleetConfig(**_ONE_NODE), **_SHORT))
     assert fingerprint(cell(True)) != fingerprint(cell(False))
+
+
+# ----------------------------------------------------------------------
+# Slack under a governor: same run, different score
+# ----------------------------------------------------------------------
+_SCORED = ("missed", "failure_rate", "per_workload_failure", "config",
+           "wall_seconds")
+
+
+@pytest.mark.parametrize("scheme", ["ondemand", "conservative",
+                                    "static-2.4"])
+def test_slack_only_rescores_a_governor_cell(scheme):
+    """FIFO dispatch under a governor never reads a deadline: along the
+    slack axis (Figs 6-9) the run is the same run, standalone, and
+    loosening the targets can only turn misses into hits."""
+    runs = [run_experiment(ExperimentConfig(scheme=scheme, slack=slack,
+                                            **_SHORT))
+            for slack in (10.0, 40.0, 70.0, 100.0)]
+    shared = [{f.name: getattr(run, f.name)
+               for f in dataclasses.fields(run) if f.name not in _SCORED}
+              for run in runs]
+    assert all(fields == shared[0] for fields in shared[1:])
+    misses = [run.missed for run in runs]
+    assert misses == sorted(misses, reverse=True)
+    assert misses[0] > misses[-1]  # the axis is not degenerate here
+    for run in runs:
+        assert run.failure_rate == run.missed / run.offered
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,33 @@
 """Parallel sweep runner: equivalence, caching, key discipline."""
 
 import dataclasses
+import os
 import pickle
+import sys
 
 import pytest
 
-from repro.harness.experiment import ExperimentConfig
+sys.path.insert(0, os.path.dirname(__file__))
+from pinned_cells import fingerprint
+
+from repro.fleet import FleetConfig
+from repro.harness.experiment import (
+    ExperimentConfig, dynamics_key, rescored, run_experiment,
+)
 from repro.harness.figures import FIGURES, FigureOptions, run_figure
 from repro.harness.parallel import (
     SweepCache, SweepRunner, code_version_salt, config_key, resolve_jobs,
     run_sweep,
 )
 from repro.harness.profiling import TimingReport
+from repro.harness.schemes import SCHEMES
+from repro.metrics.latency import LatencyRecorder
 
 FAST = dict(workers=2, warmup_seconds=0.3, test_seconds=0.8, seed=5)
+#: Tracing pinned off, for tests that count simulations: ambient
+#: ``REPRO_TRACE=1`` makes every cell read deadlines (trace arguments),
+#: and then no two cells share a simulation.
+UNTRACED = dict(FAST, trace=False)
 
 
 def small_grid():
@@ -281,6 +295,150 @@ def test_slack_sweep_trace_dir_writes_per_cell_artifacts(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# shared dynamics: one simulation per group of cells
+# ----------------------------------------------------------------------
+GOVERNOR_SCHEMES = sorted(name for name, scheme in SCHEMES.items()
+                          if not scheme.uses_scheduler)
+#: Per benchmark, a test window that keeps a cell at a few thousand
+#: events (YCSB transactions are ~20x shorter than TPC-C's).
+SHARED_SECONDS = {"tpcc": 0.4, "tpce": 0.4, "ycsb-a": 0.1}
+SHARED_SLACKS = (10.0, 40.0, 100.0)
+
+
+def shared_grid(benchmark, slacks):
+    base = dict(benchmark=benchmark, workers=2, warmup_seconds=0.2,
+                test_seconds=SHARED_SECONDS[benchmark], seed=5,
+                trace=False)
+    grid = [ExperimentConfig(scheme=scheme, slack=slack, **base)
+            for scheme in GOVERNOR_SCHEMES for slack in slacks]
+    # An overloaded group whose backlog outlives the drain: the lost
+    # requests miss every deadline, whatever the slack.
+    grid += [ExperimentConfig(scheme="static-1.2", slack=slack,
+                              load_fraction=0.9, drain_limit_seconds=0.05,
+                              **base) for slack in slacks]
+    return grid
+
+
+@pytest.mark.parametrize("bench_name", sorted(SHARED_SECONDS))
+def test_slack_sweep_of_a_governor_scheme_is_one_simulation(bench_name):
+    """The licence for sharing: every cell a group serves equals the
+    standalone run of that cell, whichever member is simulated."""
+    assert {"ondemand", "conservative", "static-2.8"} \
+        <= set(GOVERNOR_SCHEMES)
+    groups = len(GOVERNOR_SCHEMES) + 1
+    standalone = {}
+    for jobs, slacks in ((1, SHARED_SLACKS), (2, SHARED_SLACKS[::-1])):
+        grid = shared_grid(bench_name, slacks)
+        runner = SweepRunner(jobs=jobs, use_cache=False)
+        results = runner.run(grid)
+        assert runner.stats.executed == len(grid)
+        assert runner.stats.simulated == groups
+        for config, result in zip(grid, results):
+            cell = (config.scheme, config.slack, config.load_fraction)
+            if cell not in standalone:
+                standalone[cell] = run_experiment(config)
+            expected = standalone[cell]
+            assert fingerprint(result) == fingerprint(expected)
+            # ... and field for field, the host's wall clock aside.
+            assert dataclasses.replace(result, wall_seconds=0.0) \
+                == dataclasses.replace(expected, wall_seconds=0.0)
+        lossy = results[-len(slacks):]
+        assert all(r.lost > 0 and r.missed >= r.lost for r in lossy)
+        # Cell walls stay additive: a group's wall is split, not copied.
+        assert sum(runner.stats.cell_seconds) \
+            <= runner.stats.wall_seconds * jobs
+
+
+#: case -> (config fields, environment) of a two-slack sweep in which
+#: something other than the recorder reads a deadline.
+NEVER_SHARES = {
+    "polaris": (dict(scheme="polaris"), {}),
+    "nonclairvoyant": (dict(scheme="nonclairvoyant"), {}),
+    "faults": (dict(scheme="ondemand", faults="burst"), {}),
+    "trace-path": (dict(scheme="ondemand"), {}),
+    "trace-env": (dict(scheme="ondemand"), {"REPRO_TRACE": "1"}),
+    "faults-env": (dict(scheme="ondemand"), {"REPRO_FAULTS": "burst"}),
+    "fleet": (dict(scheme="ondemand", fleet=FleetConfig(
+        shards=1, replicas_per_shard=0, elastic=False, node_workers=2,
+        node_request_handlers=1)), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEVER_SHARES))
+def test_cells_that_read_a_deadline_never_share(case, monkeypatch, tmp_path):
+    """A scheduler, a fault plan, a tracer and the fleet's shard books
+    all read deadlines during the run: one simulation per cell."""
+    fields, env = NEVER_SHARES[case]
+    for name in ("REPRO_TRACE", "REPRO_FAULTS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    grid = [ExperimentConfig(slack=slack, **dict(FAST, **fields))
+            for slack in (10.0, 70.0)]
+    if case == "trace-path":
+        for config in grid:
+            config.trace_path = str(
+                tmp_path / f"slack{config.slack:g}.trace.json")
+    assert dynamics_key(grid[0]) != dynamics_key(grid[1])
+    runner = SweepRunner(jobs=1, use_cache=False)
+    runner.run(grid)
+    assert runner.stats.simulated == 2
+
+
+def test_half_cached_group_simulates_once_for_the_missing_members(tmp_path):
+    grid = [ExperimentConfig(scheme="ondemand", slack=slack, **UNTRACED)
+            for slack in (10.0, 40.0, 70.0)]
+    runner = SweepRunner(jobs=1, cache_dir=tmp_path / "c")
+    runner.run(grid[1:2])
+    results = runner.run(grid)
+    assert runner.stats.cache_hits == 1
+    assert runner.stats.executed == 2
+    assert runner.stats.simulated == 1
+    assert [fingerprint(r) for r in results] \
+        == [fingerprint(run_experiment(config)) for config in grid]
+    runner.run(grid)
+    assert runner.stats.cache_hits == 3
+    assert runner.stats.simulated == 0
+
+
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_invalid_derived_cell_raises_as_standalone(bad_first):
+    good = ExperimentConfig(scheme="ondemand", slack=10.0, **UNTRACED)
+    bad = dataclasses.replace(good, slack=-1.0)
+    assert dynamics_key(good) == dynamics_key(bad)
+    with pytest.raises(ValueError, match="slack") as standalone:
+        run_experiment(bad)
+    with pytest.raises(ValueError, match="slack") as swept:
+        run_sweep([bad, good] if bad_first else [good, bad], jobs=1,
+                  use_cache=False)
+    assert str(swept.value) == str(standalone.value)
+
+
+def test_rescored_refuses_a_different_simulation():
+    config = ExperimentConfig(scheme="ondemand", slack=10.0, **FAST)
+    recorder = LatencyRecorder()
+    result = run_experiment(config, recorder=recorder)
+    for other in (dataclasses.replace(config, seed=6),
+                  dataclasses.replace(config, scheme="conservative")):
+        with pytest.raises(ValueError, match="dynamics"):
+            rescored(result, recorder, other)
+
+
+def test_report_counts_a_shared_simulation_once():
+    report = TimingReport("unit", jobs=1)
+    runner = SweepRunner(jobs=1, use_cache=False, report=report)
+    results = runner.run(
+        [ExperimentConfig(scheme="ondemand", slack=slack, **UNTRACED)
+         for slack in (10.0, 40.0, 70.0)])
+    assert [c.shared for c in report.cells] == [False, True, True]
+    assert report.simulations == 1
+    assert report.aggregate_events_per_sec() == pytest.approx(
+        results[0].sim_events / report.sweep_wall_seconds)
+    assert ("cells: 3 (0 cached, 1 simulated, 2 scored from a shared "
+            "simulation)") in report.render()
+
+
+# ----------------------------------------------------------------------
 # persistent pool
 # ----------------------------------------------------------------------
 def test_shared_pool_reused_and_keyed_on_env(monkeypatch):
@@ -337,46 +495,55 @@ def test_broken_pool_degrades_to_serial(tmp_path, monkeypatch):
 
 
 def test_broken_pool_reruns_only_unfinished(tmp_path, monkeypatch):
-    """Cells that already landed before the pool broke are not re-run."""
+    """A pool that dies after one group landed re-runs the unfinished
+    groups in-process: every group runs exactly once, never half ---
+    whether the group that landed is the shared one or not."""
     from concurrent.futures import Future
     from concurrent.futures.process import BrokenProcessPool
     from repro.harness import parallel as par
 
     class FlakyPool:
-        """First chunk completes, every later chunk breaks."""
+        """Submission number ``lands`` completes, every other breaks."""
 
-        def __init__(self):
+        def __init__(self, lands):
+            self.lands = lands
             self.submissions = 0
 
-        def submit(self, fn, wires):
+        def submit(self, fn, groups):
             self.submissions += 1
             future = Future()
-            if self.submissions == 1:
-                future.set_result(fn(wires))
+            if self.submissions == self.lands:
+                future.set_result(fn(groups))
             else:
                 future.set_exception(BrokenProcessPool("boom"))
             return future
 
-    monkeypatch.setattr(par, "shared_pool", lambda jobs: FlakyPool())
-    reruns = []
-    real_run_cell = par._run_cell
+    # Three groups, submitted one per chunk: the static pair first.
+    grid = [ExperimentConfig(scheme=scheme, slack=slack, **UNTRACED)
+            for slack in (10.0, 70.0)
+            for scheme in ("static-2.8", "polaris")]
+    serial = run_sweep(grid, jobs=1, use_cache=False)
+    ran = []
+    real_run_group = par._run_group
 
-    def counting_run_cell(config):
-        reruns.append(config)
-        return real_run_cell(config)
+    def counting_run_group(configs):
+        ran.append([(c.scheme, c.slack) for c in configs])
+        return real_run_group(configs)
 
-    monkeypatch.setattr(par, "_run_cell", counting_run_cell)
-    grid = small_grid()
-    runner = SweepRunner(jobs=2, cache_dir=tmp_path / "c")
-    results = runner.run(grid)
-    rerun_count = len(reruns)
-    assert len(results) == len(grid)
-    assert [comparable(r) for r in results] \
-        == [comparable(r) for r in run_sweep(grid, jobs=1,
-                                             use_cache=False)]
-    # At least the first chunk landed through the pool, so the serial
-    # fallback re-ran strictly fewer cells than the whole grid.
-    assert rerun_count < len(grid)
+    monkeypatch.setattr(par, "_run_group", counting_run_group)
+    for lands in (1, 3):
+        monkeypatch.setattr(par, "shared_pool",
+                            lambda jobs: FlakyPool(lands))
+        del ran[:]
+        runner = SweepRunner(jobs=2, use_cache=False)
+        results = runner.run(grid)
+        assert [comparable(r) for r in results] \
+            == [comparable(r) for r in serial]
+        assert sorted(ran) == [
+            [("polaris", 10.0)], [("polaris", 70.0)],
+            [("static-2.8", 10.0), ("static-2.8", 70.0)]]
+        assert runner.stats.simulated == 3
+        assert runner.stats.executed == 4
 
 
 # ----------------------------------------------------------------------

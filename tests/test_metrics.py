@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.request import Request
 from repro.core.workload import Workload
@@ -173,6 +174,64 @@ def test_recorder_mean_latency():
     recorder.on_completion(finished_request(workload, 0.0, 1.0))
     recorder.on_completion(finished_request(workload, 0.0, 3.0))
     assert recorder.per_workload["w"].mean_latency() == pytest.approx(2.0)
+
+
+_instant = st.floats(min_value=0.0, max_value=10.0)
+_span = st.floats(min_value=1e-6, max_value=1.0)
+#: (outcome, arrival, latency): how each offered request ended.
+_outcomes = st.lists(st.tuples(
+    st.sampled_from(["completed", "rejected", "lost"]), _instant, _span),
+    max_size=40)
+
+
+def _fed(outcomes, target):
+    """A recorder fed ``outcomes``, every request carrying ``target``."""
+    workload = Workload("w", target)
+    recorder = LatencyRecorder()
+    recorder.recording = True
+    for outcome, arrival, latency in outcomes:
+        request = finished_request(workload, arrival, latency)
+        {"completed": recorder.on_completion,
+         "rejected": recorder.on_rejection,
+         "lost": recorder.on_lost}[outcome](request)
+    return recorder
+
+
+@settings(max_examples=150, deadline=None)
+@given(outcomes=_outcomes, live_target=_span,
+       targets=st.lists(_span, min_size=1, max_size=4))
+def test_missed_under_equals_the_live_count(outcomes, live_target, targets):
+    """Scoring kept instants against a target afterwards counts what
+    the live test would have counted under that target, and keeping
+    instants instead of latencies changes no latency statistic."""
+    recorder = _fed(outcomes, live_target)
+    stats = recorder.per_workload.get("w")
+    if stats is None:
+        assert not outcomes
+        return
+    completed = [(arrival, latency) for outcome, arrival, latency
+                 in outcomes if outcome == "completed"]
+    assert stats.latencies == [(arrival + latency) - arrival
+                               for arrival, latency in completed]
+    if completed:
+        assert stats.mean_latency() \
+            == sum(stats.latencies) / len(completed)
+    # Targets that sit exactly on a latency included: there the
+    # comparison is decided in the last bit of ``arrival + target``.
+    for target in targets + [latency for _, latency in completed[:3]]:
+        assert stats.missed_under(target) \
+            == _fed(outcomes, target).total_missed
+    assert stats.missed_under(live_target) == stats.missed
+
+
+def test_missed_under_needs_the_kept_instants():
+    workload = Workload("w", 0.010)
+    recorder = LatencyRecorder(keep_latencies=False)
+    recorder.recording = True
+    recorder.on_completion(finished_request(workload, 0.0, 0.020))
+    assert recorder.total_missed == 1
+    with pytest.raises(ValueError, match="kept no completion instants"):
+        recorder.per_workload["w"].missed_under(0.010)
 
 
 def test_percentile_function():

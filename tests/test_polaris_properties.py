@@ -45,6 +45,14 @@ def populate(scheduler, queue_params):
     return requests
 
 
+def running_request() -> Request:
+    """A fresh ``t0`` per scheduler: ``select_frequency`` stamps an
+    unstamped ``running`` with *its* estimator's row, so one request
+    handed to two schedulers would carry the first one's estimates into
+    the second one's walk."""
+    return Request(Workload("w", 0.05), "w", 0.0, 1.0)
+
+
 @settings(max_examples=120, deadline=None)
 @given(queue_params=queue_strategy,
        exec_ms=st.floats(min_value=0.05, max_value=5.0),
@@ -72,9 +80,8 @@ def test_adding_work_never_lowers_frequency(queue_params, exec_ms,
     populate(augmented, queue_params)
     augmented.enqueue(Request(Workload("w", extra_target_ms * 1e-3),
                               "w", 0.0, 1.0))
-    running = Request(Workload("w", 0.05), "w", 0.0, 1.0)
-    assert augmented.select_frequency(0.0, running, 0.0) \
-        >= baseline.select_frequency(0.0, running, 0.0)
+    assert augmented.select_frequency(0.0, running_request(), 0.0) \
+        >= baseline.select_frequency(0.0, running_request(), 0.0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -110,9 +117,8 @@ def test_larger_estimates_never_lower_frequency(queue_params, exec_ms,
     inflated = build_scheduler(exec_ms, scale=inflation)
     populate(normal, queue_params)
     populate(inflated, queue_params)
-    running = Request(Workload("w", 0.05), "w", 0.0, 1.0)
-    assert inflated.select_frequency(0.0, running, 0.0) \
-        >= normal.select_frequency(0.0, running, 0.0)
+    assert inflated.select_frequency(0.0, running_request(), 0.0) \
+        >= normal.select_frequency(0.0, running_request(), 0.0)
 
 
 @settings(max_examples=80, deadline=None)

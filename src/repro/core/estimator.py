@@ -18,9 +18,19 @@ pays.  The full-window steady state (one evict + one insert per
 observation) goes through :meth:`_ChunkedSortedList.replace`, which
 resolves both in a single pass and reuses the evicted slot when the new
 value lands in the same run.  The percentile itself is cached and only
-recomputed after the window changes, because POLARIS calls
-``estimate()`` once per (queued request x frequency) inside
-SetProcessorFreq --- far more often than it observes.
+recomputed after the window changes, because POLARIS reads estimates
+far more often than it observes.
+
+**The same-side rule.**  On a full window the percentile's rank is
+fixed, so when the evicted and the inserted value lie *strictly* on the
+same side of the current percentile the element at that rank is the
+same element.  :meth:`SlidingWindowPercentile.observe` returns whether
+the statistic can have moved, and the estimator recomputes and
+publishes only then (a tie, a growing window or a stale memo always
+does); about one in-run observation in ten moves its p95.
+:meth:`SlidingWindowPercentile.fill` loads a training column into an
+empty window with one sort: run boundaries differ from sequential
+inserts, the multiset, eviction order and every ``value()`` do not.
 
 :class:`ListSlidingWindowPercentile` preserves the original flat-list
 implementation as the reference oracle: the property tests assert the
@@ -41,7 +51,8 @@ import bisect
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from operator import lt
+from typing import Deque, Dict, List, Sequence, Tuple
 
 DEFAULT_WINDOW = 1000
 DEFAULT_PERCENTILE = 95.0
@@ -206,8 +217,10 @@ class SlidingWindowPercentile:
         self._cached_value = 0.0
         self._cached_at = 0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float) -> bool:
         """Add a measurement, evicting the oldest beyond the window.
+        Returns whether :meth:`value` can have moved (the same-side
+        rule of the module docstring); False keeps the memo valid.
 
         The full-window path inlines ``_ChunkedSortedList.replace`` ---
         this is the per-transaction hot path and the extra method call
@@ -217,11 +230,20 @@ class SlidingWindowPercentile:
         # one NaN in the sorted runs corrupts every later bisect.
         if not value >= 0.0:
             raise ValueError("execution times must be non-negative numbers")
-        self.observations += 1
+        observations = self.observations
+        self.observations = observations + 1
         order = self._order
         chunks = self._chunks
+        moved = True
         if len(order) == self.window:
             old = order.popleft()
+            if self._cached_at == observations:
+                current = self._cached_value
+                # Strictness matters on the evicted side: evicting the
+                # current value itself can move the statistic.
+                if old < current > value or old > current < value:
+                    self._cached_at = observations + 1
+                    moved = False
             maxes = chunks._maxes
             runs = chunks._runs
             i = bisect_left(maxes, old)
@@ -255,6 +277,25 @@ class SlidingWindowPercentile:
         else:
             chunks.add(value)
         order.append(value)
+        return moved
+
+    def fill(self, values: Sequence[float]) -> None:
+        """``for v in values: observe(v)``, all or nothing on a bad
+        value, in one sort when the window is empty and they fit it."""
+        if not all(value >= 0.0 for value in values):
+            raise ValueError("execution times must be non-negative numbers")
+        if self._order or len(values) > self.window:
+            for value in values:
+                self.observe(value)
+            return
+        ordered = sorted(values)
+        chunks = self._chunks
+        chunks._runs = [ordered[i:i + LOAD]
+                        for i in range(0, len(ordered), LOAD)]
+        chunks._maxes = [run[-1] for run in chunks._runs]
+        chunks._size = len(ordered)
+        self._order.extend(values)
+        self.observations += len(values)
 
     def value(self) -> float:
         """Current percentile estimate (0.0 when no observations yet).
@@ -336,6 +377,12 @@ class ListSlidingWindowPercentile:
         return len(self._sorted) == self.window
 
 
+def rising_pairs(row: Sequence[float]) -> int:
+    """Adjacent pairs *below the top level* with ``row[j] < row[j+1]``
+    (an estimate that grows with frequency)."""
+    return sum(map(lt, row, row[1:-1]))
+
+
 class EstimateRows(dict):
     """``rows[c][j] == estimate(c, freqs[j])``, one row per workload.
 
@@ -345,19 +392,29 @@ class EstimateRows(dict):
     ``bind(c, freqs, row)`` tells the owner of a *live* table about the
     new row so it can keep it current; without it the table is a
     snapshot, valid for as long as ``estimate`` is pure.
+
+    ``rising`` is :func:`rising_pairs` summed over the rows, kept by
+    whoever writes a slot (``__missing__``, the estimator's
+    ``_mutated``; simsan recounts it as ``rows-falling``).  Zero means
+    every row is non-increasing below the top level --- the licence
+    ``select_frequency`` needs to start its walk above the floor.  The
+    top slot breaks the order most often (p95s of separately filled
+    windows) and the walk never needs it, so it is not counted.
     """
 
-    __slots__ = ("_estimate", "_freqs", "_bind")
+    __slots__ = ("_estimate", "_freqs", "_bind", "rising")
 
     def __init__(self, estimate, freqs: Tuple[float, ...], bind=None):
         super().__init__()
         self._estimate = estimate
         self._freqs = freqs
         self._bind = bind
+        self.rising = 0
 
     def __missing__(self, workload: str) -> List[float]:
         estimate = self._estimate
         row = self[workload] = [estimate(workload, f) for f in self._freqs]
+        self.rising += rising_pairs(row)
         if self._bind is not None:
             self._bind(workload, self._freqs, row)
         return row
@@ -369,11 +426,12 @@ class ExecutionTimeEstimator:
     The estimator also owns the *estimate rows* SetProcessorFreq reads
     (:meth:`mu_rows`): per frequency ladder, one identity-stable list
     per workload with ``row[j] == estimate(c, freqs[j])`` at all times.
-    Every mutation patches the one slot it changes, so a reader that
-    holds a row --- each queued request carries its workload's --- never
-    validates or rebuilds anything.  Estimator *proxies* whose estimates
-    move without an observation (repro.faults skew windows) expose no
-    ``mu_rows`` and are read through ``estimate`` instead.
+    Every mutation that moves a percentile patches the one slot it
+    changes, so a reader that holds a row --- each queued request
+    carries its workload's --- never validates or rebuilds anything.
+    Estimator *proxies* whose estimates move without an observation
+    (repro.faults skew windows) expose no ``mu_rows`` and are read
+    through ``estimate`` instead.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW,
@@ -382,11 +440,11 @@ class ExecutionTimeEstimator:
         self.percentile = percentile
         self._trackers: Dict[Tuple[str, float], SlidingWindowPercentile] = {}
         self._rows: Dict[Tuple[float, ...], EstimateRows] = {}
-        #: ``(workload, freq) -> [(row, index), ...]``: every row slot
-        #: that mirrors this pair, across all ladders, pre-bound when
+        #: ``(workload, freq) -> [(table, row, index), ...]``: every row
+        #: slot that mirrors this pair, across all ladders, pre-bound when
         #: the row is built so a mutation writes them without searching.
         self._slots: Dict[Tuple[str, float],
-                          List[Tuple[List[float], int]]] = {}
+                          List[Tuple[EstimateRows, List[float], int]]] = {}
 
     def mu_rows(self, freqs: Tuple[float, ...]) -> EstimateRows:
         """The live ``workload -> row`` table for one frequency ladder,
@@ -400,8 +458,10 @@ class ExecutionTimeEstimator:
     def _bind_row(self, workload: str, freqs: Tuple[float, ...],
                   row: List[float]) -> None:
         slots = self._slots
+        table = self._rows[freqs]
         for index, freq_ghz in enumerate(freqs):
-            slots.setdefault((workload, freq_ghz), []).append((row, index))
+            slots.setdefault((workload, freq_ghz), []).append(
+                (table, row, index))
 
     def _mutated(self, key: Tuple[str, float],
                  tracker: SlidingWindowPercentile) -> None:
@@ -410,8 +470,10 @@ class ExecutionTimeEstimator:
         slots = self._slots.get(key)
         if slots is not None:
             value = tracker.value()
-            for row, index in slots:
+            for table, row, index in slots:
+                before = rising_pairs(row)
                 row[index] = value
+                table.rising += rising_pairs(row) - before
 
     def _tracker(self, key: Tuple[str, float]) -> SlidingWindowPercentile:
         tracker = self._trackers.get(key)
@@ -430,7 +492,16 @@ class ExecutionTimeEstimator:
         """
         key = (workload, freq_ghz)
         tracker = self._tracker(key)
-        tracker.observe(execution_seconds)
+        if tracker.observe(execution_seconds):
+            self._mutated(key, tracker)
+
+    def fill(self, workload: str, freq_ghz: float,
+             values: Sequence[float]) -> None:
+        """Record ``values`` in order, publishing the row slot once
+        (how the harness's training phase fills a window)."""
+        key = (workload, freq_ghz)
+        tracker = self._tracker(key)
+        tracker.fill(values)
         self._mutated(key, tracker)
 
     def estimate(self, workload: str, freq_ghz: float) -> float:
@@ -442,12 +513,8 @@ class ExecutionTimeEstimator:
 
     def prime(self, workload: str, freq_ghz: float, value: float,
               count: int = 1) -> None:
-        """Seed a tracker (the harness's training phase, Section 6.1)."""
-        key = (workload, freq_ghz)
-        tracker = self._tracker(key)
-        for _ in range(count):
-            tracker.observe(value)
-        self._mutated(key, tracker)
+        """Seed a tracker with ``count`` copies of ``value``."""
+        self.fill(workload, freq_ghz, [value] * count)
 
     def observation_count(self, workload: str, freq_ghz: float) -> int:
         tracker = self._trackers.get((workload, freq_ghz))

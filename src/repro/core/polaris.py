@@ -26,10 +26,32 @@ candidate never decreases, so this implementation keeps one scalar:
 each item costs one add, and an escalation rebuilds the sum at the
 higher frequency by replaying the already-walked prefix in walk order
 --- the additions the per-frequency form would have made, so the result
-is bit-identical.  A feasible queue costs |Q| adds; a queue that climbs
-every level replays its prefix once per level and approaches the
-literal O(|Q| * |F|).  The overhead bench times both regimes against
-the prototype's ~10 us per invocation at high load (Section 5).
+is bit-identical.  The top level is never replayed: step 3 exits the
+moment it is required, and nothing reads q-hat after that exit.
+
+Most invocations change nothing, so the walk first tries to *confirm*
+the last answer ``h``: it starts at level ``max(floor, h - 1)`` instead
+of the floor.  If it escalates at least once it has rejoined the
+floor-start walk exactly: every earlier item was feasible at ``h - 1``,
+which holds that walk at or below ``h - 1`` so far; the failing item is
+infeasible at ``h - 1`` and --- estimates non-increasing in frequency,
+float ``+`` monotone in each operand --- at every lower level, so both
+escalate from that item to the same level with the same replayed fold.
+If it never escalates it proved nothing (the answer may lie lower) and
+the walk is redone from the floor.  The hint is therefore advice: any
+value of it yields the same selection, items scanned and decision
+record.  The precondition is that every row is non-increasing *below
+the top level* (a hinted start is at most ``last - 1``).  p95s of
+separately filled windows need not honour it, so the estimator counts
+its live table's rising pairs (``EstimateRows.rising``) and the walk is
+hinted only while that is zero; per-call snapshot tables never are.
+simsan walks every hinted selection again from the floor
+(``hint-exact``) and recounts the pairs (``rows-falling``).
+
+A feasible queue costs |Q| adds; a confirmed answer the walk up to the
+item that forces it plus one replay (none at the top); a cold queue
+that climbs every level one replay per level below the top.  The
+overhead bench times all three against the prototype's ~10 us (§5).
 
 **Where the estimates come from.**  No estimate is computed, looked up
 by name or validated inside the walk.  The estimator owns one
@@ -56,7 +78,7 @@ the harness's granularity figure quantifies exactly that cost.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.analysis.sanitizer import invariant, simsan_enabled
 from repro.core.estimator import EstimateRows, ExecutionTimeEstimator
@@ -113,6 +135,9 @@ class PolarisScheduler:
         self._rows: Optional[EstimateRows] = \
             mu_rows(freqs) if mu_rows is not None else None
         self._zeros = (0.0,) * len(freqs)
+        #: Level of the last selection, where the next walk looks first.
+        #: Advice only (any value selects the same): in no result.
+        self._hint = 0
         #: repro.obs: the worker flips this on when tracing and reads
         #: :attr:`last_decision` right after each ``select_frequency``
         #: call.  The scheduler stays simulation-agnostic --- it records
@@ -193,8 +218,8 @@ class PolarisScheduler:
         last = len(freqs) - 1
         items, index = self.queue.scan()
         live = items[index:] if index < len(items) else ()
-        if self._rows is None or (running is not None
-                                  and running.mu is None):
+        rows = self._rows
+        if rows is None or (running is not None and running.mu is None):
             self._current_rows(running, live)
 
         # Lines 2-4: minimum frequency for the running transaction.  Its
@@ -214,49 +239,34 @@ class PolarisScheduler:
                 chosen += 1
         else:
             mu0 = self._zeros
-            e0 = q = 0.0
+            e0 = 0.0
             chosen = 0
         floor_index = chosen  # the running transaction's frequency floor
 
-        # Lines 5-16: ensure all queued transactions finish in time.
-        # ``q`` is q-hat at the current candidate frequency (see the
-        # module docstring); every addition below is a left fold in
-        # walk order, which is what keeps the result bit-identical to
-        # the per-frequency form.
-        early_exit = False
-        scanned = len(live)
-        for request in live:
-            mu = request.mu
-            m = mu[chosen]
-            deadline = request.deadline
-            if now + q + m > deadline:
-                # Find the lowest higher frequency that is fast enough,
-                # replaying the walked prefix at each level tried.
-                # Position by identity match (requests are unique): one
-                # C scan per escalation beats per-item bookkeeping.
-                at = live.index(request)
-                walked = live[:at]
-                while chosen < last:
-                    chosen += 1
-                    q = mu0[chosen] - e0
-                    if not q > 0.0:
-                        q = 0.0
-                    for w in walked:
-                        q += w.mu[chosen]
-                    m = mu[chosen]
-                    if now + q + m <= deadline:
-                        break
-                if chosen == last:
-                    # Line 14: no further checking once we need the
-                    # highest frequency.
-                    scanned = at + 1
-                    early_exit = True
-                    break
-            q += m
+        # Lines 5-16, started one level under the last answer when the
+        # rows license it (module docstring); a hinted walk that never
+        # escalates proved nothing and is redone from the floor.
+        start = self._hint - 1
+        if not (start > floor_index and rows is not None
+                and not rows.rising):
+            start = floor_index
+        chosen, scanned, early_exit = self._walk(now, live, mu0, e0, start)
+        if chosen == start != floor_index:
+            chosen, scanned, early_exit = self._walk(
+                now, live, mu0, e0, floor_index)
+        self._hint = chosen
         self.queue_items_scanned += scanned
         selected = freqs[chosen]
         if self.sanitize:
             self._sanitize_selected(selected, floor_index, now)
+            if start != floor_index:
+                literal = self._walk(now, live, mu0, e0, floor_index)
+                invariant(literal == (chosen, scanned, early_exit),
+                          "hint-exact", "the walk started above the floor "
+                          "ended elsewhere than the floor-start walk",
+                          level=start, floor_index=floor_index, now=now,
+                          hinted=(chosen, scanned, early_exit),
+                          literal=literal)
             walked = list(live[:scanned])
             if running is not None:
                 walked.append(running)
@@ -268,6 +278,46 @@ class PolarisScheduler:
                                   selected, freqs[floor_index],
                                   early_exit=early_exit)
         return selected
+
+    def _walk(self, now: float, live: Sequence[Request],
+              mu0: Sequence[float], e0: float,
+              chosen: int) -> Tuple[int, int, bool]:
+        """Figure 2 lines 5-16 from level ``chosen``: the level reached,
+        the items scanned, and whether line 14 cut the walk short.
+        ``q`` is q-hat at the candidate level, seeded with the running
+        transaction's remaining time there; every addition is a left
+        fold in walk order at one level (bit-identical to Figure 2)."""
+        last = len(mu0) - 1
+        q = mu0[chosen] - e0
+        if not q > 0.0:
+            q = 0.0
+        for request in live:
+            mu = request.mu
+            m = mu[chosen]
+            deadline = request.deadline
+            if now + q + m > deadline:
+                # Find the lowest higher level that is fast enough,
+                # replaying the walked prefix at each level tried.
+                # Position by identity match (requests are unique): one
+                # C scan per escalation beats per-item bookkeeping.
+                at = live.index(request)
+                walked = live[:at]
+                while True:
+                    chosen += 1
+                    if chosen >= last:
+                        # Line 14: no further checking (and no replay:
+                        # nothing reads q-hat) once we need the top.
+                        return last, at + 1, True
+                    q = mu0[chosen] - e0
+                    if not q > 0.0:
+                        q = 0.0
+                    for w in walked:
+                        q += w.mu[chosen]
+                    m = mu[chosen]
+                    if now + q + m <= deadline:
+                        break
+            q += m
+        return chosen, len(live), False
 
     def _current_rows(self, running: Optional[Request],
                       queued: Iterable[Request]) -> EstimateRows:
@@ -336,13 +386,20 @@ class PolarisScheduler:
 
     def _sanitize_rows(self, requests: Iterable[Request],
                        now: float) -> None:
-        """simsan: every request the walk read carries *the estimator's*
-        row for its workload, and that row equals ``estimate(c, f)``
-        slot for slot.  (Per-call rows are built from ``estimate`` in
-        the same call; there is nothing to go stale.)"""
+        """simsan: the table's ``rising`` count matches its rows, every
+        request the walk read carries *the estimator's* row for its
+        workload, and that row equals ``estimate(c, f)`` slot for slot.
+        (Per-call rows are built from ``estimate`` in the same call;
+        there is nothing to go stale, and they are never hinted.)"""
         rows = self._rows
         if rows is None:
             return
+        rising = [(c, j) for c, row in rows.items()
+                  for j in range(len(row) - 2) if row[j] < row[j + 1]]
+        invariant(rows.rising == len(rising), "rows-falling",
+                  "the table's rising-pair count (a hinted walk's "
+                  "licence) disagrees with its rows (workload, level)",
+                  counted=rows.rising, rising=rising, now=now)
         estimate = self.estimator.estimate
         for request in requests:
             c = request.workload_name

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.sanitizer import invariant
+from repro.core.polaris import PolarisScheduler
 from repro.core.request import Request, RequestState
 from repro.core.routing import RoutingPolicy, make_routing
 from repro.cpu.core import Core, Job
@@ -143,8 +144,11 @@ class Worker:
         self.server = server
         #: Admission-control hook, resolved once --- the dispatcher is
         #: fixed for the worker's lifetime and getattr on every arrival
-        #: is measurable.
-        self._admits = getattr(dispatcher, "admits", None)
+        #: is measurable.  None unless the class overrides the base
+        #: ``PolarisScheduler.admits``, which cannot say no.
+        admits = getattr(type(dispatcher), "admits", None)
+        self._admits = None if admits in (None, PolarisScheduler.admits) \
+            else dispatcher.admits
         self.current: Optional[Request] = None
         self.completed = 0
         self._transitions_at_dispatch = 0

@@ -64,6 +64,9 @@ class SkewedEstimator:
                 value: float) -> None:
         self._inner.observe(workload, freq_ghz, value)
 
+    def fill(self, workload: str, freq_ghz: float, values) -> None:
+        self._inner.fill(workload, freq_ghz, values)
+
     def prime(self, workload: str, freq_ghz: float, value: float,
               count: int = 1) -> None:
         self._inner.prime(workload, freq_ghz, value, count)

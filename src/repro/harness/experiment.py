@@ -301,6 +301,7 @@ def _train_estimator(estimator: ExecutionTimeEstimator,
         else:
             models = [t.service for t in spec.types]
             weights = [spec.mix_fraction(t.name) for t in spec.types]
+        columns: List[List[float]] = [[] for _ in frequencies]
         for _ in range(fill):
             u = rng.random()
             acc = 0.0
@@ -311,9 +312,10 @@ def _train_estimator(estimator: ExecutionTimeEstimator,
                     model = m
                     break
             ref_seconds = model.draw_seconds(rng)
-            for freq in frequencies:
-                estimator.observe(workload.name, freq,
-                                  ref_seconds * model.ref_freq_ghz / freq)
+            for column, freq in zip(columns, frequencies):
+                column.append(ref_seconds * model.ref_freq_ghz / freq)
+        for column, freq in zip(columns, frequencies):
+            estimator.fill(workload.name, freq, column)
 
 
 class ServerPlant:

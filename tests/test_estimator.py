@@ -127,6 +127,79 @@ def test_property_chunked_agrees_on_heavy_duplicates(values):
     assert list(chunked._sorted) == list(listy._sorted)
 
 
+#: Few distinct values, so evicted and inserted values tie with the
+#: percentile (and with each other) on most observations.
+tied = st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.0, 3.0]),
+                min_size=1, max_size=120)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=tied, window=st.integers(min_value=1, max_value=9),
+       percentile=st.sampled_from([1.0, 50.0, 95.0, 100.0]))
+def test_property_same_side_rule_never_keeps_a_stale_percentile(
+        values, window, percentile):
+    """``observe`` returns False only when ``value()`` cannot have
+    moved: equal to the list implementation after *every* observe, on
+    streams with heavy ties at the percentile, window 1, percentile 100
+    and a window still filling (which must always report a move)."""
+    chunked = SlidingWindowPercentile(window, percentile)
+    listy = ListSlidingWindowPercentile(window, percentile)
+    for v in values:
+        before = chunked.value()
+        was_full = chunked.full
+        moved = chunked.observe(v)
+        listy.observe(v)
+        assert chunked.value() == listy.value()
+        assert moved or (was_full and chunked.value() == before)
+    assert list(chunked._sorted) == list(listy._sorted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(head=st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=3),
+       values=st.lists(st.one_of(st.floats(min_value=0.0, max_value=10.0),
+                                 st.sampled_from([1.0, 2.0])),
+                       max_size=150),
+       window=st.integers(min_value=1, max_value=120),
+       percentile=st.sampled_from([50.0, 95.0, 100.0]),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_property_fill_equals_sequential_observes(head, values, window,
+                                                  percentile, seed):
+    """``fill(xs)`` is ``for x in xs: observe(x)`` --- on an empty window
+    that fits them (one sort; run boundaries differ, nothing observable
+    does), on one that does not, and on a window already holding
+    ``head`` --- now and over 200 further observations."""
+    filled = SlidingWindowPercentile(window, percentile)
+    stepped = SlidingWindowPercentile(window, percentile)
+    for v in head:
+        filled.observe(v)
+        stepped.observe(v)
+    filled.fill(values)
+    for v in values:
+        stepped.observe(v)
+    rng = random.Random(seed)
+    for step in range(201):
+        assert filled.value() == stepped.value()
+        assert len(filled) == len(stepped)
+        assert filled.full == stepped.full
+        assert filled.observations == stepped.observations
+        v = rng.choice([rng.random() * 10.0, 1.0, 2.0])
+        assert filled.observe(v) == stepped.observe(v), step
+    assert filled._sorted == stepped._sorted
+    assert list(filled._order) == list(stepped._order)
+
+
+def test_fill_rejects_bad_values_before_recording_any():
+    for bad in (float("nan"), -1.0):
+        tracker = SlidingWindowPercentile(window=4, percentile=100)
+        with pytest.raises(ValueError):
+            tracker.fill([1.0, bad])
+        assert (len(tracker), tracker.observations) == (0, 0)
+        tracker.observe(3.0)
+        with pytest.raises(ValueError):
+            tracker.fill([1.0, bad])  # the sequential path, equally
+        assert (tracker.value(), tracker.observations) == (3.0, 1)
+
+
 def test_chunked_splits_past_chunk_capacity():
     """A window far beyond one chunk still matches the reference."""
     chunked = SlidingWindowPercentile(window=1000, percentile=95)
@@ -225,3 +298,44 @@ def test_estimator_rejects_nan_and_keeps_its_rows():
     assert estimator.estimate("w", 2.0) == 0.5
     assert estimator.observation_count("w", 2.0) == 1
     assert estimator.observation_count("w", 1.0) == 0
+
+
+LADDERS = ((1.0, 2.0, 3.0, 4.0), (0.5, 2.0, 4.0))
+mutation = st.one_of(
+    st.tuples(st.just("observe"), st.sampled_from("ab"),
+              st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]),
+              st.sampled_from([0.0, 1.0, 2.0, 2.0, 3.0])),
+    st.tuples(st.just("prime"), st.sampled_from("ab"),
+              st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]),
+              st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+              st.integers(min_value=1, max_value=5)),
+    st.tuples(st.just("fill"), st.sampled_from("ab"),
+              st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]),
+              st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), max_size=5)),
+    # A row first built mid-sequence, over trackers that already exist.
+    st.tuples(st.just("build"), st.sampled_from("ab"),
+              st.sampled_from(LADDERS)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations=st.lists(mutation, max_size=60),
+       window=st.integers(min_value=1, max_value=4),
+       percentile=st.sampled_from([50.0, 95.0, 100.0]))
+def test_property_rows_are_never_stale(operations, window, percentile):
+    """An unpublished observation must be one that moved nothing: after
+    every operation each row equals ``estimate`` slot for slot, and the
+    table's ``rising`` count equals a recount of its rows."""
+    estimator = ExecutionTimeEstimator(window, percentile)
+    for op in operations:
+        if op[0] == "build":
+            estimator.mu_rows(op[2])[op[1]]
+        else:
+            getattr(estimator, op[0])(*op[1:])
+        for freqs in LADDERS:
+            table = estimator.mu_rows(freqs)
+            for name, row in table.items():
+                assert row == [estimator.estimate(name, f) for f in freqs]
+            assert table.rising == sum(
+                row[j] < row[j + 1]
+                for row in table.values() for j in range(len(row) - 2))

@@ -117,11 +117,12 @@ def test_theory_competitive_structure():
 
 def test_overhead_structure():
     result = figures.polaris_overhead(queue_lengths=(0, 8), repeats=20)
-    assert set(result.micros) == set(result.escalating) == {0, 8}
-    assert all(us > 0 for us in result.micros.values())
-    assert all(us > 0 for us in result.escalating.values())
-    assert "escalating" in result.render()
-    assert "queue length" in result.render()
+    series = (result.micros, result.escalating, result.confirmed)
+    for micros in series:
+        assert set(micros) == {0, 8}
+        assert all(us > 0 for us in micros.values())
+    for column in ("queue length", "escalating", "(cold)", "confirmed"):
+        assert column in result.render()
 
 
 def test_figure_options_env(monkeypatch):

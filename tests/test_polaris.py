@@ -179,6 +179,28 @@ def test_invocation_counters():
     assert scheduler.invocations == 2
 
 
+def test_cell_walk_counts_equal_the_unhinted_walks(monkeypatch):
+    """``invocations`` and ``queue_items_scanned`` are decision outputs:
+    summed over a tiny seed-42 cell's workers they equal the counts
+    recorded at the commit before the walk was hinted, so a hint that
+    moves any walk's exit point fails here (CI's perf guard runs this)."""
+    from repro.harness.experiment import ExperimentConfig, run_experiment
+
+    built, init = [], PolarisScheduler.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(PolarisScheduler, "__init__", recording_init)
+    run_experiment(ExperimentConfig(
+        scheme="polaris", slack=10.0, load_fraction=0.9, workers=4,
+        warmup_seconds=0.3, test_seconds=0.8, seed=42, trace=False))
+    assert len(built) == 4
+    assert (sum(s.invocations for s in built),
+            sum(s.queue_items_scanned for s in built)) == (6608, 9396)
+
+
 # ----------------------------------------------------------------------
 # Variants (Section 6.6)
 # ----------------------------------------------------------------------

@@ -11,10 +11,23 @@ interleaved between selections, requests migrating between schedulers,
 two ladders on one estimator, and a scheduler built after rows and
 trackers already exist.
 
+The walk may start above the floor, one level under the scheduler's
+last answer, when every row is non-increasing below the top level.  The
+licence for that is tested here as properties: the mu vectors are drawn
+falling, rising only at the top slot (the shape real training produces)
+or independent, and mutations break and heal the order mid-sequence, so
+selections are reached that were confirmed from the hint, redone from
+the floor, and never hinted (counted by the test double, below); and
+every selection is repeated with the hint forced to each level in turn,
+because the hint is advice --- no value of it may change an answer.
+
 Schedulers are built with ``sanitize=None`` in the main test, so running
 this file under ``REPRO_SIMSAN=1`` (CI does) also executes the
-``mu-row-fresh`` invariant on every selection.
+``mu-row-fresh``, ``rows-falling`` and ``hint-exact`` invariants on
+every selection.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +78,42 @@ def figure2(frequencies, estimate, now, running, running_elapsed, queue):
     return frequencies[chosen], scanned
 
 
+def counting(scheduler_class):
+    """A test double that records the level each walk starts at, and
+    has the scheduler explain its decisions (for the floor)."""
+
+    class Counting(scheduler_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.trace_decisions = True
+            self.starts = []
+
+        def _walk(self, now, live, mu0, e0, chosen):
+            self.starts.append(chosen)
+            return super()._walk(now, live, mu0, e0, chosen)
+
+    return Counting
+
+
+CountingPolaris = counting(PolarisScheduler)
+CountingFifo = counting(PolarisFifoScheduler)
+
+
+def path_taken(scheduler):
+    """Which way the last selection went: ``unhinted`` (walked from the
+    floor), ``hinted`` (started above it and escalated, so confirmed),
+    or ``redone`` (started above it, never escalated, walked again)."""
+    floor = scheduler.frequencies.index(
+        scheduler.last_decision["floor_ghz"])
+    if scheduler.starts[0] == floor:
+        assert scheduler.starts == [floor]
+        return "unhinted"
+    # simsan's ``hint-exact`` re-derivation is one more floor walk.
+    walks = len(scheduler.starts) - bool(scheduler.sanitize)
+    assert scheduler.starts[1:] == [floor] * (len(scheduler.starts) - 1)
+    return "redone" if walks == 2 else "hinted"
+
+
 class Cell:
     """One scheduler plus the request it is 'running'."""
 
@@ -90,13 +139,26 @@ def assert_rows_fresh(estimator, cells):
                                   for f in freqs]
 
 
-def check_selection(estimator, cell, now, elapsed):
+def check_selection(estimator, cell, now, elapsed, reached=None):
+    """The selection as the scheduler's own hint has it, then with the
+    hint forced to every level: all equal Figure 2, and each other on
+    the whole decision record."""
     scheduler = cell.scheduler
     expected = figure2(scheduler.frequencies, estimator.estimate, now,
                        cell.running, elapsed, list(scheduler.queue))
-    before = scheduler.queue_items_scanned
-    selected = scheduler.select_frequency(now, cell.running, elapsed)
-    assert (selected, scheduler.queue_items_scanned - before) == expected
+    decisions = []
+    for hint in (None, *range(len(scheduler.frequencies))):
+        if hint is not None:
+            scheduler._hint = hint
+        before = scheduler.queue_items_scanned
+        scheduler.starts = []
+        selected = scheduler.select_frequency(now, cell.running, elapsed)
+        assert (selected,
+                scheduler.queue_items_scanned - before) == expected, hint
+        decisions.append(scheduler.last_decision)
+        if reached is not None:
+            reached[path_taken(scheduler)] += 1
+    assert all(decision == decisions[0] for decision in decisions)
 
 
 seconds = st.floats(min_value=0.0, max_value=0.05)
@@ -112,6 +174,12 @@ operation = st.one_of(
     st.tuples(st.just("prime"), st.sampled_from(WORKLOADS),
               st.sampled_from(ALL_FREQS), estimates,
               st.integers(min_value=1, max_value=4)),
+    st.tuples(st.just("fill"), st.sampled_from(WORKLOADS),
+              st.sampled_from(ALL_FREQS),
+              st.lists(estimates, max_size=6)),
+    # Refill every window of one workload with base / f: whatever broke
+    # the falling order of its rows, this heals it.
+    st.tuples(st.just("heal"), st.sampled_from(WORKLOADS), estimates),
     st.tuples(st.just("enqueue"), which, queued),
     st.tuples(st.just("next"), which),
     st.tuples(st.just("migrate"), which, which),
@@ -121,71 +189,98 @@ operation = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(values=st.lists(estimates,
-                       min_size=len(WORKLOADS) * len(ALL_FREQS),
-                       max_size=len(WORKLOADS) * len(ALL_FREQS)),
-       queues=st.lists(st.lists(queued, max_size=16),
-                       min_size=4, max_size=4),
-       operations=st.lists(operation, max_size=40),
-       window=st.integers(min_value=1, max_value=5))
-def test_select_frequency_equals_figure2_under_mutation(values, queues,
-                                                        operations, window):
-    estimator = ExecutionTimeEstimator(window=window, percentile=95.0)
-    # Independent draws per (workload, frequency): the mu vectors are
-    # not monotone in f, which no real training phase produces.
-    slots = iter(values)
-    for name in WORKLOADS:
-        for freq in ALL_FREQS:
-            estimator.observe(name, freq, next(slots))
-    cells = [Cell(PolarisScheduler(LADDER_A, estimator)),
-             Cell(PolarisScheduler(LADDER_A, estimator)),
-             Cell(PolarisScheduler(LADDER_B, estimator)),
-             Cell(PolarisFifoScheduler(LADDER_B, estimator))]
-    for target, requests in zip(cells, queues):
-        for name, arrival, latency in requests:
-            target.scheduler.enqueue(
-                Request(Workload(name, latency), name, arrival, 1.0))
-        check_selection(estimator, target, 0.02, 0.0)
-        target.running = target.scheduler.next_request()
-        check_selection(estimator, target, 0.02, 0.001)
+def shaped(values, shape):
+    """``values`` (one per workload x frequency) rearranged per workload:
+    ``falling`` in frequency; ``top-rises`` falling except that the top
+    slot (2.8 GHz, the last level of both ladders) holds the largest ---
+    NewOrder's trained shape; ``independent`` as drawn, which no real
+    training phase produces."""
+    width = len(ALL_FREQS)
+    for at in range(0, len(values), width):
+        row = values[at:at + width]
+        if shape != "independent":
+            row.sort(reverse=True)
+        if shape == "top-rises":
+            row.append(row.pop(0))
+        yield from row
 
-    def cell(index):
-        return cells[index % len(cells)]
 
-    for op in operations:
-        kind = op[0]
-        if kind == "observe":
-            estimator.observe(*op[1:])
-        elif kind == "prime":
-            estimator.prime(*op[1:])
-        elif kind == "enqueue":
-            _, index, (name, arrival, latency) = op
-            cell(index).scheduler.enqueue(
-                Request(Workload(name, latency), name, arrival, 1.0))
-        elif kind == "next":
-            target = cell(op[1])
+def test_select_frequency_equals_figure2_under_mutation():
+    reached = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(estimates,
+                           min_size=len(WORKLOADS) * len(ALL_FREQS),
+                           max_size=len(WORKLOADS) * len(ALL_FREQS)),
+           shape=st.sampled_from(["falling", "top-rises", "independent"]),
+           queues=st.lists(st.lists(queued, max_size=16),
+                           min_size=4, max_size=4),
+           operations=st.lists(operation, max_size=40),
+           window=st.integers(min_value=1, max_value=5))
+    def run(values, shape, queues, operations, window):
+        estimator = ExecutionTimeEstimator(window=window, percentile=95.0)
+        slots = shaped(values, shape)
+        for name in WORKLOADS:
+            for freq in ALL_FREQS:
+                estimator.observe(name, freq, next(slots))
+        # The argument for the hint never uses EDF order: FIFO too.
+        cells = [Cell(CountingPolaris(LADDER_A, estimator)),
+                 Cell(CountingFifo(LADDER_A, estimator)),
+                 Cell(CountingPolaris(LADDER_B, estimator)),
+                 Cell(CountingFifo(LADDER_B, estimator))]
+        for target, requests in zip(cells, queues):
+            for name, arrival, latency in requests:
+                target.scheduler.enqueue(
+                    Request(Workload(name, latency), name, arrival, 1.0))
+            check_selection(estimator, target, 0.02, 0.0, reached)
             target.running = target.scheduler.next_request()
-        elif kind == "migrate":
-            moved = cell(op[1]).scheduler.next_request()
-            if moved is not None:
-                cell(op[2]).scheduler.enqueue(moved)
-        elif kind == "build-late":
-            # Rows and trackers exist by now; a new scheduler joins the
-            # ladder's table, and one on the other ladder likewise.
-            for ladder in (LADDER_A, LADDER_B):
-                late = Cell(PolarisScheduler(ladder, estimator))
-                donor = cells[0].scheduler.next_request()
-                if donor is not None:
-                    late.scheduler.enqueue(donor)
-                cells.append(late)
-        else:
-            _, index, now, elapsed = op
-            check_selection(estimator, cell(index), now, elapsed)
-        assert_rows_fresh(estimator, cells)
-    for target in cells:
-        check_selection(estimator, target, 0.01, 0.0)
-        check_selection(estimator, target, 0.03, 0.002)
+            check_selection(estimator, target, 0.02, 0.001, reached)
+
+        def cell(index):
+            return cells[index % len(cells)]
+
+        for op in operations:
+            kind = op[0]
+            if kind == "observe":
+                estimator.observe(*op[1:])
+            elif kind == "prime":
+                estimator.prime(*op[1:])
+            elif kind == "fill":
+                estimator.fill(*op[1:])
+            elif kind == "heal":
+                for freq in ALL_FREQS:
+                    estimator.prime(op[1], freq, op[2] / freq, count=window)
+            elif kind == "enqueue":
+                _, index, (name, arrival, latency) = op
+                cell(index).scheduler.enqueue(
+                    Request(Workload(name, latency), name, arrival, 1.0))
+            elif kind == "next":
+                target = cell(op[1])
+                target.running = target.scheduler.next_request()
+            elif kind == "migrate":
+                moved = cell(op[1]).scheduler.next_request()
+                if moved is not None:
+                    cell(op[2]).scheduler.enqueue(moved)
+            elif kind == "build-late":
+                # Rows and trackers exist by now; a new scheduler joins
+                # the ladder's table, and one on the other ladder too.
+                for ladder in (LADDER_A, LADDER_B):
+                    late = Cell(CountingPolaris(ladder, estimator))
+                    donor = cells[0].scheduler.next_request()
+                    if donor is not None:
+                        late.scheduler.enqueue(donor)
+                    cells.append(late)
+            else:
+                _, index, now, elapsed = op
+                check_selection(estimator, cell(index), now, elapsed,
+                                reached)
+            assert_rows_fresh(estimator, cells)
+        for target in cells:
+            check_selection(estimator, target, 0.01, 0.0, reached)
+            check_selection(estimator, target, 0.03, 0.002, reached)
+
+    run()
+    assert reached["hinted"] and reached["redone"] and reached["unhinted"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,8 +291,9 @@ def test_select_frequency_equals_figure2_under_mutation(values, queues,
        now=seconds, scale=st.floats(min_value=0.5, max_value=2.0))
 def test_rowless_estimator_takes_the_same_walk(queue, values, now, scale):
     """An estimator proxy with no ``mu_rows`` (the faults skew wrapper's
-    shape) goes through per-call rows and the same loop; its estimates
-    may move between calls with no observation at all."""
+    shape) goes through per-call rows and the same loop, from the floor
+    every time; its estimates may move between calls with no observation
+    at all."""
 
     class Proxy:
         def __init__(self, inner):
@@ -213,14 +309,17 @@ def test_rowless_estimator_takes_the_same_walk(queue, values, now, scale):
         for freq in LADDER_A:
             inner.observe(name, freq, next(slots))
     proxy = Proxy(inner)
-    target = Cell(PolarisScheduler(LADDER_A, proxy, sanitize=True))
+    target = Cell(CountingPolaris(LADDER_A, proxy, sanitize=True))
     for name, arrival, latency in queue:
         target.scheduler.enqueue(
             Request(Workload(name, latency), name, arrival, 1.0))
     target.running = target.scheduler.next_request()
-    check_selection(proxy, target, now, 0.001)
+    reached = Counter()
+    check_selection(proxy, target, now, 0.001, reached)
     proxy.scale = scale
-    check_selection(proxy, target, now, 0.001)
+    check_selection(proxy, target, now, 0.001, reached)
+    # Per-call snapshot tables are never hinted, whatever the hint says.
+    assert set(reached) == {"unhinted"}
 
 
 def _sanitized_cell():

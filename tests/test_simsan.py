@@ -229,6 +229,58 @@ def test_polaris_sanitized_selection_is_clean():
     assert sched.select_frequency(0.004, None) in POLARIS_FREQUENCIES
 
 
+def _rising_at_level_one(sched):
+    """One queued request, feasible at the floor; then (through the
+    estimator, so every count is right) "w" takes 5 ms at 1.6 GHz ---
+    more than at 1.2 GHz and too long for the request's deadline."""
+    sched.enqueue(Request(Workload("w", 0.004), "t", 0.0, 1.0))
+    assert sched.select_frequency(0.0, None) == POLARIS_FREQUENCIES[0]
+    sched.estimator.prime("w", POLARIS_FREQUENCIES[1], 0.005, count=1000)
+    table = sched.estimator.mu_rows(sched.frequencies)
+    assert table.rising == 1
+    return table
+
+
+def test_polaris_hint_exact_violation_on_an_unlicensed_hint():
+    sched = _scheduler()
+    table = _rising_at_level_one(sched)
+    sched._hint = 2
+    assert sched.select_frequency(0.0, None) == POLARIS_FREQUENCIES[0]
+    # A hand-corrupted counter licenses the start at level 1, where the
+    # request looks infeasible and the walk climbs past the true answer.
+    table.rising = 0
+    sched._hint = 2
+    with pytest.raises(SimulationInvariantError) as exc:
+        sched.select_frequency(0.0, None)
+    assert exc.value.invariant == "hint-exact"
+    assert exc.value.context["level"] == 1
+    assert exc.value.context["literal"] == (0, 1, False)
+    assert exc.value.context["hinted"] == (2, 1, False)
+
+
+def test_polaris_rows_falling_violation_on_a_corrupted_counter():
+    sched = _scheduler()
+    _rising_at_level_one(sched).rising = 0
+    with pytest.raises(SimulationInvariantError) as exc:
+        sched.select_frequency(0.0, None)  # hint 0: walked from the floor
+    assert exc.value.invariant == "rows-falling"
+    assert exc.value.context["counted"] == 0
+    assert exc.value.context["rising"] == [("w", 0)]  # (workload, level)
+
+
+def test_polaris_rows_falling_violation_on_a_row_edited_in_place():
+    sched = _scheduler()
+    sched.enqueue(Request(Workload("w", 1.0), "t", 0.0, 1.0))
+    sched.select_frequency(0.0, None)
+    # Behind the estimator's back: nothing recounted the table.
+    row = sched.estimator.mu_rows(sched.frequencies)["w"]
+    row[3] = row[2] * 2
+    with pytest.raises(SimulationInvariantError) as exc:
+        sched.select_frequency(0.0, None)
+    assert exc.value.invariant == "rows-falling"
+    assert exc.value.context["rising"] == [("w", 2)]
+
+
 # ----------------------------------------------------------------------
 # CPU core invariants
 # ----------------------------------------------------------------------

@@ -26,18 +26,13 @@ def _cfg(options, **overrides):
     return ExperimentConfig(scheme="polaris", **merged)
 
 
-def test_ablation_estimator_percentile(benchmark, figure_options, archive):
+def test_ablation_estimator_percentile(figure_options):
     """p=90 saves more power than p=99 but misses more deadlines."""
-    def run():
-        rows = {}
-        for p in (90.0, 95.0, 99.0):
-            result = run_experiment(_cfg(figure_options,
-                                         estimator_percentile=p))
-            rows[p] = (result.avg_power_watts, result.failure_rate)
-        return rows
-
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
-    archive("ablation_percentile", format_table(
+    rows = {}
+    for p in (90.0, 95.0, 99.0):
+        result = run_experiment(_cfg(figure_options, estimator_percentile=p))
+        rows[p] = (result.avg_power_watts, result.failure_rate)
+    print(format_table(
         ["percentile p", "power (W)", "failure rate"],
         [[p, f"{w:.1f}", f"{f:.3f}"] for p, (w, f) in sorted(rows.items())],
         title="Ablation: estimator percentile (TPC-C medium, slack 10)"))
@@ -45,7 +40,7 @@ def test_ablation_estimator_percentile(benchmark, figure_options, archive):
     assert rows[99.0][1] <= rows[90.0][1] + 0.01  # more conservative misses
 
 
-def test_ablation_estimator_feedback(benchmark, figure_options, archive):
+def test_ablation_estimator_feedback(figure_options):
     """Attribution policy for mixed-frequency runs.
 
     Feeding mixed-frequency measurements back into the per-frequency
@@ -57,15 +52,11 @@ def test_ablation_estimator_feedback(benchmark, figure_options, archive):
     implementation choice.  The bench records both and pins the
     envelope.
     """
-    def run():
-        clean = run_experiment(_cfg(figure_options,
-                                    estimator_mixed_freq_updates=False))
-        polluted = run_experiment(_cfg(figure_options,
-                                       estimator_mixed_freq_updates=True))
-        return clean, polluted
-
-    clean, polluted = benchmark.pedantic(run, iterations=1, rounds=1)
-    archive("ablation_estimator_feedback", format_table(
+    clean = run_experiment(_cfg(figure_options,
+                                estimator_mixed_freq_updates=False))
+    polluted = run_experiment(_cfg(figure_options,
+                                   estimator_mixed_freq_updates=True))
+    print(format_table(
         ["feedback policy", "power (W)", "failure rate"],
         [["single-frequency runs only",
           f"{clean.avg_power_watts:.1f}", f"{clean.failure_rate:.3f}"],
@@ -82,20 +73,16 @@ def test_ablation_estimator_feedback(benchmark, figure_options, archive):
     assert abs(polluted.avg_power_watts - clean.avg_power_watts) < 10.0
 
 
-def test_ablation_transition_latency(benchmark, figure_options, archive):
+def test_ablation_transition_latency(figure_options):
     """POLARIS switches frequency on every arrival/completion, so slow
     switching paths (the sysfs route the paper rejects, ~50+ us) erode
     its advantage; the MSR path (~0) is essentially free."""
-    def run():
-        rows = {}
-        for latency in (0.0, 20e-6, 200e-6):
-            result = run_experiment(_cfg(figure_options,
-                                         transition_latency=latency))
-            rows[latency] = (result.avg_power_watts, result.failure_rate)
-        return rows
-
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
-    archive("ablation_transition_latency", format_table(
+    rows = {}
+    for latency in (0.0, 20e-6, 200e-6):
+        result = run_experiment(_cfg(figure_options,
+                                     transition_latency=latency))
+        rows[latency] = (result.avg_power_watts, result.failure_rate)
+    print(format_table(
         ["switch latency", "power (W)", "failure rate"],
         [[f"{latency * 1e6:.0f} us", f"{w:.1f}", f"{f:.3f}"]
          for latency, (w, f) in sorted(rows.items())],
@@ -105,19 +92,15 @@ def test_ablation_transition_latency(benchmark, figure_options, archive):
     assert rows[200e-6][1] >= rows[0.0][1] - 0.01
 
 
-def test_ablation_window_size(benchmark, figure_options, archive):
+def test_ablation_window_size(figure_options):
     """Sliding-window size S: small windows are noisy, huge ones adapt
     slowly; the paper's S=1000 sits on the flat part of the curve."""
-    def run():
-        rows = {}
-        for window in (50, 1000):
-            result = run_experiment(_cfg(figure_options,
-                                         estimator_window=window))
-            rows[window] = (result.avg_power_watts, result.failure_rate)
-        return rows
-
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
-    archive("ablation_window_size", format_table(
+    rows = {}
+    for window in (50, 1000):
+        result = run_experiment(_cfg(figure_options,
+                                     estimator_window=window))
+        rows[window] = (result.avg_power_watts, result.failure_rate)
+    print(format_table(
         ["window S", "power (W)", "failure rate"],
         [[s, f"{w:.1f}", f"{f:.3f}"] for s, (w, f) in sorted(rows.items())],
         title="Ablation: estimator window size (TPC-C medium, slack 10)"))

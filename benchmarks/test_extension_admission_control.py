@@ -20,23 +20,15 @@ Admission control is a policy for when late answers are worthless; it
 is not a free lunch on the paper's failure metric.
 """
 
-from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.harness.experiment import run_experiment
 from repro.metrics.report import format_table
 
 
-def test_extension_admission_control(benchmark, figure_options, archive):
-    def run():
-        results = {}
-        for scheme in ("polaris", "polaris-shed"):
-            results[scheme] = run_experiment(ExperimentConfig(
-                scheme=scheme, benchmark="tpcc", load_fraction=0.9,
-                slack=10.0, workers=figure_options.workers,
-                warmup_seconds=figure_options.warmup_seconds,
-                test_seconds=figure_options.test_seconds,
-                seed=figure_options.seed))
-        return results
-
-    results = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_extension_admission_control(figure_options):
+    results = {
+        scheme: run_experiment(figure_options.base_config(
+            scheme=scheme, benchmark="tpcc", load_fraction=0.9, slack=10.0))
+        for scheme in ("polaris", "polaris-shed")}
 
     rows = []
     for scheme, result in results.items():
@@ -45,7 +37,7 @@ def test_extension_admission_control(benchmark, figure_options, archive):
         rows.append([scheme, f"{result.avg_power_watts:.1f}",
                      f"{result.failure_rate:.3f}",
                      f"{result.rejected}", f"{late_rate:.3f}"])
-    archive("extension_admission_control", format_table(
+    print(format_table(
         ["scheme", "power (W)", "total failure", "rejected",
          "late rate among completed"],
         rows,

@@ -25,12 +25,10 @@ coupled into one domain under the Linux cpufreq max-of-votes rule
 from repro.harness import figures
 
 
-def test_extension_granularity(benchmark, figure_options, archive):
-    result = benchmark.pedantic(
-        figures.run_figure,
-        args=(figures.FIGURES["granularity"], figure_options),
-        iterations=1, rounds=1)
-    archive("extension_granularity", result.render())
+def test_extension_granularity(figure_options):
+    result = figures.run_figure(figures.FIGURES["granularity"],
+                                figure_options)
+    print(result.render())
 
     assert result.axis(0) == ["polaris", "ondemand", "conservative"]
     assert result.axis(1) == ["per-core", "per-socket"]

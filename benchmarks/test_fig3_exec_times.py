@@ -6,11 +6,9 @@ from repro.harness import figures
 from repro.workloads.tpcc import FIGURE3_AT_1200MHZ, FIGURE3_CALIBRATION
 
 
-def test_fig3_exec_times(benchmark, figure_options, archive):
-    result = benchmark.pedantic(figures.fig3_exec_times,
-                                args=(figure_options,),
-                                iterations=1, rounds=1)
-    archive("fig3_exec_times", result.render())
+def test_fig3_exec_times(figure_options):
+    result = figures.fig3_exec_times(figure_options)
+    print(result.render())
 
     for name, (_mix, mean_s, p95_s) in FIGURE3_CALIBRATION.items():
         m28, p28, m12, p12 = result.rows[name]

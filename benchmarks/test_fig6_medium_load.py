@@ -12,16 +12,18 @@ Shape claims checked (Section 6.2):
   past 40 W as slack loosens.
 """
 
+import dataclasses
+import os
+
 import pytest
 
 from repro.harness import figures
+from repro.harness.profiling import TimingReport
 
 
-def test_fig6_medium_load(benchmark, figure_options, archive):
-    result = benchmark.pedantic(
-        figures.run_figure, args=(figures.FIGURES["fig6"], figure_options),
-        iterations=1, rounds=1)
-    archive("fig6_medium_load", result.render())
+def test_fig6_medium_load(figure_options):
+    result = figures.run_figure(figures.FIGURES["fig6"], figure_options)
+    print(result.render())
 
     polaris_p = result.power("polaris")
     static28_p = result.power("static-2.8")
@@ -55,3 +57,26 @@ def test_fig6_medium_load(benchmark, figure_options, archive):
     loose = {label: result.failure(label)[-1] for label in result.axis(0)}
     assert loose["polaris"] < 0.01
     assert loose["static-2.8"] < 0.02
+
+
+def test_fig6_shares_simulations_and_parallel_beats_serial(figure_options):
+    """Cold-cache fig6 twice.  20 cells run as 8 simulations (a
+    baseline's slack axis is one run, scored four times); jobs=4 is
+    field-for-field identical to serial and strictly faster (skipped on
+    a single-CPU runner).  Engine speed itself is the ledger's
+    ``bench.wall_norm``."""
+    def sweep(jobs):
+        report = TimingReport("fig6-perf-guard", jobs=jobs)
+        options = dataclasses.replace(figure_options, jobs=jobs,
+                                      use_cache=False, report=report)
+        result = figures.run_figure(figures.FIGURES["fig6"], options)
+        return report, [dataclasses.replace(cell, wall_seconds=0.0)
+                        for cell in result.results]
+
+    serial, serial_cells = sweep(1)
+    assert (len(serial.cells), serial.simulations) == (20, 8)
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("single-CPU runner: jobs=4 comparison skipped")
+    pooled, pooled_cells = sweep(4)
+    assert pooled_cells == serial_cells
+    assert pooled.sweep_wall_seconds < serial.sweep_wall_seconds

@@ -18,12 +18,10 @@ flat walk, and confirming must cost less than re-deriving.
 from repro.harness import figures
 
 
-def test_polaris_overhead(benchmark, archive):
-    result = benchmark.pedantic(
-        figures.polaris_overhead,
-        kwargs=dict(queue_lengths=(0, 1, 4, 16, 64, 256), repeats=300),
-        iterations=1, rounds=1)
-    archive("polaris_overhead", result.render())
+def test_polaris_overhead():
+    result = figures.polaris_overhead(
+        queue_lengths=(0, 1, 4, 16, 64, 256), repeats=300)
+    print(result.render())
 
     micros = result.micros
     # Monotone growth with queue depth.

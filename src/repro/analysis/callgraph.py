@@ -108,21 +108,6 @@ class CallGraph:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def reachable_from(self, roots: Iterable[str],
-                       include_ambiguous: bool = True) -> Set[str]:
-        """Every function reachable from ``roots`` (roots included)."""
-        seen: Set[str] = set()
-        stack = list(roots)
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            for site in self.calls_from.get(name, ()):
-                if include_ambiguous or not site.ambiguous:
-                    stack.append(site.callee)
-        return seen
-
     def can_reach(self, sinks: Iterable[str],
                   include_ambiguous: bool = False) -> Set[str]:
         """Every function from which some sink is reachable.

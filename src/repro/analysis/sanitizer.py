@@ -18,12 +18,16 @@ Enabling
   ``true``, ``yes``, ``on``; anything else, including unset, is off).
 * Per instance: ``Simulator(sanitize=True)`` /
   ``PolarisScheduler(..., sanitize=True)`` override the environment in
-  either direction.
+  either direction.  ``run_experiment`` always passes the value its
+  :class:`~repro.harness.experiment.RunFlags` resolved, so inside a run
+  the environment is not consulted; directly built components keep the
+  environment default, which is how ``REPRO_SIMSAN=1 pytest`` sanitizes
+  unit tests.
 
 When the sanitizer is off the hooks reduce to a single pre-resolved
 boolean test (usually hoisted into a local before hot loops), so the
-disabled overhead is indistinguishable from noise --- the
-``test_bench_simsan_*`` microbenchmarks guard this.
+disabled overhead is indistinguishable from noise
+(``tests/test_simsan.py`` counts that no check is entered).
 
 Sanitized runs are byte-identical to unsanitized runs (all checks are
 read-only); the sweep cache nevertheless salts its keys with the
@@ -34,6 +38,7 @@ sanitizer experiment can never be confused with a figure cell.
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Optional
 
 #: Environment variable that switches the sanitizer on globally.
@@ -65,6 +70,7 @@ class SimulationInvariantError(AssertionError):
 
     def __init__(self, invariant: str, message: str, **context: object):
         self.invariant = invariant
+        self.message = message
         self.context = dict(context)
         detail = ", ".join(f"{key}={value!r}"
                            for key, value in sorted(self.context.items()))
@@ -72,6 +78,12 @@ class SimulationInvariantError(AssertionError):
         if detail:
             text = f"{text} ({detail})"
         super().__init__(text)
+
+    def __reduce__(self):
+        # Rebuilt from its own arguments, so a violation raised inside a
+        # sweep worker unpickles in the parent with its context intact.
+        return (partial(type(self), self.invariant, self.message,
+                        **self.context), ())
 
 
 def invariant(condition: bool, name: str, message: str,

@@ -15,7 +15,7 @@ This module provides the two assignment policies the evaluation uses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
 if TYPE_CHECKING:  # type-only: keeps core importable without workloads
     from repro.workloads.base import BenchmarkSpec
@@ -32,10 +32,6 @@ class Workload:
         if self.latency_target <= 0:
             raise ValueError(
                 f"workload {self.name}: latency target must be positive")
-
-    def deadline_for(self, arrival_time: float) -> float:
-        """``d(t) = a(t) + L(c)`` (paper Figure 1)."""
-        return arrival_time + self.latency_target
 
 
 class WorkloadManager:
@@ -95,7 +91,3 @@ class WorkloadManager:
         """
         return cls(Workload(name, target)
                    for name, target in sorted(targets.items()))
-
-    def workload_for_type(self, txn_type: str) -> Optional[Workload]:
-        """Per-type policy lookup (None if no workload carries the name)."""
-        return self._workloads.get(txn_type)

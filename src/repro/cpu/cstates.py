@@ -111,10 +111,3 @@ class CStateModel:
             return 0.0
         deepest = segments[-1][0]
         return deepest.wake_latency_s
-
-    def average_idle_power(self, c1_idle_watts: float,
-                           duration_s: float) -> float:
-        """Mean power over the idle interval (W); C1 power if duration_s=0."""
-        if duration_s <= 0:
-            return c1_idle_watts * self.ladder[0].power_fraction
-        return self.idle_energy(c1_idle_watts, duration_s) / duration_s

@@ -137,8 +137,3 @@ class MsrFile:
             counts = int(joules * (1 << self.esu_exponent))
             return counts & 0xFFFFFFFF  # 32-bit wrapping counter
         raise MsrError(f"read of unsupported MSR {address:#x}")
-
-    def energy_unit_joules(self) -> float:
-        """Joules per energy-status count (from MSR_RAPL_POWER_UNIT)."""
-        esu = (self.read(MSR_RAPL_POWER_UNIT) >> 8) & 0x1F
-        return 1.0 / (1 << esu)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.cpu import calibration
-from repro.cpu.pstates import PStateTable
 
 
 class CorePowerModel:
@@ -53,23 +52,6 @@ class CorePowerModel:
         if busy:
             return self.active_power(freq_ghz)
         return self.idle_power(freq_ghz)
-
-    def validate_monotone(self, table: PStateTable) -> None:
-        """Sanity check: active power must rise with frequency and always
-        exceed idle power at the same operating point."""
-        prev = None
-        for state in table:
-            active = self.active_power(state.freq_ghz)
-            idle = self.idle_power(state.freq_ghz)
-            if active < idle:
-                raise ValueError(
-                    f"active power {active:.2f} W below idle {idle:.2f} W "
-                    f"at {state.freq_ghz} GHz")
-            if prev is not None and active < prev:
-                raise ValueError(
-                    f"active power not monotone at {state.freq_ghz} GHz")
-            prev = active
-
 
 class ServerPowerModel:
     """Whole-server wall power: a static floor plus the sum of core draws.

@@ -81,10 +81,6 @@ class PStateTable:
     def max_freq(self) -> float:
         return self._states[-1].freq_ghz
 
-    def state_for(self, freq_ghz: float) -> PState:
-        """The P-state at exactly ``freq_ghz`` (raises ``KeyError`` if absent)."""
-        return self._by_freq_ghz[freq_ghz]
-
     def __contains__(self, freq_ghz: float) -> bool:
         return freq_ghz in self._by_freq_ghz
 
@@ -126,11 +122,6 @@ class PStateTable:
             if state.freq_ghz <= freq_ghz + 1e-12:
                 return state.freq_ghz
         return self.min_freq
-
-    def step_up(self, freq_ghz: float, steps: int = 1) -> float:
-        """Frequency ``steps`` levels above ``freq_ghz``, clamped to max."""
-        idx = self._index_of(freq_ghz)
-        return self._states[min(idx + steps, len(self._states) - 1)].freq_ghz
 
     def step_down(self, freq_ghz: float, steps: int = 1) -> float:
         """Frequency ``steps`` levels below ``freq_ghz``, clamped to min."""

@@ -2,19 +2,16 @@
 
 The paper reads CPU-only power through the RAPL MSRs as a secondary
 metric next to the wall meter (Section 6.1).  A :class:`RaplPackage`
-groups the cores of one socket and exposes their summed energy; the
-power-limiting side of RAPL (clamping frequency to hold a power cap) is
-also modelled, since Section 2 describes it as the hardware baseline
-POLARIS is contrasted with.
+groups the cores of one socket and exposes their summed energy.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 
 class RaplPackage:
-    """Energy accounting (and optional power capping) for one socket."""
+    """Energy accounting for one socket."""
 
     def __init__(self, package_id: int, cores: Sequence,
                  uncore_watts: float = 0.0):
@@ -26,11 +23,7 @@ class RaplPackage:
         #: controller).  Kept at zero by default; the calibrated core
         #: curves already fold uncore share into per-core idle power.
         self.uncore_watts = uncore_watts
-        self._limit_watts: Optional[float] = None
 
-    # ------------------------------------------------------------------
-    # Measurement
-    # ------------------------------------------------------------------
     def energy_joules(self, now: float) -> float:
         """Package energy consumed up to virtual time ``now`` (J)."""
         return self.uncore_watts * now + \
@@ -47,36 +40,3 @@ class RaplPackage:
         if t1 <= t0:
             raise ValueError("interval must have positive length")
         return (self.energy_joules(t1) - e0) / (t1 - t0)
-
-    # ------------------------------------------------------------------
-    # Power limiting (the in-hardware DVFS baseline of Section 2)
-    # ------------------------------------------------------------------
-    def set_power_limit(self, watts: Optional[float]) -> None:
-        """Install (or clear, with ``None``) a package power cap."""
-        if watts is not None and watts <= 0:
-            raise ValueError("power limit must be positive")
-        self._limit_watts = watts
-
-    @property
-    def power_limit(self) -> Optional[float]:
-        return self._limit_watts
-
-    def enforce_limit(self) -> None:
-        """Step cores down until the instantaneous draw is under the cap.
-
-        Real RAPL runs a hardware control loop; callers (e.g. a periodic
-        sampler in an experiment) invoke this at their chosen cadence.
-        """
-        if self._limit_watts is None:
-            return
-        guard = 0
-        while self.power_watts() > self._limit_watts and guard < 256:
-            stepped = False
-            for core in self.cores:
-                lower = core.pstates.step_down(core.freq)
-                if lower < core.freq:
-                    core.set_frequency(lower)
-                    stepped = True
-            if not stepped:
-                break
-            guard += 1

@@ -89,11 +89,6 @@ class SocketTopology:
             return self.cores_per_module
         return 1
 
-    def domain_index(self, core_id: int) -> int:
-        """Which domain ``core_id`` belongs to (cores group in id order,
-        as Linux numbers ``related_cpus`` within a package)."""
-        return core_id // self.domain_size()
-
     def domain_groups(self, n_cores: int) -> List[Tuple[int, ...]]:
         """Core-id groups for ``n_cores`` cores, ascending; the last
         domain may be partial (an under-populated package)."""

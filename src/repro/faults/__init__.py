@@ -25,7 +25,7 @@ fingerprint, so faulted and healthy results never alias.
 from repro.faults.injector import FaultInjector, SkewedEstimator
 from repro.faults.plan import (
     FAULTS_ENV, BurstSpec, DegradationPolicy, FaultPlan, MsrFaultSpec,
-    SkewSpec, StallSpec, ThrottleSpec, plan_fingerprint, resolve_fault_plan,
+    SkewSpec, StallSpec, ThrottleSpec, resolve_fault_plan,
 )
 from repro.faults.resilience import ResilienceController
 from repro.faults.scenarios import SCENARIOS, scenario_named, scenario_names
@@ -34,6 +34,5 @@ __all__ = [
     "FAULTS_ENV", "BurstSpec", "DegradationPolicy", "FaultInjector",
     "FaultPlan", "MsrFaultSpec", "ResilienceController", "SCENARIOS",
     "SkewSpec", "SkewedEstimator", "StallSpec", "ThrottleSpec",
-    "plan_fingerprint", "resolve_fault_plan", "scenario_named",
-    "scenario_names",
+    "resolve_fault_plan", "scenario_named", "scenario_names",
 ]

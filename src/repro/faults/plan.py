@@ -18,8 +18,8 @@ Enable contract (same shape as simsan / tracing):
 
 Determinism: a plan is part of the experiment's identity.  Two runs
 with the same ``(config, seed, plan)`` are byte-identical; the sweep
-cache salts its keys with :func:`plan_fingerprint` so faulted results
-can never masquerade as healthy ones.
+cache salts its keys with the :meth:`FaultPlan.fingerprint` of the plan
+in force so faulted results can never masquerade as healthy ones.
 
 All times are virtual-clock **seconds**, absolute from simulation start
 (warmup included), matching the engine convention.
@@ -333,12 +333,6 @@ class FaultPlan:
         return bool(self.msr_faults or self.throttles or self.stalls
                     or self.skews)
 
-    def without_degradation(self) -> "FaultPlan":
-        """The same faults with every resilience mechanism disarmed
-        (the no-degradation comparison arm of the resilience figure)."""
-        return replace(self, degradation=DegradationPolicy(),
-                       name=f"{self.name}-bare")
-
     def merged_with(self, other: "FaultPlan") -> "FaultPlan":
         """Union of both plans' faults; ``other``'s degradation policy
         wins wherever it arms a mechanism this plan leaves off."""
@@ -472,20 +466,9 @@ def _load_spec(spec: str) -> FaultPlan:
     return scenario_named(spec)
 
 
-def plan_fingerprint(faults: FaultsLike = None) -> Optional[str]:
-    """Fingerprint of the resolved plan, ``None`` when faults are off.
-
-    The sweep cache mixes this into every key, exactly as it salts the
-    simsan and trace flags: a faulted run can never answer for a
-    healthy cell, and distinct plans never collide.
-    """
-    plan = resolve_fault_plan(faults)
-    return None if plan is None else plan.fingerprint()
-
-
 __all__ = [
     "FAULTS_ENV", "BurstSpec", "DegradationPolicy", "FaultPlan",
     "FaultsLike", "MsrFaultSpec", "NodeCrashSpec", "PartitionSpec",
     "ReplicaLagSpec", "SkewSpec", "StallSpec", "ThrottleSpec",
-    "plan_fingerprint", "resolve_fault_plan",
+    "resolve_fault_plan",
 ]

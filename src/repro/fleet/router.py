@@ -256,11 +256,6 @@ class ClusterRouter:
             for shard in self.shards
             for node in [shard.primary] + shard.replicas}
 
-    def breaker_state(self, node_id: int) -> str:
-        """The node's breaker state (unarmed routers are all closed)."""
-        breaker = self._breakers.get(node_id)
-        return BREAKER_CLOSED if breaker is None else breaker.state
-
     def _breaker_allows(self, node: Node, now_s: float) -> bool:
         if self.policy is None:
             return True

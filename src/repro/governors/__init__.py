@@ -3,8 +3,8 @@
 Reimplementations of the Linux ``cpufreq`` governors the paper compares
 POLARIS against (Section 6.1):
 
-* static governors that pin a core at a fixed frequency (the "2.8 GHz"
-  and "2.4 GHz" baselines, plus performance/powersave);
+* the static governor that pins a core at a fixed frequency (the
+  "2.8 GHz" and "2.4 GHz" baselines);
 * the **OnDemand** dynamic governor: jump to the maximum frequency when
   utilization exceeds ``up_threshold``, otherwise scale the frequency
   proportionally to utilization;
@@ -17,14 +17,13 @@ asymmetry versus POLARIS that the paper is about.
 """
 
 from repro.governors.base import Governor, DynamicGovernor, GovernorSet
-from repro.governors.static import PerformanceGovernor, PowersaveGovernor, UserspaceGovernor
+from repro.governors.static import UserspaceGovernor
 from repro.governors.ondemand import OnDemandGovernor
 from repro.governors.conservative import ConservativeGovernor
 from repro.governors.nonclairvoyant import NonclairvoyantScheduler
 
 __all__ = [
-    "Governor", "DynamicGovernor", "GovernorSet",
-    "PerformanceGovernor", "PowersaveGovernor", "UserspaceGovernor",
+    "Governor", "DynamicGovernor", "GovernorSet", "UserspaceGovernor",
     "OnDemandGovernor", "ConservativeGovernor",
     "NonclairvoyantScheduler",
 ]

@@ -2,36 +2,13 @@
 
 The paper's "2.8 GHz" and "2.4 GHz" baselines set all cores to a fixed
 frequency through the MSRs with ACPI software control disabled
-(Section 6.1).  ``performance`` and ``powersave`` are the two standard
-static cpufreq policies; ``userspace`` accepts an arbitrary grid
-frequency, which is how the fixed-frequency baselines are expressed.
+(Section 6.1).  ``userspace`` accepts an arbitrary grid frequency, which
+is how the fixed-frequency baselines are expressed.
 """
 
 from __future__ import annotations
 
 from repro.governors.base import Governor
-
-
-class PerformanceGovernor(Governor):
-    """Pin the core at its maximum frequency."""
-
-    name = "performance"
-
-    def on_attach(self) -> None:
-        assert self.core is not None
-        self._trace_pin(self.core.pstates.max_freq)
-        self.core.request_frequency(self.core.pstates.max_freq)
-
-
-class PowersaveGovernor(Governor):
-    """Pin the core at its minimum frequency."""
-
-    name = "powersave"
-
-    def on_attach(self) -> None:
-        assert self.core is not None
-        self._trace_pin(self.core.pstates.min_freq)
-        self.core.request_frequency(self.core.pstates.min_freq)
 
 
 class UserspaceGovernor(Governor):
@@ -49,9 +26,3 @@ class UserspaceGovernor(Governor):
                 f"{self.freq_ghz} GHz not on core's P-state grid")
         self._trace_pin(self.freq_ghz)
         self.core.request_frequency(self.freq_ghz)
-
-    def set_speed(self, freq_ghz: float) -> None:
-        """Change the pinned frequency (the sysfs ``scaling_setspeed`` knob)."""
-        self.freq_ghz = freq_ghz
-        if self.core is not None:
-            self.core.request_frequency(freq_ghz)

@@ -19,15 +19,15 @@ same simulation scored against different deadlines run it once), and
 
 from repro.fleet.config import FleetConfig
 from repro.harness.experiment import (
-    ExperimentConfig, ExperimentResult, run_experiment,
+    ExperimentConfig, ExperimentResult, RunFlags, run_experiment,
 )
-from repro.harness.parallel import SweepCache, SweepRunner, run_sweep
+from repro.harness.parallel import SweepCache, SweepRunner
 from repro.harness.profiling import TimingReport
 from repro.harness.schemes import SCHEMES, Scheme, scheme_named
 
 __all__ = [
-    "ExperimentConfig", "ExperimentResult", "FleetConfig",
+    "ExperimentConfig", "ExperimentResult", "FleetConfig", "RunFlags",
     "run_experiment",
-    "SweepCache", "SweepRunner", "run_sweep", "TimingReport",
+    "SweepCache", "SweepRunner", "TimingReport",
     "SCHEMES", "Scheme", "scheme_named",
 ]

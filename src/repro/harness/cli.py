@@ -23,8 +23,8 @@ import sys
 from functools import partial
 from typing import Callable, Dict
 
-from repro.faults.plan import resolve_fault_plan
 from repro.harness import figures
+from repro.harness.experiment import RunFlags
 from repro.harness.parallel import SweepCache, resolve_jobs
 from repro.harness.profiling import TimingReport
 
@@ -85,19 +85,17 @@ def main(argv=None) -> int:
     # usage error (exit 2) rather than a mid-sweep traceback.
     try:
         resolved_jobs = resolve_jobs(args.jobs)
-        options = figures.FigureOptions.from_env()
+        options = figures.FigureOptions(
+            jobs=args.jobs, use_cache=not args.no_cache,
+            trace_dir=args.trace, faults=args.faults)
         for name in ("workers", "test_seconds", "trace_seconds", "seed"):
             if getattr(args, name) is not None:
                 setattr(options, name, getattr(args, name))
         options.validate()
-        if args.faults is not None:
-            resolve_fault_plan(args.faults)
+        # Also loads the fault plan named by --faults (or REPRO_FAULTS).
+        RunFlags.resolve(options.base_config())
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    options.jobs = args.jobs
-    options.use_cache = not args.no_cache
-    options.trace_dir = args.trace
-    options.faults = args.faults
 
     if args.clear_cache:
         removed = SweepCache().clear()

@@ -29,6 +29,7 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.sanitizer import simsan_enabled
 from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.request import Request
 from repro.core.workload import Workload, WorkloadManager
@@ -80,6 +81,10 @@ LOAD_ANCHORS = ((0.0, 0.0), (0.3, 0.27), (0.6, 0.75), (0.9, 0.92),
                 (1.0, 0.97))
 
 
+#: Wall-power meter cadence (paper: one reading per second).
+METER_INTERVAL_S = 1.0
+
+
 def effective_load_fraction(nominal: float) -> float:
     """Map a paper-nominal load fraction onto simulator utilization
     by piecewise-linear interpolation of the calibration anchors."""
@@ -122,16 +127,12 @@ class ExperimentConfig:
     load_trace: Optional[List[float]] = None
     trace_low_fraction: float = 0.3
     trace_high_fraction: float = 0.9
-    #: Fill estimator windows before the test phase (paper's phase 2).
-    train_estimators: bool = True
     #: Ablation: feed mixed-frequency runs back into the estimator (the
     #: naive attribute-to-dispatch-frequency policy; see
     #: PolarisScheduler.update_on_mixed_freq).  Applies to every
     #: scheduler of the cell: each worker of the server, or of every
     #: node of a fleet.
     estimator_mixed_freq_updates: bool = False
-    #: Meter cadence/noise (paper: 1 s, +/-1.5%).
-    meter_interval: float = 1.0
     #: DVFS transition stall for the sensitivity ablation.
     transition_latency: float = 0.0
     #: Power timeline bin width for trace experiments (Figure 10(a)).
@@ -197,8 +198,8 @@ class ExperimentConfig:
              "test_seconds", "must be positive without a load_trace")
         need(self.load_trace is None or len(self.load_trace) > 0,
              "load_trace", "cannot be empty")
-        for name in ("meter_interval", "timeline_bin_seconds"):
-            need(getattr(self, name) > 0, name, "must be positive")
+        need(self.timeline_bin_seconds > 0, "timeline_bin_seconds",
+             "must be positive")
         if self.fleet is not None:
             self.fleet.validate()
 
@@ -414,63 +415,88 @@ class ServerPlant:
                 if self.resilience is not None else {}))
 
 
-def _traces(config: ExperimentConfig) -> bool:
-    """Whether the cell runs traced: ``config.trace`` / ``REPRO_TRACE``
-    decide, and setting ``config.trace_path`` or
-    ``config.trace_series_path`` implies tracing on, since an export
-    was asked for."""
-    want_trace = config.trace
-    if want_trace is None and (config.trace_path
-                               or config.trace_series_path):
-        want_trace = True
-    return trace_enabled(want_trace)
+@dataclass(frozen=True)
+class RunFlags:
+    """The three run switches of one cell, resolved once.
+
+    :func:`run_experiment` builds from this value and nothing inside a
+    run reads the environment; :func:`dynamics_key`, :func:`rescored`
+    and the sweep cache's ``config_key`` hash the same value; a sweep
+    resolves it in the parent and ships it to the worker beside the
+    config.  So the cell that was hashed is the cell that ran.
+    """
+
+    #: Audit simulation invariants while running (simsan).
+    sanitize: bool
+    #: Record the run with ``repro.obs``.
+    trace: bool
+    #: The fault plan in force; ``None`` when the run is healthy.
+    plan: Optional[FaultPlan]
+
+    @classmethod
+    def resolve(cls, config: ExperimentConfig) -> "RunFlags":
+        """An explicit ``config`` field wins over the environment:
+        ``trace`` (implied on by either export path, since an export
+        was asked for) over ``REPRO_TRACE``, ``faults`` over
+        ``REPRO_FAULTS`` (an empty plan forces health); the sanitizer
+        has no field and follows ``REPRO_SIMSAN``.  The only place
+        under ``repro.harness`` that consults those variables."""
+        want_trace = config.trace
+        if want_trace is None and (config.trace_path
+                                   or config.trace_series_path):
+            want_trace = True
+        return cls(sanitize=simsan_enabled(),
+                   trace=trace_enabled(want_trace),
+                   plan=resolve_fault_plan(config.faults))
 
 
-def dynamics_key(config: ExperimentConfig) -> str:
+def dynamics_key(config: ExperimentConfig,
+                 flags: Optional[RunFlags] = None) -> str:
     """Cells with equal keys run the same simulation.
 
     ``slack`` only sets deadlines, so the key drops it for a cell in
     which nothing reads a deadline before the recorder scores a
     completion: the scheme has no in-DBMS scheduler (FIFO dispatch
-    under a governor), no fault plan resolves (the degradation
+    under a governor), no fault plan is in force (the degradation
     controller watches the miss rate), the run is not traced (trace
     arguments and the obs miss counter carry deadlines) and it is not a
     fleet (the shard books score completions too).  Such cells differ
     only in what :func:`rescored` recomputes.  Any other cell keeps
     every field, so only an identical cell shares its key.
     """
+    flags = flags or RunFlags.resolve(config)
     fields = asdict(config)
     if not (scheme_named(config.scheme).uses_scheduler
-            or resolve_fault_plan(config.faults) is not None
-            or _traces(config) or config.fleet is not None):
+            or flags.plan is not None or flags.trace
+            or config.fleet is not None):
         del fields["slack"]
     return json.dumps(fields, sort_keys=True, default=repr)
 
 
 def run_experiment(config: ExperimentConfig,
                    tracer: Optional[Tracer] = None,
-                   recorder: Optional[LatencyRecorder] = None
-                   ) -> ExperimentResult:
+                   recorder: Optional[LatencyRecorder] = None,
+                   flags: Optional[RunFlags] = None) -> ExperimentResult:
     """Execute one cell and return the paper's metrics for it.
 
     The one run loop --- build, drive, collect --- over a single server
     or (``config.fleet`` set) a fleet.  Pass an explicit ``tracer`` to
-    capture the run's trace in-process (otherwise :func:`_traces`
-    decides), and an explicit ``recorder`` to keep the run's completion
-    instants (what :func:`rescored` reads).
+    capture the run's trace in-process (otherwise ``flags.trace``
+    decides), an explicit ``recorder`` to keep the run's completion
+    instants (what :func:`rescored` reads), and the ``flags`` a sweep
+    already resolved for this cell (otherwise they are resolved here).
     """
     wall_start = perf_clock()
     config.validate()
+    flags = flags or RunFlags.resolve(config)
     # -- Build -------------------------------------------------------
     scheme = scheme_named(config.scheme)
     spec = BENCHMARKS[config.benchmark]()
     streams = RandomStreams(config.seed)
-    # repro.faults: resolve the plan up front (config > REPRO_FAULTS >
-    # none); an empty plan resolves to None.
-    plan = resolve_fault_plan(config.faults)
+    plan = flags.plan
     if tracer is None:
-        tracer = Tracer() if _traces(config) else NULL_TRACER
-    sim = Simulator(tracer=tracer)
+        tracer = Tracer() if flags.trace else NULL_TRACER
+    sim = Simulator(sanitize=flags.sanitize, tracer=tracer)
     manager = _build_workloads(config, spec)
     if config.fleet is None:
         plant_class = ServerPlant
@@ -506,16 +532,15 @@ def run_experiment(config: ExperimentConfig,
     factory: Optional[Callable[[], object]] = None
     if scheme.uses_scheduler:
         factory = scheme.make_scheduler_factory(
-            server_config.scheduler_frequencies, estimator)
+            server_config.scheduler_frequencies, estimator, flags.sanitize)
         if config.estimator_mixed_freq_updates:
             def factory(_base=factory):
                 scheduler = _base()
                 scheduler.update_on_mixed_freq = True
                 return scheduler
-        if config.train_estimators:
-            _train_estimator(estimator, manager, spec,
-                             server_config.scheduler_frequencies, config,
-                             streams.get(prefix + "training"))
+        _train_estimator(estimator, manager, spec,
+                         server_config.scheduler_frequencies, config,
+                         streams.get(prefix + "training"))
     governor_sets: List[GovernorSet] = []
 
     def make_server() -> DatabaseServer:
@@ -590,12 +615,11 @@ def run_experiment(config: ExperimentConfig,
             tracer=tracer)
         sampler.start()
 
-    # The meter's cadence is the paper's 1 s, clamped so short test
-    # windows (small-scale tests) still collect several readings.
-    meter_interval = min(config.meter_interval, test_duration / 4.0)
+    # The meter's cadence is the paper's, clamped so short test windows
+    # (small-scale tests) still collect several readings.
     meter = PowerMeter(sim, plant.wall_energy,
                        streams.get(prefix + "meter-noise"),
-                       interval=meter_interval)
+                       interval=min(METER_INTERVAL_S, test_duration / 4.0))
 
     generator.start()
     sim.schedule_at(test_start, meter.start, priority=-10)
@@ -684,15 +708,17 @@ def run_experiment(config: ExperimentConfig,
 
 
 def rescored(result: ExperimentResult, recorder: LatencyRecorder,
-             config: ExperimentConfig) -> ExperimentResult:
-    """What ``run_experiment(config)`` would have returned, given the
-    ``result`` and ``recorder`` of a run with the same
-    :func:`dynamics_key`: the same simulation, scored against
-    ``config``'s latency targets.  Only ``missed``, ``failure_rate``,
-    ``per_workload_failure`` and ``config`` change; every other field
-    is shared with ``result``."""
+             config: ExperimentConfig,
+             flags: Optional[RunFlags] = None) -> ExperimentResult:
+    """What ``run_experiment(config, flags=flags)`` would have
+    returned, given the ``result`` and ``recorder`` of a run with the
+    same :func:`dynamics_key` under those flags: the same simulation,
+    scored against ``config``'s latency targets.  Only ``missed``,
+    ``failure_rate``, ``per_workload_failure`` and ``config`` change;
+    every other field is shared with ``result``."""
     config.validate()
-    if dynamics_key(config) != dynamics_key(result.config):
+    flags = flags or RunFlags.resolve(config)
+    if dynamics_key(config, flags) != dynamics_key(result.config, flags):
         raise ValueError("config does not run the simulation the result "
                          "came from (dynamics keys differ)")
     targets = _build_workloads(config, BENCHMARKS[config.benchmark]())

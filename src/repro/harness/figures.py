@@ -9,16 +9,15 @@ axes) and the sections it prints.  :func:`run_figure` runs any entry
 into a :class:`FigureResult`, whose ``render()`` produces the same
 rows/series the paper reports; the benchmark suite and the CLI print
 these.  ``fig3``/``theory``/``overhead`` are not grids and keep their
-own functions below.  Scaled-down durations keep the full suite
-tractable; set ``REPRO_BENCH_SCALE`` (e.g. ``2.0``) to lengthen the
-measured phases, and ``REPRO_BENCH_WORKERS`` to change the worker/core
-count (16 matches the paper's testbed and the power calibration).
+own functions below.  :class:`FigureOptions`' scaled-down durations
+keep the full suite tractable (the CLI's ``--test-seconds`` /
+``--trace-seconds`` lengthen the measured phases); its 16 workers match
+the paper's testbed and the power calibration.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import random
 from dataclasses import dataclass, field, fields, replace
@@ -31,12 +30,15 @@ from repro.core.polaris import PolarisScheduler
 from repro.core.request import Request
 from repro.core.workload import Workload
 from repro.faults.plan import FaultsLike
-from repro.harness.experiment import ExperimentConfig, ExperimentResult
+from repro.harness.experiment import (
+    ExperimentConfig, ExperimentResult, run_experiment,
+)
 from repro.harness.parallel import SweepRunner
 from repro.harness.profiling import TimingReport, perf_clock
 from repro.harness.schemes import (
     ARENA_SCHEMES, FIGURE_BASELINE_SCHEMES, VARIANT_SCHEMES,
 )
+from repro.metrics.latency import LatencyRecorder
 from repro.metrics.report import (
     availability_record, availability_table, format_series, format_table,
     sparkline,
@@ -51,30 +53,13 @@ from repro.theory.polaris_ideal import polaris_ideal_schedule
 from repro.theory.potential import verify_theorem_4_4
 from repro.theory.yds import yds_energy
 from repro.fleet.config import FleetConfig
-from repro.workloads.tpcc import FIGURE3_AT_1200MHZ, FIGURE3_CALIBRATION
+from repro.workloads.tpcc import FIGURE3_CALIBRATION
 from repro.workloads.traces import (
     normalize, synthesize_diurnal_trace, synthesize_worldcup_trace,
 )
 
 #: Slack values swept in Figures 6-9 and 12.
 DEFAULT_SLACKS = (10, 40, 70, 100)
-
-
-def _env_positive(name: str, cast: Callable[[str], float],
-                  default: float) -> float:
-    """A run-size environment variable, rejected by name unless it is
-    a finite positive number."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        value = cast(raw)
-        if math.isfinite(value) and value > 0:
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"{name} must be a finite positive {cast.__name__}, "
-                     f"got {raw!r}")
 
 
 @dataclass
@@ -100,18 +85,6 @@ class FigureOptions:
     #: repro.faults: scenario name / plan applied to every cell (CLI
     #: ``--faults``), so any figure can be re-run under chaos.
     faults: FaultsLike = None
-
-    @classmethod
-    def from_env(cls) -> "FigureOptions":
-        """Apply REPRO_BENCH_SCALE / REPRO_BENCH_WORKERS overrides;
-        a malformed value raises ``ValueError`` naming its variable."""
-        options = cls()
-        scale = _env_positive("REPRO_BENCH_SCALE", float, 1.0)
-        options.test_seconds *= scale
-        options.trace_seconds = max(30, int(options.trace_seconds * scale))
-        options.workers = _env_positive("REPRO_BENCH_WORKERS", int,
-                                        options.workers)
-        return options
 
     def validate(self) -> None:
         """Reject a run size no cell could run (``ValueError`` naming
@@ -310,7 +283,7 @@ def run_figure(figure: Figure, options: Optional[FigureOptions] = None
     """Run ``figure`` as one batch of independent cells (so the sweep
     runner can fan them out over worker processes) and key the results
     by the cells that produced them."""
-    options = options or FigureOptions.from_env()
+    options = options or FigureOptions()
     keys, configs = zip(*figure.cells(options))
     if len(set(keys)) != len(keys):
         raise ValueError(f"{figure.name}: two cells share a key")
@@ -799,71 +772,27 @@ class Fig3Result:
 def fig3_exec_times(options: Optional[FigureOptions] = None) -> Fig3Result:
     """Regenerate the Figure 3 table by measuring executed transactions.
 
-    Runs the server pinned at 2.8 and then at 1.2 GHz under light load
-    and collects each type's measured execution-time distribution from
-    the latency recorder (a recorder-level run; the figure needs raw
-    exec times, which ExperimentResult summarizes away).
+    Two ordinary cells at light load, the server pinned at 2.8 and at
+    1.2 GHz; each type's measured execution-time distribution is read
+    off the run's latency recorder (the figure needs raw execution
+    times, which ``ExperimentResult`` summarizes away).
     """
-    options = options or FigureOptions.from_env()
-    rows: Dict[str, Tuple[float, float, float, float]] = {}
-    measured: Dict[float, Dict[str, Tuple[float, float]]] = {}
-    combined: Dict[float, Tuple[float, float]] = {}
-    from repro.harness.experiment import BENCHMARKS  # local import
-    from repro.metrics.latency import LatencyRecorder
-    from repro.db.server import DatabaseServer, ServerConfig
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import RandomStreams
-    from repro.workloads.arrivals import OpenLoopGenerator
-    from repro.core.workload import WorkloadManager
-
-    spec = BENCHMARKS["tpcc"]()
+    options = options or FigureOptions()
+    columns: List[Dict[str, Tuple[float, float, int]]] = []
     for freq in (2.8, 1.2):
-        sim = Simulator()
-        # A spawn()-ed child registry: the measurement sim reuses the
-        # canonical stream names below, and without the namespace its
-        # derived seeds would be byte-identical to the main experiment
-        # streams at the same master seed (reprolint RL111) --- Figure 3
-        # would share draw sequences with every sweep cell.  The two
-        # frequency passes still pair (same child seed both times).
-        streams = RandomStreams(options.seed).spawn("fig3-measured")
-        server_config = ServerConfig(workers=options.workers)
-        server = DatabaseServer(sim, server_config, scheduler_factory=None,
-                                initial_freq=freq)
-        manager = WorkloadManager.per_type_with_slack(spec, 1000.0)
         recorder = LatencyRecorder()
-        recorder.recording = True
-        server.add_completion_listener(recorder.on_completion)
-        service_rng = streams.get("service-times")
-
-        def on_arrival(now: float,
-                       _spec=spec, _mgr=manager, _srv=server,
-                       _rng=service_rng, _streams=streams) -> None:
-            txn_type = _spec.choose_type(_streams.get("mix"))
-            workload = _mgr.get(txn_type.name)
-            _srv.submit(Request(workload, txn_type.name, now,
-                                txn_type.service.draw_work(_rng)))
-
-        rate = 0.3 * spec.peak_throughput(options.workers) * (freq / 2.8)
-        generator = OpenLoopGenerator.constant(
-            sim, rate, on_arrival, streams.get("arrivals"))
-        generator.start()
-        sim.run(until=options.test_seconds * 2)
-        per_type: Dict[str, Tuple[float, float]] = {}
-        for txn_type in spec.types:
-            mean, p95, count = recorder.exec_time_stats(txn_type.name, freq)
-            per_type[txn_type.name] = (mean, p95)
-        measured[freq] = per_type
-        mean, p95, _count = recorder.combined_exec_time_stats(freq)
-        combined[freq] = (mean, p95)
-
-    for txn_type in spec.types:
-        m28, p28 = measured[2.8][txn_type.name]
-        m12, p12 = measured[1.2][txn_type.name]
-        rows[txn_type.name] = (m28 * 1e6, p28 * 1e6, m12 * 1e6, p12 * 1e6)
-    rows["Combined"] = (combined[2.8][0] * 1e6, combined[2.8][1] * 1e6,
-                        combined[1.2][0] * 1e6, combined[1.2][1] * 1e6)
-    return Fig3Result(rows)
-
+        run_experiment(
+            options.base_config(benchmark="tpcc", load_fraction=0.3,
+                                scheme=f"static-{freq:.1f}"),
+            recorder=recorder)
+        column = {name: recorder.exec_time_stats(name, freq)
+                  for name in FIGURE3_CALIBRATION}
+        column["Combined"] = recorder.combined_exec_time_stats(freq)
+        columns.append(column)
+    return Fig3Result({
+        name: tuple(seconds * 1e6 for column in columns
+                    for seconds in column[name][:2])
+        for name in columns[0]})
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,8 @@ exploits both properties:
   independent of worker assignment, and the runner returns them in
   submission order --- parallel output is byte-identical to serial.
   Cells cross the process boundary as compact dicts (non-default
-  config fields only) and are submitted in chunks to amortize IPC.
+  config fields only) beside the :class:`RunFlags` the parent resolved
+  for them, and are submitted in chunks to amortize IPC.
 * **Shared dynamics** --- cells whose configs have the same
   :func:`~repro.harness.experiment.dynamics_key` (a governor scheme
   swept over slack: nothing reads a deadline until a completion is
@@ -21,11 +22,11 @@ exploits both properties:
   :func:`~repro.harness.experiment.rescored` from the same run, and
   every member is still cached and returned as its own cell.
 * **Caching** --- each cell's result is stored on disk under a key that
-  hashes the full config dataclass **and** a digest of the
-  :mod:`repro` package's source code.  Re-running a figure only
-  simulates cells whose config changed; editing any source file under
-  ``repro/`` invalidates everything (coarse, but sound --- a stale
-  figure is worse than a re-run).
+  hashes the full config dataclass, the cell's run flags **and** a
+  digest of the :mod:`repro` package's source code.  Re-running a
+  figure only simulates cells whose config changed; editing any source
+  file under ``repro/`` invalidates everything (coarse, but sound --- a
+  stale figure is worse than a re-run).
 
 Worker count resolves ``jobs`` argument > ``REPRO_JOBS`` env >
 ``os.cpu_count()``.  ``jobs=1`` runs serially in-process (no executor),
@@ -51,16 +52,13 @@ import os
 import pickle
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
-from repro.analysis.sanitizer import simsan_enabled
-from repro.faults.plan import plan_fingerprint
-from repro.obs.trace import trace_enabled
 from repro.harness.experiment import (
-    ExperimentConfig, ExperimentResult, dynamics_key, rescored,
+    ExperimentConfig, ExperimentResult, RunFlags, dynamics_key, rescored,
     run_experiment,
 )
 from repro.harness.profiling import TimingReport, perf_clock
@@ -114,8 +112,11 @@ def code_version_salt() -> str:
     return _code_salt_memo
 
 
-def config_key(config: ExperimentConfig, salt: Optional[str] = None) -> str:
-    """Content address of one cell: config fields + code version."""
+def config_key(config: ExperimentConfig, salt: Optional[str] = None,
+               flags: Optional[RunFlags] = None) -> str:
+    """Content address of one cell: config fields + the run flags it
+    resolves to (or was shipped with) + code version."""
+    flags = flags or RunFlags.resolve(config)
     payload = {
         "config": asdict(config),
         "salt": salt if salt is not None else code_version_salt(),
@@ -123,15 +124,14 @@ def config_key(config: ExperimentConfig, salt: Optional[str] = None) -> str:
         # Sanitized runs are byte-identical by contract, but contracts
         # are what simsan exists to doubt: keep their cache entries
         # disjoint so a sanitizer experiment can never feed a figure.
-        "simsan": simsan_enabled(),
+        "simsan": flags.sanitize,
         # Traced runs carry extra diagnostics (trace_events) in their
         # results; same disjointness argument as simsan.
-        "trace": trace_enabled(),
-        # The *resolved* fault plan (config > REPRO_FAULTS > none):
-        # asdict above already covers explicit config.faults values, but
-        # an env-injected plan would otherwise alias the healthy run's
-        # cache entry.
-        "faults": plan_fingerprint(config.faults),
+        "trace": flags.trace,
+        # The plan in force: asdict above already covers an explicit
+        # config.faults, but an env-injected plan would otherwise alias
+        # the healthy run's cache entry.
+        "faults": flags.plan.fingerprint() if flags.plan else None,
     }
     blob = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -187,40 +187,32 @@ class SweepCache:
                     pass
         return removed
 
-    def entry_count(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.rglob("*.pkl"))
+
+#: A cell as the runner handles it: the config and the flags resolved
+#: for it in the parent process.  On the wire the config is the compact
+#: dict of :func:`_config_to_wire`.
+Cell = Tuple[ExperimentConfig, RunFlags]
+WireCell = Tuple[Dict[str, object], RunFlags]
 
 
-def _run_group(configs: Sequence[ExperimentConfig]
-               ) -> List[ExperimentResult]:
+def _run_group(cells: Sequence[Cell]) -> List[ExperimentResult]:
     """One simulation for cells that share a dynamics key: run the
     first, score the others from its recorder.  The simulation's wall
     is split evenly over the group, so cell walls still sum to the
     time spent."""
     recorder = LatencyRecorder()
-    first = run_experiment(configs[0], recorder=recorder)
-    first.wall_seconds /= len(configs)
-    return [first] + [rescored(first, recorder, config)
-                      for config in configs[1:]]
+    config, flags = cells[0]
+    first = run_experiment(config, recorder=recorder, flags=flags)
+    first.wall_seconds /= len(cells)
+    return [first] + [rescored(first, recorder, config, flags)
+                      for config, flags in cells[1:]]
 
 
 # ----------------------------------------------------------------------
 # Persistent worker pool
 # ----------------------------------------------------------------------
-#: Env vars a worker process snapshots when it starts; repro reads them
-#: lazily, but a pool forked under one setting must not serve sweeps
-#: run under another (the sanitizer/trace/fault switches would silently
-#: keep their old values inside reused workers).
-_POOL_ENV_VARS = ("REPRO_SIMSAN", "REPRO_TRACE", "REPRO_FAULTS")
-
 _pool: Optional[ProcessPoolExecutor] = None
-_pool_key: Optional[Tuple[int, Tuple[Optional[str], ...]]] = None
-
-
-def _pool_env_fingerprint() -> Tuple[Optional[str], ...]:
-    return tuple(os.environ.get(name) for name in _POOL_ENV_VARS)
+_pool_workers: Optional[int] = None
 
 
 def _warm_worker() -> None:
@@ -238,26 +230,25 @@ def shared_pool(workers: int) -> ProcessPoolExecutor:
     every sweep after the first (figure after figure in one CLI
     invocation, back-to-back grids in tests) skips process spawn,
     interpreter startup, and the :func:`_warm_worker` warmup.  The pool
-    is keyed on the worker count *and* the :data:`_POOL_ENV_VARS`
-    fingerprint: flipping simsan/trace/faults between sweeps rebuilds
-    it rather than reusing workers with stale environment snapshots.
+    is keyed on the worker count alone: a worker's environment is never
+    consulted, because every cell arrives with the :class:`RunFlags`
+    the parent resolved for it.
     """
-    global _pool, _pool_key
-    key = (workers, _pool_env_fingerprint())
-    if _pool is not None and _pool_key != key:
+    global _pool, _pool_workers
+    if _pool is not None and _pool_workers != workers:
         shutdown_shared_pool()
     if _pool is None:
         _pool = ProcessPoolExecutor(max_workers=workers,
                                     initializer=_warm_worker)
-        _pool_key = key
+        _pool_workers = workers
     return _pool
 
 
 def shutdown_shared_pool() -> None:
-    """Tear down the persistent pool (env change, breakage, interpreter
+    """Tear down the persistent pool (resize, breakage, interpreter
     exit).  Safe to call when no pool exists."""
-    global _pool, _pool_key
-    pool, _pool, _pool_key = _pool, None, None
+    global _pool, _pool_workers
+    pool, _pool, _pool_workers = _pool, None, None
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -268,17 +259,8 @@ atexit.register(shutdown_shared_pool)
 # ----------------------------------------------------------------------
 # Wire format
 # ----------------------------------------------------------------------
-def _config_defaults() -> Dict[str, object]:
-    defaults = {}
-    for f in fields(ExperimentConfig):
-        if f.default is not MISSING:
-            defaults[f.name] = f.default
-        elif f.default_factory is not MISSING:  # type: ignore[misc]
-            defaults[f.name] = f.default_factory()  # type: ignore[misc]
-    return defaults
-
-
-_WIRE_DEFAULTS = _config_defaults()
+#: Field -> default value of :class:`ExperimentConfig`.
+_WIRE_DEFAULTS: Dict[str, object] = vars(ExperimentConfig())
 
 
 def _config_to_wire(config: ExperimentConfig) -> Dict[str, object]:
@@ -296,11 +278,12 @@ def _config_to_wire(config: ExperimentConfig) -> Dict[str, object]:
     return wire
 
 
-def _run_chunk(groups: Sequence[Sequence[Dict[str, object]]]
+def _run_chunk(groups: Sequence[Sequence[WireCell]]
                ) -> List[List[ExperimentResult]]:
     """Worker-side entry point: rebuild each group's compact configs
-    and run it."""
-    return [_run_group([ExperimentConfig(**wire) for wire in wires])
+    and run them under the flags they were shipped with."""
+    return [_run_group([(ExperimentConfig(**wire), flags)
+                        for wire, flags in wires])
             for wires in groups]
 
 
@@ -359,12 +342,17 @@ class SweepRunner:
         cell_seconds = [0.0] * len(configs)
         salt = code_version_salt() if self.use_cache else None
         keys: List[Optional[str]] = [None] * len(configs)
+        # Resolved here, once per cell: the same value is hashed into
+        # the cache and dynamics keys and shipped to whichever process
+        # runs the cell.
+        cells: List[Cell] = [(config, RunFlags.resolve(config))
+                             for config in configs]
 
         misses: List[int] = []
         hits = 0
-        for i, config in enumerate(configs):
+        for i, (config, flags) in enumerate(cells):
             if self.use_cache and _cacheable(config):
-                keys[i] = config_key(config, salt)
+                keys[i] = config_key(config, salt, flags)
                 cached = self.cache.get(keys[i])
                 if cached is not None:
                     results[i] = cached
@@ -381,7 +369,7 @@ class SweepRunner:
         # group is the unit of work on every path below.
         grouped: Dict[str, List[int]] = {}
         for i in misses:
-            grouped.setdefault(dynamics_key(configs[i]), []).append(i)
+            grouped.setdefault(dynamics_key(*cells[i]), []).append(i)
         groups = list(grouped.values())
 
         def finish(group: Sequence[int],
@@ -401,9 +389,9 @@ class SweepRunner:
                         shared=i != group[0])
 
         if self.jobs > 1 and len(groups) > 1:
-            groups = self._run_parallel(configs, groups, finish)
+            groups = self._run_parallel(cells, groups, finish)
         for group in groups:
-            finish(group, _run_group([configs[i] for i in group]))
+            finish(group, _run_group([cells[i] for i in group]))
 
         self.stats = SweepStats(
             cells=len(configs), cache_hits=hits, executed=len(misses),
@@ -418,7 +406,7 @@ class SweepRunner:
             self.report.record_sweep(self.stats.wall_seconds)
         return [r for r in results if r is not None]
 
-    def _run_parallel(self, configs: Sequence[ExperimentConfig],
+    def _run_parallel(self, cells: Sequence[Cell],
                       groups: Sequence[Sequence[int]],
                       finish: Callable[[Sequence[int],
                                         Sequence[ExperimentResult]], None]
@@ -442,7 +430,8 @@ class SweepRunner:
             pool = shared_pool(self.jobs)
             future_chunk = {
                 pool.submit(_run_chunk,
-                            [[_config_to_wire(configs[i]) for i in group]
+                            [[(_config_to_wire(cells[i][0]), cells[i][1])
+                              for i in group]
                              for group in chunk]):
                 chunk for chunk in chunks}
             pending = set(future_chunk)
@@ -477,20 +466,8 @@ class SweepRunner:
         return list(unfinished.values())
 
 
-def run_sweep(configs: Sequence[ExperimentConfig],
-              jobs: Optional[int] = None,
-              use_cache: bool = True,
-              cache_dir: Optional[os.PathLike] = None,
-              report: Optional[TimingReport] = None
-              ) -> List[ExperimentResult]:
-    """One-shot convenience wrapper around :class:`SweepRunner`."""
-    runner = SweepRunner(jobs=jobs, cache_dir=cache_dir,
-                         use_cache=use_cache, report=report)
-    return runner.run(configs)
-
-
 __all__ = [
     "CACHE_DIR_ENV", "DEFAULT_CACHE_DIR", "JOBS_ENV", "SweepCache",
     "SweepRunner", "SweepStats", "code_version_salt", "config_key",
-    "resolve_jobs", "run_sweep", "shared_pool", "shutdown_shared_pool",
+    "resolve_jobs", "shared_pool", "shutdown_shared_pool",
 ]

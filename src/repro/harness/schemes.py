@@ -47,12 +47,16 @@ class Scheme:
         return self.scheduler_class is not None
 
     def make_scheduler_factory(self, frequencies: Tuple[float, ...],
-                               estimator: ExecutionTimeEstimator
+                               estimator: ExecutionTimeEstimator,
+                               sanitize: bool
                                ) -> Callable[[], PolarisScheduler]:
+        """One scheduler per worker; ``sanitize`` is the run's resolved
+        simsan state (a scheduler built directly defaults to the
+        environment instead)."""
         if self.scheduler_class is None:
             raise ValueError(f"scheme {self.name} has no scheduler")
         cls = self.scheduler_class
-        return lambda: cls(frequencies, estimator)
+        return lambda: cls(frequencies, estimator, sanitize=sanitize)
 
 
 def _static(freq: float) -> Scheme:

@@ -224,6 +224,3 @@ class LatencyRecorder:
             return (float("nan"), float("nan"), 0)
         mean = sum(values) / len(values)
         return (mean, percentile(values, 95), len(values))
-
-    def workload_names(self) -> List[str]:
-        return sorted(self.per_workload)

@@ -6,7 +6,7 @@ inherit the simsan flag.  Every recording method bails on a single
 pre-resolved boolean (:attr:`Tracer.enabled`), and hot paths are
 expected to guard with ``if tracer.enabled:`` *before* building
 argument dicts, so the disabled subsystem costs one boolean test at
-most --- the ``test_bench_trace_*`` microbenchmarks pin this down.
+most (``tests/test_obs_trace.py`` counts the engine's tracer calls).
 
 Event model
 -----------
@@ -289,6 +289,9 @@ def resolve_tracer(tracer: Optional[Tracer] = None) -> Tracer:
 
     An explicit instance wins; otherwise ``REPRO_TRACE`` decides
     between a fresh enabled tracer and the shared :data:`NULL_TRACER`.
+    ``run_experiment`` always passes an instance (its ``RunFlags``
+    already decided), so the variable is consulted only for a
+    simulator built directly.
     """
     if tracer is not None:
         return tracer

@@ -44,12 +44,6 @@ def avr_speed_profile(instance: ProblemInstance
     return profile
 
 
-def avr_energy(instance: ProblemInstance, alpha: float = 3.0) -> float:
-    """AVR energy straight from the density-sum profile."""
-    return sum((end - start) * speed ** alpha
-               for start, end, speed in avr_speed_profile(instance))
-
-
 def avr_schedule(instance: ProblemInstance) -> Schedule:
     """AVR's schedule: preemptive EDF over the density-sum profile.
 

@@ -73,10 +73,6 @@ class ProblemInstance:
         return iter(self.jobs)
 
     @property
-    def total_work(self) -> float:
-        return sum(j.work for j in self.jobs)
-
-    @property
     def horizon(self) -> Tuple[float, float]:
         return (min(j.arrival for j in self.jobs),
                 max(j.deadline for j in self.jobs))

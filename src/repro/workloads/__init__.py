@@ -19,12 +19,11 @@ from repro.workloads.base import (
     BenchmarkSpec, ServiceTimeModel, TransactionType, fit_lognormal,
 )
 from repro.workloads.arrivals import OpenLoopGenerator, RateSchedule
-from repro.workloads.traces import scale_trace, synthesize_worldcup_trace
+from repro.workloads.traces import synthesize_worldcup_trace
 from repro.workloads import tpcc, tpce, ycsb
 
 __all__ = [
     "BenchmarkSpec", "ServiceTimeModel", "TransactionType", "fit_lognormal",
-    "OpenLoopGenerator", "RateSchedule",
-    "scale_trace", "synthesize_worldcup_trace",
+    "OpenLoopGenerator", "RateSchedule", "synthesize_worldcup_trace",
     "tpcc", "tpce", "ycsb",
 ]

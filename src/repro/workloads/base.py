@@ -96,11 +96,6 @@ class ServiceTimeModel:
             self._body_mu = math.log(body_mean) - self.BODY_SIGMA ** 2 / 2.0
             self._mu = self._sigma = None  # type: ignore[assignment]
 
-    @property
-    def uses_spike_model(self) -> bool:
-        """Whether the heavy-tail two-component model is in effect."""
-        return self._spike_seconds is not None
-
     def draw_seconds(self, rng: random.Random) -> float:
         """Sample an execution time at the reference frequency.
 
@@ -119,15 +114,6 @@ class ServiceTimeModel:
     def draw_work(self, rng: random.Random) -> float:
         """Sample the transaction's work in giga-cycles."""
         return self.draw_seconds(rng) * self.ref_freq_ghz
-
-    # -- analysis helpers ------------------------------------------------
-    def mean_work(self) -> float:
-        """Expected work in giga-cycles."""
-        return self.mean_seconds * self.ref_freq_ghz
-
-    def expected_seconds_at(self, freq_ghz: float) -> float:
-        """Expected execution time at ``freq_ghz`` (pure 1/f scaling)."""
-        return self.mean_seconds * self.ref_freq_ghz / freq_ghz
 
 
 #: Signature of a functional transaction body: (database, rng, inputs) -> result.

@@ -147,19 +147,3 @@ def normalize(values: Sequence[float]) -> List[float]:
         return [0.5] * len(values)
     span = high - low
     return [(v - low) / span for v in values]
-
-
-def scale_trace(normalized: Sequence[float], low_rate: float,
-                high_rate: float) -> List[float]:
-    """Map a normalized series onto ``[low_rate, high_rate]`` requests/s.
-
-    The paper maps the normalized World Cup fluctuations onto 30%..90%
-    of the measured peak TPC-C throughput (6400..19440 requests/s on
-    its testbed).
-    """
-    if not 0 <= low_rate <= high_rate:
-        raise ValueError("need 0 <= low_rate <= high_rate")
-    bad = [v for v in normalized if not 0.0 <= v <= 1.0]
-    if bad:
-        raise ValueError(f"normalized values outside [0,1]: {bad[:3]}...")
-    return [low_rate + v * (high_rate - low_rate) for v in normalized]

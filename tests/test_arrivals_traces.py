@@ -7,7 +7,7 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.workloads.arrivals import OpenLoopGenerator, RateSchedule
 from repro.workloads.traces import (
-    load_trace, normalize, scale_trace, synthesize_diurnal_trace,
+    load_trace, normalize, synthesize_diurnal_trace,
     synthesize_worldcup_trace,
 )
 
@@ -143,20 +143,6 @@ def test_worldcup_trace_validation():
 def test_normalize():
     assert normalize([2.0, 4.0, 6.0]) == [0.0, 0.5, 1.0]
     assert normalize([5.0, 5.0]) == [0.5, 0.5]
-
-
-def test_scale_trace():
-    scaled = scale_trace([0.0, 0.5, 1.0], 6400.0, 19440.0)
-    assert scaled[0] == pytest.approx(6400.0)
-    assert scaled[1] == pytest.approx((6400.0 + 19440.0) / 2)
-    assert scaled[2] == pytest.approx(19440.0)
-
-
-def test_scale_trace_validation():
-    with pytest.raises(ValueError):
-        scale_trace([0.5], 10.0, 5.0)
-    with pytest.raises(ValueError):
-        scale_trace([1.5], 0.0, 10.0)
 
 
 def test_load_trace_parses_and_normalizes():

@@ -18,7 +18,6 @@ def test_default_ladder_is_c1_only():
 def test_c1_energy_is_linear():
     model = CStateModel()
     assert model.idle_energy(2.0, 0.5) == pytest.approx(1.0)
-    assert model.average_idle_power(2.0, 0.5) == pytest.approx(2.0)
 
 
 def test_deep_ladder_residency_split():
@@ -55,7 +54,6 @@ def test_zero_duration():
     assert model.segments(0.0) == []
     assert model.idle_energy(2.0, 0.0) == 0.0
     assert model.wake_latency(0.0) == 0.0
-    assert model.average_idle_power(2.0, 0.0) == pytest.approx(2.0)
 
 
 def test_negative_duration_rejected():

@@ -43,30 +43,20 @@ def test_nearest_at_least(full_grid):
 
 
 def test_step_up_down(polaris_grid):
-    assert polaris_grid.step_up(1.2) == 1.6
-    assert polaris_grid.step_up(2.8) == 2.8
     assert polaris_grid.step_down(2.8) == 2.4
     assert polaris_grid.step_down(1.2) == 1.2
-    assert polaris_grid.step_up(1.2, steps=2) == 2.0
     assert polaris_grid.step_down(2.8, steps=10) == 1.2
 
 
 def test_step_requires_grid_frequency(polaris_grid):
     with pytest.raises(KeyError):
-        polaris_grid.step_up(1.3)
+        polaris_grid.step_down(1.3)
 
 
 def test_contains_and_len(polaris_grid):
     assert 1.6 in polaris_grid
     assert 1.7 not in polaris_grid
     assert len(polaris_grid) == 5
-
-
-def test_state_for(polaris_grid):
-    state = polaris_grid.state_for(2.0)
-    assert state.freq_ghz == 2.0
-    with pytest.raises(KeyError):
-        polaris_grid.state_for(2.1)
 
 
 def test_empty_table_rejected():

@@ -25,7 +25,7 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from pinned_cells import fingerprint
+from pinned import fingerprint
 
 from repro.fleet import FleetConfig
 from repro.fleet.experiment import FleetPlant
@@ -161,7 +161,6 @@ def test_slack_only_rescores_a_governor_cell(scheme):
     ("test_seconds", 0.0),
     ("test_seconds", -1.0),
     ("load_trace", []),
-    ("meter_interval", 0.0),
     ("timeline_bin_seconds", 0.0),
     ("timeline_bin_seconds", -5.0),
 ])

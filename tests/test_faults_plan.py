@@ -9,7 +9,7 @@ from repro.faults import plan as plan_module
 from repro.faults.plan import (
     FAULTS_ENV, BurstSpec, DegradationPolicy, FaultPlan, MsrFaultSpec,
     NodeCrashSpec, PartitionSpec, ReplicaLagSpec, SkewSpec, StallSpec,
-    ThrottleSpec, plan_fingerprint, resolve_fault_plan,
+    ThrottleSpec, resolve_fault_plan,
 )
 from repro.faults.scenarios import (
     FLEET_SCENARIOS, SCENARIOS, fleet_scenario_names, scenario_named,
@@ -119,13 +119,6 @@ def test_fingerprint_stable_and_content_sensitive():
         == plan.fingerprint()
 
 
-def test_without_degradation_keeps_faults_disarms_policy():
-    bare = _sample_plan().without_degradation()
-    assert bare.msr_faults == _sample_plan().msr_faults
-    assert not bare.degradation.any_enabled
-    assert bare.name == "kitchen-sink-bare"
-
-
 def test_merged_with_unions_faults():
     merged = scenario_named("burst").merged_with(scenario_named("brownout"))
     assert len(merged.bursts) == 1
@@ -148,14 +141,12 @@ def test_merged_with_right_side_wins_armed_knobs():
 def test_resolve_off_by_default(monkeypatch):
     monkeypatch.delenv(FAULTS_ENV, raising=False)
     assert resolve_fault_plan(None) is None
-    assert plan_fingerprint(None) is None
 
 
 def test_resolve_env_scenario(monkeypatch):
     monkeypatch.setenv(FAULTS_ENV, "burst")
     plan = resolve_fault_plan(None)
     assert plan is not None and plan.name == "burst"
-    assert plan_fingerprint(None) == plan.fingerprint()
 
 
 def test_explicit_plan_overrides_env(monkeypatch):
@@ -267,7 +258,8 @@ def test_fleet_faults_show_in_the_tier_predicates():
     server = scenario_named("brownout")
     assert server.has_server_faults and not server.has_fleet_faults
     # Bursts are load-side: they run at either tier.
-    burst_only = scenario_named("burst").without_degradation()
+    burst_only = dataclasses.replace(scenario_named("burst"),
+                                     degradation=DegradationPolicy())
     assert not burst_only.has_fleet_faults
     assert not burst_only.has_server_faults
 

@@ -1,6 +1,7 @@
 """Graceful degradation: DVFS retry, watchdog migration, shedding, panic."""
 
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -227,8 +228,8 @@ def test_dying_core_degradation_beats_bare_polaris():
                 slack=40.0, workers=2, warmup_seconds=0.3,
                 test_seconds=1.0, seed=5)
     degraded = run_experiment(ExperimentConfig(faults=plan, **base))
-    bare = run_experiment(
-        ExperimentConfig(faults=plan.without_degradation(), **base))
+    bare = run_experiment(ExperimentConfig(
+        faults=replace(plan, degradation=DegradationPolicy()), **base))
     assert degraded.degradation_actions["quarantine"] == 1
     assert bare.degradation_actions == {}
     assert bare.lost > 0  # the dead core strands its queue

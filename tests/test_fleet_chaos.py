@@ -1,7 +1,7 @@
 """Chaos acceptance cells: crash-per-shard failover under pins.
 
 The PR 9 acceptance claim (goldens in ``tests/data/pinned_chaos.json``,
-regenerate with ``PYTHONPATH=src python tests/pinned_chaos.py --write``):
+regenerate with ``PYTHONPATH=src python tests/pinned.py --write chaos``):
 under the seeded ``shard-crash`` plan (every primary fail-stops at
 1.5 s) on the same diurnal trace the PR 8 frontier is pinned on, the
 failover-enabled elastic fleet ends with zero unserved shards and a
@@ -10,33 +10,27 @@ point, the no-failover baseline ends with every shard's write path
 down and availability near zero, and same-seed reruns produce a
 byte-identical failover timeline.
 
-Everything here is marked ``chaos`` so CI can run the suite in a
-dedicated job under ``REPRO_SIMSAN=1``.
+Everything here is marked ``chaos`` (``pytest -m chaos`` runs just these
+cells); CI's sanitized tier-1 run audits the fleet books through them.
 """
 
-import json
 import os
 import sys
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from pinned_chaos import (
-    DATA_PATH, failover_cell, fingerprint, no_failover_cell, pinned_grid,
+from pinned import (
+    assert_pinned, elastic_cell, failover_cell, fingerprint, load_pins,
+    no_failover_cell, pinned_grid,
 )
-from pinned_fleet import elastic_cell
 
 from repro.harness.experiment import run_experiment
 
 pytestmark = pytest.mark.chaos
 
 
-def _load_pins():
-    with open(DATA_PATH) as handle:
-        return json.load(handle)
-
-
-PINS = _load_pins()
+GRID = pinned_grid("chaos")
 
 #: Both pinned cells run two shards with one replica each.
 SHARDS = 2
@@ -62,24 +56,23 @@ def healthy_result():
 # Pinned fingerprints and determinism
 # ----------------------------------------------------------------------
 def test_pins_cover_the_grid():
-    assert set(PINS) == set(pinned_grid())
+    assert set(load_pins("chaos")) == set(GRID)
 
 
-@pytest.mark.parametrize("label", sorted(pinned_grid()))
+@pytest.mark.parametrize("label", sorted(GRID))
 def test_cell_matches_pinned_fingerprint(
         label, failover_result, no_failover_result):
     cached = {"chaos-failover-diurnal": failover_result,
               "chaos-no-failover-diurnal": no_failover_result}
-    result = cached[label]
-    assert fingerprint(result) == PINS[label], (
-        f"chaos cell {label} diverged from its pinned fingerprint")
+    assert_pinned(label, cached[label], "chaos")
 
 
 def test_same_seed_rerun_gives_byte_identical_failover_timeline(
         failover_result):
     rerun = run_experiment(failover_cell())
     assert rerun.failover_timeline == failover_result.failover_timeline
-    assert fingerprint(rerun) == fingerprint(failover_result)
+    assert fingerprint(rerun, "chaos") \
+        == fingerprint(failover_result, "chaos")
 
 
 # ----------------------------------------------------------------------

@@ -2,21 +2,21 @@
 
 The acceptance claim this file pins (goldens in
 ``tests/data/pinned_fleet.json``, regenerate with
-``PYTHONPATH=src python tests/pinned_fleet.py --write``): on the
+``PYTHONPATH=src python tests/pinned.py --write fleet``): on the
 1000x-scaled diurnal trace, the elastic fleet's mean power is strictly
 below the static peak-provisioned fleet's at equal-or-better per-shard
 deadline-miss rates, and same-seed runs are bit-identical.
 """
 
-import json
 import os
 import sys
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from pinned_fleet import (
-    DATA_PATH, elastic_cell, fingerprint, pinned_grid, static_peak_cell,
+from pinned import (
+    assert_pinned, elastic_cell, fingerprint, load_pins, pinned_grid,
+    static_peak_cell,
 )
 
 from repro.fleet import FleetConfig
@@ -24,12 +24,7 @@ from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.parallel import config_key
 
 
-def _load_pins():
-    with open(DATA_PATH) as handle:
-        return json.load(handle)
-
-
-PINS = _load_pins()
+GRID = pinned_grid("fleet")
 
 
 @pytest.fixture(scope="module")
@@ -83,22 +78,21 @@ def test_no_requests_lost(elastic_result, static_peak_result):
 
 
 def test_elastic_rerun_is_bit_identical(elastic_result):
-    assert fingerprint(run_experiment(elastic_cell())) \
-        == fingerprint(elastic_result)
+    assert fingerprint(run_experiment(elastic_cell()), "fleet") \
+        == fingerprint(elastic_result, "fleet")
 
 
 def test_pins_cover_the_grid():
-    assert set(PINS) == set(pinned_grid())
+    assert set(load_pins("fleet")) == set(GRID)
 
 
-@pytest.mark.parametrize("label", sorted(pinned_grid()))
+@pytest.mark.parametrize("label", sorted(GRID))
 def test_cell_matches_pinned_fingerprint(
         label, elastic_result, static_peak_result):
     cached = {"fleet-elastic-diurnal": elastic_result,
               "fleet-static-peak-diurnal": static_peak_result}
-    result = cached.get(label) or run_experiment(pinned_grid()[label])
-    assert fingerprint(result) == PINS[label], (
-        f"fleet cell {label} diverged from its pinned fingerprint")
+    assert_pinned(label, cached.get(label) or run_experiment(GRID[label]),
+                  "fleet")
 
 
 # ----------------------------------------------------------------------

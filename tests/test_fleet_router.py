@@ -241,7 +241,7 @@ def test_armed_router_sheds_after_the_retry_budget(sim):
     # The four consecutive write failures also tripped the primary's
     # breaker (threshold 3).
     assert router.breaker_trips == 1
-    assert router.breaker_state(0) == BREAKER_OPEN
+    assert router._breakers[0].state == BREAKER_OPEN
 
 
 def test_flush_pending_retries_closes_the_books(sim):

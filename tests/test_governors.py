@@ -7,9 +7,7 @@ from repro.cpu.pstates import XEON_E5_2640V3_PSTATES
 from repro.governors.base import DynamicGovernor, GovernorSet
 from repro.governors.conservative import ConservativeGovernor
 from repro.governors.ondemand import OnDemandGovernor
-from repro.governors.static import (
-    PerformanceGovernor, PowersaveGovernor, UserspaceGovernor,
-)
+from repro.governors.static import UserspaceGovernor
 from repro.sim.engine import Simulator
 
 
@@ -31,25 +29,11 @@ def keep_busy(sim, core, fraction, period=0.002, until=1.0):
 # ----------------------------------------------------------------------
 # Static governors
 # ----------------------------------------------------------------------
-def test_performance_pins_max(sim):
-    core = make_core(sim, freq=1.2)
-    PerformanceGovernor().attach(core, sim)
-    assert core.freq == 2.8
-
-
-def test_powersave_pins_min(sim):
-    core = make_core(sim, freq=2.8)
-    PowersaveGovernor().attach(core, sim)
-    assert core.freq == 1.2
-
-
 def test_userspace_pins_requested(sim):
     core = make_core(sim)
     governor = UserspaceGovernor(2.4)
     governor.attach(core, sim)
     assert core.freq == 2.4
-    governor.set_speed(1.6)
-    assert core.freq == 1.6
 
 
 def test_userspace_requires_grid_frequency(sim):
@@ -213,7 +197,7 @@ def test_sampling_period_validation():
 
 def test_governor_set_attaches_one_per_core(sim):
     cores = [Core(sim, i, XEON_E5_2640V3_PSTATES) for i in range(3)]
-    group = GovernorSet(PowersaveGovernor)
+    group = GovernorSet(lambda: UserspaceGovernor(1.2))
     group.attach_all(cores, sim)
     assert all(c.freq == 1.2 for c in cores)
     assert len(group.governors) == 3

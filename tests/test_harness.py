@@ -1,9 +1,14 @@
 """Experiment harness: configuration, phases, paired comparisons."""
 
+import random
+
 import pytest
 
+from repro.core.estimator import ExecutionTimeEstimator
+from repro.cpu.pstates import POLARIS_FREQUENCIES
 from repro.harness.experiment import (
-    ExperimentConfig, effective_load_fraction, run_experiment,
+    BENCHMARKS, ExperimentConfig, _build_workloads, _train_estimator,
+    effective_load_fraction, run_experiment,
 )
 from repro.harness.schemes import (
     FIGURE_BASELINE_SCHEMES, SCHEMES, VARIANT_SCHEMES, scheme_named,
@@ -107,15 +112,25 @@ def test_load_trace_drives_rates():
 
 
 def test_training_phase_fills_estimator_windows():
-    tight = ExperimentConfig(scheme="polaris", slack=10.0,
-                             train_estimators=True, **FAST)
-    cold = ExperimentConfig(scheme="polaris", slack=10.0,
-                            train_estimators=False, **FAST)
-    trained = run_experiment(tight)
-    untrained = run_experiment(cold)
-    # Cold-start exploration begins at the lowest frequency (paper
-    # Section 6.1) and misses more deadlines early on.
-    assert untrained.failure_rate >= trained.failure_rate
+    """Phase 2 (Section 6.1): every (workload, frequency) window is
+    full before the test phase, so POLARIS never starts cold."""
+    config = ExperimentConfig(scheme="polaris", estimator_window=50, **FAST)
+    spec = BENCHMARKS[config.benchmark]()
+    manager = _build_workloads(config, spec)
+    estimator = ExecutionTimeEstimator(config.estimator_window,
+                                       config.estimator_percentile)
+    _train_estimator(estimator, manager, spec, POLARIS_FREQUENCIES, config,
+                     random.Random(1))
+    assert estimator.pairs() == sorted(
+        (workload.name, freq) for workload in manager.workloads
+        for freq in POLARIS_FREQUENCIES)
+    assert all(estimator.observation_count(name, freq) == 50
+               for name, freq in estimator.pairs())
+    # Slower clocks take longer: the trained ladder falls with frequency.
+    for workload in manager.workloads:
+        estimates = [estimator.estimate(workload.name, freq)
+                     for freq in POLARIS_FREQUENCIES]
+        assert estimates == sorted(estimates, reverse=True)
 
 
 def test_high_slack_reduces_failures():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from pinned_cells import fingerprint
+from pinned import fingerprint
 
 from repro.fleet import FleetConfig
 from repro.harness.experiment import (
@@ -17,7 +17,6 @@ from repro.harness.experiment import (
 from repro.harness.figures import FIGURES, FigureOptions, run_figure
 from repro.harness.parallel import (
     SweepCache, SweepRunner, code_version_salt, config_key, resolve_jobs,
-    run_sweep,
 )
 from repro.harness.profiling import TimingReport
 from repro.harness.schemes import SCHEMES
@@ -34,6 +33,10 @@ def small_grid():
     return [ExperimentConfig(scheme=scheme, slack=slack, **FAST)
             for scheme in ("polaris", "static-2.8")
             for slack in (10.0, 70.0)]
+
+
+def sweep(configs, jobs):
+    return SweepRunner(jobs=jobs, use_cache=False).run(configs)
 
 
 def comparable(result):
@@ -111,10 +114,9 @@ def test_cache_roundtrip_and_clear(tmp_path):
     restored = cache.get(key)
     assert restored is not None
     assert comparable(restored) == comparable(result)
-    assert cache.entry_count() == 1
     assert cache.clear() == 1
     assert cache.get(key) is None
-    assert cache.entry_count() == 0
+    assert cache.clear() == 0
 
 
 def test_cache_tolerates_corrupt_entry(tmp_path):
@@ -221,20 +223,26 @@ def test_parallel_matches_serial_cell_for_cell(tmp_path):
     """The Fig. 6-shaped equivalence the tentpole promises: a (scheme x
     slack) grid run with jobs=2 is value-identical to jobs=1."""
     grid = small_grid()
-    serial = run_sweep(grid, jobs=1, use_cache=False)
-    parallel = run_sweep(grid, jobs=2, use_cache=False)
+    serial = sweep(grid, jobs=1)
+    parallel = sweep(grid, jobs=2)
     assert len(serial) == len(parallel) == len(grid)
     for s, p in zip(serial, parallel):
         assert comparable(s) == comparable(p)
 
 
 def test_parallel_populates_cache_for_serial(tmp_path):
-    """Cache entries are execution-mode agnostic."""
+    """Cache entries are execution-mode agnostic, and a cached re-run
+    returns what the pooled run computed."""
     grid = small_grid()
-    run_sweep(grid, jobs=2, cache_dir=tmp_path / "c")
-    runner = SweepRunner(jobs=1, cache_dir=tmp_path / "c")
-    runner.run(grid)
-    assert runner.stats.cache_hits == len(grid)
+    pooled = SweepRunner(jobs=2, cache_dir=tmp_path / "c")
+    first = pooled.run(grid)
+    assert pooled.stats.executed == len(grid)
+    for jobs in (2, 1):
+        runner = SweepRunner(jobs=jobs, cache_dir=tmp_path / "c")
+        again = runner.run(grid)
+        assert runner.stats.cache_hits == len(grid)
+        assert [comparable(r) for r in again] \
+            == [comparable(r) for r in first]
 
 
 def test_slack_sweep_parallel_render_identical(tmp_path):
@@ -409,8 +417,7 @@ def test_invalid_derived_cell_raises_as_standalone(bad_first):
     with pytest.raises(ValueError, match="slack") as standalone:
         run_experiment(bad)
     with pytest.raises(ValueError, match="slack") as swept:
-        run_sweep([bad, good] if bad_first else [good, bad], jobs=1,
-                  use_cache=False)
+        sweep([bad, good] if bad_first else [good, bad], jobs=1)
     assert str(swept.value) == str(standalone.value)
 
 
@@ -439,30 +446,8 @@ def test_report_counts_a_shared_simulation_once():
 
 
 # ----------------------------------------------------------------------
-# persistent pool
+# persistent pool (reuse across sweeps: tests/test_run_flags.py)
 # ----------------------------------------------------------------------
-def test_shared_pool_reused_and_keyed_on_env(monkeypatch):
-    from repro.harness import parallel as par
-    par.shutdown_shared_pool()
-    monkeypatch.delenv("REPRO_SIMSAN", raising=False)
-    pool = par.shared_pool(2)
-    try:
-        # Same worker count, same env: the very same executor object.
-        assert par.shared_pool(2) is pool
-        # Flipping a snapshot-at-fork env var must rebuild the pool:
-        # reused workers would otherwise simulate under stale settings.
-        monkeypatch.setenv("REPRO_SIMSAN", "1")
-        rebuilt = par.shared_pool(2)
-        assert rebuilt is not pool
-        # A different worker count rebuilds too.
-        monkeypatch.delenv("REPRO_SIMSAN")
-        assert par.shared_pool(3) is not rebuilt
-    finally:
-        par.shutdown_shared_pool()
-    # Shutdown is idempotent.
-    par.shutdown_shared_pool()
-
-
 def test_config_wire_roundtrip():
     from repro.harness.parallel import _config_to_wire
     config = ExperimentConfig(scheme="static-1.2", slack=10.0, **FAST)
@@ -489,7 +474,7 @@ def test_broken_pool_degrades_to_serial(tmp_path, monkeypatch):
     runner = SweepRunner(jobs=2, cache_dir=tmp_path / "c")
     degraded = runner.run(grid)
     assert runner.stats.executed == len(grid)
-    serial = run_sweep(grid, jobs=1, use_cache=False)
+    serial = sweep(grid, jobs=1)
     assert [comparable(r) for r in degraded] \
         == [comparable(r) for r in serial]
 
@@ -522,13 +507,13 @@ def test_broken_pool_reruns_only_unfinished(tmp_path, monkeypatch):
     grid = [ExperimentConfig(scheme=scheme, slack=slack, **UNTRACED)
             for slack in (10.0, 70.0)
             for scheme in ("static-2.8", "polaris")]
-    serial = run_sweep(grid, jobs=1, use_cache=False)
+    serial = sweep(grid, jobs=1)
     ran = []
     real_run_group = par._run_group
 
-    def counting_run_group(configs):
-        ran.append([(c.scheme, c.slack) for c in configs])
-        return real_run_group(configs)
+    def counting_run_group(cells):
+        ran.append([(c.scheme, c.slack) for c, _flags in cells])
+        return real_run_group(cells)
 
     monkeypatch.setattr(par, "_run_group", counting_run_group)
     for lands in (1, 3):

@@ -119,7 +119,7 @@ def test_recorder_failure_rates():
     assert recorder.failure_rate == 0.5
     assert recorder.workload_failure_rate("w") == 0.5
     assert recorder.workload_failure_rate("other") == 0.0
-    assert recorder.workload_names() == ["w"]
+    assert list(recorder.per_workload) == ["w"]
 
 
 def test_recorder_ignores_when_not_recording():

@@ -76,6 +76,43 @@ def test_disabled_tracer_returns_null_track_and_records_nothing():
     assert tracer.finalize(2.0) == 0
 
 
+def test_engine_touches_the_tracer_at_run_boundaries_only(monkeypatch):
+    """Tracing costs the event loop nothing per event, by structure:
+    disabled, no ``Tracer.instant`` call fires; enabled, exactly two per
+    ``run()`` (begin + end) whatever the tick count."""
+    from repro.sim.engine import Simulator
+
+    calls = []
+    original = Tracer.instant
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tracer, "instant", counting)
+
+    def run_ticks(tracer, ticks):
+        sim = Simulator(tracer=tracer)
+        count = [0]
+
+        def tick():
+            count[0] += 1
+            if count[0] < ticks:
+                sim.schedule(1e-6, tick)
+
+        sim.schedule(0.0, tick)
+        sim.run()
+        return count[0]
+
+    assert run_ticks(NULL_TRACER, 10000) == 10000
+    assert calls == [] and len(NULL_TRACER.events) == 0
+    enabled = Tracer()
+    run_ticks(enabled, 100)
+    assert len(calls) == 2
+    run_ticks(enabled, 10000)
+    assert len(calls) == 4
+
+
 # ----------------------------------------------------------------------
 # Recording
 # ----------------------------------------------------------------------

@@ -27,8 +27,9 @@ def test_every_scheme_is_constructible_and_consistently_named():
             != (scheme.governor_factory is None), name
         if scheme.uses_scheduler:
             scheduler = scheme.make_scheduler_factory(
-                POLARIS_FREQUENCIES, estimator)()
+                POLARIS_FREQUENCIES, estimator, sanitize=True)()
             assert isinstance(scheduler, PolarisScheduler), name
+            assert scheduler.sanitize, name
             assert scheduler.name == name, \
                 f"scheduler class of {name!r} says {scheduler.name!r}"
             assert scheduler.select_frequency(0.0, None) \

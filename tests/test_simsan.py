@@ -151,6 +151,37 @@ def test_engine_sanitized_run_is_clean():
     sim.sanitize_check()  # drained engine still satisfies everything
 
 
+def _chain_of_ticks(sim, ticks):
+    count = [0]
+
+    def tick():
+        count[0] += 1
+        if count[0] < ticks:
+            sim.schedule(1e-6, tick)
+
+    sim.schedule(0.0, tick)
+    sim.run()
+    return count[0]
+
+
+def test_engine_sanitizer_off_is_a_noop(monkeypatch):
+    """Disabled, the hooks are dead branches: ``sanitize_check`` is
+    never entered, so the only cost left is one pre-resolved boolean
+    test per event.  Proven by counting calls, not by timing."""
+    calls = []
+    original = Simulator.sanitize_check
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(Simulator, "sanitize_check", counting)
+    assert _chain_of_ticks(Simulator(sanitize=False), 10000) == 10000
+    assert calls == []
+    _chain_of_ticks(Simulator(sanitize=True), 100)
+    assert calls  # and they do fire when enabled
+
+
 def test_engine_compaction_checked_under_sanitizer():
     sim = Simulator(sanitize=True)
     events = [sim.schedule(1.0 + i * 1e-3, lambda: None)

@@ -37,8 +37,6 @@ def test_topology_per_socket_groups():
                                           tuple(range(8, 16))]
     # An under-populated last package.
     assert topology.domain_groups(10) == [tuple(range(8)), (8, 9)]
-    assert topology.domain_index(7) == 0
-    assert topology.domain_index(8) == 1
 
 
 def test_topology_per_module_groups():

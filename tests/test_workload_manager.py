@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.core.request import Request
 from repro.core.workload import Workload, WorkloadManager
 from repro.workloads import tpcc
 
 
 def test_workload_deadline():
+    """``d(t) = a(t) + L(c)`` (paper Figure 1)."""
     workload = Workload("w", 0.010)
-    assert workload.deadline_for(2.5) == pytest.approx(2.510)
+    assert Request(workload, "t", 2.5, 1e-3).deadline \
+        == pytest.approx(2.510)
 
 
 def test_workload_target_validation():
@@ -61,5 +64,7 @@ def test_tiers_policy():
 def test_workload_for_type():
     spec = tpcc.make_spec(include_bodies=False)
     manager = WorkloadManager.per_type_with_slack(spec, slack=10.0)
-    assert manager.workload_for_type("Payment").name == "Payment"
-    assert manager.workload_for_type("nope") is None
+    assert manager.get("Payment").name == "Payment"
+    assert "nope" not in manager
+    with pytest.raises(KeyError):
+        manager.get("nope")

@@ -365,7 +365,7 @@ class _FunctionAnalyzer:
         elif not self.collect and self._is_self_attr(target):
             # Signature pass: learn instance-attribute units from what
             # the class's own methods assign (``self.interval = 1.0``
-            # teaches nothing; ``self.width = bucket_width_s`` pins
+            # teaches nothing; ``self.interval = interval_s`` pins
             # seconds).  Conflicting writes collapse to unknown.
             self.analysis.record_attr(
                 self.cls_qual, target.attr,

@@ -198,6 +198,12 @@ class ExperimentConfig:
              "test_seconds", "must be positive without a load_trace")
         need(self.load_trace is None or len(self.load_trace) > 0,
              "load_trace", "cannot be empty")
+        for index, sample in enumerate(self.load_trace or ()):
+            if not 0.0 <= sample <= 1.0:
+                raise ValueError(
+                    "load_trace samples must be finite and in [0, 1] "
+                    "(what workloads.traces.normalize produces), "
+                    f"got {sample!r} at index {index}")
         need(self.timeline_bin_seconds > 0, "timeline_bin_seconds",
              "must be positive")
         if self.fleet is not None:

@@ -5,36 +5,45 @@ same virtual time break first on an explicit integer priority (lower
 runs first) and then on insertion order, which keeps runs fully
 deterministic regardless of hash randomization or container internals.
 
-Two interchangeable event-queue structures implement that contract:
+One structure implements that contract: a global binary heap
+(:mod:`heapq`) whose entries are the events themselves.  An
+:class:`Event` *is* the list ``[time, priority, seq, callback,
+cancelled, sim]``, so
 
-* ``calendar`` (the default) --- a bucketed calendar queue.  Virtual
-  time is partitioned into fixed-width buckets (:data:`DEFAULT_BUCKET_WIDTH_S`);
-  future events append to their bucket unsorted in O(1), a small heap
-  of *bucket indices* (cheap C-level int comparisons) tracks the
-  non-empty buckets, and only the bucket currently being drained is
-  sorted --- once, on first touch --- and consumed through a head
-  cursor.  Near-horizon inserts (the common case: completions and
-  arrivals land in the bucket being drained) cost one bisect into the
-  sorted tail.  Pop order is exactly the global ``(time, priority,
-  seq)`` order because buckets partition time: everything in a later
-  bucket is strictly later than everything in the current one.
-* ``heap`` --- the classic global binary heap (:mod:`heapq`) the engine
-  shipped with.  Retained as the oracle for the hypothesis equivalence
-  suite (``tests/test_engine_calendar.py``) and selectable via
-  ``Simulator(queue="heap")``.
+* building one is a single C call (no Python ``__init__`` frame, no
+  separate key tuple next to the event);
+* every heap comparison is ``list < list`` in C, and because ``seq`` is
+  unique per simulator it is decided by the third item at the latest
+  --- the callback is never compared.  This holds only while
+  :class:`Event` defines **no** rich comparison (``__eq__``, ``__lt__``,
+  ...): defining one swaps the type's C ``tp_richcompare`` slot for
+  Python dispatch on every sift step (measured 1.45x slower push+pop).
+  Events stay hashable handles through ``__hash__ = object.__hash__``;
+  content equality already *is* identity, again because ``seq`` is
+  unique.
+
+A heap's O(log n) push/pop is the right trade here because the pending
+depth is tiny: arrivals self-schedule one at a time, so the queue holds
+about one completion per busy core plus a few timers (measured max /
+mean: 48 / 34 on a 16-worker server under ``ondemand``, 33 / 20 under
+POLARIS, 13 / 7 on a 2x2 elastic fleet).  ``tests/test_engine_depth.py``
+pins that bound, so a component that starts pre-scheduling a whole trace
+fails a test instead of quietly slowing every run.
 
 Design notes
 ------------
 * Virtual time is a float in **seconds**.  The workloads in this
   reproduction operate at microsecond granularity (transaction service
   times of 60 us .. 8 ms), which is comfortably inside double precision
-  for simulated horizons of minutes.
+  for simulated horizons of minutes.  NaN and infinite times are
+  rejected when scheduled: in a heap a NaN compares false against
+  everything and would silently corrupt the order.
 * Cancellation is O(1): events carry a ``cancelled`` flag and are skipped
   when popped.  This matches how the CPU core model reschedules a
   transaction's completion when POLARIS changes the frequency mid-run.
   To keep reschedule-heavy runs (every frequency change cancels and
   re-adds a completion event) from growing the queue unboundedly, the
-  simulator compacts the queue in place once cancelled garbage
+  simulator compacts the heap in place once cancelled garbage
   dominates; the amortized cost per cancellation stays O(log n).
 * Callbacks receive no arguments; use :func:`functools.partial` or
   closures to bind state.  This keeps the hot loop free of argument
@@ -43,9 +52,10 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from math import inf
+from operator import itemgetter
+from typing import Callable, List, Optional
 
 from repro.analysis.sanitizer import invariant, simsan_enabled
 from repro.obs.trace import Tracer, resolve_tracer
@@ -56,38 +66,29 @@ from repro.obs.trace import Tracer, resolve_tracer
 #: amortized over many cancellations.
 COMPACTION_MIN_GARBAGE = 64
 
-#: Calendar-queue bucket width in virtual seconds.  The transactional
-#: workloads dispatch/complete every few tens of microseconds per
-#: worker, so 250 us keeps near-horizon buckets at a handful of entries
-#: while staying coarse enough that sparse phases (drain, idle) skip
-#: empty regions through the bucket-index heap rather than visiting
-#: them.
-DEFAULT_BUCKET_WIDTH_S = 250e-6
-
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduling requests (e.g. scheduling in the past)."""
 
 
-class Event:
+class Event(list):
     """A scheduled callback; returned by :meth:`Simulator.schedule`.
 
-    Instances are comparable so they can live in a heap.  User code should
-    treat them as opaque handles, calling only :meth:`cancel` and reading
-    :attr:`time`.
+    The event is its own heap entry ``[time, priority, seq, callback,
+    cancelled, sim]`` (see the module docstring for why, and for why no
+    rich comparison may be defined here).  User code should treat it as
+    an opaque handle, calling only :meth:`cancel` and reading the
+    properties.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled", "_sim")
+    __slots__ = ()
+    __hash__ = object.__hash__
 
-    def __init__(self, time: float, priority: int, seq: int,
-                 callback: Callable[[], None],
-                 sim: Optional["Simulator"] = None):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self._sim = sim
+    time = property(itemgetter(0), doc="Virtual time the event fires at.")
+    priority = property(itemgetter(1), doc="Same-time tie-break; lower first.")
+    seq = property(itemgetter(2), doc="Insertion number; unique per simulator.")
+    callback = property(itemgetter(3), doc="The callable; ``None`` once fired.")
+    cancelled = property(itemgetter(4), doc="True once :meth:`cancel` took.")
 
     def cancel(self) -> None:
         """Mark this event so the engine skips it when its time comes.
@@ -96,326 +97,33 @@ class Event:
         cancelled) is a harmless no-op: the live-event accounting is
         only adjusted the first time a still-pending event is cancelled.
         """
-        if self.cancelled or self.callback is None:
+        if self[4] or self[3] is None:
             return
-        self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._live -= 1
-            sim._stale += 1
-            if (sim._stale > COMPACTION_MIN_GARBAGE
-                    and sim._stale > sim._live):
-                sim._compact()
+        self[4] = True
+        sim = self[5]
+        sim._live -= 1
+        sim._stale += 1
+        if sim._stale > COMPACTION_MIN_GARBAGE and sim._stale > sim._live:
+            sim._compact()
 
     @property
     def fired(self) -> bool:
         """True once the callback has run (the engine clears it)."""
-        return self.callback is None and not self.cancelled
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time, other.priority, other.seq)
+        return self[3] is None and not self[4]
 
     def __repr__(self) -> str:
-        if self.cancelled:
+        if self[4]:
             state = "cancelled"
-        elif self.callback is None:
+        elif self[3] is None:
             state = "fired"
         else:
             state = "pending"
-        return (f"<Event t={self.time:.9f} prio={self.priority} "
-                f"seq={self.seq} {state}>")
-
-
-#: Calendar-queue entries: ``(time, priority, seq, event)``.  Keeping
-#: the sort key in a plain tuple means every comparison on the hot path
-#: is a C-level tuple compare (``seq`` is unique, so the event object
-#: itself is never compared).
-_Entry = Tuple[float, int, int, Event]
-
-
-class HeapEventQueue:
-    """The original global binary heap; retained as the oracle engine."""
-
-    kind = "heap"
-
-    __slots__ = ("_heap",)
-
-    def __init__(self):
-        self._heap: List[Event] = []
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def pop_due(self, until: Optional[float]) -> Optional[Event]:
-        """Pop and return the earliest event (cancelled ones included),
-        or ``None`` when empty or the head lies beyond ``until``."""
-        heap = self._heap
-        if not heap:
-            return None
-        event = heap[0]
-        if until is not None and event.time > until:
-            return None
-        heapq.heappop(heap)
-        return event
-
-    def peek(self) -> Optional[Event]:
-        heap = self._heap
-        return heap[0] if heap else None
-
-    def compact(self) -> None:
-        """Drop cancelled events in place.
-
-        In-place mutation keeps any outstanding references to the heap
-        list (e.g. a running :meth:`Simulator.run` loop) valid.
-        """
-        live = [e for e in self._heap if not e.cancelled]
-        self._heap[:] = live
-        heapq.heapify(self._heap)
-
-    def iter_events(self) -> Iterator[Event]:
-        return iter(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def sanitize(self) -> None:
-        """**heap-integrity** --- the binary-heap ordering property holds
-        for every parent/child pair."""
-        heap = self._heap
-        for index in range(1, len(heap)):
-            parent = (index - 1) >> 1
-            invariant(not (heap[index] < heap[parent]), "heap-integrity",
-                      "heap ordering property violated",
-                      index=index, parent=parent,
-                      child_time=heap[index].time,
-                      parent_time=heap[parent].time)
-
-
-class CalendarEventQueue:
-    """Bucketed calendar queue with lazy per-bucket sorting.
-
-    Invariants (verified by :meth:`sanitize`):
-
-    * ``_buckets`` maps bucket index -> unsorted entry list; its key set
-      equals the contents of the ``_bucket_heap`` min-heap exactly (no
-      duplicates), so empty buckets are never visited.
-    * The current bucket (``_cur_idx``) has been removed from both; its
-      entries live in ``_cur_list``, sorted ascending from ``_cur_pos``
-      (popped slots before the cursor are cleared to ``None``).
-    * Every resident entry's bucket index matches ``int(time // width)``
-      and its key tuple mirrors the event's own fields.
-    * ``_cur_idx`` is the minimum occupied index while draining, so pop
-      order equals the global ``(time, priority, seq)`` order.
-    """
-
-    kind = "calendar"
-
-    __slots__ = ("width", "_buckets", "_bucket_heap", "_cur_idx",
-                 "_cur_list", "_cur_pos", "_size")
-
-    def __init__(self, bucket_width_s: float = DEFAULT_BUCKET_WIDTH_S):
-        if bucket_width_s <= 0:
-            raise ValueError("bucket width must be positive")
-        self.width = bucket_width_s
-        self._buckets: Dict[int, List[_Entry]] = {}
-        self._bucket_heap: List[int] = []
-        self._cur_idx: int = -1
-        self._cur_list: List[Optional[_Entry]] = []
-        self._cur_pos: int = 0
-        self._size: int = 0
-
-    def push(self, event: Event) -> None:
-        time = event.time
-        try:
-            idx = int(time // self.width)
-        except (OverflowError, ValueError):
-            raise SimulationError(
-                f"cannot schedule at non-finite time {time!r}") from None
-        if idx == self._cur_idx:
-            # Near-horizon insert into the bucket being drained: keep
-            # the sorted tail sorted.  Starting the bisect at the
-            # cursor both skips cleared slots and realizes the heapq
-            # contract --- an entry sorting at/before already-fired
-            # ones becomes the immediate head and fires next.
-            lst = self._cur_list
-            entry = (time, event.priority, event.seq, event)
-            lst.insert(bisect_left(lst, entry, self._cur_pos), entry)
-        else:
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                self._buckets[idx] = [
-                    (time, event.priority, event.seq, event)]
-                heapq.heappush(self._bucket_heap, idx)
-            else:
-                bucket.append((time, event.priority, event.seq, event))
-        self._size += 1
-
-    def _advance(self) -> Optional[_Entry]:
-        """Make the current bucket the minimum occupied one and return
-        its head entry (``None`` when drained)."""
-        heap = self._bucket_heap
-        while True:
-            pos = self._cur_pos
-            lst = self._cur_list
-            if pos < len(lst):
-                if heap and heap[0] < self._cur_idx:
-                    # An earlier bucket appeared behind the cursor's
-                    # bucket: only possible after run(until=...) parked
-                    # the clock short of the next event and user code
-                    # then scheduled into the gap.  Re-shelve the
-                    # remainder and re-pick the minimum.
-                    rest = lst[pos:]
-                    self._buckets[self._cur_idx] = rest
-                    heapq.heappush(heap, self._cur_idx)
-                    self._cur_idx = -1
-                    self._cur_list = []
-                    self._cur_pos = 0
-                    continue
-                return lst[pos]
-            if not heap:
-                self._cur_idx = -1
-                self._cur_list = []
-                self._cur_pos = 0
-                return None
-            idx = heapq.heappop(heap)
-            bucket = self._buckets.pop(idx)
-            if len(bucket) > 1:
-                bucket.sort()
-            self._cur_idx = idx
-            self._cur_list = bucket
-            self._cur_pos = 0
-
-    def pop_due(self, until: Optional[float]) -> Optional[Event]:
-        """Pop and return the earliest event (cancelled ones included),
-        or ``None`` when empty or the head lies beyond ``until``."""
-        pos = self._cur_pos
-        lst = self._cur_list
-        if pos < len(lst):
-            heap = self._bucket_heap
-            if heap and heap[0] < self._cur_idx:
-                entry = self._advance()
-                if entry is None:
-                    return None
-            else:
-                entry = lst[pos]
-        else:
-            entry = self._advance()
-            if entry is None:
-                return None
-        if until is not None and entry[0] > until:
-            return None
-        pos = self._cur_pos
-        self._cur_list[pos] = None  # free the slot; bisect never sees it
-        self._cur_pos = pos + 1
-        self._size -= 1
-        return entry[3]
-
-    def peek(self) -> Optional[Event]:
-        entry = self._advance()
-        return None if entry is None else entry[3]
-
-    def compact(self) -> None:
-        """Rebuild every bucket without the cancelled entries."""
-        entries = [e for e in self._cur_list[self._cur_pos:]
-                   if not e[3].cancelled]
-        for bucket in self._buckets.values():
-            entries.extend(e for e in bucket if not e[3].cancelled)
-        self._buckets.clear()
-        self._bucket_heap.clear()
-        self._cur_idx = -1
-        self._cur_list = []
-        self._cur_pos = 0
-        self._size = len(entries)
-        buckets = self._buckets
-        width = self.width
-        for entry in entries:
-            idx = int(entry[0] // width)
-            bucket = buckets.get(idx)
-            if bucket is None:
-                buckets[idx] = [entry]
-            else:
-                bucket.append(entry)
-        self._bucket_heap.extend(buckets)
-        heapq.heapify(self._bucket_heap)
-
-    def iter_events(self) -> Iterator[Event]:
-        for entry in self._cur_list[self._cur_pos:]:
-            yield entry[3]
-        for bucket in self._buckets.values():
-            for entry in bucket:
-                yield entry[3]
-
-    def __len__(self) -> int:
-        return self._size
-
-    def sanitize(self) -> None:
-        """**bucket-integrity** --- the class-docstring invariants."""
-        heap_set = set(self._bucket_heap)
-        invariant(len(heap_set) == len(self._bucket_heap),
-                  "bucket-integrity",
-                  "bucket-index heap contains duplicates",
-                  heap_len=len(self._bucket_heap),
-                  distinct=len(heap_set))
-        invariant(heap_set == set(self._buckets), "bucket-integrity",
-                  "bucket-index heap disagrees with the bucket map",
-                  heap_only=sorted(heap_set - set(self._buckets)),
-                  map_only=sorted(set(self._buckets) - heap_set))
-        heap = self._bucket_heap
-        for index in range(1, len(heap)):
-            parent = (index - 1) >> 1
-            invariant(heap[parent] <= heap[index], "bucket-integrity",
-                      "bucket-index heap ordering violated",
-                      index=index, parent=parent)
-        width = self.width
-        census = 0
-        for idx, bucket in self._buckets.items():
-            invariant(idx != self._cur_idx, "bucket-integrity",
-                      "current bucket also present in the bucket map",
-                      index=idx)
-            for entry in bucket:
-                census += 1
-                self._check_entry(entry, idx)
-        tail = self._cur_list[self._cur_pos:]
-        for offset, entry in enumerate(tail):
-            census += 1
-            invariant(entry is not None, "bucket-integrity",
-                      "cleared slot at/after the cursor",
-                      position=self._cur_pos + offset)
-            self._check_entry(entry, self._cur_idx)
-            invariant(offset == 0 or tail[offset - 1] < entry,
-                      "bucket-integrity",
-                      "current bucket tail is not sorted",
-                      position=self._cur_pos + offset)
-        invariant(census == self._size, "bucket-integrity",
-                  "size counter disagrees with the bucket census",
-                  size_counter=self._size, census=census)
-
-    def _check_entry(self, entry: _Entry, idx: int) -> None:
-        time, priority, seq, event = entry
-        invariant(int(time // self.width) == idx, "bucket-integrity",
-                  "entry filed under the wrong bucket",
-                  entry_time=time, bucket_index=idx, width=self.width)
-        invariant((time, priority, seq)
-                  == (event.time, event.priority, event.seq),
-                  "bucket-integrity",
-                  "entry key disagrees with its event",
-                  entry_time=time, event_time=event.time, seq=seq)
-
-
-#: queue kind -> factory; ``Simulator(queue=...)`` selects one.
-EVENT_QUEUES = {
-    "calendar": CalendarEventQueue,
-    "heap": HeapEventQueue,
-}
+        return (f"<Event t={self[0]:.9f} prio={self[1]} "
+                f"seq={self[2]} {state}>")
 
 
 class Simulator:
     """Discrete-event loop with a virtual clock.
-
-    ``queue`` selects the event-queue structure (``"calendar"`` default,
-    ``"heap"`` oracle); ``bucket_width_s`` tunes the calendar bucket
-    width and is ignored by the heap queue.
 
     Example
     -------
@@ -429,9 +137,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0,
                  sanitize: Optional[bool] = None,
-                 tracer: Optional[Tracer] = None,
-                 queue: str = "calendar",
-                 bucket_width_s: float = DEFAULT_BUCKET_WIDTH_S):
+                 tracer: Optional[Tracer] = None):
         self.now: float = start_time
         #: simsan: resolved once at construction (arg > REPRO_SIMSAN env)
         #: and hoisted into a local before hot loops, so a disabled
@@ -445,22 +151,15 @@ class Simulator:
         #: lives in the components, so a disabled tracer costs the hot
         #: loop nothing at all.
         self.tracer: Tracer = resolve_tracer(tracer)
-        try:
-            factory = EVENT_QUEUES[queue]
-        except KeyError:
-            raise ValueError(
-                f"unknown event queue {queue!r}; "
-                f"available: {sorted(EVENT_QUEUES)}") from None
-        if factory is CalendarEventQueue:
-            self._queue = CalendarEventQueue(bucket_width_s)
-        else:
-            self._queue = factory()
+        #: the event heap; mutated only in place (a running :meth:`run`
+        #: holds a reference to this very list).
+        self._heap: List[Event] = []
         self._seq: int = 0
         self._running: bool = False
         self._stopped: bool = False
-        #: live (scheduled, not cancelled, not fired) events in the queue.
+        #: live (scheduled, not cancelled, not fired) events in the heap.
         self._live: int = 0
-        #: cancelled events still occupying queue slots.
+        #: cancelled events still occupying heap slots.
         self._stale: int = 0
         #: total callbacks executed over this simulator's lifetime.
         self.events_processed: int = 0
@@ -472,30 +171,33 @@ class Simulator:
                  priority: int = 0) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
-        ``delay`` must be non-negative.  Returns the :class:`Event`
-        handle, which may be cancelled before it fires.
+        ``delay`` must be non-negative and finite.  Returns the
+        :class:`Event` handle, which may be cancelled before it fires.
         """
-        if delay < 0:
+        # One chained comparison rejects negative, NaN and infinite.  The
+        # rest repeats schedule_at's body rather than calling it: this
+        # runs once per event, and the extra frame is measurable.
+        if not 0.0 <= delay < inf:
             raise SimulationError(
-                f"cannot schedule {delay} seconds in the past")
-        # Inlined schedule_at body (minus its time < now check, which a
-        # non-negative delay satisfies by construction): this runs once
-        # per scheduled event, and the extra frame is measurable.
-        self._seq += 1
-        event = Event(self.now + delay, priority, self._seq, callback, self)
-        self._queue.push(event)
+                f"cannot schedule {delay!r} seconds from now: the delay "
+                f"must be non-negative and finite")
+        self._seq = seq = self._seq + 1
+        event = Event((self.now + delay, priority, seq, callback, False,
+                       self))
+        heappush(self._heap, event)
         self._live += 1
         return event
 
     def schedule_at(self, time: float, callback: Callable[[], None],
                     priority: int = 0) -> Event:
         """Schedule ``callback`` at absolute virtual time ``time``."""
-        if time < self.now:
+        if not self.now <= time < inf:
             raise SimulationError(
-                f"cannot schedule at {time} < now ({self.now})")
-        self._seq += 1
-        event = Event(time, priority, self._seq, callback, self)
-        self._queue.push(event)
+                f"cannot schedule at {time!r}: the time must be finite "
+                f"and not before now ({self.now})")
+        self._seq = seq = self._seq + 1
+        event = Event((time, priority, seq, callback, False, self))
+        heappush(self._heap, event)
         self._live += 1
         return event
 
@@ -513,10 +215,8 @@ class Simulator:
             raise SimulationError("run() called re-entrantly")
         self._running = True
         self._stopped = False
-        # Local bindings shave attribute lookups off the per-event cost;
-        # the queue object is mutated only in place (including by
-        # _compact), so the bound method stays valid.
-        pop_due = self._queue.pop_due
+        heap = self._heap
+        limit = inf if until is None else until
         sanitize = self.sanitize
         tracer = self.tracer
         if tracer.enabled:
@@ -525,22 +225,20 @@ class Simulator:
                            until_s=until if until is not None else -1.0)
         processed = 0
         try:
-            while not self._stopped:
-                event = pop_due(until)
-                if event is None:
+            while heap and not self._stopped:
+                event = heap[0]
+                if event[0] > limit:
                     break
-                callback = event.callback
-                if event.cancelled or callback is None:
+                heappop(heap)
+                if event[4]:
                     self._stale -= 1
                     continue
-                if sanitize and event.time < self.now:
-                    invariant(False, "clock-monotonic",
-                              "event fires before the current clock",
-                              event_time=event.time, now=self.now,
-                              seq=event.seq, priority=event.priority)
-                event.callback = None  # marks it fired; frees the closure
+                if sanitize:
+                    self._check_fires_now(event)
+                callback = event[3]
+                event[3] = None  # marks it fired; frees the closure
                 self._live -= 1
-                self.now = event.time
+                self.now = event[0]
                 processed += 1
                 callback()
             if until is not None and not self._stopped and self.now < until:
@@ -561,26 +259,22 @@ class Simulator:
         Returns ``True`` if an event ran, ``False`` if the queue is empty.
         Useful in tests that want to observe intermediate states.
         """
-        pop_due = self._queue.pop_due
-        while True:
-            event = pop_due(None)
-            if event is None:
-                return False
-            callback = event.callback
-            if event.cancelled or callback is None:
+        heap = self._heap
+        while heap:
+            event = heappop(heap)
+            if event[4]:
                 self._stale -= 1
                 continue
-            if self.sanitize and event.time < self.now:
-                invariant(False, "clock-monotonic",
-                          "event fires before the current clock",
-                          event_time=event.time, now=self.now,
-                          seq=event.seq, priority=event.priority)
-            event.callback = None
+            if self.sanitize:
+                self._check_fires_now(event)
+            callback = event[3]
+            event[3] = None
             self._live -= 1
-            self.now = event.time
+            self.now = event[0]
             self.events_processed += 1
             callback()
             return True
+        return False
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the executing event returns."""
@@ -595,33 +289,40 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event, or ``None`` if drained."""
-        queue = self._queue
-        while True:
-            event = queue.peek()
-            if event is None:
-                return None
-            if not event.cancelled:
-                return event.time
-            queue.pop_due(None)
+        heap = self._heap
+        while heap:
+            event = heap[0]
+            if not event[4]:
+                return event[0]
+            heappop(heap)
             self._stale -= 1
+        return None
+
+    def heap_size(self) -> int:
+        """Heap slots in use, including cancelled garbage (diagnostics)."""
+        return len(self._heap)
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def _compact(self) -> None:
-        """Drop cancelled events from the queue, in place."""
-        self._queue.compact()
+        """Drop cancelled events from the heap, in place."""
+        heap = self._heap
+        heap[:] = [event for event in heap if not event[4]]
+        heapify(heap)
         self._stale = 0
         if self.sanitize:
             self.sanitize_check()
 
-    def heap_size(self) -> int:
-        """Queue slots in use, including cancelled garbage (diagnostics)."""
-        return len(self._queue)
-
     # ------------------------------------------------------------------
     # simsan
     # ------------------------------------------------------------------
+    def _check_fires_now(self, event: Event) -> None:
+        invariant(event[0] >= self.now, "clock-monotonic",
+                  "event fires before the current clock",
+                  event_time=event[0], now=self.now,
+                  seq=event[2], priority=event[1])
+
     def sanitize_check(self) -> None:
         """Verify the engine's structural invariants (O(queue size)).
 
@@ -629,35 +330,37 @@ class Simulator:
         when the sanitizer is enabled; callable directly from tests.
         Checks, in order:
 
-        * the queue structure's own invariants --- **heap-integrity**
-          (binary-heap ordering for every parent/child pair) on the
-          heap queue, **bucket-integrity** (bucket membership, sorted
-          current tail, index-heap/bucket-map agreement, size census)
-          on the calendar queue;
+        * **heap-integrity** --- the binary-heap ordering property holds
+          for every parent/child pair;
         * **clock-monotonic** --- no pending event is scheduled in the
           past;
         * **event-accounting** --- ``_live``/``_stale`` counters match a
-          direct census of the queue, so :meth:`pending_count` is exact
+          direct census of the heap, so :meth:`pending_count` is exact
           and compaction triggers when it should.
         """
-        self._queue.sanitize()
+        heap = self._heap
+        for index in range(1, len(heap)):
+            parent = (index - 1) >> 1
+            invariant(not heap[index] < heap[parent], "heap-integrity",
+                      "heap ordering property violated",
+                      index=index, parent=parent,
+                      child_time=heap[index][0],
+                      parent_time=heap[parent][0])
         pending = 0
         cancelled = 0
-        for event in self._queue.iter_events():
-            if event.cancelled:
+        for event in heap:
+            if event[4]:
                 cancelled += 1
                 continue
-            if event.callback is None:
-                continue  # fired events never re-enter the queue
             pending += 1
-            invariant(event.time >= self.now, "clock-monotonic",
+            invariant(event[0] >= self.now, "clock-monotonic",
                       "pending event is scheduled in the past",
-                      event_time=event.time, now=self.now, seq=event.seq)
+                      event_time=event[0], now=self.now, seq=event[2])
         invariant(self._live == pending, "event-accounting",
-                  "live-event counter disagrees with the queue census",
+                  "live-event counter disagrees with the heap census",
                   live_counter=self._live, pending_in_heap=pending,
                   now=self.now)
         invariant(self._stale == cancelled, "event-accounting",
-                  "stale-event counter disagrees with the queue census",
+                  "stale-event counter disagrees with the heap census",
                   stale_counter=self._stale, cancelled_in_heap=cancelled,
                   now=self.now)

@@ -128,13 +128,23 @@ def load_trace(lines: Iterable[str]) -> List[float]:
     Blank lines and ``#`` comments are ignored.  The result is scaled to
     [0, 1] by the observed min/max, matching how the paper normalizes
     the World Cup counts before mapping them onto its load range.
+    A line that is not a finite, non-negative number is rejected by its
+    1-based line number.
     """
     counts: List[float] = []
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        counts.append(float(text))
+        try:
+            count = float(text)
+        except ValueError:
+            count = math.nan
+        if not 0.0 <= count < math.inf:
+            raise ValueError(
+                f"trace line {number}: expected a finite, non-negative "
+                f"request count, got {text!r}")
+        counts.append(count)
     if not counts:
         raise ValueError("trace contains no samples")
     return normalize(counts)

@@ -155,6 +155,13 @@ def test_load_trace_empty_rejected():
         load_trace(["# only a comment"])
 
 
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "-3", "1 2"])
+def test_load_trace_rejects_bad_line_by_number(bad):
+    lines = ["# world cup counts", "100", "", bad, "200"]
+    with pytest.raises(ValueError, match="trace line 4"):
+        load_trace(lines)
+
+
 # ----------------------------------------------------------------------
 # Diurnal trace (fleet experiments)
 # ----------------------------------------------------------------------

@@ -170,6 +170,18 @@ def test_out_of_range_config_is_rejected_naming_the_field(field, value):
         run_experiment(config)
 
 
+@pytest.mark.parametrize("sample", [math.nan, math.inf, -0.1, 7.0])
+def test_bad_load_trace_sample_is_rejected_by_field_and_index(sample):
+    """Before this rule a NaN sample ran to completion and 7.0 ran at
+    seven times the configured load range."""
+    config = ExperimentConfig(load_trace=[0.2, sample, 0.5])
+    with pytest.raises(ValueError, match=r"load_trace.*at index 1"):
+        config.validate()
+    with pytest.raises(ValueError, match="load_trace"):
+        run_experiment(config)  # fails at validate(), before any Simulator
+    ExperimentConfig(load_trace=[0.0, 0.5, 1.0]).validate()
+
+
 def test_unknown_benchmark_lists_the_known_ones():
     with pytest.raises(ValueError, match="tpcc.*ycsb-a"):
         ExperimentConfig(benchmark="tpcx").validate()

@@ -3,7 +3,8 @@
 ``tests/data/pinned_results.json`` was captured from the serial,
 heapq-engine, unbatched-RNG code immediately before the PR-6
 optimizations landed.  Every optimization in that PR (calendar event
-queue, batched RNG streams, POLARIS mu-vector cache, queue scan fast
+queue --- since replaced by one heap of list-entry events, under these
+same pins --- batched RNG streams, POLARIS mu-vector cache, queue scan fast
 path, persistent sweep pool) claims *exact* value identity, so the
 full-precision fingerprints of a diverse cell grid must not move.
 

@@ -11,6 +11,7 @@ the unsanitized run.
 """
 
 import dataclasses
+import heapq
 import pickle
 
 import pytest
@@ -26,7 +27,7 @@ from repro.core.workload import Workload
 from repro.cpu.core import Core, Job
 from repro.cpu.pstates import POLARIS_FREQUENCIES, XEON_E5_2640V3_PSTATES
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 
 # ----------------------------------------------------------------------
@@ -66,9 +67,11 @@ def test_invariant_error_carries_context():
 # Engine invariants
 # ----------------------------------------------------------------------
 def test_engine_clock_monotonicity_violation():
-    sim = Simulator(sanitize=True)
-    event = sim.schedule(1.0, lambda: None)
-    event.time = -1.0  # tamper: an event scheduled in the past
+    sim = Simulator(sanitize=True, start_time=5.0)
+    sim.schedule(1.0, lambda: None)
+    # tamper: an entry earlier than now, pushed behind schedule()'s back
+    heapq.heappush(sim._heap, Event((-1.0, 0, 99, lambda: None, False, sim)))
+    sim._live += 1
     with pytest.raises(SimulationInvariantError) as exc:
         sim.run()
     assert exc.value.invariant == "clock-monotonic"
@@ -76,43 +79,15 @@ def test_engine_clock_monotonicity_violation():
 
 
 def test_engine_heap_integrity_violation():
-    sim = Simulator(sanitize=True, queue="heap")
+    sim = Simulator(sanitize=True)
     for delay in (3.0, 1.0, 2.0):
         sim.schedule(delay, lambda: None)
-    heap = sim._queue._heap
-    heap[0], heap[-1] = heap[-1], heap[0]  # break heap
+    heap = sim._heap
+    heap[0], heap[-1] = heap[-1], heap[0]  # tamper: swap two heap slots
     with pytest.raises(SimulationInvariantError) as exc:
         sim.sanitize_check()
     assert exc.value.invariant == "heap-integrity"
     assert {"index", "parent"} <= set(exc.value.context)
-
-
-def test_engine_bucket_integrity_violation():
-    """The calendar queue's analogue of the heap tamper test: filing an
-    entry under the wrong bucket must trip bucket-integrity."""
-    sim = Simulator(sanitize=True)
-    for delay in (1.0, 2.0, 3.0):
-        sim.schedule(delay, lambda: None)
-    queue = sim._queue
-    (idx, bucket), *_ = queue._buckets.items()
-    entry = bucket.pop()
-    wrong = idx + 5
-    queue._buckets.setdefault(wrong, []).append(entry)
-    if wrong not in queue._bucket_heap:
-        queue._bucket_heap.append(wrong)
-    with pytest.raises(SimulationInvariantError) as exc:
-        sim.sanitize_check()
-    assert exc.value.invariant == "bucket-integrity"
-
-
-def test_engine_bucket_heap_map_disagreement():
-    sim = Simulator(sanitize=True)
-    sim.schedule(1.0, lambda: None)
-    sim._queue._bucket_heap.append(999999)  # heap index with no bucket
-    with pytest.raises(SimulationInvariantError) as exc:
-        sim.sanitize_check()
-    assert exc.value.invariant == "bucket-integrity"
-    assert 999999 in exc.value.context["heap_only"]
 
 
 def test_engine_live_accounting_violation():
@@ -130,7 +105,7 @@ def test_engine_cancelled_accounting_violation():
     sim = Simulator(sanitize=True)
     event = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
-    event.cancelled = True  # tamper: bypasses Event.cancel bookkeeping
+    event[4] = True         # tamper: bypasses Event.cancel bookkeeping
     sim._live -= 1          # keep the live counter honest so the
     with pytest.raises(SimulationInvariantError) as exc:  # stale check fires
         sim.sanitize_check()

@@ -332,8 +332,8 @@ RL006_AUDITED_EXEMPTIONS: Dict[str, str] = {
     # -- virtual-clock convention: the engine measures time in float
     #    seconds (sim/engine.py module docstring) -------------------------
     "time": "virtual seconds; engine-wide convention (sim.engine docstring)",
-    "start_time": "virtual seconds (sim.engine / cpu.core Job timing)",
-    "finish_time": "virtual seconds (cpu.core Job / core.request timing)",
+    "start_time": "virtual seconds (Simulator start_time parameter)",
+    "finish_time": "virtual seconds (core.request timing)",
     "arrival_time": "virtual seconds (core.request docstring)",
     "dispatch_time": "virtual seconds (core.request docstring)",
     "deadline": "absolute virtual seconds: a(t) + L(c(t)) (core.request)",
@@ -343,7 +343,7 @@ RL006_AUDITED_EXEMPTIONS: Dict[str, str] = {
     #    GHz (cpu.core module docstring); `*_freq` names predate the
     #    suffix rule and are pinned by the public API -----------------------
     "freq": "GHz; cpu.core docstring ('f GHz drains f giga-cycles/s')",
-    "dispatch_freq": "GHz at dispatch; public Request/Job field",
+    "dispatch_freq": "GHz at dispatch; public Request field",
     "initial_freq": "GHz; public Core/DatabaseServer parameter",
     "single_freq": "boolean flag (ran under one frequency), not a value",
     "transition_latency": "seconds; mirrors the ServerConfig/"

@@ -4,12 +4,19 @@ A request is one transaction execution order: it arrives tagged with a
 workload identifier (paper Section 3), gets a deadline
 ``d(t) = a(t) + L(c(t))`` from its workload's latency target, and is
 executed non-preemptively by one worker.
+
+Ids come from a module counter, not a class attribute bumped per
+request: a write to the class dict invalidates CPython's type-version
+tag, which deoptimizes every attribute access on every request.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Any, Optional
+
+_request_ids = itertools.count(1)
 
 
 class RequestState(enum.Enum):
@@ -44,12 +51,9 @@ class Request:
                  "dispatch_time", "finish_time", "worker_id",
                  "dispatch_freq", "single_freq", "result", "mu")
 
-    _next_id = 0
-
     def __init__(self, workload, txn_type: str, arrival_time: float,
                  work: float, deadline: Optional[float] = None):
-        Request._next_id += 1
-        self.request_id = Request._next_id
+        self.request_id = next(_request_ids)
         self.workload = workload
         #: ``workload.name`` denormalized: the scheduler's queue walk
         #: reads it once per (queued request x invocation), where the

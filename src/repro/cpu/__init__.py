@@ -18,7 +18,7 @@ the core re-computes the remaining work and reschedules its completion.
 from repro.cpu.pstates import PState, PStateTable, XEON_E5_2640V3_PSTATES, POLARIS_FREQUENCIES
 from repro.cpu.power import CorePowerModel, ServerPowerModel
 from repro.cpu.cstates import CState, CStateModel
-from repro.cpu.core import Core, Job
+from repro.cpu.core import Core
 from repro.cpu.msr import MsrFile, MsrError, IA32_PERF_CTL, IA32_PERF_STATUS, MSR_PKG_ENERGY_STATUS, MSR_RAPL_POWER_UNIT
 from repro.cpu.rapl import RaplPackage
 from repro.cpu.topology import FrequencyDomain, SocketTopology, make_topology, GRANULARITIES
@@ -27,7 +27,7 @@ __all__ = [
     "PState", "PStateTable", "XEON_E5_2640V3_PSTATES", "POLARIS_FREQUENCIES",
     "CorePowerModel", "ServerPowerModel",
     "CState", "CStateModel",
-    "Core", "Job",
+    "Core",
     "MsrFile", "MsrError",
     "IA32_PERF_CTL", "IA32_PERF_STATUS",
     "MSR_PKG_ENERGY_STATUS", "MSR_RAPL_POWER_UNIT",

@@ -1,10 +1,11 @@
 """Simulated frequency-scalable CPU core.
 
-A :class:`Core` executes non-preemptive :class:`Job`\\ s.  A job's size is
-its *work* in giga-cycles; at frequency ``f`` GHz the remaining work
-drains at ``f`` giga-cycles per second, so a fresh job of work ``w``
-takes ``w / f`` seconds --- the standard speed-scaling execution model
-(paper Section 4.1) restricted to the discrete P-state grid.
+A :class:`Core` executes non-preemptive jobs: any object with ``work``
+in giga-cycles (on a server, the request itself; the core writes nothing
+onto it).  At frequency ``f`` GHz the remaining work drains at ``f``
+giga-cycles per second, so a fresh job of work ``w`` takes ``w / f``
+seconds --- the standard speed-scaling execution model (paper Section
+4.1) restricted to the discrete P-state grid.
 
 Frequency changes may arrive *mid-job*: POLARIS raises the frequency
 when an urgent transaction arrives behind the running one (Figure 2 and
@@ -18,44 +19,13 @@ counters, and the OS governors' utilization sampling all read.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.analysis.sanitizer import invariant
 from repro.cpu.cstates import CStateModel
 from repro.cpu.power import CorePowerModel
 from repro.cpu.pstates import PStateTable
 from repro.sim.engine import Event, Simulator
-
-
-class Job:
-    """A unit of non-preemptive work (one transaction execution).
-
-    ``work`` is in giga-cycles.  The core fills in the timing fields as
-    the job runs; ``payload`` carries the database request so completion
-    handlers can reach it without a lookup.
-    """
-
-    __slots__ = ("work", "payload", "start_time", "finish_time",
-                 "dispatch_freq")
-
-    def __init__(self, work: float, payload=None):
-        if work < 0:
-            raise ValueError(f"job work cannot be negative: {work}")
-        self.work = work
-        self.payload = payload
-        self.start_time: Optional[float] = None
-        self.finish_time: Optional[float] = None
-        #: frequency (GHz) at the moment the job was dispatched; execution
-        #: time observations are attributed to this frequency, as in the
-        #: prototype (Section 3.2).
-        self.dispatch_freq: Optional[float] = None
-
-    @property
-    def elapsed(self) -> float:
-        """Wall (virtual) execution time, available once finished."""
-        if self.start_time is None or self.finish_time is None:
-            raise RuntimeError("job has not finished")
-        return self.finish_time - self.start_time
 
 
 class Core:
@@ -113,11 +83,12 @@ class Core:
         self.domain = None
 
         # --- execution state ------------------------------------------
-        self._job: Optional[Job] = None
+        self._job: Any = None                 # anything with ``work``
+        self._job_start: float = sim.now      # when _job was started
         self._executed: float = 0.0          # giga-cycles done on _job
         self._progress_mark: float = sim.now  # when _executed was last true
         self._completion: Optional[Event] = None
-        self._on_complete: Optional[Callable[[Job], None]] = None
+        self._on_complete: Optional[Callable[[Any], None]] = None
 
         # --- degraded regimes (repro.faults) ---------------------------
         #: Thermal-throttle ceiling (GHz); ``None`` when unthrottled.
@@ -135,9 +106,17 @@ class Core:
         self._segment_busy: bool = False
         self.energy_joules: float = 0.0
         self.busy_seconds: float = 0.0
-        self.jobs_completed: int = 0
         self.freq_transitions: int = 0
         self.freq_residency: Dict[float, float] = {}
+        #: Watts per table frequency: busy, and on a single-state ladder
+        #: idle times its fraction (``CStateModel.idle_energy``'s own
+        #: ``(a * b) * d``, so energy is bit-identical); else ``None``.
+        freqs = pstates.frequencies
+        self._busy_watts = {f: self.power_model.active_power(f)
+                            for f in freqs}
+        fraction = self.cstates.single_state_fraction
+        self._idle_watts = None if fraction is None else {
+            f: self.power_model.idle_power(f) * fraction for f in freqs}
 
     # ------------------------------------------------------------------
     # Public state
@@ -149,21 +128,27 @@ class Core:
 
     def running_elapsed(self) -> float:
         """Run time so far of the current job (the paper's ``e0``)."""
-        if self._job is None or self._job.start_time is None:
+        if self._job is None:
             return 0.0
-        return self.sim.now - self._job.start_time
+        return self.sim.now - self._job_start
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def start_job(self, job: Job,
-                  on_complete: Optional[Callable[[Job], None]] = None) -> None:
-        """Begin executing ``job`` now; the core must be idle.
+    def start_job(self, job: Any,
+                  on_complete: Optional[Callable[[Any], None]] = None) -> None:
+        """Begin executing ``job`` (anything with ``work`` in giga-cycles)
+        now; the core must be idle and the work non-negative.
 
         ``on_complete(job)`` fires at the job's completion time.  If the
         C-state ladder reached a deep state, its wake latency is paid
         before execution starts.
         """
+        work = job.work
+        if not work >= 0.0:  # written this way round to catch NaN too
+            raise ValueError(
+                f"core {self.core_id}: job work must be a non-negative "
+                f"number of giga-cycles, got {work!r}")
         if self._job is not None:
             raise RuntimeError(f"core {self.core_id} is busy")
         if self.stalled:
@@ -174,13 +159,12 @@ class Core:
         self._close_segment()
         self._segment_busy = True
         self._job = job
+        self._job_start = now
         self._executed = 0.0
         self._progress_mark = now + wake
         self._on_complete = on_complete
-        job.start_time = now
-        job.dispatch_freq = self.freq
-        duration = wake + job.work / self.freq
-        self._completion = sim.schedule(duration, self._complete)
+        self._completion = sim.schedule(wake + work / self.freq,
+                                        self._complete)
         if self.sanitize:
             self.sanitize_check()
 
@@ -189,11 +173,8 @@ class Core:
         assert job is not None
         self._close_segment()
         self._segment_busy = False
-        self._executed = job.work
         self._job = None
         self._completion = None
-        job.finish_time = self.sim.now
-        self.jobs_completed += 1
         callback = self._on_complete
         self._on_complete = None
         if callback is not None:
@@ -367,9 +348,10 @@ class Core:
             freq = self.freq
             residency = self.freq_residency
             if self._segment_busy:
-                self.energy_joules += \
-                    self.power_model.active_power(freq) * duration
+                self.energy_joules += self._busy_watts[freq] * duration
                 self.busy_seconds += duration
+            elif self._idle_watts is not None:
+                self.energy_joules += self._idle_watts[freq] * duration
             else:
                 self.energy_joules += self.cstates.idle_energy(
                     self.power_model.idle_power(freq), duration)

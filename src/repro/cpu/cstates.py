@@ -17,7 +17,7 @@ reached before it can execute again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,11 @@ class CStateModel:
         if any(s.demotion_after <= 0 for s in ladder[:-1]):
             raise ValueError("non-terminal demotion thresholds must be positive")
         self.ladder: Tuple[CState, ...] = tuple(ladder)
-        #: Fast path for the default C1-only ladder: every idle interval
-        #: is one segment, so energy and wake latency collapse to a
-        #: multiply and a constant --- worth skipping the segment-list
-        #: build, which otherwise runs twice per dispatch.
-        self._single_state = len(self.ladder) == 1
-        self._c1_fraction = self.ladder[0].power_fraction
+        #: A single-state ladder (the default C1-only one) idles in one
+        #: segment, so energy and wake latency collapse to a multiply and
+        #: a constant: that state's power fraction, else ``None``.
+        self.single_state_fraction: Optional[float] = \
+            self.ladder[0].power_fraction if len(self.ladder) == 1 else None
         self._c1_wake = self.ladder[0].wake_latency_s
 
     def segments(self, duration_s: float) -> List[Tuple[CState, float]]:
@@ -90,19 +89,20 @@ class CStateModel:
         ``c1_idle_watts`` is the operating point's C1 idle power from the
         :class:`~repro.cpu.power.CorePowerModel`.
         """
-        if self._single_state:
+        fraction = self.single_state_fraction
+        if fraction is not None:
             if duration_s < 0:
                 raise ValueError("idle duration cannot be negative")
             if duration_s <= 0:
                 return 0.0
             # Single segment: the sum below would be exactly this product.
-            return c1_idle_watts * self._c1_fraction * duration_s
+            return c1_idle_watts * fraction * duration_s
         return sum(c1_idle_watts * state.power_fraction * residency
                    for state, residency in self.segments(duration_s))
 
     def wake_latency(self, duration_s: float) -> float:
         """Wake latency paid after idling for ``duration_s`` seconds."""
-        if self._single_state:
+        if self.single_state_fraction is not None:
             if duration_s < 0:
                 raise ValueError("idle duration cannot be negative")
             return self._c1_wake if duration_s > 0 else 0.0

@@ -28,7 +28,7 @@ from repro.analysis.sanitizer import invariant
 from repro.core.polaris import PolarisScheduler
 from repro.core.request import Request, RequestState
 from repro.core.routing import RoutingPolicy, make_routing
-from repro.cpu.core import Core, Job
+from repro.cpu.core import Core
 from repro.cpu.cstates import C1_ONLY, CStateModel, DEEP_LADDER
 from repro.cpu.msr import IA32_PERF_CTL, MsrError, MsrFile, encode_perf_ctl
 from repro.cpu.power import CorePowerModel, ServerPowerModel
@@ -48,19 +48,18 @@ class DrainTimeout(RuntimeError):
 
 
 class BaselineDispatcher:
-    """Shore-MT's default scheduler: FIFO queue, no frequency control."""
+    """Shore-MT's default scheduler: FIFO queue, no frequency control.
+
+    ``enqueue``/``next_request`` are the queue's own ``push``/``pop``;
+    a :class:`Worker` skips the two no-op hooks (see ``_override``)."""
 
     adjusts_on_arrival = False
     name = "fifo-baseline"
 
     def __init__(self):
         self.queue: RequestQueue = FifoQueue()
-
-    def enqueue(self, request: Request) -> None:
-        self.queue.push(request)
-
-    def next_request(self) -> Optional[Request]:
-        return self.queue.pop()
+        self.enqueue = self.queue.push
+        self.next_request = self.queue.pop
 
     def select_frequency(self, now: float, running: Optional[Request],
                          running_elapsed: float = 0.0) -> Optional[float]:
@@ -122,6 +121,14 @@ class ServerConfig:
         raise ValueError(f"unknown C-state ladder {self.cstate_ladder!r}")
 
 
+def _override(dispatcher, name: str, base: type) -> Optional[Callable]:
+    """``dispatcher.<name>``, or None unless its class overrides the
+    no-op ``base.<name>``."""
+    hook = getattr(type(dispatcher), name, None)
+    return None if hook in (None, getattr(base, name)) \
+        else getattr(dispatcher, name)
+
+
 class Worker:
     """One worker thread pinned to one core.
 
@@ -133,7 +140,8 @@ class Worker:
 
     __slots__ = ("worker_id", "core", "msr", "dispatcher", "server",
                  "current", "completed", "_transitions_at_dispatch",
-                 "tracer", "trace_track", "_admits")
+                 "tracer", "trace_track", "_admits", "_select_frequency",
+                 "_record_completion")
 
     def __init__(self, worker_id: int, core: Core, msr: MsrFile,
                  dispatcher, server: "DatabaseServer"):
@@ -142,13 +150,15 @@ class Worker:
         self.msr = msr
         self.dispatcher = dispatcher
         self.server = server
-        #: Admission-control hook, resolved once --- the dispatcher is
-        #: fixed for the worker's lifetime and getattr on every arrival
-        #: is measurable.  None unless the class overrides the base
-        #: ``PolarisScheduler.admits``, which cannot say no.
-        admits = getattr(type(dispatcher), "admits", None)
-        self._admits = None if admits in (None, PolarisScheduler.admits) \
-            else dispatcher.admits
+        #: Dispatcher hooks, resolved once (the dispatcher is fixed for
+        #: the worker's lifetime): None where a call would be a no-op ---
+        #: ``PolarisScheduler.admits`` cannot say no, and FIFO neither
+        #: picks a frequency nor learns from a completion.
+        self._admits = _override(dispatcher, "admits", PolarisScheduler)
+        self._select_frequency = _override(dispatcher, "select_frequency",
+                                           BaselineDispatcher)
+        self._record_completion = _override(dispatcher, "record_completion",
+                                            BaselineDispatcher)
         self.current: Optional[Request] = None
         self.completed = 0
         self._transitions_at_dispatch = 0
@@ -327,26 +337,29 @@ class Worker:
             return
         dispatcher = self.dispatcher
         server = self.server
+        select = self._select_frequency
         request = dispatcher.next_request()
         if request is None:
             # Empty queue: SetProcessorFreq with no constraints selects
             # the lowest frequency (Figure 2 with Q = {} and no t0), so
             # an idling core drops to its floor operating point.
-            freq = dispatcher.select_frequency(server.sim.now, None)
-            if self.tracer.enabled:
-                self._trace_decision("setfreq:idle", freq)
-            self._apply_frequency(freq)
+            if select is not None:
+                freq = select(server.sim.now, None)
+                if self.tracer.enabled:
+                    self._trace_decision("setfreq:idle", freq)
+                self._apply_frequency(freq)
             return
         now = server.sim.now
         # SetProcessorFreq before executing the dequeued request: the
         # dequeued transaction is t0 with e0 = 0 (Section 5).
-        freq = dispatcher.select_frequency(now, request, 0.0)
+        freq = select(now, request, 0.0) if select is not None else None
         if self.tracer.enabled:
             self._trace_decision("setfreq:dispatch", freq)
             self.tracer.counter(self.trace_track,
                                 f"queue_depth.w{self.worker_id}", now,
                                 depth=len(dispatcher))
-        self._apply_frequency(freq)
+        if freq is not None:
+            self._apply_frequency(freq)
         request.state = RequestState.RUNNING
         request.dispatch_time = now
         request.worker_id = self.worker_id
@@ -364,12 +377,10 @@ class Worker:
                               freq_ghz=core.freq)
         if server.functional_executor is not None:
             request.result = server.functional_executor(request)
-        core.start_job(Job(request.work, payload=request),
-                       self._on_complete)
+        core.start_job(request, self._on_complete)
 
-    def _on_complete(self, job: Job) -> None:
+    def _on_complete(self, request: Request) -> None:
         server = self.server
-        request = job.payload
         assert request is self.current
         request.state = RequestState.DONE
         request.finish_time = server.sim.now
@@ -386,7 +397,9 @@ class Worker:
                                   f"txn:{request.txn_type}", now_s,
                                   met_deadline=met,
                                   latency_s=request.latency)
-        self.dispatcher.record_completion(request)
+        record = self._record_completion
+        if record is not None:
+            record(request)
         server.notify_completion(request)
         self._dispatch_next()
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu.core import Core, Job
+from repro.cpu.core import Core
 from repro.cpu.msr import (
     IA32_PERF_CTL, IA32_PERF_STATUS, MSR_PKG_ENERGY_STATUS,
     MSR_RAPL_POWER_UNIT, MsrError, MsrFile, decode_perf_ctl, encode_perf_ctl,
@@ -10,6 +10,13 @@ from repro.cpu.msr import (
 from repro.cpu.pstates import PStateTable
 from repro.cpu.rapl import RaplPackage
 from repro.sim.engine import Simulator
+
+
+class Job:
+    """Stand-in transaction: the core reads only ``work`` (giga-cycles)."""
+
+    def __init__(self, work):
+        self.work = work
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.core.estimator import ExecutionTimeEstimator
-from repro.cpu.core import Job
 from repro.cpu.msr import IA32_PERF_CTL, MsrError, encode_perf_ctl
 from repro.db.server import DatabaseServer, ServerConfig
 from repro.faults.injector import (
@@ -15,6 +14,13 @@ from repro.faults.plan import (
     BurstSpec, FaultPlan, MsrFaultSpec, SkewSpec, StallSpec, ThrottleSpec,
 )
 from repro.sim.engine import Simulator
+
+
+class Job:
+    """Stand-in transaction: the core reads only ``work`` (giga-cycles)."""
+
+    def __init__(self, work):
+        self.work = work
 
 
 def make_server(sim, workers=2):

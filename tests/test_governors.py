@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.cpu.core import Core, Job
+from repro.cpu.core import Core
 from repro.cpu.pstates import XEON_E5_2640V3_PSTATES
 from repro.governors.base import DynamicGovernor, GovernorSet
 from repro.governors.conservative import ConservativeGovernor
 from repro.governors.ondemand import OnDemandGovernor
 from repro.governors.static import UserspaceGovernor
 from repro.sim.engine import Simulator
+
+
+class Job:
+    """Stand-in transaction: the core reads only ``work`` (giga-cycles)."""
+
+    def __init__(self, work):
+        self.work = work
 
 
 def make_core(sim, freq=2.8):

@@ -1,5 +1,6 @@
 """The database server: routing, workers, scheduling glue."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from repro.core.request import Request, RequestState
 from repro.core.workload import Workload
 from repro.db.server import BaselineDispatcher, DatabaseServer, ServerConfig
 from repro.governors.static import UserspaceGovernor
+from repro.harness.experiment import ExperimentConfig, RunFlags, run_experiment
 from repro.sim.engine import Simulator
 from repro.workloads import tpcc
 
@@ -255,3 +257,68 @@ def test_baseline_dispatcher_interface():
     assert dispatcher.select_frequency(0.0, request) is None
     dispatcher.record_completion(request)  # no-op
     assert dispatcher.next_request() is request
+
+
+# ----------------------------------------------------------------------
+# Dispatcher hooks: resolved once, skipped when they are the FIFO no-ops
+# ----------------------------------------------------------------------
+class _FifoThatScales(BaselineDispatcher):
+    """A FIFO dispatcher that does pick a frequency and does learn."""
+
+    def __init__(self):
+        super().__init__()
+        self.selected = []
+        self.recorded = []
+
+    def select_frequency(self, now, running, running_elapsed=0.0):
+        self.selected.append(running)
+        return 2.0
+
+    def record_completion(self, request):
+        self.recorded.append(request)
+
+
+def test_fifo_worker_resolves_its_noop_hooks_to_none(sim):
+    server, _ = make_server(sim, workers=1)
+    worker = server.workers[0]
+    assert worker._select_frequency is None
+    assert worker._record_completion is None
+    assert worker._admits is None
+
+
+def test_baseline_subclass_overrides_are_still_called(sim):
+    dispatcher = _FifoThatScales()
+    server = DatabaseServer(sim, ServerConfig(workers=1),
+                            scheduler_factory=lambda: dispatcher)
+    requests = submit_n(server, 2)
+    sim.run()
+    # Once per dispatch, then once with an empty queue.
+    assert dispatcher.selected == [*requests, None]
+    assert dispatcher.recorded == requests
+    assert [r.dispatch_freq for r in requests] == [2.0, 2.0]
+    assert server.cores[0].freq == 2.0
+
+
+#: sha256 of the Chrome-trace export and the series CSV of two small
+#: traced cells.  Dispatch paths that skip no-op hooks or forwarding
+#: frames must not move a byte of what a traced run records.
+TRACE_SHA256 = {
+    "ondemand": ("20c1dabb67f30c779142f529875c05f538660798e32e3b1203eedf4f64d0d371",
+                 "542ec3bab7b6c52bb251f56fe11d57a6d164b75bc7709cc9e25346d250bad08f"),
+    "polaris": ("a9a2d58a0faf0438fb6f0ddd569153546eb0dc82fa5ccc8d3fea873a1c1eca42",
+                "c6ad8caa6eb3805481f476b5f9c4642ee7c1921436175db70e99ea4b75f50e6f"),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(TRACE_SHA256))
+def test_traced_exports_are_byte_identical(scheme, tmp_path):
+    cell = ExperimentConfig(scheme=scheme, workers=2, warmup_seconds=0.2,
+                            test_seconds=0.4, seed=9,
+                            trace_path=str(tmp_path / "trace.json"),
+                            trace_series_path=str(tmp_path / "series.csv"))
+    run_experiment(cell, flags=RunFlags(sanitize=False, trace=True,
+                                        plan=None))
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (tmp_path / "trace.json",
+                                 tmp_path / "series.csv"))
+    assert digests == TRACE_SHA256[scheme]

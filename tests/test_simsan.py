@@ -24,10 +24,17 @@ from repro.core.polaris import PolarisScheduler
 from repro.core.request import Request
 from repro.core.variants import PolarisFifoScheduler
 from repro.core.workload import Workload
-from repro.cpu.core import Core, Job
+from repro.cpu.core import Core
 from repro.cpu.pstates import POLARIS_FREQUENCIES, XEON_E5_2640V3_PSTATES
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.sim.engine import Event, Simulator
+
+
+class Job:
+    """Stand-in transaction: the core reads only ``work`` (giga-cycles)."""
+
+    def __init__(self, work):
+        self.work = work
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ def main() -> None:
     streams = RandomStreams(99)
     spec = tpcc.make_spec()
     estimator = ExecutionTimeEstimator()
-    server_config = ServerConfig(workers=2, functional_execution=True)
+    server_config = ServerConfig(workers=2)
     server = DatabaseServer(
         sim, server_config,
         scheduler_factory=lambda: PolarisScheduler(

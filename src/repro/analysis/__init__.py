@@ -4,9 +4,9 @@ Two halves:
 
 * **reprolint** (:mod:`repro.analysis.linter`,
   :mod:`repro.analysis.rules`, CLI ``python -m repro.analysis``) ---
-  AST lint rules RL001-RL008 enforcing the determinism contract
-  (no wall clocks, no global RNG, no set-order dependence, unit-suffix
-  discipline, ...).
+  per-file AST lint rules RL001-RL009 enforcing the determinism
+  contract (no wall clocks, no global RNG, no set-order dependence,
+  unit-suffix discipline, ...).
 * **simsan** (:mod:`repro.analysis.sanitizer`) --- the opt-in runtime
   invariant checker (``REPRO_SIMSAN=1`` / ``sanitize=True``) that the
   engine, schedulers, and CPU model consult.

@@ -1,7 +1,7 @@
 """``python -m repro.analysis`` --- the reprolint command line.
 
-Drives both rule layers through :mod:`repro.analysis.driver`.  A
-finding fails the run; the only exemption is an inline
+Runs the per-file rules through :func:`repro.analysis.linter.run_analysis`.
+A finding fails the run; the only exemption is an inline
 ``# reprolint: disable=RLxxx - reason`` on the flagged line.
 
 Exit status: 0 when clean, 1 when findings remain, 2 on usage errors
@@ -16,18 +16,16 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis import rules  # noqa: F401 - populates the registry
-from repro.analysis.driver import (
-    PROGRAM_CODES, program_rule_table, run_analysis,
+from repro.analysis.linter import (
+    RULE_REGISTRY, render_json, render_text, run_analysis,
 )
-from repro.analysis.linter import RULE_REGISTRY, render_json, render_text
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description=("reprolint: determinism/invariant lint rules and "
-                     "whole-program unit/RNG-flow analysis for the "
-                     "POLARIS reproduction"))
+        description=("reprolint: determinism/invariant lint rules for "
+                     "the POLARIS reproduction"))
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to analyze (default: src)")
@@ -36,8 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)")
     parser.add_argument(
         "--select", metavar="CODES",
-        help="comma-separated rule codes to run (default: all, "
-             "including the whole-program RL1xx rules)")
+        help="comma-separated rule codes to run (default: all)")
     parser.add_argument(
         "--show-suppressed", action="store_true",
         help="also report findings silenced by "
@@ -45,20 +42,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule table and exit")
-    parser.add_argument(
-        "--no-program", action="store_true",
-        help="per-file rules only; skip the whole-program analyses")
     return parser
 
 
 def list_rules() -> str:
-    lines = ["per-file rules:"]
-    for code, cls in sorted(RULE_REGISTRY.items()):
-        lines.append(f"  {code}  {cls.name:<22} {cls.description}")
-    lines.append("whole-program rules:")
-    for code, name, description in program_rule_table():
-        lines.append(f"  {code}  {name:<22} {description}")
-    return "\n".join(lines)
+    return "\n".join(f"{code}  {cls.name:<22} {cls.description}"
+                     for code, cls in sorted(RULE_REGISTRY.items()))
 
 
 def _parse_select(parser: argparse.ArgumentParser,
@@ -66,8 +55,7 @@ def _parse_select(parser: argparse.ArgumentParser,
     if not raw:
         return None
     select = [c.strip().upper() for c in raw.split(",") if c.strip()]
-    known = set(RULE_REGISTRY) | set(PROGRAM_CODES)
-    unknown = [c for c in select if c not in known]
+    unknown = [c for c in select if c not in RULE_REGISTRY]
     if unknown:
         parser.error(f"unknown rule code(s): {', '.join(unknown)}")
     return select
@@ -82,10 +70,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     select = _parse_select(parser, args.select)
-    if args.no_program:
-        select = [c for c in (select if select is not None
-                              else sorted(RULE_REGISTRY))
-                  if c not in PROGRAM_CODES]
     # A mistyped path must not read as a clean tree.
     for path in args.paths:
         if not Path(path).exists():

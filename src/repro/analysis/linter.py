@@ -3,11 +3,11 @@
 The framework is deliberately small: a rule is a class with a ``code``
 (``RL###``), a ``name``, and a ``check(ctx)`` generator yielding
 :class:`Finding` objects; rules register themselves with
-:func:`register` and :func:`lint_source` runs every registered (or
-selected) rule over one parsed file.  The rules themselves live in
-:mod:`repro.analysis.rules` and are specific to this codebase's
-determinism contract --- see that module and ``README.md`` for the rule
-table.
+:func:`register`.  :func:`lint_source` runs every registered (or
+selected) rule over one source string and :func:`run_analysis` over
+every ``.py`` file under some paths, one file at a time.  The rules
+themselves live in :mod:`repro.analysis.rules` and are specific to this
+codebase's determinism contract --- see that module for the rule table.
 
 Suppressions
 ------------
@@ -17,9 +17,10 @@ A finding is suppressed by a trailing comment on the *flagged line*::
 
 ``disable=RL001,RL004`` suppresses several codes at once and a bare
 ``# reprolint: disable`` (no codes) suppresses every rule on that line.
-Suppressions must carry a reason after the code list: since v2 the
-RL009 hygiene rule flags reasonless comments, and the driver reports
-suppressions that silenced nothing as unused.
+Suppressions must carry a reason after the code list: the RL009
+hygiene rule flags reasonless comments, and an unrestricted
+:func:`run_analysis` reports suppressions that silenced nothing as
+unused.
 
 Paths
 -----
@@ -262,12 +263,32 @@ def register(cls: Type[LintRule]) -> Type[LintRule]:
 
 
 def _select_rules(select: Optional[Iterable[str]]) -> List[LintRule]:
+    from repro.analysis import rules  # noqa: F401 - populates the registry
     wanted = None if select is None else {c.upper() for c in select}
-    rules = []
-    for code in sorted(RULE_REGISTRY):
-        if wanted is None or code in wanted:
-            rules.append(RULE_REGISTRY[code]())
-    return rules
+    return [RULE_REGISTRY[code]() for code in sorted(RULE_REGISTRY)
+            if wanted is None or code in wanted]
+
+
+def _lint_file(path: str, source: str, rules: Sequence[LintRule]) -> Tuple[
+        List[Finding], List[Finding], Dict[int, Suppression]]:
+    """Run ``rules`` over one file: (kept, suppressed, its disable
+    comments).  A file that does not parse yields one RL000 finding."""
+    try:
+        ctx = FileContext(path, source)
+    except SyntaxError as exc:
+        return ([Finding(PARSE_ERROR_CODE, "parse-error", path,
+                         exc.lineno or 0, exc.offset or 0,
+                         f"cannot parse file: {exc.msg}")],
+                [], parse_suppressions(source))
+    kept: List[Finding] = []
+    suppressed: List[Finding] = []
+    for rule in rules:
+        for finding in rule.check(ctx):
+            if ctx.is_suppressed(finding.code, finding.line):
+                suppressed.append(finding)
+            else:
+                kept.append(finding)
+    return kept, suppressed, ctx.suppressions
 
 
 def lint_source(source: str, path: str = "<string>",
@@ -277,22 +298,73 @@ def lint_source(source: str, path: str = "<string>",
 
     Returns findings ordered by (line, col, code); suppressed findings
     are dropped unless ``include_suppressed`` asks for them (used by the
-    self-tests and ``--show-suppressed``).
+    self-tests).
     """
-    try:
-        ctx = FileContext(path, source)
-    except SyntaxError as exc:
-        return [Finding(PARSE_ERROR_CODE, "parse-error", str(path),
-                        exc.lineno or 0, exc.offset or 0,
-                        f"cannot parse file: {exc.msg}")]
-    findings: List[Finding] = []
-    for rule in _select_rules(select):
-        for finding in rule.check(ctx):
-            if include_suppressed or \
-                    not ctx.is_suppressed(finding.code, finding.line):
-                findings.append(finding)
+    kept, suppressed, _ = _lint_file(str(path), source,
+                                     _select_rules(select))
+    findings = kept + suppressed if include_suppressed else kept
     findings.sort(key=lambda f: (f.line, f.col, f.code))
     return findings
+
+
+@dataclass
+class AnalysisResult:
+    """Everything one :func:`run_analysis` call produced, each list in
+    (path, line, col, code) order."""
+
+    findings: List[Finding]
+    suppressed: List[Finding]
+    files_checked: int
+
+
+def _unused_suppressions(path: str, kept: List[Finding],
+                         suppressed: List[Finding],
+                         suppressions: Dict[int, Suppression]
+                         ) -> Iterator[Tuple[Finding, bool]]:
+    """(RL009 finding, whether it is itself suppressed) for every
+    disable comment in one file that silenced nothing.  Listing RL009
+    explicitly is the sanctioned opt-out."""
+    used = {f.line for f in suppressed}
+    reasonless = {f.line for f in kept + suppressed
+                  if f.code == SUPPRESSION_HYGIENE_CODE}
+    for sup in suppressions.values():
+        if sup.line in used or sup.line in reasonless:
+            continue  # needed, or already flagged for the missing reason
+        what = "blanket suppression" if sup.codes is None else \
+            f"suppression of {', '.join(sorted(sup.codes))}"
+        yield (Finding(SUPPRESSION_HYGIENE_CODE, "suppression-hygiene",
+                       path, sup.line, sup.col,
+                       f"unused {what}: no finding on this line needs "
+                       f"it; remove the disable comment"),
+               suppression_covers(sup, SUPPRESSION_HYGIENE_CODE))
+
+
+def run_analysis(paths: Sequence,
+                 select: Optional[Sequence[str]] = None) -> AnalysisResult:
+    """Lint every ``.py`` file under ``paths``.
+
+    ``select`` restricts the run to the listed codes.  Unused-suppression
+    detection only happens on unrestricted runs, where "nothing needed
+    this suppression" is actually known.
+    """
+    rules = _select_rules(select)
+    findings: List[Finding] = []
+    silenced: List[Finding] = []
+    files_checked = 0
+    for file in iter_python_files(paths):
+        path = str(file)
+        kept, suppressed, suppressions = _lint_file(
+            path, file.read_text(encoding="utf-8"), rules)
+        files_checked += 1
+        findings.extend(kept)
+        silenced.extend(suppressed)
+        if select is None:
+            for finding, covered in _unused_suppressions(
+                    path, kept, suppressed, suppressions):
+                (silenced if covered else findings).append(finding)
+    key = lambda f: (f.path, f.line, f.col, f.code)  # noqa: E731
+    return AnalysisResult(sorted(findings, key=key),
+                          sorted(silenced, key=key), files_checked)
 
 
 def iter_python_files(paths: Sequence) -> Iterator[Path]:
@@ -317,11 +389,8 @@ def iter_python_files(paths: Sequence) -> Iterator[Path]:
 # ----------------------------------------------------------------------
 def render_text(findings: Sequence[Finding], files_checked: int) -> str:
     lines = [f.format() for f in findings]
-    per_code: Dict[str, int] = {}
-    for f in findings:
-        per_code[f.code] = per_code.get(f.code, 0) + 1
-    summary = ", ".join(f"{code}: {count}"
-                        for code, count in sorted(per_code.items()))
+    summary = ", ".join(f"{code}: {count}" for code, count
+                        in sorted(_count_by_code(findings).items()))
     lines.append(
         f"reprolint: {len(findings)} finding(s) in {files_checked} file(s)"
         + (f" [{summary}]" if summary else ""))
@@ -344,9 +413,9 @@ def _count_by_code(findings: Sequence[Finding]) -> Dict[str, int]:
 
 
 __all__ = [
-    "FileContext", "Finding", "LintRule", "PARSE_ERROR_CODE",
-    "RULE_REGISTRY", "SUPPRESSION_HYGIENE_CODE", "Suppression",
-    "iter_python_files", "lint_source",
+    "AnalysisResult", "FileContext", "Finding", "LintRule",
+    "PARSE_ERROR_CODE", "RULE_REGISTRY", "SUPPRESSION_HYGIENE_CODE",
+    "Suppression", "iter_python_files", "lint_source",
     "parse_suppressions", "register", "render_json", "render_text",
-    "suppression_covers",
+    "run_analysis", "suppression_covers",
 ]

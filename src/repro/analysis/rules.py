@@ -1,4 +1,4 @@
-"""The reprolint rule set (RL001-RL008).
+"""The reprolint rule set (RL001-RL009).
 
 Every rule encodes one clause of this reproduction's determinism /
 invariant contract --- the property that every figure is a pure
@@ -15,10 +15,11 @@ RL002     Module-level / unseeded :mod:`random` usage.  Every RNG must
           thread an explicit ``random.Random`` handle (usually from
           :class:`repro.sim.rng.RandomStreams`); the shared global RNG
           couples unrelated components and defeats variance isolation.
-RL003     Iteration over ``set`` expressions.  Set order depends on
-          ``PYTHONHASHSEED`` for str/object elements, so any side
-          effect performed per element (row inserts, heap pushes, event
-          scheduling) becomes run-dependent.  Wrap in ``sorted(...)``.
+RL003     Iteration over ``set`` expressions, anywhere in the tree.  Set
+          order depends on ``PYTHONHASHSEED`` for str/object elements,
+          so any side effect performed per element (row inserts, heap
+          pushes, event scheduling, an RNG draw bound to the element)
+          becomes run-dependent.  Wrap in ``sorted(...)``.
 RL004     ``==``/``!=`` on time/frequency-valued names.  Times and
           frequencies are floats built by arithmetic; compare with a
           tolerance (``abs(a - b) < eps``) or ``math.isinf``/``isclose``.
@@ -34,19 +35,21 @@ RL008     ``@dataclass`` state classes in ``sim/``/``cpu/`` that are
           neither ``frozen`` nor slotted: accidental attribute creation
           on hot-path state objects hides typos and costs memory.
 RL009     Suppression hygiene: a ``# reprolint: disable`` comment
-          without a ``- reason`` is itself a finding, and the driver
-          reports suppressions that silenced nothing as unused.  The
-          code is special-cased so a blanket/reasonless comment cannot
-          silence the finding about itself.
+          without a ``- reason`` is itself a finding, and
+          ``run_analysis`` reports suppressions that silenced nothing
+          as unused.  The code is special-cased so a blanket/reasonless
+          comment cannot silence the finding about itself.
 ========  =============================================================
 
 Suppress a deliberate exception with
 ``# reprolint: disable=RL### - reason`` on the flagged line.
 
-The whole-program rules (RL101-RL113: unit-dimension inference and
-RNG/wall-clock flow analysis) live in :mod:`repro.analysis.units` and
-:mod:`repro.analysis.flows`; they need the cross-module view built by
-:mod:`repro.analysis.project` and run from the driver, not per file.
+Every rule sees one file at a time.  Mistakes that only show across
+modules (a unit mismatch at a call, two components drawing from one
+stream, host time reached through a helper) change a simulated
+result, so they are left to the pinned fingerprints and the unit
+tests; DESIGN.md §9 records a seeded mutant of each that tier-1
+caught.
 """
 
 from __future__ import annotations
@@ -184,12 +187,6 @@ class UnseededRandomRule(LintRule):
 # ----------------------------------------------------------------------
 # RL003 --- set iteration order
 # ----------------------------------------------------------------------
-#: Directories whose code feeds simulation state (the harness/theory
-#: layers consume already-deterministic results).
-RL003_DIRS = ("sim", "core", "governors", "cpu", "db", "workloads",
-              "metrics", "obs")
-
-
 def _is_set_expr(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -206,8 +203,6 @@ class SetIterationRule(LintRule):
                    "PYTHONHASHSEED; wrap in sorted(...)")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_dirs(RL003_DIRS):
-            return
         for node in ast.walk(ctx.tree):
             iters: List[ast.AST] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -523,8 +518,8 @@ class DataclassSlotsRule(LintRule):
 class SuppressionHygieneRule(LintRule):
     code = SUPPRESSION_HYGIENE_CODE
     name = "suppression-hygiene"
-    description = ("# reprolint: disable comment without a `- reason`; "
-                   "unused suppressions are reported by the driver")
+    description = ("# reprolint: disable comment without a `- reason`, "
+                   "or (on a full run) one that silenced nothing")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for line in sorted(ctx.suppressions):

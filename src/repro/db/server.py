@@ -88,8 +88,6 @@ class ServerConfig:
     scheduler_frequencies: Tuple[float, ...] = POLARIS_FREQUENCIES
     #: P-state grid of the cores (governors may use the full grid).
     pstate_grid: Optional[PStateTable] = None
-    #: Execute transaction bodies against a real storage engine.
-    functional_execution: bool = False
     #: DVFS transition stall (seconds); the paper's MSR path is sub-us.
     transition_latency: float = 0.0
     #: Request routing across workers: "rh-round-robin" reproduces the

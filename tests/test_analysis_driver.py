@@ -1,11 +1,12 @@
-"""The analysis driver on synthetic trees: suppression accounting,
-including the driver-synthesized unused-suppression findings."""
+"""``run_analysis`` and the CLI on synthetic trees: suppression
+accounting, including the synthesized unused-suppression findings."""
 
 import pytest
 
 from repro.analysis.cli import main as cli_main
-from repro.analysis.driver import run_analysis
-from repro.analysis.linter import parse_suppressions, suppression_covers
+from repro.analysis.linter import (
+    parse_suppressions, run_analysis, suppression_covers,
+)
 
 
 def write_tree(tmp_path, files):
@@ -47,7 +48,7 @@ def test_suppression_covers_rl009_needs_explicit_listing():
 
 
 # ----------------------------------------------------------------------
-# Driver: unused suppressions, program-finding suppression
+# run_analysis: used and unused suppressions
 # ----------------------------------------------------------------------
 def test_driver_reports_unused_suppression(tmp_path):
     write_tree(tmp_path, {
@@ -71,22 +72,6 @@ def test_driver_used_suppression_is_not_flagged(tmp_path):
     assert [f.code for f in result.suppressed] == ["RL001"]
 
 
-def test_driver_suppresses_program_findings_inline(tmp_path):
-    shared = ("def setup(streams):\n"
-              "    return streams.get('arrivals')  "
-              "# reprolint: disable=RL111 - paired on purpose\n")
-    write_tree(tmp_path, {
-        "sim/a.py": shared,
-        "harness/b.py": ("def measure(streams):\n"
-                         "    return streams.get('arrivals')  "
-                         "# reprolint: disable=RL111 - paired on "
-                         "purpose\n"),
-    })
-    result = run_analysis([tmp_path])
-    assert "RL111" not in {f.code for f in result.findings}
-    assert "RL111" in {f.code for f in result.suppressed}
-
-
 def test_driver_select_skips_unused_detection(tmp_path):
     write_tree(tmp_path, {
         "sim/x.py": "def f():  # reprolint: disable=RL001 - stale\n"
@@ -99,8 +84,12 @@ def test_driver_select_skips_unused_detection(tmp_path):
 # ----------------------------------------------------------------------
 # CLI end to end
 # ----------------------------------------------------------------------
-def test_cli_select_accepts_program_codes(tmp_path, capsys):
+def test_cli_select_accepts_only_per_file_codes(tmp_path, capsys):
     root = write_tree(tmp_path, {"sim/x.py": "x = 1\n"})
-    assert cli_main([str(root), "--select", "RL111"]) == 0
-    with pytest.raises(SystemExit):
-        cli_main([str(root), "--select", "RL999"])
+    assert cli_main([str(root), "--select", "RL003"]) == 0
+    # The deleted whole-program codes are unknown now, like RL999.
+    for code in ("RL101", "RL102", "RL103", "RL104",
+                 "RL110", "RL111", "RL112", "RL113", "RL999"):
+        with pytest.raises(SystemExit) as raised:
+            cli_main([str(root), "--select", code])
+        assert raised.value.code == 2

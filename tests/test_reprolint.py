@@ -13,9 +13,8 @@ import pytest
 
 from repro.analysis import rules as rules_module  # populates the registry
 from repro.analysis.cli import main as cli_main
-from repro.analysis.driver import run_analysis
 from repro.analysis.linter import (
-    PARSE_ERROR_CODE, RULE_REGISTRY, lint_source,
+    PARSE_ERROR_CODE, RULE_REGISTRY, lint_source, run_analysis,
 )
 
 SIM = "src/repro/sim/x.py"
@@ -90,14 +89,19 @@ def test_rl003_flags_set_iteration_in_sim_dirs():
                             path=CORE)
     assert "RL003" in codes("out = [f(x) for x in frozenset(names)]\n")
     assert "RL003" in codes("out = [y for y in {n for n in names}]\n")
+    # A draw bound to each element in hash order, outside the sim dirs.
+    assert "RL003" in codes("def assign(rng, cores):\n"
+                            "    for core in set(cores):\n"
+                            "        core.bias = rng.random()\n",
+                            path=HARNESS)
 
 
 def test_rl003_allows_sorted_sets_and_other_dirs():
     assert codes("for x in sorted(set(names)):\n    push(x)\n") == []
     assert codes("for x in names:\n    push(x)\n") == []
-    # Theory/harness layers are out of scope for RL003.
-    assert codes("for x in set(names):\n    push(x)\n",
-                 path="src/repro/theory/x.py") == []
+    # RL003 has no directory scope: the theory layer is checked too.
+    assert "RL003" in codes("for x in set(names):\n    push(x)\n",
+                            path="src/repro/theory/x.py")
 
 
 # ----------------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_functional_execution_runs_bodies(sim):
     config = tpcc.TpccConfig(warehouses=1, customers_per_district=10,
                              items=30)
     db = tpcc.build_database(config, seed=3)
-    server, _ = make_server(sim, workers=2, functional_execution=True)
+    server, _ = make_server(sim, workers=2)
     server.attach_functional(db, tpcc.TRANSACTION_BODIES, config,
                              random.Random(4))
     commits_before = db.log.stats.commits
@@ -186,7 +186,7 @@ def test_functional_rollback_handled(sim):
     config = tpcc.TpccConfig(warehouses=1, customers_per_district=10,
                              items=30, new_order_rollback_rate=1.0)
     db = tpcc.build_database(config, seed=3)
-    server, _ = make_server(sim, workers=1, functional_execution=True)
+    server, _ = make_server(sim, workers=1)
     server.attach_functional(db, tpcc.TRANSACTION_BODIES, config,
                              random.Random(4))
     request = Request(WORKLOAD, "NewOrder", 0.0, 2.8e-3)

@@ -118,6 +118,10 @@ def test_batched_getrandbits_family_fails_loudly():
         batched.choice([1, 2, 3])
     with pytest.raises(TypeError):
         batched.shuffle([1, 2, 3])
+    with pytest.raises(TypeError):
+        batched.sample([1, 2, 3], 2)
+    with pytest.raises(TypeError):
+        batched.randbytes(4)
 
 
 def test_batched_reseed_and_state_rejected():

@@ -10,8 +10,8 @@ Public API overview
     POLARIS-FIFO / POLARIS-FIFO-NOARRIVE variants.
 ``repro.sim`` / ``repro.cpu`` / ``repro.db`` / ``repro.workloads``
     The simulated substrate: discrete-event engine, DVFS-capable cores
-    with a calibrated power model, the in-memory transactional server
-    (storage engine + workers), and the TPC-C / TPC-E workloads.
+    with a calibrated power model, the multi-worker transactional
+    server, and the calibrated TPC-C / TPC-E / YCSB workloads.
 ``repro.governors``
     The OS baselines: OnDemand, Conservative, and static governors.
 ``repro.theory``

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Optional
+from typing import Optional
 
 _request_ids = itertools.count(1)
 
@@ -37,7 +37,7 @@ class Request:
         to --- POLARIS keys its estimators and latency targets on this.
     txn_type:
         Benchmark transaction type name (NewOrder, Payment, ...); used
-        by the functional execution layer and reporting.  One workload
+        by the fleet router and reporting.  One workload
         may span several types (the gold/silver experiment) or exactly
         one (the per-type default).
     work:
@@ -49,7 +49,7 @@ class Request:
     __slots__ = ("request_id", "workload", "workload_name", "txn_type",
                  "arrival_time", "deadline", "work", "state",
                  "dispatch_time", "finish_time", "worker_id",
-                 "dispatch_freq", "single_freq", "result", "mu")
+                 "dispatch_freq", "single_freq", "mu")
 
     def __init__(self, workload, txn_type: str, arrival_time: float,
                  work: float, deadline: Optional[float] = None):
@@ -72,7 +72,6 @@ class Request:
         #: True if the core frequency never changed while this request
         #: ran; only such runs are clean per-frequency measurements.
         self.single_freq: bool = True
-        self.result: Any = None
         #: The estimate row ``[mu(c, f) for f in freqs]`` of this
         #: request's workload, stamped by the scheduler that queued it
         #: (see ``PolarisScheduler.enqueue``); None until then.

@@ -20,9 +20,8 @@ direct-MSR path does.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.analysis.sanitizer import invariant
 from repro.core.polaris import PolarisScheduler
@@ -36,7 +35,6 @@ from repro.cpu.pstates import POLARIS_FREQUENCIES, PStateTable, XEON_E5_2640V3_P
 from repro.cpu.rapl import RaplPackage
 from repro.cpu.topology import FrequencyDomain, SocketTopology, make_topology
 from repro.db.queues import FifoQueue, RequestQueue
-from repro.db.storage.errors import Rollback
 from repro.sim.engine import Simulator
 
 
@@ -373,8 +371,6 @@ class Worker:
                               f"exec:{request.txn_type}", now,
                               deadline=request.deadline,
                               freq_ghz=core.freq)
-        if server.functional_executor is not None:
-            request.result = server.functional_executor(request)
         core.start_job(request, self._on_complete)
 
     def _on_complete(self, request: Request) -> None:
@@ -491,7 +487,6 @@ class DatabaseServer:
             self._routing = make_routing(config.routing)
         self._completion_listeners: List[Callable[[Request], None]] = []
         self._rejection_listeners: List[Callable[[Request], None]] = []
-        self.functional_executor: Optional[Callable[[Request], object]] = None
         self.submitted = 0
         self.rejected = 0
         # --- repro.faults ---------------------------------------------
@@ -566,29 +561,6 @@ class DatabaseServer:
         self.rejected += 1
         for listener in self._rejection_listeners:
             listener(request)
-
-    # ------------------------------------------------------------------
-    # Functional execution
-    # ------------------------------------------------------------------
-    def attach_functional(self, database, bodies: Dict[str, Callable],
-                          config, rng: random.Random) -> None:
-        """Execute real transaction bodies at dispatch time.
-
-        The body runs against the storage engine when the request is
-        dispatched; its simulated *duration* still comes from the
-        request's drawn work.  TPC-C's 1% New Order rollback surfaces as
-        a caught :class:`Rollback` (the transaction aborts cleanly).
-        """
-        def executor(request: Request):
-            body = bodies.get(request.txn_type)
-            if body is None:
-                return None
-            try:
-                return body(database, rng, config, now=self.sim.now)
-            except Rollback:
-                return {"rolled_back": True}
-
-        self.functional_executor = executor
 
     # ------------------------------------------------------------------
     # Power / state summaries

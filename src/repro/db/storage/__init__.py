@@ -1,32 +1,11 @@
-"""In-memory storage manager.
+"""What remains of the in-memory storage engine: the row lock manager.
 
-A compact but real storage engine: schema-checked tables, unique and
-non-unique secondary indexes (hash or B+-tree), strict two-phase row
-locking with no-wait conflict resolution, undo-based aborts, and a
-write-ahead log with the staged group commit policy the paper's
-Shore-MT configuration uses ("log I/O is forced at least once per 100
-transactions", Section 6.1).
-
-The engine is *functionally* exercised by the TPC-C / TPC-E transaction
-implementations; simulated execution *time* comes from the calibrated
-service-time model instead (see DESIGN.md, "Functional + timed
-execution").
+Nothing in the simulator takes a lock --- POLARIS sees a transaction
+only as its workload label, deadline and measured execution time, and
+each worker runs a transaction to completion on one core --- so
+:mod:`repro.db.storage.locks` is reached by its own tests alone.
 """
 
-from repro.db.storage.errors import (
-    DuplicateKeyError, LockConflictError, NoSuchRowError, NoSuchTableError,
-    SchemaError, StorageError, TransactionAborted,
-)
-from repro.db.storage.btree import BPlusTree
-from repro.db.storage.locks import LockManager, LockMode
-from repro.db.storage.log import LogManager, LogRecord
-from repro.db.storage.table import Table
-from repro.db.storage.transaction import Transaction
-from repro.db.storage.database import Database
+from repro.db.storage.locks import LockConflictError, LockManager, LockMode
 
-__all__ = [
-    "BPlusTree", "Database", "DuplicateKeyError", "LockConflictError",
-    "LockManager", "LockMode", "LogManager", "LogRecord", "NoSuchRowError",
-    "NoSuchTableError", "SchemaError", "StorageError", "Table",
-    "Transaction", "TransactionAborted",
-]
+__all__ = ["LockConflictError", "LockManager", "LockMode"]

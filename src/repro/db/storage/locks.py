@@ -2,11 +2,9 @@
 
 Workers in the simulated server execute each transaction from start to
 finish on a single core (the VoltDB/Silo execution model POLARIS
-targets, paper Section 1), so in the end-to-end simulation lock
-conflicts cannot arise between workers of disjoint partitions.  The
-lock manager still implements the full S/X protocol --- the substrate
-should be honest, and the concurrency unit tests exercise conflicts
-directly.
+targets, paper Section 1), so no simulated transaction takes a lock.
+The lock manager implements the full S/X protocol on its own, and its
+unit tests exercise conflicts directly.
 
 Two conflict policies are provided:
 
@@ -29,7 +27,9 @@ from __future__ import annotations
 import enum
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.db.storage.errors import LockConflictError
+
+class LockConflictError(Exception):
+    """Lock request conflicts with a lock held by another transaction."""
 
 
 class WouldWaitError(LockConflictError):

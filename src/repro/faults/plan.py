@@ -148,7 +148,8 @@ class NodeCrashSpec:
 
     A crashed node stops cold: its in-flight and queued requests die
     with it, its wall draw drops to zero, and the buffered-but-unforced
-    tail of its shard's WAL is lost via ``LogManager.crash()`` --- the
+    tail of its shard's WAL is lost
+    (``ShardReplication.on_primary_crash``) --- the
     group-commit window is exactly the durability hole this spec
     exposes.  ``nodes`` names target node ids; the empty tuple means
     the *primary of every shard* (the crash-per-shard chaos plan the

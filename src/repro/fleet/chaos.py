@@ -11,10 +11,12 @@ deterministic functions of ``(config, seed, plan)``.
 This module also owns :class:`ShardReplication`, the per-shard WAL and
 replica-apply model the failure machinery runs on:
 
-* the shard's primary appends one row image + COMMIT per completed
-  write into a real :class:`~repro.db.storage.log.LogManager` under
-  group commit --- so a crash loses exactly the buffered-but-unforced
-  tail, the paper's Shore-MT durability window;
+* the shard's primary logs one row image + COMMIT (two LSNs) per
+  completed write under group commit --- so a crash loses exactly the
+  buffered-but-unforced tail, the paper's Shore-MT durability window.
+  Nothing reads a record's contents, so the log is kept as LSN
+  counters: the next LSN, the buffered COMMIT LSNs and the durable
+  ones;
 * replicas apply a forced log prefix after their replication lag:
   a record forced at ``t`` is applied by a replica of lag ``L`` at
   ``t + L`` (and never, once the primary is dead --- shipping stops at
@@ -30,10 +32,10 @@ pick the most-caught-up replica and to price the WAL replay.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.db.storage.log import KIND_COMMIT, KIND_UPDATE, LogManager, replay
 from repro.faults.plan import FaultPlan
 from repro.fleet.node import Fleet, Node, NodeState
 from repro.fleet.router import ShardState
@@ -51,7 +53,14 @@ class ShardReplication:
                  group_commit_size: int):
         self.sim = sim
         self.shard_id = shard_id
-        self.log = LogManager(group_commit_size)
+        self.group_commit_size = group_commit_size
+        self.next_lsn = 1
+        #: COMMIT LSNs in the unforced tail; a full group forces it.
+        self.buffered_commits: List[int] = []
+        #: COMMIT LSNs forced to the durable log, ascending.  A force
+        #: always lands right after a COMMIT, so the durable log ends on
+        #: one and holds exactly two records per entry here.
+        self.durable_commits: List[int] = []
         #: (force time, last durable LSN) per log force, in time order;
         #: a replica of lag L has applied the longest prefix whose
         #: force happened at least L ago (and before the primary died).
@@ -67,23 +76,24 @@ class ShardReplication:
     # ------------------------------------------------------------------
     # Primary-side logging
     # ------------------------------------------------------------------
-    def on_write_committed(self, txn_id: int) -> None:
-        """A write transaction completed on the primary: log its row
-        image and COMMIT under group commit."""
-        forces_before = self.log.stats.forces
-        self.log.append(txn_id, KIND_UPDATE, table=f"shard{self.shard_id}",
-                        key=txn_id, after={"txn": txn_id})
-        self.log.append(txn_id, KIND_COMMIT)
-        if self.log.stats.forces != forces_before:
-            self.force_times.append((self.sim.now,
-                                     self.log.last_durable_lsn))
+    def on_write_committed(self) -> None:
+        """A write transaction completed on the primary: its row image
+        and COMMIT take the next two LSNs under group commit."""
+        commit_lsn = self.next_lsn + 1
+        self.next_lsn += 2
+        buffered = self.buffered_commits
+        buffered.append(commit_lsn)
+        if len(buffered) >= self.group_commit_size:
+            self.durable_commits.extend(buffered)
+            buffered.clear()
+            self.force_times.append((self.sim.now, commit_lsn))
 
     def on_primary_crash(self) -> int:
         """The primary fail-stopped: the buffered tail is gone.  Counts
         and returns the commits it took with it."""
-        buffered = self.log.buffered_commits
+        buffered = len(self.buffered_commits)
         self.crashed_at_s = self.sim.now
-        self.log.crash()
+        self.buffered_commits.clear()
         self.lost_commits += buffered
         return buffered
 
@@ -122,28 +132,24 @@ class ShardReplication:
     # ------------------------------------------------------------------
     # Promotion (failover)
     # ------------------------------------------------------------------
-    def promote_to(self, node: Node, lag_s: float,
-                   now_s: float) -> Tuple[int, int]:
-        """Re-point the shard's log at ``node``'s applied prefix.
+    def promote_to(self, node: Node, lag_s: float, now_s: float) -> int:
+        """Re-point the shard's log at ``node``'s applied prefix and
+        return how many records its redo pass replays.
 
-        Durable records beyond the prefix were never shipped --- their
-        commits join :attr:`lost_commits` and the log is trimmed with
-        :meth:`LogManager.discard_after` so the new primary's history
-        ends exactly where its replay does.  Returns ``(records
-        replayed, rows recovered)`` from the redo pass.
+        Durable commits beyond the prefix were never shipped --- they
+        join :attr:`lost_commits` and the log is trimmed, so the new
+        primary's history ends exactly where its replay does.
         """
         applied = self.applied_lsn(node.node_id, lag_s, now_s)
-        self.lost_commits += sum(
-            1 for r in self.log.durable_records
-            if r.kind == KIND_COMMIT and r.lsn > applied)
-        self.log.discard_after(applied)
+        durable = self.durable_commits
+        kept = bisect_right(durable, applied)
+        self.lost_commits += len(durable) - kept
+        del durable[kept:]
+        self.buffered_commits.clear()
         self.force_times = [(t, lsn) for t, lsn in self.force_times
                             if lsn <= applied]
-        records = self.log.durable_records
-        tables = replay(records)
-        rows = sum(len(rows_by_key) for rows_by_key in tables.values())
         self.crashed_at_s = None  # the write path is alive again
-        return len(records), rows
+        return 2 * kept  # an UPDATE and a COMMIT per kept write
 
 
 class FleetFaultInjector:

@@ -183,7 +183,6 @@ class FleetPlant:
             for shard in shards}
         tracker = self.tracker = AvailabilityTracker(
             sim, [s.shard_id for s in shards])
-        write_seq = {shard.shard_id: 0 for shard in shards}
         read_types = self.read_types
 
         def _log_write(node: Node, request: Request) -> None:
@@ -193,9 +192,7 @@ class FleetPlant:
             shard = shards[node.shard_id]
             if request.txn_type in read_types or shard.primary is not node:
                 return
-            write_seq[node.shard_id] += 1
-            replication[node.shard_id].on_write_committed(
-                write_seq[node.shard_id])
+            replication[node.shard_id].on_write_committed()
 
         for node in self.fleet.nodes:
             node.server.add_completion_listener(partial(_log_write, node))

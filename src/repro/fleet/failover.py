@@ -11,12 +11,12 @@ begins:
    node id (deterministic).  If no replica is active but one is parked,
    a warm spare is booted first and the election re-runs when it comes
    up.
-2. **Replay** the elected replica's durable WAL prefix through
-   :func:`repro.db.storage.log.replay` (redo-only).  The replay costs
-   ``replay_fixed_s + replay_per_record_s * records`` of virtual time
-   --- the dominant term of MTTR after detection.  Durable commits
-   beyond the replica's applied prefix were never shipped; they are
-   counted lost and trimmed (``LogManager.discard_after``).
+2. **Replay** the elected replica's durable WAL prefix (redo-only).
+   The replay costs ``replay_fixed_s + replay_per_record_s * records``
+   of virtual time --- the dominant term of MTTR after detection.
+   Durable commits beyond the replica's applied prefix were never
+   shipped; they are counted lost and trimmed
+   (:meth:`ShardReplication.promote_to`).
 3. **Promote**: the replica becomes the shard's primary (zero apply
    lag), the corpse is demoted into the replica list, and the shard's
    write path is open again.
@@ -113,7 +113,6 @@ class FailoverManager:
         self.mttr_samples: List[float] = []
         self.failovers = 0
         self.records_replayed = 0
-        self.rows_recovered = 0
         self._in_progress: Dict[int, bool] = {}
         self._tick_event = None
         self.tracer = sim.tracer
@@ -195,10 +194,9 @@ class FailoverManager:
                      key=lambda node: (replication.applied_lsn(
                          node.node_id, node.replication_lag_s, now_s),
                          -node.node_id))
-        records, rows = replication.promote_to(
+        records = replication.promote_to(
             winner, winner.replication_lag_s, now_s)
         self.records_replayed += records
-        self.rows_recovered += rows
         replay_s = self.config.replay_fixed_s \
             + self.config.replay_per_record_s * records
         self._event(shard, "replay", winner.node_id)

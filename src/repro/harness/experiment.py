@@ -55,13 +55,13 @@ from repro.workloads.base import BenchmarkSpec
 
 #: benchmark name -> spec factory.
 BENCHMARKS: Dict[str, Callable[[], BenchmarkSpec]] = {
-    "tpcc": lambda: tpcc.make_spec(include_bodies=False),
-    "tpce": lambda: tpce.make_spec(include_bodies=False),
+    "tpcc": tpcc.make_spec,
+    "tpce": tpce.make_spec,
 }
 # YCSB core workloads (the Section 8 key-value target): ycsb-a .. ycsb-f.
 for _letter in "abcdef":
     BENCHMARKS[f"ycsb-{_letter}"] = (
-        lambda letter=_letter: ycsb.make_spec(letter, include_bodies=False))
+        lambda letter=_letter: ycsb.make_spec(letter))
 
 #: Load calibration.  The paper expresses loads as fractions of the
 #: *measured* peak throughput of its testbed.  That measurement embeds

@@ -1,14 +1,16 @@
-"""Benchmark workloads: TPC-C, TPC-E, arrivals, and load traces.
+"""Benchmark workloads: TPC-C, TPC-E, YCSB, arrivals, and load traces.
 
 Each benchmark supplies, per transaction type:
 
-* a **functional implementation** that really executes against the
-  in-memory storage engine (used by tests/examples to check integrity);
 * a **service-time model** calibrated to the execution-time table the
   paper reports (Figure 3): a lognormal (or lognormal+spike) draw of
   *work* in giga-cycles, so simulated duration scales as ``work / f``
   with core frequency exactly like the paper's measurements do;
 * its share of the benchmark **mix**.
+
+That is all a transaction is here: POLARIS sees its type, its deadline
+and its measured execution time (paper Section 4.1), never what it
+reads or writes.
 
 Also here: the open-loop request generator with uniform interarrival
 times (Section 6.1) and the World Cup-style time-varying load trace

@@ -26,7 +26,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 #: z-score of the 95th percentile of the standard normal.
 Z95 = 1.6448536269514722
@@ -116,23 +116,17 @@ class ServiceTimeModel:
         return self.draw_seconds(rng) * self.ref_freq_ghz
 
 
-#: Signature of a functional transaction body: (database, rng, inputs) -> result.
-TransactionBody = Callable[..., dict]
-
-
 @dataclass
 class TransactionType:
     """One request type of a benchmark.
 
     ``mix_weight`` is its share of the benchmark mix (weights need not
-    sum to 1; the spec normalizes).  ``body`` is the optional functional
-    implementation run against the storage engine.
+    sum to 1; the spec normalizes).
     """
 
     name: str
     mix_weight: float
     service: ServiceTimeModel
-    body: Optional[TransactionBody] = None
 
     def __post_init__(self):
         if self.mix_weight < 0:

@@ -1,4 +1,4 @@
-"""TPC-C workload: schema, loader, functional transactions, and spec.
+"""TPC-C workload: the Figure 3 calibration and its spec.
 
 The paper uses Shore-Kits' TPC-C implementation with the four
 transaction types and mix shown in its Figure 3:
@@ -12,23 +12,12 @@ Order Status   4%      250 us           1682 us
 Stock Level    4%      3435 us          5106 us
 =============  ======  ===============  ==============
 
-Those numbers calibrate the service-time models; the *functional*
-bodies below really execute against the storage engine so that the
-integrity tests (TPC-C consistency conditions) have something to bite.
-
-The loader is scale-parameterized; defaults are shrunk from the TPC-C
-spec sizes (3000 customers/district, 100k items) to keep functional
-tests fast, while preserving every relationship the transactions touch.
+Those numbers calibrate the service-time models, which are all POLARIS
+sees of a transaction: its type, its deadline and how long it ran.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-from repro.db.storage.database import Database
-from repro.db.storage.errors import Rollback
 from repro.workloads.base import BenchmarkSpec, ServiceTimeModel, TransactionType
 
 #: Figure 3 calibration: name -> (mix %, mean seconds, p95 seconds) at 2.8 GHz.
@@ -47,409 +36,15 @@ FIGURE3_AT_1200MHZ = {
     "StockLevel":  (8062e-6, 11495e-6),
 }
 
-#: Paper Section 6.1: database scale factor (warehouses) for TPC-C.
-PAPER_SCALE_FACTOR = 48
-
-
-@dataclass
-class TpccConfig:
-    """Loader scale parameters (spec values in comments)."""
-
-    warehouses: int = 1
-    districts_per_warehouse: int = 10   # spec: 10
-    customers_per_district: int = 30    # spec: 3000
-    items: int = 100                    # spec: 100000
-    initial_orders_per_district: int = 10  # spec: 3000
-    new_order_rollback_rate: float = 0.01  # spec: 1% unused item
-
-
-# ----------------------------------------------------------------------
-# Schema + loader
-# ----------------------------------------------------------------------
-def create_schema(db: Database) -> None:
-    """Create the nine TPC-C tables and their secondary indexes."""
-    db.create_table("warehouse", ("w_id", "w_name", "w_tax", "w_ytd"),
-                    ("w_id",))
-    db.create_table("district",
-                    ("d_w_id", "d_id", "d_name", "d_tax", "d_ytd",
-                     "d_next_o_id"),
-                    ("d_w_id", "d_id"))
-    customer = db.create_table(
-        "customer",
-        ("c_w_id", "c_d_id", "c_id", "c_first", "c_last", "c_credit",
-         "c_balance", "c_ytd_payment", "c_payment_cnt", "c_delivery_cnt"),
-        ("c_w_id", "c_d_id", "c_id"))
-    customer.create_index("by_last_name",
-                          ("c_w_id", "c_d_id", "c_last"), ordered=True)
-    db.create_table("item", ("i_id", "i_name", "i_price"), ("i_id",))
-    db.create_table("stock",
-                    ("s_w_id", "s_i_id", "s_quantity", "s_ytd",
-                     "s_order_cnt", "s_remote_cnt"),
-                    ("s_w_id", "s_i_id"))
-    orders = db.create_table(
-        "orders",
-        ("o_w_id", "o_d_id", "o_id", "o_c_id", "o_entry_d", "o_ol_cnt",
-         "o_carrier_id"),
-        ("o_w_id", "o_d_id", "o_id"))
-    orders.create_index("by_customer",
-                        ("o_w_id", "o_d_id", "o_c_id", "o_id"),
-                        unique=True, ordered=True)
-    db.create_table("new_order", ("no_w_id", "no_d_id", "no_o_id"),
-                    ("no_w_id", "no_d_id", "no_o_id"))
-    ol = db.create_table(
-        "order_line",
-        ("ol_w_id", "ol_d_id", "ol_o_id", "ol_number", "ol_i_id",
-         "ol_supply_w_id", "ol_quantity", "ol_amount", "ol_delivery_d"),
-        ("ol_w_id", "ol_d_id", "ol_o_id", "ol_number"))
-    ol.create_index("by_order", ("ol_w_id", "ol_d_id", "ol_o_id"),
-                    ordered=True)
-    db.create_table("history",
-                    ("h_id", "h_c_w_id", "h_c_d_id", "h_c_id", "h_w_id",
-                     "h_d_id", "h_amount", "h_date"),
-                    ("h_id",))
-
-
-_LAST_NAMES = ("BAR", "OUGHT", "ABLE", "PRI", "PRES",
-               "ESE", "ANTI", "CALLY", "ATION", "EING")
-
-
-def customer_last_name(number: int) -> str:
-    """TPC-C last-name generator: syllables of the 3 digits of ``number``."""
-    digits = (number // 100 % 10, number // 10 % 10, number % 10)
-    return "".join(_LAST_NAMES[d] for d in digits)
-
-
-def load(db: Database, config: TpccConfig, rng: random.Random) -> None:
-    """Populate a schema-created database at the configured scale."""
-    with db.transaction() as txn:
-        for i_id in range(1, config.items + 1):
-            txn.insert("item", {
-                "i_id": i_id,
-                "i_name": f"item-{i_id}",
-                "i_price": round(rng.uniform(1.0, 100.0), 2),
-            })
-    for w_id in range(1, config.warehouses + 1):
-        _load_warehouse(db, config, rng, w_id)
-    db.log.force()
-
-
-def _load_warehouse(db: Database, config: TpccConfig, rng: random.Random,
-                    w_id: int) -> None:
-    with db.transaction() as txn:
-        txn.insert("warehouse", {
-            "w_id": w_id, "w_name": f"wh-{w_id}",
-            "w_tax": round(rng.uniform(0.0, 0.2), 4), "w_ytd": 300000.0,
-        })
-        for i_id in range(1, config.items + 1):
-            txn.insert("stock", {
-                "s_w_id": w_id, "s_i_id": i_id,
-                "s_quantity": rng.randint(10, 100),
-                "s_ytd": 0, "s_order_cnt": 0, "s_remote_cnt": 0,
-            })
-    for d_id in range(1, config.districts_per_warehouse + 1):
-        _load_district(db, config, rng, w_id, d_id)
-
-
-def _load_district(db: Database, config: TpccConfig, rng: random.Random,
-                   w_id: int, d_id: int) -> None:
-    n_orders = min(config.initial_orders_per_district,
-                   config.customers_per_district)
-    with db.transaction() as txn:
-        txn.insert("district", {
-            "d_w_id": w_id, "d_id": d_id, "d_name": f"d-{w_id}-{d_id}",
-            "d_tax": round(rng.uniform(0.0, 0.2), 4),
-            "d_ytd": 30000.0, "d_next_o_id": n_orders + 1,
-        })
-        for c_id in range(1, config.customers_per_district + 1):
-            txn.insert("customer", {
-                "c_w_id": w_id, "c_d_id": d_id, "c_id": c_id,
-                "c_first": f"first-{c_id}",
-                "c_last": customer_last_name(c_id - 1),
-                "c_credit": "GC" if rng.random() < 0.9 else "BC",
-                "c_balance": -10.0, "c_ytd_payment": 10.0,
-                "c_payment_cnt": 1, "c_delivery_cnt": 0,
-            })
-        # Initial orders: customers 1..n_orders in a random permutation.
-        c_ids = list(range(1, config.customers_per_district + 1))
-        rng.shuffle(c_ids)
-        for o_id in range(1, n_orders + 1):
-            ol_cnt = rng.randint(5, 15)
-            txn.insert("orders", {
-                "o_w_id": w_id, "o_d_id": d_id, "o_id": o_id,
-                "o_c_id": c_ids[o_id - 1], "o_entry_d": 0.0,
-                "o_ol_cnt": ol_cnt, "o_carrier_id": rng.randint(1, 10),
-            })
-            for number in range(1, ol_cnt + 1):
-                i_id = rng.randint(1, config.items)
-                txn.insert("order_line", {
-                    "ol_w_id": w_id, "ol_d_id": d_id, "ol_o_id": o_id,
-                    "ol_number": number, "ol_i_id": i_id,
-                    "ol_supply_w_id": w_id,
-                    "ol_quantity": rng.randint(1, 10),
-                    "ol_amount": round(rng.uniform(0.01, 9999.99), 2),
-                    "ol_delivery_d": 0.0,
-                })
-
-
-# ----------------------------------------------------------------------
-# Transaction bodies
-# ----------------------------------------------------------------------
-_history_seq = 0
-
-
-def _next_history_id() -> int:
-    global _history_seq
-    _history_seq += 1
-    return _history_seq
-
-
-def new_order(db: Database, rng: random.Random, config: TpccConfig,
-              now: float = 0.0) -> Dict:
-    """TPC-C New Order: place an order of 5-15 lines; 1% roll back."""
-    w_id = rng.randint(1, config.warehouses)
-    d_id = rng.randint(1, config.districts_per_warehouse)
-    c_id = rng.randint(1, config.customers_per_district)
-    ol_cnt = rng.randint(5, 15)
-    rollback = rng.random() < config.new_order_rollback_rate
-
-    with db.transaction() as txn:
-        warehouse = txn.get("warehouse", (w_id,))
-        district = txn.get("district", (w_id, d_id), for_update=True)
-        customer = txn.get("customer", (w_id, d_id, c_id))
-        o_id = district["d_next_o_id"]
-        txn.update("district", (w_id, d_id), {"d_next_o_id": o_id + 1})
-        txn.insert("orders", {
-            "o_w_id": w_id, "o_d_id": d_id, "o_id": o_id, "o_c_id": c_id,
-            "o_entry_d": now, "o_ol_cnt": ol_cnt, "o_carrier_id": None,
-        })
-        txn.insert("new_order",
-                   {"no_w_id": w_id, "no_d_id": d_id, "no_o_id": o_id})
-        total = 0.0
-        for number in range(1, ol_cnt + 1):
-            if rollback and number == ol_cnt:
-                # Spec: the last item number of 1% of New Orders is
-                # unused, forcing a rollback.
-                raise Rollback("unused item number")
-            i_id = rng.randint(1, config.items)
-            item = txn.get("item", (i_id,))
-            stock = txn.get("stock", (w_id, i_id), for_update=True)
-            quantity = rng.randint(1, 10)
-            new_qty = stock["s_quantity"] - quantity
-            if new_qty < 10:
-                new_qty += 91
-            txn.update("stock", (w_id, i_id), {
-                "s_quantity": new_qty,
-                "s_ytd": stock["s_ytd"] + quantity,
-                "s_order_cnt": stock["s_order_cnt"] + 1,
-            })
-            amount = round(quantity * item["i_price"], 2)
-            total += amount
-            txn.insert("order_line", {
-                "ol_w_id": w_id, "ol_d_id": d_id, "ol_o_id": o_id,
-                "ol_number": number, "ol_i_id": i_id, "ol_supply_w_id": w_id,
-                "ol_quantity": quantity, "ol_amount": amount,
-                "ol_delivery_d": None,
-            })
-        total *= (1.0 + warehouse["w_tax"] + district["d_tax"])
-        return {"o_id": o_id, "c_id": c_id, "total": round(total, 2),
-                "customer_credit": customer["c_credit"]}
-
-
-def payment(db: Database, rng: random.Random, config: TpccConfig,
-            now: float = 0.0) -> Dict:
-    """TPC-C Payment: apply a payment to warehouse/district/customer.
-
-    60% of lookups are by customer id, 40% by last name (spec 2.5.1.2),
-    served through the ``by_last_name`` index.
-    """
-    w_id = rng.randint(1, config.warehouses)
-    d_id = rng.randint(1, config.districts_per_warehouse)
-    amount = round(rng.uniform(1.0, 5000.0), 2)
-
-    with db.transaction() as txn:
-        warehouse = txn.get("warehouse", (w_id,), for_update=True)
-        txn.update("warehouse", (w_id,),
-                   {"w_ytd": warehouse["w_ytd"] + amount})
-        district = txn.get("district", (w_id, d_id), for_update=True)
-        txn.update("district", (w_id, d_id),
-                   {"d_ytd": district["d_ytd"] + amount})
-
-        if rng.random() < 0.60:
-            c_id = rng.randint(1, config.customers_per_district)
-        else:
-            last = customer_last_name(
-                rng.randint(0, config.customers_per_district - 1))
-            matches = txn.lookup("customer", "by_last_name",
-                                 (w_id, d_id, last))
-            if not matches:  # possible at tiny scales
-                c_id = rng.randint(1, config.customers_per_district)
-            else:
-                matches.sort(key=lambda r: r["c_first"])
-                c_id = matches[(len(matches) - 1) // 2]["c_id"]
-
-        customer = txn.get("customer", (w_id, d_id, c_id), for_update=True)
-        txn.update("customer", (w_id, d_id, c_id), {
-            "c_balance": customer["c_balance"] - amount,
-            "c_ytd_payment": customer["c_ytd_payment"] + amount,
-            "c_payment_cnt": customer["c_payment_cnt"] + 1,
-        })
-        txn.insert("history", {
-            "h_id": _next_history_id(), "h_c_w_id": w_id, "h_c_d_id": d_id,
-            "h_c_id": c_id, "h_w_id": w_id, "h_d_id": d_id,
-            "h_amount": amount, "h_date": now,
-        })
-        return {"c_id": c_id, "amount": amount}
-
-
-def order_status(db: Database, rng: random.Random, config: TpccConfig,
-                 now: float = 0.0) -> Dict:
-    """TPC-C Order Status: read a customer's most recent order."""
-    w_id = rng.randint(1, config.warehouses)
-    d_id = rng.randint(1, config.districts_per_warehouse)
-    c_id = rng.randint(1, config.customers_per_district)
-
-    with db.transaction() as txn:
-        customer = txn.get("customer", (w_id, d_id, c_id))
-        orders = list(txn.range_scan(
-            "orders", "by_customer",
-            (w_id, d_id, c_id, 0), (w_id, d_id, c_id, 1 << 60)))
-        lines: List[Dict] = []
-        last_o_id = None
-        if orders:
-            last = orders[-1]
-            last_o_id = last["o_id"]
-            lines = list(txn.range_scan(
-                "order_line", "by_order",
-                (w_id, d_id, last_o_id), (w_id, d_id, last_o_id)))
-        return {"c_id": c_id, "balance": customer["c_balance"],
-                "last_order": last_o_id, "line_count": len(lines)}
-
-
-def stock_level(db: Database, rng: random.Random, config: TpccConfig,
-                now: float = 0.0, threshold: Optional[int] = None) -> Dict:
-    """TPC-C Stock Level: count low-stock items in the last 20 orders."""
-    w_id = rng.randint(1, config.warehouses)
-    d_id = rng.randint(1, config.districts_per_warehouse)
-    if threshold is None:
-        threshold = rng.randint(10, 20)
-
-    with db.transaction() as txn:
-        district = txn.get("district", (w_id, d_id))
-        next_o_id = district["d_next_o_id"]
-        low = max(1, next_o_id - 20)
-        item_ids = set()
-        for line in txn.range_scan(
-                "order_line", "by_order",
-                (w_id, d_id, low), (w_id, d_id, next_o_id - 1)):
-            item_ids.add(line["ol_i_id"])
-        low_stock = 0
-        for i_id in sorted(item_ids):
-            stock = txn.get("stock", (w_id, i_id))
-            if stock["s_quantity"] < threshold:
-                low_stock += 1
-        return {"d_id": d_id, "threshold": threshold, "low_stock": low_stock}
-
-
-#: Body registry in mix order.
-TRANSACTION_BODIES = {
-    "NewOrder": new_order,
-    "Payment": payment,
-    "OrderStatus": order_status,
-    "StockLevel": stock_level,
-}
-
-
-# ----------------------------------------------------------------------
-# Spec construction
-# ----------------------------------------------------------------------
-#: Memoized body-less spec: the harness builds one per experiment cell,
-#: and the spec (types, service models, cumulative mix) is immutable
-#: and stateless, so sweeps share a single instance.
-_BODILESS_SPEC: "BenchmarkSpec | None" = None
+#: The spec is immutable and stateless, so every caller shares one.
+_SPEC = BenchmarkSpec("tpcc", [
+    TransactionType(name, weight, ServiceTimeModel(mean_s, p95_s))
+    for name, (weight, mean_s, p95_s) in FIGURE3_CALIBRATION.items()])
 
 
 def make_spec(include_bodies: bool = True) -> BenchmarkSpec:
-    """The TPC-C benchmark spec calibrated to the paper's Figure 3."""
-    global _BODILESS_SPEC
-    if not include_bodies and _BODILESS_SPEC is not None:
-        return _BODILESS_SPEC
-    types = []
-    for name, (weight, mean_s, p95_s) in FIGURE3_CALIBRATION.items():
-        body = TRANSACTION_BODIES[name] if include_bodies else None
-        types.append(TransactionType(
-            name, weight, ServiceTimeModel(mean_s, p95_s), body))
-    spec = BenchmarkSpec("tpcc", types)
-    if not include_bodies:
-        _BODILESS_SPEC = spec
-    return spec
+    """The TPC-C benchmark spec calibrated to the paper's Figure 3.
 
-
-def build_database(config: Optional[TpccConfig] = None,
-                   seed: int = 0) -> Database:
-    """Create, load, and return a TPC-C database."""
-    config = config or TpccConfig()
-    db = Database()
-    create_schema(db)
-    load(db, config, random.Random(seed))
-    return db
-
-
-# ----------------------------------------------------------------------
-# Consistency conditions (TPC-C clause 3.3.2, used by the test suite)
-# ----------------------------------------------------------------------
-def check_consistency(db: Database, config: TpccConfig) -> List[str]:
-    """Check TPC-C consistency conditions; returns a list of violations."""
-    problems: List[str] = []
-    warehouse_tbl = db.table("warehouse")
-    district_tbl = db.table("district")
-    orders_tbl = db.table("orders")
-    new_order_tbl = db.table("new_order")
-    order_line_tbl = db.table("order_line")
-
-    districts_by_wh: Dict[int, List[Dict]] = {}
-    for district in district_tbl.scan_all():
-        districts_by_wh.setdefault(district["d_w_id"], []).append(district)
-
-    # Condition 1: W_YTD = sum(D_YTD).
-    for warehouse in warehouse_tbl.scan_all():
-        w_id = warehouse["w_id"]
-        d_sum = sum(d["d_ytd"] for d in districts_by_wh.get(w_id, []))
-        if abs(warehouse["w_ytd"] - d_sum) > 1e-6:
-            problems.append(
-                f"C1: w_ytd {warehouse['w_ytd']} != sum(d_ytd) {d_sum} "
-                f"for warehouse {w_id}")
-
-    # Conditions 2 and 3: per-district order-id bookkeeping.
-    max_o: Dict[tuple, int] = {}
-    ol_counts: Dict[tuple, int] = {}
-    for order in orders_tbl.scan_all():
-        key = (order["o_w_id"], order["o_d_id"])
-        max_o[key] = max(max_o.get(key, 0), order["o_id"])
-        ol_counts[(order["o_w_id"], order["o_d_id"], order["o_id"])] = \
-            order["o_ol_cnt"]
-    for district in district_tbl.scan_all():
-        key = (district["d_w_id"], district["d_id"])
-        expected = district["d_next_o_id"] - 1
-        if max_o.get(key, 0) != expected:
-            problems.append(
-                f"C2: max(o_id)={max_o.get(key, 0)} != d_next_o_id-1="
-                f"{expected} for district {key}")
-
-    # Condition 4: per order, count(order_line) = o_ol_cnt.
-    line_counts: Dict[tuple, int] = {}
-    for line in order_line_tbl.scan_all():
-        key = (line["ol_w_id"], line["ol_d_id"], line["ol_o_id"])
-        line_counts[key] = line_counts.get(key, 0) + 1
-    for key, expected in ol_counts.items():
-        if line_counts.get(key, 0) != expected:
-            problems.append(
-                f"C4: order {key} has {line_counts.get(key, 0)} lines, "
-                f"o_ol_cnt says {expected}")
-
-    # New-order rows must reference existing orders.
-    for no_row in new_order_tbl.scan_all():
-        key = (no_row["no_w_id"], no_row["no_d_id"], no_row["no_o_id"])
-        if key not in ol_counts:
-            problems.append(f"NO row {key} without matching order")
-
-    return problems
+    ``include_bodies`` is inert; it stays only because ``bench/micro.py``
+    still passes it."""
+    return _SPEC

@@ -1,24 +1,17 @@
-"""TPC-E-style workload: schema, loader, ten functional request types.
+"""TPC-E-style workload: the calibration of ten request types and its spec.
 
 The paper's TPC-E experiment (Section 6.2.1) defines ten POLARIS
 workloads, one per TPC-E request type, with mean execution times
-ranging from 0.06 to 2.3 milliseconds at peak frequency.  The TPC-E
-specification's full schema (33 tables) is far beyond what the
-experiment exercises; this module implements a compact broker/trading
-schema with the ten canonical request types, calibrated so the mix's
-execution-time range matches the paper's 0.06--2.3 ms span and each
-type's tail ratio is in the 2.5--3.5x band observed for TPC-C.
+ranging from 0.06 to 2.3 milliseconds at peak frequency.  This module
+calibrates the ten canonical request types so the mix's execution-time
+range matches the paper's 0.06--2.3 ms span and each type's tail ratio
+is in the 2.5--3.5x band observed for TPC-C.
 
 Mix weights follow the TPC-E specification's transaction mix.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-from repro.db.storage.database import Database
 from repro.workloads.base import BenchmarkSpec, ServiceTimeModel, TransactionType
 
 #: name -> (mix %, mean seconds, p95 seconds) at the 2.8 GHz reference.
@@ -37,372 +30,12 @@ CALIBRATION = {
     "MarketFeed":       (1.0, 800e-6, 2240e-6),
 }
 
-#: Paper Section 6.1: 1000 customers, working days 300, scale factor 500.
-PAPER_CUSTOMERS = 1000
+#: The spec is immutable and stateless, so every caller shares one.
+_SPEC = BenchmarkSpec("tpce", [
+    TransactionType(name, weight, ServiceTimeModel(mean_s, p95_s))
+    for name, (weight, mean_s, p95_s) in CALIBRATION.items()])
 
 
-@dataclass
-class TpceConfig:
-    """Loader scale parameters."""
-
-    customers: int = 20
-    accounts_per_customer: int = 2
-    securities: int = 30
-    brokers: int = 5
-    initial_trades_per_account: int = 5
-    watch_items_per_customer: int = 5
-
-
-# ----------------------------------------------------------------------
-# Schema + loader
-# ----------------------------------------------------------------------
-def create_schema(db: Database) -> None:
-    db.create_table("customer", ("c_id", "c_name", "c_tier"), ("c_id",))
-    account = db.create_table(
-        "account", ("ca_id", "ca_c_id", "ca_b_id", "ca_balance"), ("ca_id",))
-    account.create_index("by_customer", ("ca_c_id", "ca_id"),
-                         unique=True, ordered=True)
-    db.create_table("broker",
-                    ("b_id", "b_name", "b_num_trades", "b_volume"), ("b_id",))
-    db.create_table("security", ("s_symb", "s_name", "s_issue"), ("s_symb",))
-    db.create_table("last_trade",
-                    ("lt_s_symb", "lt_price", "lt_open_price", "lt_vol"),
-                    ("lt_s_symb",))
-    trade = db.create_table(
-        "trade",
-        ("t_id", "t_ca_id", "t_s_symb", "t_qty", "t_price", "t_status",
-         "t_dts", "t_is_buy", "t_comment"),
-        ("t_id",))
-    trade.create_index("by_account", ("t_ca_id", "t_id"),
-                       unique=True, ordered=True)
-    trade.create_index("by_status", ("t_status", "t_id"),
-                       unique=True, ordered=True)
-    holding = db.create_table("holding",
-                              ("h_ca_id", "h_s_symb", "h_qty", "h_avg_price"),
-                              ("h_ca_id", "h_s_symb"))
-    holding.create_index("by_account", ("h_ca_id", "h_s_symb"),
-                         unique=True, ordered=True)
-    watch = db.create_table("watch_item", ("wi_c_id", "wi_s_symb"),
-                            ("wi_c_id", "wi_s_symb"))
-    watch.create_index("by_customer", ("wi_c_id", "wi_s_symb"),
-                       unique=True, ordered=True)
-
-
-def _symbol(i: int) -> str:
-    return f"SYM{i:04d}"
-
-
-def load(db: Database, config: TpceConfig, rng: random.Random) -> None:
-    """Populate a schema-created database at the configured scale."""
-    with db.transaction() as txn:
-        for b_id in range(1, config.brokers + 1):
-            txn.insert("broker", {"b_id": b_id, "b_name": f"broker-{b_id}",
-                                  "b_num_trades": 0, "b_volume": 0.0})
-        for i in range(1, config.securities + 1):
-            symb = _symbol(i)
-            price = round(rng.uniform(10.0, 500.0), 2)
-            txn.insert("security", {"s_symb": symb, "s_name": f"sec-{i}",
-                                    "s_issue": "COMMON"})
-            txn.insert("last_trade", {"lt_s_symb": symb, "lt_price": price,
-                                      "lt_open_price": price, "lt_vol": 0})
-    next_trade_id = 1
-    for c_id in range(1, config.customers + 1):
-        next_trade_id = _load_customer(db, config, rng, c_id, next_trade_id)
-    db.log.force()
-
-
-def _load_customer(db: Database, config: TpceConfig, rng: random.Random,
-                   c_id: int, next_trade_id: int) -> int:
-    with db.transaction() as txn:
-        txn.insert("customer", {"c_id": c_id, "c_name": f"cust-{c_id}",
-                                "c_tier": rng.randint(1, 3)})
-        symbols = [_symbol(rng.randint(1, config.securities))
-                   for _ in range(config.watch_items_per_customer)]
-        # sorted: set iteration order is hash-seed dependent for
-        # strings, and row insertion order feeds b-tree shape.
-        for symb in sorted(set(symbols)):
-            txn.insert("watch_item", {"wi_c_id": c_id, "wi_s_symb": symb})
-        for slot in range(config.accounts_per_customer):
-            ca_id = (c_id - 1) * config.accounts_per_customer + slot + 1
-            txn.insert("account", {
-                "ca_id": ca_id, "ca_c_id": c_id,
-                "ca_b_id": rng.randint(1, config.brokers),
-                "ca_balance": round(rng.uniform(1e3, 1e6), 2),
-            })
-            for _ in range(config.initial_trades_per_account):
-                symb = _symbol(rng.randint(1, config.securities))
-                qty = rng.choice((100, 200, 500))
-                price = round(rng.uniform(10.0, 500.0), 2)
-                txn.insert("trade", {
-                    "t_id": next_trade_id, "t_ca_id": ca_id,
-                    "t_s_symb": symb, "t_qty": qty, "t_price": price,
-                    "t_status": "CMPT", "t_dts": 0.0,
-                    "t_is_buy": rng.random() < 0.5, "t_comment": "",
-                })
-                key = (ca_id, symb)
-                holding = txn.get_or_none("holding", key)
-                if holding is None:
-                    txn.insert("holding", {"h_ca_id": ca_id, "h_s_symb": symb,
-                                           "h_qty": qty, "h_avg_price": price})
-                else:
-                    total = holding["h_qty"] + qty
-                    avg = (holding["h_avg_price"] * holding["h_qty"]
-                           + price * qty) / total
-                    txn.update("holding", key,
-                               {"h_qty": total, "h_avg_price": avg})
-                next_trade_id += 1
-    return next_trade_id
-
-
-# ----------------------------------------------------------------------
-# Request-type bodies
-# ----------------------------------------------------------------------
-class _TradeIds:
-    """Monotonic trade-id source shared by order/result bodies."""
-
-    def __init__(self, start: int = 1 << 20):
-        self.next_id = start
-
-    def take(self) -> int:
-        value = self.next_id
-        self.next_id += 1
-        return value
-
-
-_trade_ids = _TradeIds()
-
-
-def trade_order(db: Database, rng: random.Random, config: TpceConfig,
-                now: float = 0.0) -> Dict:
-    """Submit a new (pending) trade and bump the broker's trade count."""
-    ca_id = rng.randint(1, config.customers * config.accounts_per_customer)
-    symb = _symbol(rng.randint(1, config.securities))
-    with db.transaction() as txn:
-        account = txn.get("account", (ca_id,))
-        last = txn.get("last_trade", (symb,))
-        t_id = _trade_ids.take()
-        txn.insert("trade", {
-            "t_id": t_id, "t_ca_id": ca_id, "t_s_symb": symb,
-            "t_qty": rng.choice((100, 200, 500)),
-            "t_price": last["lt_price"], "t_status": "PNDG", "t_dts": now,
-            "t_is_buy": rng.random() < 0.5, "t_comment": "",
-        })
-        broker = txn.get("broker", (account["ca_b_id"],), for_update=True)
-        txn.update("broker", (account["ca_b_id"],),
-                   {"b_num_trades": broker["b_num_trades"] + 1})
-        return {"t_id": t_id, "symbol": symb}
-
-
-def trade_result(db: Database, rng: random.Random, config: TpceConfig,
-                 now: float = 0.0) -> Dict:
-    """Complete the oldest pending trade: settle holding and balance."""
-    with db.transaction() as txn:
-        pending = list(txn.range_scan("trade", "by_status",
-                                      ("PNDG", 0), ("PNDG", 1 << 62)))
-        if not pending:
-            return {"completed": None}
-        trade = pending[0]
-        t_id, ca_id, symb = trade["t_id"], trade["t_ca_id"], trade["t_s_symb"]
-        txn.update("trade", (t_id,), {"t_status": "CMPT"})
-        value = trade["t_qty"] * trade["t_price"]
-        account = txn.get("account", (ca_id,), for_update=True)
-        holding = txn.get_or_none("holding", (ca_id, symb), for_update=True)
-        if trade["t_is_buy"]:
-            txn.update("account", (ca_id,),
-                       {"ca_balance": account["ca_balance"] - value})
-            if holding is None:
-                txn.insert("holding", {
-                    "h_ca_id": ca_id, "h_s_symb": symb,
-                    "h_qty": trade["t_qty"], "h_avg_price": trade["t_price"]})
-            else:
-                total = holding["h_qty"] + trade["t_qty"]
-                avg = (holding["h_avg_price"] * holding["h_qty"] + value) / total
-                txn.update("holding", (ca_id, symb),
-                           {"h_qty": total, "h_avg_price": avg})
-        else:
-            txn.update("account", (ca_id,),
-                       {"ca_balance": account["ca_balance"] + value})
-            if holding is not None:
-                remaining = holding["h_qty"] - trade["t_qty"]
-                if remaining > 0:
-                    txn.update("holding", (ca_id, symb), {"h_qty": remaining})
-                else:
-                    txn.delete("holding", (ca_id, symb))
-        last = txn.get("last_trade", (symb,), for_update=True)
-        txn.update("last_trade", (symb,),
-                   {"lt_vol": last["lt_vol"] + trade["t_qty"],
-                    "lt_price": trade["t_price"]})
-        return {"completed": t_id, "value": value}
-
-
-def trade_status(db: Database, rng: random.Random, config: TpceConfig,
-                 now: float = 0.0) -> Dict:
-    """Read the most recent trades of one account."""
-    ca_id = rng.randint(1, config.customers * config.accounts_per_customer)
-    with db.transaction() as txn:
-        trades = list(txn.range_scan("trade", "by_account",
-                                     (ca_id, 0), (ca_id, 1 << 62)))
-        recent = trades[-10:]
-        return {"ca_id": ca_id, "count": len(recent),
-                "statuses": [t["t_status"] for t in recent]}
-
-
-def trade_lookup(db: Database, rng: random.Random, config: TpceConfig,
-                 now: float = 0.0) -> Dict:
-    """Read a batch of trades of one account (frame 1 analogue)."""
-    ca_id = rng.randint(1, config.customers * config.accounts_per_customer)
-    with db.transaction() as txn:
-        trades = list(txn.range_scan("trade", "by_account",
-                                     (ca_id, 0), (ca_id, 1 << 62)))
-        value = sum(t["t_qty"] * t["t_price"] for t in trades)
-        return {"ca_id": ca_id, "trades": len(trades), "value": value}
-
-
-def trade_update(db: Database, rng: random.Random, config: TpceConfig,
-                 now: float = 0.0) -> Dict:
-    """Annotate a batch of an account's trades (heaviest writer)."""
-    ca_id = rng.randint(1, config.customers * config.accounts_per_customer)
-    with db.transaction() as txn:
-        trades = list(txn.range_scan("trade", "by_account",
-                                     (ca_id, 0), (ca_id, 1 << 62)))
-        updated = 0
-        for trade in trades[:8]:
-            txn.update("trade", (trade["t_id"],),
-                       {"t_comment": f"upd@{now:.3f}"})
-            updated += 1
-        return {"ca_id": ca_id, "updated": updated}
-
-
-def customer_position(db: Database, rng: random.Random, config: TpceConfig,
-                      now: float = 0.0) -> Dict:
-    """Value a customer's accounts: cash plus marked-to-market holdings."""
-    c_id = rng.randint(1, config.customers)
-    with db.transaction() as txn:
-        accounts = list(txn.range_scan("account", "by_customer",
-                                       (c_id, 0), (c_id, 1 << 62)))
-        total_cash = sum(a["ca_balance"] for a in accounts)
-        total_market = 0.0
-        for account in accounts:
-            for holding in txn.range_scan(
-                    "holding", "by_account",
-                    (account["ca_id"], ""), (account["ca_id"], "￿")):
-                last = txn.get("last_trade", (holding["h_s_symb"],))
-                total_market += holding["h_qty"] * last["lt_price"]
-        return {"c_id": c_id, "cash": total_cash, "market": total_market}
-
-
-def broker_volume(db: Database, rng: random.Random, config: TpceConfig,
-                  now: float = 0.0) -> Dict:
-    """Aggregate traded volume across a subset of brokers."""
-    count = min(3, config.brokers)
-    b_ids = rng.sample(range(1, config.brokers + 1), count)
-    with db.transaction() as txn:
-        volume = 0.0
-        trades = 0
-        for b_id in sorted(b_ids):
-            broker = txn.get("broker", (b_id,))
-            volume += broker["b_volume"]
-            trades += broker["b_num_trades"]
-        return {"brokers": sorted(b_ids), "volume": volume, "trades": trades}
-
-
-def market_feed(db: Database, rng: random.Random, config: TpceConfig,
-                now: float = 0.0) -> Dict:
-    """Apply a ticker batch: move last-trade prices of several securities."""
-    batch = min(8, config.securities)
-    indexes = rng.sample(range(1, config.securities + 1), batch)
-    with db.transaction() as txn:
-        for i in sorted(indexes):
-            symb = _symbol(i)
-            last = txn.get("last_trade", (symb,), for_update=True)
-            drift = 1.0 + rng.uniform(-0.01, 0.01)
-            txn.update("last_trade", (symb,),
-                       {"lt_price": round(last["lt_price"] * drift, 2)})
-        return {"updated": batch}
-
-
-def market_watch(db: Database, rng: random.Random, config: TpceConfig,
-                 now: float = 0.0) -> Dict:
-    """Compute the percent price change across a customer's watch list."""
-    c_id = rng.randint(1, config.customers)
-    with db.transaction() as txn:
-        symbols = [w["wi_s_symb"] for w in txn.range_scan(
-            "watch_item", "by_customer", (c_id, ""), (c_id, "￿"))]
-        if not symbols:
-            return {"c_id": c_id, "pct_change": 0.0}
-        old_value = new_value = 0.0
-        for symb in sorted(symbols):
-            last = txn.get("last_trade", (symb,))
-            old_value += last["lt_open_price"]
-            new_value += last["lt_price"]
-        pct = 100.0 * (new_value - old_value) / old_value
-        return {"c_id": c_id, "pct_change": pct}
-
-
-def security_detail(db: Database, rng: random.Random, config: TpceConfig,
-                    now: float = 0.0) -> Dict:
-    """Read one security's descriptive and market data."""
-    symb = _symbol(rng.randint(1, config.securities))
-    with db.transaction() as txn:
-        security = txn.get("security", (symb,))
-        last = txn.get("last_trade", (symb,))
-        return {"symbol": symb, "name": security["s_name"],
-                "price": last["lt_price"], "volume": last["lt_vol"]}
-
-
-TRANSACTION_BODIES = {
-    "TradeStatus": trade_status,
-    "MarketWatch": market_watch,
-    "SecurityDetail": security_detail,
-    "CustomerPosition": customer_position,
-    "TradeOrder": trade_order,
-    "TradeResult": trade_result,
-    "TradeLookup": trade_lookup,
-    "BrokerVolume": broker_volume,
-    "TradeUpdate": trade_update,
-    "MarketFeed": market_feed,
-}
-
-
-#: Memoized body-less spec (immutable and stateless; see tpcc.make_spec).
-_BODILESS_SPEC: "BenchmarkSpec | None" = None
-
-
-def make_spec(include_bodies: bool = True) -> BenchmarkSpec:
+def make_spec() -> BenchmarkSpec:
     """The TPC-E-style benchmark spec (ten types, paper Section 6.2.1)."""
-    global _BODILESS_SPEC
-    if not include_bodies and _BODILESS_SPEC is not None:
-        return _BODILESS_SPEC
-    types = []
-    for name, (weight, mean_s, p95_s) in CALIBRATION.items():
-        body = TRANSACTION_BODIES[name] if include_bodies else None
-        types.append(TransactionType(
-            name, weight, ServiceTimeModel(mean_s, p95_s), body))
-    spec = BenchmarkSpec("tpce", types)
-    if not include_bodies:
-        _BODILESS_SPEC = spec
-    return spec
-
-
-def build_database(config: Optional[TpceConfig] = None,
-                   seed: int = 0) -> Database:
-    """Create, load, and return a TPC-E database."""
-    config = config or TpceConfig()
-    db = Database()
-    create_schema(db)
-    load(db, config, random.Random(seed))
-    return db
-
-
-def check_consistency(db: Database, config: TpceConfig) -> List[str]:
-    """Invariants the request mix must preserve; returns violations."""
-    problems: List[str] = []
-    holding_tbl = db.table("holding")
-    for holding in holding_tbl.scan_all():
-        if holding["h_qty"] <= 0:
-            problems.append(f"holding {holding} has non-positive quantity")
-    trade_tbl = db.table("trade")
-    for trade in trade_tbl.scan_all():
-        if trade["t_status"] not in ("PNDG", "CMPT"):
-            problems.append(f"trade {trade['t_id']} bad status")
-    return problems
+    return _SPEC

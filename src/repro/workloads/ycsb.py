@@ -1,33 +1,30 @@
-"""YCSB-style key-value workload.
+"""YCSB-style key-value workload: operation calibration and core mixes.
 
 The paper's conclusion (Section 8) singles out key-value stores as
 another natural POLARIS target: short, non-preemptive units of work.
-This module provides the standard YCSB core workloads A-F over the
-in-memory storage engine, with Zipfian/latest request distributions and
-calibrated service-time models, so the harness can drive POLARIS
-against a key-value workload exactly as it does TPC-C/TPC-E.
+This module calibrates the standard YCSB core workloads A-F as
+service-time models, so the harness can drive POLARIS against a
+key-value workload exactly as it does TPC-C/TPC-E.
 
 Core workload mixes (Cooper et al., SoCC 2010):
 
-=====  ==========================  =========================
- W      Operations                  Request distribution
-=====  ==========================  =========================
- A      50% read / 50% update       zipfian
- B      95% read / 5% update        zipfian
- C      100% read                   zipfian
- D      95% read / 5% insert        latest
- E      95% scan / 5% insert        zipfian (scan start)
- F      50% read / 50% RMW          zipfian
-=====  ==========================  =========================
+=====  ==========================
+ W      Operations
+=====  ==========================
+ A      50% read / 50% update
+ B      95% read / 5% update
+ C      100% read
+ D      95% read / 5% insert
+ E      95% scan / 5% insert
+ F      50% read / 50% RMW
+=====  ==========================
+
+Which key an operation touches is the fleet router's draw, not this
+module's (see ``repro.fleet.experiment``).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-from repro.db.storage.database import Database
 from repro.workloads.base import BenchmarkSpec, ServiceTimeModel, TransactionType
 
 #: Operation service times at the 2.8 GHz reference: (mean s, p95 s).
@@ -51,242 +48,21 @@ CORE_WORKLOAD_MIXES = {
     "f": {"Read": 50, "RMW": 50},
 }
 
-FIELD_COUNT = 10
-DEFAULT_SCAN_LENGTH = 50
+#: One spec per workload letter; immutable and stateless, so every
+#: caller shares one.
+_SPECS = {
+    letter: BenchmarkSpec(f"ycsb-{letter}", [
+        TransactionType(op, float(weight),
+                        ServiceTimeModel(*OPERATION_CALIBRATION[op]))
+        for op, weight in mix.items()])
+    for letter, mix in CORE_WORKLOAD_MIXES.items()}
 
 
-@dataclass
-class YcsbConfig:
-    """Loader/access parameters."""
-
-    record_count: int = 1000
-    zipfian_theta: float = 0.99
-    scan_max_length: int = DEFAULT_SCAN_LENGTH
-    field_length: int = 10  # characters per field value
-
-
-class ZipfianGenerator:
-    """Zipfian-distributed integers in [0, n), skew ``theta``.
-
-    The standard Gray et al. rejection-free construction used by the
-    YCSB client: heavy skew toward low ranks, theta = 0.99 by default.
-    """
-
-    def __init__(self, n: int, theta: float = 0.99):
-        if n < 1:
-            raise ValueError("need at least one item")
-        if not 0 < theta < 1:
-            raise ValueError("theta must be in (0, 1)")
-        self.n = n
-        self.theta = theta
-        self._zetan = self._zeta(n, theta)
-        self._zeta2 = self._zeta(2, theta)
-        self._alpha = 1.0 / (1.0 - theta)
-        self._eta = (1.0 - (2.0 / n) ** (1.0 - theta)) \
-            / (1.0 - self._zeta2 / self._zetan)
-
-    @staticmethod
-    def _zeta(n: int, theta: float) -> float:
-        return sum(1.0 / i ** theta for i in range(1, n + 1))
-
-    def next(self, rng: random.Random) -> int:
-        u = rng.random()
-        uz = u * self._zetan
-        if uz < 1.0:
-            return 0
-        if uz < 1.0 + 0.5 ** self.theta:
-            return 1
-        return int(self.n * (self._eta * u - self._eta + 1.0)
-                   ** self._alpha)
-
-
-class LatestGenerator:
-    """The YCSB 'latest' distribution: skewed toward recent inserts."""
-
-    def __init__(self, initial_count: int, theta: float = 0.99):
-        self.count = initial_count
-        self._zipf = ZipfianGenerator(max(1, initial_count), theta)
-
-    def grew_to(self, count: int) -> None:
-        if count > self.count:
-            self.count = count
-            self._zipf = ZipfianGenerator(count, self._zipf.theta)
-
-    def next(self, rng: random.Random) -> int:
-        offset = self._zipf.next(rng)
-        return max(0, self.count - 1 - offset)
-
-
-# ----------------------------------------------------------------------
-# Schema + loader
-# ----------------------------------------------------------------------
-def _key(i: int) -> str:
-    return f"user{i:012d}"
-
-
-def _columns() -> List[str]:
-    return ["y_id"] + [f"field{i}" for i in range(FIELD_COUNT)]
-
-
-def create_schema(db: Database) -> None:
-    table = db.create_table("usertable", _columns(), ("y_id",))
-    table.create_index("by_key", ("y_id",), unique=True, ordered=True)
-
-
-def _row(key: str, rng: random.Random, config: YcsbConfig) -> Dict:
-    row = {"y_id": key}
-    for i in range(FIELD_COUNT):
-        row[f"field{i}"] = "".join(
-            rng.choice("abcdefghijklmnopqrstuvwxyz")
-            for _ in range(config.field_length))
-    return row
-
-
-def load(db: Database, config: YcsbConfig, rng: random.Random) -> None:
-    """Insert the initial ``record_count`` rows."""
-    batch = 200
-    for start in range(0, config.record_count, batch):
-        with db.transaction() as txn:
-            for i in range(start, min(start + batch, config.record_count)):
-                txn.insert("usertable", _row(_key(i), rng, config))
-    db.log.force()
-
-
-def build_database(config: Optional[YcsbConfig] = None,
-                   seed: int = 0) -> Database:
-    config = config or YcsbConfig()
-    db = Database()
-    create_schema(db)
-    load(db, config, random.Random(seed))
-    return db
-
-
-# ----------------------------------------------------------------------
-# Operation state + bodies
-# ----------------------------------------------------------------------
-class YcsbState:
-    """Shared mutable access state (insert counter, key choosers)."""
-
-    def __init__(self, config: YcsbConfig, distribution: str = "zipfian"):
-        self.config = config
-        self.record_count = config.record_count
-        self.distribution = distribution
-        self._zipf = ZipfianGenerator(config.record_count,
-                                      config.zipfian_theta)
-        self._latest = LatestGenerator(config.record_count,
-                                       config.zipfian_theta)
-
-    def choose_key(self, rng: random.Random) -> str:
-        if self.distribution == "latest":
-            return _key(self._latest.next(rng))
-        if self.distribution == "uniform":
-            return _key(rng.randrange(self.record_count))
-        return _key(self._zipf.next(rng))
-
-    def next_insert_key(self) -> str:
-        key = _key(self.record_count)
-        self.record_count += 1
-        self._latest.grew_to(self.record_count)
-        return key
-
-
-def op_read(db: Database, rng: random.Random, state: YcsbState,
-            now: float = 0.0) -> Dict:
-    key = state.choose_key(rng)
-    with db.transaction() as txn:
-        row = txn.get_or_none("usertable", (key,))
-        return {"key": key, "found": row is not None}
-
-
-def op_update(db: Database, rng: random.Random, state: YcsbState,
-              now: float = 0.0) -> Dict:
-    key = state.choose_key(rng)
-    field = f"field{rng.randrange(FIELD_COUNT)}"
-    value = "".join(rng.choice("0123456789") for _ in range(10))
-    with db.transaction() as txn:
-        if txn.get_or_none("usertable", (key,), for_update=True) is None:
-            return {"key": key, "found": False}
-        txn.update("usertable", (key,), {field: value})
-        return {"key": key, "found": True, "field": field}
-
-
-def op_insert(db: Database, rng: random.Random, state: YcsbState,
-              now: float = 0.0) -> Dict:
-    key = state.next_insert_key()
-    with db.transaction() as txn:
-        txn.insert("usertable", _row(key, rng, state.config))
-        return {"key": key}
-
-
-def op_scan(db: Database, rng: random.Random, state: YcsbState,
-            now: float = 0.0) -> Dict:
-    start_key = state.choose_key(rng)
-    length = rng.randint(1, state.config.scan_max_length)
-    with db.transaction() as txn:
-        rows = []
-        for row in txn.range_scan("usertable", "by_key", (start_key,),
-                                  None):
-            rows.append(row["y_id"])
-            if len(rows) >= length:
-                break
-        return {"start": start_key, "scanned": len(rows)}
-
-
-def op_read_modify_write(db: Database, rng: random.Random,
-                         state: YcsbState, now: float = 0.0) -> Dict:
-    key = state.choose_key(rng)
-    field = f"field{rng.randrange(FIELD_COUNT)}"
-    with db.transaction() as txn:
-        row = txn.get_or_none("usertable", (key,), for_update=True)
-        if row is None:
-            return {"key": key, "found": False}
-        txn.update("usertable", (key,),
-                   {field: row[field][::-1]})  # read, transform, write
-        return {"key": key, "found": True}
-
-
-OPERATION_BODIES = {
-    "Read": op_read,
-    "Update": op_update,
-    "Insert": op_insert,
-    "Scan": op_scan,
-    "RMW": op_read_modify_write,
-}
-
-
-# ----------------------------------------------------------------------
-# Spec construction
-# ----------------------------------------------------------------------
-#: Memoized body-less specs by workload letter (immutable and
-#: stateless; see tpcc.make_spec).
-_BODILESS_SPECS: Dict[str, BenchmarkSpec] = {}
-
-
-def make_spec(workload: str = "a",
-              include_bodies: bool = True) -> BenchmarkSpec:
+def make_spec(workload: str = "a") -> BenchmarkSpec:
     """BenchmarkSpec for YCSB core workload ``a``..``f``."""
-    letter = workload.lower()
-    if not include_bodies:
-        cached = _BODILESS_SPECS.get(letter)
-        if cached is not None:
-            return cached
-    mix = CORE_WORKLOAD_MIXES.get(letter)
-    if mix is None:
+    spec = _SPECS.get(workload.lower())
+    if spec is None:
         raise ValueError(
             f"unknown YCSB workload {workload!r}; "
             f"choose from {sorted(CORE_WORKLOAD_MIXES)}")
-    types = []
-    for op, weight in mix.items():
-        mean_s, p95_s = OPERATION_CALIBRATION[op]
-        body = OPERATION_BODIES[op] if include_bodies else None
-        types.append(TransactionType(op, float(weight),
-                                     ServiceTimeModel(mean_s, p95_s), body))
-    spec = BenchmarkSpec(f"ycsb-{letter}", types)
-    if not include_bodies:
-        _BODILESS_SPECS[letter] = spec
     return spec
-
-
-def request_distribution(workload: str) -> str:
-    """The YCSB request distribution for a core workload letter."""
-    return "latest" if workload.lower() == "d" else "zipfian"

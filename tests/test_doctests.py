@@ -4,8 +4,6 @@ import doctest
 
 import pytest
 
-import repro.db.storage.btree
-import repro.db.storage.database
 import repro.sim.engine
 import repro.sim.rng
 import repro.workloads.base
@@ -13,8 +11,6 @@ import repro.workloads.base
 MODULES = [
     repro.sim.engine,
     repro.sim.rng,
-    repro.db.storage.btree,
-    repro.db.storage.database,
     repro.workloads.base,
 ]
 

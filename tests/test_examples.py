@@ -25,9 +25,9 @@ def load_example(path: pathlib.Path):
 def test_expected_examples_present():
     names = {p.stem for p in EXAMPLE_FILES}
     assert {"quickstart", "workload_differentiation", "time_varying_load",
-            "theory_competitive", "functional_database", "custom_workload",
-            "worker_parking", "ycsb_keyvalue"} <= names
-    assert len(EXAMPLE_FILES) >= 8
+            "theory_competitive", "custom_workload", "worker_parking",
+            "ycsb_keyvalue"} <= names
+    assert len(EXAMPLE_FILES) >= 7
 
 
 @pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.stem)

@@ -37,6 +37,13 @@ def static_peak_result():
     return run_experiment(static_peak_cell())
 
 
+@pytest.fixture(scope="module")
+def replica_result():
+    """The read-heavy replica cell: pinned, and read by the replica
+    test, so it runs once."""
+    return run_experiment(GRID["fleet-ycsb-b-replicas"])
+
+
 # ----------------------------------------------------------------------
 # The pinned acceptance cell
 # ----------------------------------------------------------------------
@@ -87,12 +94,11 @@ def test_pins_cover_the_grid():
 
 
 @pytest.mark.parametrize("label", sorted(GRID))
-def test_cell_matches_pinned_fingerprint(
-        label, elastic_result, static_peak_result):
-    cached = {"fleet-elastic-diurnal": elastic_result,
-              "fleet-static-peak-diurnal": static_peak_result}
-    assert_pinned(label, cached.get(label) or run_experiment(GRID[label]),
-                  "fleet")
+def test_cell_matches_pinned_fingerprint(label, request):
+    fixture = {"fleet-elastic-diurnal": "elastic_result",
+               "fleet-static-peak-diurnal": "static_peak_result",
+               "fleet-ycsb-b-replicas": "replica_result"}[label]
+    assert_pinned(label, request.getfixturevalue(fixture), "fleet")
 
 
 # ----------------------------------------------------------------------
@@ -175,16 +181,10 @@ def test_governor_scheme_fleet_runs():
     assert "OnDemand" in result.scheme_label
 
 
-def test_read_heavy_fleet_serves_replica_reads():
+def test_read_heavy_fleet_serves_replica_reads(replica_result):
     """ycsb-b is 95% reads: active replicas must serve some of them
     fresh (tpcc's write-heavy mix keeps replicas perpetually stale)."""
-    config = ExperimentConfig(
-        benchmark="ycsb-b", scheme="polaris", slack=40.0,
-        warmup_seconds=0.3, test_seconds=1.0, seed=13,
-        fleet=FleetConfig(shards=1, replicas_per_shard=2,
-                          node_workers=2, elastic=False))
-    result = run_experiment(config)
-    actions = result.fleet_actions
+    actions = replica_result.fleet_actions
     assert actions["replica_reads"] > 0
     assert actions["routed_reads"] > actions["routed_writes"]
 

@@ -7,8 +7,10 @@ chaos cells live in ``test_fleet_chaos.py``.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.db.server import DatabaseServer, ServerConfig
 from repro.fleet.chaos import ShardReplication
@@ -52,7 +54,7 @@ def commit_writes(sim, replication, count, spacing_s=0.1,
                   start_s=0.01):
     for i in range(count):
         sim.schedule_at(start_s + spacing_s * i,
-                        lambda i=i: replication.on_write_committed(i))
+                        replication.on_write_committed)
 
 
 def crash_primary(sim, shard, replication, tracker, at_s):
@@ -131,12 +133,12 @@ def test_replica_applies_forced_prefix_after_lag(sim):
 
 
 def test_crash_loses_exactly_the_buffered_tail(sim):
-    # Group commit of 4 records = 2 txns (UPDATE+COMMIT each): the
-    # fifth txn's records sit in the buffer when the primary dies.
+    # Group commit forces every 4 COMMITs: the first four writes are
+    # durable, the fifth's sits in the buffer when the primary dies.
     replication = ShardReplication(sim, 0, group_commit_size=4)
     commit_writes(sim, replication, 5, spacing_s=0.01, start_s=0.0)
     run(sim, 1.0)
-    assert replication.log.buffered_commits == 1
+    assert len(replication.buffered_commits) == 1
     lost = replication.on_primary_crash()
     assert lost == 1
     assert replication.lost_commits == 1
@@ -178,11 +180,75 @@ def test_promotion_trims_unshipped_commits_and_replays(sim):
     replication.on_primary_crash()  # forces at 0.0, 0.1, 0.2 all durable
     # At 0.25 a 0.15 s-lag replica has applied the 0.0 and 0.1 forces;
     # the t=0.2 durable commit was never shipped.
-    records, rows = replication.promote_to(node, 0.15, sim.now)
+    records = replication.promote_to(node, 0.15, sim.now)
     assert replication.lost_commits == 1
     assert records == 4  # two txns x (UPDATE + COMMIT) survive the trim
-    assert rows == 2
+    assert replication.durable_commits == [2, 4]
     assert replication.crashed_at_s is None  # write path alive again
+
+
+#: (op, replica index, clock step); repeats weight the draw.
+WAL_OPS = st.lists(st.tuples(
+    st.sampled_from(("write",) * 5 + ("advance",) * 3
+                    + ("crash", "freeze", "heal", "promote", "promote")),
+    st.integers(0, 1), st.sampled_from((0.0, 0.01, 0.04, 0.2))),
+    min_size=30, max_size=120)
+
+
+@given(group=st.integers(1, 8),
+       lags=st.tuples(*[st.sampled_from((0.0, 0.05, 0.3))] * 2),
+       ops=WAL_OPS)
+@settings(max_examples=200, deadline=None)
+def test_wal_model_invariants(group, lags, ops):
+    """Random interleavings of writes, clock advances, crashes,
+    partitions and promotions, in the order the fleet can produce them
+    (writes and crashes only while the primary is alive, promotion only
+    after a crash): no commit is unaccounted for, a crash loses at most
+    a group's tail, an unpartitioned replica's apply position only
+    moves forward between promotions and never past the durable log,
+    and a promotion replays two records per durable commit it keeps."""
+    clock = SimpleNamespace(now=0.0)
+    replication = ShardReplication(clock, 0, group)
+    replicas = [SimpleNamespace(node_id=i + 1, replication_lag_s=lag)
+                for i, lag in enumerate(lags)]
+    committed = 0
+    seen = {}  # node id -> applied LSN last observed since a promotion
+    for op, index, step_s in ops:
+        alive = replication.crashed_at_s is None
+        replica = replicas[index]
+        if op == "write" and alive:
+            replication.on_write_committed()
+            committed += 1
+        elif op == "advance":
+            clock.now += step_s
+        elif op == "crash" and alive:
+            assert replication.on_primary_crash() <= group - 1
+        elif op == "freeze":
+            replication.freeze_replica(replica)
+        elif op == "heal":
+            replication.heal_replica(replica)
+        elif op == "promote" and not alive:
+            applied = replication.applied_lsn(
+                replica.node_id, replica.replication_lag_s, clock.now)
+            above = sum(1 for lsn in replication.durable_commits
+                        if lsn > applied)
+            lost_before = replication.lost_commits
+            records = replication.promote_to(
+                replica, replica.replication_lag_s, clock.now)
+            assert replication.lost_commits - lost_before == above
+            assert records == 2 * len(replication.durable_commits)
+            seen.clear()
+        durable = replication.durable_commits
+        assert committed == len(durable) + replication.lost_commits \
+            + len(replication.buffered_commits)
+        last_durable = durable[-1] if durable else 0
+        for node in replicas:
+            if replication.is_frozen(node.node_id):
+                continue  # pinned where the partition found it
+            applied = replication.applied_lsn(
+                node.node_id, node.replication_lag_s, clock.now)
+            assert seen.get(node.node_id, 0) <= applied <= last_durable
+            seen[node.node_id] = applied
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +280,6 @@ def test_most_caught_up_replica_wins_the_election(sim):
     assert manager.failovers == 1
     # 5 txns x (UPDATE + COMMIT), all durable and all shipped.
     assert manager.records_replayed == 10
-    assert manager.rows_recovered == 5
     assert replication.lost_commits == 0
     # The corpse was demoted into the replica list.
     assert [r.node_id for r in shard.replicas] == [2, 0]

@@ -1,162 +1,88 @@
-"""Seed-swept crash/replay round-trips under group-commit boundaries.
+"""Seed-swept crash/promotion round-trips under group-commit boundaries.
 
-Property tests for the WAL contract the fleet failure model leans on
-(``repro.fleet.chaos.ShardReplication`` logs every committed write and
-reads ``buffered_commits`` / ``discard_after`` at crash and promotion
-time): a crash loses exactly the buffered-but-unforced tail, the
-durable committed set is always a prefix of commit order, replay is a
-pure function of the surviving records, and the failover trim
-(``discard_after``) leaves a log whose replay matches the promoted
-replica's applied prefix.
+Property tests for the WAL contract of the fleet failure model
+(:class:`repro.fleet.chaos.ShardReplication`): a crash loses exactly
+the buffered-but-unforced tail, the durable commits are always a
+prefix of commit order, and the failover trim leaves a log that ends
+exactly at the promoted replica's applied prefix.
 """
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.db.storage import log as wal
-from repro.db.storage.log import LogManager, replay
+from repro.fleet.chaos import ShardReplication
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 GROUPS = st.integers(min_value=1, max_value=12)
 COUNTS = st.integers(min_value=1, max_value=40)
 
 
-def random_txns(rng, count):
-    """Transactions as (txn_id, ops, commits): 1-3 ops each, ~20%
-    aborted."""
-    txns = []
-    for txn_id in range(1, count + 1):
-        ops = []
-        for _ in range(rng.randrange(1, 4)):
-            kind = rng.choice((wal.KIND_INSERT, wal.KIND_UPDATE,
-                               wal.KIND_DELETE))
-            ops.append((kind, rng.choice(("t0", "t1")),
-                        rng.randrange(8), {"v": txn_id}))
-        txns.append((txn_id, ops, rng.random() > 0.2))
-    return txns
+def commit_lsns(count):
+    """Every write takes a row-image LSN, then its COMMIT's."""
+    return [2 * (i + 1) for i in range(count)]
 
 
-def append_txn(log, txn_id, ops, commits):
-    for kind, table, key, after in ops:
-        log.append(txn_id, kind, table=table, key=key,
-                   after=None if kind == wal.KIND_DELETE else after)
-    log.append(txn_id, wal.KIND_COMMIT if commits else wal.KIND_ABORT)
-
-
-def oracle_apply(tables, ops):
-    """Reference semantics of one committed transaction's ops."""
-    for kind, table, key, after in ops:
-        if kind == wal.KIND_DELETE:
-            tables.setdefault(table, {}).pop(key, None)
-        else:
-            tables.setdefault(table, {})[key] = dict(after)
-
-
-@given(SEEDS, GROUPS, COUNTS)
+@given(GROUPS, COUNTS)
 @settings(max_examples=60, deadline=None)
-def test_crash_preserves_exactly_the_durable_commits(seed, group, count):
-    rng = random.Random(seed)
-    log = LogManager(group)
-    txns = random_txns(rng, count)
-    for txn in txns:
-        append_txn(log, *txn)
+def test_crash_preserves_exactly_the_durable_commits(group, count):
+    replication = ShardReplication(SimpleNamespace(now=0.0), 0, group)
+    for _ in range(count):
+        replication.on_write_committed()
     # Group commit bounds the loss window: a full group forces, so at
     # most group-1 commits can ever sit in the buffer.
-    assert log.buffered_commits <= group - 1
-    lost = log.buffered_commits
-    survivors = log.crash()
-    assert log.buffered_count == 0 and log.buffered_commits == 0
-    durable_committed = {r.txn_id for r in survivors
-                         if r.kind == wal.KIND_COMMIT}
-    committed_order = [txn_id for txn_id, _, commits in txns if commits]
-    # The durable committed set is a *prefix* of commit order (forces
-    # are in-order), and the crash lost exactly the buffered commits.
-    assert sorted(durable_committed) \
-        == committed_order[:len(durable_committed)]
-    assert len(committed_order) - len(durable_committed) == lost
-    expected = {}
-    for txn_id, ops, commits in txns:
-        if commits and txn_id in durable_committed:
-            oracle_apply(expected, ops)
-    assert replay(survivors) == expected
+    assert len(replication.buffered_commits) <= group - 1
+    buffered = len(replication.buffered_commits)
+    lost = replication.on_primary_crash()
+    assert lost == buffered == replication.lost_commits
+    assert replication.buffered_commits == []
+    durable = replication.durable_commits
+    # The durable commits are a *prefix* of commit order (forces are
+    # in-order), and the crash lost exactly the buffered commits.
+    assert durable == commit_lsns(count)[:len(durable)]
+    assert count - len(durable) == lost
 
 
-@given(SEEDS, COUNTS)
+@given(COUNTS)
 @settings(max_examples=40, deadline=None)
-def test_group_of_one_never_loses_a_commit(seed, count):
-    rng = random.Random(seed)
-    log = LogManager(group_commit_size=1)
-    txns = random_txns(rng, count)
-    for txn in txns:
-        append_txn(log, *txn)
-    assert log.buffered_commits == 0
-    survivors = log.crash()
-    assert {r.txn_id for r in survivors if r.kind == wal.KIND_COMMIT} \
-        == {txn_id for txn_id, _, commits in txns if commits}
-
-
-@given(SEEDS, GROUPS, COUNTS)
-@settings(max_examples=40, deadline=None)
-def test_checkpoint_split_replay_matches_full_replay(seed, group, count):
-    """Replaying a suffix on top of a prefix image equals one full
-    replay, for any transaction-aligned split point."""
-    rng = random.Random(seed)
-    log = LogManager(group)
-    for txn in random_txns(rng, count):
-        append_txn(log, *txn)
-    survivors = log.crash()
-    boundaries = [0] + [i + 1 for i, r in enumerate(survivors)
-                        if r.kind in (wal.KIND_COMMIT, wal.KIND_ABORT)]
-    split = rng.choice(boundaries)
-    base = replay(survivors[:split])
-    assert replay(survivors[split:], base=base) == replay(survivors)
+def test_group_of_one_never_loses_a_commit(count):
+    replication = ShardReplication(SimpleNamespace(now=0.0), 0,
+                                   group_commit_size=1)
+    for _ in range(count):
+        replication.on_write_committed()
+    assert replication.buffered_commits == []
+    assert replication.on_primary_crash() == 0
+    assert replication.durable_commits == commit_lsns(count)
 
 
 @given(SEEDS, GROUPS, COUNTS)
 @settings(max_examples=40, deadline=None)
 def test_discard_after_trims_to_the_applied_prefix(seed, group, count):
-    """The failover trim: cutting the durable log at an arbitrary
-    force-aligned LSN leaves replay equal to the prefix's replay, with
-    the cut commits gone for good."""
+    """The failover trim: promoting a replica whose apply position sits
+    at an arbitrary force-aligned LSN cuts the durable log to that
+    prefix, with the cut commits lost for good."""
     rng = random.Random(seed)
-    log = LogManager(group)
-    for txn in random_txns(rng, count):
-        append_txn(log, *txn)
-    log.crash()
-    survivors = log.durable_records
-    commit_lsns = [0] + [r.lsn for r in survivors
-                         if r.kind == wal.KIND_COMMIT]
-    lsn = rng.choice(commit_lsns)
-    above = sum(1 for r in survivors if r.lsn > lsn)
-    prefix = [r for r in survivors if r.lsn <= lsn]
-    cut = log.discard_after(lsn)
-    assert cut == above
-    assert log.last_durable_lsn <= lsn
-    assert replay(log.durable_records) == replay(prefix)
-
-
-@given(SEEDS, GROUPS, COUNTS)
-@settings(max_examples=30, deadline=None)
-def test_replay_is_pure_and_unaliased(seed, group, count):
-    """Two replays of the same records agree and share no mutable
-    state; the source records are untouched."""
-    rng = random.Random(seed)
-    log = LogManager(group)
-    for txn in random_txns(rng, count):
-        append_txn(log, *txn)
-    survivors = log.crash()
-    first = replay(survivors)
-    second = replay(survivors)
-    assert first == second
-    poisoned = False
-    for rows in first.values():
-        for row in rows.values():
-            row["v"] = "poisoned"
-            poisoned = True
-            break
-        if poisoned:
-            break
-    if poisoned:
-        assert first != second  # the mutation stayed local
-    assert replay(survivors) == second
+    clock = SimpleNamespace(now=0.0)
+    replication = ShardReplication(clock, 0, group)
+    for _ in range(count):
+        clock.now += 1.0  # whole seconds: lag arithmetic stays exact
+        replication.on_write_committed()
+    replication.on_primary_crash()
+    # A lag of (now - t) has applied exactly the force made at t; a lag
+    # longer than the run has applied nothing.
+    positions = [(clock.now + 1.0, 0)] + [
+        (clock.now - force_t, lsn)
+        for force_t, lsn in replication.force_times]
+    lag_s, lsn = rng.choice(positions)
+    replica = SimpleNamespace(node_id=1, replication_lag_s=lag_s)
+    assert replication.applied_lsn(1, lag_s, clock.now) == lsn
+    durable = list(replication.durable_commits)
+    prefix = [commit for commit in durable if commit <= lsn]
+    lost_before = replication.lost_commits
+    records = replication.promote_to(replica, lag_s, clock.now)
+    assert replication.lost_commits - lost_before == len(durable) \
+        - len(prefix)
+    assert replication.durable_commits == prefix
+    assert records == 2 * len(prefix)
+    assert all(forced <= lsn for _, forced in replication.force_times)

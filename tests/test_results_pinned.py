@@ -22,7 +22,10 @@ import textwrap
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-from pinned import assert_pinned, load_pins, pinned_grid
+from pinned import (
+    HIGH_FAILURE_CELLS, TIERS, assert_pinned, load_pins, pinned_grid,
+    stored_parts,
+)
 from repro.core import polaris
 from repro.core.polaris import PolarisScheduler
 from repro.harness.experiment import RunFlags, run_experiment
@@ -32,6 +35,16 @@ GRID = pinned_grid()
 
 def test_every_pinned_cell_still_defined():
     assert set(load_pins("server")) == set(GRID)
+
+
+def test_only_listed_pinned_cells_fail_most_requests():
+    """Every tier's goldens, read back as data: a cell pinned at
+    ``failure_rate`` >= 0.5 must be listed with its reason, and a listed
+    cell that no longer fails that often must leave the list."""
+    rates = {label: stored_parts(pinned)[0]["failure_rate"]
+             for tier in TIERS for label, pinned in load_pins(tier).items()}
+    high = {label: rate for label, rate in rates.items() if rate >= 0.5}
+    assert set(high) == set(HIGH_FAILURE_CELLS), high
 
 
 @pytest.mark.parametrize("label", sorted(GRID))

@@ -1,7 +1,6 @@
 """The database server: routing, workers, scheduling glue."""
 
 import hashlib
-import random
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.db.server import BaselineDispatcher, DatabaseServer, ServerConfig
 from repro.governors.static import UserspaceGovernor
 from repro.harness.experiment import ExperimentConfig, RunFlags, run_experiment
 from repro.sim.engine import Simulator
-from repro.workloads import tpcc
 
 WORKLOAD = Workload("w", 0.050)
 
@@ -164,36 +162,6 @@ def test_rapl_packages_group_cores(sim):
     server, _ = make_server(sim, workers=16)
     assert len(server.packages) == 2
     assert len(server.packages[0].cores) == 8
-
-
-def test_functional_execution_runs_bodies(sim):
-    config = tpcc.TpccConfig(warehouses=1, customers_per_district=10,
-                             items=30)
-    db = tpcc.build_database(config, seed=3)
-    server, _ = make_server(sim, workers=2)
-    server.attach_functional(db, tpcc.TRANSACTION_BODIES, config,
-                             random.Random(4))
-    commits_before = db.log.stats.commits
-    request = Request(WORKLOAD, "Payment", 0.0, 2.8e-3)
-    server.submit(request)
-    sim.run()
-    assert request.result is not None
-    assert "amount" in request.result
-    assert db.log.stats.commits == commits_before + 1
-
-
-def test_functional_rollback_handled(sim):
-    config = tpcc.TpccConfig(warehouses=1, customers_per_district=10,
-                             items=30, new_order_rollback_rate=1.0)
-    db = tpcc.build_database(config, seed=3)
-    server, _ = make_server(sim, workers=1)
-    server.attach_functional(db, tpcc.TRANSACTION_BODIES, config,
-                             random.Random(4))
-    request = Request(WORKLOAD, "NewOrder", 0.0, 2.8e-3)
-    server.submit(request)
-    sim.run()
-    assert request.result == {"rolled_back": True}
-    assert tpcc.check_consistency(db, config) == []
 
 
 def test_drain_runs_queues_empty(sim):

@@ -1,15 +1,10 @@
-"""Advanced storage features: wait-die, deadlock detection, checkpoints."""
-
-import random
+"""Advanced lock-manager features: wait-die, deadlock detection."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.db.storage import log as wal
-from repro.db.storage.database import Database
-from repro.db.storage.errors import LockConflictError
 from repro.db.storage.locks import (
-    LockManager, LockMode, WouldWaitError, find_deadlock,
+    LockConflictError, LockManager, LockMode, WouldWaitError, find_deadlock,
 )
 
 S = LockMode.SHARED
@@ -110,127 +105,3 @@ def test_property_detected_cycles_are_real(graph):
     for a, b in zip(cycle, cycle[1:] + [cycle[0]]):
         assert b in graph.get(a, [])
 
-
-# ----------------------------------------------------------------------
-# Checkpointing
-# ----------------------------------------------------------------------
-def make_db():
-    db = Database(group_commit_size=3)
-    db.create_table("kv", ("k", "v"), ("k",))
-    return db
-
-
-def test_checkpoint_then_tail_recovery():
-    db = make_db()
-    with db.transaction() as txn:
-        txn.insert("kv", {"k": 1, "v": "a"})
-        txn.insert("kv", {"k": 2, "v": "b"})
-    checkpoint = db.take_checkpoint()
-    # Post-checkpoint activity: update, delete, insert; then force.
-    with db.transaction() as txn:
-        txn.update("kv", (1,), {"v": "A"})
-        txn.delete("kv", (2,))
-        txn.insert("kv", {"k": 3, "v": "c"})
-    db.log.force()
-    survivors = db.log.crash()
-    # The truncated log holds only the tail.
-    assert all(r.lsn > checkpoint.last_lsn for r in survivors)
-
-    recovered = Database()
-    recovered.create_table("kv", ("k", "v"), ("k",))
-    recovered.recover_from(survivors, checkpoint=checkpoint)
-    table = recovered.table("kv")
-    assert table.get((1,))["v"] == "A"
-    assert (2,) not in table
-    assert table.get((3,))["v"] == "c"
-
-
-def test_checkpoint_alone_recovers_state():
-    db = make_db()
-    with db.transaction() as txn:
-        for k in range(5):
-            txn.insert("kv", {"k": k, "v": str(k)})
-    checkpoint = db.take_checkpoint()
-    recovered = Database()
-    recovered.create_table("kv", ("k", "v"), ("k",))
-    recovered.recover_from([], checkpoint=checkpoint)
-    assert len(recovered.table("kv")) == 5
-
-
-def test_checkpoint_truncates_durable_log():
-    db = make_db()
-    with db.transaction() as txn:
-        txn.insert("kv", {"k": 1, "v": "a"})
-    db.log.force()
-    assert db.log.durable_records
-    db.take_checkpoint(truncate=True)
-    assert db.log.durable_records == []
-
-
-def test_checkpoint_without_truncate_keeps_log():
-    db = make_db()
-    with db.transaction() as txn:
-        txn.insert("kv", {"k": 1, "v": "a"})
-    checkpoint = db.take_checkpoint(truncate=False)
-    assert db.log.durable_records
-    assert checkpoint.last_lsn == db.log.last_durable_lsn
-
-
-def test_uncommitted_tail_not_in_recovery_after_checkpoint():
-    db = make_db()
-    with db.transaction() as txn:
-        txn.insert("kv", {"k": 1, "v": "a"})
-    checkpoint = db.take_checkpoint()
-    doomed = db.transaction()
-    doomed.insert("kv", {"k": 9, "v": "zzz"})
-    db.log.force()  # the write is durable, but no COMMIT record
-    survivors = db.log.crash()
-    recovered = Database()
-    recovered.create_table("kv", ("k", "v"), ("k",))
-    recovered.recover_from(survivors, checkpoint=checkpoint)
-    assert (9,) not in recovered.table("kv")
-    assert (1,) in recovered.table("kv")
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 99),
-                          st.booleans()), max_size=25),
-       st.integers(0, 24))
-def test_property_checkpoint_recovery_equals_direct_recovery(ops, cut):
-    """Recovering from (checkpoint at position `cut` + tail) yields the
-    same state as replaying everything from scratch."""
-    def apply_ops(db, operations):
-        for key, value, commit in operations:
-            txn = db.transaction()
-            try:
-                if (key,) in db.table("kv"):
-                    txn.update("kv", (key,), {"v": value})
-                else:
-                    txn.insert("kv", {"k": key, "v": value})
-                if commit:
-                    txn.commit()
-                else:
-                    txn.abort()
-            except Exception:
-                if txn.state.value == "active":
-                    txn.abort()
-
-    cut = min(cut, len(ops))
-    # Path A: checkpoint midway.
-    db_a = make_db()
-    apply_ops(db_a, ops[:cut])
-    checkpoint = db_a.take_checkpoint()
-    apply_ops(db_a, ops[cut:])
-    db_a.log.force()
-    tail = db_a.log.crash()
-    recovered_a = Database()
-    recovered_a.create_table("kv", ("k", "v"), ("k",))
-    recovered_a.recover_from(tail, checkpoint=checkpoint)
-
-    # Path B: straight-through execution (the reference state).
-    db_b = make_db()
-    apply_ops(db_b, ops)
-
-    state_a = {r["k"]: r["v"] for r in recovered_a.table("kv").scan_all()}
-    state_b = {r["k"]: r["v"] for r in db_b.table("kv").scan_all()}
-    assert state_a == state_b

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.db.storage.errors import LockConflictError
-from repro.db.storage.locks import LockManager, LockMode
+from repro.db.storage.locks import LockConflictError, LockManager, LockMode
 
 S = LockMode.SHARED
 X = LockMode.EXCLUSIVE

@@ -1,124 +1,93 @@
-"""WAL: group commit policy, crash semantics, redo-only replay."""
+"""The shard WAL model: group commit policy, crash semantics, replay count.
+
+:class:`repro.fleet.chaos.ShardReplication` keeps each shard's
+write-ahead log as LSN counters; these pin the log behaviour the
+failure machinery reads.
+"""
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.db.storage import log as wal
-from repro.db.storage.log import LogManager, replay
+from repro.fleet.chaos import ShardReplication
+from repro.fleet.config import FleetConfig
+
+
+def make_log(group_commit_size):
+    return ShardReplication(SimpleNamespace(now=0.0), 0, group_commit_size)
+
+
+def write(replication, count):
+    for _ in range(count):
+        replication.on_write_committed()
+
+
+def promote_caught_up(replication):
+    """Promote a zero-lag replica; returns the records its redo replays."""
+    replica = SimpleNamespace(node_id=1, replication_lag_s=0.0)
+    return replication.promote_to(replica, 0.0, replication.sim.now)
 
 
 def test_records_get_monotonic_lsns():
-    log = LogManager()
-    r1 = log.append(1, wal.KIND_INSERT, "t", (1,), after={"a": 1})
-    r2 = log.append(1, wal.KIND_COMMIT)
-    assert r2.lsn == r1.lsn + 1
+    replication = make_log(group_commit_size=1)
+    write(replication, 3)
+    # Each write takes a row-image LSN, then its COMMIT's.
+    assert replication.durable_commits == [2, 4, 6]
+    assert replication.next_lsn == 7
 
 
 def test_group_commit_forces_every_n_commits():
-    log = LogManager(group_commit_size=3)
-    for txn in range(1, 7):
-        log.append(txn, wal.KIND_INSERT, "t", (txn,), after={"a": txn})
-        log.append(txn, wal.KIND_COMMIT)
-    # 6 commits with threshold 3 -> exactly 2 group forces.
-    assert log.stats.group_forces == 2
-    assert log.buffered_count == 0
-
-
-def test_paper_default_is_100():
-    assert LogManager().group_commit_size == 100
+    replication = make_log(group_commit_size=3)
+    write(replication, 6)
+    # 6 commits with threshold 3 -> exactly 2 group forces, each right
+    # after the COMMIT that filled its group.
+    assert [lsn for _, lsn in replication.force_times] == [6, 12]
+    assert replication.buffered_commits == []
 
 
 def test_buffer_not_durable_until_force():
-    log = LogManager(group_commit_size=100)
-    log.append(1, wal.KIND_INSERT, "t", (1,), after={"a": 1})
-    log.append(1, wal.KIND_COMMIT)
-    assert log.durable_records == []
-    assert log.buffered_count == 2
-    log.force()
-    assert len(log.durable_records) == 2
-    assert log.buffered_count == 0
+    replication = make_log(group_commit_size=100)
+    write(replication, 99)
+    assert replication.durable_commits == []
+    assert len(replication.buffered_commits) == 99
+    assert replication.applied_lsn(1, 0.0, 0.0) == 0  # nothing shipped
+    write(replication, 1)  # the 100th COMMIT fills the group
+    assert len(replication.durable_commits) == 100
+    assert replication.buffered_commits == []
 
 
 def test_crash_drops_buffered_tail():
-    log = LogManager(group_commit_size=100)
-    log.append(1, wal.KIND_INSERT, "t", (1,), after={"a": 1})
-    log.append(1, wal.KIND_COMMIT)
-    log.force()
-    log.append(2, wal.KIND_INSERT, "t", (2,), after={"a": 2})
-    log.append(2, wal.KIND_COMMIT)
-    survivors = log.crash()
-    assert [r.txn_id for r in survivors] == [1, 1]
+    replication = make_log(group_commit_size=2)
+    write(replication, 3)
+    assert replication.on_primary_crash() == 1
+    assert replication.durable_commits == [2, 4]
+    assert replication.buffered_commits == []
 
 
 def test_replay_applies_only_committed():
-    log = LogManager(group_commit_size=1)
-    log.append(1, wal.KIND_INSERT, "t", (1,), after={"k": 1, "v": "a"})
-    log.append(1, wal.KIND_COMMIT)
-    log.append(2, wal.KIND_INSERT, "t", (2,), after={"k": 2, "v": "b"})
-    # txn 2 never commits
-    log.force()
-    state = replay(log.durable_records)
-    assert state == {"t": {(1,): {"k": 1, "v": "a"}}}
-
-
-def test_replay_update_and_delete():
-    log = LogManager(group_commit_size=1)
-    log.append(1, wal.KIND_INSERT, "t", (1,), after={"k": 1, "v": "a"})
-    log.append(1, wal.KIND_UPDATE, "t", (1,),
-               before={"k": 1, "v": "a"}, after={"k": 1, "v": "b"})
-    log.append(1, wal.KIND_INSERT, "t", (2,), after={"k": 2, "v": "x"})
-    log.append(1, wal.KIND_DELETE, "t", (2,), before={"k": 2, "v": "x"})
-    log.append(1, wal.KIND_COMMIT)
-    log.force()
-    state = replay(log.durable_records)
-    assert state == {"t": {(1,): {"k": 1, "v": "b"}}}
-
-
-def test_append_copies_row_images():
-    log = LogManager()
-    row = {"k": 1}
-    record = log.append(1, wal.KIND_INSERT, "t", (1,), after=row)
-    row["k"] = 99
-    assert record.after == {"k": 1}
-
-
-def test_abort_counted():
-    log = LogManager()
-    log.append(1, wal.KIND_ABORT)
-    assert log.stats.aborts == 1
+    """Only commits that reached the durable log are replayed: the
+    write whose COMMIT was still buffered at the crash is not."""
+    replication = make_log(group_commit_size=2)
+    write(replication, 3)
+    replication.on_primary_crash()
+    assert promote_caught_up(replication) == 4  # 2 x (UPDATE + COMMIT)
 
 
 def test_group_commit_size_validation():
     with pytest.raises(ValueError):
-        LogManager(group_commit_size=0)
+        FleetConfig(group_commit_size=0).validate()
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(
-    st.tuples(st.integers(min_value=1, max_value=5),   # txn id
-              st.integers(min_value=0, max_value=9),   # key
-              st.integers(min_value=0, max_value=99),  # value
-              st.booleans()),                          # commit after?
-    max_size=30))
-def test_property_replay_equals_committed_effects(ops):
-    """Replaying the forced log reproduces exactly the writes of the
-    transactions that committed."""
-    log = LogManager(group_commit_size=10)
-    committed = set()
-    last_write = {}
-    for txn, key, value, commit in ops:
-        log.append(txn, wal.KIND_INSERT if (key,) not in last_write
-                   else wal.KIND_UPDATE, "t", (key,),
-                   after={"k": key, "v": (txn, value)})
-        last_write[(key,)] = (txn, key, value)
-        if commit:
-            log.append(txn, wal.KIND_COMMIT)
-            committed.add(txn)
-    log.force()
-    state = replay(log.durable_records).get("t", {})
-    # Recompute expected: apply writes in order, only committed txns.
-    expected = {}
-    for txn, key, value, commit in ops:
-        if txn in committed:
-            expected[(key,)] = {"k": key, "v": (txn, value)}
-    assert state == expected
+@given(st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=60))
+def test_property_replay_equals_committed_effects(group, writes):
+    """A caught-up replica's redo pass replays exactly the writes whose
+    group was forced before the crash, two records each."""
+    replication = make_log(group)
+    write(replication, writes)
+    replication.on_primary_crash()
+    forced = writes - writes % group
+    assert promote_caught_up(replication) == 2 * forced
+    assert replication.lost_commits == writes - forced

@@ -1,148 +1,8 @@
-"""Functional TPC-C: loader, transaction bodies, consistency conditions."""
-
-import random
+"""TPC-C spec: the Figure 3 calibration."""
 
 import pytest
 
-from repro.db.storage.errors import Rollback
 from repro.workloads import tpcc
-
-
-@pytest.fixture(scope="module")
-def loaded():
-    config = tpcc.TpccConfig(warehouses=1, customers_per_district=20,
-                             items=50)
-    db = tpcc.build_database(config, seed=1)
-    return db, config
-
-
-def test_loader_row_counts(loaded):
-    db, config = loaded
-    counts = db.checkpoint_rowcounts()
-    assert counts["warehouse"] == 1
-    assert counts["district"] == config.districts_per_warehouse
-    assert counts["customer"] == (config.districts_per_warehouse
-                                  * config.customers_per_district)
-    assert counts["item"] == config.items
-    assert counts["stock"] == config.items
-    assert counts["orders"] == (config.districts_per_warehouse
-                                * config.initial_orders_per_district)
-
-
-def test_initial_state_is_consistent(loaded):
-    db, config = loaded
-    assert tpcc.check_consistency(db, config) == []
-
-
-def test_new_order_places_order():
-    config = tpcc.TpccConfig(new_order_rollback_rate=0.0)
-    db = tpcc.build_database(config, seed=2)
-    district_before = {
-        (d["d_w_id"], d["d_id"]): d["d_next_o_id"]
-        for d in db.table("district").scan_all()}
-    result = tpcc.new_order(db, random.Random(3), config, now=1.0)
-    key = next((k for k, v in district_before.items()), None)
-    del key
-    # The order exists with its lines and the district counter advanced.
-    orders = [o for o in db.table("orders").scan_all()
-              if o["o_id"] == result["o_id"] and o["o_carrier_id"] is None]
-    assert len(orders) == 1
-    order = orders[0]
-    lines = db.table("order_line").lookup(
-        "by_order", (order["o_w_id"], order["o_d_id"], order["o_id"]))
-    assert len(lines) == order["o_ol_cnt"]
-    assert result["total"] > 0
-    district = db.table("district").get((order["o_w_id"], order["o_d_id"]))
-    assert district["d_next_o_id"] == order["o_id"] + 1
-    new_order_row = (order["o_w_id"], order["o_d_id"], order["o_id"])
-    assert new_order_row in db.table("new_order")
-
-
-def test_new_order_rollback_leaves_no_trace():
-    config = tpcc.TpccConfig(new_order_rollback_rate=1.0)
-    db = tpcc.build_database(config, seed=2)
-    orders_before = len(db.table("orders"))
-    district_before = [d["d_next_o_id"]
-                       for d in db.table("district").scan_all()]
-    with pytest.raises(Rollback):
-        tpcc.new_order(db, random.Random(3), config, now=1.0)
-    assert len(db.table("orders")) == orders_before
-    assert [d["d_next_o_id"] for d in db.table("district").scan_all()] \
-        == district_before
-    assert tpcc.check_consistency(db, config) == []
-
-
-def test_payment_updates_balances():
-    config = tpcc.TpccConfig()
-    db = tpcc.build_database(config, seed=4)
-    warehouse_before = db.table("warehouse").get((1,))["w_ytd"]
-    result = tpcc.payment(db, random.Random(5), config, now=2.0)
-    warehouse_after = db.table("warehouse").get((1,))["w_ytd"]
-    assert warehouse_after == pytest.approx(warehouse_before
-                                            + result["amount"])
-    history = list(db.table("history").scan_all())
-    assert len(history) == 1
-    assert history[0]["h_amount"] == result["amount"]
-
-
-def test_payment_by_last_name_uses_index():
-    config = tpcc.TpccConfig()
-    db = tpcc.build_database(config, seed=4)
-    rng = random.Random(11)
-    # Force the by-last-name path by running until one resolves by name.
-    for _ in range(30):
-        result = tpcc.payment(db, rng, config)
-        assert 1 <= result["c_id"] <= config.customers_per_district
-
-
-def test_order_status_reads_latest_order():
-    config = tpcc.TpccConfig(new_order_rollback_rate=0.0)
-    db = tpcc.build_database(config, seed=6)
-    rng = random.Random(7)
-    placed = tpcc.new_order(db, rng, config, now=1.0)
-    # Query the same customer via a pinned rng sequence.
-    status = None
-    probe = random.Random(8)
-    for _ in range(200):
-        status = tpcc.order_status(db, probe, config)
-        if status["c_id"] == placed["c_id"] and status["last_order"]:
-            break
-    assert status is not None
-    assert status["line_count"] >= 0
-
-
-def test_stock_level_counts_low_stock():
-    config = tpcc.TpccConfig()
-    db = tpcc.build_database(config, seed=9)
-    result = tpcc.stock_level(db, random.Random(10), config, threshold=101)
-    # Threshold above max quantity: every distinct item is low.
-    assert result["low_stock"] > 0
-    result_none = tpcc.stock_level(db, random.Random(10), config, threshold=0)
-    assert result_none["low_stock"] == 0
-
-
-def test_mixed_workload_preserves_consistency():
-    config = tpcc.TpccConfig(warehouses=2, customers_per_district=10,
-                             items=40)
-    db = tpcc.build_database(config, seed=20)
-    rng = random.Random(21)
-    bodies = list(tpcc.TRANSACTION_BODIES.values())
-    executed = 0
-    for i in range(300):
-        body = bodies[i % len(bodies)]
-        try:
-            body(db, rng, config, now=float(i))
-            executed += 1
-        except Rollback:
-            pass
-    assert executed > 250
-    assert tpcc.check_consistency(db, config) == []
-
-
-def test_customer_last_name_generator():
-    assert tpcc.customer_last_name(0) == "BARBARBAR"
-    assert tpcc.customer_last_name(123) == "OUGHTABLEPRI"
-    assert tpcc.customer_last_name(999) == "EINGEINGEING"
 
 
 def test_make_spec_matches_figure3():
@@ -153,7 +13,5 @@ def test_make_spec_matches_figure3():
     new_order = spec.type_named("NewOrder")
     assert new_order.service.mean_seconds == pytest.approx(2059e-6)
     assert new_order.service.p95_seconds == pytest.approx(5414e-6)
-    # Bodies attached by default, omitted on request.
-    assert spec.type_named("Payment").body is tpcc.payment
-    assert tpcc.make_spec(include_bodies=False).type_named("Payment").body \
-        is None
+    # One shared spec; the legacy keyword changes nothing.
+    assert tpcc.make_spec(include_bodies=False) is spec

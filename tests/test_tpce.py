@@ -1,134 +1,12 @@
-"""Functional TPC-E-style workload: loader and all ten request types."""
-
-import random
+"""TPC-E-style spec: ten request types on the paper's range."""
 
 import pytest
 
 from repro.workloads import tpce
 
 
-@pytest.fixture(scope="module")
-def loaded():
-    config = tpce.TpceConfig(customers=10, securities=15, brokers=3)
-    db = tpce.build_database(config, seed=1)
-    return db, config
-
-
-def test_loader_row_counts(loaded):
-    db, config = loaded
-    counts = db.checkpoint_rowcounts()
-    assert counts["customer"] == config.customers
-    assert counts["account"] == (config.customers
-                                 * config.accounts_per_customer)
-    assert counts["broker"] == config.brokers
-    assert counts["security"] == config.securities
-    assert counts["last_trade"] == config.securities
-    assert counts["trade"] == (config.customers
-                               * config.accounts_per_customer
-                               * config.initial_trades_per_account)
-
-
-def test_initial_consistency(loaded):
-    db, config = loaded
-    assert tpce.check_consistency(db, config) == []
-
-
-def test_trade_order_creates_pending_trade():
-    config = tpce.TpceConfig(customers=5)
-    db = tpce.build_database(config, seed=2)
-    before = len(db.table("trade"))
-    result = tpce.trade_order(db, random.Random(3), config, now=1.0)
-    assert len(db.table("trade")) == before + 1
-    trade = db.table("trade").get((result["t_id"],))
-    assert trade["t_status"] == "PNDG"
-    broker_trades = sum(b["b_num_trades"]
-                        for b in db.table("broker").scan_all())
-    assert broker_trades == 1
-
-
-def test_trade_result_settles_oldest_pending():
-    config = tpce.TpceConfig(customers=5)
-    db = tpce.build_database(config, seed=2)
-    rng = random.Random(3)
-    placed = tpce.trade_order(db, rng, config, now=1.0)
-    trade = db.table("trade").get((placed["t_id"],))
-    account_before = db.table("account").get((trade["t_ca_id"],))
-    result = tpce.trade_result(db, rng, config, now=2.0)
-    assert result["completed"] == placed["t_id"]
-    settled = db.table("trade").get((placed["t_id"],))
-    assert settled["t_status"] == "CMPT"
-    account_after = db.table("account").get((trade["t_ca_id"],))
-    value = trade["t_qty"] * trade["t_price"]
-    if trade["t_is_buy"]:
-        assert account_after["ca_balance"] == pytest.approx(
-            account_before["ca_balance"] - value)
-    else:
-        assert account_after["ca_balance"] == pytest.approx(
-            account_before["ca_balance"] + value)
-
-
-def test_trade_result_without_pending():
-    config = tpce.TpceConfig(customers=3)
-    db = tpce.build_database(config, seed=4)
-    assert tpce.trade_result(db, random.Random(5), config)["completed"] \
-        is None
-
-
-def test_read_only_types_return_data(loaded):
-    db, config = loaded
-    rng = random.Random(6)
-    status = tpce.trade_status(db, rng, config)
-    assert status["count"] >= 1
-    lookup = tpce.trade_lookup(db, rng, config)
-    assert lookup["trades"] >= 1
-    assert lookup["value"] > 0
-    position = tpce.customer_position(db, rng, config)
-    assert position["cash"] > 0
-    assert position["market"] > 0
-    volume = tpce.broker_volume(db, rng, config)
-    assert len(volume["brokers"]) == 3
-    watch = tpce.market_watch(db, rng, config)
-    assert "pct_change" in watch
-    detail = tpce.security_detail(db, rng, config)
-    assert detail["price"] > 0
-
-
-def test_market_feed_moves_prices():
-    config = tpce.TpceConfig(customers=3, securities=10)
-    db = tpce.build_database(config, seed=7)
-    before = {lt["lt_s_symb"]: lt["lt_price"]
-              for lt in db.table("last_trade").scan_all()}
-    result = tpce.market_feed(db, random.Random(8), config)
-    after = {lt["lt_s_symb"]: lt["lt_price"]
-             for lt in db.table("last_trade").scan_all()}
-    changed = sum(1 for symb in before if before[symb] != after[symb])
-    assert result["updated"] == 8
-    assert changed >= 1  # drifts of 0.00 can round away, but not all
-
-
-def test_trade_update_annotates(loaded_config=None):
-    config = tpce.TpceConfig(customers=5)
-    db = tpce.build_database(config, seed=9)
-    result = tpce.trade_update(db, random.Random(10), config, now=3.5)
-    assert result["updated"] >= 1
-    annotated = [t for t in db.table("trade").scan_all() if t["t_comment"]]
-    assert len(annotated) == result["updated"]
-
-
-def test_mixed_workload_preserves_invariants():
-    config = tpce.TpceConfig(customers=8, securities=12)
-    db = tpce.build_database(config, seed=11)
-    rng = random.Random(12)
-    spec = tpce.make_spec()
-    for i in range(400):
-        txn_type = spec.choose_type(rng)
-        assert txn_type.body is not None
-        txn_type.body(db, rng, config, now=float(i))
-    assert tpce.check_consistency(db, config) == []
-
-
 def test_spec_calibration():
-    spec = tpce.make_spec(include_bodies=False)
+    spec = tpce.make_spec()
     assert len(spec.types) == 10
     means = [t.service.mean_seconds for t in spec.types]
     # The paper's 0.06 - 2.3 ms range (Section 6.2.1).

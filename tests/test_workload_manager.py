@@ -38,7 +38,7 @@ def test_duplicate_registration_rejected():
 def test_per_type_slack_policy_matches_paper_example():
     """Section 6.2: at slack 50, Order Status (mean ~0.25 ms) gets a
     ~12.5 ms target and Stock Level (mean ~3.4 ms) gets ~170 ms."""
-    spec = tpcc.make_spec(include_bodies=False)
+    spec = tpcc.make_spec()
     manager = WorkloadManager.per_type_with_slack(spec, slack=50.0)
     assert manager.get("OrderStatus").latency_target \
         == pytest.approx(50 * 250e-6)
@@ -50,7 +50,7 @@ def test_per_type_slack_policy_matches_paper_example():
 
 
 def test_slack_must_be_positive():
-    spec = tpcc.make_spec(include_bodies=False)
+    spec = tpcc.make_spec()
     with pytest.raises(ValueError):
         WorkloadManager.per_type_with_slack(spec, slack=0.0)
 
@@ -62,7 +62,7 @@ def test_tiers_policy():
 
 
 def test_workload_for_type():
-    spec = tpcc.make_spec(include_bodies=False)
+    spec = tpcc.make_spec()
     manager = WorkloadManager.per_type_with_slack(spec, slack=10.0)
     assert manager.get("Payment").name == "Payment"
     assert "nope" not in manager

@@ -1,100 +1,8 @@
-"""YCSB-style key-value workload."""
-
-import random
+"""YCSB-style key-value workload: core mixes and a harness cell."""
 
 import pytest
 
 from repro.workloads import ycsb
-
-
-@pytest.fixture(scope="module")
-def loaded():
-    config = ycsb.YcsbConfig(record_count=200)
-    db = ycsb.build_database(config, seed=1)
-    return db, config
-
-
-def test_loader(loaded):
-    db, config = loaded
-    assert len(db.table("usertable")) == config.record_count
-    row = db.table("usertable").get((ycsb._key(0),))
-    assert len(row["field0"]) == config.field_length
-
-
-def test_zipfian_skew():
-    generator = ycsb.ZipfianGenerator(1000, theta=0.99)
-    rng = random.Random(2)
-    draws = [generator.next(rng) for _ in range(20000)]
-    assert all(0 <= d < 1000 for d in draws)
-    # Heavy head: the single most popular item gets a large share.
-    head = sum(1 for d in draws if d == 0) / len(draws)
-    assert head > 0.05
-    # And the top decile dominates the bottom decile.
-    top = sum(1 for d in draws if d < 100)
-    bottom = sum(1 for d in draws if d >= 900)
-    assert top > 5 * max(bottom, 1)
-
-
-def test_zipfian_validation():
-    with pytest.raises(ValueError):
-        ycsb.ZipfianGenerator(0)
-    with pytest.raises(ValueError):
-        ycsb.ZipfianGenerator(10, theta=1.0)
-
-
-def test_latest_distribution_tracks_growth():
-    generator = ycsb.LatestGenerator(100)
-    rng = random.Random(3)
-    early = [generator.next(rng) for _ in range(2000)]
-    assert all(0 <= d < 100 for d in early)
-    # Skewed toward the most recent (highest) ids.
-    assert sum(1 for d in early if d >= 90) > sum(
-        1 for d in early if d < 10)
-    generator.grew_to(200)
-    late = [generator.next(rng) for _ in range(2000)]
-    assert max(late) > 150
-
-
-def test_operations_functional(loaded):
-    db, config = loaded
-    state = ycsb.YcsbState(config)
-    rng = random.Random(4)
-    read = ycsb.op_read(db, rng, state)
-    assert read["found"]
-    update = ycsb.op_update(db, rng, state)
-    assert update["found"]
-    scan = ycsb.op_scan(db, rng, state)
-    assert scan["scanned"] >= 1
-    rmw = ycsb.op_read_modify_write(db, rng, state)
-    assert rmw["found"]
-
-
-def test_insert_extends_keyspace():
-    config = ycsb.YcsbConfig(record_count=50)
-    db = ycsb.build_database(config, seed=5)
-    state = ycsb.YcsbState(config)
-    rng = random.Random(6)
-    before = len(db.table("usertable"))
-    result = ycsb.op_insert(db, rng, state)
-    assert len(db.table("usertable")) == before + 1
-    assert state.record_count == 51
-    # The new key is immediately readable.
-    assert db.table("usertable").get_or_none((result["key"],)) is not None
-
-
-def test_rmw_actually_modifies():
-    config = ycsb.YcsbConfig(record_count=20)
-    db = ycsb.build_database(config, seed=7)
-    state = ycsb.YcsbState(config, distribution="uniform")
-    rng = random.Random(8)
-    snapshot = {r["y_id"]: dict(r) for r in db.table("usertable").scan_all()}
-    changed = 0
-    for _ in range(30):
-        ycsb.op_read_modify_write(db, rng, state)
-    for row in db.table("usertable").scan_all():
-        if snapshot[row["y_id"]] != row:
-            changed += 1
-    assert changed >= 1
 
 
 def test_make_spec_mixes():
@@ -103,15 +11,11 @@ def test_make_spec_mixes():
     assert spec_a.mix_fraction("Read") == pytest.approx(0.5)
     spec_c = ycsb.make_spec("C")  # case-insensitive
     assert [t.name for t in spec_c.types] == ["Read"]
-    spec_e = ycsb.make_spec("e", include_bodies=False)
-    assert spec_e.type_named("Scan").body is None
+    assert ycsb.make_spec("c") is spec_c
+    spec_e = ycsb.make_spec("e")
+    assert {t.name for t in spec_e.types} == {"Scan", "Insert"}
     with pytest.raises(ValueError):
         ycsb.make_spec("z")
-
-
-def test_request_distribution():
-    assert ycsb.request_distribution("d") == "latest"
-    assert ycsb.request_distribution("a") == "zipfian"
 
 
 def test_harness_integration():
@@ -121,14 +25,3 @@ def test_harness_integration():
         workers=2, warmup_seconds=0.3, test_seconds=1.0, seed=9))
     assert result.offered > 0
     assert set(result.per_workload_failure) <= {"Read", "Update"}
-
-
-def test_state_choose_key_distributions():
-    config = ycsb.YcsbConfig(record_count=100)
-    rng = random.Random(10)
-    zipf_state = ycsb.YcsbState(config, "zipfian")
-    latest_state = ycsb.YcsbState(config, "latest")
-    uniform_state = ycsb.YcsbState(config, "uniform")
-    for state in (zipf_state, latest_state, uniform_state):
-        keys = {state.choose_key(rng) for _ in range(50)}
-        assert all(k.startswith("user") for k in keys)

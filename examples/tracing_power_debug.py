@@ -21,7 +21,7 @@ which scheduling decision diverged.
 """
 
 from repro.harness import ExperimentConfig, run_experiment
-from repro.obs import validate_chrome_trace
+from repro.obs.export import validate_chrome_trace
 
 TRACE_PATH = "polaris-fig6.trace.json"
 SERIES_PATH = "polaris-fig6.series.csv"

@@ -640,3 +640,28 @@ class DatabaseServer:
                 f"  worker {worker.worker_id}: running={running} "
                 f"queued={queued} stalled={worker.core.stalled}")
         return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Moving queued work between workers (the faults watchdog's migration,
+# the fleet's node drain and scale-in)
+# ----------------------------------------------------------------------
+def drain_worker_queue(worker: Worker) -> List[Request]:
+    """Pop every queued request off ``worker``'s dispatcher, in the
+    dispatcher's own order."""
+    requests = []
+    while True:
+        request = worker.dispatcher.next_request()
+        if request is None:
+            return requests
+        requests.append(request)
+
+
+def redistribute_requests(requests: List[Request],
+                          workers: List[Worker]) -> None:
+    """Hand already-admitted requests to ``workers`` round-robin via
+    :meth:`Worker.receive_migrated` (EDF dispatchers re-sort by
+    deadline; admission control and shedding are bypassed --- migration
+    must not lose work)."""
+    for index, request in enumerate(requests):
+        workers[index % len(workers)].receive_migrated(request)

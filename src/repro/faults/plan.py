@@ -6,15 +6,9 @@ mechanisms are armed.  The :mod:`repro.faults.injector` turns the plan
 into simulator events; nothing here touches simulation state, so a plan
 can be hashed, serialized, and compared without running anything.
 
-Enable contract (same shape as simsan / tracing):
-
-* Environment: ``REPRO_FAULTS=<scenario-name-or-json-path>`` applies a
-  plan to every experiment that does not set one explicitly.
-* Per run: ``ExperimentConfig(faults=FaultPlan(...))`` --- or a scenario
-  name / JSON path string --- overrides the environment in either
-  direction (``faults=None`` defers to the environment; there is no
-  env-set-but-force-off spelling because an *empty* plan is inert by
-  construction and serves that purpose).
+The enable contract (``REPRO_FAULTS`` or ``ExperimentConfig.faults``)
+is :func:`repro.faults.resolve_fault_plan`, in the package init, so
+resolving a healthy run never imports this module.
 
 Determinism: a plan is part of the experiment's identity.  Two runs
 with the same ``(config, seed, plan)`` are byte-identical; the sweep
@@ -29,16 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (
     Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints,
 )
-
-#: Environment variable naming a scenario (or a JSON plan file) that
-#: applies to every experiment not configured explicitly.
-FAULTS_ENV = "REPRO_FAULTS"
-
 
 @dataclass(frozen=True)
 class MsrFaultSpec:
@@ -441,35 +429,8 @@ class FaultPlan:
 FaultsLike = Union[None, str, FaultPlan]
 
 
-def resolve_fault_plan(faults: FaultsLike = None) -> Optional[FaultPlan]:
-    """Resolve the plan for a run being constructed.
-
-    An explicit :class:`FaultPlan` wins; a string names a scenario from
-    the library (``"burst"``, ``"burst+brownout"``) or a JSON plan file
-    path; ``None`` defers to the :data:`FAULTS_ENV` environment
-    variable (unset or blank -> no faults).
-    """
-    if isinstance(faults, FaultPlan):
-        return None if faults.is_empty else faults
-    spec = faults if faults is not None \
-        else os.environ.get(FAULTS_ENV, "").strip()
-    if not spec:
-        return None
-    plan = _load_spec(spec)
-    return None if plan.is_empty else plan
-
-
-def _load_spec(spec: str) -> FaultPlan:
-    if spec.endswith(".json") or os.path.sep in spec:
-        with open(spec, "r", encoding="utf-8") as fh:
-            return FaultPlan.from_json(fh.read())
-    from repro.faults.scenarios import scenario_named  # cycle guard
-    return scenario_named(spec)
-
-
 __all__ = [
-    "FAULTS_ENV", "BurstSpec", "DegradationPolicy", "FaultPlan",
-    "FaultsLike", "MsrFaultSpec", "NodeCrashSpec", "PartitionSpec",
-    "ReplicaLagSpec", "SkewSpec", "StallSpec", "ThrottleSpec",
-    "resolve_fault_plan",
+    "BurstSpec", "DegradationPolicy", "FaultPlan", "FaultsLike",
+    "MsrFaultSpec", "NodeCrashSpec", "PartitionSpec", "ReplicaLagSpec",
+    "SkewSpec", "StallSpec", "ThrottleSpec",
 ]

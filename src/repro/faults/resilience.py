@@ -33,32 +33,13 @@ from functools import partial
 from typing import Deque, Dict, Optional
 
 from repro.cpu.msr import IA32_PERF_CTL, MsrError, encode_perf_ctl
+from repro.db.server import drain_worker_queue, redistribute_requests
 from repro.faults.plan import DegradationPolicy
 
 #: Deterministic ordering of the action counters.
 _ACTIONS = ("msr_retry", "msr_retry_success", "msr_fallback", "msr_giveup",
             "quarantine", "migration", "migrated_requests", "shed",
             "panic_enter", "panic_exit")
-
-
-def drain_worker_queue(worker) -> list:
-    """Pop every queued request off ``worker``'s dispatcher, in the
-    dispatcher's own order.  Shared by the watchdog's quarantine path
-    and the fleet tier's node-drain path (``repro.fleet``)."""
-    requests = []
-    while True:
-        request = worker.dispatcher.next_request()
-        if request is None:
-            return requests
-        requests.append(request)
-
-
-def redistribute_requests(requests, workers) -> None:
-    """Hand already-admitted requests to ``workers`` round-robin via
-    ``receive_migrated`` (EDF dispatchers re-sort by deadline; admission
-    control and shedding are bypassed --- migration must not lose work)."""
-    for index, request in enumerate(requests):
-        workers[index % len(workers)].receive_migrated(request)
 
 
 class ResilienceController:
@@ -262,5 +243,4 @@ class ResilienceController:
                 worker.pin_frequency(worker.core.pstates.max_freq)
 
 
-__all__ = ["ResilienceController", "drain_worker_queue",
-           "redistribute_requests"]
+__all__ = ["ResilienceController"]

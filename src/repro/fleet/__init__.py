@@ -23,34 +23,8 @@ shards and promotes the most-caught-up replica after a durable-WAL
 replay, and an armed router self-heals with circuit breakers, bounded
 retry-with-backoff, and optional hedged reads ---
 see DESIGN.md, "Fleet failure model".
+
+Import the submodules directly.  This init re-exports nothing, so
+importing :mod:`repro.fleet.config` (every experiment does, for the
+``ExperimentConfig.fleet`` field) loads no fleet machinery.
 """
-
-from repro.fleet.chaos import FleetFaultInjector, ShardReplication
-from repro.fleet.config import FleetConfig
-from repro.fleet.controller import ElasticController
-from repro.fleet.failover import AvailabilityTracker, FailoverManager
-from repro.fleet.node import Fleet, Node, NodeState, PRIMARY, REPLICA
-from repro.fleet.router import (
-    ClusterRouter, NoActiveNodeError, RouterPolicy, ShardState,
-    read_only_types,
-)
-
-__all__ = [
-    "AvailabilityTracker",
-    "ClusterRouter",
-    "ElasticController",
-    "FailoverManager",
-    "Fleet",
-    "FleetConfig",
-    "FleetFaultInjector",
-    "NoActiveNodeError",
-    "Node",
-    "NodeState",
-    "PRIMARY",
-    "REPLICA",
-    "RouterPolicy",
-    "ShardReplication",
-    "ShardState",
-    "read_only_types",
-]
-

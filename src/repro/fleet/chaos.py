@@ -34,12 +34,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.faults.plan import FaultPlan
 from repro.fleet.node import Fleet, Node, NodeState
 from repro.fleet.router import ShardState
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
 
 #: Deterministic ordering of the injected-event counters.
 _KINDS = ("node_crash", "partition_begin", "partition_end",

@@ -10,9 +10,9 @@ and compares the utilization against two thresholds:
 * above ``scale_out_utilization`` --- unpark one parked replica (boot
   latency drawn from the seeded lifecycle stream; the node serves
   nothing and saves nothing until it finishes warming);
-* below ``scale_in_utilization`` --- drain one active replica, reusing
-  the ``repro.faults`` quarantine/migration machinery to move its
-  queued requests onto shard siblings before it parks.
+* below ``scale_in_utilization`` --- drain one active replica, moving
+  its queued requests onto shard siblings before it parks with the
+  same :mod:`repro.db.server` helpers the faults watchdog migrates with.
 
 Hysteresis is the gap between the two thresholds plus a per-shard
 cooldown after any action; at most one replica per shard is in motion
@@ -27,7 +27,7 @@ from typing import Deque, Dict, List, Optional
 
 from collections import deque
 
-from repro.faults.resilience import drain_worker_queue, redistribute_requests
+from repro.db.server import drain_worker_queue, redistribute_requests
 from repro.fleet.config import FleetConfig
 from repro.fleet.node import Fleet, Node, NodeState
 from repro.fleet.router import ClusterRouter, ShardState

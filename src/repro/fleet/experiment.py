@@ -23,24 +23,26 @@ per-shard deadline-miss rates.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.request import Request
 from repro.db.server import DatabaseServer
-from repro.faults.plan import FaultPlan
-from repro.fleet.chaos import FleetFaultInjector, ShardReplication
 from repro.fleet.config import FleetConfig
 from repro.fleet.controller import ElasticController
-from repro.fleet.failover import AvailabilityTracker, FailoverManager
 from repro.fleet.node import Fleet, Node, NodeState, PRIMARY, REPLICA
 from repro.fleet.router import (
     ClusterRouter, RouterPolicy, ShardState, read_only_types,
 )
 from repro.harness.experiment import ExperimentConfig
 from repro.metrics.latency import LatencyRecorder, percentile
-from repro.obs.metrics import MetricRegistry
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
+    from repro.fleet.chaos import FleetFaultInjector, ShardReplication
+    from repro.fleet.failover import AvailabilityTracker, FailoverManager
+    from repro.obs.metrics import MetricRegistry
 
 
 def _build_fleet(sim: Simulator, fleet_config: FleetConfig,
@@ -132,8 +134,9 @@ class FleetPlant:
         self.books_of = {node.server: self.shard_books[node.shard_id]
                          for node in self.fleet.nodes}
         self.servers = list(self.books_of)
-        # Chaos cells only (see _arm_chaos); healthy cells build none of
-        # it, so they stay byte-identical to the pinned PR 8 runs.
+        # Chaos cells only (see _arm_chaos); healthy cells build (and
+        # import) none of it, so they stay byte-identical to their
+        # pinned goldens.
         self.replication: Dict[int, ShardReplication] = {}
         self.tracker: Optional[AvailabilityTracker] = None
         self.failover: Optional[FailoverManager] = None
@@ -176,6 +179,8 @@ class FleetPlant:
     def _arm_chaos(self, recorder: LatencyRecorder) -> None:
         """Replication/WAL model, self-healing router, fault injection,
         and (when enabled) the failover machinery."""
+        from repro.fleet.chaos import FleetFaultInjector, ShardReplication
+        from repro.fleet.failover import AvailabilityTracker, FailoverManager
         sim, shards, fleet_config = self.sim, self.shards, self.fleet_config
         replication = self.replication = {
             shard.shard_id: ShardReplication(

@@ -25,8 +25,7 @@ import enum
 from typing import Callable, List, Optional
 
 from repro.analysis.sanitizer import invariant
-from repro.db.server import DatabaseServer
-from repro.faults.resilience import drain_worker_queue
+from repro.db.server import DatabaseServer, drain_worker_queue
 from repro.sim.engine import Simulator
 
 #: Node roles.

@@ -15,19 +15,15 @@ CLI both call through here.
 processes behind a content-addressed on-disk cache (cells that are the
 same simulation scored against different deadlines run it once), and
 :mod:`repro.harness.profiling` accounts for where the wall time went.
+
+Only the one-cell API is re-exported here: every run imports
+:mod:`repro.harness.experiment` anyway, while the pool, the figure
+table and the CLI load only when a caller imports them by name.
 """
 
-from repro.fleet.config import FleetConfig
 from repro.harness.experiment import (
     ExperimentConfig, ExperimentResult, RunFlags, run_experiment,
 )
-from repro.harness.parallel import SweepCache, SweepRunner
-from repro.harness.profiling import TimingReport
-from repro.harness.schemes import SCHEMES, Scheme, scheme_named
 
-__all__ = [
-    "ExperimentConfig", "ExperimentResult", "FleetConfig", "RunFlags",
-    "run_experiment",
-    "SweepCache", "SweepRunner", "TimingReport",
-    "SCHEMES", "Scheme", "scheme_named",
-]
+__all__ = ["ExperimentConfig", "ExperimentResult", "RunFlags",
+           "run_experiment"]

@@ -27,7 +27,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.sanitizer import simsan_enabled
 from repro.core.estimator import ExecutionTimeEstimator
@@ -35,23 +35,25 @@ from repro.core.request import Request
 from repro.core.workload import Workload, WorkloadManager
 from repro.cpu.topology import make_topology
 from repro.db.server import DatabaseServer, ServerConfig
-from repro.faults.injector import FaultInjector, wrap_estimator, wrap_rate
-from repro.faults.plan import FaultPlan, FaultsLike, resolve_fault_plan
-from repro.faults.resilience import ResilienceController
+from repro.faults import resolve_fault_plan
 from repro.fleet.config import FleetConfig
 from repro.governors.base import GovernorSet
 from repro.harness.profiling import perf_clock
 from repro.harness.schemes import scheme_named
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.power import PowerMeter
-from repro.obs.export import export_chrome_trace, export_series_csv
-from repro.obs.metrics import MetricRegistry, MetricsSampler
 from repro.obs.trace import NULL_TRACER, Tracer, trace_enabled
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads import tpcc, tpce, ycsb
 from repro.workloads.arrivals import OpenLoopGenerator, RateSchedule
 from repro.workloads.base import BenchmarkSpec
+
+if TYPE_CHECKING:
+    # Fault and metrics code loads where a run uses it, so a healthy,
+    # untraced cell imports none of it (tests/test_import_surface.py).
+    from repro.faults.plan import FaultPlan, FaultsLike
+    from repro.obs.metrics import MetricRegistry, MetricsSampler
 
 #: benchmark name -> spec factory.
 BENCHMARKS: Dict[str, Callable[[], BenchmarkSpec]] = {
@@ -190,12 +192,25 @@ class ExperimentConfig:
              f"must be one of {', '.join(sorted(BENCHMARKS))}")
         need(math.isfinite(self.slack) and self.slack > 0, "slack",
              "must be finite and positive")
-        need(self.workers >= 1, "workers", "must be at least 1")
-        for name in ("load_fraction", "warmup_seconds",
-                     "drain_limit_seconds"):
-            need(getattr(self, name) >= 0, name, "cannot be negative")
-        need(self.load_trace is not None or self.test_seconds > 0,
-             "test_seconds", "must be positive without a load_trace")
+        for name in ("workers", "request_handlers", "estimator_window"):
+            need(getattr(self, name) >= 1, name, "must be at least 1")
+        need(0 < self.estimator_percentile <= 100, "estimator_percentile",
+             "must be in (0, 100]")
+        # Finite, too: a NaN or infinite load fraction would run at 0.97
+        # of peak (effective_load_fraction), an infinite warmup never
+        # ends, and an infinite stall fails inside the engine.
+        for name in ("load_fraction", "trace_low_fraction",
+                     "trace_high_fraction", "warmup_seconds",
+                     "transition_latency", "topology_switch_latency"):
+            need(0 <= getattr(self, name) < math.inf, name,
+                 "must be finite and non-negative")
+        need(self.drain_limit_seconds >= 0, "drain_limit_seconds",
+             "cannot be negative")
+        need(self.load_trace is not None
+             or 0 < self.test_seconds < math.inf, "test_seconds",
+             "must be finite and positive without a load_trace")
+        need(0 < self.trace_sample_interval_s < math.inf,
+             "trace_sample_interval_s", "must be finite and positive")
         need(self.load_trace is None or len(self.load_trace) > 0,
              "load_trace", "cannot be empty")
         for index, sample in enumerate(self.load_trace or ()):
@@ -308,7 +323,9 @@ def _train_estimator(estimator: ExecutionTimeEstimator,
         else:
             models = [t.service for t in spec.types]
             weights = [spec.mix_fraction(t.name) for t in spec.types]
-        columns: List[List[float]] = [[] for _ in frequencies]
+        # Each draw's work (giga-cycles): seconds at the model's
+        # reference frequency times that frequency.
+        work: List[float] = []
         for _ in range(fill):
             u = rng.random()
             acc = 0.0
@@ -318,11 +335,10 @@ def _train_estimator(estimator: ExecutionTimeEstimator,
                 if u <= acc:
                     model = m
                     break
-            ref_seconds = model.draw_seconds(rng)
-            for column, freq in zip(columns, frequencies):
-                column.append(ref_seconds * model.ref_freq_ghz / freq)
-        for column, freq in zip(columns, frequencies):
-            estimator.fill(workload.name, freq, column)
+            work.append(model.draw_seconds(rng) * model.ref_freq_ghz)
+        for freq in frequencies:
+            estimator.fill(workload.name, freq,
+                           [gcycles / freq for gcycles in work])
 
 
 class ServerPlant:
@@ -349,12 +365,16 @@ class ServerPlant:
         self.scheme_label = scheme.label
         self.peak_throughput = node_peak
         # repro.faults: everything fault-related is gated on `plan is
-        # not None`, so a healthy run touches no fault code path at all.
-        self.injector = FaultInjector(sim, plan, streams.get("faults")) \
-            if plan is not None else None
+        # not None`, so a healthy run neither imports nor runs fault code.
+        self.injector = self.resilience = None
+        if plan is not None:
+            from repro.faults.injector import FaultInjector
+            self.injector = FaultInjector(sim, plan, streams.get("faults"))
         self.server = server = make_server()
-        self.resilience = ResilienceController(sim, server, plan.degradation) \
-            if plan is not None and plan.degradation.any_enabled else None
+        if plan is not None and plan.degradation.any_enabled:
+            from repro.faults.resilience import ResilienceController
+            self.resilience = ResilienceController(sim, server,
+                                                   plan.degradation)
         self.servers = [server]
         self.admit = server.submit
         self.wall_energy = server.wall_energy
@@ -508,8 +528,8 @@ def run_experiment(config: ExperimentConfig,
         plant_class = ServerPlant
         workers, handlers = config.workers, config.request_handlers
     else:
-        # repro.fleet builds on this module, and server cells must not
-        # pay its import --- hence the local import.
+        # repro.fleet.experiment builds on this module; a server cell
+        # imports none of the fleet.
         from repro.fleet.experiment import FleetPlant as plant_class
         workers = config.fleet.node_workers
         handlers = config.fleet.node_request_handlers
@@ -534,6 +554,7 @@ def run_experiment(config: ExperimentConfig,
         # Misprediction skew wraps the estimator *before* the scheduler
         # factory captures it, so every scheduler sees skewed estimates
         # while observations still feed the real windows.
+        from repro.faults.injector import wrap_estimator
         estimator = wrap_estimator(estimator, sim, plan.skews)
     factory: Optional[Callable[[], object]] = None
     if scheme.uses_scheduler:
@@ -576,6 +597,7 @@ def run_experiment(config: ExperimentConfig,
         rate_fn = lambda _now: target  # noqa: E731 - tiny adapter
         test_duration = config.test_seconds
     if plan is not None:
+        from repro.faults.injector import wrap_rate
         rate_fn = wrap_rate(rate_fn, plan.bursts)
 
     # The three per-arrival streams consume entropy through random()
@@ -614,6 +636,7 @@ def run_experiment(config: ExperimentConfig,
 
     sampler: Optional[MetricsSampler] = None
     if tracer.enabled:
+        from repro.obs.metrics import MetricRegistry, MetricsSampler
         registry = MetricRegistry()
         plant.register_gauges(registry)
         sampler = MetricsSampler(
@@ -666,8 +689,10 @@ def run_experiment(config: ExperimentConfig,
         tracer.finalize(sim.now)
         trace_event_count = len(tracer.events)
         if config.trace_path:
+            from repro.obs.export import export_chrome_trace
             export_chrome_trace(tracer, config.trace_path)
         if config.trace_series_path:
+            from repro.obs.export import export_series_csv
             export_series_csv(sampler, config.trace_series_path)
 
     # -- Collect -----------------------------------------------------

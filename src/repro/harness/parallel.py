@@ -50,11 +50,11 @@ import hashlib
 import json
 import os
 import pickle
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 import repro
 from repro.harness.experiment import (
@@ -63,6 +63,9 @@ from repro.harness.experiment import (
 )
 from repro.harness.profiling import TimingReport, perf_clock
 from repro.metrics.latency import LatencyRecorder
+
+if TYPE_CHECKING:  # the pool's stack loads only when a sweep fans out
+    from concurrent.futures import ProcessPoolExecutor
 
 JOBS_ENV = "REPRO_JOBS"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -238,6 +241,7 @@ def shared_pool(workers: int) -> ProcessPoolExecutor:
     if _pool is not None and _pool_workers != workers:
         shutdown_shared_pool()
     if _pool is None:
+        from concurrent.futures import ProcessPoolExecutor
         _pool = ProcessPoolExecutor(max_workers=workers,
                                     initializer=_warm_worker)
         _pool_workers = workers
@@ -414,6 +418,8 @@ class SweepRunner:
         """Run ``groups`` on the pool; returns the groups that did not
         land (none, unless the pool broke) for the caller to run
         in-process."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
         # Chunking amortizes per-task IPC; several chunks per worker
         # keep the tail balanced when group costs vary across the grid.
         chunk_size = max(1, len(groups)

@@ -19,24 +19,8 @@ Three layers:
 * :mod:`repro.obs.export` --- Chrome trace-event / Perfetto JSON
   (open the file at ``ui.perfetto.dev``), CSV series dumps, a
   structural validator, and a plain-text summary report.
+
+Import the submodules directly.  The engine imports
+:mod:`repro.obs.trace` in every run, so this init re-exports nothing:
+an untraced run loads neither the metrics nor the export layer.
 """
-
-from repro.obs.export import (
-    build_trace_events, export_chrome_trace, export_series_csv,
-    trace_summary, validate_chrome_trace,
-)
-from repro.obs.metrics import (
-    Counter, Gauge, Histogram, MetricRegistry, MetricsSampler,
-)
-from repro.obs.trace import (
-    NULL_TRACER, TRACE_ENV, TraceTrack, Tracer, resolve_tracer,
-    trace_enabled,
-)
-
-__all__ = [
-    "Counter", "Gauge", "Histogram", "MetricRegistry", "MetricsSampler",
-    "NULL_TRACER", "TRACE_ENV", "TraceTrack", "Tracer",
-    "build_trace_events", "export_chrome_trace", "export_series_csv",
-    "resolve_tracer", "trace_enabled", "trace_summary",
-    "validate_chrome_trace",
-]

@@ -27,7 +27,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 from pinned import fingerprint
 
-from repro.fleet import FleetConfig
+from repro.fleet.config import FleetConfig
 from repro.fleet.experiment import FleetPlant
 from repro.harness.experiment import ExperimentConfig, run_experiment
 
@@ -156,13 +156,25 @@ def test_slack_only_rescores_a_governor_cell(scheme):
     ("slack", -1.0),
     ("load_fraction", -0.1),
     ("load_fraction", math.nan),
+    ("load_fraction", math.inf),
+    ("trace_low_fraction", math.nan),
     ("warmup_seconds", -1.0),
+    ("warmup_seconds", math.inf),
     ("drain_limit_seconds", -1.0),
     ("test_seconds", 0.0),
     ("test_seconds", -1.0),
+    ("test_seconds", math.inf),
     ("load_trace", []),
     ("timeline_bin_seconds", 0.0),
     ("timeline_bin_seconds", -5.0),
+    ("transition_latency", -1.0),
+    ("topology_switch_latency", -1.0),
+    ("topology_switch_latency", math.nan),
+    ("request_handlers", 0),
+    ("estimator_window", 0),
+    ("estimator_percentile", 0.0),
+    ("estimator_percentile", 101.0),
+    ("trace_sample_interval_s", 0.0),
 ])
 def test_out_of_range_config_is_rejected_naming_the_field(field, value):
     config = ExperimentConfig(**dict(_SHORT, **{field: value}))

@@ -5,11 +5,11 @@ import typing
 
 import pytest
 
+from repro.faults import FAULTS_ENV, resolve_fault_plan
 from repro.faults import plan as plan_module
 from repro.faults.plan import (
-    FAULTS_ENV, BurstSpec, DegradationPolicy, FaultPlan, MsrFaultSpec,
-    NodeCrashSpec, PartitionSpec, ReplicaLagSpec, SkewSpec, StallSpec,
-    ThrottleSpec, resolve_fault_plan,
+    BurstSpec, DegradationPolicy, FaultPlan, MsrFaultSpec, NodeCrashSpec,
+    PartitionSpec, ReplicaLagSpec, SkewSpec, StallSpec, ThrottleSpec,
 )
 from repro.faults.scenarios import (
     FLEET_SCENARIOS, SCENARIOS, fleet_scenario_names, scenario_named,

@@ -19,7 +19,7 @@ from pinned import (
     static_peak_cell,
 )
 
-from repro.fleet import FleetConfig
+from repro.fleet.config import FleetConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.parallel import config_key
 

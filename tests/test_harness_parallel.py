@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 from pinned import fingerprint
 
-from repro.fleet import FleetConfig
+from repro.fleet.config import FleetConfig
 from repro.harness.experiment import (
     ExperimentConfig, dynamics_key, rescored, run_experiment,
 )

@@ -13,7 +13,8 @@ import pytest
 import repro.harness
 from repro.analysis.sanitizer import SimulationInvariantError
 from repro.core.polaris import PolarisScheduler
-from repro.faults import FaultPlan, scenario_named
+from repro.faults.plan import FaultPlan
+from repro.faults.scenarios import scenario_named
 from repro.harness import parallel as par
 from repro.harness.experiment import (
     ExperimentConfig, RunFlags, run_experiment,

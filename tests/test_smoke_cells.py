@@ -21,7 +21,7 @@ from pinned import elastic_cell
 from repro.harness.experiment import (
     ExperimentConfig, RunFlags, run_experiment,
 )
-from repro.obs import validate_chrome_trace
+from repro.obs.export import validate_chrome_trace
 
 SERVER = dict(scheme="polaris", load_fraction=0.6, slack=40.0, workers=2,
               warmup_seconds=0.3, test_seconds=1.0, seed=5)

@@ -12,7 +12,7 @@ name.
 
 import sys
 
-from repro.fleet import FleetConfig
+from repro.fleet.config import FleetConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.sim.rng import RandomStreams
 

@@ -16,9 +16,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis import rules  # noqa: F401 - populates the registry
-from repro.analysis.linter import (
-    RULE_REGISTRY, render_json, render_text, run_analysis,
-)
+from repro.analysis.linter import RULE_REGISTRY, render_text, run_analysis
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,9 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to analyze (default: src)")
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text)")
     parser.add_argument(
         "--select", metavar="CODES",
         help="comma-separated rule codes to run (default: all)")
@@ -86,12 +81,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     reported = result.findings + \
         (result.suppressed if args.show_suppressed else [])
     reported.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    if args.format == "json":
-        print(render_json(reported, files_checked=result.files_checked))
-    else:
-        print(render_text(reported, files_checked=result.files_checked))
-        print(f"reprolint: analyzed {result.files_checked} file(s) in "
-              f"{elapsed_s:.2f}s")
+    print(render_text(reported, files_checked=result.files_checked))
+    print(f"reprolint: analyzed {result.files_checked} file(s) in "
+          f"{elapsed_s:.2f}s")
     return 1 if result.findings else 0
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass
@@ -77,12 +76,6 @@ class Finding:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "code": self.code, "rule": self.rule, "path": self.path,
-            "line": self.line, "col": self.col, "message": self.message,
-        }
 
 
 @dataclass(frozen=True)
@@ -397,14 +390,6 @@ def render_text(findings: Sequence[Finding], files_checked: int) -> str:
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding], files_checked: int) -> str:
-    return json.dumps({
-        "findings": [f.to_dict() for f in findings],
-        "files_checked": files_checked,
-        "counts": _count_by_code(findings),
-    }, indent=2, sort_keys=True)
-
-
 def _count_by_code(findings: Sequence[Finding]) -> Dict[str, int]:
     counts: Dict[str, int] = {}
     for f in findings:
@@ -416,6 +401,6 @@ __all__ = [
     "AnalysisResult", "FileContext", "Finding", "LintRule",
     "PARSE_ERROR_CODE", "RULE_REGISTRY", "SUPPRESSION_HYGIENE_CODE",
     "Suppression", "iter_python_files", "lint_source",
-    "parse_suppressions", "register", "render_json", "render_text",
+    "parse_suppressions", "register", "render_text",
     "run_analysis", "suppression_covers",
 ]

@@ -8,9 +8,11 @@ distributed to workers, we can obtain additional power savings by
 allowing some workers (and their cores) to idle and move into
 low-power C-states."
 
-This module implements that direction:
+This module implements that direction.  The paper's own rotation,
+one pointer per request handler, is the server's built-in
+``"rh-round-robin"`` path (:meth:`repro.db.server.DatabaseServer.submit`),
+not a policy here:
 
-* :class:`RoundRobinRouting` --- the paper's baseline;
 * :class:`LeastLoadedRouting` --- classic join-shortest-queue;
 * :class:`PackingRouting` --- the Section 8 idea: concentrate load on
   the lowest-numbered workers, subject to a backlog cap, so the
@@ -23,8 +25,8 @@ rest of the routing layer.
 
 When the resilience watchdog has quarantined workers, the server passes
 the surviving indices as ``eligible``; policies choose among those only,
-so packing does not keep targeting a dead prefix worker and round-robin
-does not burn pointer positions on workers that cannot take work.  With
+so packing does not keep targeting a dead prefix worker and
+least-loaded does not favour a dead, always-idle one.  With
 ``eligible=None`` (or an empty selection) every worker is a candidate.
 """
 
@@ -53,29 +55,6 @@ class RoutingPolicy:
         if eligible:
             return eligible
         return range(len(workers))
-
-
-class RoundRobinRouting(RoutingPolicy):
-    """The paper's round-robin distribution (single rotating pointer).
-
-    The pointer counts *dispatches*, not raw worker slots: under
-    quarantine it rotates through the eligible workers only, so a dead
-    worker neither receives requests nor skews the rotation (skipping a
-    slot would otherwise double-load whichever worker follows the dead
-    one).
-    """
-
-    name = "round-robin"
-
-    def __init__(self):
-        self._next = 0
-
-    def choose_worker(self, workers: Sequence, request, now: float,
-                      eligible: Optional[Sequence[int]] = None) -> int:
-        candidates = self._candidates(workers, eligible)
-        slot = self._next % len(candidates)
-        self._next = slot + 1
-        return candidates[slot]
 
 
 class LeastLoadedRouting(RoutingPolicy):
@@ -140,7 +119,6 @@ class PackingRouting(RoutingPolicy):
 
 
 ROUTING_POLICIES = {
-    "round-robin": RoundRobinRouting,
     "least-loaded": LeastLoadedRouting,
     "packing": PackingRouting,
 }

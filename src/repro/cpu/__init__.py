@@ -19,7 +19,7 @@ from repro.cpu.pstates import PState, PStateTable, XEON_E5_2640V3_PSTATES, POLAR
 from repro.cpu.power import CorePowerModel, ServerPowerModel
 from repro.cpu.cstates import CState, CStateModel
 from repro.cpu.core import Core
-from repro.cpu.msr import MsrFile, MsrError, IA32_PERF_CTL, IA32_PERF_STATUS, MSR_PKG_ENERGY_STATUS, MSR_RAPL_POWER_UNIT
+from repro.cpu.msr import MsrFile, MsrError, IA32_PERF_CTL
 from repro.cpu.rapl import RaplPackage
 from repro.cpu.topology import FrequencyDomain, SocketTopology, make_topology, GRANULARITIES
 
@@ -28,9 +28,7 @@ __all__ = [
     "CorePowerModel", "ServerPowerModel",
     "CState", "CStateModel",
     "Core",
-    "MsrFile", "MsrError",
-    "IA32_PERF_CTL", "IA32_PERF_STATUS",
-    "MSR_PKG_ENERGY_STATUS", "MSR_RAPL_POWER_UNIT",
+    "MsrFile", "MsrError", "IA32_PERF_CTL",
     "RaplPackage",
     "FrequencyDomain", "SocketTopology", "make_topology", "GRANULARITIES",
 ]

@@ -5,30 +5,21 @@ writes frequency targets straight into the per-core MSRs via the Linux
 MSR driver, because the sysfs path adds too much latency (paper
 Section 5, citing Wamhoff et al.).  This module reproduces that
 interface: a per-core register file where writing ``IA32_PERF_CTL``
-changes the core's P-state and reading ``MSR_PKG_ENERGY_STATUS``
-returns the RAPL energy accumulator.
+changes the core's P-state.  POLARIS only writes; nothing in the run
+reads a register back, so the model has no read side.
 
-Register encodings follow the Intel SDM conventions the real driver
-uses:
-
-* ``IA32_PERF_CTL`` bits 15:8 hold the target ratio in units of the bus
-  clock (100 MHz), i.e. ratio 28 = 2.8 GHz.
-* ``MSR_PKG_ENERGY_STATUS`` is a 32-bit wrapping counter in energy
-  units of ``1 / 2**ESU`` joules, with ESU read from
-  ``MSR_RAPL_POWER_UNIT`` bits 12:8 (default 16 -> ~15.3 uJ).
+The encoding follows the Intel SDM convention the real driver uses:
+``IA32_PERF_CTL`` bits 15:8 hold the target ratio in units of the bus
+clock (100 MHz), i.e. ratio 28 = 2.8 GHz.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
-IA32_PERF_STATUS = 0x198
 IA32_PERF_CTL = 0x199
-MSR_RAPL_POWER_UNIT = 0x606
-MSR_PKG_ENERGY_STATUS = 0x611
 
 _BUS_CLOCK_GHZ = 0.1  # 100 MHz reference clock
-_DEFAULT_ESU = 16     # energy status unit exponent: 2^-16 J per count
 
 
 class MsrError(RuntimeError):
@@ -68,19 +59,10 @@ def decode_perf_ctl(value: int) -> float:
 
 
 class MsrFile:
-    """Per-core MSR access, wired to a :class:`~repro.cpu.core.Core`.
+    """Per-core MSR access, wired to a :class:`~repro.cpu.core.Core`."""
 
-    ``rapl`` is optional; when provided, energy-status reads are served
-    from it (package-level, so all cores of a package return the same
-    counter, as on real hardware).
-    """
-
-    def __init__(self, core, rapl: Optional["object"] = None,
-                 esu_exponent: int = _DEFAULT_ESU):
+    def __init__(self, core):
         self.core = core
-        self.rapl = rapl
-        self.esu_exponent = esu_exponent
-        self._scratch: Dict[int, int] = {}
         #: repro.faults seam: when set, consulted per PERF_CTL write.
         #: Returning ``"error"`` makes the write raise :class:`MsrError`
         #: (the driver's -EIO path); ``"stuck"`` silently drops it (the
@@ -120,20 +102,5 @@ class MsrFile:
             # resolves max-of-votes across members; per-core it is a
             # direct register write, exactly as before.
             self.core.request_frequency(freq_ghz)
-            self._scratch[address] = value
         else:
             raise MsrError(f"write to unsupported MSR {address:#x}")
-
-    def read(self, address: int) -> int:
-        """``rdmsr`` for the registers the prototype touches."""
-        if address == IA32_PERF_STATUS or address == IA32_PERF_CTL:
-            return encode_perf_ctl(self.core.freq)
-        if address == MSR_RAPL_POWER_UNIT:
-            return self.esu_exponent << 8
-        if address == MSR_PKG_ENERGY_STATUS:
-            if self.rapl is None:
-                raise MsrError("no RAPL package attached to this core")
-            joules = self.rapl.energy_joules(self.core.sim.now)
-            counts = int(joules * (1 << self.esu_exponent))
-            return counts & 0xFFFFFFFF  # 32-bit wrapping counter
-        raise MsrError(f"read of unsupported MSR {address:#x}")

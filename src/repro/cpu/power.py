@@ -47,11 +47,6 @@ class CorePowerModel:
             self._idle_cache[freq_ghz] = watts
         return watts
 
-    def power(self, freq_ghz: float, busy: bool) -> float:
-        """Dispatch on the busy flag."""
-        if busy:
-            return self.active_power(freq_ghz)
-        return self.idle_power(freq_ghz)
 
 class ServerPowerModel:
     """Whole-server wall power: a static floor plus the sum of core draws.

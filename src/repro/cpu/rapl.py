@@ -28,15 +28,3 @@ class RaplPackage:
         """Package energy consumed up to virtual time ``now`` (J)."""
         return self.uncore_watts * now + \
             sum(core.energy_at(now) for core in self.cores)
-
-    def power_watts(self) -> float:
-        """Instantaneous package draw (W)."""
-        return self.uncore_watts + \
-            sum(core.current_power() for core in self.cores)
-
-    def average_power(self, t0: float, e0: float, t1: float) -> float:
-        """Mean power over ``[t0, t1]`` given the energy reading ``e0`` at
-        ``t0`` (how RAPL consumers compute power from the counter)."""
-        if t1 <= t0:
-            raise ValueError("interval must have positive length")
-        return (self.energy_joules(t1) - e0) / (t1 - t0)

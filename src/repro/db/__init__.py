@@ -12,9 +12,7 @@ architecture, not the storage manager:
   non-preemptively from start to finish (the execution architecture of
   VoltDB/Silo-style systems that POLARIS targets, Section 1);
 * :mod:`repro.db.queues` --- the worker request queues, in FIFO order
-  (Shore-MT's default) or EDF order (as modified for POLARIS);
-* :mod:`repro.db.storage.locks` --- a strict-2PL row lock manager that
-  no simulated transaction uses.
+  (Shore-MT's default) or EDF order (as modified for POLARIS).
 
 Import :mod:`repro.db.server` directly; this package init stays light
 to keep the layering acyclic (the POLARIS scheduler sits *between* the

@@ -89,9 +89,8 @@ class ServerConfig:
     #: DVFS transition stall (seconds); the paper's MSR path is sub-us.
     transition_latency: float = 0.0
     #: Request routing across workers: "rh-round-robin" reproduces the
-    #: prototype's per-RH rotation (Section 5); "round-robin",
-    #: "least-loaded", and "packing" come from repro.core.routing (the
-    #: Section 8 extension).
+    #: prototype's per-RH rotation (Section 5); "least-loaded" and
+    #: "packing" come from repro.core.routing (the Section 8 extension).
     routing: str = "rh-round-robin"
     #: Idle ladder: "c1" (the paper's effective setting) or "deep"
     #: (C1/C3/C6 demotion, for the worker-parking extension).
@@ -470,14 +469,11 @@ class DatabaseServer:
         for pkg_id in range(0, config.workers, 8):
             self.packages.append(
                 RaplPackage(pkg_id // 8, self.cores[pkg_id:pkg_id + 8]))
-        package_of = {c.core_id: self.packages[c.core_id // 8]
-                      for c in self.cores}
         for worker_id, core in enumerate(self.cores):
             dispatcher = scheduler_factory() if scheduler_factory \
                 else BaselineDispatcher()
-            msr = MsrFile(core, rapl=package_of[core.core_id])
-            self.workers.append(Worker(worker_id, core, msr, dispatcher,
-                                       self))
+            self.workers.append(Worker(worker_id, core, MsrFile(core),
+                                       dispatcher, self))
 
         self._rh_pointers = [rh % config.workers
                              for rh in range(config.request_handlers)]
@@ -511,7 +507,7 @@ class DatabaseServer:
         """
         if self._routing is not None:
             # Routing policies see the eligible (non-quarantined) set
-            # directly, so packing's prefix and round-robin's pointer
+            # directly, so packing's prefix and least-loaded's choice
             # reason over live workers only.  If everything is
             # quarantined the policy sees all workers (the request then
             # queues on a dead one and is ultimately counted as lost,

@@ -54,15 +54,6 @@ class FleetConfig:
     #: Wall draw of a parked node (fans + BMC; the idle-parked floor).
     parked_floor_watts: float = 4.0
 
-    # -- replication / routing -----------------------------------------
-    #: Per-replica apply lag drawn uniformly from [min, max] at build
-    #: time (seeded): a read hitting a replica within its lag of the
-    #: shard's last write is stale and bounces to the primary.
-    replication_lag_min_s: float = 0.01
-    replication_lag_max_s: float = 0.08
-    #: Keys are drawn uniformly from [0, keyspace) and sharded modulo.
-    keyspace: int = 4096
-
     # -- failure model / failover (chaos cells) ------------------------
     #: Run the heartbeat detector + primary-failover machinery when the
     #: fault plan crashes nodes.  Off = the no-failover baseline: a
@@ -81,21 +72,6 @@ class FleetConfig:
     #: 100; fleet chaos cells default lower so the acceptance runs
     #: exercise real loss without needing thousands of writes).
     group_commit_size: int = 8
-
-    # -- self-healing router (armed only under a chaos plan) -----------
-    #: Consecutive routing failures that trip a node's breaker open.
-    breaker_failure_threshold: int = 3
-    #: Open -> half-open probe delay on the virtual clock.
-    breaker_reset_s: float = 0.5
-    #: Bounded retry-with-backoff when a shard has no active target:
-    #: retry ``k`` re-routes ``route_retry_backoff_s * 2**k`` later;
-    #: after the last retry the request is shed.  0 disables retries
-    #: (every no-active-node routing sheds immediately).
-    route_retry_limit: int = 3
-    route_retry_backoff_s: float = 0.05
-    #: Hedge reads onto the less-loaded of the two next active replicas
-    #: (power-of-two-choices stand-in for duplicate-and-race hedging).
-    hedged_reads: bool = False
 
     # -- elastic controller --------------------------------------------
     controller_interval_s: float = 0.5
@@ -127,11 +103,6 @@ class FleetConfig:
             raise ValueError("drain timings must be positive")
         if self.parked_floor_watts < 0:
             raise ValueError("parked floor cannot be negative")
-        if self.replication_lag_min_s < 0 \
-                or self.replication_lag_max_s < self.replication_lag_min_s:
-            raise ValueError("replication lag range is inverted")
-        if self.keyspace < 1:
-            raise ValueError("keyspace must be positive")
         if self.controller_interval_s <= 0 \
                 or self.controller_window_ticks < 1:
             raise ValueError("controller cadence must be positive")
@@ -146,14 +117,6 @@ class FleetConfig:
             raise ValueError("replay costs cannot be negative")
         if self.group_commit_size < 1:
             raise ValueError("group commit size must be >= 1")
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker threshold must be >= 1")
-        if self.breaker_reset_s <= 0:
-            raise ValueError("breaker reset delay must be positive")
-        if self.route_retry_limit < 0:
-            raise ValueError("route retry limit cannot be negative")
-        if self.route_retry_backoff_s <= 0:
-            raise ValueError("route retry backoff must be positive")
 
     def static_replicas(self) -> int:
         """Replicas per shard a static fleet starts active."""

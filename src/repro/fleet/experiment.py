@@ -44,6 +44,13 @@ if TYPE_CHECKING:
     from repro.fleet.failover import AvailabilityTracker, FailoverManager
     from repro.obs.metrics import MetricRegistry
 
+#: Per-replica apply lag drawn uniformly from this range at build time
+#: (seeded): a read hitting a replica within its lag of the shard's last
+#: write is stale and bounces to the primary.
+REPLICATION_LAG_S = (0.01, 0.08)
+#: Keys are drawn uniformly from [0, KEYSPACE) and sharded modulo.
+KEYSPACE = 4096
+
 
 def _build_fleet(sim: Simulator, fleet_config: FleetConfig,
                  make_server: Callable[[], DatabaseServer],
@@ -66,9 +73,7 @@ def _build_fleet(sim: Simulator, fleet_config: FleetConfig,
             role = PRIMARY if replica_index == 0 else REPLICA
             lag_s = 0.0
             if role == REPLICA:
-                lag_s = lifecycle_rng.uniform(
-                    fleet_config.replication_lag_min_s,
-                    fleet_config.replication_lag_max_s)
+                lag_s = lifecycle_rng.uniform(*REPLICATION_LAG_S)
             start_parked = (role == REPLICA
                             and not fleet_config.elastic
                             and replica_index > static_replicas)
@@ -144,7 +149,7 @@ class FleetPlant:
         self.controller: Optional[ElasticController] = None
 
         key_rng = streams.get_batched("fleet-keys")
-        keyspace = fleet_config.keyspace
+        keyspace = KEYSPACE
         route = self.router.route
 
         def admit(request: Request) -> None:
@@ -218,8 +223,7 @@ class FleetPlant:
 
         self.injector = FleetFaultInjector(sim, self.plan, self.fleet,
                                            shards, replication, _on_crash)
-        self.router.arm_self_healing(RouterPolicy.from_config(fleet_config),
-                                     _on_shed,
+        self.router.arm_self_healing(RouterPolicy(), _on_shed,
                                      self.injector.effective_lag_s)
         self.injector.attach()
         if fleet_config.failover_enabled:

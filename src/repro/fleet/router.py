@@ -1,7 +1,7 @@
 """Cluster routing: shard by key, reads to replicas, writes to primaries.
 
 The router is the fleet's request-handler tier.  Each request carries a
-key drawn from the configured keyspace; ``key % shards`` picks the
+key drawn from the fleet's keyspace; ``key % shards`` picks the
 shard.  Writes always execute on the shard's primary (and advance the
 shard's last-write clock).  Reads round-robin over the shard's *active*
 replicas --- but a replica only serves a read if its replication lag
@@ -86,23 +86,24 @@ class NoActiveNodeError(RuntimeError):
 
 @dataclass(frozen=True)
 class RouterPolicy:
-    """Self-healing knobs, armed on the router only under chaos plans."""
+    """Self-healing knobs, armed on the router only under chaos plans.
 
+    Fleet cells arm the defaults; tests arm other values directly.
+    """
+
+    #: Consecutive routing failures that trip a node's breaker open.
     breaker_failure_threshold: int = 3
+    #: Open -> half-open probe delay on the virtual clock.
     breaker_reset_s: float = 0.5
+    #: Bounded retry-with-backoff when a shard has no active target:
+    #: retry ``k`` re-routes ``retry_backoff_s * 2**k`` later; after the
+    #: last retry the request is shed.  0 disables retries (every
+    #: no-active-node routing sheds immediately).
     retry_limit: int = 3
     retry_backoff_s: float = 0.05
+    #: Hedge reads onto the less-loaded of the two next active replicas
+    #: (power-of-two-choices stand-in for duplicate-and-race hedging).
     hedged_reads: bool = False
-
-    @classmethod
-    def from_config(cls, config) -> "RouterPolicy":
-        """Lift the routing knobs off a FleetConfig."""
-        return cls(
-            breaker_failure_threshold=config.breaker_failure_threshold,
-            breaker_reset_s=config.breaker_reset_s,
-            retry_limit=config.route_retry_limit,
-            retry_backoff_s=config.route_retry_backoff_s,
-            hedged_reads=config.hedged_reads)
 
 
 #: Circuit-breaker states (DESIGN.md "Fleet failure model" has the

@@ -198,14 +198,15 @@ class ExperimentConfig:
              "must be in (0, 100]")
         # Finite, too: a NaN or infinite load fraction would run at 0.97
         # of peak (effective_load_fraction), an infinite warmup never
-        # ends, and an infinite stall fails inside the engine.
+        # ends, an infinite drain never ends once a request is stranded
+        # (the meter keeps sampling), and an infinite stall fails inside
+        # the engine.
         for name in ("load_fraction", "trace_low_fraction",
                      "trace_high_fraction", "warmup_seconds",
-                     "transition_latency", "topology_switch_latency"):
+                     "drain_limit_seconds", "transition_latency",
+                     "topology_switch_latency"):
             need(0 <= getattr(self, name) < math.inf, name,
                  "must be finite and non-negative")
-        need(self.drain_limit_seconds >= 0, "drain_limit_seconds",
-             "cannot be negative")
         need(self.load_trace is not None
              or 0 < self.test_seconds < math.inf, "test_seconds",
              "must be finite and positive without a load_trace")
@@ -219,8 +220,8 @@ class ExperimentConfig:
                     "load_trace samples must be finite and in [0, 1] "
                     "(what workloads.traces.normalize produces), "
                     f"got {sample!r} at index {index}")
-        need(self.timeline_bin_seconds > 0, "timeline_bin_seconds",
-             "must be positive")
+        need(0 < self.timeline_bin_seconds < math.inf,
+             "timeline_bin_seconds", "must be finite and positive")
         if self.fleet is not None:
             self.fleet.validate()
 
@@ -287,11 +288,6 @@ class ExperimentResult:
     p999_latency_s: float = 0.0
     failover_timeline: List[Tuple[float, int, str, int]] = \
         field(default_factory=list)
-
-    def summary(self) -> str:
-        return (f"{self.scheme_label:28s} power={self.avg_power_watts:6.1f} W"
-                f"  failure={self.failure_rate:6.3f}"
-                f"  thpt={self.throughput:8.1f}/s")
 
 
 def _build_workloads(config: ExperimentConfig,

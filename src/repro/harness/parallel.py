@@ -50,7 +50,7 @@ import hashlib
 import json
 import os
 import pickle
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
@@ -175,19 +175,23 @@ class SweepCache:
         tmp.replace(path)
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete everything under the root, including the temp file of
+        a ``put`` interrupted before its rename; returns how many
+        entries were removed."""
         removed = 0
         if not self.root.exists():
             return removed
-        for path in self.root.rglob("*.pkl"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        for sub in sorted(self.root.rglob("*"), reverse=True):
-            if sub.is_dir():
-                try:
-                    sub.rmdir()
-                except OSError:
-                    pass
+        # Reverse order visits a directory's files before the directory.
+        for path in sorted(self.root.rglob("*"), reverse=True):
+            if not path.is_dir():
+                if path.suffix == ".pkl":
+                    removed += 1
+                path.unlink(missing_ok=True)
+                continue
+            try:
+                path.rmdir()
+            except OSError:
+                pass  # a concurrent sweep wrote into it meanwhile
         return removed
 
 
@@ -304,22 +308,6 @@ def _cell_label(config: ExperimentConfig) -> str:
             f"/load={config.load_fraction:g}/slack={config.slack:g}")
 
 
-@dataclass
-class SweepStats:
-    """What the last :meth:`SweepRunner.run` did."""
-
-    cells: int = 0
-    cache_hits: int = 0
-    #: Cells not served from the cache.
-    executed: int = 0
-    #: Simulations that produced the executed cells: one per group of
-    #: cells sharing a dynamics key.
-    simulated: int = 0
-    wall_seconds: float = 0.0
-    #: per-cell wall seconds, aligned with the submitted config order.
-    cell_seconds: List[float] = field(default_factory=list)
-
-
 class SweepRunner:
     """Runs independent experiment cells, in parallel, through the cache.
 
@@ -334,8 +322,10 @@ class SweepRunner:
         self.jobs = resolve_jobs(jobs)
         self.cache = SweepCache(cache_dir)
         self.use_cache = use_cache
-        self.report = report
-        self.stats = SweepStats()
+        #: Every cell and sweep wall of this runner's ``run()`` calls:
+        #: the caller's report, or one of the runner's own.
+        self.report = report if report is not None \
+            else TimingReport("sweep", jobs=self.jobs)
 
     def run(self, configs: Sequence[ExperimentConfig]
             ) -> List[ExperimentResult]:
@@ -343,7 +333,6 @@ class SweepRunner:
         start = perf_clock()
         configs = list(configs)
         results: List[Optional[ExperimentResult]] = [None] * len(configs)
-        cell_seconds = [0.0] * len(configs)
         salt = code_version_salt() if self.use_cache else None
         keys: List[Optional[str]] = [None] * len(configs)
         # Resolved here, once per cell: the same value is hashed into
@@ -353,19 +342,15 @@ class SweepRunner:
                              for config in configs]
 
         misses: List[int] = []
-        hits = 0
         for i, (config, flags) in enumerate(cells):
             if self.use_cache and _cacheable(config):
                 keys[i] = config_key(config, salt, flags)
                 cached = self.cache.get(keys[i])
                 if cached is not None:
                     results[i] = cached
-                    hits += 1
-                    if self.report is not None:
-                        self.report.record_cell(
-                            _cell_label(config), cached=True,
-                            wall_seconds=0.0,
-                            sim_events=cached.sim_events)
+                    self.report.record_cell(
+                        _cell_label(config), cached=True, wall_seconds=0.0,
+                        sim_events=cached.sim_events)
                     continue
             misses.append(i)
 
@@ -382,32 +367,23 @@ class SweepRunner:
             # sweep resumes from the cells it already finished.
             for i, result in zip(group, group_results):
                 results[i] = result
-                cell_seconds[i] = result.wall_seconds
                 if self.use_cache and keys[i] is not None:
                     self.cache.put(keys[i], result)
-                if self.report is not None:
-                    self.report.record_cell(
-                        _cell_label(configs[i]), cached=False,
-                        wall_seconds=result.wall_seconds,
-                        sim_events=result.sim_events,
-                        shared=i != group[0])
+                self.report.record_cell(
+                    _cell_label(configs[i]), cached=False,
+                    wall_seconds=result.wall_seconds,
+                    sim_events=result.sim_events, shared=i != group[0])
 
         if self.jobs > 1 and len(groups) > 1:
             groups = self._run_parallel(cells, groups, finish)
         for group in groups:
             finish(group, _run_group([cells[i] for i in group]))
 
-        self.stats = SweepStats(
-            cells=len(configs), cache_hits=hits, executed=len(misses),
-            simulated=len(grouped),
-            wall_seconds=perf_clock() - start,
-            cell_seconds=cell_seconds)
-        if self.report is not None:
-            # The report's throughput denominator must be the sweep
-            # wall clock: under parallel execution the per-cell walls
-            # overlap, and summing them undercounts events/sec by
-            # roughly the worker count.
-            self.report.record_sweep(self.stats.wall_seconds)
+        # The report's throughput denominator must be the sweep wall
+        # clock: under parallel execution the per-cell walls overlap,
+        # and summing them undercounts events/sec by roughly the worker
+        # count.
+        self.report.record_sweep(perf_clock() - start)
         return [r for r in results if r is not None]
 
     def _run_parallel(self, cells: Sequence[Cell],
@@ -474,6 +450,6 @@ class SweepRunner:
 
 __all__ = [
     "CACHE_DIR_ENV", "DEFAULT_CACHE_DIR", "JOBS_ENV", "SweepCache",
-    "SweepRunner", "SweepStats", "code_version_salt", "config_key",
+    "SweepRunner", "code_version_salt", "config_key",
     "resolve_jobs", "shared_pool", "shutdown_shared_pool",
 ]

@@ -1,10 +1,12 @@
 """Lightweight wall-clock accounting for the experiment harness.
 
-Every sweep produces a :class:`TimingReport`: per-phase wall time,
-per-cell wall time and simulator events/second, and cache hit counts.
-The CLI renders the report after each figure.  Numbers that are meant
-to be compared across commits come from ``python -m bench`` (the
-repo's one benchmark ledger), not from here.
+Every sweep records into one :class:`TimingReport` (the
+:class:`~repro.harness.parallel.SweepRunner`'s own unless the caller
+passes one): per-phase wall time, per-cell wall time and simulated
+events, cache hits, and the sweep wall clock that turns them into
+events/second.  The CLI renders the report after each figure.  Numbers
+that are meant to be compared across commits come from
+``python -m bench`` (the repo's one benchmark ledger), not from here.
 """
 
 from __future__ import annotations
@@ -40,12 +42,6 @@ class CellTiming:
     #: counts (same dynamics, different deadlines): its ``sim_events``
     #: are that simulation's, not additional work.
     shared: bool = False
-
-    @property
-    def events_per_sec(self) -> float:
-        if self.wall_seconds <= 0 or self.sim_events <= 0:
-            return 0.0
-        return self.sim_events / self.wall_seconds
 
 
 @dataclass

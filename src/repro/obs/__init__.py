@@ -17,8 +17,9 @@ Three layers:
 * :mod:`repro.obs.metrics` --- counters/gauges/histograms and the
   virtual-time :class:`MetricsSampler`.
 * :mod:`repro.obs.export` --- Chrome trace-event / Perfetto JSON
-  (open the file at ``ui.perfetto.dev``), CSV series dumps, a
-  structural validator, and a plain-text summary report.
+  (open the file at ``ui.perfetto.dev``), CSV series dumps, and a
+  structural validator.  Figures render their own trace summary
+  (:func:`repro.harness.figures.trace_summary`).
 
 Import the submodules directly.  The engine imports
 :mod:`repro.obs.trace` in every run, so this init re-exports nothing:

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON, CSV series, summary report.
+"""Exporters: Chrome trace-event JSON and CSV series.
 
 ``export_chrome_trace`` writes the ``{"traceEvents": [...]}`` object
 format that both ``chrome://tracing`` and ``ui.perfetto.dev`` load
@@ -15,7 +15,7 @@ b/e pairs per (cat, id).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs.metrics import MetricsSampler
 from repro.obs.trace import Tracer
@@ -173,47 +173,5 @@ def validate_chrome_trace(path: str) -> Dict[str, object]:
     }
 
 
-def trace_summary(tracer: Tracer,
-                  sampler: Optional[MetricsSampler] = None,
-                  title: str = "trace summary") -> str:
-    """A plain-text report of what a trace contains.
-
-    Reuses :mod:`repro.metrics.report` so traced runs summarise in the
-    same visual language as the figure tables: one table of per-phase
-    event counts per track, and (when a sampler is given) one line per
-    series with min/mean/max and a sparkline.
-    """
-    from repro.metrics.report import format_series, format_table, sparkline
-
-    per_track: Dict[Tuple[int, int], Dict[str, int]] = {}
-    names: Dict[Tuple[int, int], str] = {}
-    for track in tracer.tracks():
-        names[(track.pid, track.tid)] = f"{track.process}/{track.thread}"
-    for ev in tracer.events:
-        key = (ev.pid, ev.tid)
-        bucket = per_track.setdefault(key, {})
-        bucket[ev.ph] = bucket.get(ev.ph, 0) + 1
-
-    phases = sorted({ph for bucket in per_track.values() for ph in bucket})
-    headers = ["track", *phases, "total"]
-    rows = []
-    for key in sorted(per_track):
-        bucket = per_track[key]
-        rows.append([names.get(key, f"pid{key[0]}/tid{key[1]}"),
-                     *[str(bucket.get(ph, 0)) for ph in phases],
-                     str(sum(bucket.values()))])
-    lines = [format_table(headers, rows, title=title)]
-
-    if sampler is not None and sampler.series:
-        lines.append("")
-        for name in sorted(sampler.series):
-            values = [v for _, v in sampler.series[name]]
-            stats = format_series(
-                name, ("min", "mean", "max"),
-                (min(values), sum(values) / len(values), max(values)))
-            lines.append(f"{stats}  |{sparkline(values, width=40)}|")
-    return "\n".join(lines)
-
-
 __all__ = ["build_trace_events", "export_chrome_trace",
-           "export_series_csv", "trace_summary", "validate_chrome_trace"]
+           "export_series_csv", "validate_chrome_trace"]

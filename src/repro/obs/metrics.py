@@ -95,21 +95,6 @@ class Histogram:
             return 0.0
         return self.total / self.count
 
-    def quantile(self, q: float) -> float:
-        """Upper bound of the bucket holding the ``q`` quantile."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, n in enumerate(self.bucket_counts):
-            seen += n
-            if seen >= rank:
-                if i < len(self.bounds):
-                    return self.bounds[i]
-                return float("inf")
-        return float("inf")
 
 
 class MetricRegistry:

@@ -198,15 +198,6 @@ class RandomStreams:
                 f"with get_batched() before any get()")
         return stream
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Create a child registry whose streams are independent of ours.
-
-        Used when one experiment launches sub-components (e.g. one
-        arrival generator per workload) that each need their own family
-        of streams.
-        """
-        return RandomStreams(derive_seed(self.seed, f"spawn:{name}"))
-
     def names(self):
         """Names of streams created so far (sorted, for diagnostics)."""
         return sorted(self._streams)

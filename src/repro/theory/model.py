@@ -72,11 +72,6 @@ class ProblemInstance:
     def __iter__(self):
         return iter(self.jobs)
 
-    @property
-    def horizon(self) -> Tuple[float, float]:
-        return (min(j.arrival for j in self.jobs),
-                max(j.deadline for j in self.jobs))
-
     def is_agreeable(self) -> bool:
         """Agreeable: earlier arrival implies no-later deadline (S4.5).
 

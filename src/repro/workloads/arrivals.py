@@ -86,13 +86,6 @@ class OpenLoopGenerator:
             raise ValueError("rate must be positive")
         return cls(sim, lambda _now: rate, on_arrival, rng)
 
-    @classmethod
-    def scheduled(cls, sim: Simulator, schedule: RateSchedule,
-                  on_arrival: Callable[[float], None],
-                  rng: random.Random) -> "OpenLoopGenerator":
-        """Generator following a :class:`RateSchedule`."""
-        return cls(sim, schedule.rate_at, on_arrival, rng)
-
     # ------------------------------------------------------------------
     def start(self, delay: float = 0.0) -> None:
         if self._running:

@@ -77,8 +77,8 @@ def test_scheduled_rate_changes_take_effect():
     times = []
     schedule = RateSchedule([100.0, 100.0, 2000.0, 2000.0],
                             step_seconds=1.0)
-    generator = OpenLoopGenerator.scheduled(sim, schedule, times.append,
-                                            random.Random(3))
+    generator = OpenLoopGenerator(sim, schedule.rate_at, times.append,
+                                  random.Random(3))
     generator.start()
     sim.run(until=4.0)
     early = sum(1 for t in times if t < 2.0)
@@ -90,8 +90,8 @@ def test_zero_rate_stretch_survives():
     sim = Simulator()
     times = []
     schedule = RateSchedule([0.0, 0.0, 500.0], step_seconds=1.0)
-    generator = OpenLoopGenerator.scheduled(sim, schedule, times.append,
-                                            random.Random(4))
+    generator = OpenLoopGenerator(sim, schedule.rate_at, times.append,
+                                  random.Random(4))
     generator.start()
     sim.run(until=3.0)
     assert all(t >= 2.0 for t in times)

@@ -4,8 +4,7 @@ import pytest
 
 from repro.cpu.core import Core
 from repro.cpu.msr import (
-    IA32_PERF_CTL, IA32_PERF_STATUS, MSR_PKG_ENERGY_STATUS,
-    MSR_RAPL_POWER_UNIT, MsrError, MsrFile, decode_perf_ctl, encode_perf_ctl,
+    IA32_PERF_CTL, MsrError, MsrFile, decode_perf_ctl, encode_perf_ctl,
 )
 from repro.cpu.pstates import PStateTable
 from repro.cpu.rapl import RaplPackage
@@ -40,7 +39,6 @@ def test_write_perf_ctl_changes_core_frequency(core):
     msr = MsrFile(core)
     msr.write(IA32_PERF_CTL, encode_perf_ctl(2.4))
     assert core.freq == 2.4
-    assert msr.read(IA32_PERF_STATUS) == encode_perf_ctl(2.4)
 
 
 def test_write_unsupported_msr_rejected(core):
@@ -119,45 +117,12 @@ def test_fault_hook_sees_well_formed_writes(core):
     assert core.freq == 2.0
 
 
-def test_read_unsupported_msr_rejected(core):
-    with pytest.raises(MsrError):
-        MsrFile(core).read(0x123)
-
-
 def test_rapl_energy_status_counts(sim, core):
     package = RaplPackage(0, [core])
-    msr = MsrFile(core, rapl=package)
-    unit = 1.0 / (1 << ((msr.read(MSR_RAPL_POWER_UNIT) >> 8) & 0x1F))
-    assert unit == pytest.approx(1.0 / 65536)
     core.start_job(Job(1.2))  # 1 s at 1.2 GHz
     sim.run()
-    counts = msr.read(MSR_PKG_ENERGY_STATUS)
     expected = core.power_model.active_power(1.2) * 1.0
-    assert counts * unit == pytest.approx(expected, rel=1e-4)
-
-
-def test_rapl_counter_wraps_32bit(sim, core):
-    package = RaplPackage(0, [core])
-    msr = MsrFile(core, rapl=package)
-    # 2^32 counts at 2^-16 J/count = 65536 J; force enough idle time.
-    hours = 70000 / core.power_model.idle_power(1.2)
-    sim.schedule(hours, lambda: None)
-    sim.run()
-    raw = msr.read(MSR_PKG_ENERGY_STATUS)
-    assert 0 <= raw < 1 << 32
-    true_counts = int(package.energy_joules(sim.now) * 65536)
-    assert raw == true_counts & 0xFFFFFFFF
-    assert true_counts >= 1 << 32  # it really did wrap
-
-
-def test_energy_status_requires_rapl(core):
-    with pytest.raises(MsrError):
-        MsrFile(core).read(MSR_PKG_ENERGY_STATUS)
-
-
-def test_rapl_power_unit_register(core):
-    msr = MsrFile(core)
-    assert (msr.read(MSR_RAPL_POWER_UNIT) >> 8) & 0x1F == 16
+    assert package.energy_joules(sim.now) == pytest.approx(expected)
 
 
 def test_rapl_package_average_power(sim, core):
@@ -165,16 +130,10 @@ def test_rapl_package_average_power(sim, core):
     e0 = package.energy_joules(0.0)
     core.start_job(Job(2.4))  # 2 s at 1.2
     sim.run()
-    avg = package.average_power(0.0, e0, 2.0)
+    avg = (package.energy_joules(2.0) - e0) / 2.0
     assert avg == pytest.approx(core.power_model.active_power(1.2))
 
 
 def test_rapl_needs_cores():
     with pytest.raises(ValueError):
         RaplPackage(0, [])
-
-
-def test_rapl_average_power_interval_validation(sim, core):
-    package = RaplPackage(0, [core])
-    with pytest.raises(ValueError):
-        package.average_power(1.0, 0.0, 1.0)

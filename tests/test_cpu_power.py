@@ -47,10 +47,10 @@ def test_power_model_caches_and_dispatch():
         return 5.0
 
     model = CorePowerModel(active_fn=active, idle_fn=lambda f: 1.0)
-    assert model.power(2.0, busy=True) == 5.0
-    assert model.power(2.0, busy=True) == 5.0
+    assert model.active_power(2.0) == 5.0
+    assert model.active_power(2.0) == 5.0
     assert calls == [2.0]  # second call served from cache
-    assert model.power(2.0, busy=False) == 1.0
+    assert model.idle_power(2.0) == 1.0
 
 
 def test_server_power_static_floor():

@@ -161,12 +161,14 @@ def test_slack_only_rescores_a_governor_cell(scheme):
     ("warmup_seconds", -1.0),
     ("warmup_seconds", math.inf),
     ("drain_limit_seconds", -1.0),
+    ("drain_limit_seconds", math.inf),
     ("test_seconds", 0.0),
     ("test_seconds", -1.0),
     ("test_seconds", math.inf),
     ("load_trace", []),
     ("timeline_bin_seconds", 0.0),
     ("timeline_bin_seconds", -5.0),
+    ("timeline_bin_seconds", math.inf),
     ("transition_latency", -1.0),
     ("topology_switch_latency", -1.0),
     ("topology_switch_latency", math.nan),

@@ -144,8 +144,8 @@ def test_high_slack_reduces_failures():
 def test_result_summary_and_residency():
     result = run_experiment(ExperimentConfig(scheme="polaris", slack=40.0,
                                              **FAST))
-    text = result.summary()
-    assert "POLARIS" in text and "W" in text
+    assert "POLARIS" in result.scheme_label
+    assert result.avg_power_watts > 0
     assert result.freq_residency
     assert all(freq in (1.2, 1.6, 2.0, 2.4, 2.8)
                for freq in result.freq_residency)

@@ -119,6 +119,17 @@ def test_cache_roundtrip_and_clear(tmp_path):
     assert cache.clear() == 0
 
 
+def test_clear_removes_a_torn_put(tmp_path):
+    """A put interrupted between its write and its rename leaves its
+    temp file behind; clearing removes it and its directory."""
+    cache = SweepCache(tmp_path / "c")
+    stray = tmp_path / "c" / "ab" / "abcd.tmp.123"
+    stray.parent.mkdir(parents=True)
+    stray.write_bytes(b"half a pickle")
+    assert cache.clear() == 0
+    assert list((tmp_path / "c").iterdir()) == []
+
+
 def test_cache_tolerates_corrupt_entry(tmp_path):
     cache = SweepCache(tmp_path / "c")
     config = ExperimentConfig(scheme="static-2.8", slack=40.0, **FAST)
@@ -138,7 +149,7 @@ def test_cache_tolerates_corrupt_entry(tmp_path):
     runner = SweepRunner(jobs=1, cache_dir=tmp_path / "c")
     (result,) = runner.run([config])
     assert result.avg_power_watts > 0
-    assert runner.stats.executed == 1
+    assert runner.report.cache_misses == 1
 
 
 # ----------------------------------------------------------------------
@@ -148,11 +159,12 @@ def test_second_run_is_all_cache_hits(tmp_path):
     grid = small_grid()
     runner = SweepRunner(jobs=1, cache_dir=tmp_path / "c")
     first = runner.run(grid)
-    assert runner.stats.executed == len(grid)
-    assert runner.stats.cache_hits == 0
+    assert runner.report.cache_misses == len(grid)
+    assert runner.report.cache_hits == 0
     second = runner.run(grid)
-    assert runner.stats.executed == 0
-    assert runner.stats.cache_hits == len(grid)
+    # The runner's report accumulates: the second sweep added hits only.
+    assert runner.report.cache_misses == len(grid)
+    assert runner.report.cache_hits == len(grid)
     assert [comparable(r) for r in first] == [comparable(r) for r in second]
 
 
@@ -162,8 +174,8 @@ def test_changed_cell_only_reruns_that_cell(tmp_path):
     runner.run(grid)
     grid[2] = dataclasses.replace(grid[2], seed=99)
     runner.run(grid)
-    assert runner.stats.cache_hits == len(grid) - 1
-    assert runner.stats.executed == 1
+    assert runner.report.cache_hits == len(grid) - 1
+    assert runner.report.cache_misses == len(grid) + 1
 
 
 def test_interrupted_sweep_resumes_from_partial_cache(tmp_path):
@@ -185,8 +197,8 @@ def test_interrupted_sweep_resumes_from_partial_cache(tmp_path):
         runner.run(grid)
     resumed = SweepRunner(jobs=1, cache_dir=tmp_path / "c")
     resumed.run(grid)
-    assert resumed.stats.cache_hits == 2
-    assert resumed.stats.executed == 2
+    assert resumed.report.cache_hits == 2
+    assert resumed.report.cache_misses == 2
 
 
 def test_traced_cells_bypass_cache(tmp_path):
@@ -198,11 +210,11 @@ def test_traced_cells_bypass_cache(tmp_path):
         trace_series_path=str(tmp_path / "cell.series.csv"))
     runner = SweepRunner(jobs=1, cache_dir=tmp_path / "c")
     runner.run([config])
-    assert runner.stats.executed == 1
+    assert runner.report.cache_misses == 1
     (tmp_path / "cell.trace.json").unlink()
     runner.run([config])
-    assert runner.stats.executed == 1
-    assert runner.stats.cache_hits == 0
+    assert runner.report.cache_misses == 2
+    assert runner.report.cache_hits == 0
     # The artifact was re-written on the second run too.
     assert (tmp_path / "cell.trace.json").exists()
     assert (tmp_path / "cell.series.csv").exists()
@@ -210,7 +222,7 @@ def test_traced_cells_bypass_cache(tmp_path):
     plain = small_grid()[0]
     runner.run([plain])
     runner.run([plain])
-    assert runner.stats.cache_hits == 1
+    assert runner.report.cache_hits == 1
 
 
 def test_no_cache_mode_never_touches_disk(tmp_path):
@@ -236,11 +248,11 @@ def test_parallel_populates_cache_for_serial(tmp_path):
     grid = small_grid()
     pooled = SweepRunner(jobs=2, cache_dir=tmp_path / "c")
     first = pooled.run(grid)
-    assert pooled.stats.executed == len(grid)
+    assert pooled.report.cache_misses == len(grid)
     for jobs in (2, 1):
         runner = SweepRunner(jobs=jobs, cache_dir=tmp_path / "c")
         again = runner.run(grid)
-        assert runner.stats.cache_hits == len(grid)
+        assert runner.report.cache_hits == len(grid)
         assert [comparable(r) for r in again] \
             == [comparable(r) for r in first]
 
@@ -339,8 +351,8 @@ def test_slack_sweep_of_a_governor_scheme_is_one_simulation(bench_name):
         grid = shared_grid(bench_name, slacks)
         runner = SweepRunner(jobs=jobs, use_cache=False)
         results = runner.run(grid)
-        assert runner.stats.executed == len(grid)
-        assert runner.stats.simulated == groups
+        assert runner.report.cache_misses == len(grid)
+        assert runner.report.simulations == groups
         for config, result in zip(grid, results):
             cell = (config.scheme, config.slack, config.load_fraction)
             if cell not in standalone:
@@ -353,8 +365,8 @@ def test_slack_sweep_of_a_governor_scheme_is_one_simulation(bench_name):
         lossy = results[-len(slacks):]
         assert all(r.lost > 0 and r.missed >= r.lost for r in lossy)
         # Cell walls stay additive: a group's wall is split, not copied.
-        assert sum(runner.stats.cell_seconds) \
-            <= runner.stats.wall_seconds * jobs
+        assert sum(cell.wall_seconds for cell in runner.report.cells) \
+            <= runner.report.sweep_wall_seconds * jobs
 
 
 #: case -> (config fields, environment) of a two-slack sweep in which
@@ -390,7 +402,7 @@ def test_cells_that_read_a_deadline_never_share(case, monkeypatch, tmp_path):
     assert dynamics_key(grid[0]) != dynamics_key(grid[1])
     runner = SweepRunner(jobs=1, use_cache=False)
     runner.run(grid)
-    assert runner.stats.simulated == 2
+    assert runner.report.simulations == 2
 
 
 def test_half_cached_group_simulates_once_for_the_missing_members(tmp_path):
@@ -399,14 +411,16 @@ def test_half_cached_group_simulates_once_for_the_missing_members(tmp_path):
     runner = SweepRunner(jobs=1, cache_dir=tmp_path / "c")
     runner.run(grid[1:2])
     results = runner.run(grid)
-    assert runner.stats.cache_hits == 1
-    assert runner.stats.executed == 2
-    assert runner.stats.simulated == 1
+    report = runner.report
+    # The second sweep: one hit, two cells executed by one simulation.
+    assert report.cache_hits == 1
+    assert report.cache_misses == 1 + 2
+    assert report.simulations == 1 + 1
     assert [fingerprint(r) for r in results] \
         == [fingerprint(run_experiment(config)) for config in grid]
-    runner.run(grid)
-    assert runner.stats.cache_hits == 3
-    assert runner.stats.simulated == 0
+    runner.run(grid)  # all hits, no simulation
+    assert report.cache_hits == 1 + 3
+    assert report.simulations == 2
 
 
 @pytest.mark.parametrize("bad_first", [False, True])
@@ -473,7 +487,7 @@ def test_broken_pool_degrades_to_serial(tmp_path, monkeypatch):
     grid = small_grid()
     runner = SweepRunner(jobs=2, cache_dir=tmp_path / "c")
     degraded = runner.run(grid)
-    assert runner.stats.executed == len(grid)
+    assert runner.report.cache_misses == len(grid)
     serial = sweep(grid, jobs=1)
     assert [comparable(r) for r in degraded] \
         == [comparable(r) for r in serial]
@@ -527,8 +541,8 @@ def test_broken_pool_reruns_only_unfinished(tmp_path, monkeypatch):
         assert sorted(ran) == [
             [("polaris", 10.0)], [("polaris", 70.0)],
             [("static-2.8", 10.0), ("static-2.8", 70.0)]]
-        assert runner.stats.simulated == 3
-        assert runner.stats.executed == 4
+        assert runner.report.simulations == 3
+        assert runner.report.cache_misses == 4
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""A run imports only the code it executes.
+"""A run imports only the code it executes, and every module is run.
 
 Every run here is a fresh interpreter (a bench set-up probe, a pool
 worker, a CLI call, a subprocess test), so each module a cell imports is
@@ -7,13 +7,19 @@ with every ``REPRO_*`` variable scrubbed, then reads ``sys.modules``: a
 healthy cell must not load the optional subsystems it does not run, and
 switching one on must load it (the positive controls show the probe
 sees an import when there is one).
+
+The converse is static: every module under ``repro`` must be reachable
+by imports from an entry point, so a package only its own tests import
+cannot hide in the tree.
 """
 
+import ast
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,3 +106,53 @@ def test_a_cell_imports_only_what_it_runs(label, tmp_path):
     assert not loaded, f"{label} loaded {loaded}"
     missing = set(required) - set(probe["modules"])
     assert not missing, f"{label} did not load {sorted(missing)}"
+
+
+#: The documented entry points: the figure CLI, the linter CLI, and the
+#: experiment kernel (what the examples and the benchmark import).
+ENTRY_POINTS = ("repro.harness.__main__", "repro.analysis.__main__",
+                "repro.harness.experiment")
+
+
+def _source_modules():
+    """Module name -> source path for every module under ``repro``."""
+    root = Path(repro.__file__).parent
+    modules = {}
+    for path in root.rglob("*.py"):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def _imported_names(path):
+    """Every dotted name an import statement in ``path`` can load,
+    function-level imports included, with its parent packages."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"{path}: relative import"
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            yield from (".".join(parts[:i + 1]) for i in range(len(parts)))
+
+
+def test_every_module_is_reachable_from_an_entry_point():
+    modules = _source_modules()
+    reached = set()
+    pending = [".".join(name.split(".")[:i + 1]) for name in ENTRY_POINTS
+               for i in range(name.count(".") + 1)]
+    while pending:
+        name = pending.pop()
+        if name in reached or name not in modules:
+            continue
+        reached.add(name)
+        pending.extend(_imported_names(modules[name]))
+    orphans = sorted(set(modules) - reached)
+    assert not orphans, f"reached by no entry point: {orphans}"

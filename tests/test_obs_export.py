@@ -15,7 +15,7 @@ import pytest
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.obs.export import (
     build_trace_events, export_chrome_trace, export_series_csv,
-    trace_summary, validate_chrome_trace,
+    validate_chrome_trace,
 )
 from repro.obs.metrics import MetricRegistry, MetricsSampler
 from repro.obs.trace import Tracer
@@ -106,21 +106,6 @@ def test_export_series_csv(tmp_path):
     assert lines[0] == "metric,t_s,value"
     assert rows == len(lines) - 1 == 3
     assert lines[1].startswith("clock,0.0,")
-
-
-def test_trace_summary_reuses_report_helpers():
-    sim = Simulator()
-    reg = MetricRegistry()
-    reg.gauge("clock", fn=lambda: sim.now)
-    sampler = MetricsSampler(sim, reg, interval_s=1.0)
-    sampler.start()
-    sim.schedule(2.5, sim.stop)
-    sim.run()
-    text = trace_summary(small_tracer(), sampler, title="T")
-    lines = text.splitlines()
-    assert lines[0] == "T"
-    assert any("server/worker-0" in line for line in lines)
-    assert any("clock" in line and "mean" in line for line in lines)
 
 
 # ----------------------------------------------------------------------

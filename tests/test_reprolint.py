@@ -6,7 +6,6 @@ paths (``src/repro/sim/x.py``) so the directory-scoped rules see the
 layout they scope on.
 """
 
-import json
 from pathlib import Path
 
 import pytest
@@ -291,13 +290,13 @@ def test_cli_clean_file_exits_zero(tmp_path, capsys):
     assert "0 finding(s)" in capsys.readouterr().out
 
 
-def test_cli_dirty_file_exits_one_with_json(tmp_path, capsys):
+def test_cli_dirty_file_exits_one(tmp_path, capsys):
     target = tmp_path / "dirty.py"
     target.write_text("import time\nt = time.time()\n")
-    assert cli_main([str(target), "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"] == {"RL001": 1}
-    assert payload["findings"][0]["line"] == 2
+    assert cli_main([str(target)]) == 1
+    out = capsys.readouterr().out
+    assert f"{target}:2:" in out
+    assert "1 finding(s) in 1 file(s) [RL001: 1]" in out
 
 
 def test_cli_list_rules(capsys):

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.routing import (
-    LeastLoadedRouting, PackingRouting, ROUTING_POLICIES, RoundRobinRouting,
-    RoutingPolicy, make_routing,
+    LeastLoadedRouting, PackingRouting, ROUTING_POLICIES, RoutingPolicy,
+    make_routing,
 )
 
 
@@ -15,13 +15,6 @@ class FakeWorker:
 
     def queue_length(self):
         return self._queued
-
-
-def test_round_robin_cycles():
-    policy = RoundRobinRouting()
-    workers = [FakeWorker() for _ in range(3)]
-    picks = [policy.choose_worker(workers, None, 0.0) for _ in range(7)]
-    assert picks == [0, 1, 2, 0, 1, 2, 0]
 
 
 def test_least_loaded_prefers_idle():
@@ -70,13 +63,11 @@ def test_packing_validation():
 
 
 def test_make_routing():
-    assert isinstance(make_routing("round-robin"), RoundRobinRouting)
     assert isinstance(make_routing("least-loaded"), LeastLoadedRouting)
     assert isinstance(make_routing("packing"), PackingRouting)
     with pytest.raises(KeyError):
         make_routing("bogus")
-    assert set(ROUTING_POLICIES) == {"round-robin", "least-loaded",
-                                     "packing"}
+    assert set(ROUTING_POLICIES) == {"least-loaded", "packing"}
 
 
 def test_base_policy_abstract():
@@ -87,25 +78,6 @@ def test_base_policy_abstract():
 # ----------------------------------------------------------------------
 # Eligible-worker sets (quarantine visibility)
 # ----------------------------------------------------------------------
-def test_round_robin_rotates_over_eligible_only():
-    """The pointer counts dispatches over the eligible set: worker 1
-    never appears, and the survivors each get every other request ---
-    a skipped dead slot must not double-load its successor."""
-    policy = RoundRobinRouting()
-    workers = [FakeWorker() for _ in range(3)]
-    picks = [policy.choose_worker(workers, None, 0.0, eligible=[0, 2])
-             for _ in range(6)]
-    assert picks == [0, 2, 0, 2, 0, 2]
-
-
-def test_round_robin_empty_eligible_means_all():
-    policy = RoundRobinRouting()
-    workers = [FakeWorker() for _ in range(3)]
-    picks = [policy.choose_worker(workers, None, 0.0, eligible=None)
-             for _ in range(4)]
-    assert picks == [0, 1, 2, 0]
-
-
 def test_least_loaded_ignores_ineligible_idle_worker():
     """Worker 1 is idle (the tempting choice) but quarantined; the
     policy must pick the best *eligible* worker instead."""
@@ -187,26 +159,6 @@ def test_server_packing_reroutes_around_quarantined_prefix(sim):
     sim.run()
     completions = [w.completed for w in server.workers]
     assert completions == [0, 8, 0, 0]
-
-
-def test_server_round_robin_spreads_evenly_past_quarantine(sim):
-    """Dying-core x round-robin interplay: with worker 2 of 4 dead, the
-    rotation covers the three survivors evenly.  Under the old pointer
-    arithmetic the probe remapped worker 2's slot onto worker 3, which
-    then took twice the load of workers 0 and 1."""
-    from repro.core.request import Request
-    from repro.core.workload import Workload
-    from repro.db.server import DatabaseServer, ServerConfig
-
-    server = DatabaseServer(sim, ServerConfig(workers=4,
-                                              routing="round-robin"))
-    server.quarantined.add(2)
-    workload = Workload("w", 1000.0)
-    for _ in range(9):
-        server.submit(Request(workload, "t", sim.now, 28.0))
-    backlog = [w.queue_length() + (0 if w.idle else 1)
-               for w in server.workers]
-    assert backlog == [3, 3, 0, 3]
 
 
 def test_server_least_loaded_avoids_quarantined_idle_worker(sim):

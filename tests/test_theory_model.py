@@ -22,7 +22,6 @@ def test_instance_sorted_and_validated():
     jobs = [Job(2, 5.0, 6.0, 1.0), Job(1, 0.0, 1.0, 1.0)]
     instance = ProblemInstance(jobs)
     assert [j.job_id for j in instance] == [1, 2]
-    assert instance.horizon == (0.0, 6.0)
     with pytest.raises(ValueError):
         ProblemInstance([])
     with pytest.raises(ValueError):

@@ -9,17 +9,15 @@ adapts Haerdle & Steiger's running-median maintenance to arbitrary
 percentiles.
 
 :class:`SlidingWindowPercentile` keeps the window in two structures: a
-ring buffer in arrival order (for eviction) and a **chunked sorted
-list** (for the order statistic).  The chunked structure splits the
-sorted window into O(sqrt(S)) runs of O(sqrt(S)) elements each, so an
-insert or evict shifts one short run instead of the whole window ---
-O(sqrt(S)) per observation against the O(S) memmove a single flat list
-pays.  The full-window steady state (one evict + one insert per
-observation) goes through :meth:`_ChunkedSortedList.replace`, which
-resolves both in a single pass and reuses the evicted slot when the new
-value lands in the same run.  The percentile itself is cached and only
-recomputed after the window changes, because POLARIS reads estimates
-far more often than it observes.
+ring buffer in arrival order (for eviction) and one flat sorted list
+(for the order statistic).  A full-window observation is one
+``bisect_left`` + ``del`` for the evicted value and one ``insort`` for
+the new one.  At the windows the reproduction runs (``S <= 1000``)
+those memmoves cost less than a chunked sorted list's method calls and
+run bookkeeping, which pay off only past ``S`` of about 2000 (DESIGN.md
+section 9).  The percentile itself is cached and only recomputed after
+the window changes, because POLARIS reads estimates far more often than
+it observes.
 
 **The same-side rule.**  On a full window the percentile's rank is
 fixed, so when the evicted and the inserted value lie *strictly* on the
@@ -29,13 +27,11 @@ the statistic can have moved, and the estimator recomputes and
 publishes only then (a tie, a growing window or a stale memo always
 does); about one in-run observation in ten moves its p95.
 :meth:`SlidingWindowPercentile.fill` loads a training column into an
-empty window with one sort: run boundaries differ from sequential
-inserts, the multiset, eviction order and every ``value()`` do not.
+empty window with one sort.
 
-:class:`ListSlidingWindowPercentile` preserves the original flat-list
-implementation as the reference oracle: the property tests assert the
-chunked structure is value-for-value identical to it on random streams,
-and the microbenchmarks race the two.
+:class:`ListSlidingWindowPercentile` is the reference oracle: no memo,
+no same-side rule and no ``fill``, so the property tests can assert
+that those three shortcuts change no ``value()``.
 
 Unobserved pairs estimate **zero**: "the execution time estimates for
 all workloads at all frequencies can be initialized to zero.  This will
@@ -47,9 +43,8 @@ fills every window before measuring.
 
 from __future__ import annotations
 
-import bisect
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections import deque
 from operator import lt
 from typing import Deque, Dict, List, Sequence, Tuple
@@ -57,147 +52,11 @@ from typing import Deque, Dict, List, Sequence, Tuple
 DEFAULT_WINDOW = 1000
 DEFAULT_PERCENTILE = 95.0
 
-#: Target run length of the chunked sorted list.  Runs split at twice
-#: this size, so steady-state runs hold LOAD..2*LOAD elements.  Tuned on
-#: the S=1000 microbenchmark: small enough that the per-run memmove is
-#: cheap, large enough that the run directory stays short.
-LOAD = 32
-
-
-class _ChunkedSortedList:
-    """A sorted multiset as a directory of short sorted runs.
-
-    ``_runs`` holds the sorted sublists; ``_maxes[i]`` mirrors
-    ``_runs[i][-1]`` so membership resolves with one bisect over the
-    directory.  All mutating operations keep both in lockstep.
-    """
-
-    __slots__ = ("_runs", "_maxes", "_size")
-
-    def __init__(self) -> None:
-        self._runs: List[List[float]] = []
-        self._maxes: List[float] = []
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def add(self, value: float) -> None:
-        """Insert ``value``, splitting the target run if it overflows."""
-        runs = self._runs
-        maxes = self._maxes
-        if maxes:
-            i = bisect_right(maxes, value)
-            if i == len(maxes):
-                i -= 1
-                run = runs[i]
-                run.append(value)
-                maxes[i] = value
-            else:
-                run = runs[i]
-                insort(run, value)
-            if len(run) > LOAD * 2:
-                self._split(i)
-        else:
-            runs.append([value])
-            maxes.append(value)
-        self._size += 1
-
-    def remove(self, value: float) -> None:
-        """Remove one occurrence of ``value`` (must be present)."""
-        maxes = self._maxes
-        i = bisect_left(maxes, value)
-        run = self._runs[i]
-        del run[bisect_left(run, value)]
-        self._size -= 1
-        if run:
-            maxes[i] = run[-1]
-        else:
-            del self._runs[i]
-            del maxes[i]
-
-    def replace(self, old: float, new: float) -> None:
-        """Evict ``old`` and insert ``new`` in one pass.
-
-        When ``new`` belongs in the same run that loses ``old`` --- the
-        common case for a stationary stream --- the run is edited with a
-        single delete + insort and the directory entry refreshed once.
-        """
-        maxes = self._maxes
-        i = bisect_left(maxes, old)
-        run = self._runs[i]
-        if (i == 0 or new >= maxes[i - 1]) and \
-                (new <= maxes[i] or i == len(maxes) - 1):
-            del run[bisect_left(run, old)]
-            insort(run, new)
-            maxes[i] = run[-1]
-            return
-        self._evict_then_add(i, old, new)
-
-    def _evict_then_add(self, i: int, old: float, new: float) -> None:
-        """Slow path of :meth:`replace`: ``new`` lands in a different run."""
-        runs = self._runs
-        maxes = self._maxes
-        run = runs[i]
-        j = bisect_left(run, old)
-        del run[j]
-        if run:
-            if j == len(run):
-                maxes[i] = run[-1]
-        else:
-            del runs[i]
-            del maxes[i]
-        k = bisect_right(maxes, new)
-        if k == len(maxes):
-            k -= 1
-            run = runs[k]
-            run.append(new)
-            maxes[k] = new
-        else:
-            run = runs[k]
-            insort(run, new)
-        if len(run) > LOAD * 2:
-            self._split(k)
-
-    def _split(self, i: int) -> None:
-        run = self._runs[i]
-        tail = run[LOAD:]
-        del run[LOAD:]
-        self._runs.insert(i + 1, tail)
-        self._maxes[i] = run[-1]
-        self._maxes.insert(i + 1, tail[-1])
-
-    def kth(self, k: int) -> float:
-        """The k-th smallest element (0-based)."""
-        size = self._size
-        if k >= size:
-            raise IndexError(f"rank {k} out of range for size {size}")
-        # High percentiles rank near the tail, so walk in from
-        # whichever end is closer; the runs concatenate in sorted
-        # order from either direction.
-        if 2 * k >= size:
-            j = size - 1 - k
-            for run in reversed(self._runs):
-                n = len(run)
-                if j < n:
-                    return run[n - 1 - j]
-                j -= n
-        for run in self._runs:
-            n = len(run)
-            if k < n:
-                return run[k]
-            k -= n
-        raise IndexError(f"rank {k} out of range for size {size}")
-
-    def flatten(self) -> List[float]:
-        """All elements in sorted order (diagnostics and tests)."""
-        return [v for run in self._runs for v in run]
-
 
 class SlidingWindowPercentile:
     """Running p-th percentile over the last ``window`` observations."""
 
-    __slots__ = ("window", "percentile", "_order", "_chunks",
+    __slots__ = ("window", "percentile", "_order", "_sorted",
                  "observations", "_cached_value", "_cached_at")
 
     def __init__(self, window: int = DEFAULT_WINDOW,
@@ -209,7 +68,8 @@ class SlidingWindowPercentile:
         self.window = window
         self.percentile = percentile
         self._order: Deque[float] = deque()
-        self._chunks = _ChunkedSortedList()
+        #: The window's values in sorted order.
+        self._sorted: List[float] = []
         self.observations = 0
         #: value() memo, keyed by the observation count it was computed
         #: at --- observe() already bumps the counter, so invalidation
@@ -220,20 +80,15 @@ class SlidingWindowPercentile:
     def observe(self, value: float) -> bool:
         """Add a measurement, evicting the oldest beyond the window.
         Returns whether :meth:`value` can have moved (the same-side
-        rule of the module docstring); False keeps the memo valid.
-
-        The full-window path inlines ``_ChunkedSortedList.replace`` ---
-        this is the per-transaction hot path and the extra method call
-        is measurable at S=1000.
-        """
+        rule of the module docstring); False keeps the memo valid."""
         # ``not >=`` rather than ``<``: NaN fails every comparison, and
-        # one NaN in the sorted runs corrupts every later bisect.
+        # one NaN in the sorted list corrupts every later bisect.
         if not value >= 0.0:
             raise ValueError("execution times must be non-negative numbers")
         observations = self.observations
         self.observations = observations + 1
         order = self._order
-        chunks = self._chunks
+        ordered = self._sorted
         moved = True
         if len(order) == self.window:
             old = order.popleft()
@@ -244,38 +99,8 @@ class SlidingWindowPercentile:
                 if old < current > value or old > current < value:
                     self._cached_at = observations + 1
                     moved = False
-            maxes = chunks._maxes
-            runs = chunks._runs
-            i = bisect_left(maxes, old)
-            run = runs[i]
-            if (i == 0 or value >= maxes[i - 1]) and \
-                    (value <= maxes[i] or i == len(maxes) - 1):
-                # Same run loses ``old`` and gains ``value``.
-                del run[bisect_left(run, old)]
-                insort(run, value)
-                maxes[i] = run[-1]
-            else:
-                j = bisect_left(run, old)
-                del run[j]
-                if run:
-                    if j == len(run):
-                        maxes[i] = run[-1]
-                else:
-                    del runs[i]
-                    del maxes[i]
-                k = bisect_right(maxes, value)
-                if k == len(maxes):
-                    k -= 1
-                    run = runs[k]
-                    run.append(value)
-                    maxes[k] = value
-                else:
-                    run = runs[k]
-                    insort(run, value)
-                if len(run) > LOAD * 2:
-                    chunks._split(k)
-        else:
-            chunks.add(value)
+            del ordered[bisect_left(ordered, old)]
+        insort(ordered, value)
         order.append(value)
         return moved
 
@@ -288,12 +113,7 @@ class SlidingWindowPercentile:
             for value in values:
                 self.observe(value)
             return
-        ordered = sorted(values)
-        chunks = self._chunks
-        chunks._runs = [ordered[i:i + LOAD]
-                        for i in range(0, len(ordered), LOAD)]
-        chunks._maxes = [run[-1] for run in chunks._runs]
-        chunks._size = len(ordered)
+        self._sorted = sorted(values)
         self._order.extend(values)
         self.observations += len(values)
 
@@ -307,36 +127,31 @@ class SlidingWindowPercentile:
         observations = self.observations
         if self._cached_at == observations:
             return self._cached_value
-        n = self._chunks._size
+        n = len(self._sorted)
         if n == 0:
             result = 0.0
         else:
             rank = math.ceil(self.percentile / 100.0 * n)
-            result = self._chunks.kth(max(0, rank - 1))
+            result = self._sorted[max(0, rank - 1)]
         self._cached_value = result
         self._cached_at = observations
         return result
 
-    @property
-    def _sorted(self) -> List[float]:
-        """The window's values in sorted order (compatibility shim)."""
-        return self._chunks.flatten()
-
     def __len__(self) -> int:
-        return self._chunks._size
+        return len(self._sorted)
 
     @property
     def full(self) -> bool:
-        return self._chunks._size == self.window
+        return len(self._sorted) == self.window
 
 
 class ListSlidingWindowPercentile:
-    """The original flat-sorted-list implementation (reference oracle).
+    """The plain sliding-window percentile (reference oracle).
 
-    An O(log S) locate plus an O(S) shift per observation.  Retained
-    verbatim so property tests can assert the chunked structure above is
-    observation-for-observation identical, and so the microbenchmarks
-    can race the two implementations.
+    Recomputes :meth:`value` from the sorted list on every call, so
+    property tests can assert that :class:`SlidingWindowPercentile`'s
+    memo, same-side rule and :meth:`~SlidingWindowPercentile.fill` are
+    observation-for-observation invisible.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW,
@@ -357,10 +172,10 @@ class ListSlidingWindowPercentile:
         self.observations += 1
         if len(self._order) == self.window:
             oldest = self._order.popleft()
-            idx = bisect.bisect_left(self._sorted, oldest)
+            idx = bisect_left(self._sorted, oldest)
             self._sorted.pop(idx)
         self._order.append(value)
-        bisect.insort(self._sorted, value)
+        insort(self._sorted, value)
 
     def value(self) -> float:
         n = len(self._sorted)

@@ -29,7 +29,7 @@ class Workload:
     latency_target: float
 
     def __post_init__(self):
-        if self.latency_target <= 0:
+        if not self.latency_target > 0:  # NaN fails it too
             raise ValueError(
                 f"workload {self.name}: latency target must be positive")
 

@@ -148,13 +148,13 @@ class FleetPlant:
         self.injector: Optional[FleetFaultInjector] = None
         self.controller: Optional[ElasticController] = None
 
-        key_rng = streams.get_batched("fleet-keys")
+        key_rng = streams.get("fleet-keys")
         keyspace = KEYSPACE
         route = self.router.route
 
         def admit(request: Request) -> None:
-            # Keys shard the data; int(u * keyspace) keeps the stream
-            # batched (randrange would fork a BatchedStream's sequence).
+            # Keys shard the data.  randrange(keyspace) would draw a
+            # different sequence; the fleet goldens pin this one.
             route(request, int(key_rng.random() * keyspace))
 
         self.admit = admit

@@ -222,6 +222,13 @@ class ExperimentConfig:
                     f"got {sample!r} at index {index}")
         need(0 < self.timeline_bin_seconds < math.inf,
              "timeline_bin_seconds", "must be finite and positive")
+        # Written so that NaN fails it too: a NaN target would miss
+        # every request of its tier.
+        for tier, target in (self.tier_targets or {}).items():
+            if not 0 < target < math.inf:
+                raise ValueError(
+                    "tier_targets values must be finite and positive, "
+                    f"got {target!r} for tier {tier!r}")
         if self.fleet is not None:
             self.fleet.validate()
 
@@ -596,12 +603,8 @@ def run_experiment(config: ExperimentConfig,
         from repro.faults.injector import wrap_rate
         rate_fn = wrap_rate(rate_fn, plan.bursts)
 
-    # The three per-arrival streams consume entropy through random()
-    # only, so they serve pre-drawn blocks (bit-identical; see
-    # BatchedStream).  The tier stream draws with randrange() and must
-    # stay unbatched.
-    service_rng = streams.get_batched(prefix + "service-times")
-    mix_rng = streams.get_batched(prefix + "mix")
+    service_rng = streams.get(prefix + "service-times")
+    mix_rng = streams.get(prefix + "mix")
     tier_rng = streams.get(prefix + "tier-assignment")
     tiers = manager.workloads if config.workload_policy == "tiers" else None
     choose_type = spec.choose_type
@@ -618,7 +621,7 @@ def run_experiment(config: ExperimentConfig,
                       txn_type.service.draw_work(service_rng)))
 
     generator = OpenLoopGenerator(sim, rate_fn, on_arrival,
-                                  streams.get_batched(prefix + "arrivals"))
+                                  streams.get(prefix + "arrivals"))
 
     # Setup-time scheduling order is part of determinism (event seq
     # breaks ties): governors at build, then the plant's faults and

@@ -11,9 +11,9 @@ exploits both properties:
   isolated simulation with its own RNG streams, so results are
   independent of worker assignment, and the runner returns them in
   submission order --- parallel output is byte-identical to serial.
-  Cells cross the process boundary as compact dicts (non-default
-  config fields only) beside the :class:`RunFlags` the parent resolved
-  for them, and are submitted in chunks to amortize IPC.
+  Each dynamics group (below) is one pool task: its cells cross the
+  process boundary as ``(config, flags)`` pairs, the
+  :class:`RunFlags` being the ones the parent resolved for them.
 * **Shared dynamics** --- cells whose configs have the same
   :func:`~repro.harness.experiment.dynamics_key` (a governor scheme
   swept over slack: nothing reads a deadline until a completion is
@@ -196,10 +196,8 @@ class SweepCache:
 
 
 #: A cell as the runner handles it: the config and the flags resolved
-#: for it in the parent process.  On the wire the config is the compact
-#: dict of :func:`_config_to_wire`.
+#: for it in the parent process.
 Cell = Tuple[ExperimentConfig, RunFlags]
-WireCell = Tuple[Dict[str, object], RunFlags]
 
 
 def _run_group(cells: Sequence[Cell]) -> List[ExperimentResult]:
@@ -262,37 +260,6 @@ def shutdown_shared_pool() -> None:
 
 
 atexit.register(shutdown_shared_pool)
-
-
-# ----------------------------------------------------------------------
-# Wire format
-# ----------------------------------------------------------------------
-#: Field -> default value of :class:`ExperimentConfig`.
-_WIRE_DEFAULTS: Dict[str, object] = vars(ExperimentConfig())
-
-
-def _config_to_wire(config: ExperimentConfig) -> Dict[str, object]:
-    """Compact dict of the fields that differ from the defaults.
-
-    Sweeps override a handful of ExperimentConfig's ~25 fields; sending
-    only those keeps the pickled task payload small, which matters once
-    cells are submitted in chunks of many configs.
-    """
-    wire = {}
-    for name, default in _WIRE_DEFAULTS.items():
-        value = getattr(config, name)
-        if value != default:
-            wire[name] = value
-    return wire
-
-
-def _run_chunk(groups: Sequence[Sequence[WireCell]]
-               ) -> List[List[ExperimentResult]]:
-    """Worker-side entry point: rebuild each group's compact configs
-    and run them under the flags they were shipped with."""
-    return [_run_group([(ExperimentConfig(**wire), flags)
-                        for wire, flags in wires])
-            for wires in groups]
 
 
 def _cacheable(config: ExperimentConfig) -> bool:
@@ -396,12 +363,6 @@ class SweepRunner:
         in-process."""
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
-        # Chunking amortizes per-task IPC; several chunks per worker
-        # keep the tail balanced when group costs vary across the grid.
-        chunk_size = max(1, len(groups)
-                         // (min(self.jobs, len(groups)) * 4))
-        chunks = [groups[pos:pos + chunk_size]
-                  for pos in range(0, len(groups), chunk_size)]
         unfinished = {group[0]: group for group in groups}
         broken = False
         try:
@@ -410,30 +371,26 @@ class SweepRunner:
             # worker processes are spawned on demand, so small sweeps
             # never pay for idle slots.
             pool = shared_pool(self.jobs)
-            future_chunk = {
-                pool.submit(_run_chunk,
-                            [[(_config_to_wire(cells[i][0]), cells[i][1])
-                              for i in group]
-                             for group in chunk]):
-                chunk for chunk in chunks}
-            pending = set(future_chunk)
+            future_group = {
+                pool.submit(_run_group, [cells[i] for i in group]): group
+                for group in groups}
+            pending = set(future_group)
             while pending and not broken:
                 done, pending = wait(pending,
                                      return_when=FIRST_COMPLETED)
                 for future in done:
-                    # Harvest every completed chunk in this batch even
+                    # Harvest every completed group in this batch even
                     # if a sibling future carries the pool's death ---
                     # groups that already landed must not re-run.
                     try:
-                        chunk_results = future.result()
+                        group_results = future.result()
                     except (BrokenProcessPool, OSError,
                             PermissionError):
                         broken = True
                         continue
-                    for group, group_results in zip(future_chunk[future],
-                                                    chunk_results):
-                        finish(group, group_results)
-                        del unfinished[group[0]]
+                    group = future_group[future]
+                    finish(group, group_results)
+                    del unfinished[group[0]]
         except (BrokenProcessPool, OSError, PermissionError):
             # Pool construction or submission failed outright (no
             # process spawning in sandboxes/some CI runners, or the

@@ -83,17 +83,15 @@ class LatencyRecorder:
     """Collects per-request outcomes during the measurement window.
 
     Attach via ``server.add_completion_listener(recorder.on_completion)``
-    and flip :attr:`recording` when the test phase starts --- warmup and
-    training completions are then ignored, as in the paper's three-phase
+    and :meth:`set_window` to the test phase --- warmup and training
+    completions are then ignored, as in the paper's three-phase
     methodology.
     """
 
     def __init__(self, keep_latencies: bool = True):
-        self.recording = False
-        #: When set, completions count iff the request *arrived* inside
-        #: [t0, t1), regardless of the recording flag --- the harness's
-        #: test-phase accounting (late completions of in-window arrivals
-        #: still count as failures, not censored).
+        #: Outcomes count iff the request *arrived* inside [t0, t1) (late
+        #: completions of in-window arrivals still count as failures, not
+        #: censored); a recorder with no window counts nothing.
         self.window: Optional[Tuple[float, float]] = None
         self.keep_latencies = keep_latencies
         self.per_workload: Dict[str, WorkloadStats] = {}
@@ -113,10 +111,10 @@ class LatencyRecorder:
         self.window = (start, end)
 
     def _in_scope(self, request: Request) -> bool:
-        if self.window is not None:
-            start, end = self.window
-            return start <= request.arrival_time < end
-        return self.recording
+        if self.window is None:
+            return False
+        start, end = self.window
+        return start <= request.arrival_time < end
 
     def on_rejection(self, request: Request) -> None:
         """Count an admission-control rejection: offered but never
@@ -152,10 +150,7 @@ class LatencyRecorder:
         # completed transaction and the frames dominate its cost.
         window = self.window
         arrival = request.arrival_time
-        if window is not None:
-            if not window[0] <= arrival < window[1]:
-                return
-        elif not self.recording:
+        if window is None or not window[0] <= arrival < window[1]:
             return
         # get-then-insert rather than setdefault: setdefault constructs
         # its default on every call, and this runs once per completion.

@@ -1,5 +1,7 @@
 """Admission control: the PolarisShedScheduler and its server wiring."""
 
+import math
+
 import pytest
 
 from repro.core.estimator import ExecutionTimeEstimator
@@ -73,7 +75,7 @@ def test_server_routes_rejections_to_listeners(sim):
         scheduler_factory=lambda: PolarisShedScheduler(
             config.scheduler_frequencies, estimator))
     recorder = LatencyRecorder()
-    recorder.recording = True
+    recorder.set_window(0.0, math.inf)
     server.add_completion_listener(recorder.on_completion)
     server.add_rejection_listener(recorder.on_rejection)
 

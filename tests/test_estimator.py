@@ -89,7 +89,7 @@ def test_property_matches_reference_over_window(values, window, percentile):
 
 
 # ----------------------------------------------------------------------
-# Chunked structure vs the plain-list reference implementation
+# The memoized tracker vs the plain reference implementation
 # ----------------------------------------------------------------------
 @settings(max_examples=100, deadline=None)
 @given(
@@ -98,18 +98,18 @@ def test_property_matches_reference_over_window(values, window, percentile):
     window=st.integers(min_value=1, max_value=120),
     percentile=st.floats(min_value=1.0, max_value=100.0))
 def test_property_chunked_agrees_with_list_impl(values, window, percentile):
-    """The chunked tracker must be observationally identical to the
-    plain-list implementation it replaced: same value() after every
-    observe, same final window contents."""
-    chunked = SlidingWindowPercentile(window, percentile)
+    """The memoized tracker must be observationally identical to the
+    reference implementation: same value() after every observe, same
+    final window contents."""
+    tracker = SlidingWindowPercentile(window, percentile)
     listy = ListSlidingWindowPercentile(window, percentile)
     for v in values:
-        chunked.observe(v)
+        tracker.observe(v)
         listy.observe(v)
-        assert chunked.value() == listy.value()
-    assert len(chunked) == len(listy)
-    assert chunked.full == listy.full
-    assert list(chunked._sorted) == list(listy._sorted)
+        assert tracker.value() == listy.value()
+    assert len(tracker) == len(listy)
+    assert tracker.full == listy.full
+    assert list(tracker._sorted) == list(listy._sorted)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,14 +117,14 @@ def test_property_chunked_agrees_with_list_impl(values, window, percentile):
                 min_size=1, max_size=300))
 def test_property_chunked_agrees_on_heavy_duplicates(values):
     """Duplicate-dense streams stress the eviction bookkeeping (many
-    equal keys in the same and adjacent chunks)."""
-    chunked = SlidingWindowPercentile(window=7, percentile=95)
+    equal keys, each eviction picking one of them)."""
+    tracker = SlidingWindowPercentile(window=7, percentile=95)
     listy = ListSlidingWindowPercentile(window=7, percentile=95)
     for v in values:
-        chunked.observe(v)
+        tracker.observe(v)
         listy.observe(v)
-    assert chunked.value() == listy.value()
-    assert list(chunked._sorted) == list(listy._sorted)
+    assert tracker.value() == listy.value()
+    assert list(tracker._sorted) == list(listy._sorted)
 
 
 #: Few distinct values, so evicted and inserted values tie with the
@@ -142,16 +142,16 @@ def test_property_same_side_rule_never_keeps_a_stale_percentile(
     moved: equal to the list implementation after *every* observe, on
     streams with heavy ties at the percentile, window 1, percentile 100
     and a window still filling (which must always report a move)."""
-    chunked = SlidingWindowPercentile(window, percentile)
+    tracker = SlidingWindowPercentile(window, percentile)
     listy = ListSlidingWindowPercentile(window, percentile)
     for v in values:
-        before = chunked.value()
-        was_full = chunked.full
-        moved = chunked.observe(v)
+        before = tracker.value()
+        was_full = tracker.full
+        moved = tracker.observe(v)
         listy.observe(v)
-        assert chunked.value() == listy.value()
-        assert moved or (was_full and chunked.value() == before)
-    assert list(chunked._sorted) == list(listy._sorted)
+        assert tracker.value() == listy.value()
+        assert moved or (was_full and tracker.value() == before)
+    assert list(tracker._sorted) == list(listy._sorted)
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,9 +165,9 @@ def test_property_same_side_rule_never_keeps_a_stale_percentile(
 def test_property_fill_equals_sequential_observes(head, values, window,
                                                   percentile, seed):
     """``fill(xs)`` is ``for x in xs: observe(x)`` --- on an empty window
-    that fits them (one sort; run boundaries differ, nothing observable
-    does), on one that does not, and on a window already holding
-    ``head`` --- now and over 200 further observations."""
+    that fits them (one sort), on one that does not, and on a window
+    already holding ``head`` --- now and over 200 further
+    observations."""
     filled = SlidingWindowPercentile(window, percentile)
     stepped = SlidingWindowPercentile(window, percentile)
     for v in head:
@@ -198,19 +198,6 @@ def test_fill_rejects_bad_values_before_recording_any():
         with pytest.raises(ValueError):
             tracker.fill([1.0, bad])  # the sequential path, equally
         assert (tracker.value(), tracker.observations) == (3.0, 1)
-
-
-def test_chunked_splits_past_chunk_capacity():
-    """A window far beyond one chunk still matches the reference."""
-    chunked = SlidingWindowPercentile(window=1000, percentile=95)
-    listy = ListSlidingWindowPercentile(window=1000, percentile=95)
-    rng = random.Random(7)
-    for _ in range(3000):
-        v = rng.expovariate(1.0)
-        chunked.observe(v)
-        listy.observe(v)
-    assert chunked.value() == listy.value()
-    assert list(chunked._sorted) == list(listy._sorted)
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +258,7 @@ def test_estimator_p95_is_conservative():
 
 def test_nan_observation_is_rejected_before_it_corrupts_the_window():
     """``nan < 0`` is False, so the old guard let NaN into the sorted
-    runs, after which bisect placed every later value wrongly."""
+    list, after which bisect placed every later value wrongly."""
     tracker = SlidingWindowPercentile(window=4, percentile=100)
     for value in (3.0, 1.0):
         tracker.observe(value)

@@ -177,6 +177,10 @@ def test_slack_only_rescores_a_governor_cell(scheme):
     ("estimator_percentile", 0.0),
     ("estimator_percentile", 101.0),
     ("trace_sample_interval_s", 0.0),
+    ("tier_targets", {"gold": math.nan, "silver": 0.0375}),
+    ("tier_targets", {"gold": math.inf, "silver": 0.0375}),
+    ("tier_targets", {"gold": 0.0075, "silver": 0.0}),
+    ("tier_targets", {"gold": -0.0075, "silver": 0.0375}),
 ])
 def test_out_of_range_config_is_rejected_naming_the_field(field, value):
     config = ExperimentConfig(**dict(_SHORT, **{field: value}))

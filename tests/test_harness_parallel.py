@@ -462,18 +462,6 @@ def test_report_counts_a_shared_simulation_once():
 # ----------------------------------------------------------------------
 # persistent pool (reuse across sweeps: tests/test_run_flags.py)
 # ----------------------------------------------------------------------
-def test_config_wire_roundtrip():
-    from repro.harness.parallel import _config_to_wire
-    config = ExperimentConfig(scheme="static-1.2", slack=10.0, **FAST)
-    wire = _config_to_wire(config)
-    # Only overridden fields cross the process boundary.
-    assert set(wire) == {"scheme", "slack", "workers",
-                         "warmup_seconds", "test_seconds", "seed"}
-    assert ExperimentConfig(**wire) == config
-    # Defaults round-trip to an empty payload.
-    assert _config_to_wire(ExperimentConfig()) == {}
-
-
 def test_broken_pool_degrades_to_serial(tmp_path, monkeypatch):
     """A poisoned executor must not fail the sweep: the runner discards
     the pool and re-runs the unfinished cells in-process."""
@@ -508,16 +496,16 @@ def test_broken_pool_reruns_only_unfinished(tmp_path, monkeypatch):
             self.lands = lands
             self.submissions = 0
 
-        def submit(self, fn, groups):
+        def submit(self, fn, cells):
             self.submissions += 1
             future = Future()
             if self.submissions == self.lands:
-                future.set_result(fn(groups))
+                future.set_result(fn(cells))
             else:
                 future.set_exception(BrokenProcessPool("boom"))
             return future
 
-    # Three groups, submitted one per chunk: the static pair first.
+    # Three groups, one task each: the static pair first.
     grid = [ExperimentConfig(scheme=scheme, slack=slack, **UNTRACED)
             for slack in (10.0, 70.0)
             for scheme in ("static-2.8", "polaris")]

@@ -1,6 +1,7 @@
 """Power meter, latency recorder, report formatting."""
 
 import json
+import math
 import random
 
 import pytest
@@ -111,7 +112,7 @@ def finished_request(workload, arrival, latency, exec_time=None,
 def test_recorder_failure_rates():
     workload = Workload("w", 0.010)
     recorder = LatencyRecorder()
-    recorder.recording = True
+    recorder.set_window(0.0, math.inf)
     recorder.on_completion(finished_request(workload, 0.0, 0.005))
     recorder.on_completion(finished_request(workload, 0.0, 0.020))  # miss
     assert recorder.total_offered == 2
@@ -123,8 +124,12 @@ def test_recorder_failure_rates():
 
 
 def test_recorder_ignores_when_not_recording():
+    """A recorder with no window counts nothing."""
     recorder = LatencyRecorder()
-    recorder.on_completion(finished_request(Workload("w", 1.0), 0.0, 0.5))
+    request = finished_request(Workload("w", 1.0), 0.0, 0.5)
+    recorder.on_completion(request)
+    recorder.on_rejection(request)
+    recorder.on_lost(request)
     assert recorder.total_offered == 0
     assert recorder.failure_rate == 0.0
 
@@ -151,7 +156,7 @@ def test_recorder_window_validation():
 def test_recorder_exec_time_stats():
     workload = Workload("w", 10.0)
     recorder = LatencyRecorder()
-    recorder.recording = True
+    recorder.set_window(0.0, math.inf)
     for exec_time, freq in [(1.0, 2.8), (2.0, 2.8), (3.0, 1.2)]:
         recorder.on_completion(finished_request(
             workload, 0.0, exec_time, exec_time=exec_time, freq=freq,
@@ -170,7 +175,7 @@ def test_recorder_exec_time_stats():
 def test_recorder_mean_latency():
     workload = Workload("w", 10.0)
     recorder = LatencyRecorder()
-    recorder.recording = True
+    recorder.set_window(0.0, math.inf)
     recorder.on_completion(finished_request(workload, 0.0, 1.0))
     recorder.on_completion(finished_request(workload, 0.0, 3.0))
     assert recorder.per_workload["w"].mean_latency() == pytest.approx(2.0)
@@ -188,7 +193,7 @@ def _fed(outcomes, target):
     """A recorder fed ``outcomes``, every request carrying ``target``."""
     workload = Workload("w", target)
     recorder = LatencyRecorder()
-    recorder.recording = True
+    recorder.set_window(0.0, math.inf)
     for outcome, arrival, latency in outcomes:
         request = finished_request(workload, arrival, latency)
         {"completed": recorder.on_completion,
@@ -227,7 +232,7 @@ def test_missed_under_equals_the_live_count(outcomes, live_target, targets):
 def test_missed_under_needs_the_kept_instants():
     workload = Workload("w", 0.010)
     recorder = LatencyRecorder(keep_latencies=False)
-    recorder.recording = True
+    recorder.set_window(0.0, math.inf)
     recorder.on_completion(finished_request(workload, 0.0, 0.020))
     assert recorder.total_missed == 1
     with pytest.raises(ValueError, match="kept no completion instants"):

@@ -6,6 +6,8 @@ once in the failure books, never also as a completion, and rejection
 listeners must see every rejection in order.
 """
 
+import math
+
 import pytest
 
 from repro.core.request import Request, RequestState
@@ -57,7 +59,7 @@ def test_rejection_listeners_do_not_hear_completions(sim):
 # ----------------------------------------------------------------------
 def test_rejection_counts_once_in_per_workload_failure():
     recorder = LatencyRecorder()
-    recorder.recording = True
+    recorder.set_window(0.0, math.inf)
     recorder.on_rejection(request("gold"))
     finished = request("gold")
     finished.dispatch_time, finished.finish_time = 0.1, 0.5
@@ -82,7 +84,7 @@ def test_rejection_outside_window_is_censored():
 
 def test_lost_requests_count_like_rejections():
     recorder = LatencyRecorder()
-    recorder.recording = True
+    recorder.set_window(0.0, math.inf)
     recorder.on_lost(request("gold"))
     stats = recorder.per_workload["gold"]
     assert (stats.offered, stats.missed) == (1, 1)
@@ -105,7 +107,7 @@ def test_rejected_request_never_double_counted_end_to_end(sim):
     ResilienceController(sim, server, plan.degradation).attach()
     FaultInjector(sim, plan, random.Random(1)).attach(server)
     recorder = LatencyRecorder()
-    recorder.recording = True
+    recorder.set_window(0.0, math.inf)
     server.add_completion_listener(recorder.on_completion)
     server.add_rejection_listener(recorder.on_rejection)
 

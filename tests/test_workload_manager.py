@@ -15,8 +15,9 @@ def test_workload_deadline():
 
 
 def test_workload_target_validation():
-    with pytest.raises(ValueError):
-        Workload("w", 0.0)
+    for target in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            Workload("w", target)
 
 
 def test_register_and_lookup():

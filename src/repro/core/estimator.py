@@ -47,7 +47,8 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from operator import lt
-from typing import Deque, Dict, List, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Sequence, Tuple
+from weakref import WeakMethod
 
 DEFAULT_WINDOW = 1000
 DEFAULT_PERCENTILE = 95.0
@@ -206,7 +207,10 @@ class EstimateRows(dict):
     and is then the one list object every reader of that workload holds.
     ``bind(c, freqs, row)`` tells the owner of a *live* table about the
     new row so it can keep it current; without it the table is a
-    snapshot, valid for as long as ``estimate`` is pure.
+    snapshot, valid for as long as ``estimate`` is pure.  An estimator
+    hands its live tables only weak callables (:func:`_weakly`): it owns
+    the tables, so bound methods would make every run's estimator a
+    reference cycle.
 
     ``rising`` is :func:`rising_pairs` summed over the rows, kept by
     whoever writes a slot (``__missing__``, the estimator's
@@ -233,6 +237,12 @@ class EstimateRows(dict):
         if self._bind is not None:
             self._bind(workload, self._freqs, row)
         return row
+
+
+def _weakly(method) -> Callable:
+    """``method``, called through a weak reference to its object."""
+    weak = WeakMethod(method)
+    return lambda *args: weak()(*args)
 
 
 class ExecutionTimeEstimator:
@@ -267,7 +277,7 @@ class ExecutionTimeEstimator:
         rows = self._rows.get(freqs)
         if rows is None:
             rows = self._rows[freqs] = EstimateRows(
-                self.estimate, freqs, self._bind_row)
+                _weakly(self.estimate), freqs, _weakly(self._bind_row))
         return rows
 
     def _bind_row(self, workload: str, freqs: Tuple[float, ...],

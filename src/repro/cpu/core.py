@@ -180,6 +180,13 @@ class Core:
         if callback is not None:
             callback(job)
 
+    def close(self) -> None:
+        """Drop the links back into the run that is over: the stranded
+        job's completion callback (its worker, which holds this core)
+        and the shared domain (which holds this core too)."""
+        self._on_complete = None
+        self.domain = None
+
     # ------------------------------------------------------------------
     # DVFS
     # ------------------------------------------------------------------

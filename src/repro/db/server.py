@@ -594,6 +594,25 @@ class DatabaseServer:
                   rejected=self.rejected, in_flight=in_flight,
                   queued=queued, now=self.sim.now)
 
+    def close(self) -> None:
+        """Unlink the server from the run that is over.
+
+        Workers point back at the server, a core still running a job
+        holds its worker's completion callback, and listeners, MSR fault
+        hooks and the resilience controller point at whatever armed
+        them: reference cycles that would keep the whole run --- and
+        every recorder a listener reaches --- alive until a full garbage
+        collection.  Dropping those edges lets the run die by reference
+        count.  A closed server cannot run again.
+        """
+        for worker in self.workers:
+            worker.server = None
+            worker.msr.fault_hook = None
+            worker.core.close()
+        self._completion_listeners.clear()
+        self._rejection_listeners.clear()
+        self.resilience = None
+
     def drain(self, timeout: float = 60.0) -> None:
         """Run the simulation until every worker is idle and every queue
         is empty (for tests).

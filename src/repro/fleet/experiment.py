@@ -34,7 +34,7 @@ from repro.fleet.router import (
     ClusterRouter, RouterPolicy, ShardState, read_only_types,
 )
 from repro.harness.experiment import ExperimentConfig
-from repro.metrics.latency import LatencyRecorder, percentile
+from repro.metrics.latency import LatencyRecorder, WorkloadStats, percentile
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
@@ -132,13 +132,12 @@ class FleetPlant:
         self.router = ClusterRouter(sim, self.shards, self.read_types)
         self.wall_energy = self.fleet.wall_energy
         self.sanitize_accounting = self.fleet.sanitize_accounting
-        #: Per-shard books beside the kernel's fleet-wide recorder: a
-        #: counting-only recorder per shard, indexed by shard id.
-        self.shard_books = [LatencyRecorder(keep_latencies=False)
-                            for _ in self.shards]
-        self.books_of = {node.server: self.shard_books[node.shard_id]
+        #: Per-shard books: no recorder of their own.  Every outcome is
+        #: logged in the kernel's one recorder under its shard as the
+        #: site, and the books are :meth:`LatencyRecorder.site_books`.
+        self.shard_of = {node.server: node.shard_id
                          for node in self.fleet.nodes}
-        self.servers = list(self.books_of)
+        self.servers = list(self.shard_of)
         # Chaos cells only (see _arm_chaos); healthy cells build (and
         # import) none of it, so they stay byte-identical to their
         # pinned goldens.
@@ -159,20 +158,19 @@ class FleetPlant:
 
         self.admit = admit
 
-    def charge_loss(self, server: DatabaseServer, request: Request) -> None:
-        self.books_of[server].on_lost(request)
+    def site_of(self, server: DatabaseServer) -> int:
+        return self.shard_of[server]
 
     def attach(self, recorder: LatencyRecorder) -> None:
-        """Wire the recorder and the shard books, arm chaos, start the
-        failover and elastic timers --- in that (pinned) order."""
+        """Wire the recorder (each server's outcomes under its shard),
+        arm chaos, start the failover and elastic timers --- in that
+        (pinned) order."""
         self.recorder = recorder
-        for books in self.shard_books:
-            books.set_window(*recorder.window)
-        for server, books in self.books_of.items():
-            server.add_completion_listener(recorder.on_completion)
-            server.add_rejection_listener(recorder.on_rejection)
-            server.add_completion_listener(books.on_completion)
-            server.add_rejection_listener(books.on_rejection)
+        for server, shard_id in self.shard_of.items():
+            server.add_completion_listener(
+                partial(recorder.on_completion, site=shard_id))
+            server.add_rejection_listener(
+                partial(recorder.on_rejection, site=shard_id))
         if self.plan is not None and self.plan.has_fleet_faults:
             self._arm_chaos(recorder)
         if self.fleet_config.elastic:
@@ -207,23 +205,18 @@ class FleetPlant:
         for node in self.fleet.nodes:
             node.server.add_completion_listener(partial(_log_write, node))
 
-        def _on_shed(request: Request, shard_id: int) -> None:
-            # Retry-exhausted (or end-of-run flushed) requests: offered
-            # and rejected, the unavailability the availability figure
-            # charges against the baseline.
-            recorder.on_rejection(request)
-            self.shard_books[shard_id].on_rejection(request)
-
         def _on_crash(node: Node, lost: List[Request]) -> None:
             for request in lost:
-                recorder.on_lost(request)
-                self.shard_books[node.shard_id].on_lost(request)
+                recorder.on_lost(request, node.shard_id)
             if shards[node.shard_id].primary is node:
                 tracker.mark_down(node.shard_id)
 
         self.injector = FleetFaultInjector(sim, self.plan, self.fleet,
                                            shards, replication, _on_crash)
-        self.router.arm_self_healing(RouterPolicy(), _on_shed,
+        # Retry-exhausted (or end-of-run flushed) requests are shed as
+        # offered-and-rejected, the unavailability the availability
+        # figure charges against the baseline.
+        self.router.arm_self_healing(RouterPolicy(), recorder.on_rejection,
                                      self.injector.effective_lag_s)
         self.injector.attach()
         if fleet_config.failover_enabled:
@@ -255,6 +248,10 @@ class FleetPlant:
             # limit will never route; shed them so the books close.
             self.router.flush_pending_retries()
 
+    def close(self) -> None:
+        """Unlink the run (see :mod:`repro.harness.experiment`)."""
+        self.fleet.close()
+
     def extras(self) -> Dict[str, object]:
         fleet, router = self.fleet, self.router
         fleet_actions = dict(router.decision_counts())
@@ -263,16 +260,20 @@ class FleetPlant:
         fleet_actions["boots"] = sum(n.boots for n in fleet.nodes)
         fleet_actions["drains"] = sum(n.drains for n in fleet.nodes)
         all_latencies = [
-            latency for stats in self.recorder.per_workload.values()
-            for latency in stats.latencies]
+            latency for latencies
+            in self.recorder.latencies_by_workload().values()
+            for latency in latencies]
+        books = self.recorder.site_books()
+        shard_books = [books.get(shard.shard_id, WorkloadStats())
+                       for shard in self.shards]
         extras: Dict[str, object] = dict(
             scheme_label=self.scheme_label,
             per_shard_failure={
-                f"shard{shard_id}": books.failure_rate
-                for shard_id, books in enumerate(self.shard_books)},
+                f"shard{shard_id}": stats.failure_rate
+                for shard_id, stats in enumerate(shard_books)},
             per_shard_offered={
-                f"shard{shard_id}": books.total_offered
-                for shard_id, books in enumerate(self.shard_books)},
+                f"shard{shard_id}": stats.offered
+                for shard_id, stats in enumerate(shard_books)},
             stale_reads=router.stale_read_bounces,
             fleet_actions=fleet_actions,
             node_timeline=list(fleet.node_timeline),

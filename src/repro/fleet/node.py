@@ -270,6 +270,14 @@ class Fleet:
     def total_queue_length(self) -> int:
         return sum(n.server.total_queue_length() for n in self.nodes)
 
+    def close(self) -> None:
+        """Unlink the nodes from the fleet, and each node's server from
+        its run (:meth:`DatabaseServer.close`), once the run is over:
+        a node's transition hook points back at this fleet."""
+        for node in self.nodes:
+            node._on_transition = None
+            node.server.close()
+
     # ------------------------------------------------------------------
     # simsan: conservation of requests at fleet scope
     # ------------------------------------------------------------------

@@ -19,6 +19,19 @@ Each run follows Section 6.1's three phases:
 Loads are expressed as fractions of the server's peak throughput,
 derived from the service-time model exactly as the paper derives its
 60%/30%/90% levels from measured peak throughput.
+
+**Teardown.**  Once the result is collected, or the run has raised,
+:func:`run_experiment` unlinks what it built: ``plant.close()`` cuts
+the back-references a finished run leaves (worker to server, a
+stranded job's completion callback, listeners, fault hooks, node to
+fleet) and ``sim.close()`` drops the pending events, each of which
+points back at the simulator.
+Nothing the run built is then in a reference cycle, so it dies by
+reference count instead of waiting for a full garbage collection, and
+a process that runs many cells does not grow by one run per cell.  A
+recorder the caller passed in holds none of the graph and stays usable
+(:func:`rescored`).  Nothing here asks the cyclic collector to run
+(DESIGN.md §5, decision 13).
 """
 
 from __future__ import annotations
@@ -349,8 +362,10 @@ class ServerPlant:
 
     A plant is what :func:`run_experiment` drives; it hides what differs
     between tiers (``FleetPlant`` in :mod:`repro.fleet.experiment` is
-    the other): the admit sink, the servers in a fixed order, the wall
-    energy, the trace gauges, fault arming, timers and result extras.
+    the other): the admit sink, the servers in a fixed order, the site
+    each server's outcomes are logged under, the wall energy, the trace
+    gauges, fault arming, timers, result extras and the teardown
+    (``close``).
     """
 
     #: Prefix of the kernel's RNG stream names at this tier.
@@ -431,8 +446,13 @@ class ServerPlant:
     def end_of_drain(self) -> None:
         """No tier-level timers to stop."""
 
-    def charge_loss(self, server: DatabaseServer, request: Request) -> None:
-        """One server, one set of books: the recorder's."""
+    def site_of(self, server: DatabaseServer) -> int:
+        """One server, one site."""
+        return 0
+
+    def close(self) -> None:
+        """Unlink the run (see the module docstring's teardown)."""
+        self.server.close()
 
     def extras(self) -> Dict[str, object]:
         return dict(
@@ -587,154 +607,160 @@ def run_experiment(config: ExperimentConfig,
     plant = plant_class(sim, config, scheme, plan, streams, make_server,
                         spec.peak_throughput(workers))
 
-    # -- Drive -------------------------------------------------------
-    peak = plant.peak_throughput
-    if config.load_trace is not None:
-        low = effective_load_fraction(config.trace_low_fraction) * peak
-        high = effective_load_fraction(config.trace_high_fraction) * peak
-        schedule = RateSchedule(
-            [low + v * (high - low) for v in config.load_trace])
-        rate_fn, test_duration = schedule.rate_at, schedule.duration
-    else:
-        target = effective_load_fraction(config.load_fraction) * peak
-        rate_fn = lambda _now: target  # noqa: E731 - tiny adapter
-        test_duration = config.test_seconds
-    if plan is not None:
-        from repro.faults.injector import wrap_rate
-        rate_fn = wrap_rate(rate_fn, plan.bursts)
-
-    service_rng = streams.get(prefix + "service-times")
-    mix_rng = streams.get(prefix + "mix")
-    tier_rng = streams.get(prefix + "tier-assignment")
-    tiers = manager.workloads if config.workload_policy == "tiers" else None
-    choose_type = spec.choose_type
-    manager_get = manager.get
-    admit = plant.admit
-
-    def on_arrival(now: float) -> None:
-        txn_type = choose_type(mix_rng)
-        if tiers is not None:
-            workload = tiers[tier_rng.randrange(len(tiers))]
+    # The teardown runs whether the run returns or raises: a sweep
+    # counts a cell that raises and goes on to the next.
+    try:
+        # -- Drive -------------------------------------------------------
+        peak = plant.peak_throughput
+        if config.load_trace is not None:
+            low = effective_load_fraction(config.trace_low_fraction) * peak
+            high = effective_load_fraction(config.trace_high_fraction) * peak
+            schedule = RateSchedule(
+                [low + v * (high - low) for v in config.load_trace])
+            rate_fn, test_duration = schedule.rate_at, schedule.duration
         else:
-            workload = manager_get(txn_type.name)
-        admit(Request(workload, txn_type.name, now,
-                      txn_type.service.draw_work(service_rng)))
+            target = effective_load_fraction(config.load_fraction) * peak
+            rate_fn = lambda _now: target  # noqa: E731 - tiny adapter
+            test_duration = config.test_seconds
+        if plan is not None:
+            from repro.faults.injector import wrap_rate
+            rate_fn = wrap_rate(rate_fn, plan.bursts)
 
-    generator = OpenLoopGenerator(sim, rate_fn, on_arrival,
-                                  streams.get(prefix + "arrivals"))
+        service_rng = streams.get(prefix + "service-times")
+        mix_rng = streams.get(prefix + "mix")
+        tier_rng = streams.get(prefix + "tier-assignment")
+        tiers = (manager.workloads if config.workload_policy == "tiers"
+                 else None)
+        choose_type = spec.choose_type
+        manager_get = manager.get
+        admit = plant.admit
 
-    # Setup-time scheduling order is part of determinism (event seq
-    # breaks ties): governors at build, then the plant's faults and
-    # timers, the sampler, the generator, the meter at priority -10.
-    test_start = config.warmup_seconds
-    test_end = test_start + test_duration
-    if recorder is None:
-        recorder = LatencyRecorder()
-    recorder.set_window(test_start, test_end)
-    plant.attach(recorder)
+        def on_arrival(now: float) -> None:
+            txn_type = choose_type(mix_rng)
+            if tiers is not None:
+                workload = tiers[tier_rng.randrange(len(tiers))]
+            else:
+                workload = manager_get(txn_type.name)
+            admit(Request(workload, txn_type.name, now,
+                          txn_type.service.draw_work(service_rng)))
 
-    sampler: Optional[MetricsSampler] = None
-    if tracer.enabled:
-        from repro.obs.metrics import MetricRegistry, MetricsSampler
-        registry = MetricRegistry()
-        plant.register_gauges(registry)
-        sampler = MetricsSampler(
-            sim, registry, interval_s=config.trace_sample_interval_s,
-            tracer=tracer)
-        sampler.start()
+        generator = OpenLoopGenerator(sim, rate_fn, on_arrival,
+                                      streams.get(prefix + "arrivals"))
 
-    # The meter's cadence is the paper's, clamped so short test windows
-    # (small-scale tests) still collect several readings.
-    meter = PowerMeter(sim, plant.wall_energy,
-                       streams.get(prefix + "meter-noise"),
-                       interval=min(METER_INTERVAL_S, test_duration / 4.0))
+        # Setup-time scheduling order is part of determinism (event seq
+        # breaks ties): governors at build, then the plant's faults and
+        # timers, the sampler, the generator, the meter at priority -10.
+        test_start = config.warmup_seconds
+        test_end = test_start + test_duration
+        if recorder is None:
+            recorder = LatencyRecorder()
+        recorder.set_window(test_start, test_end)
+        plant.attach(recorder)
 
-    generator.start()
-    sim.schedule_at(test_start, meter.start, priority=-10)
-    sim.run(until=test_end)
-    generator.stop()
-    plant.end_of_test()
-    # Drain: let in-flight and queued test-phase requests finish so late
-    # completions register as failures instead of being censored.
-    servers = plant.servers
-    drain_end = test_end + config.drain_limit_seconds
-    while sim.now < drain_end:
-        if all(w.idle and not w.queue_length()
-               for server in servers for w in server.workers):
-            break
-        if not sim.step():
-            break
-    meter.stop()
-    plant.end_of_drain()
-    # Whatever is still queued or in flight when the drain ends --- the
-    # drain limit passed, a core is dead or stalled --- will never
-    # finish; it counts as offered-and-missed, so neither a short drain
-    # nor a killed core can censor casualties into a better failure rate.
-    for server in servers:
-        for worker in server.workers:
-            stranded = list(getattr(worker.dispatcher, "queue", None) or ())
-            if worker.current is not None:
-                stranded.append(worker.current)
-            for request in stranded:
-                recorder.on_lost(request)
-                plant.charge_loss(server, request)
-    if sim.sanitize:
-        plant.sanitize_accounting()
+        sampler: Optional[MetricsSampler] = None
+        if tracer.enabled:
+            from repro.obs.metrics import MetricRegistry, MetricsSampler
+            registry = MetricRegistry()
+            plant.register_gauges(registry)
+            sampler = MetricsSampler(
+                sim, registry, interval_s=config.trace_sample_interval_s,
+                tracer=tracer)
+            sampler.start()
 
-    trace_event_count = 0
-    if sampler is not None:  # tracing is on
-        sampler.stop()
-        sampler.sample_once()  # final state at the end of the drain
-        tracer.finalize(sim.now)
-        trace_event_count = len(tracer.events)
-        if config.trace_path:
-            from repro.obs.export import export_chrome_trace
-            export_chrome_trace(tracer, config.trace_path)
-        if config.trace_series_path:
-            from repro.obs.export import export_series_csv
-            export_series_csv(sampler, config.trace_series_path)
+        # The meter's cadence is the paper's, clamped so short test windows
+        # (small-scale tests) still collect several readings.
+        meter = PowerMeter(sim, plant.wall_energy,
+                           streams.get(prefix + "meter-noise"),
+                           interval=min(METER_INTERVAL_S, test_duration / 4.0))
 
-    # -- Collect -----------------------------------------------------
-    residency: Dict[float, float] = {}
-    for server in servers:
-        for core in server.cores:
-            core.flush_accounting()
-            for freq, seconds in core.freq_residency.items():
-                residency[freq] = residency.get(freq, 0.0) + seconds
-    for governors in governor_sets:
-        governors.detach_all()
+        generator.start()
+        sim.schedule_at(test_start, meter.start, priority=-10)
+        sim.run(until=test_end)
+        generator.stop()
+        plant.end_of_test()
+        # Drain: let in-flight and queued test-phase requests finish so late
+        # completions register as failures instead of being censored.
+        servers = plant.servers
+        drain_end = test_end + config.drain_limit_seconds
+        while sim.now < drain_end:
+            if all(w.idle and not w.queue_length()
+                   for server in servers for w in server.workers):
+                break
+            if not sim.step():
+                break
+        meter.stop()
+        plant.end_of_drain()
+        # Whatever is still queued or in flight when the drain ends --- the
+        # drain limit passed, a core is dead or stalled --- will never
+        # finish; it counts as offered-and-missed, so neither a short drain
+        # nor a killed core can censor casualties into a better failure rate.
+        for server in servers:
+            for worker in server.workers:
+                stranded = list(
+                    getattr(worker.dispatcher, "queue", None) or ())
+                if worker.current is not None:
+                    stranded.append(worker.current)
+                for request in stranded:
+                    recorder.on_lost(request, plant.site_of(server))
+        if sim.sanitize:
+            plant.sanitize_accounting()
 
-    per_workload = recorder.per_workload.items()
-    return ExperimentResult(
-        config=config,
-        avg_power_watts=meter.average_power(test_start, test_end),
-        failure_rate=recorder.failure_rate,
-        offered=recorder.total_offered,
-        completed=recorder.total_completed,
-        missed=recorder.total_missed,
-        rejected=recorder.total_rejected,
-        throughput=recorder.total_completed / test_duration,
-        peak_throughput=peak,
-        per_workload_failure={
-            name: stats.failure_rate for name, stats in per_workload},
-        per_workload_offered={
-            name: stats.offered for name, stats in per_workload},
-        cpu_energy_joules=sum(server.cpu_energy() for server in servers),
-        wall_energy_joules=plant.wall_energy(),
-        freq_residency=residency,
-        power_timeline=(meter.binned_average(test_start, test_end,
-                                             config.timeline_bin_seconds)
-                        if meter.samples else []),
-        load_timeline=list(config.load_trace or []),
-        mean_latency_by_workload={
-            name: stats.mean_latency()
-            for name, stats in per_workload if stats.arrivals},
-        sim_events=sim.events_processed,
-        wall_seconds=perf_clock() - wall_start,
-        trace_events=trace_event_count,
-        lost=recorder.total_lost,
-        **plant.extras(),
-    )
+        trace_event_count = 0
+        if sampler is not None:  # tracing is on
+            sampler.stop()
+            sampler.sample_once()  # final state at the end of the drain
+            tracer.finalize(sim.now)
+            trace_event_count = len(tracer.events)
+            if config.trace_path:
+                from repro.obs.export import export_chrome_trace
+                export_chrome_trace(tracer, config.trace_path)
+            if config.trace_series_path:
+                from repro.obs.export import export_series_csv
+                export_series_csv(sampler, config.trace_series_path)
+
+        # -- Collect -----------------------------------------------------
+        residency: Dict[float, float] = {}
+        for server in servers:
+            for core in server.cores:
+                core.flush_accounting()
+                for freq, seconds in core.freq_residency.items():
+                    residency[freq] = residency.get(freq, 0.0) + seconds
+        for governors in governor_sets:
+            governors.detach_all()
+
+        per_workload = recorder.per_workload.items()
+        result = ExperimentResult(
+            config=config,
+            avg_power_watts=meter.average_power(test_start, test_end),
+            failure_rate=recorder.failure_rate,
+            offered=recorder.total_offered,
+            completed=recorder.total_completed,
+            missed=recorder.total_missed,
+            rejected=recorder.total_rejected,
+            throughput=recorder.total_completed / test_duration,
+            peak_throughput=peak,
+            per_workload_failure={
+                name: stats.failure_rate for name, stats in per_workload},
+            per_workload_offered={
+                name: stats.offered for name, stats in per_workload},
+            cpu_energy_joules=sum(server.cpu_energy() for server in servers),
+            wall_energy_joules=plant.wall_energy(),
+            freq_residency=residency,
+            power_timeline=(meter.binned_average(test_start, test_end,
+                                                 config.timeline_bin_seconds)
+                            if meter.samples else []),
+            load_timeline=list(config.load_trace or []),
+            mean_latency_by_workload=recorder.mean_latency_by_workload(),
+            sim_events=sim.events_processed,
+            wall_seconds=perf_clock() - wall_start,
+            trace_events=trace_event_count,
+            lost=recorder.total_lost,
+            **plant.extras(),
+        )
+        return result
+    finally:
+        plant.close()
+        sim.close()
 
 
 def rescored(result: ExperimentResult, recorder: LatencyRecorder,
@@ -751,9 +777,10 @@ def rescored(result: ExperimentResult, recorder: LatencyRecorder,
     if dynamics_key(config, flags) != dynamics_key(result.config, flags):
         raise ValueError("config does not run the simulation the result "
                          "came from (dynamics keys differ)")
-    targets = _build_workloads(config, BENCHMARKS[config.benchmark]())
-    missed = {name: stats.missed_under(targets.get(name).latency_target)
-              for name, stats in recorder.per_workload.items()}
+    workloads = _build_workloads(config, BENCHMARKS[config.benchmark]())
+    per_workload = recorder.per_workload
+    missed = recorder.missed_under(
+        {name: workloads.get(name).latency_target for name in per_workload})
     total_missed = sum(missed.values())
     return replace(
         result, config=config, missed=total_missed,
@@ -761,4 +788,4 @@ def rescored(result: ExperimentResult, recorder: LatencyRecorder,
                       if result.offered else 0.0),
         per_workload_failure={
             name: missed[name] / stats.offered
-            for name, stats in recorder.per_workload.items()})
+            for name, stats in per_workload.items()})

@@ -38,7 +38,7 @@ from repro.harness.profiling import TimingReport, perf_clock
 from repro.harness.schemes import (
     ARENA_SCHEMES, FIGURE_BASELINE_SCHEMES, VARIANT_SCHEMES,
 )
-from repro.metrics.latency import LatencyRecorder
+from repro.metrics.latency import LatencyRecorder, pooled_exec_time_stats
 from repro.metrics.report import (
     availability_record, availability_table, format_series, format_table,
     sparkline,
@@ -785,9 +785,10 @@ def fig3_exec_times(options: Optional[FigureOptions] = None) -> Fig3Result:
             options.base_config(benchmark="tpcc", load_fraction=0.3,
                                 scheme=f"static-{freq:.1f}"),
             recorder=recorder)
-        column = {name: recorder.exec_time_stats(name, freq)
+        times = recorder.exec_times_by_pair()
+        column = {name: pooled_exec_time_stats(times, freq, name)
                   for name in FIGURE3_CALIBRATION}
-        column["Combined"] = recorder.combined_exec_time_stats(freq)
+        column["Combined"] = pooled_exec_time_stats(times, freq)
         columns.append(column)
     return Fig3Result({
         name: tuple(seconds * 1e6 for column in columns

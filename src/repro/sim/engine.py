@@ -48,6 +48,9 @@ Design notes
 * Callbacks receive no arguments; use :func:`functools.partial` or
   closures to bind state.  This keeps the hot loop free of argument
   plumbing.
+* Every pending event points back at its simulator (``event[5]``), so
+  a finished run's heap is a reference cycle; :meth:`Simulator.close`
+  clears it.
 """
 
 from __future__ import annotations
@@ -301,6 +304,25 @@ class Simulator:
     def heap_size(self) -> int:
         """Heap slots in use, including cancelled garbage (diagnostics)."""
         return len(self._heap)
+
+    def close(self) -> None:
+        """Discard every pending event: the run is over and nothing may
+        resume it.
+
+        Each pending event reads as cancelled and drops its callback,
+        so neither the heap (which every event points back to) nor a
+        component still holding the handle of its next timer keeps the
+        run's objects alive: they die by reference count, not by
+        waiting for a full garbage collection.
+        """
+        if self._running:
+            raise SimulationError("close() called from inside run()")
+        for event in self._heap:
+            event[3] = None
+            event[4] = True
+        self._heap.clear()
+        self._live = 0
+        self._stale = 0
 
     # ------------------------------------------------------------------
     # Maintenance

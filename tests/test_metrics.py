@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.request import Request
 from repro.core.workload import Workload
+from repro.metrics import latency
 from repro.metrics.latency import LatencyRecorder, percentile
 from repro.metrics.power import PowerMeter
 from repro.metrics.report import (
@@ -178,7 +179,7 @@ def test_recorder_mean_latency():
     recorder.set_window(0.0, math.inf)
     recorder.on_completion(finished_request(workload, 0.0, 1.0))
     recorder.on_completion(finished_request(workload, 0.0, 3.0))
-    assert recorder.per_workload["w"].mean_latency() == pytest.approx(2.0)
+    assert recorder.mean_latency_by_workload() == {"w": pytest.approx(2.0)}
 
 
 _instant = st.floats(min_value=0.0, max_value=10.0)
@@ -216,27 +217,138 @@ def test_missed_under_equals_the_live_count(outcomes, live_target, targets):
         return
     completed = [(arrival, latency) for outcome, arrival, latency
                  in outcomes if outcome == "completed"]
-    assert stats.latencies == [(arrival + latency) - arrival
-                               for arrival, latency in completed]
+    latencies = recorder.latencies_by_workload().get("w", [])
+    assert latencies == [(arrival + latency) - arrival
+                         for arrival, latency in completed]
     if completed:
-        assert stats.mean_latency() \
-            == sum(stats.latencies) / len(completed)
+        assert recorder.mean_latency_by_workload()["w"] \
+            == sum(latencies) / len(completed)
     # Targets that sit exactly on a latency included: there the
     # comparison is decided in the last bit of ``arrival + target``.
     for target in targets + [latency for _, latency in completed[:3]]:
-        assert stats.missed_under(target) \
-            == _fed(outcomes, target).total_missed
-    assert stats.missed_under(live_target) == stats.missed
+        assert recorder.missed_under({"w": target}) \
+            == {"w": _fed(outcomes, target).total_missed}
+    assert recorder.missed_under({"w": live_target}) == {"w": stats.missed}
 
 
-def test_missed_under_needs_the_kept_instants():
-    workload = Workload("w", 0.010)
-    recorder = LatencyRecorder(keep_latencies=False)
-    recorder.set_window(0.0, math.inf)
-    recorder.on_completion(finished_request(workload, 0.0, 0.020))
-    assert recorder.total_missed == 1
-    with pytest.raises(ValueError, match="kept no completion instants"):
-        recorder.per_workload["w"].missed_under(0.010)
+#: Latency targets of the oracle's workloads.
+_TARGETS = {"gold": 0.05, "silver": 0.2, "bronze": 0.6}
+#: (outcome, workload, txn type, dispatch GHz, site, arrival, latency,
+#: share of the latency spent executing).
+_rows = st.lists(st.tuples(
+    st.sampled_from(["completed"] * 4 + ["rejected", "lost"]),
+    st.sampled_from(sorted(_TARGETS)), st.sampled_from(["pay", "order"]),
+    st.sampled_from([1.2, 2.8]), st.integers(0, 2),
+    st.floats(min_value=0.0, max_value=4.0), _span,
+    st.floats(min_value=0.01, max_value=1.0)), max_size=80)
+
+
+def _stats_tuple(stats):
+    return (stats.offered, stats.completed, stats.missed, stats.rejected,
+            stats.lost)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_rows, rescore=st.lists(_span, min_size=3, max_size=3),
+       chunk_rows=st.sampled_from([1, 7, latency.CHUNK_ROWS]))
+def test_log_views_match_a_dict_of_lists_oracle(rows, rescore, chunk_rows):
+    """Every view over the log equals the same read of plain per-group
+    lists kept while feeding it: same operands, same summation order,
+    so floats compare with ``==``.  Small chunks put rows of one view
+    in many chunks."""
+    saved, latency.CHUNK_ROWS = latency.CHUNK_ROWS, chunk_rows
+    try:
+        _check_log_views(rows, rescore)
+    finally:
+        latency.CHUNK_ROWS = saved
+
+
+def _check_log_views(rows, rescore):
+    workloads = {name: Workload(name, target)
+                 for name, target in _TARGETS.items()}
+    recorder = LatencyRecorder()
+    recorder.set_window(0.5, 3.5)
+    # The oracle: one list per group, filled in feeding order.
+    outcomes, instants, exec_times, sites = {}, {}, {}, {}
+    for outcome, name, txn, freq, site, arrival, latency, share in rows:
+        request = Request(workloads[name], txn, arrival, work=1.0)
+        if outcome == "rejected":
+            recorder.on_rejection(request, site)
+        elif outcome == "lost":
+            request.dispatch_freq = freq
+            recorder.on_lost(request, site)
+        else:
+            request.dispatch_time = arrival + latency - latency * share
+            request.finish_time = arrival + latency
+            request.dispatch_freq = freq
+            recorder.on_completion(request, site)
+        if not 0.5 <= arrival < 3.5:
+            continue
+        if outcome == "completed":
+            finish = request.finish_time
+            outcome = ("completed-late"
+                       if not finish <= request.deadline + 1e-12
+                       else "completed")
+            instants.setdefault(name, []).append((arrival, finish))
+            exec_times.setdefault((txn, freq), []).append(
+                finish - request.dispatch_time)
+        outcomes.setdefault(name, []).append(outcome)
+        sites.setdefault(site, []).append(outcome)
+
+    def tally(kinds):
+        return (len(kinds),
+                sum(kind.startswith("completed") for kind in kinds),
+                sum(kind != "completed" for kind in kinds),
+                kinds.count("rejected"), kinds.count("lost"))
+
+    per_workload = recorder.per_workload
+    assert list(per_workload) == list(outcomes)
+    assert {name: _stats_tuple(stats)
+            for name, stats in per_workload.items()} \
+        == {name: tally(kinds) for name, kinds in outcomes.items()}
+    every = [kind for kinds in outcomes.values() for kind in kinds]
+    assert (recorder.total_offered, recorder.total_completed,
+            recorder.total_missed, recorder.total_rejected,
+            recorder.total_lost) == tally(every)
+    books = recorder.site_books()
+    assert list(books) == list(sites)
+    assert {site: _stats_tuple(stats) for site, stats in books.items()} \
+        == {site: tally(kinds) for site, kinds in sites.items()}
+
+    latencies = {name: [finish - arrival for arrival, finish in pairs]
+                 for name, pairs in instants.items()}
+    assert recorder.latencies_by_workload() == {
+        name: latencies[name] for name in outcomes if name in latencies}
+    assert recorder.mean_latency_by_workload() == {
+        name: sum(values) / len(values) for name, values
+        in recorder.latencies_by_workload().items()}
+    targets = dict(zip(sorted(_TARGETS), rescore))
+    assert recorder.missed_under(targets) == {
+        name: sum(not finish <= (arrival + targets[name]) + 1e-12
+                  for arrival, finish in instants.get(name, []))
+        + tally(kinds)[0] - tally(kinds)[1]
+        for name, kinds in outcomes.items()}
+
+    def stats(values):
+        if not values:
+            return (0,)
+        return (sum(values) / len(values), percentile(values, 95),
+                len(values))
+
+    def matching(txn=None, freq=None):
+        return [value for (name, at), values in exec_times.items()
+                if txn in (None, name) and freq in (None, at)
+                for value in values]
+
+    def read(result):
+        return result[2:] if result[2] == 0 else result
+
+    for freq in (None, 1.2, 2.8):
+        for txn in ("pay", "order"):
+            assert read(recorder.exec_time_stats(txn, freq)) \
+                == stats(matching(txn, freq))
+        assert read(recorder.combined_exec_time_stats(freq)) \
+            == stats(matching(freq=freq))
 
 
 def test_percentile_function():

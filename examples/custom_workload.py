@@ -14,6 +14,7 @@ from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.polaris import PolarisScheduler
 from repro.core.request import Request
 from repro.core.workload import Workload, WorkloadManager
+from repro.cpu.pstates import POLARIS_FREQUENCIES
 from repro.db.server import DatabaseServer, ServerConfig
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.power import PowerMeter
@@ -41,10 +42,10 @@ def run(scheme: str, rate: float, seed: int = 3):
         server = DatabaseServer(
             sim, server_config,
             scheduler_factory=lambda: PolarisScheduler(
-                server_config.scheduler_frequencies, estimator))
+                POLARIS_FREQUENCIES, estimator))
         # Prime the estimators as the paper's training phase would.
         for txn_type in KV_SPEC.types:
-            for freq in server_config.scheduler_frequencies:
+            for freq in POLARIS_FREQUENCIES:
                 estimator.prime(
                     txn_type.name, freq,
                     txn_type.service.p95_seconds * 2.8 / freq, count=50)

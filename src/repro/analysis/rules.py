@@ -327,7 +327,6 @@ RL006_AUDITED_EXEMPTIONS: Dict[str, str] = {
     # -- virtual-clock convention: the engine measures time in float
     #    seconds (sim/engine.py module docstring) -------------------------
     "time": "virtual seconds; engine-wide convention (sim.engine docstring)",
-    "start_time": "virtual seconds (Simulator start_time parameter)",
     "finish_time": "virtual seconds (core.request timing)",
     "arrival_time": "virtual seconds (core.request docstring)",
     "dispatch_time": "virtual seconds (core.request docstring)",

@@ -31,6 +31,7 @@ tests rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
@@ -42,16 +43,20 @@ if TYPE_CHECKING:  # layering: topology sits beside core, below db/server
 #: Recognized granularity names, coarsest domain last.
 GRANULARITIES = ("per-core", "per-module", "per-socket")
 
-#: The paper's testbed: two 8-core Xeon E5-2640 v3 packages.
-DEFAULT_CORES_PER_SOCKET = 8
-#: Module (e.g. AMD CCX / Intel E-core cluster) granularity default.
-DEFAULT_CORES_PER_MODULE = 2
+#: Cores per ``per-socket`` domain --- the paper's testbed: two 8-core
+#: Xeon E5-2640 v3 packages.
+CORES_PER_SOCKET = 8
+#: Cores per ``per-module`` domain (e.g. an AMD CCX or Intel E-core
+#: cluster).
+CORES_PER_MODULE = 2
 
 
 @dataclass(frozen=True)
 class SocketTopology:
     """How cores map onto shared frequency domains.
 
+    ``granularity`` picks the domain size (1, :data:`CORES_PER_MODULE`
+    or :data:`CORES_PER_SOCKET` cores).
     ``switch_latency_s`` models the cost of re-locking a *shared* PLL:
     every domain P-state transition stalls each member core for that
     long (0.0 reproduces the paper's sub-microsecond direct-MSR
@@ -60,8 +65,6 @@ class SocketTopology:
     """
 
     granularity: str = "per-core"
-    cores_per_socket: int = DEFAULT_CORES_PER_SOCKET
-    cores_per_module: int = DEFAULT_CORES_PER_MODULE
     switch_latency_s: float = 0.0
 
     def __post_init__(self):
@@ -69,12 +72,10 @@ class SocketTopology:
             raise ValueError(
                 f"unknown granularity {self.granularity!r}; "
                 f"available: {list(GRANULARITIES)}")
-        if self.cores_per_socket < 1:
-            raise ValueError("cores_per_socket must be at least 1")
-        if self.cores_per_module < 1:
-            raise ValueError("cores_per_module must be at least 1")
-        if self.switch_latency_s < 0:
-            raise ValueError("switch_latency_s cannot be negative")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not 0 <= self.switch_latency_s < math.inf:
+            raise ValueError("switch_latency_s must be finite and "
+                             f"non-negative, got {self.switch_latency_s!r}")
 
     @property
     def per_core(self) -> bool:
@@ -84,9 +85,9 @@ class SocketTopology:
     def domain_size(self) -> int:
         """Cores per frequency domain at this granularity."""
         if self.granularity == "per-socket":
-            return self.cores_per_socket
+            return CORES_PER_SOCKET
         if self.granularity == "per-module":
-            return self.cores_per_module
+            return CORES_PER_MODULE
         return 1
 
     def domain_groups(self, n_cores: int) -> List[Tuple[int, ...]]:
@@ -100,8 +101,8 @@ class SocketTopology:
 def make_topology(spec: Union[None, str, SocketTopology]) -> SocketTopology:
     """Coerce a config value into a :class:`SocketTopology`.
 
-    Accepts ``None`` (identity), a granularity name (defaults for the
-    group sizes), or an explicit topology.
+    Accepts ``None`` (identity), a granularity name, or an explicit
+    topology.
     """
     if spec is None:
         return SocketTopology()
@@ -250,6 +251,6 @@ class FrequencyDomain:
 
 
 __all__ = [
-    "DEFAULT_CORES_PER_MODULE", "DEFAULT_CORES_PER_SOCKET",
-    "FrequencyDomain", "GRANULARITIES", "SocketTopology", "make_topology",
+    "CORES_PER_MODULE", "CORES_PER_SOCKET", "FrequencyDomain",
+    "GRANULARITIES", "SocketTopology", "make_topology",
 ]

@@ -21,7 +21,7 @@ direct-MSR path does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.analysis.sanitizer import invariant
 from repro.core.polaris import PolarisScheduler
@@ -31,7 +31,7 @@ from repro.cpu.core import Core
 from repro.cpu.cstates import C1_ONLY, CStateModel, DEEP_LADDER
 from repro.cpu.msr import IA32_PERF_CTL, MsrError, MsrFile, encode_perf_ctl
 from repro.cpu.power import CorePowerModel, ServerPowerModel
-from repro.cpu.pstates import POLARIS_FREQUENCIES, PStateTable, XEON_E5_2640V3_PSTATES
+from repro.cpu.pstates import POLARIS_FREQUENCIES, XEON_E5_2640V3_PSTATES
 from repro.cpu.rapl import RaplPackage
 from repro.cpu.topology import FrequencyDomain, SocketTopology, make_topology
 from repro.db.queues import FifoQueue, RequestQueue
@@ -82,10 +82,6 @@ class ServerConfig:
 
     workers: int = 4
     request_handlers: int = 2
-    #: Frequencies available to in-DBMS schedulers (the paper's five).
-    scheduler_frequencies: Tuple[float, ...] = POLARIS_FREQUENCIES
-    #: P-state grid of the cores (governors may use the full grid).
-    pstate_grid: Optional[PStateTable] = None
     #: DVFS transition stall (seconds); the paper's MSR path is sub-us.
     transition_latency: float = 0.0
     #: Request routing across workers: "rh-round-robin" reproduces the
@@ -101,9 +97,6 @@ class ServerConfig:
     #: :class:`~repro.cpu.topology.SocketTopology`.  Coarse domains
     #: resolve member requests with the cpufreq max-of-votes rule.
     topology: Optional[object] = None
-
-    def grid(self) -> PStateTable:
-        return self.pstate_grid or XEON_E5_2640V3_PSTATES
 
     def make_topology(self) -> SocketTopology:
         return make_topology(self.topology)
@@ -400,15 +393,18 @@ class Worker:
 class DatabaseServer:
     """The simulated server: cores, workers, RH routing, power accounting.
 
+    Cores run the testbed's P-state grid (``XEON_E5_2640V3_PSTATES``)
+    under the default :class:`~repro.cpu.power.CorePowerModel`.
     ``scheduler_factory`` builds one in-DBMS scheduler per worker (e.g.
-    ``lambda: PolarisScheduler(freqs, shared_estimator)``); passing
-    ``None`` installs the FIFO baseline dispatcher, leaving frequency
-    control to whatever governor the experiment attaches.
+    ``lambda: PolarisScheduler(POLARIS_FREQUENCIES, shared_estimator)``),
+    and the cores are then restricted to those five frequencies;
+    passing ``None`` installs the FIFO baseline dispatcher on the full
+    grid, leaving frequency control to whatever governor the experiment
+    attaches.
     """
 
     def __init__(self, sim: Simulator, config: ServerConfig,
                  scheduler_factory: Optional[Callable[[], object]] = None,
-                 power_model: Optional[CorePowerModel] = None,
                  initial_freq: Optional[float] = None):
         if config.workers < 1:
             raise ValueError("need at least one worker")
@@ -416,14 +412,12 @@ class DatabaseServer:
             raise ValueError("need at least one request handler")
         self.sim = sim
         self.config = config
-        self.power_model = power_model or CorePowerModel()
         self.server_power = ServerPowerModel()
-        grid = config.grid()
         if scheduler_factory is not None:
             # In-DBMS schedulers drive the restricted frequency set.
-            core_table = grid.subset(config.scheduler_frequencies)
+            core_table = XEON_E5_2640V3_PSTATES.subset(POLARIS_FREQUENCIES)
         else:
-            core_table = grid
+            core_table = XEON_E5_2640V3_PSTATES
 
         self.cores: List[Core] = []
         self.workers: List[Worker] = []
@@ -446,9 +440,10 @@ class DatabaseServer:
             # latency governs each transition.
             effective_latency = max(config.transition_latency,
                                     self.topology.switch_latency_s)
+        power_model = CorePowerModel()
         for worker_id in range(config.workers):
             core = Core(sim, worker_id, core_table,
-                        power_model=self.power_model,
+                        power_model=power_model,
                         cstates=config.make_cstates(),
                         transition_latency=effective_latency,
                         initial_freq=start_freq)

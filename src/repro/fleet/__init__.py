@@ -20,9 +20,8 @@ fault plan's node crashes / partitions / replica-lag windows onto the
 virtual clock against the per-shard WAL-and-apply model
 (:class:`ShardReplication`), :class:`FailoverManager` heartbeats the
 shards and promotes the most-caught-up replica after a durable-WAL
-replay, and an armed router self-heals with circuit breakers, bounded
-retry-with-backoff, and optional hedged reads ---
-see DESIGN.md, "Fleet failure model".
+replay, and an armed router self-heals with circuit breakers and
+bounded retry-with-backoff --- see DESIGN.md, "Fleet failure model".
 
 Import the submodules directly.  This init re-exports nothing, so
 importing :mod:`repro.fleet.config` (every experiment does, for the

@@ -47,14 +47,21 @@ if TYPE_CHECKING:
 _KINDS = ("node_crash", "partition_begin", "partition_end",
           "replica_lag_begin", "replica_lag_end")
 
+#: Commits per group-commit force on each shard's primary WAL --- the
+#: durability window a crash can lose (Shore-MT's default is 100; the
+#: fleet uses fewer so the chaos cells exercise real loss without
+#: needing thousands of writes).
+GROUP_COMMIT_SIZE = 8
+
 
 class ShardReplication:
     """One shard's WAL plus the replicas' apply positions."""
 
     def __init__(self, sim: Simulator, shard_id: int,
-                 group_commit_size: int):
+                 group_commit_size: int = GROUP_COMMIT_SIZE):
         self.sim = sim
         self.shard_id = shard_id
+        #: The unit tests sweep it; fleet cells run the constant.
         self.group_commit_size = group_commit_size
         self.next_lsn = 1
         #: COMMIT LSNs in the unforced tail; a full group forces it.

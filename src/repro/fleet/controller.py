@@ -2,15 +2,15 @@
 
 POLARIS races or paces individual cores; the :class:`ElasticController`
 plays the same game one tier up, with whole nodes.  Every
-``controller_interval_s`` it differentiates each shard's cumulative
+``CONTROLLER_INTERVAL_S`` it differentiates each shard's cumulative
 arrival counter into a windowed arrival rate, normalizes by the shard's
 *currently serving* capacity (active nodes x per-node peak throughput),
 and compares the utilization against two thresholds:
 
-* above ``scale_out_utilization`` --- unpark one parked replica (boot
+* above ``SCALE_OUT_UTILIZATION`` --- unpark one parked replica (boot
   latency drawn from the seeded lifecycle stream; the node serves
   nothing and saves nothing until it finishes warming);
-* below ``scale_in_utilization`` --- drain one active replica, moving
+* below ``SCALE_IN_UTILIZATION`` --- drain one active replica, moving
   its queued requests onto shard siblings before it parks with the
   same :mod:`repro.db.server` helpers the faults watchdog migrates with.
 
@@ -29,12 +29,27 @@ from collections import deque
 
 from repro.db.server import drain_worker_queue, redistribute_requests
 from repro.fleet.config import FleetConfig
-from repro.fleet.node import Fleet, Node, NodeState
+from repro.fleet.node import BOOT_LATENCY_S, Fleet, Node, NodeState
 from repro.fleet.router import ClusterRouter, ShardState
 from repro.sim.engine import Simulator
 
 #: Deterministic ordering of the action counters.
 _ACTIONS = ("scale_out", "scale_in", "migrations", "migrated_requests")
+
+#: Controller tick cadence on the virtual clock.
+CONTROLLER_INTERVAL_S = 0.5
+#: Window of per-tick arrival counts the utilization signal averages.
+CONTROLLER_WINDOW_TICKS = 4
+#: Windowed utilization (arrivals / active capacity) thresholds; the
+#: gap between them plus the cooldown is the hysteresis.
+SCALE_OUT_UTILIZATION = 0.55
+SCALE_IN_UTILIZATION = 0.20
+#: Ticks a shard stays quiet after any scale action.
+CONTROLLER_COOLDOWN_TICKS = 3
+#: Grace between entering draining and the first park attempt, and the
+#: poll cadence while a draining node finishes its in-flight work.
+DRAIN_GRACE_S = 0.5
+DRAIN_POLL_S = 0.05
 
 
 class ElasticController:
@@ -51,7 +66,7 @@ class ElasticController:
         self.lifecycle_rng = lifecycle_rng
         self.actions: Dict[str, int] = {name: 0 for name in _ACTIONS}
         self._windows: List[Deque[int]] = [
-            deque(maxlen=config.controller_window_ticks)
+            deque(maxlen=CONTROLLER_WINDOW_TICKS)
             for _ in router.shards]
         self._last_offered = [shard.offered for shard in router.shards]
         self._cooldown = [0 for _ in router.shards]
@@ -62,7 +77,7 @@ class ElasticController:
     # ------------------------------------------------------------------
     def start(self) -> None:
         self._tick_event = self.sim.schedule(
-            self.config.controller_interval_s, self._tick)
+            CONTROLLER_INTERVAL_S, self._tick)
 
     def stop(self) -> None:
         if self._tick_event is not None:
@@ -74,12 +89,12 @@ class ElasticController:
         for index, shard in enumerate(self.router.shards):
             self._consider(index, shard)
         self._tick_event = self.sim.schedule(
-            self.config.controller_interval_s, self._tick)
+            CONTROLLER_INTERVAL_S, self._tick)
 
     def shard_utilization(self, index: int, shard: ShardState) -> float:
         """Windowed arrival rate over currently-serving capacity."""
         window = self._windows[index]
-        window_s = len(window) * self.config.controller_interval_s
+        window_s = len(window) * CONTROLLER_INTERVAL_S
         serving = len(shard.active_nodes())
         if window_s <= 0 or serving == 0:
             return 0.0
@@ -100,9 +115,9 @@ class ElasticController:
         if in_motion:
             return  # one replica per shard in motion at a time
         utilization = self.shard_utilization(index, shard)
-        if utilization > self.config.scale_out_utilization:
+        if utilization > SCALE_OUT_UTILIZATION:
             self._scale_out(index, shard, utilization)
-        elif utilization < self.config.scale_in_utilization:
+        elif utilization < SCALE_IN_UTILIZATION:
             self._scale_in(index, shard, utilization)
 
     # ------------------------------------------------------------------
@@ -112,11 +127,10 @@ class ElasticController:
                        if r.state is NodeState.PARKED), None)
         if parked is None:
             return  # peak-provisioned already
-        boot_s = self.lifecycle_rng.uniform(self.config.boot_latency_min_s,
-                                            self.config.boot_latency_max_s)
+        boot_s = self.lifecycle_rng.uniform(*BOOT_LATENCY_S)
         parked.unpark(boot_s)
         self.actions["scale_out"] += 1
-        self._cooldown[index] = self.config.controller_cooldown_ticks
+        self._cooldown[index] = CONTROLLER_COOLDOWN_TICKS
         if self.tracer.enabled:
             self.tracer.instant(self.trace_track, "elastic:scale-out",
                                 self.sim.now, shard=shard.shard_id,
@@ -137,10 +151,9 @@ class ElasticController:
             # primary is healthy again.
             return
         victim = active[-1]
-        victim.begin_drain(self._migrate_off, self.config.drain_grace_s,
-                           self.config.drain_poll_s)
+        victim.begin_drain(self._migrate_off, DRAIN_GRACE_S, DRAIN_POLL_S)
         self.actions["scale_in"] += 1
-        self._cooldown[index] = self.config.controller_cooldown_ticks
+        self._cooldown[index] = CONTROLLER_COOLDOWN_TICKS
         if self.tracer.enabled:
             self.tracer.instant(self.trace_track, "elastic:scale-in",
                                 self.sim.now, shard=shard.shard_id,

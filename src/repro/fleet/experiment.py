@@ -30,9 +30,7 @@ from repro.db.server import DatabaseServer
 from repro.fleet.config import FleetConfig
 from repro.fleet.controller import ElasticController
 from repro.fleet.node import Fleet, Node, NodeState, PRIMARY, REPLICA
-from repro.fleet.router import (
-    ClusterRouter, RouterPolicy, ShardState, read_only_types,
-)
+from repro.fleet.router import ClusterRouter, ShardState, read_only_types
 from repro.harness.experiment import ExperimentConfig
 from repro.metrics.latency import LatencyRecorder, WorkloadStats, percentile
 from repro.sim.engine import Simulator
@@ -50,6 +48,11 @@ if TYPE_CHECKING:
 REPLICATION_LAG_S = (0.01, 0.08)
 #: Keys are drawn uniformly from [0, KEYSPACE) and sharded modulo.
 KEYSPACE = 4096
+#: Request-handler threads per node (the harness builds each node's
+#: ServerConfig with it).
+NODE_REQUEST_HANDLERS = 1
+#: Wall draw of a parked node (fans + BMC; the idle-parked floor).
+PARKED_FLOOR_WATTS = 4.0
 
 
 def _build_fleet(sim: Simulator, fleet_config: FleetConfig,
@@ -78,7 +81,7 @@ def _build_fleet(sim: Simulator, fleet_config: FleetConfig,
                             and not fleet_config.elastic
                             and replica_index > static_replicas)
             node = Node(sim, len(nodes), shard_id, role, make_server(),
-                        parked_floor_watts=fleet_config.parked_floor_watts,
+                        parked_floor_watts=PARKED_FLOOR_WATTS,
                         replication_lag_s=lag_s,
                         start_parked=start_parked)
             shard_members.append(node)
@@ -186,8 +189,7 @@ class FleetPlant:
         from repro.fleet.failover import AvailabilityTracker, FailoverManager
         sim, shards, fleet_config = self.sim, self.shards, self.fleet_config
         replication = self.replication = {
-            shard.shard_id: ShardReplication(
-                sim, shard.shard_id, fleet_config.group_commit_size)
+            shard.shard_id: ShardReplication(sim, shard.shard_id)
             for shard in shards}
         tracker = self.tracker = AvailabilityTracker(
             sim, [s.shard_id for s in shards])
@@ -216,23 +218,20 @@ class FleetPlant:
         # Retry-exhausted (or end-of-run flushed) requests are shed as
         # offered-and-rejected, the unavailability the availability
         # figure charges against the baseline.
-        self.router.arm_self_healing(RouterPolicy(), recorder.on_rejection,
+        self.router.arm_self_healing(recorder.on_rejection,
                                      self.injector.effective_lag_s)
         self.injector.attach()
         if fleet_config.failover_enabled:
             self.failover = FailoverManager(
-                sim, self.fleet, shards, replication, fleet_config,
-                tracker, self.streams.get("fleet-failover"))
+                sim, self.fleet, shards, replication, tracker,
+                self.streams.get("fleet-failover"))
             self.failover.start()
 
     def register_gauges(self, registry: MetricRegistry) -> None:
         fleet = self.fleet
-        registry.gauge("fleet_power_watts", "instantaneous fleet draw",
-                       fn=fleet.wall_power)
-        registry.gauge("active_nodes", "nodes in the active state",
-                       fn=lambda: float(fleet.active_count()))
-        registry.gauge("queue_depth_total", "requests queued, fleet-wide",
-                       fn=lambda: float(fleet.total_queue_length()))
+        registry.gauge("fleet_power_watts", fleet.wall_power)
+        registry.gauge("active_nodes", fleet.active_count)
+        registry.gauge("queue_depth_total", fleet.total_queue_length)
 
     def end_of_test(self) -> None:
         # Scaling follows offered load; once the generator stops the
@@ -243,7 +242,7 @@ class FleetPlant:
     def end_of_drain(self) -> None:
         if self.failover is not None:
             self.failover.stop()
-        if self.router.policy is not None:
+        if self.router.armed:
             # Requests still waiting on a scheduled retry at the drain
             # limit will never route; shed them so the books close.
             self.router.flush_pending_retries()

@@ -3,7 +3,7 @@
 The recovery half of the fleet failure model (chaos is the other half,
 :mod:`repro.fleet.chaos`).  A :class:`FailoverManager` heartbeats every
 shard on the virtual clock; a shard whose primary has been crashed for
-at least ``heartbeat_timeout_s`` at a tick is *detected*, and failover
+at least ``HEARTBEAT_TIMEOUT_S`` at a tick is *detected*, and failover
 begins:
 
 1. **Elect** the most-caught-up active replica --- highest applied LSN
@@ -12,7 +12,7 @@ begins:
    a warm spare is booted first and the election re-runs when it comes
    up.
 2. **Replay** the elected replica's durable WAL prefix (redo-only).
-   The replay costs ``replay_fixed_s + replay_per_record_s * records``
+   The replay costs ``REPLAY_FIXED_S + REPLAY_PER_RECORD_S * records``
    of virtual time --- the dominant term of MTTR after detection.
    Durable commits beyond the replica's applied prefix were never
    shipped; they are counted lost and trimmed
@@ -37,10 +37,18 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.fleet.chaos import ShardReplication
-from repro.fleet.config import FleetConfig
-from repro.fleet.node import Fleet, Node, NodeState, REPLICA
+from repro.fleet.node import BOOT_LATENCY_S, Fleet, Node, NodeState, REPLICA
 from repro.fleet.router import ShardState
 from repro.sim.engine import Simulator
+
+#: Heartbeat cadence on the virtual clock; a crash is detected on the
+#: first tick at least ``HEARTBEAT_TIMEOUT_S`` after it.
+HEARTBEAT_INTERVAL_S = 0.05
+HEARTBEAT_TIMEOUT_S = 0.2
+#: Promotion replays the caught-up durable WAL prefix on the new
+#: primary: a fixed mount/analysis cost plus a per-record redo cost.
+REPLAY_FIXED_S = 0.05
+REPLAY_PER_RECORD_S = 0.0002
 
 
 class AvailabilityTracker:
@@ -95,13 +103,12 @@ class FailoverManager:
     def __init__(self, sim: Simulator, fleet: Fleet,
                  shards: List[ShardState],
                  replication: Dict[int, ShardReplication],
-                 config: FleetConfig, tracker: AvailabilityTracker,
+                 tracker: AvailabilityTracker,
                  lifecycle_rng: random.Random):
         self.sim = sim
         self.fleet = fleet
         self.shards = shards
         self.replication = replication
-        self.config = config
         self.tracker = tracker
         #: Boot latencies for warm spares booted mid-failover; a
         #: dedicated stream ("fleet-failover") so the elastic
@@ -121,7 +128,7 @@ class FailoverManager:
     # ------------------------------------------------------------------
     def start(self) -> None:
         self._tick_event = self.sim.schedule(
-            self.config.heartbeat_interval_s, self._tick)
+            HEARTBEAT_INTERVAL_S, self._tick)
 
     def stop(self) -> None:
         if self._tick_event is not None:
@@ -145,7 +152,6 @@ class FailoverManager:
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        timeout_s = self.config.heartbeat_timeout_s
         now_s = self.sim.now
         for shard in self.shards:
             primary = shard.primary
@@ -154,10 +160,10 @@ class FailoverManager:
             if self._in_progress.get(shard.shard_id):
                 continue
             assert primary.crashed_at_s is not None
-            if now_s - primary.crashed_at_s >= timeout_s:
+            if now_s - primary.crashed_at_s >= HEARTBEAT_TIMEOUT_S:
                 self._detect(shard)
         self._tick_event = self.sim.schedule(
-            self.config.heartbeat_interval_s, self._tick)
+            HEARTBEAT_INTERVAL_S, self._tick)
 
     def _detect(self, shard: ShardState) -> None:
         self._in_progress[shard.shard_id] = True
@@ -181,9 +187,7 @@ class FailoverManager:
                 # (recorded once; the outage runs to end of run).
                 self._event(shard, "stranded", -1)
                 return
-            boot_s = self.lifecycle_rng.uniform(
-                self.config.boot_latency_min_s,
-                self.config.boot_latency_max_s)
+            boot_s = self.lifecycle_rng.uniform(*BOOT_LATENCY_S)
             self._event(shard, "boot-spare", spare.node_id)
             spare.unpark(boot_s, on_active=lambda _node:
                          self._elect(shard))
@@ -197,8 +201,7 @@ class FailoverManager:
         records = replication.promote_to(
             winner, winner.replication_lag_s, now_s)
         self.records_replayed += records
-        replay_s = self.config.replay_fixed_s \
-            + self.config.replay_per_record_s * records
+        replay_s = REPLAY_FIXED_S + REPLAY_PER_RECORD_S * records
         self._event(shard, "replay", winner.node_id)
         self.sim.schedule(replay_s,
                           lambda: self._finish(shard, winner))

@@ -32,6 +32,10 @@ from repro.sim.engine import Simulator
 PRIMARY = "primary"
 REPLICA = "replica"
 
+#: Boot latency of an unpark, drawn uniformly from this range (seconds)
+#: on the unparking component's seeded lifecycle stream.
+BOOT_LATENCY_S = (1.5, 4.0)
+
 
 class NodeState(enum.Enum):
     """Lifecycle states; only these transitions occur:

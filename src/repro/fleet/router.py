@@ -17,20 +17,16 @@ Failure semantics (PR 9): when every node that could serve a request is
 parked, draining, warming, or crashed, :meth:`ClusterRouter.route`
 raises the typed :class:`NoActiveNodeError` and the experiment sheds
 the request.  Under a chaos plan the router is additionally **armed**
-with a :class:`RouterPolicy` (:meth:`ClusterRouter.arm_self_healing`)
-and becomes self-healing:
+(:meth:`ClusterRouter.arm_self_healing`) and becomes self-healing:
 
 * a per-node **circuit breaker** (closed -> open after
-  ``breaker_failure_threshold`` consecutive failures -> half-open probe
-  after ``breaker_reset_s``) keeps read routing off nodes that recently
+  ``BREAKER_FAILURE_THRESHOLD`` consecutive failures -> half-open probe
+  after ``BREAKER_RESET_S``) keeps read routing off nodes that recently
   failed to serve;
 * a **bounded retry-with-backoff**: instead of shedding immediately, a
-  request with no active target is re-routed ``retry_backoff_s * 2**k``
-  later, up to ``retry_limit`` times --- failover usually lands inside
-  that envelope, so retried requests survive the unavailability window;
-* optional **hedged reads**: the read targets the less-loaded of the
-  next two active replicas (the power-of-two-choices stand-in for
-  duplicate-and-race hedging).
+  request with no active target is re-routed ``RETRY_BACKOFF_S * 2**k``
+  later, up to ``RETRY_LIMIT`` times --- failover usually lands inside
+  that envelope, so retried requests survive the unavailability window.
 
 None of the self-healing machinery touches an unarmed router: healthy
 cells stay byte-identical to the PR 8 pins, and
@@ -39,7 +35,6 @@ cells stay byte-identical to the PR 8 pins, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -84,27 +79,15 @@ class NoActiveNodeError(RuntimeError):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class RouterPolicy:
-    """Self-healing knobs, armed on the router only under chaos plans.
-
-    Fleet cells arm the defaults; tests arm other values directly.
-    """
-
-    #: Consecutive routing failures that trip a node's breaker open.
-    breaker_failure_threshold: int = 3
-    #: Open -> half-open probe delay on the virtual clock.
-    breaker_reset_s: float = 0.5
-    #: Bounded retry-with-backoff when a shard has no active target:
-    #: retry ``k`` re-routes ``retry_backoff_s * 2**k`` later; after the
-    #: last retry the request is shed.  0 disables retries (every
-    #: no-active-node routing sheds immediately).
-    retry_limit: int = 3
-    retry_backoff_s: float = 0.05
-    #: Hedge reads onto the less-loaded of the two next active replicas
-    #: (power-of-two-choices stand-in for duplicate-and-race hedging).
-    hedged_reads: bool = False
-
+#: Consecutive routing failures that trip a node's breaker open.
+BREAKER_FAILURE_THRESHOLD = 3
+#: Open -> half-open probe delay on the virtual clock.
+BREAKER_RESET_S = 0.5
+#: Bounded retry-with-backoff when a shard has no active target: retry
+#: ``k`` re-routes ``RETRY_BACKOFF_S * 2**k`` later; after the last
+#: retry the request is shed.
+RETRY_LIMIT = 3
+RETRY_BACKOFF_S = 0.05
 
 #: Circuit-breaker states (DESIGN.md "Fleet failure model" has the
 #: transition diagram).
@@ -116,19 +99,17 @@ BREAKER_HALF_OPEN = "half-open"
 class CircuitBreaker:
     """Per-node routing breaker on the virtual clock.
 
-    Closed counts consecutive failures; at the threshold it opens and
-    the router stops considering the node for reads.  After
-    ``reset_s`` the next :meth:`allows` check moves it to half-open ---
-    one probe may route; a success closes it, a failure re-opens it
-    (and restarts the reset clock).
+    Closed counts consecutive failures; at
+    ``BREAKER_FAILURE_THRESHOLD`` it opens and the router stops
+    considering the node for reads.  After ``BREAKER_RESET_S`` the next
+    :meth:`allows` check moves it to half-open --- one probe may route;
+    a success closes it, a failure re-opens it (and restarts the reset
+    clock).
     """
 
-    __slots__ = ("threshold", "reset_s", "state", "failures",
-                 "opened_at_s")
+    __slots__ = ("state", "failures", "opened_at_s")
 
-    def __init__(self, threshold: int, reset_s: float):
-        self.threshold = threshold
-        self.reset_s = reset_s
+    def __init__(self):
         self.state = BREAKER_CLOSED
         self.failures = 0
         self.opened_at_s = 0.0
@@ -137,7 +118,7 @@ class CircuitBreaker:
         if self.state == BREAKER_CLOSED:
             return True
         if self.state == BREAKER_OPEN:
-            if now_s - self.opened_at_s >= self.reset_s:
+            if now_s - self.opened_at_s >= BREAKER_RESET_S:
                 self.state = BREAKER_HALF_OPEN
                 return True  # the probe
             return False
@@ -151,7 +132,8 @@ class CircuitBreaker:
             self.failures = 0
             return True
         self.failures += 1
-        if self.state == BREAKER_CLOSED and self.failures >= self.threshold:
+        if self.state == BREAKER_CLOSED \
+                and self.failures >= BREAKER_FAILURE_THRESHOLD:
             self.state = BREAKER_OPEN
             self.opened_at_s = now_s
             self.failures = 0
@@ -216,15 +198,14 @@ class ClusterRouter:
         self.stale_read_bounces = 0
         #: Reads sent to the primary because no replica was active.
         self.replica_fallbacks = 0
-        #: Self-healing machinery; inert (None) until a chaos plan arms
-        #: it, so healthy cells stay byte-identical to the PR 8 pins.
-        self.policy: Optional[RouterPolicy] = None
+        #: Self-healing machinery; inert until a chaos plan arms it, so
+        #: healthy cells stay byte-identical to their pinned goldens.
+        self.armed = False
         self._breakers: Dict[int, CircuitBreaker] = {}
         self._on_shed: Optional[Callable[[Request, int], None]] = None
         self._lag_fn: Optional[Callable[[Node, float], float]] = None
         self.breaker_trips = 0
         self.breaker_skips = 0
-        self.hedged_read_switches = 0
         self.retries = 0
         self.shed_no_active = 0
         #: Degraded reads: served on a stale replica because the
@@ -239,31 +220,29 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # Self-healing arming (chaos cells only)
     # ------------------------------------------------------------------
-    def arm_self_healing(self, policy: RouterPolicy,
-                         on_shed: Callable[[Request, int], None],
+    def arm_self_healing(self, on_shed: Callable[[Request, int], None],
                          lag_fn: Optional[Callable[[Node, float],
                                                    float]] = None) -> None:
-        """Arm breakers/retry/hedging.  ``on_shed(request, shard_id)``
+        """Arm breakers and retry.  ``on_shed(request, shard_id)``
         absorbs requests that exhaust their retries (the experiment
         counts them offered-and-rejected); ``lag_fn(replica, now_s)``
         overrides the staleness lag (the chaos injector's partition and
         slow-follower windows feed through it)."""
-        self.policy = policy
+        self.armed = True
         self._on_shed = on_shed
         self._lag_fn = lag_fn
         self._breakers = {
-            node.node_id: CircuitBreaker(policy.breaker_failure_threshold,
-                                         policy.breaker_reset_s)
+            node.node_id: CircuitBreaker()
             for shard in self.shards
             for node in [shard.primary] + shard.replicas}
 
     def _breaker_allows(self, node: Node, now_s: float) -> bool:
-        if self.policy is None:
+        if not self.armed:
             return True
         return self._breakers[node.node_id].allows(now_s)
 
     def _note_failure(self, node: Node, now_s: float) -> None:
-        if self.policy is None:
+        if not self.armed:
             return
         if self._breakers[node.node_id].record_failure(now_s):
             self.breaker_trips += 1
@@ -274,7 +253,7 @@ class ClusterRouter:
                                     shard=node.shard_id)
 
     def _note_success(self, node: Node) -> None:
-        if self.policy is not None:
+        if self.armed:
             self._breakers[node.node_id].record_success()
 
     def _replica_lag_s(self, replica: Node, now_s: float) -> float:
@@ -314,12 +293,11 @@ class ClusterRouter:
             else:
                 target = self._pick_write_target(shard, now_s)
         except NoActiveNodeError:
-            policy = self.policy
-            if policy is None:
+            if not self.armed:
                 raise
-            if attempt < policy.retry_limit:
+            if attempt < RETRY_LIMIT:
                 self.retries += 1
-                delay_s = policy.retry_backoff_s * (2 ** attempt)
+                delay_s = RETRY_BACKOFF_S * (2 ** attempt)
                 self._in_retry.append((request, shard))
                 self.sim.schedule(delay_s, partial(self._route_attempt,
                                                    request, shard,
@@ -404,29 +382,14 @@ class ClusterRouter:
 
     def _pick_replica(self, shard: ShardState,
                       now_s: float) -> Optional[Node]:
-        replica: Optional[Node] = None
         for _ in range(len(shard.replicas)):
             candidate = shard.next_active_replica()
             if candidate is None:
                 return None
             if self._breaker_allows(candidate, now_s):
-                replica = candidate
-                break
+                return candidate
             self.breaker_skips += 1
-        if replica is None:
-            return None
-        if self.policy is not None and self.policy.hedged_reads:
-            # Power-of-two-choices hedge: also look at the next active
-            # replica and take the shorter queue (ties keep the
-            # round-robin pick, so healthy symmetric fleets degrade to
-            # plain RR).
-            alternate = shard.next_active_replica()
-            if alternate is not None and alternate is not replica \
-                    and alternate.server.total_queue_length() \
-                    < replica.server.total_queue_length():
-                self.hedged_read_switches += 1
-                replica = alternate
-        return replica
+        return None
 
     def flush_pending_retries(self) -> int:
         """End of run: requests still waiting on a scheduled retry will
@@ -453,10 +416,9 @@ class ClusterRouter:
             "stale_read_bounces": self.stale_read_bounces,
             "replica_fallbacks": self.replica_fallbacks,
         }
-        if self.policy is not None:
+        if self.armed:
             counts["breaker_trips"] = self.breaker_trips
             counts["breaker_skips"] = self.breaker_skips
-            counts["hedged_reads"] = self.hedged_read_switches
             counts["retries"] = self.retries
             counts["shed_no_active"] = self.shed_no_active
             counts["stale_reads_served"] = self.stale_reads_served
@@ -465,4 +427,4 @@ class ClusterRouter:
 
 __all__ = ["BREAKER_CLOSED", "BREAKER_HALF_OPEN", "BREAKER_OPEN",
            "CircuitBreaker", "ClusterRouter", "NoActiveNodeError",
-           "RouterPolicy", "ShardState", "read_only_types"]
+           "ShardState", "read_only_types"]

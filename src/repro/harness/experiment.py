@@ -46,6 +46,7 @@ from repro.analysis.sanitizer import simsan_enabled
 from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.request import Request
 from repro.core.workload import Workload, WorkloadManager
+from repro.cpu.pstates import POLARIS_FREQUENCIES
 from repro.cpu.topology import make_topology
 from repro.db.server import DatabaseServer, ServerConfig
 from repro.faults import resolve_fault_plan
@@ -416,29 +417,24 @@ class ServerPlant:
         through callbacks; the sampler snapshots everything on the
         virtual clock, so the series are seed-deterministic."""
         server = self.server
-        registry.gauge("power_watts", "instantaneous wall draw",
-                       fn=server.wall_power)
-        registry.gauge("queue_depth_total", "requests queued, all workers",
-                       fn=lambda: float(server.total_queue_length()))
-        registry.gauge("pending_events", "live simulator events",
-                       fn=lambda: float(server.sim.pending_count()))
+        registry.gauge("power_watts", server.wall_power)
+        registry.gauge("queue_depth_total", server.total_queue_length)
+        registry.gauge("pending_events", server.sim.pending_count)
         for core in server.cores:
             registry.gauge(f"freq_ghz.core{core.core_id}",
-                           "core operating frequency",
-                           fn=lambda c=core: c.freq)
+                           lambda c=core: c.freq)
+        registry.gauge("txn_completed",
+                       lambda: sum(w.completed for w in server.workers))
+        registry.gauge("txn_rejected", lambda: server.rejected)
         miss_counter = registry.counter("deadline_misses")
-        done_counter = registry.counter("txn_completed")
-        reject_counter = registry.counter("txn_rejected")
         latency_hist = registry.histogram("txn_latency_s")
 
         def _obs_completion(request: Request) -> None:
-            done_counter.inc()
             latency_hist.observe(request.latency)
             if not request.met_deadline:
                 miss_counter.inc()
 
         server.add_completion_listener(_obs_completion)
-        server.add_rejection_listener(lambda _r: reject_counter.inc())
 
     def end_of_test(self) -> None:
         """Nothing on a single server scales with offered load."""
@@ -553,9 +549,10 @@ def run_experiment(config: ExperimentConfig,
     else:
         # repro.fleet.experiment builds on this module; a server cell
         # imports none of the fleet.
-        from repro.fleet.experiment import FleetPlant as plant_class
-        workers = config.fleet.node_workers
-        handlers = config.fleet.node_request_handlers
+        from repro.fleet.experiment import (
+            NODE_REQUEST_HANDLERS, FleetPlant as plant_class,
+        )
+        workers, handlers = config.fleet.node_workers, NODE_REQUEST_HANDLERS
     prefix = plant_class.stream_prefix
 
     topology = make_topology(config.topology)
@@ -582,14 +579,14 @@ def run_experiment(config: ExperimentConfig,
     factory: Optional[Callable[[], object]] = None
     if scheme.uses_scheduler:
         factory = scheme.make_scheduler_factory(
-            server_config.scheduler_frequencies, estimator, flags.sanitize)
+            POLARIS_FREQUENCIES, estimator, flags.sanitize)
         if config.estimator_mixed_freq_updates:
             def factory(_base=factory):
                 scheduler = _base()
                 scheduler.update_on_mixed_freq = True
                 return scheduler
         _train_estimator(estimator, manager, spec,
-                         server_config.scheduler_frequencies, config,
+                         POLARIS_FREQUENCIES, config,
                          streams.get(prefix + "training"))
     governor_sets: List[GovernorSet] = []
 

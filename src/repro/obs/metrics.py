@@ -15,77 +15,56 @@ drain loop because the harness checks for idle *before* stepping.
 
 from __future__ import annotations
 
-import bisect
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.trace import NULL_TRACER, Tracer
 
 
 class Counter:
-    """A monotonically increasing count (completions, misses, rejects)."""
+    """A monotonically increasing count (deadline misses)."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        self.value += amount
+    def inc(self) -> None:
+        self.value += 1.0
 
     def sample(self) -> float:
         return self.value
 
 
 class Gauge:
-    """A point-in-time value; either set explicitly or read lazily.
+    """A point-in-time value read lazily through ``fn``.
 
-    Pass ``fn`` to bind the gauge to a live accessor (queue depth,
-    core frequency): each sample calls it, so the registry never holds
-    stale copies of simulation state.
+    The gauge is bound to a live accessor (queue depth, core
+    frequency): each sample calls it, so the registry never holds stale
+    copies of simulation state.
     """
 
-    __slots__ = ("name", "help", "fn", "value")
+    __slots__ = ("name", "fn")
 
-    def __init__(self, name: str, help: str = "",
-                 fn: Optional[Callable[[], float]] = None):
+    def __init__(self, name: str, fn: Callable[[], float]):
         self.name = name
-        self.help = help
         self.fn = fn
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
     def sample(self) -> float:
-        if self.fn is not None:
-            return float(self.fn())
-        return self.value
+        return float(self.fn())
 
 
 class Histogram:
-    """Cumulative bucket counts plus sum/count (latency distributions)."""
+    """Count and sum of observations (latency distributions)."""
 
-    __slots__ = ("name", "help", "bounds", "bucket_counts", "count", "total")
+    __slots__ = ("name", "count", "total")
 
-    #: Default latency buckets, in seconds (sub-ms to multi-second).
-    DEFAULT_BOUNDS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-                      0.25, 0.5, 1.0, 2.5)
-
-    def __init__(self, name: str, help: str = "",
-                 bounds: Sequence[float] = DEFAULT_BOUNDS):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
-        self.bounds = tuple(sorted(bounds))
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
 
     def observe(self, value: float) -> None:
-        self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
 
@@ -96,9 +75,8 @@ class Histogram:
         return self.total / self.count
 
 
-
 class MetricRegistry:
-    """Named instruments, registered once and iterated in name order."""
+    """Named instruments, registered once and sampled in name order."""
 
     __slots__ = ("_metrics",)
 
@@ -111,34 +89,19 @@ class MetricRegistry:
         self._metrics[metric.name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._register(Counter(name, help))
+    def counter(self, name: str) -> Counter:
+        return self._register(Counter(name))
 
-    def gauge(self, name: str, help: str = "",
-              fn: Optional[Callable[[], float]] = None) -> Gauge:
-        return self._register(Gauge(name, help, fn))
+    def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
+        return self._register(Gauge(name, fn))
 
-    def histogram(self, name: str, help: str = "",
-                  bounds: Sequence[float] = Histogram.DEFAULT_BOUNDS
-                  ) -> Histogram:
-        return self._register(Histogram(name, help, bounds))
-
-    def get(self, name: str):
-        return self._metrics[name]
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
+    def histogram(self, name: str) -> Histogram:
+        return self._register(Histogram(name))
 
     def sample_all(self) -> List[Tuple[str, float]]:
         """One (name, value) snapshot per instrument, name-sorted."""
         metrics = self._metrics
         return [(name, metrics[name].sample()) for name in sorted(metrics)]
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
 
 
 class MetricsSampler:
@@ -179,17 +142,13 @@ class MetricsSampler:
             self._event = None
 
     def _sample(self) -> None:
-        now_s = self.sim.now
-        tracer = self.tracer
-        for name, value in self.registry.sample_all():
-            self.series.setdefault(name, []).append((now_s, value))
-            if tracer.enabled:
-                tracer.counter(self.tracer.track("metrics", name),
-                               name, now_s, value=value)
+        self.sample_once()
         self._event = self.sim.schedule(self.interval_s, self._sample)
 
     def sample_once(self) -> None:
-        """One extra snapshot at the current time (end-of-run capture)."""
+        """One snapshot at the current time; a series already sampled
+        at this instant keeps its point (the end-of-run capture may
+        land on a cadence tick)."""
         now_s = self.sim.now
         tracer = self.tracer
         for name, value in self.registry.sample_all():

@@ -264,19 +264,6 @@ class Tracer:
         self._open_async.clear()
         return closed
 
-    def clear(self) -> None:
-        """Drop all recorded events and registries (reuse in tests)."""
-        self.events.clear()
-        self._tracks.clear()
-        self._pids.clear()
-        self._next_tid.clear()
-        self._async_keys.clear()
-        self._open_async.clear()
-        self._open_spans.clear()
-
-    def __len__(self) -> int:
-        return len(self.events)
-
 
 #: The shared disabled tracer: every recording method is a guarded
 #: no-op, so holding it costs one attribute slot and each hook one

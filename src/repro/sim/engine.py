@@ -138,10 +138,9 @@ class Simulator:
     [1.5]
     """
 
-    def __init__(self, start_time: float = 0.0,
-                 sanitize: Optional[bool] = None,
+    def __init__(self, sanitize: Optional[bool] = None,
                  tracer: Optional[Tracer] = None):
-        self.now: float = start_time
+        self.now: float = 0.0
         #: simsan: resolved once at construction (arg > REPRO_SIMSAN env)
         #: and hoisted into a local before hot loops, so a disabled
         #: sanitizer costs one boolean test per event.

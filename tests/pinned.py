@@ -25,6 +25,10 @@ Regenerate after an *intentional* semantic change, and say so in the
 PR description::
 
     PYTHONPATH=src python tests/pinned.py --write [server|fleet|chaos ...]
+
+Before it overwrites a tier, ``--write`` prints what moved in each cell
+whose fingerprint changed (the :func:`moved_fields` lines) and how many
+cells did not change --- paste that diff into the PR description.
 """
 
 from __future__ import annotations
@@ -294,18 +298,21 @@ def moved_fields(pinned: str, result: ExperimentResult,
     return lines
 
 
+def _diff(pinned: str, result: ExperimentResult, tier: str) -> str:
+    lines = moved_fields(pinned, result, tier) \
+        or [f"{pinned} -> {fingerprint(result, tier)}"]
+    return "\n  ".join(lines)
+
+
 def assert_pinned(label: str, result: ExperimentResult,
                   tier: str = "server") -> None:
     """Fail with the field-level diff unless ``result`` still has the
     fingerprint stored for ``label``."""
     pinned = load_pins(tier)[label]
-    actual = fingerprint(result, tier)
-    if actual != pinned:
-        lines = moved_fields(pinned, result, tier) \
-            or [f"{pinned} -> {actual}"]
+    if fingerprint(result, tier) != pinned:
         raise AssertionError(
             f"{tier} cell {label} diverged from its pinned fingerprint:\n  "
-            + "\n  ".join(lines))
+            + _diff(pinned, result, tier))
 
 
 def main(argv: List[str]) -> int:
@@ -313,8 +320,20 @@ def main(argv: List[str]) -> int:
         print(__doc__)
         return 1
     for tier in [arg for arg in argv if arg in TIERS] or TIERS:
-        pins = {label: fingerprint(run_experiment(config), tier)
-                for label, config in pinned_grid(tier).items()}
+        old = load_pins(tier) if os.path.exists(data_path(tier)) else {}
+        pins = {}
+        for label, config in pinned_grid(tier).items():
+            result = run_experiment(config)
+            pins[label] = fingerprint(result, tier)
+            if label not in old:
+                print(f"{tier} cell {label}: new")
+            elif pins[label] != old[label]:
+                print(f"{tier} cell {label} moved:\n  "
+                      + _diff(old[label], result, tier))
+        for label in sorted(set(old) - set(pins)):
+            print(f"{tier} cell {label}: dropped")
+        unchanged = sum(old.get(label) == pin for label, pin in pins.items())
+        print(f"{tier}: {unchanged} of {len(pins)} cells unchanged")
         with open(data_path(tier), "w") as handle:
             json.dump(pins, handle, indent=2, sort_keys=True)
             handle.write("\n")

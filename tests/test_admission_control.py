@@ -8,6 +8,7 @@ from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.request import Request, RequestState
 from repro.core.variants import PolarisShedScheduler
 from repro.core.workload import Workload
+from repro.cpu.pstates import POLARIS_FREQUENCIES
 from repro.db.server import DatabaseServer, ServerConfig
 from repro.metrics.latency import LatencyRecorder
 
@@ -73,7 +74,7 @@ def test_server_routes_rejections_to_listeners(sim):
     server = DatabaseServer(
         sim, config,
         scheduler_factory=lambda: PolarisShedScheduler(
-            config.scheduler_frequencies, estimator))
+            POLARIS_FREQUENCIES, estimator))
     recorder = LatencyRecorder()
     recorder.set_window(0.0, math.inf)
     server.add_completion_listener(recorder.on_completion)

@@ -36,7 +36,7 @@ _SHORT = dict(workers=2, request_handlers=1, warmup_seconds=0.3,
 
 #: A fleet that is one server: same node shape as ``_SHORT``.
 _ONE_NODE = dict(shards=1, replicas_per_shard=0, elastic=False,
-                 node_workers=2, node_request_handlers=1)
+                 node_workers=2)
 
 DIFFERENTIAL_CELLS = {
     "polaris": dict(scheme="polaris", slack=40.0),

@@ -10,6 +10,7 @@ from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.polaris import PolarisScheduler
 from repro.core.request import Request, RequestState
 from repro.core.workload import Workload
+from repro.cpu.pstates import POLARIS_FREQUENCIES
 from repro.db.server import DatabaseServer, ServerConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
@@ -26,10 +27,10 @@ def make_server(sim, workers=2, polaris=False):
     factory = None
     if polaris:
         estimator = ExecutionTimeEstimator(window=4)
-        for freq in config.scheduler_frequencies:
+        for freq in POLARIS_FREQUENCIES:
             estimator.prime("w", freq, 0.001 * 2.8 / freq, count=4)
         factory = lambda: PolarisScheduler(  # noqa: E731
-            config.scheduler_frequencies, estimator)
+            POLARIS_FREQUENCIES, estimator)
     return DatabaseServer(sim, config, scheduler_factory=factory,
                           initial_freq=2.8)
 

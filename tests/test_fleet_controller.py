@@ -7,6 +7,7 @@ import pytest
 from repro.core.request import Request
 from repro.core.workload import Workload
 from repro.db.server import DatabaseServer, ServerConfig
+from repro.fleet import controller as elastic
 from repro.fleet.config import FleetConfig
 from repro.fleet.controller import ElasticController
 from repro.fleet.node import Fleet, Node, NodeState, PRIMARY, REPLICA
@@ -15,15 +16,20 @@ from repro.sim.engine import Simulator
 
 WORKLOAD = Workload("w", 10.0)
 
-CONFIG = FleetConfig(
-    shards=1, replicas_per_shard=2, node_workers=1,
-    controller_interval_s=0.1, controller_window_ticks=2,
-    scale_out_utilization=0.55, scale_in_utilization=0.2,
-    controller_cooldown_ticks=1,
-    boot_latency_min_s=0.2, boot_latency_max_s=0.2,
-    drain_grace_s=0.1, drain_poll_s=0.05)
+CONFIG = FleetConfig(shards=1, replicas_per_shard=2, node_workers=1)
 
 PER_NODE_PEAK_TPS = 100.0
+
+
+@pytest.fixture(autouse=True)
+def fast_controller(monkeypatch):
+    """The controller's timings at test scale (the thresholds keep
+    their values)."""
+    for name, value in dict(
+            CONTROLLER_INTERVAL_S=0.1, CONTROLLER_WINDOW_TICKS=2,
+            CONTROLLER_COOLDOWN_TICKS=1, BOOT_LATENCY_S=(0.2, 0.2),
+            DRAIN_GRACE_S=0.1).items():
+        monkeypatch.setattr(elastic, name, value)
 
 
 def build(sim, parked_replicas=0):
@@ -192,15 +198,11 @@ def test_warming_primary_pins_the_last_active_replica(sim):
                for r in shard.replicas) == 1
 
 
-def test_min_active_replicas_floor(sim):
-    config = FleetConfig(
-        shards=1, replicas_per_shard=2, node_workers=1,
-        min_active_replicas=1,
-        controller_interval_s=0.1, controller_window_ticks=2,
-        controller_cooldown_ticks=0,
-        drain_grace_s=0.1, drain_poll_s=0.05)
+def test_min_active_replicas_floor(sim, monkeypatch):
+    monkeypatch.setattr(elastic, "CONTROLLER_COOLDOWN_TICKS", 0)
     fleet, shard, router, controller = build(sim)
-    controller.config = config
+    controller.config = FleetConfig(shards=1, replicas_per_shard=2,
+                                    node_workers=1, min_active_replicas=1)
     controller.start()
     advance(sim, 2.0)
     controller.stop()

@@ -19,6 +19,7 @@ from pinned import (
     static_peak_cell,
 )
 
+from repro.fleet import failover
 from repro.fleet.config import FleetConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.parallel import config_key
@@ -134,14 +135,14 @@ def test_single_server_rejects_fleet_fault_plans():
         run_experiment(config)
 
 
-def test_quick_chaos_cell_arms_the_self_healing_router():
+def test_quick_chaos_cell_arms_the_self_healing_router(monkeypatch):
     """A crash-per-shard plan on a 1-shard fleet: the chaos machinery
     wires up end to end even at smoke scale."""
+    monkeypatch.setattr(failover, "HEARTBEAT_TIMEOUT_S", 0.1)
     config = _quick_fleet_config(faults="shard-crash")
     config.test_seconds = 2.5  # the scenario crashes primaries at 1.5 s
     config.fleet = FleetConfig(shards=1, replicas_per_shard=1,
-                               node_workers=1, elastic=False,
-                               heartbeat_timeout_s=0.1)
+                               node_workers=1, elastic=False)
     result = run_experiment(config)
     assert result.faults_injected == 1
     assert result.fleet_actions["node_crashes"] == 1
@@ -161,10 +162,9 @@ def test_fleet_rejects_tier_policy():
 
 
 def test_fleet_config_validation_runs():
-    with pytest.raises(ValueError, match="hysteresis"):
+    with pytest.raises(ValueError, match="min_active_replicas"):
         run_experiment(_quick_fleet_config(
-            fleet=FleetConfig(scale_in_utilization=0.6,
-                              scale_out_utilization=0.5)))
+            fleet=FleetConfig(replicas_per_shard=1, min_active_replicas=2)))
 
 
 def test_fleet_salts_the_sweep_cache_key():

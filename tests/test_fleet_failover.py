@@ -13,17 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db.server import DatabaseServer, ServerConfig
+from repro.fleet import failover
 from repro.fleet.chaos import ShardReplication
-from repro.fleet.config import FleetConfig
 from repro.fleet.failover import AvailabilityTracker, FailoverManager
 from repro.fleet.node import Fleet, Node, NodeState, PRIMARY, REPLICA
 from repro.fleet.router import ShardState
 
-CONFIG = FleetConfig(
-    shards=1, replicas_per_shard=2, node_workers=1,
-    heartbeat_interval_s=0.05, heartbeat_timeout_s=0.2,
-    replay_fixed_s=0.05, replay_per_record_s=0.0002,
-    boot_latency_min_s=0.3, boot_latency_max_s=0.3)
+
+@pytest.fixture(autouse=True)
+def fixed_boot_latency(monkeypatch):
+    """A warm spare boots in exactly 0.3 s, so the timeline is exact."""
+    monkeypatch.setattr(failover, "BOOT_LATENCY_S", (0.3, 0.3))
 
 
 def _node(sim, node_id, role, lag_s=0.0, parked=False):
@@ -46,7 +46,7 @@ def build(sim, lags=(0.05, 1.0), parked=0, group_commit_size=1):
     replication = ShardReplication(sim, 0, group_commit_size)
     tracker = AvailabilityTracker(sim, [0])
     manager = FailoverManager(sim, fleet, [shard], {0: replication},
-                              CONFIG, tracker, random.Random(42))
+                              tracker, random.Random(42))
     return shard, replication, tracker, manager
 
 

@@ -1,17 +1,17 @@
 """ClusterRouter: sharding, replica reads, stale-read bounces, and the
 self-healing machinery (typed no-active errors, circuit breakers,
-retry-with-backoff, hedged reads) armed under chaos plans."""
+retry-with-backoff) armed under chaos plans."""
 
 import pytest
 
 from repro.core.request import Request
 from repro.core.workload import Workload
 from repro.db.server import DatabaseServer, ServerConfig
+from repro.fleet import router as router_module
 from repro.fleet.node import Node, NodeState, PRIMARY, REPLICA
 from repro.fleet.router import (
     BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN, CircuitBreaker,
-    ClusterRouter, NoActiveNodeError, RouterPolicy, ShardState,
-    read_only_types,
+    ClusterRouter, NoActiveNodeError, ShardState, read_only_types,
 )
 from repro.sim.engine import Simulator
 
@@ -148,18 +148,24 @@ def test_decision_counts_grow_only_when_armed(sim):
     assert set(router.decision_counts()) == {
         "routed_writes", "routed_reads", "replica_reads",
         "stale_read_bounces", "replica_fallbacks"}
-    router.arm_self_healing(RouterPolicy(), lambda r, s: None)
+    router.arm_self_healing(lambda r, s: None)
     counts = router.decision_counts()
-    assert {"breaker_trips", "breaker_skips", "hedged_reads",
-            "retries", "shed_no_active",
+    assert {"breaker_trips", "breaker_skips", "retries", "shed_no_active",
             "stale_reads_served"} <= set(counts)
 
 
 # ----------------------------------------------------------------------
 # CircuitBreaker state machine
 # ----------------------------------------------------------------------
+@pytest.fixture
+def trip_on_first_failure(monkeypatch):
+    monkeypatch.setattr(router_module, "BREAKER_FAILURE_THRESHOLD", 1)
+
+
 def test_breaker_opens_at_the_failure_threshold():
-    breaker = CircuitBreaker(threshold=3, reset_s=0.5)
+    assert router_module.BREAKER_FAILURE_THRESHOLD == 3
+    assert router_module.BREAKER_RESET_S == 0.5
+    breaker = CircuitBreaker()
     assert breaker.record_failure(0.0) is False
     assert breaker.record_failure(0.0) is False
     assert breaker.record_failure(0.0) is True  # the trip
@@ -167,8 +173,8 @@ def test_breaker_opens_at_the_failure_threshold():
     assert breaker.allows(0.4) is False  # still inside reset_s
 
 
-def test_breaker_half_open_probe_then_close():
-    breaker = CircuitBreaker(threshold=1, reset_s=0.5)
+def test_breaker_half_open_probe_then_close(trip_on_first_failure):
+    breaker = CircuitBreaker()
     breaker.record_failure(0.0)
     assert breaker.allows(0.5) is True  # the probe
     assert breaker.state == BREAKER_HALF_OPEN
@@ -176,8 +182,9 @@ def test_breaker_half_open_probe_then_close():
     assert breaker.state == BREAKER_CLOSED
 
 
-def test_breaker_half_open_failure_reopens_and_restarts_the_clock():
-    breaker = CircuitBreaker(threshold=1, reset_s=0.5)
+def test_breaker_half_open_failure_reopens_and_restarts_the_clock(
+        trip_on_first_failure):
+    breaker = CircuitBreaker()
     breaker.record_failure(0.0)
     breaker.allows(0.5)  # -> half-open
     assert breaker.record_failure(0.6) is True  # probe failed
@@ -187,7 +194,7 @@ def test_breaker_half_open_failure_reopens_and_restarts_the_clock():
 
 
 def test_success_resets_the_consecutive_failure_count():
-    breaker = CircuitBreaker(threshold=3, reset_s=0.5)
+    breaker = CircuitBreaker()
     breaker.record_failure(0.0)
     breaker.record_failure(0.0)
     breaker.record_success()
@@ -196,21 +203,18 @@ def test_success_resets_the_consecutive_failure_count():
 
 
 # ----------------------------------------------------------------------
-# Armed routing: retry, shed, breaker gating, hedged reads
+# Armed routing: retry, shed, breaker gating
 # ----------------------------------------------------------------------
-def arm(router, sheds, **overrides):
-    policy = RouterPolicy(**overrides)
-    router.arm_self_healing(policy,
-                            lambda req, shard_id: sheds.append(
-                                (req, shard_id)))
-    return policy
+def arm(router, sheds):
+    router.arm_self_healing(lambda req, shard_id: sheds.append(
+        (req, shard_id)))
 
 
 def test_armed_router_retries_until_the_shard_recovers(sim):
     shard = make_shard(sim, start_parked=True)
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
     sheds = []
-    arm(router, sheds, retry_backoff_s=0.05, retry_limit=3)
+    arm(router, sheds)
     shard.primary.crash()
     write = request(sim, "Write")
     assert router.route(write, key=0) is None  # deferred, not raised
@@ -228,8 +232,7 @@ def test_armed_router_sheds_after_the_retry_budget(sim):
     shard = make_shard(sim, start_parked=True)
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
     sheds = []
-    arm(router, sheds, retry_backoff_s=0.05, retry_limit=3,
-        breaker_failure_threshold=3)
+    arm(router, sheds)
     shard.primary.crash()
     write = request(sim, "Write")
     assert router.route(write, key=0) is None
@@ -248,7 +251,7 @@ def test_flush_pending_retries_closes_the_books(sim):
     shard = make_shard(sim, start_parked=True)
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
     sheds = []
-    arm(router, sheds, retry_backoff_s=0.05, retry_limit=3)
+    arm(router, sheds)
     shard.primary.crash()
     write = request(sim, "Write")
     router.route(write, key=0)
@@ -260,10 +263,11 @@ def test_flush_pending_retries_closes_the_books(sim):
     assert router.flush_pending_retries() == 0  # idempotent
 
 
-def test_open_primary_breaker_serves_stale_reads_degraded(sim):
+def test_open_primary_breaker_serves_stale_reads_degraded(
+        sim, trip_on_first_failure):
     shard = make_shard(sim, lag_s=0.05)
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    arm(router, [], breaker_failure_threshold=1, breaker_reset_s=10.0)
+    arm(router, [])
     router.route(request(sim, "Write"), key=0)
     # Trip the primary's breaker while it stays nominally active.
     router._breakers[0].record_failure(sim.now)
@@ -274,31 +278,3 @@ def test_open_primary_breaker_serves_stale_reads_degraded(sim):
     assert router.breaker_skips == 1
     assert router.stale_reads_served == 1
     assert router.stale_read_bounces == 0
-
-
-def test_hedged_reads_take_the_shorter_queue(sim):
-    shard = make_shard(sim, replicas=2, lag_s=0.0)
-    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    arm(router, [], hedged_reads=True)
-    # Pile queued work onto replica 1 (the round-robin's first pick).
-    for _ in range(4):
-        shard.replicas[0].server.submit(request(sim, "Read"))
-    target = router.route(request(sim, "Read"), key=0)
-    assert target is shard.replicas[1]
-    assert router.hedged_read_switches == 1
-
-
-def test_hedging_ties_keep_the_round_robin_pick_and_balance_load(sim):
-    shard = make_shard(sim, replicas=2, lag_s=0.0)
-    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    arm(router, [], hedged_reads=True)
-    # Empty queues tie: the round-robin pick stands, no switch.
-    assert router.route(request(sim, "Read"), key=0) \
-        is shard.replicas[0]
-    assert router.hedged_read_switches == 0
-    # From here queues diverge and the hedge keeps them level.
-    served = [router.route(request(sim, "Read"), key=0).node_id
-              for _ in range(5)]
-    assert sorted(served) == [1, 1, 2, 2, 2]
-    queues = [r.server.total_queue_length() for r in shard.replicas]
-    assert abs(queues[0] - queues[1]) <= 1

@@ -379,8 +379,8 @@ NEVER_SHARES = {
     "trace-env": (dict(scheme="ondemand"), {"REPRO_TRACE": "1"}),
     "faults-env": (dict(scheme="ondemand"), {"REPRO_FAULTS": "burst"}),
     "fleet": (dict(scheme="ondemand", fleet=FleetConfig(
-        shards=1, replicas_per_shard=0, elastic=False, node_workers=2,
-        node_request_handlers=1)), {}),
+        shards=1, replicas_per_shard=0, elastic=False,
+        node_workers=2)), {}),
 }
 
 

@@ -13,38 +13,31 @@ from repro.sim.engine import Simulator
 # Instruments
 # ----------------------------------------------------------------------
 def test_counter_monotone():
-    c = Counter("txn_completed")
+    c = Counter("deadline_misses")
     c.inc()
-    c.inc(2.5)
-    assert c.sample() == 3.5
-    with pytest.raises(ValueError):
-        c.inc(-1.0)
+    c.inc()
+    assert c.sample() == 2.0
 
 
-def test_gauge_set_and_callback():
-    g = Gauge("queue_depth")
-    g.set(4)
-    assert g.sample() == 4.0
+def test_gauge_reads_its_callback():
     state = {"depth": 7}
-    live = Gauge("live", fn=lambda: state["depth"])
+    live = Gauge("live", lambda: state["depth"])
     assert live.sample() == 7.0
     state["depth"] = 2
     assert live.sample() == 2.0
+    assert type(live.sample()) is float
 
 
-def test_histogram_buckets():
-    h = Histogram("lat", bounds=(0.01, 0.1, 1.0))
+def test_histogram_samples_its_running_mean():
+    h = Histogram("lat")
     for v in (0.005, 0.05, 0.05, 0.5, 5.0):
         h.observe(v)
     assert h.count == 5
-    assert h.bucket_counts == [1, 2, 1, 1]
     assert h.sample() == pytest.approx(sum((0.005, 0.05, 0.05, 0.5, 5.0)) / 5)
 
 
 def test_histogram_empty():
-    h = Histogram("lat")
-    assert h.sample() == 0.0
-    assert h.bucket_counts == [0] * (len(Histogram.DEFAULT_BOUNDS) + 1)
+    assert Histogram("lat").sample() == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -53,19 +46,16 @@ def test_histogram_empty():
 def test_registry_registration_and_sampling():
     reg = MetricRegistry()
     c = reg.counter("b_counter")
-    reg.gauge("a_gauge", fn=lambda: 9.0)
-    c.inc(3)
-    assert reg.names() == ["a_gauge", "b_counter"]
-    assert reg.sample_all() == [("a_gauge", 9.0), ("b_counter", 3.0)]
-    assert "a_gauge" in reg and len(reg) == 2
-    assert reg.get("b_counter") is c
+    reg.gauge("a_gauge", lambda: 9.0)
+    c.inc()
+    assert reg.sample_all() == [("a_gauge", 9.0), ("b_counter", 1.0)]
 
 
 def test_registry_rejects_duplicates():
     reg = MetricRegistry()
     reg.counter("x")
     with pytest.raises(ValueError):
-        reg.gauge("x")
+        reg.gauge("x", lambda: 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +64,7 @@ def test_registry_rejects_duplicates():
 def test_sampler_samples_on_virtual_cadence():
     sim = Simulator()
     reg = MetricRegistry()
-    reg.gauge("clock", fn=lambda: sim.now)
+    reg.gauge("clock", lambda: sim.now)
     sampler = MetricsSampler(sim, reg, interval_s=1.0)
     sampler.start()
     sim.schedule(3.5, sim.stop)
@@ -87,13 +77,14 @@ def test_sampler_samples_on_virtual_cadence():
 def test_sampler_stop_and_final_sample():
     sim = Simulator()
     reg = MetricRegistry()
-    counter = reg.counter("done")
+    state = {"done": 0}
+    reg.gauge("done", lambda: state["done"])
     sampler = MetricsSampler(sim, reg, interval_s=1.0)
     sampler.start()
     sim.schedule(2.5, sim.stop)
     sim.run()
     sampler.stop()
-    counter.inc(5)
+    state["done"] = 5
     sampler.sample_once()
     points = sampler.series["done"]
     assert points[-1] == (2.5, 5.0)
@@ -110,7 +101,7 @@ def test_sampler_mirrors_onto_tracer():
     tracer = Tracer()
     sim = Simulator(tracer=tracer)
     reg = MetricRegistry()
-    reg.gauge("power_watts", fn=lambda: 42.0)
+    reg.gauge("power_watts", lambda: 42.0)
     sampler = MetricsSampler(sim, reg, interval_s=1.0, tracer=tracer)
     sampler.start()
     sim.schedule(1.5, sim.stop)

@@ -200,6 +200,7 @@ def test_server_deep_cstates_configured(sim):
 def test_scheduler_cores_start_at_floor(sim):
     from repro.core.estimator import ExecutionTimeEstimator
     from repro.core.polaris import PolarisScheduler
+    from repro.cpu.pstates import POLARIS_FREQUENCIES
     from repro.db.server import DatabaseServer, ServerConfig
 
     config = ServerConfig(workers=2)
@@ -207,7 +208,7 @@ def test_scheduler_cores_start_at_floor(sim):
     server = DatabaseServer(
         sim, config,
         scheduler_factory=lambda: PolarisScheduler(
-            config.scheduler_frequencies, estimator))
+            POLARIS_FREQUENCIES, estimator))
     assert all(core.freq == 1.2 for core in server.cores)
     baseline = DatabaseServer(sim, ServerConfig(workers=2))
     assert all(core.freq == 2.8 for core in baseline.cores)

@@ -8,6 +8,7 @@ from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.polaris import PolarisScheduler
 from repro.core.request import Request, RequestState
 from repro.core.workload import Workload
+from repro.cpu.pstates import POLARIS_FREQUENCIES
 from repro.db.server import BaselineDispatcher, DatabaseServer, ServerConfig
 from repro.governors.static import UserspaceGovernor
 from repro.harness.experiment import ExperimentConfig, RunFlags, run_experiment
@@ -22,7 +23,7 @@ def make_server(sim, workers=4, scheduler=False, **config_kwargs):
     factory = None
     if scheduler:
         factory = lambda: PolarisScheduler(  # noqa: E731
-            config.scheduler_frequencies, estimator)
+            POLARIS_FREQUENCIES, estimator)
     return DatabaseServer(sim, config, scheduler_factory=factory), estimator
 
 

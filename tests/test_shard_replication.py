@@ -12,11 +12,9 @@ the promoted replica's applied prefix.
 import random
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fleet.chaos import ShardReplication
-from repro.fleet.config import FleetConfig
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 GROUPS = st.integers(min_value=1, max_value=12)
@@ -88,11 +86,6 @@ def test_replay_applies_only_committed():
     write(replication, 3)
     replication.on_primary_crash()
     assert promote_caught_up(replication) == 4  # 2 x (UPDATE + COMMIT)
-
-
-def test_group_commit_size_validation():
-    with pytest.raises(ValueError):
-        FleetConfig(group_commit_size=0).validate()
 
 
 # ----------------------------------------------------------------------

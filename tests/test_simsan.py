@@ -74,7 +74,8 @@ def test_invariant_error_carries_context():
 # Engine invariants
 # ----------------------------------------------------------------------
 def test_engine_clock_monotonicity_violation():
-    sim = Simulator(sanitize=True, start_time=5.0)
+    sim = Simulator(sanitize=True)
+    sim.run(until=5.0)
     sim.schedule(1.0, lambda: None)
     # tamper: an entry earlier than now, pushed behind schedule()'s back
     heapq.heappush(sim._heap, Event((-1.0, 0, 99, lambda: None, False, sim)))

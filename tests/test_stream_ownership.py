@@ -14,6 +14,7 @@ its own way could fork a pinned sequence on a method it forgot.
 import random
 import sys
 
+from repro.fleet import failover
 from repro.fleet.config import FleetConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.sim.rng import RandomStreams
@@ -32,10 +33,11 @@ def _cells():
     yield ExperimentConfig(
         test_seconds=2.0, faults="shard-crash", **_TINY,
         fleet=FleetConfig(shards=1, replicas_per_shard=1, node_workers=1,
-                          elastic=False, heartbeat_timeout_s=0.1))
+                          elastic=False))
 
 
 def test_each_stream_name_is_requested_by_one_module(monkeypatch):
+    monkeypatch.setattr(failover, "HEARTBEAT_TIMEOUT_S", 0.1)
     #: (registry, name) -> requesting modules; the key keeps the
     #: registry alive, so no two registries share an identity.
     owners = {}

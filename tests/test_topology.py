@@ -40,19 +40,17 @@ def test_topology_per_socket_groups():
 
 
 def test_topology_per_module_groups():
-    topology = SocketTopology(granularity="per-module", cores_per_module=2)
+    topology = SocketTopology(granularity="per-module")
     assert topology.domain_groups(5) == [(0, 1), (2, 3), (4,)]
 
 
 def test_topology_validation():
     with pytest.raises(ValueError):
         SocketTopology(granularity="per-rack")
-    with pytest.raises(ValueError):
-        SocketTopology(cores_per_socket=0)
-    with pytest.raises(ValueError):
-        SocketTopology(cores_per_module=0)
-    with pytest.raises(ValueError):
-        SocketTopology(switch_latency_s=-1.0)
+    for latency_s in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="switch_latency_s"):
+            SocketTopology(granularity="per-socket",
+                           switch_latency_s=latency_s)
 
 
 def test_make_topology_coercions():

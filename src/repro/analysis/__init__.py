@@ -4,9 +4,10 @@ Two halves:
 
 * **reprolint** (:mod:`repro.analysis.linter`,
   :mod:`repro.analysis.rules`, CLI ``python -m repro.analysis``) ---
-  per-file AST lint rules RL001-RL009 enforcing the determinism
-  contract (no wall clocks, no global RNG, no set-order dependence,
-  unit-suffix discipline, ...).
+  per-file AST lint rules for hazards no run shows, so tier-1 cannot
+  catch them: RL004 float equality on times and frequencies, RL005
+  mutable defaults, RL007 swallowed exceptions, RL008 unfrozen state
+  dataclasses, RL009 suppression hygiene.
 * **simsan** (:mod:`repro.analysis.sanitizer`) --- the opt-in runtime
   invariant checker (``REPRO_SIMSAN=1`` / ``sanitize=True``) that the
   engine, schedulers, and CPU model consult.

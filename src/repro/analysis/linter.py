@@ -1,34 +1,33 @@
-"""reprolint --- an AST lint framework for determinism/invariant rules.
+"""reprolint --- an AST lint framework for the rules tier-1 cannot replace.
 
 The framework is deliberately small: a rule is a class with a ``code``
 (``RL###``), a ``name``, and a ``check(ctx)`` generator yielding
 :class:`Finding` objects; rules register themselves with
-:func:`register`.  :func:`lint_source` runs every registered (or
-selected) rule over one source string and :func:`run_analysis` over
-every ``.py`` file under some paths, one file at a time.  The rules
-themselves live in :mod:`repro.analysis.rules` and are specific to this
-codebase's determinism contract --- see that module for the rule table.
+:func:`register`.  :func:`lint_source` runs every registered rule over
+one source string and :func:`run_analysis` over every ``.py`` file
+under some paths, one file at a time.  The rules themselves live in
+:mod:`repro.analysis.rules` --- see that module for the rule table.
 
 Suppressions
 ------------
 A finding is suppressed by a trailing comment on the *flagged line*::
 
-    t = time.time()  # reprolint: disable=RL001 - reason why this is fine
+    except:  # reprolint: disable=RL007 - reason why this is fine
 
-``disable=RL001,RL004`` suppresses several codes at once and a bare
+``disable=RL004,RL007`` suppresses several codes at once and a bare
 ``# reprolint: disable`` (no codes) suppresses every rule on that line.
 Suppressions must carry a reason after the code list: the RL009
-hygiene rule flags reasonless comments, and an unrestricted
-:func:`run_analysis` reports suppressions that silenced nothing as
-unused.
+hygiene rule flags reasonless comments, and :func:`run_analysis`
+reports suppressions that silenced nothing as unused.
 
 Paths
 -----
-Rules that only apply to parts of the tree (e.g. RL006's unit-suffix
-discipline in ``cpu/``, ``sim/``, ``core/``) scope themselves on the
-file's path *relative to the* ``repro`` *package* (``sim/engine.py``).
-Files outside a ``repro`` directory only see the unscoped rules, so the
-linter stays usable on scratch files and test fixtures.
+Rules that only apply to parts of the tree (RL007's swallowed
+exceptions in the engine and scheduler packages, for one) scope
+themselves on the file's path *relative to the* ``repro`` *package*
+(``sim/engine.py``).  Files outside a ``repro`` directory only see the
+unscoped rules, so the linter stays usable on scratch files and test
+fixtures.
 """
 
 from __future__ import annotations
@@ -57,9 +56,9 @@ PARSE_ERROR_CODE = "RL000"
 
 #: Suppression-hygiene rule code: comments without a reason, and
 #: suppressions that silence nothing, are findings themselves.  The
-#: code is special-cased in :meth:`FileContext.is_suppressed` --- a
-#: blanket or reasonless comment cannot silence the finding *about*
-#: that comment; only an explicit ``disable=RL009`` listing can.
+#: code is special-cased in :meth:`Suppression.covers` --- a blanket or
+#: reasonless comment cannot silence the finding *about* that comment;
+#: only an explicit ``disable=RL009`` listing can.
 SUPPRESSION_HYGIENE_CODE = "RL009"
 
 
@@ -88,18 +87,12 @@ class Suppression:
     reason: str                    #: "" when no ``- reason`` was given
 
     def covers(self, code: str) -> bool:
-        return self.codes is None or code in self.codes
-
-
-def suppression_covers(suppression: Suppression, code: str) -> bool:
-    """Whether one disable comment silences ``code`` --- with the RL009
-    special case: the hygiene finding about a comment is silenced only
-    by an *explicit* RL009 listing, never by the blanket form it is
-    complaining about."""
-    if code == SUPPRESSION_HYGIENE_CODE:
-        return suppression.codes is not None and \
-            code in suppression.codes
-    return suppression.covers(code)
+        """Whether this comment silences ``code``.  The hygiene finding
+        about a comment is silenced only by an *explicit* RL009
+        listing, never by the blanket form it is complaining about."""
+        if self.codes is None:
+            return code != SUPPRESSION_HYGIENE_CODE
+        return code in self.codes
 
 
 def parse_suppressions(source: str) -> Dict[int, Suppression]:
@@ -147,26 +140,14 @@ def _iter_comments(source: str) -> Iterator[Tuple[int, int, str]]:
 class FileContext:
     """Everything a rule needs about one source file.
 
-    Attributes
-    ----------
-    path / rel:
-        The path as given, and the path relative to the innermost
-        ``repro`` package directory (``sim/engine.py``); ``rel`` falls
-        back to the bare filename when the path has no ``repro`` part.
-    tree:
-        The parsed :mod:`ast` module.
-    module_aliases:
-        Local name -> imported module (``import random as rnd`` binds
-        ``rnd -> random``).
-    imported_names:
-        Local name -> dotted origin for ``from``-imports
-        (``from time import perf_counter`` binds
-        ``perf_counter -> time.perf_counter``).
+    ``path`` is the path as given; ``rel`` is the path relative to the
+    innermost ``repro`` package directory (``sim/engine.py``), or the
+    bare filename when the path has no ``repro`` part.  ``tree`` is the
+    parsed :mod:`ast` module and ``suppressions`` its disable comments.
     """
 
     def __init__(self, path: str, source: str):
         self.path = str(path)
-        self.source = source
         self.tree = ast.parse(source)
         parts = Path(self.path).parts
         if "repro" in parts:
@@ -175,20 +156,7 @@ class FileContext:
         else:
             self.rel = Path(self.path).name
         self.suppressions = parse_suppressions(source)
-        self.module_aliases: Dict[str, str] = {}
-        self.imported_names: Dict[str, str] = {}
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.module_aliases[alias.asname or alias.name] = \
-                        alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module \
-                    and node.level == 0:
-                for alias in node.names:
-                    self.imported_names[alias.asname or alias.name] = \
-                        f"{node.module}.{alias.name}"
 
-    # ------------------------------------------------------------------
     def in_dirs(self, dirs: Iterable[str]) -> bool:
         """Whether this file sits under one of the package directories."""
         head = self.rel.split("/", 1)[0]
@@ -196,32 +164,7 @@ class FileContext:
 
     def is_suppressed(self, code: str, line: int) -> bool:
         suppression = self.suppressions.get(line)
-        if suppression is None:
-            return False
-        return suppression_covers(suppression, code)
-
-    def resolve_dotted(self, node: ast.AST) -> Optional[str]:
-        """Fully-qualify a ``Name``/``Attribute`` chain through imports.
-
-        ``time.perf_counter`` -> ``"time.perf_counter"``;
-        with ``from datetime import datetime``, ``datetime.now`` ->
-        ``"datetime.datetime.now"``.  Returns ``None`` for anything that
-        is not a plain dotted chain rooted at an imported name.
-        """
-        chain: List[str] = []
-        while isinstance(node, ast.Attribute):
-            chain.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        root = node.id
-        if root in self.module_aliases:
-            base = self.module_aliases[root]
-        elif root in self.imported_names:
-            base = self.imported_names[root]
-        else:
-            return None
-        return ".".join([base] + chain[::-1])
+        return suppression is not None and suppression.covers(code)
 
 
 class LintRule:
@@ -255,17 +198,11 @@ def register(cls: Type[LintRule]) -> Type[LintRule]:
     return cls
 
 
-def _select_rules(select: Optional[Iterable[str]]) -> List[LintRule]:
-    from repro.analysis import rules  # noqa: F401 - populates the registry
-    wanted = None if select is None else {c.upper() for c in select}
-    return [RULE_REGISTRY[code]() for code in sorted(RULE_REGISTRY)
-            if wanted is None or code in wanted]
-
-
-def _lint_file(path: str, source: str, rules: Sequence[LintRule]) -> Tuple[
+def _lint_file(path: str, source: str) -> Tuple[
         List[Finding], List[Finding], Dict[int, Suppression]]:
-    """Run ``rules`` over one file: (kept, suppressed, its disable
+    """Run every rule over one file: (kept, suppressed, its disable
     comments).  A file that does not parse yields one RL000 finding."""
+    from repro.analysis import rules  # noqa: F401 - populates the registry
     try:
         ctx = FileContext(path, source)
     except SyntaxError as exc:
@@ -275,8 +212,8 @@ def _lint_file(path: str, source: str, rules: Sequence[LintRule]) -> Tuple[
                 [], parse_suppressions(source))
     kept: List[Finding] = []
     suppressed: List[Finding] = []
-    for rule in rules:
-        for finding in rule.check(ctx):
+    for code in sorted(RULE_REGISTRY):
+        for finding in RULE_REGISTRY[code]().check(ctx):
             if ctx.is_suppressed(finding.code, finding.line):
                 suppressed.append(finding)
             else:
@@ -284,80 +221,59 @@ def _lint_file(path: str, source: str, rules: Sequence[LintRule]) -> Tuple[
     return kept, suppressed, ctx.suppressions
 
 
-def lint_source(source: str, path: str = "<string>",
-                select: Optional[Iterable[str]] = None,
-                include_suppressed: bool = False) -> List[Finding]:
-    """Run the registered rules over one source string.
-
-    Returns findings ordered by (line, col, code); suppressed findings
-    are dropped unless ``include_suppressed`` asks for them (used by the
-    self-tests).
-    """
-    kept, suppressed, _ = _lint_file(str(path), source,
-                                     _select_rules(select))
-    findings = kept + suppressed if include_suppressed else kept
-    findings.sort(key=lambda f: (f.line, f.col, f.code))
-    return findings
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
+    """Run the registered rules over one source string; the findings
+    no suppression silences, ordered by (line, col, code)."""
+    kept, _, _ = _lint_file(str(path), source)
+    return sorted(kept, key=lambda f: (f.line, f.col, f.code))
 
 
 @dataclass
 class AnalysisResult:
-    """Everything one :func:`run_analysis` call produced, each list in
-    (path, line, col, code) order."""
+    """One :func:`run_analysis` call: its findings, in (path, line,
+    col, code) order, and how many files it read."""
 
     findings: List[Finding]
-    suppressed: List[Finding]
     files_checked: int
 
 
 def _unused_suppressions(path: str, kept: List[Finding],
                          suppressed: List[Finding],
                          suppressions: Dict[int, Suppression]
-                         ) -> Iterator[Tuple[Finding, bool]]:
-    """(RL009 finding, whether it is itself suppressed) for every
-    disable comment in one file that silenced nothing.  Listing RL009
-    explicitly is the sanctioned opt-out."""
+                         ) -> Iterator[Finding]:
+    """An RL009 finding for every disable comment in one file that
+    silenced nothing.  Listing RL009 explicitly is the sanctioned
+    opt-out."""
     used = {f.line for f in suppressed}
     reasonless = {f.line for f in kept + suppressed
                   if f.code == SUPPRESSION_HYGIENE_CODE}
     for sup in suppressions.values():
-        if sup.line in used or sup.line in reasonless:
-            continue  # needed, or already flagged for the missing reason
+        if sup.line in used or sup.line in reasonless or \
+                sup.covers(SUPPRESSION_HYGIENE_CODE):
+            continue  # needed, already flagged, or explicitly allowed
         what = "blanket suppression" if sup.codes is None else \
             f"suppression of {', '.join(sorted(sup.codes))}"
-        yield (Finding(SUPPRESSION_HYGIENE_CODE, "suppression-hygiene",
-                       path, sup.line, sup.col,
-                       f"unused {what}: no finding on this line needs "
-                       f"it; remove the disable comment"),
-               suppression_covers(sup, SUPPRESSION_HYGIENE_CODE))
+        yield Finding(SUPPRESSION_HYGIENE_CODE, "suppression-hygiene",
+                      path, sup.line, sup.col,
+                      f"unused {what}: no finding on this line needs "
+                      f"it; remove the disable comment")
 
 
-def run_analysis(paths: Sequence,
-                 select: Optional[Sequence[str]] = None) -> AnalysisResult:
-    """Lint every ``.py`` file under ``paths``.
-
-    ``select`` restricts the run to the listed codes.  Unused-suppression
-    detection only happens on unrestricted runs, where "nothing needed
-    this suppression" is actually known.
-    """
-    rules = _select_rules(select)
+def run_analysis(paths: Sequence) -> AnalysisResult:
+    """Lint every ``.py`` file under ``paths``, reporting unused
+    suppressions too."""
     findings: List[Finding] = []
-    silenced: List[Finding] = []
     files_checked = 0
     for file in iter_python_files(paths):
         path = str(file)
         kept, suppressed, suppressions = _lint_file(
-            path, file.read_text(encoding="utf-8"), rules)
+            path, file.read_text(encoding="utf-8"))
         files_checked += 1
         findings.extend(kept)
-        silenced.extend(suppressed)
-        if select is None:
-            for finding, covered in _unused_suppressions(
-                    path, kept, suppressed, suppressions):
-                (silenced if covered else findings).append(finding)
-    key = lambda f: (f.path, f.line, f.col, f.code)  # noqa: E731
-    return AnalysisResult(sorted(findings, key=key),
-                          sorted(silenced, key=key), files_checked)
+        findings.extend(_unused_suppressions(path, kept, suppressed,
+                                             suppressions))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+    return AnalysisResult(findings, files_checked)
 
 
 def iter_python_files(paths: Sequence) -> Iterator[Path]:
@@ -401,6 +317,5 @@ __all__ = [
     "AnalysisResult", "FileContext", "Finding", "LintRule",
     "PARSE_ERROR_CODE", "RULE_REGISTRY", "SUPPRESSION_HYGIENE_CODE",
     "Suppression", "iter_python_files", "lint_source",
-    "parse_suppressions", "register", "render_text",
-    "run_analysis", "suppression_covers",
+    "parse_suppressions", "register", "render_text", "run_analysis",
 ]

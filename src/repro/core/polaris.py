@@ -65,7 +65,7 @@ gets rows stamped per call instead, and then the same walk runs.
 
 **Shared frequency domains.**  ``select_frequency`` assumes per-core
 DVFS, as the paper does.  On coarse topologies
-(:class:`~repro.cpu.topology.SocketTopology` at per-module/per-socket
+(:class:`~repro.cpu.topology.SocketTopology` at per-socket
 granularity) the selected frequency becomes this core's *vote*: the
 worker's PERF_CTL write lands in the core's
 :class:`~repro.cpu.topology.FrequencyDomain`, which applies the maximum

@@ -51,6 +51,9 @@ DEEP_LADDER = (
     CState("C6", 0.15, float("inf"), 133e-6),
 )
 
+#: The ladders a config names (``ServerConfig.cstate_ladder``).
+LADDERS = {"c1": C1_ONLY, "deep": DEEP_LADDER}
+
 
 class CStateModel:
     """Computes energy and wake latency for idle intervals."""

@@ -13,8 +13,8 @@ deployment.
 Two classes model it:
 
 * :class:`SocketTopology` --- the static shape: how core ids group into
-  frequency domains (``per-core``, ``per-module``, ``per-socket``) and
-  how long a domain-wide P-state switch stalls its member cores.
+  frequency domains (``per-core``, ``per-socket``) and how long a
+  domain-wide P-state switch stalls its member cores.
 * :class:`FrequencyDomain` --- the dynamic coordination: N cores share
   one P-state register, each core files a *requested* frequency (its
   vote), and the domain runs at the **maximum of the member votes** ---
@@ -41,22 +41,19 @@ if TYPE_CHECKING:  # layering: topology sits beside core, below db/server
     from repro.cpu.core import Core
 
 #: Recognized granularity names, coarsest domain last.
-GRANULARITIES = ("per-core", "per-module", "per-socket")
+GRANULARITIES = ("per-core", "per-socket")
 
 #: Cores per ``per-socket`` domain --- the paper's testbed: two 8-core
 #: Xeon E5-2640 v3 packages.
 CORES_PER_SOCKET = 8
-#: Cores per ``per-module`` domain (e.g. an AMD CCX or Intel E-core
-#: cluster).
-CORES_PER_MODULE = 2
 
 
 @dataclass(frozen=True)
 class SocketTopology:
     """How cores map onto shared frequency domains.
 
-    ``granularity`` picks the domain size (1, :data:`CORES_PER_MODULE`
-    or :data:`CORES_PER_SOCKET` cores).
+    ``granularity`` picks the domain size (1 or :data:`CORES_PER_SOCKET`
+    cores).
     ``switch_latency_s`` models the cost of re-locking a *shared* PLL:
     every domain P-state transition stalls each member core for that
     long (0.0 reproduces the paper's sub-microsecond direct-MSR
@@ -86,8 +83,6 @@ class SocketTopology:
         """Cores per frequency domain at this granularity."""
         if self.granularity == "per-socket":
             return CORES_PER_SOCKET
-        if self.granularity == "per-module":
-            return CORES_PER_MODULE
         return 1
 
     def domain_groups(self, n_cores: int) -> List[Tuple[int, ...]]:
@@ -251,6 +246,6 @@ class FrequencyDomain:
 
 
 __all__ = [
-    "CORES_PER_MODULE", "CORES_PER_SOCKET", "FrequencyDomain",
+    "CORES_PER_SOCKET", "FrequencyDomain",
     "GRANULARITIES", "SocketTopology", "make_topology",
 ]

@@ -26,9 +26,9 @@ from typing import Callable, List, Optional
 from repro.analysis.sanitizer import invariant
 from repro.core.polaris import PolarisScheduler
 from repro.core.request import Request, RequestState
-from repro.core.routing import RoutingPolicy, make_routing
+from repro.core.routing import ROUTING_POLICIES, RoutingPolicy, make_routing
 from repro.cpu.core import Core
-from repro.cpu.cstates import C1_ONLY, CStateModel, DEEP_LADDER
+from repro.cpu.cstates import LADDERS, CStateModel
 from repro.cpu.msr import IA32_PERF_CTL, MsrError, MsrFile, encode_perf_ctl
 from repro.cpu.power import CorePowerModel, ServerPowerModel
 from repro.cpu.pstates import POLARIS_FREQUENCIES, XEON_E5_2640V3_PSTATES
@@ -70,6 +70,11 @@ class BaselineDispatcher:
         return len(self.queue)
 
 
+#: ``ServerConfig.routing`` values: the prototype's rotation, built into
+#: the server, and the :mod:`repro.core.routing` policies.
+ROUTINGS = ("rh-round-robin", *ROUTING_POLICIES)
+
+
 @dataclass
 class ServerConfig:
     """Server shape and execution options.
@@ -93,7 +98,7 @@ class ServerConfig:
     cstate_ladder: str = "c1"
     #: Frequency-domain granularity: ``None``/"per-core" (independent
     #: P-state registers, the paper's assumption and today's default),
-    #: "per-module"/"per-socket", or an explicit
+    #: "per-socket", or an explicit
     #: :class:`~repro.cpu.topology.SocketTopology`.  Coarse domains
     #: resolve member requests with the cpufreq max-of-votes rule.
     topology: Optional[object] = None
@@ -102,11 +107,10 @@ class ServerConfig:
         return make_topology(self.topology)
 
     def make_cstates(self) -> CStateModel:
-        if self.cstate_ladder == "c1":
-            return CStateModel(C1_ONLY)
-        if self.cstate_ladder == "deep":
-            return CStateModel(DEEP_LADDER)
-        raise ValueError(f"unknown C-state ladder {self.cstate_ladder!r}")
+        if self.cstate_ladder not in LADDERS:
+            raise ValueError(
+                f"unknown C-state ladder {self.cstate_ladder!r}")
+        return CStateModel(LADDERS[self.cstate_ladder])
 
 
 def _override(dispatcher, name: str, base: type) -> Optional[Callable]:

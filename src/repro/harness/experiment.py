@@ -46,14 +46,15 @@ from repro.analysis.sanitizer import simsan_enabled
 from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.request import Request
 from repro.core.workload import Workload, WorkloadManager
+from repro.cpu.cstates import LADDERS
 from repro.cpu.pstates import POLARIS_FREQUENCIES
-from repro.cpu.topology import make_topology
-from repro.db.server import DatabaseServer, ServerConfig
+from repro.cpu.topology import GRANULARITIES, make_topology
+from repro.db.server import ROUTINGS, DatabaseServer, ServerConfig
 from repro.faults import resolve_fault_plan
 from repro.fleet.config import FleetConfig
 from repro.governors.base import GovernorSet
 from repro.harness.profiling import perf_clock
-from repro.harness.schemes import scheme_named
+from repro.harness.schemes import SCHEMES, scheme_named
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.power import PowerMeter
 from repro.obs.trace import NULL_TRACER, Tracer, trace_enabled
@@ -78,6 +79,10 @@ BENCHMARKS: Dict[str, Callable[[], BenchmarkSpec]] = {
 for _letter in "abcdef":
     BENCHMARKS[f"ycsb-{_letter}"] = (
         lambda letter=_letter: ycsb.make_spec(letter))
+
+#: How workloads are formed: one per transaction type (Sections
+#: 6.2-6.4) or one per named tier (Section 6.5, ``tier_targets``).
+WORKLOAD_POLICIES = ("per-type", "tiers")
 
 #: Load calibration.  The paper expresses loads as fractions of the
 #: *measured* peak throughput of its testbed.  That measurement embeds
@@ -160,10 +165,10 @@ class ExperimentConfig:
     cstate_ladder: str = "c1"
     #: Frequency-domain granularity: "per-core" (independent P-state
     #: registers, the paper's assumption and the default --- runs are
-    #: bit-identical to pre-domain builds), "per-module", or
-    #: "per-socket" (cpufreq max-of-votes coordination).  Part of the
-    #: sweep-cache key via ``asdict``, so cached per-core results are
-    #: never served for coarse-domain cells or vice versa.
+    #: bit-identical to pre-domain builds) or "per-socket" (cpufreq
+    #: max-of-votes coordination).  Part of the sweep-cache key via
+    #: ``asdict``, so cached per-core results are never served for
+    #: coarse-domain cells or vice versa.
     topology: str = "per-core"
     #: Domain P-state switch stall (seconds) on shared-domain
     #: topologies; ignored at per-core granularity.
@@ -195,15 +200,24 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Reject out-of-range fields here, by name, rather than from
-        inside the engine (``scheme`` is checked by ``scheme_named``).
-        Every rule is written so that NaN fails it."""
+        inside the engine.  Every rule is written so that NaN fails
+        it."""
         def need(ok: bool, name: str, rule: str) -> None:
             if not ok:
                 raise ValueError(
                     f"{name} {rule}, got {getattr(self, name)!r}")
 
-        need(self.benchmark in BENCHMARKS, "benchmark",
-             f"must be one of {', '.join(sorted(BENCHMARKS))}")
+        for name, choices in (("benchmark", BENCHMARKS),
+                              ("scheme", SCHEMES),
+                              ("workload_policy", WORKLOAD_POLICIES),
+                              ("routing", ROUTINGS),
+                              ("cstate_ladder", LADDERS),
+                              ("topology", GRANULARITIES)):
+            need(getattr(self, name) in choices, name,
+                 f"must be one of {', '.join(sorted(choices))}")
+        need(self.workload_policy != "tiers" or bool(self.tier_targets),
+             "tier_targets", "must name the tiers under workload_policy "
+             "'tiers'")
         need(math.isfinite(self.slack) and self.slack > 0, "slack",
              "must be finite and positive")
         for name in ("workers", "request_handlers", "estimator_window"):
@@ -313,13 +327,9 @@ class ExperimentResult:
 
 def _build_workloads(config: ExperimentConfig,
                      spec: BenchmarkSpec) -> WorkloadManager:
-    if config.workload_policy == "per-type":
-        return WorkloadManager.per_type_with_slack(spec, config.slack)
     if config.workload_policy == "tiers":
-        if not config.tier_targets:
-            raise ValueError("tier policy requires tier_targets")
         return WorkloadManager.tiers(config.tier_targets)
-    raise ValueError(f"unknown workload policy {config.workload_policy!r}")
+    return WorkloadManager.per_type_with_slack(spec, config.slack)
 
 
 def _train_estimator(estimator: ExecutionTimeEstimator,

@@ -299,6 +299,9 @@ class SweepRunner:
         """Execute (or recall) every cell; deterministic output order."""
         start = perf_clock()
         configs = list(configs)
+        # A bad cell fails the sweep before any cell is keyed or run.
+        for config in configs:
+            config.validate()
         results: List[Optional[ExperimentResult]] = [None] * len(configs)
         salt = code_version_salt() if self.use_cache else None
         keys: List[Optional[str]] = [None] * len(configs)

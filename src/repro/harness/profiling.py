@@ -22,10 +22,10 @@ def perf_clock() -> float:
     --- the ONLY sanctioned host-clock read.
 
     Results may be recorded (phase timings, cells/sec) but never
-    influence simulated behaviour.  reprolint RL001 enforces this:
-    every other ``time.time()``/``perf_counter()``/``datetime.now()``
-    in the tree is a lint error, so "what can observe the host clock"
-    stays one grep-sized function.
+    influence simulated behaviour: a host-clock read that reaches a
+    simulated decision moves the pinned fingerprints, which tier-1
+    checks (DESIGN.md section 9).  Keeping every read here keeps "what
+    can observe the host clock" one grep-sized function.
     """
     return time.perf_counter()
 

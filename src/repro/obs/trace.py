@@ -26,8 +26,8 @@ A *track* is a (process, thread) name pair mapped to small integer
 ids in registration order, so ids --- like every timestamp --- are a
 pure function of the simulation and traces are byte-identical across
 same-seed runs.  Timestamps are virtual-clock seconds converted to the
-format's mandatory integer microseconds (``ts_us``; see the RL006
-audited exemptions).
+format's mandatory integer microseconds (``ts_us``; DESIGN.md §5,
+decision 14).
 """
 
 from __future__ import annotations

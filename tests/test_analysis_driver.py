@@ -1,12 +1,9 @@
-"""``run_analysis`` and the CLI on synthetic trees: suppression
-accounting, including the synthesized unused-suppression findings."""
+"""``run_analysis`` on synthetic trees: suppression accounting,
+including the synthesized unused-suppression findings."""
 
-import pytest
+from pathlib import Path
 
-from repro.analysis.cli import main as cli_main
-from repro.analysis.linter import (
-    parse_suppressions, run_analysis, suppression_covers,
-)
+from repro.analysis.linter import parse_suppressions, run_analysis
 
 
 def write_tree(tmp_path, files):
@@ -42,9 +39,9 @@ def test_suppression_covers_rl009_needs_explicit_listing():
     sups = parse_suppressions(
         "a = 1  # reprolint: disable\n"
         "b = 2  # reprolint: disable=RL009\n")
-    assert suppression_covers(sups[1], "RL001")
-    assert not suppression_covers(sups[1], "RL009")
-    assert suppression_covers(sups[2], "RL009")
+    assert sups[1].covers("RL007")
+    assert not sups[1].covers("RL009")
+    assert sups[2].covers("RL009")
 
 
 # ----------------------------------------------------------------------
@@ -52,7 +49,7 @@ def test_suppression_covers_rl009_needs_explicit_listing():
 # ----------------------------------------------------------------------
 def test_driver_reports_unused_suppression(tmp_path):
     write_tree(tmp_path, {
-        "sim/x.py": "def f():  # reprolint: disable=RL001 - stale\n"
+        "sim/x.py": "def f():  # reprolint: disable=RL007 - stale\n"
                     "    return 1\n",
     })
     result = run_analysis([tmp_path])
@@ -61,35 +58,15 @@ def test_driver_reports_unused_suppression(tmp_path):
 
 
 def test_driver_used_suppression_is_not_flagged(tmp_path):
+    body = ("def f():\n"
+            "    try:\n"
+            "        return g()\n"
+            "    except:{}\n"
+            "        raise\n")
     write_tree(tmp_path, {
-        "sim/x.py": "import time\n"
-                    "def f():\n"
-                    "    return time.time()  "
-                    "# reprolint: disable=RL001 - fixture\n",
+        "sim/x.py": body.format("  # reprolint: disable=RL007 - fixture"),
+        "sim/y.py": body.format(""),
     })
-    result = run_analysis([tmp_path])
-    assert result.findings == []
-    assert [f.code for f in result.suppressed] == ["RL001"]
-
-
-def test_driver_select_skips_unused_detection(tmp_path):
-    write_tree(tmp_path, {
-        "sim/x.py": "def f():  # reprolint: disable=RL001 - stale\n"
-                    "    return 1\n",
-    })
-    result = run_analysis([tmp_path], select=["RL001"])
-    assert result.findings == []
-
-
-# ----------------------------------------------------------------------
-# CLI end to end
-# ----------------------------------------------------------------------
-def test_cli_select_accepts_only_per_file_codes(tmp_path, capsys):
-    root = write_tree(tmp_path, {"sim/x.py": "x = 1\n"})
-    assert cli_main([str(root), "--select", "RL003"]) == 0
-    # The deleted whole-program codes are unknown now, like RL999.
-    for code in ("RL101", "RL102", "RL103", "RL104",
-                 "RL110", "RL111", "RL112", "RL113", "RL999"):
-        with pytest.raises(SystemExit) as raised:
-            cli_main([str(root), "--select", code])
-        assert raised.value.code == 2
+    findings = run_analysis([tmp_path]).findings
+    assert [(f.code, Path(f.path).name) for f in findings] == \
+        [("RL007", "y.py")]

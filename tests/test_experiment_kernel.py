@@ -200,6 +200,44 @@ def test_bad_load_trace_sample_is_rejected_by_field_and_index(sample):
     ExperimentConfig(load_trace=[0.0, 0.5, 1.0]).validate()
 
 
+#: One bad value per string field, and the field the error must name.
+_BAD_NAMES = [
+    ("scheme", "bogus", "scheme"),
+    ("routing", "bogus", "routing"),
+    ("cstate_ladder", "bogus", "cstate_ladder"),
+    ("topology", "bogus", "topology"),
+    ("topology", "per-module", "topology"),
+    ("workload_policy", "bogus", "workload_policy"),
+    ("workload_policy", "tiers", "tier_targets"),  # with no targets
+]
+
+
+@pytest.mark.parametrize("field, value, named", _BAD_NAMES)
+def test_unknown_name_is_rejected_before_anything_is_built(
+        field, value, named, monkeypatch):
+    """A misspelt name fails at the boundary, naming its field: before
+    a Simulator is built, and before any cell of a sweep is keyed or
+    run."""
+    from repro.harness import experiment
+    from repro.harness.parallel import SweepRunner
+    from repro.harness.profiling import TimingReport
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a Simulator was built for an invalid cell")
+
+    monkeypatch.setattr(experiment, "Simulator", no_build)
+    bad = ExperimentConfig(**dict(_SHORT, **{field: value}))
+    with pytest.raises(ValueError, match=named):
+        bad.validate()
+    with pytest.raises(ValueError, match=named):
+        run_experiment(bad)
+    report = TimingReport("sweep")
+    runner = SweepRunner(jobs=1, use_cache=False, report=report)
+    with pytest.raises(ValueError, match=named):
+        runner.run([ExperimentConfig(**_SHORT), bad])
+    assert report.simulations == 0
+
+
 def test_unknown_benchmark_lists_the_known_ones():
     with pytest.raises(ValueError, match="tpcc.*ycsb-a"):
         ExperimentConfig(benchmark="tpcx").validate()

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cpu import topology as topology_module
 from repro.cpu.core import Core
 from repro.cpu.msr import IA32_PERF_CTL, MsrFile, encode_perf_ctl
 from repro.cpu.pstates import POLARIS_FREQUENCIES, XEON_E5_2640V3_PSTATES
@@ -39,14 +40,16 @@ def test_topology_per_socket_groups():
     assert topology.domain_groups(10) == [tuple(range(8)), (8, 9)]
 
 
-def test_topology_per_module_groups():
-    topology = SocketTopology(granularity="per-module")
+def test_topology_two_core_socket_groups(monkeypatch):
+    monkeypatch.setattr(topology_module, "CORES_PER_SOCKET", 2)
+    topology = SocketTopology(granularity="per-socket")
     assert topology.domain_groups(5) == [(0, 1), (2, 3), (4,)]
 
 
 def test_topology_validation():
-    with pytest.raises(ValueError):
-        SocketTopology(granularity="per-rack")
+    for granularity in ("per-rack", "per-module"):
+        with pytest.raises(ValueError):
+            SocketTopology(granularity=granularity)
     for latency_s in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="switch_latency_s"):
             SocketTopology(granularity="per-socket",
@@ -56,11 +59,12 @@ def test_topology_validation():
 def test_make_topology_coercions():
     assert make_topology(None).per_core
     assert make_topology("per-socket").granularity == "per-socket"
-    explicit = SocketTopology(granularity="per-module")
+    explicit = SocketTopology(granularity="per-socket",
+                              switch_latency_s=1e-5)
     assert make_topology(explicit) is explicit
     with pytest.raises(ValueError):
         make_topology("bogus")
-    assert set(GRANULARITIES) == {"per-core", "per-module", "per-socket"}
+    assert GRANULARITIES == ("per-core", "per-socket")
 
 
 # ----------------------------------------------------------------------
@@ -251,6 +255,27 @@ def test_per_socket_run_passes_simsan(monkeypatch):
     monkeypatch.setenv("REPRO_SIMSAN", "1")
     result = run_pin("polaris", topology="per-socket")
     assert result.completed > 0
+
+
+@pytest.mark.parametrize("transition_latency", [0.0, 20e-6])
+@pytest.mark.parametrize("scheme", ["polaris", "ondemand"])
+def test_one_core_sockets_run_exactly_as_per_core(
+        scheme, transition_latency, monkeypatch):
+    """Per-socket domains of one core each are per-core DVFS: a domain
+    of one applies its one vote, so the whole run is the per-core run,
+    field for field.  Untraced: a traced run also records the domains'
+    own events."""
+    import dataclasses
+    from repro.harness.experiment import ExperimentResult
+    overrides = dict(workers=8, transition_latency=transition_latency,
+                     trace=False)
+    per_core = run_pin(scheme, **overrides)
+    monkeypatch.setattr(topology_module, "CORES_PER_SOCKET", 1)
+    per_socket = run_pin(scheme, topology="per-socket", **overrides)
+    for field in dataclasses.fields(ExperimentResult):
+        if field.name not in ("config", "wall_seconds"):
+            assert getattr(per_socket, field.name) == \
+                getattr(per_core, field.name), field.name
 
 
 def test_per_socket_switch_latency_costs_time():

@@ -203,27 +203,26 @@ class EstimateRows(dict):
     """``rows[c][j] == estimate(c, freqs[j])``, one row per workload.
 
     A row is built on first lookup (``rows[c]``; ``rows.get(c)`` never
-    builds), through whatever ``estimate`` callable the table was given,
-    and is then the one list object every reader of that workload holds.
-    ``bind(c, freqs, row)`` tells the owner of a *live* table about the
-    new row so it can keep it current; without it the table is a
-    snapshot, valid for as long as ``estimate`` is pure.  An estimator
-    hands its live tables only weak callables (:func:`_weakly`): it owns
-    the tables, so bound methods would make every run's estimator a
-    reference cycle.
+    builds), through the owning estimator's ``estimate``, and is then
+    the one list object every reader of that workload holds.
+    ``bind(c, freqs, row)`` tells the estimator about the new row so it
+    keeps it current.  The estimator hands its tables only weak
+    callables (:func:`_weakly`): it owns the tables, so bound methods
+    would make every run's estimator a reference cycle.
 
     ``rising`` is :func:`rising_pairs` summed over the rows, kept by
     whoever writes a slot (``__missing__``, the estimator's
-    ``_mutated``; simsan recounts it as ``rows-falling``).  Zero means
-    every row is non-increasing below the top level --- the licence
-    ``select_frequency`` needs to start its walk above the floor.  The
-    top slot breaks the order most often (p95s of separately filled
-    windows) and the walk never needs it, so it is not counted.
+    ``_mutated`` and ``skew``; simsan recounts it as ``rows-falling``).
+    Zero means every row is non-increasing below the top level --- the
+    licence ``select_frequency`` needs to start its walk above the
+    floor.  The top slot breaks the order most often (p95s of
+    separately filled windows) and the walk never needs it, so it is
+    not counted.
     """
 
     __slots__ = ("_estimate", "_freqs", "_bind", "rising")
 
-    def __init__(self, estimate, freqs: Tuple[float, ...], bind=None):
+    def __init__(self, estimate, freqs: Tuple[float, ...], bind):
         super().__init__()
         self._estimate = estimate
         self._freqs = freqs
@@ -234,8 +233,7 @@ class EstimateRows(dict):
         estimate = self._estimate
         row = self[workload] = [estimate(workload, f) for f in self._freqs]
         self.rising += rising_pairs(row)
-        if self._bind is not None:
-            self._bind(workload, self._freqs, row)
+        self._bind(workload, self._freqs, row)
         return row
 
 
@@ -254,9 +252,10 @@ class ExecutionTimeEstimator:
     Every mutation that moves a percentile patches the one slot it
     changes, so a reader that holds a row --- each queued request
     carries its workload's --- never validates or rebuilds anything.
-    Estimator *proxies* whose estimates move without an observation
-    (repro.faults skew windows) expose no ``mu_rows`` and are read
-    through ``estimate`` instead.
+
+    :meth:`skew` scales every estimate by a list of factors without an
+    observation (repro.faults' misprediction windows): the windows keep
+    measuring honestly, and only what the scheduler reads is skewed.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW,
@@ -270,6 +269,8 @@ class ExecutionTimeEstimator:
         #: the row is built so a mutation writes them without searching.
         self._slots: Dict[Tuple[str, float],
                           List[Tuple[EstimateRows, List[float], int]]] = {}
+        #: Factors every estimate is multiplied by, in order (:meth:`skew`).
+        self._skew: Tuple[float, ...] = ()
 
     def mu_rows(self, freqs: Tuple[float, ...]) -> EstimateRows:
         """The live ``workload -> row`` table for one frequency ladder,
@@ -295,6 +296,8 @@ class ExecutionTimeEstimator:
         slots = self._slots.get(key)
         if slots is not None:
             value = tracker.value()
+            for factor in self._skew:
+                value *= factor
             for table, row, index in slots:
                 before = rising_pairs(row)
                 row[index] = value
@@ -330,11 +333,28 @@ class ExecutionTimeEstimator:
         self._mutated(key, tracker)
 
     def estimate(self, workload: str, freq_ghz: float) -> float:
-        """``mu(c, f)``: predicted execution time in seconds (0 if unseen)."""
+        """``mu(c, f)``: predicted execution time in seconds (0 if
+        unseen), times each factor of the current :meth:`skew`."""
         tracker = self._trackers.get((workload, freq_ghz))
         if tracker is None:
             return 0.0
-        return tracker.value()
+        value = tracker.value()
+        for factor in self._skew:
+            value *= factor
+        return value
+
+    def skew(self, factors: Sequence[float]) -> None:
+        """From now on, multiply every estimate by ``factors`` in order
+        (``()`` ends the skew), and republish every row slot to match.
+        Observations and training still feed the unscaled windows."""
+        self._skew = tuple(factors)
+        estimate = self.estimate
+        for freqs, table in self._rows.items():
+            rising = 0
+            for workload, row in table.items():
+                row[:] = [estimate(workload, f) for f in freqs]
+                rising += rising_pairs(row)
+            table.rising = rising
 
     def prime(self, workload: str, freq_ghz: float, value: float,
               count: int = 1) -> None:

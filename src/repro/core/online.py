@@ -79,7 +79,7 @@ class OnlineSpeedScaler(PolarisScheduler):
                     "early_exit": True, "panic": True,
                 }
             return freqs[-1]
-        self._current_rows(running, self.queue)
+        self._stamp_running(running)
         target = self._target_speed(now, running, running_elapsed)
         self.queue_items_scanned += len(self.queue)
         selected = self._relation_l(target)

@@ -44,9 +44,9 @@ record.  The precondition is that every row is non-increasing *below
 the top level* (a hinted start is at most ``last - 1``).  p95s of
 separately filled windows need not honour it, so the estimator counts
 its live table's rising pairs (``EstimateRows.rising``) and the walk is
-hinted only while that is zero; per-call snapshot tables never are.
-simsan walks every hinted selection again from the floor
-(``hint-exact``) and recounts the pairs (``rows-falling``).
+hinted only while that is zero.  simsan walks every hinted selection
+again from the floor (``hint-exact``) and recounts the pairs
+(``rows-falling``).
 
 A feasible queue costs |Q| adds; a confirmed answer the walk up to the
 item that forces it plus one replay (none at the top); a cold queue
@@ -59,9 +59,7 @@ always-current row ``[mu(c, f) for f in freqs]`` per workload
 (:meth:`~repro.core.estimator.ExecutionTimeEstimator.mu_rows`), and
 :meth:`PolarisScheduler.enqueue` stamps a reference to it on the
 request as ``request.mu``; the walk reads ``request.mu[chosen]`` and a
-replay reads ``w.mu[j]``.  An estimator that exposes no rows (the
-faults subsystem's skew proxy, whose estimates move with virtual time)
-gets rows stamped per call instead, and then the same walk runs.
+replay reads ``w.mu[j]``.
 
 **Shared frequency domains.**  ``select_frequency`` assumes per-core
 DVFS, as the paper does.  On coarse topologies
@@ -129,11 +127,8 @@ class PolarisScheduler:
         self._freq_set = frozenset(freqs)
         #: The estimator's live ``workload -> estimate row`` table for
         #: this ladder (shared by every scheduler built on the estimator
-        #: with the same frequencies), or None for an estimator proxy
-        #: that exposes none --- see :meth:`_current_rows`.
-        mu_rows = getattr(estimator, "mu_rows", None)
-        self._rows: Optional[EstimateRows] = \
-            mu_rows(freqs) if mu_rows is not None else None
+        #: with the same frequencies).
+        self._rows: EstimateRows = estimator.mu_rows(freqs)
         self._zeros = (0.0,) * len(freqs)
         #: Level of the last selection, where the next walk looks first.
         #: Advice only (any value selects the same): in no result.
@@ -159,9 +154,7 @@ class PolarisScheduler:
     def enqueue(self, request: Request) -> None:
         """Queue a request (EDF position for POLARIS proper), carrying
         its workload's estimate row for this scheduler's ladder."""
-        rows = self._rows
-        if rows is not None:
-            request.mu = rows[request.workload_name]
+        request.mu = self._rows[request.workload_name]
         self.queue.push(request)
 
     def next_request(self) -> Optional[Request]:
@@ -219,8 +212,9 @@ class PolarisScheduler:
         items, index = self.queue.scan()
         live = items[index:] if index < len(items) else ()
         rows = self._rows
-        if rows is None or (running is not None and running.mu is None):
-            self._current_rows(running, live)
+        # _stamp_running, inlined: this runs on every selection.
+        if running is not None and running.mu is None:
+            running.mu = rows[running.workload_name]
 
         # Lines 2-4: minimum frequency for the running transaction.  Its
         # predicted remaining time max(0, mu0[j] - e0) also seeds q-hat
@@ -247,8 +241,7 @@ class PolarisScheduler:
         # rows license it (module docstring); a hinted walk that never
         # escalates proved nothing and is redone from the floor.
         start = self._hint - 1
-        if not (start > floor_index and rows is not None
-                and not rows.rising):
+        if not (start > floor_index and not rows.rising):
             start = floor_index
         chosen, scanned, early_exit = self._walk(now, live, mu0, e0, start)
         if chosen == start != floor_index:
@@ -319,28 +312,11 @@ class PolarisScheduler:
             q += m
         return chosen, len(live), False
 
-    def _current_rows(self, running: Optional[Request],
-                      queued: Iterable[Request]) -> EstimateRows:
-        """The estimate-row table to read during this call, after
-        making ``running.mu`` and every queued ``.mu`` current.
-
-        With a live table the queued requests already are (``enqueue``
-        stamped them); only a ``running`` request that never passed
-        ``enqueue`` needs its row looked up.  An estimator that exposes
-        no rows gets a table built for this call alone: ``estimate`` is
-        pure within a call, so one row per workload name holds exactly
-        the values a per-item ``estimate`` would return.
-        """
-        rows = self._rows
-        if rows is None:
-            rows = EstimateRows(self.estimator.estimate, self.frequencies)
-            for request in queued:
-                request.mu = rows[request.workload_name]
-            if running is not None:
-                running.mu = rows[running.workload_name]
-        elif running is not None and running.mu is None:
-            running.mu = rows[running.workload_name]
-        return rows
+    def _stamp_running(self, running: Optional[Request]) -> None:
+        """Give a ``running`` request that never passed :meth:`enqueue`
+        its estimate row (queued requests already carry theirs)."""
+        if running is not None and running.mu is None:
+            running.mu = self._rows[running.workload_name]
 
     def _record_decision(self, now_s: float, running: Optional[Request],
                          remaining_s: float, selected_ghz: float,
@@ -388,12 +364,8 @@ class PolarisScheduler:
                        now: float) -> None:
         """simsan: the table's ``rising`` count matches its rows, every
         request the walk read carries *the estimator's* row for its
-        workload, and that row equals ``estimate(c, f)`` slot for slot.
-        (Per-call rows are built from ``estimate`` in the same call;
-        there is nothing to go stale, and they are never hinted.)"""
+        workload, and that row equals ``estimate(c, f)`` slot for slot."""
         rows = self._rows
-        if rows is None:
-            return
         rising = [(c, j) for c, row in rows.items()
                   for j in range(len(row) - 2) if row[j] < row[j + 1]]
         invariant(rows.rising == len(rising), "rows-falling",

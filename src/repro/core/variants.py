@@ -63,7 +63,7 @@ class PolarisShedScheduler(PolarisScheduler):
     name = "polaris-shed"
 
     def admits(self, now, running, running_elapsed, request) -> bool:
-        rows = self._current_rows(running, self.queue)
+        self._stamp_running(running)
         queueing = 0.0
         if running is not None:
             queueing = max(0.0, running.mu[-1] - running_elapsed)
@@ -71,5 +71,5 @@ class PolarisShedScheduler(PolarisScheduler):
             if queued.deadline <= request.deadline:
                 queueing += queued.mu[-1]
         predicted_finish = now + queueing \
-            + rows[request.workload_name][-1]
+            + self._rows[request.workload_name][-1]
         return predicted_finish <= request.deadline

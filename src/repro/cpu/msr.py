@@ -26,6 +26,12 @@ class MsrError(RuntimeError):
     """Raised on access to an unsupported register or invalid encoding."""
 
 
+class InjectedMsrError(MsrError):
+    """A well-formed PERF_CTL write failed because the fault hook said
+    so: the one :class:`MsrError` a worker survives (every other one is
+    a bug upstream and propagates)."""
+
+
 def encode_perf_ctl(freq_ghz: float) -> int:
     """Encode a frequency as an IA32_PERF_CTL value (ratio in bits 15:8)."""
     ratio = round(freq_ghz / _BUS_CLOCK_GHZ)
@@ -64,10 +70,11 @@ class MsrFile:
     def __init__(self, core):
         self.core = core
         #: repro.faults seam: when set, consulted per PERF_CTL write.
-        #: Returning ``"error"`` makes the write raise :class:`MsrError`
-        #: (the driver's -EIO path); ``"stuck"`` silently drops it (the
-        #: firmware ate the write and the core keeps its P-state);
-        #: ``None`` lets it through.  Unset outside fault experiments.
+        #: Returning ``"error"`` makes the write raise
+        #: :class:`InjectedMsrError` (the driver's -EIO path);
+        #: ``"stuck"`` silently drops it (the firmware ate the write and
+        #: the core keeps its P-state); ``None`` lets it through.  Unset
+        #: outside fault experiments.
         self.fault_hook: Optional[Callable[[int, int],
                                            Optional[str]]] = None
 
@@ -92,7 +99,7 @@ class MsrFile:
             if self.fault_hook is not None:
                 action = self.fault_hook(address, value)
                 if action == "error":
-                    raise MsrError(
+                    raise InjectedMsrError(
                         f"injected DVFS write failure on core "
                         f"{self.core.core_id}")
                 if action == "stuck":

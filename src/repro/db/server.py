@@ -29,7 +29,9 @@ from repro.core.request import Request, RequestState
 from repro.core.routing import ROUTING_POLICIES, RoutingPolicy, make_routing
 from repro.cpu.core import Core
 from repro.cpu.cstates import LADDERS, CStateModel
-from repro.cpu.msr import IA32_PERF_CTL, MsrError, MsrFile, encode_perf_ctl
+from repro.cpu.msr import (
+    IA32_PERF_CTL, InjectedMsrError, MsrFile, encode_perf_ctl,
+)
 from repro.cpu.power import CorePowerModel, ServerPowerModel
 from repro.cpu.pstates import POLARIS_FREQUENCIES, XEON_E5_2640V3_PSTATES
 from repro.cpu.rapl import RaplPackage
@@ -185,6 +187,10 @@ class Worker:
         return len(self.dispatcher)
 
     def _apply_frequency(self, freq_ghz: Optional[float]) -> None:
+        """Write ``freq_ghz`` to this core's PERF_CTL.  An injected
+        write failure leaves the core at its P-state (the resilience
+        controller, when armed, retries); any other :class:`MsrError`
+        is a bug upstream and propagates."""
         if freq_ghz is None:
             return
         resilience = self.server.resilience
@@ -201,15 +207,13 @@ class Worker:
             return
         try:
             self.msr.write(IA32_PERF_CTL, encode_perf_ctl(freq_ghz))
-        except MsrError:
-            if not self.server.faults_active:
-                raise
+        except InjectedMsrError:
             # Injected DVFS write failure: the core rides its current
             # P-state; the resilience layer (if armed) owns the retry.
             if resilience is not None:
                 resilience.on_msr_failure(self, freq_ghz)
             return
-        if self.server.faults_active and resilience is not None:
+        if resilience is not None:
             # Verify the write took effect (a "stuck" fault drops it
             # silently).  Throttle clamping --- and, under a shared
             # domain, a sibling's higher vote --- is expected, not a
@@ -485,10 +489,6 @@ class DatabaseServer:
         self.submitted = 0
         self.rejected = 0
         # --- repro.faults ---------------------------------------------
-        #: True while a FaultInjector is attached; workers then treat an
-        #: MsrError from a P-state write as an injected fault (degraded
-        #: operation) instead of a programming error.
-        self.faults_active = False
         #: The attached ResilienceController, or None (healthy runs).
         self.resilience = None
         #: Worker ids the watchdog declared dead; routing probes past

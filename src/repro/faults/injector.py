@@ -1,20 +1,21 @@
 """Turn a :class:`~repro.faults.plan.FaultPlan` into simulator events.
 
-The injector owns the *when* and *whether* of every fault; the affected
-components (MSR files, cores, the workload generator, the estimator)
-only expose the seams it needs:
+The injector owns the *when* and *whether* of every fault; each fault
+acts through a seam on the component it breaks:
 
 * ``MsrFile.fault_hook`` --- consulted per ``IA32_PERF_CTL`` write;
-  returns ``"error"`` (the write raises), ``"stuck"`` (the write is
+  returns ``"error"`` (the write raises
+  :class:`~repro.cpu.msr.InjectedMsrError`), ``"stuck"`` (the write is
   silently dropped), or ``None``.
 * ``Core.set_throttle_ceiling`` / ``Core.stall`` / ``Core.resume`` ---
   driven by scheduled window-boundary events.
+* ``ExecutionTimeEstimator.skew`` --- set at every skew window edge to
+  the factors of the windows then open, in plan order, on the estimator
+  of the server's schedulers.
 * :func:`wrap_rate` --- a pure function of the plan's bursts and
   the virtual clock multiplying the offered-load rate inside burst
   windows (no extra RNG draws, so the arrival *pattern* outside bursts
   is untouched).
-* :class:`SkewedEstimator` --- proxies ``mu(c, f)`` and scales the
-  prediction inside skew windows.
 
 All probabilistic decisions draw from one dedicated seeded stream
 (``streams.get("faults")``), so faulted runs are exactly as
@@ -34,44 +35,6 @@ from repro.faults.plan import FaultPlan
 _KINDS = ("msr", "throttle", "stall", "burst", "skew")
 
 
-class SkewedEstimator:
-    """Estimator proxy injecting deterministic misprediction.
-
-    Scales :meth:`estimate` by the product of the factors of all skew
-    windows active at the current virtual time; observations and
-    training pass through untouched, so the underlying model stays
-    honest --- only the *predictions* the scheduler sees are skewed.
-    """
-
-    def __init__(self, inner, sim, skews):
-        self._inner = inner
-        self._sim = sim
-        self._skews = tuple(skews)
-
-    @property
-    def window(self) -> int:
-        return self._inner.window
-
-    def estimate(self, workload: str, freq_ghz: float) -> float:
-        value = self._inner.estimate(workload, freq_ghz)
-        now_s = self._sim.now
-        for spec in self._skews:
-            if spec.start_s <= now_s < spec.end_s:
-                value *= spec.factor
-        return value
-
-    def observe(self, workload: str, freq_ghz: float,
-                value: float) -> None:
-        self._inner.observe(workload, freq_ghz, value)
-
-    def fill(self, workload: str, freq_ghz: float, values) -> None:
-        self._inner.fill(workload, freq_ghz, values)
-
-    def prime(self, workload: str, freq_ghz: float, value: float,
-              count: int = 1) -> None:
-        self._inner.prime(workload, freq_ghz, value, count)
-
-
 class FaultInjector:
     """Schedules and fires one plan's faults against one server."""
 
@@ -85,6 +48,7 @@ class FaultInjector:
         self._server = None
         #: core_id -> active throttle ceilings (overlap-aware).
         self._ceilings: Dict[int, List[float]] = {}
+        self._estimators: list = []
 
     @property
     def total_injected(self) -> int:
@@ -105,12 +69,25 @@ class FaultInjector:
         """Install MSR hooks and schedule every windowed fault.
 
         Call once, before the simulation starts; ``server`` is the
-        :class:`~repro.db.server.DatabaseServer` under test.
+        :class:`~repro.db.server.DatabaseServer` under test.  A spec
+        naming a worker the server does not have is a
+        :class:`ValueError`.
         """
         if self._server is not None:
             raise RuntimeError("injector is already attached")
+        plan = self.plan
+        count = len(server.workers)
+        for spec in plan.msr_faults + plan.throttles + plan.stalls:
+            for worker_id in spec.workers:
+                if worker_id >= count:
+                    raise ValueError(
+                        f"{type(spec).__name__} names unknown worker "
+                        f"{worker_id} (the server has {count})")
         self._server = server
-        server.faults_active = True
+        # The schedulers' estimators, each once (a run shares one).
+        self._estimators = [e for e in dict.fromkeys(
+            getattr(w.dispatcher, "estimator", None) for w in server.workers)
+            if e is not None]
         if self.plan.msr_faults:
             for worker in server.workers:
                 worker.msr.fault_hook = partial(self._msr_fault,
@@ -139,20 +116,16 @@ class FaultInjector:
                 partial(self._window_edge, "burst", "fault:burst",
                         False, multiplier=spec.multiplier))
         for spec in self.plan.skews:
-            self.sim.schedule_at(
-                spec.start_s,
-                partial(self._window_edge, "skew", "fault:estimator-skew",
-                        True, factor=spec.factor))
-            self.sim.schedule_at(
-                spec.end_s,
-                partial(self._window_edge, "skew", "fault:estimator-skew",
-                        False, factor=spec.factor))
+            self.sim.schedule_at(spec.start_s,
+                                 partial(self._skew_edge, spec, True))
+            self.sim.schedule_at(spec.end_s,
+                                 partial(self._skew_edge, spec, False))
 
     def _affected(self, worker_ids) -> list:
         workers = self._server.workers
         if not worker_ids:
             return list(workers)
-        return [workers[i] for i in worker_ids if i < len(workers)]
+        return [workers[i] for i in worker_ids]
 
     def _domain_scope(self, affected: list) -> list:
         """Widen physical faults to whole frequency domains.
@@ -177,8 +150,7 @@ class FaultInjector:
                 selected_ids.add(worker.worker_id)
             else:
                 selected_ids.update(domain.member_ids())
-        return [workers[i] for i in sorted(selected_ids)
-                if i < len(workers)]
+        return [workers[i] for i in sorted(selected_ids)]
 
     # ------------------------------------------------------------------
     # DVFS write faults
@@ -236,10 +208,21 @@ class FaultInjector:
         worker.kick()
 
     # ------------------------------------------------------------------
-    # Burst / skew window edges (counting + tracing only; the state
-    # change itself lives in wrap_rate / SkewedEstimator, which read
-    # the plan directly so behavior cannot drift from the trace)
+    # Estimator skew and burst window edges (a burst's rate change lives
+    # in wrap_rate, which reads the plan directly; its edges only count
+    # and trace)
     # ------------------------------------------------------------------
+    def _skew_edge(self, spec, opening: bool) -> None:
+        """Skew the estimator by the factors of the windows open now,
+        in plan order."""
+        now_s = self.sim.now
+        factors = [skew.factor for skew in self.plan.skews
+                   if skew.start_s <= now_s < skew.end_s]
+        for estimator in self._estimators:
+            estimator.skew(factors)
+        self._window_edge("skew", "fault:estimator-skew", opening,
+                          factor=spec.factor)
+
     def _window_edge(self, kind: str, name: str, opening: bool,
                      **payload) -> None:
         if opening:
@@ -251,8 +234,8 @@ class FaultInjector:
 
 
 # ----------------------------------------------------------------------
-# Pure wrappers: functions of the plan and the virtual clock alone, so
-# the experiment kernel applies them at either tier without an injector
+# A pure wrapper: a function of the plan and the virtual clock alone, so
+# the experiment kernel applies it at either tier without an injector
 # ----------------------------------------------------------------------
 def wrap_rate(rate_fn: Callable[[float], float], bursts
               ) -> Callable[[float], float]:
@@ -270,12 +253,4 @@ def wrap_rate(rate_fn: Callable[[float], float], bursts
     return burst_rate
 
 
-def wrap_estimator(estimator, sim, skews):
-    """Proxy the estimator through the plan's misprediction skews."""
-    if not skews:
-        return estimator
-    return SkewedEstimator(estimator, sim, skews)
-
-
-__all__ = ["FaultInjector", "SkewedEstimator", "wrap_estimator",
-           "wrap_rate"]
+__all__ = ["FaultInjector", "wrap_rate"]

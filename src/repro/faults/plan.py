@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (
     Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints,
@@ -33,11 +34,12 @@ class MsrFaultSpec:
     """DVFS write failures at the ``MsrFile.write`` boundary.
 
     During ``[start_s, end_s)`` a write to ``IA32_PERF_CTL`` on an
-    affected worker either raises :class:`~repro.cpu.msr.MsrError`
-    (``mode="error"``) or is silently dropped, pinning the core at its
-    current P-state (``mode="stuck"`` --- the firmware-eats-the-write
-    failure).  ``probability`` < 1 makes individual writes fail with
-    that chance, drawn from the injector's dedicated RNG stream.
+    affected worker either raises
+    :class:`~repro.cpu.msr.InjectedMsrError` (``mode="error"``) or is
+    silently dropped, pinning the core at its current P-state
+    (``mode="stuck"`` --- the firmware-eats-the-write failure).
+    ``probability`` < 1 makes individual writes fail with that chance,
+    drawn from the injector's dedicated RNG stream.
     """
 
     start_s: float
@@ -53,6 +55,7 @@ class MsrFaultSpec:
         if not 0.0 < self.probability <= 1.0:
             raise ValueError("probability must be in (0, 1]")
         _check_window(self.start_s, self.end_s)
+        _check_ids(self.workers, "worker")
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,9 @@ class ThrottleSpec:
     workers: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.ceiling_ghz <= 0:
-            raise ValueError("ceiling must be positive")
+        _check_positive(self.ceiling_ghz, "ceiling")
         _check_window(self.start_s, self.end_s)
+        _check_ids(self.workers, "worker")
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,10 @@ class StallSpec:
     workers: Tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        if self.at_s < 0:
-            raise ValueError("stall time cannot be negative")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ValueError("stall duration must be positive (or None)")
+        _check_instant(self.at_s, "stall time")
+        if self.duration_s is not None:
+            _check_positive(self.duration_s, "stall duration")
+        _check_ids(self.workers, "worker")
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,7 @@ class BurstSpec:
     multiplier: float = 2.0
 
     def __post_init__(self):
-        if self.multiplier <= 0:
-            raise ValueError("burst multiplier must be positive")
+        _check_positive(self.multiplier, "burst multiplier")
         _check_window(self.start_s, self.end_s)
 
 
@@ -125,8 +127,7 @@ class SkewSpec:
     factor: float = 0.5
 
     def __post_init__(self):
-        if self.factor <= 0:
-            raise ValueError("skew factor must be positive")
+        _check_positive(self.factor, "skew factor")
         _check_window(self.start_s, self.end_s)
 
 
@@ -148,8 +149,8 @@ class NodeCrashSpec:
     nodes: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.at_s < 0:
-            raise ValueError("crash time cannot be negative")
+        _check_instant(self.at_s, "crash time")
+        _check_ids(self.nodes, "node")
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,7 @@ class PartitionSpec:
 
     def __post_init__(self):
         _check_window(self.start_s, self.end_s)
+        _check_ids(self.shards, "shard")
 
 
 @dataclass(frozen=True)
@@ -188,9 +190,9 @@ class ReplicaLagSpec:
     nodes: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.extra_lag_s <= 0:
-            raise ValueError("extra lag must be positive")
+        _check_positive(self.extra_lag_s, "extra lag")
         _check_window(self.start_s, self.end_s)
+        _check_ids(self.nodes, "node")
 
 
 def _build(spec_cls, entry: object, where: str):
@@ -210,11 +212,34 @@ def _build(spec_cls, entry: object, where: str):
         raise ValueError(f"fault plan {where}: {exc}") from None
 
 
+# Every rule below is written so that NaN fails it (NaN fails every
+# comparison), as ExperimentConfig.validate's are.
 def _check_window(start_s: float, end_s: float) -> None:
-    if start_s < 0 or end_s <= start_s:
+    if not 0.0 <= start_s < end_s < math.inf:
         raise ValueError(
-            f"fault window [{start_s}, {end_s}) must be non-negative "
-            f"and non-empty")
+            f"fault window [{start_s}, {end_s}) must be non-negative, "
+            f"non-empty and finite")
+
+
+def _check_instant(at_s: float, what: str) -> None:
+    if not 0.0 <= at_s < math.inf:
+        raise ValueError(f"{what} must be non-negative and finite")
+
+
+def _check_positive(value: float, what: str) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite")
+
+
+def _check_count(value: int, what: str, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be an int >= {least}")
+
+
+def _check_ids(ids: Tuple[int, ...], what: str) -> None:
+    for item in ids:
+        if type(item) is not int or item < 0:
+            raise ValueError(f"{what} id {item!r} is not an int >= 0")
 
 
 @dataclass(frozen=True)
@@ -252,17 +277,14 @@ class DegradationPolicy:
     panic_window: int = 50
 
     def __post_init__(self):
-        if self.msr_retry_limit < 0:
-            raise ValueError("retry limit cannot be negative")
-        if self.retry_backoff_s <= 0:
-            raise ValueError("retry backoff must be positive")
-        if self.watchdog_interval_s is not None \
-                and self.watchdog_interval_s <= 0:
-            raise ValueError("watchdog interval must be positive")
-        if self.watchdog_stall_threshold_s <= 0:
-            raise ValueError("watchdog stall threshold must be positive")
-        if self.shed_queue_depth is not None and self.shed_queue_depth < 1:
-            raise ValueError("shed queue depth must be >= 1")
+        _check_count(self.msr_retry_limit, "retry limit", 0)
+        _check_positive(self.retry_backoff_s, "retry backoff")
+        if self.watchdog_interval_s is not None:
+            _check_positive(self.watchdog_interval_s, "watchdog interval")
+        _check_positive(self.watchdog_stall_threshold_s,
+                        "watchdog stall threshold")
+        if self.shed_queue_depth is not None:
+            _check_count(self.shed_queue_depth, "shed queue depth", 1)
         if self.panic_enter_miss_rate is not None:
             if not 0.0 < self.panic_enter_miss_rate <= 1.0:
                 raise ValueError("panic enter rate must be in (0, 1]")
@@ -271,8 +293,7 @@ class DegradationPolicy:
                 raise ValueError(
                     "panic exit rate must be below the enter rate "
                     "(hysteresis)")
-        if self.panic_window < 1:
-            raise ValueError("panic window must be >= 1")
+        _check_count(self.panic_window, "panic window", 1)
 
     @property
     def any_enabled(self) -> bool:

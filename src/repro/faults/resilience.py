@@ -32,7 +32,7 @@ from collections import deque
 from functools import partial
 from typing import Deque, Dict, Optional
 
-from repro.cpu.msr import IA32_PERF_CTL, MsrError, encode_perf_ctl
+from repro.cpu.msr import IA32_PERF_CTL, InjectedMsrError, encode_perf_ctl
 from repro.db.server import drain_worker_queue, redistribute_requests
 from repro.faults.plan import DegradationPolicy
 
@@ -53,8 +53,9 @@ class ResilienceController:
         self.tracer = sim.tracer
         self.trace_track = self.tracer.track("faults", "resilience")
         self.panic = False
-        #: worker ids this controller has declared dead.
-        self.quarantined = set()
+        #: Worker ids declared dead: the server's set, which its router
+        #: probes past.
+        self.quarantined = server.quarantined
         #: worker_id -> pending retry event (one in flight per worker).
         self._retries: Dict[int, object] = {}
         self._outcomes: Deque[bool] = deque(maxlen=policy.panic_window)
@@ -134,7 +135,7 @@ class ResilienceController:
         a write failure)."""
         try:
             worker.msr.write(IA32_PERF_CTL, encode_perf_ctl(freq_ghz))
-        except MsrError:
+        except InjectedMsrError:
             return False
         expected = worker.core.projected_frequency(freq_ghz)
         return abs(worker.core.freq - expected) < 1e-12
@@ -158,7 +159,6 @@ class ResilienceController:
 
     def _quarantine(self, worker) -> None:
         self.quarantined.add(worker.worker_id)
-        self.server.quarantined.add(worker.worker_id)
         self._record("quarantine", "degrade:quarantine",
                      worker=worker.worker_id,
                      queued=worker.queue_length())

@@ -580,12 +580,6 @@ def run_experiment(config: ExperimentConfig,
 
     estimator = ExecutionTimeEstimator(config.estimator_window,
                                        config.estimator_percentile)
-    if plan is not None:
-        # Misprediction skew wraps the estimator *before* the scheduler
-        # factory captures it, so every scheduler sees skewed estimates
-        # while observations still feed the real windows.
-        from repro.faults.injector import wrap_estimator
-        estimator = wrap_estimator(estimator, sim, plan.skews)
     factory: Optional[Callable[[], object]] = None
     if scheme.uses_scheduler:
         factory = scheme.make_scheduler_factory(

@@ -88,10 +88,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        self._last_sample_time_s = now",
            "        self._last_sample_time_s = self._last_sample_time"
            " = now * 1e3"),
-    # A bare except on the DVFS write: under faults it swallows any
-    # error as an injected MSR failure.
+    # A bare except on the DVFS write: it swallows any error, a bug's
+    # included, as an injected MSR failure.
     Mutant("RL007", "src/repro/db/server.py",
-           "        except MsrError:",
+           "        except InjectedMsrError:",
            "        except:"),
     # A P-state that can be mutated or grow attributes.
     Mutant("RL008", "src/repro/cpu/pstates.py",
@@ -100,7 +100,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     # RL007's bare except, hidden by a blanket suppression that gives
     # no reason.
     Mutant("RL009", "src/repro/db/server.py",
-           "        except MsrError:",
+           "        except InjectedMsrError:",
            "        except:  # reprolint: disable"),
 )
 

@@ -41,6 +41,7 @@ import re
 import sys
 from typing import Dict, Iterator, List
 
+from repro.faults.plan import FaultPlan, SkewSpec
 from repro.fleet.config import FleetConfig
 from repro.harness.experiment import (
     ExperimentConfig, ExperimentResult, run_experiment,
@@ -100,6 +101,15 @@ def load_pins(tier: str) -> Dict[str, str]:
 # ----------------------------------------------------------------------
 _SHORT = dict(workers=2, warmup_seconds=0.3, test_seconds=0.8)
 
+#: Estimator misprediction in two overlapping windows, one optimistic
+#: and one pessimistic, so inside the overlap the order in which the
+#: factors fold into an estimate shows in the low bits.  Also checked in
+#: as ``data/plans/skew.json``, the plan the CI's ``--faults`` route
+#: loads.
+SKEW_PLAN = FaultPlan(skews=(SkewSpec(0.4, 0.9, factor=0.6),
+                             SkewSpec(0.6, 1.0, factor=1.7)),
+                      name="skew-overlap")
+
 
 def _server_cells() -> List[ExperimentConfig]:
     return [
@@ -121,10 +131,16 @@ def _server_cells() -> List[ExperimentConfig]:
         ExperimentConfig(scheme="polaris", workload_policy="tiers",
                          tier_targets={"gold": 7.5e-3, "silver": 37.5e-3},
                          seed=9, **_SHORT),
-        # Faults wrap the estimator with a time-varying proxy (the
-        # mu-vector cache must stay disabled there).
+        # Load-side and silicon faults: a burst under shedding and a
+        # throttle ceiling on every core.
         ExperimentConfig(scheme="polaris", slack=40.0, seed=3,
                          faults="burst+brownout", **_SHORT),
+        # Estimator skew: the walk reads skewed rows, and so does the
+        # shed variant's admission test.
+        ExperimentConfig(scheme="polaris", slack=40.0, seed=7,
+                         faults=SKEW_PLAN, **_SHORT),
+        ExperimentConfig(scheme="polaris-shed", slack=10.0, seed=7,
+                         load_fraction=0.9, faults=SKEW_PLAN, **_SHORT),
         # Shared-frequency domains and the packing/parking extension.
         ExperimentConfig(scheme="polaris", slack=40.0, seed=11, workers=4,
                          warmup_seconds=0.3, test_seconds=0.8,

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from repro.core.estimator import ExecutionTimeEstimator
-from repro.cpu.msr import IA32_PERF_CTL, MsrError, encode_perf_ctl
+from repro.core.polaris import PolarisScheduler
+from repro.cpu.msr import IA32_PERF_CTL, InjectedMsrError, encode_perf_ctl
+from repro.cpu.pstates import POLARIS_FREQUENCIES
 from repro.db.server import DatabaseServer, ServerConfig
-from repro.faults.injector import (
-    FaultInjector, SkewedEstimator, wrap_estimator, wrap_rate,
-)
+from repro.faults.injector import FaultInjector, wrap_rate
 from repro.faults.plan import (
     BurstSpec, FaultPlan, MsrFaultSpec, SkewSpec, StallSpec, ThrottleSpec,
 )
@@ -47,7 +47,7 @@ def test_msr_error_mode_raises_inside_window(sim):
     assert server.cores[0].freq == 2.4
     sim.schedule(0.15, lambda: None)
     sim.run()
-    with pytest.raises(MsrError, match="injected"):
+    with pytest.raises(InjectedMsrError, match="injected"):
         msr.write(IA32_PERF_CTL, encode_perf_ctl(2.8))
     sim.schedule_at(0.25, lambda: None)
     sim.run()
@@ -168,7 +168,7 @@ def test_stalled_core_rejects_new_jobs(sim):
 
 
 # ----------------------------------------------------------------------
-# Bursts and estimator skew (pure wrappers)
+# Bursts (a pure wrapper) and estimator skew
 # ----------------------------------------------------------------------
 def test_wrap_rate_multiplies_only_inside_burst_window():
     rate = wrap_rate(lambda now_s: 100.0,
@@ -183,24 +183,28 @@ def test_wrap_rate_passthrough_without_bursts():
     assert wrap_rate(base, ()) is base
 
 
-def test_skewed_estimator_scales_inside_window_only(sim):
-    inner = ExecutionTimeEstimator(window=4)
-    inner.prime("w", 2.8, 0.010, count=4)
-    skewed = SkewedEstimator(inner, sim,
-                             (SkewSpec(1.0, 2.0, factor=0.5),))
-    assert skewed.estimate("w", 2.8) == pytest.approx(0.010)  # t=0
-    sim.schedule_at(1.5, lambda: None)
+def test_skew_window_edges_set_the_schedulers_estimator(sim):
+    """Between its edges a skew window scales every estimate and every
+    row a scheduler holds; overlapping windows fold their factors in
+    plan order; observations stay unscaled."""
+    estimator = ExecutionTimeEstimator(window=1, percentile=100.0)
+    estimator.observe("w", 2.8, 0.010)
+    server = DatabaseServer(
+        sim, ServerConfig(workers=2, request_handlers=1),
+        scheduler_factory=lambda: PolarisScheduler(POLARIS_FREQUENCIES,
+                                                   estimator))
+    row = estimator.mu_rows(POLARIS_FREQUENCIES)["w"]
+    attach(sim, server, FaultPlan(skews=(SkewSpec(1.0, 3.0, factor=0.3),
+                                         SkewSpec(2.0, 4.0, factor=1.7))))
+    seen = []
+    for at_s in (0.5, 1.5, 2.5, 3.5, 4.5):
+        sim.schedule_at(at_s, lambda: seen.append(
+            (estimator.estimate("w", 2.8), row[-1])))
+    sim.schedule_at(3.2, lambda: estimator.observe("w", 2.8, 0.020))
     sim.run()
-    assert skewed.estimate("w", 2.8) == pytest.approx(0.005)
-    # Observations pass through unscaled: the model stays honest.
-    skewed.observe("w", 2.8, 0.020)
-    assert inner.estimate("w", 2.8) >= 0.010
-    assert skewed.window == inner.window
-
-
-def test_wrap_estimator_passthrough_without_skews(sim):
-    estimator = ExecutionTimeEstimator()
-    assert wrap_estimator(estimator, sim, ()) is estimator
+    assert seen == [(0.010, 0.010), (0.010 * 0.3,) * 2,
+                    (0.010 * 0.3 * 1.7,) * 2, (0.020 * 1.7,) * 2,
+                    (0.020, 0.020)]
 
 
 # ----------------------------------------------------------------------
@@ -219,9 +223,18 @@ def test_injector_counts_window_edges(sim):
     assert injector.total_injected == 4
 
 
+@pytest.mark.parametrize("plan", [
+    FaultPlan(msr_faults=(MsrFaultSpec(0.0, 1.0, workers=(2,)),)),
+    FaultPlan(throttles=(ThrottleSpec(0.0, 1.0, workers=(0, 2)),)),
+    FaultPlan(stalls=(StallSpec(at_s=0.1, workers=(9,)),)),
+], ids=["msr", "throttle", "stall"])
+def test_attach_rejects_a_worker_the_server_lacks(sim, plan):
+    with pytest.raises(ValueError, match="Spec names unknown worker"):
+        attach(sim, make_server(sim, workers=2), plan)
+
+
 def test_injector_attaches_once(sim):
     server = make_server(sim, workers=1)
     injector = attach(sim, server, FaultPlan(bursts=(BurstSpec(0.0, 1.0),)))
     with pytest.raises(RuntimeError, match="already attached"):
         injector.attach(server)
-    assert server.faults_active

@@ -73,6 +73,47 @@ def test_degradation_policy_validation():
         DegradationPolicy(panic_window=0)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MsrFaultSpec(0.0, 1.0, workers=(-1,)),
+    lambda: ThrottleSpec(0.0, 1.0, ceiling_ghz=NAN),
+    lambda: ThrottleSpec(0.0, 1.0, workers=(-1,)),
+    lambda: StallSpec(at_s=NAN),
+    lambda: StallSpec(at_s=0.1, duration_s=INF),
+    lambda: StallSpec(at_s=0.1, workers=(-1,)),
+    lambda: BurstSpec(0.0, 1.0, multiplier=NAN),
+    lambda: SkewSpec(0.0, 1.0, factor=NAN),
+    lambda: SkewSpec(NAN, 1.0),
+    lambda: SkewSpec(0.0, INF),
+    lambda: NodeCrashSpec(at_s=NAN),
+    lambda: NodeCrashSpec(at_s=0.1, nodes=(-1,)),
+    lambda: PartitionSpec(0.0, 1.0, shards=(-1,)),
+    lambda: ReplicaLagSpec(0.0, 1.0, extra_lag_s=NAN),
+    lambda: ReplicaLagSpec(0.0, 1.0, nodes=(-1,)),
+    lambda: DegradationPolicy(msr_retry_limit=1.5),
+    lambda: DegradationPolicy(retry_backoff_s=NAN),
+    lambda: DegradationPolicy(watchdog_interval_s=NAN),
+    lambda: DegradationPolicy(watchdog_stall_threshold_s=NAN),
+    lambda: DegradationPolicy(shed_queue_depth=NAN),
+    lambda: DegradationPolicy(panic_window=2.0),
+    lambda: FaultPlan.from_json(
+        '{"skews": [{"start_s": 0, "end_s": 1, "factor": NaN}]}'),
+], ids=["msr-workers", "throttle-ceiling", "throttle-workers",
+        "stall-at", "stall-duration", "stall-workers", "burst-multiplier",
+        "skew-factor", "window-start", "window-end", "crash-at",
+        "crash-nodes", "partition-shards", "lag-extra", "lag-nodes",
+        "retry-limit", "retry-backoff", "watchdog-interval",
+        "watchdog-threshold", "shed-depth", "panic-window", "from-json"])
+def test_a_value_the_engine_cannot_run_fails_at_the_boundary(build):
+    """NaN, an infinite time, a fractional count and a negative id each
+    fail where the plan is built, not inside the run."""
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_default_policy_is_inert():
     assert not DegradationPolicy().any_enabled
     assert FaultPlan().is_empty

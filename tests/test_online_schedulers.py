@@ -131,20 +131,24 @@ def test_online_schedulers_idle_at_floor_and_panic_at_max():
 # ----------------------------------------------------------------------
 def test_nonclairvoyant_scales_with_active_count():
     # f_min * n^(1/3): n=1 -> 1.2; n=8 -> 2.4; n=64 -> 4.8 (capped 2.8).
-    scheduler = NonclairvoyantScheduler(POLARIS_FREQUENCIES, estimator=None)
+    estimator = ExecutionTimeEstimator()
+    scheduler = NonclairvoyantScheduler(POLARIS_FREQUENCIES, estimator)
     jobs = [Job(i + 1, 0.0, 1000.0, 1.0) for i in range(64)]
     for count, expected in ((1, 1.2), (8, 2.4), (64, 2.8)):
         while len(scheduler.queue) < count:
             scheduler.enqueue(_make_request(jobs[len(scheduler.queue)]))
         assert scheduler.select_frequency(0.0, None) == expected
+    assert estimator.pairs() == []
 
 
 def test_nonclairvoyant_escalates_on_queue_age():
-    scheduler = NonclairvoyantScheduler(POLARIS_FREQUENCIES, estimator=None)
+    estimator = ExecutionTimeEstimator()
+    scheduler = NonclairvoyantScheduler(POLARIS_FREQUENCIES, estimator)
     scheduler.enqueue(_make_request(Job(1, 0.0, 10.0, 1.0)))
     assert scheduler.select_frequency(1.0, None) == 1.2
     # Past 75% of the request's own window: flat out.
     assert scheduler.select_frequency(8.0, None) == POLARIS_FREQUENCIES[-1]
+    assert estimator.pairs() == []
 
 
 def test_nonclairvoyant_never_touches_estimator():

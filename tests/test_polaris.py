@@ -255,26 +255,3 @@ def test_mu_cache_invalidated_by_observe():
     for freq in FREQS:
         estimator.prime("w", freq, 10e-3 * 2.8 / freq, count=1000)
     assert scheduler.select_frequency(0.0, tight, 0.0) == 2.8
-
-
-def test_mu_cache_disabled_for_versionless_estimator():
-    """Estimator proxies that expose no ``mu_rows`` (e.g. the fault
-    injector's time-varying skew wrapper) are re-read on every call."""
-
-    class TimeVaryingProxy:
-        def __init__(self, inner):
-            self._inner = inner
-            self.scale = 1.0
-
-        def estimate(self, workload, freq):
-            return self._inner.estimate(workload, freq) * self.scale
-
-    proxy = TimeVaryingProxy(primed_estimator({"w": 1e-3}))
-    assert not hasattr(proxy, "mu_rows")
-    scheduler = PolarisScheduler(FREQS, proxy)
-    tight = Request(Workload("w", 1.5e-3), "w", 0.0, 1.0)
-    assert scheduler.select_frequency(0.0, tight, 0.0) == 2.0
-    # The proxy's estimates drift without any observation; the
-    # scheduler must see the change immediately.
-    proxy.scale = 10.0
-    assert scheduler.select_frequency(0.0, tight, 0.0) == 2.8

@@ -30,7 +30,7 @@ every selection.
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.sanitizer import SimulationInvariantError
 from repro.core.estimator import ExecutionTimeEstimator
@@ -283,43 +283,49 @@ def test_select_frequency_equals_figure2_under_mutation():
     assert reached["hinted"] and reached["redone"] and reached["unhinted"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(queue=st.lists(queued, max_size=20),
-       values=st.lists(estimates,
-                       min_size=len(WORKLOADS) * len(LADDER_A),
-                       max_size=len(WORKLOADS) * len(LADDER_A)),
-       now=seconds, scale=st.floats(min_value=0.5, max_value=2.0))
-def test_rowless_estimator_takes_the_same_walk(queue, values, now, scale):
-    """An estimator proxy with no ``mu_rows`` (the faults skew wrapper's
-    shape) goes through per-call rows and the same loop, from the floor
-    every time; its estimates may move between calls with no observation
-    at all."""
-
-    class Proxy:
-        def __init__(self, inner):
-            self.inner = inner
-            self.scale = 1.0
-
-        def estimate(self, workload, freq):
-            return self.inner.estimate(workload, freq) * self.scale
-
-    inner = ExecutionTimeEstimator(window=1, percentile=100.0)
-    slots = iter(values)
-    for name in WORKLOADS:
-        for freq in LADDER_A:
-            inner.observe(name, freq, next(slots))
-    proxy = Proxy(inner)
-    target = Cell(CountingPolaris(LADDER_A, proxy, sanitize=True))
-    for name, arrival, latency in queue:
-        target.scheduler.enqueue(
-            Request(Workload(name, latency), name, arrival, 1.0))
-    target.running = target.scheduler.next_request()
+def test_skew_between_selections_is_read_by_the_next():
+    """``estimator.skew`` moves every estimate with no observation.  The
+    next selection reads the republished rows (it equals Figure 2 over
+    the skewed ``estimate``), and because a positive factor keeps
+    falling rows falling, walks that start from the hint stay licensed
+    and end where the floor-start walk does."""
     reached = Counter()
-    check_selection(proxy, target, now, 0.001, reached)
-    proxy.scale = scale
-    check_selection(proxy, target, now, 0.001, reached)
-    # Per-call snapshot tables are never hinted, whatever the hint says.
-    assert set(reached) == {"unhinted"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(queue=st.lists(queued, max_size=20),
+           values=st.lists(estimates,
+                           min_size=len(WORKLOADS) * len(ALL_FREQS),
+                           max_size=len(WORKLOADS) * len(ALL_FREQS)),
+           now=seconds,
+           factors=st.lists(st.floats(min_value=0.25, max_value=4.0),
+                            max_size=3))
+    # Every queued request is late at every level, so each walk climbs
+    # to the top and a start above the floor is confirmed: the assertion
+    # below holds whatever the random draws reach.
+    @example(queue=[("a", 0.0, 0.03)] * 10,
+             values=[0.01] * (len(WORKLOADS) * len(ALL_FREQS)), now=0.0,
+             factors=[0.6, 1.7])
+    def run(queue, values, now, factors):
+        estimator = ExecutionTimeEstimator(window=1, percentile=100.0)
+        slots = shaped(values, "falling")
+        for name in WORKLOADS:
+            for freq in ALL_FREQS:
+                estimator.observe(name, freq, next(slots))
+        target = Cell(CountingPolaris(LADDER_A, estimator, sanitize=True))
+        for name, arrival, latency in queue:
+            target.scheduler.enqueue(
+                Request(Workload(name, latency), name, arrival, 1.0))
+        target.running = target.scheduler.next_request()
+        check_selection(estimator, target, now, 0.001, reached)
+        estimator.skew(factors)
+        assert_rows_fresh(estimator, [target])
+        check_selection(estimator, target, now, 0.001, reached)
+        estimator.skew(())
+        assert_rows_fresh(estimator, [target])
+        check_selection(estimator, target, now, 0.001, reached)
+
+    run()
+    assert reached["hinted"]
 
 
 def _sanitized_cell():

@@ -23,11 +23,12 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 from pinned import (
-    HIGH_FAILURE_CELLS, TIERS, assert_pinned, load_pins, pinned_grid,
-    stored_parts,
+    HIGH_FAILURE_CELLS, SKEW_PLAN, TIERS, assert_pinned, load_pins,
+    pinned_grid, stored_parts,
 )
 from repro.core import polaris
 from repro.core.polaris import PolarisScheduler
+from repro.faults import resolve_fault_plan
 from repro.harness.experiment import RunFlags, run_experiment
 
 GRID = pinned_grid()
@@ -45,6 +46,14 @@ def test_only_listed_pinned_cells_fail_most_requests():
              for tier in TIERS for label, pinned in load_pins(tier).items()}
     high = {label: rate for label, rate in rates.items() if rate >= 0.5}
     assert set(high) == set(HIGH_FAILURE_CELLS), high
+
+
+def test_checked_in_plan_file_is_the_pinned_skew_plan():
+    """CI runs ``--faults tests/data/plans/skew.json``: the JSON route
+    must load the plan the skew cells pin."""
+    path = os.path.join(os.path.dirname(__file__), "data", "plans",
+                        "skew.json")
+    assert resolve_fault_plan(path) == SKEW_PLAN
 
 
 @pytest.mark.parametrize("label", sorted(GRID))

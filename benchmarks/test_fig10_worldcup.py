@@ -8,6 +8,7 @@ being the deepest.
 """
 
 from repro.harness import figures
+from repro.harness.experiment import TIMELINE_BIN_S
 
 
 def test_fig10_worldcup(figure_options):
@@ -26,17 +27,18 @@ def test_fig10_worldcup(figure_options):
     assert failure["polaris"] <= failure["conservative"] + 0.01
 
     # Every scheme's power timeline tracks the load: power in the
-    # highest-load fifth of bins exceeds the lowest-load fifth.
+    # highest-load fifth of bins exceeds the lowest-load fifth.  A bin
+    # is paired with the mean of the one-second trace samples it covers
+    # (the test phase, and so the trace, starts after the warmup).
     trace = result.results[0].config.load_trace
     for label, series in timelines.items():
         assert len(series) >= 4
         paired = []
-        bin_width = figure_options.timeline_bin_seconds \
-            if hasattr(figure_options, "timeline_bin_seconds") else 5.0
         for centre, watts in series:
-            index = int(centre - 1.0)  # test phase starts after warmup
-            index = min(max(index, 0), len(trace) - 1)
-            paired.append((trace[index], watts))
+            first = round(centre - TIMELINE_BIN_S / 2
+                          - figure_options.warmup_seconds)
+            covered = trace[first:first + round(TIMELINE_BIN_S)]
+            paired.append((sum(covered) / len(covered), watts))
         paired.sort()
         fifth = max(1, len(paired) // 5)
         low_mean = sum(w for _, w in paired[:fifth]) / fifth

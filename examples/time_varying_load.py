@@ -33,7 +33,6 @@ def main() -> None:
             load_trace=trace,
             workers=8,
             warmup_seconds=1.0,
-            timeline_bin_seconds=2.0,
             seed=1998,
         )
         result = run_experiment(config)

@@ -39,7 +39,6 @@ def main() -> None:
         seed=1,
         trace_path=TRACE_PATH,
         trace_series_path=SERIES_PATH,
-        trace_sample_interval_s=0.1,
     )
     result = run_experiment(config)
 

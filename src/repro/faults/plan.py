@@ -231,11 +231,6 @@ def _check_positive(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite")
 
 
-def _check_count(value: int, what: str, least: int) -> None:
-    if type(value) is not int or value < least:
-        raise ValueError(f"{what} must be an int >= {least}")
-
-
 def _check_ids(ids: Tuple[int, ...], what: str) -> None:
     for item in ids:
         if type(item) is not int or item < 0:
@@ -244,63 +239,42 @@ def _check_ids(ids: Tuple[int, ...], what: str) -> None:
 
 @dataclass(frozen=True)
 class DegradationPolicy:
-    """Which graceful-degradation mechanisms are armed, with thresholds.
+    """Which graceful-degradation mechanisms are armed.
 
-    Everything defaults to *off* so ``DegradationPolicy()`` (and hence
-    ``FaultPlan()``) is inert --- attaching an empty plan must be
-    bit-identical to not attaching one.
+    Each field is a switch.  An armed mechanism runs at the one setting
+    any scenario uses, a module constant of
+    :mod:`repro.faults.resilience` (DESIGN.md §9).  Everything defaults
+    to *off* so ``DegradationPolicy()`` (and hence ``FaultPlan()``) is
+    inert --- attaching an empty plan must be bit-identical to not
+    attaching one.
     """
 
-    #: Bounded retry of failed/ineffective MSR writes: attempts beyond
-    #: the first, 0 disables.  Retry ``k`` fires ``retry_backoff_s *
-    #: 2**k`` seconds after the failure (deterministic exponential
-    #: backoff on the virtual clock); after the last retry the worker
-    #: falls back to the nearest achievable lower P-state.
-    msr_retry_limit: int = 0
-    retry_backoff_s: float = 0.001
-    #: Virtual-time watchdog cadence; None disables the watchdog.
-    watchdog_interval_s: Optional[float] = None
-    #: A core stalled longer than this is declared dead: its queued
-    #: requests migrate to healthy workers (EDF re-sorted) and the
-    #: worker is quarantined from routing.
-    watchdog_stall_threshold_s: float = 0.05
+    #: Bounded retry of failed/ineffective MSR writes with exponential
+    #: backoff, then a fallback to the nearest lower P-state.
+    retry: bool = False
+    #: Virtual-time watchdog: a core stalled past a threshold is
+    #: declared dead, its queued requests migrate to healthy workers
+    #: (EDF re-sorted) and the worker is quarantined from routing.
+    watchdog: bool = False
     #: Admission control: shed arrivals routed to a worker whose queue
-    #: is already this deep; None disables shedding.
-    shed_queue_depth: Optional[int] = None
-    #: Panic mode: when the windowed deadline-miss rate crosses
-    #: ``panic_enter_miss_rate`` the surviving cores pin to the maximum
-    #: frequency, exiting (hysteretically) only once the rate falls to
-    #: ``panic_exit_miss_rate``.  None disables panic mode.
-    panic_enter_miss_rate: Optional[float] = None
-    panic_exit_miss_rate: float = 0.05
-    #: Completions in the panic-mode sliding window.
-    panic_window: int = 50
+    #: is already at the shed depth.
+    shed: bool = False
+    #: Panic mode: a windowed deadline-miss rate past the enter rate
+    #: pins the surviving cores to the maximum frequency until the rate
+    #: falls to the exit rate (hysteresis).
+    panic: bool = False
 
     def __post_init__(self):
-        _check_count(self.msr_retry_limit, "retry limit", 0)
-        _check_positive(self.retry_backoff_s, "retry backoff")
-        if self.watchdog_interval_s is not None:
-            _check_positive(self.watchdog_interval_s, "watchdog interval")
-        _check_positive(self.watchdog_stall_threshold_s,
-                        "watchdog stall threshold")
-        if self.shed_queue_depth is not None:
-            _check_count(self.shed_queue_depth, "shed queue depth", 1)
-        if self.panic_enter_miss_rate is not None:
-            if not 0.0 < self.panic_enter_miss_rate <= 1.0:
-                raise ValueError("panic enter rate must be in (0, 1]")
-            if not 0.0 <= self.panic_exit_miss_rate \
-                    < self.panic_enter_miss_rate:
+        for switch in fields(self):
+            value = getattr(self, switch.name)
+            if type(value) is not bool:
                 raise ValueError(
-                    "panic exit rate must be below the enter rate "
-                    "(hysteresis)")
-        _check_count(self.panic_window, "panic window", 1)
+                    f"degradation switch {switch.name} must be true or "
+                    f"false, got {value!r}")
 
     @property
     def any_enabled(self) -> bool:
-        return bool(self.msr_retry_limit
-                    or self.watchdog_interval_s is not None
-                    or self.shed_queue_depth is not None
-                    or self.panic_enter_miss_rate is not None)
+        return self.retry or self.watchdog or self.shed or self.panic
 
 
 @dataclass(frozen=True)
@@ -344,38 +318,14 @@ class FaultPlan:
                     or self.skews)
 
     def merged_with(self, other: "FaultPlan") -> "FaultPlan":
-        """Union of both plans' faults; ``other``'s degradation policy
-        wins wherever it arms a mechanism this plan leaves off."""
+        """Union of both plans' faults and armed mechanisms."""
         mine = self.degradation
         theirs = other.degradation
         degradation = DegradationPolicy(
-            msr_retry_limit=max(mine.msr_retry_limit,
-                                theirs.msr_retry_limit),
-            retry_backoff_s=(theirs.retry_backoff_s
-                             if theirs.msr_retry_limit
-                             else mine.retry_backoff_s),
-            watchdog_interval_s=(theirs.watchdog_interval_s
-                                 if theirs.watchdog_interval_s is not None
-                                 else mine.watchdog_interval_s),
-            watchdog_stall_threshold_s=(
-                theirs.watchdog_stall_threshold_s
-                if theirs.watchdog_interval_s is not None
-                else mine.watchdog_stall_threshold_s),
-            shed_queue_depth=(theirs.shed_queue_depth
-                              if theirs.shed_queue_depth is not None
-                              else mine.shed_queue_depth),
-            panic_enter_miss_rate=(
-                theirs.panic_enter_miss_rate
-                if theirs.panic_enter_miss_rate is not None
-                else mine.panic_enter_miss_rate),
-            panic_exit_miss_rate=(
-                theirs.panic_exit_miss_rate
-                if theirs.panic_enter_miss_rate is not None
-                else mine.panic_exit_miss_rate),
-            panic_window=(theirs.panic_window
-                          if theirs.panic_enter_miss_rate is not None
-                          else mine.panic_window),
-        )
+            retry=mine.retry or theirs.retry,
+            watchdog=mine.watchdog or theirs.watchdog,
+            shed=mine.shed or theirs.shed,
+            panic=mine.panic or theirs.panic)
         return FaultPlan(
             msr_faults=self.msr_faults + other.msr_faults,
             throttles=self.throttles + other.throttles,

@@ -2,7 +2,9 @@
 
 One :class:`ResilienceController` per experiment, armed by the plan's
 :class:`~repro.faults.plan.DegradationPolicy`.  Four mechanisms, all on
-the virtual clock and all individually toggleable:
+the virtual clock and each switched on by its own policy field; an
+armed mechanism runs at the settings below, the one setting of each
+that any scenario uses:
 
 * **DVFS retry** --- a failed (raised or silently-dropped) P-state write
   is retried with deterministic exponential backoff; after the last
@@ -36,6 +38,25 @@ from repro.cpu.msr import IA32_PERF_CTL, InjectedMsrError, encode_perf_ctl
 from repro.db.server import drain_worker_queue, redistribute_requests
 from repro.faults.plan import DegradationPolicy
 
+#: DVFS retry: attempts after the failed write; retry ``k`` fires
+#: ``RETRY_BACKOFF_S * 2**(k - 1)`` seconds after the failure
+#: (sticky-pstate).
+RETRY_LIMIT = 3
+RETRY_BACKOFF_S = 0.002
+#: Watchdog cadence, and the stall after which a core is declared dead
+#: (dying-core).
+WATCHDOG_INTERVAL_S = 0.025
+WATCHDOG_STALL_S = 0.05
+#: Shed an arrival routed to a worker whose queue is this deep (burst,
+#: dying-core).
+SHED_QUEUE_DEPTH = 12
+#: Panic mode enters at this deadline-miss rate over the last
+#: ``PANIC_WINDOW`` outcomes and exits at ``PANIC_EXIT_MISS_RATE``
+#: (dying-core).
+PANIC_ENTER_MISS_RATE = 0.2
+PANIC_EXIT_MISS_RATE = 0.02
+PANIC_WINDOW = 50
+
 #: Deterministic ordering of the action counters.
 _ACTIONS = ("msr_retry", "msr_retry_success", "msr_fallback", "msr_giveup",
             "quarantine", "migration", "migrated_requests", "shed",
@@ -58,7 +79,7 @@ class ResilienceController:
         self.quarantined = server.quarantined
         #: worker_id -> pending retry event (one in flight per worker).
         self._retries: Dict[int, object] = {}
-        self._outcomes: Deque[bool] = deque(maxlen=policy.panic_window)
+        self._outcomes: Deque[bool] = deque(maxlen=PANIC_WINDOW)
 
     def _record(self, action: str, name: str, **payload) -> None:
         self.actions[action] += 1
@@ -72,16 +93,15 @@ class ResilienceController:
     def attach(self) -> None:
         """Install this controller on its server and start the watchdog."""
         self.server.resilience = self
-        if self.policy.panic_enter_miss_rate is not None:
+        if self.policy.panic:
             self.server.add_completion_listener(self._on_outcome)
             # Sheds and other rejections are deadline failures by the
             # paper's metric, so they count toward the panic window too;
             # otherwise shedding masks the very overload panic exists to
             # react to (bounded queues -> every completion on time).
             self.server.add_rejection_listener(self._on_rejection)
-        if self.policy.watchdog_interval_s is not None:
-            self.sim.schedule(self.policy.watchdog_interval_s,
-                              self._watchdog_tick)
+        if self.policy.watchdog:
+            self.sim.schedule(WATCHDOG_INTERVAL_S, self._watchdog_tick)
 
     # ------------------------------------------------------------------
     # DVFS retry with deterministic backoff
@@ -90,7 +110,7 @@ class ResilienceController:
         """A PERF_CTL write raised or did not take effect; start (or
         restart) the bounded retry cycle for this worker."""
         self.cancel_retry(worker)
-        if self.policy.msr_retry_limit < 1:
+        if not self.policy.retry:
             return
         self._schedule_retry(worker, target_ghz, attempt=1)
 
@@ -102,7 +122,7 @@ class ResilienceController:
 
     def _schedule_retry(self, worker, target_ghz: float,
                         attempt: int) -> None:
-        delay_s = self.policy.retry_backoff_s * (2 ** (attempt - 1))
+        delay_s = RETRY_BACKOFF_S * (2 ** (attempt - 1))
         self._retries[worker.worker_id] = self.sim.schedule(
             delay_s, partial(self._retry, worker, target_ghz, attempt))
 
@@ -113,7 +133,7 @@ class ResilienceController:
         if self._try_write(worker, target_ghz):
             self.actions["msr_retry_success"] += 1
             return
-        if attempt < self.policy.msr_retry_limit:
+        if attempt < RETRY_LIMIT:
             self._schedule_retry(worker, target_ghz, attempt + 1)
             return
         # Retries exhausted: one shot at the nearest lower P-state, then
@@ -144,7 +164,6 @@ class ResilienceController:
     # Watchdog + migration
     # ------------------------------------------------------------------
     def _watchdog_tick(self) -> None:
-        policy = self.policy
         now_s = self.sim.now
         for worker in self.server.workers:
             core = worker.core
@@ -152,10 +171,10 @@ class ResilienceController:
                 continue
             started_s = core.stall_started_s
             if started_s is None \
-                    or now_s - started_s < policy.watchdog_stall_threshold_s:
+                    or now_s - started_s < WATCHDOG_STALL_S:
                 continue
             self._quarantine(worker)
-        self.sim.schedule(policy.watchdog_interval_s, self._watchdog_tick)
+        self.sim.schedule(WATCHDOG_INTERVAL_S, self._watchdog_tick)
 
     def _quarantine(self, worker) -> None:
         self.quarantined.add(worker.worker_id)
@@ -197,8 +216,8 @@ class ResilienceController:
     def maybe_shed(self, worker, request) -> bool:
         """True (and counted/traced) iff ``request`` should be shed at
         admission because ``worker``'s queue is past the shed depth."""
-        depth = self.policy.shed_queue_depth
-        if depth is None or worker.queue_length() < depth:
+        if not self.policy.shed \
+                or worker.queue_length() < SHED_QUEUE_DEPTH:
             return False
         self._record("shed", "degrade:shed", worker=worker.worker_id,
                      queue_depth=worker.queue_length(),
@@ -216,13 +235,13 @@ class ResilienceController:
 
     def _note_outcome(self, met_deadline: bool) -> None:
         self._outcomes.append(met_deadline)
-        if len(self._outcomes) < self.policy.panic_window:
+        if len(self._outcomes) < PANIC_WINDOW:
             return
         misses = sum(1 for met in self._outcomes if not met)
         rate = misses / len(self._outcomes)
-        if not self.panic and rate >= self.policy.panic_enter_miss_rate:
+        if not self.panic and rate >= PANIC_ENTER_MISS_RATE:
             self._set_panic(True, rate)
-        elif self.panic and rate <= self.policy.panic_exit_miss_rate:
+        elif self.panic and rate <= PANIC_EXIT_MISS_RATE:
             self._set_panic(False, rate)
 
     def _set_panic(self, entering: bool, miss_rate: float) -> None:

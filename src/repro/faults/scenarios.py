@@ -7,8 +7,8 @@ windows sized for the harness's default timelines: faults open at 0.5 s
 observes the fault in steady state.
 
 Compose scenarios with ``+``: ``scenario_named("burst+brownout")``
-merges the plans (fault union; the right-hand side wins any armed
-degradation knob).  The CLI and ``ExperimentConfig(faults="name")``
+merges the plans (the union of their faults and of their armed
+degradation mechanisms).  The CLI and ``ExperimentConfig(faults="name")``
 both accept these strings, as does ``REPRO_FAULTS``.
 """
 
@@ -35,7 +35,7 @@ def burst() -> FaultPlan:
     bounded so admitted requests still meet deadlines."""
     return FaultPlan(
         bursts=(BurstSpec(_START_S, _END_S, multiplier=1.8),),
-        degradation=DegradationPolicy(shed_queue_depth=12),
+        degradation=DegradationPolicy(shed=True),
         name="burst")
 
 
@@ -53,8 +53,7 @@ def sticky_pstate() -> FaultPlan:
     return FaultPlan(
         msr_faults=(MsrFaultSpec(_START_S, _END_S, mode="stuck",
                                  probability=0.3),),
-        degradation=DegradationPolicy(msr_retry_limit=3,
-                                      retry_backoff_s=0.002),
+        degradation=DegradationPolicy(retry=True),
         name="sticky-pstate")
 
 
@@ -66,13 +65,7 @@ def dying_core() -> FaultPlan:
     worker's share of the arrivals on top of their own."""
     return FaultPlan(
         stalls=(StallSpec(at_s=_START_S, duration_s=None, workers=(0,)),),
-        degradation=DegradationPolicy(
-            watchdog_interval_s=0.025,
-            watchdog_stall_threshold_s=0.05,
-            shed_queue_depth=12,
-            panic_enter_miss_rate=0.2,
-            panic_exit_miss_rate=0.02,
-            panic_window=50),
+        degradation=DegradationPolicy(watchdog=True, shed=True, panic=True),
         name="dying-core")
 
 

@@ -53,17 +53,31 @@ class FleetConfig:
     failover_enabled: bool = True
 
     def validate(self) -> None:
-        if self.shards < 1:
-            raise ValueError("need at least one shard")
-        if self.replicas_per_shard < 0:
-            raise ValueError("replicas_per_shard cannot be negative")
-        if self.node_workers < 1:
-            raise ValueError("nodes need at least one worker")
-        if not 0 <= self.min_active_replicas <= self.replicas_per_shard:
-            raise ValueError("min_active_replicas out of range")
-        if self.static_active_replicas is not None and not \
-                0 <= self.static_active_replicas <= self.replicas_per_shard:
-            raise ValueError("static_active_replicas out of range")
+        """Reject out-of-range fields by name and value, as
+        ``ExperimentConfig.validate`` does.  Counts must be ints: a
+        float or bool passes a comparison and fails in ``range()``."""
+        def need(ok: bool, name: str, rule: str) -> None:
+            if not ok:
+                raise ValueError(
+                    f"fleet {name} {rule}, got {getattr(self, name)!r}")
+
+        for name, least in (("shards", 1), ("replicas_per_shard", 0),
+                            ("node_workers", 1)):
+            value = getattr(self, name)
+            need(type(value) is int and value >= least, name,
+                 f"must be an int of at least {least}")
+
+        def replica_count(value) -> bool:
+            return (type(value) is int
+                    and 0 <= value <= self.replicas_per_shard)
+
+        rule = ("must be an int from 0 to replicas_per_shard "
+                f"({self.replicas_per_shard!r})")
+        need(replica_count(self.min_active_replicas), "min_active_replicas",
+             rule)
+        need(self.static_active_replicas is None
+             or replica_count(self.static_active_replicas),
+             "static_active_replicas", rule)
 
     def static_replicas(self) -> int:
         """Replicas per shard a static fleet starts active."""

@@ -105,6 +105,13 @@ LOAD_ANCHORS = ((0.0, 0.0), (0.3, 0.27), (0.6, 0.75), (0.9, 0.92),
 #: Wall-power meter cadence (paper: one reading per second).
 METER_INTERVAL_S = 1.0
 
+#: How long the drain after the test phase may run (virtual seconds);
+#: whatever is still queued or in flight then counts as lost.
+DRAIN_LIMIT_S = 10.0
+
+#: Power timeline bin width for trace experiments (Figure 10(a)).
+TIMELINE_BIN_S = 5.0
+
 
 def effective_load_fraction(nominal: float) -> float:
     """Map a paper-nominal load fraction onto simulator utilization
@@ -134,7 +141,6 @@ class ExperimentConfig:
     request_handlers: int = 2
     warmup_seconds: float = 1.0
     test_seconds: float = 8.0
-    drain_limit_seconds: float = 10.0
     seed: int = 42
     #: Estimator parameters (paper: S=1000, 95 <= p <= 99, default 95).
     estimator_window: int = 1000
@@ -156,8 +162,6 @@ class ExperimentConfig:
     estimator_mixed_freq_updates: bool = False
     #: DVFS transition stall for the sensitivity ablation.
     transition_latency: float = 0.0
-    #: Power timeline bin width for trace experiments (Figure 10(a)).
-    timeline_bin_seconds: float = 5.0
     #: Request routing across workers ("rh-round-robin" is the paper's;
     #: "packing" is the Section 8 worker-parking extension).
     routing: str = "rh-round-robin"
@@ -181,8 +185,6 @@ class ExperimentConfig:
     trace_path: Optional[str] = None
     #: Write the sampled metric series as CSV here after the run.
     trace_series_path: Optional[str] = None
-    #: Metrics sampling cadence on the virtual clock (seconds).
-    trace_sample_interval_s: float = 0.25
     #: repro.faults: ``None`` defers to ``REPRO_FAULTS``; a
     #: :class:`~repro.faults.plan.FaultPlan`, scenario name (e.g.
     #: ``"burst+brownout"``), or JSON plan path forces one for this
@@ -220,26 +222,27 @@ class ExperimentConfig:
              "'tiers'")
         need(math.isfinite(self.slack) and self.slack > 0, "slack",
              "must be finite and positive")
+        # A float or bool count would pass ">= 1" and fail in range().
         for name in ("workers", "request_handlers", "estimator_window"):
-            need(getattr(self, name) >= 1, name, "must be at least 1")
+            value = getattr(self, name)
+            need(type(value) is int and value >= 1, name,
+                 "must be an int of at least 1")
         need(0 < self.estimator_percentile <= 100, "estimator_percentile",
              "must be in (0, 100]")
         # Finite, too: a NaN or infinite load fraction would run at 0.97
         # of peak (effective_load_fraction), an infinite warmup never
-        # ends, an infinite drain never ends once a request is stranded
-        # (the meter keeps sampling), and an infinite stall fails inside
-        # the engine.
+        # ends, and an infinite stall fails inside the engine.
         for name in ("load_fraction", "trace_low_fraction",
                      "trace_high_fraction", "warmup_seconds",
-                     "drain_limit_seconds", "transition_latency",
-                     "topology_switch_latency"):
+                     "transition_latency", "topology_switch_latency"):
             need(0 <= getattr(self, name) < math.inf, name,
                  "must be finite and non-negative")
+        need(self.trace_low_fraction <= self.trace_high_fraction,
+             "trace_low_fraction", "must not exceed trace_high_fraction "
+             f"({self.trace_high_fraction!r})")
         need(self.load_trace is not None
              or 0 < self.test_seconds < math.inf, "test_seconds",
              "must be finite and positive without a load_trace")
-        need(0 < self.trace_sample_interval_s < math.inf,
-             "trace_sample_interval_s", "must be finite and positive")
         need(self.load_trace is None or len(self.load_trace) > 0,
              "load_trace", "cannot be empty")
         for index, sample in enumerate(self.load_trace or ()):
@@ -248,8 +251,6 @@ class ExperimentConfig:
                     "load_trace samples must be finite and in [0, 1] "
                     "(what workloads.traces.normalize produces), "
                     f"got {sample!r} at index {index}")
-        need(0 < self.timeline_bin_seconds < math.inf,
-             "timeline_bin_seconds", "must be finite and positive")
         # Written so that NaN fails it too: a NaN target would miss
         # every request of its tier.
         for tier, target in (self.tier_targets or {}).items():
@@ -663,9 +664,7 @@ def run_experiment(config: ExperimentConfig,
             from repro.obs.metrics import MetricRegistry, MetricsSampler
             registry = MetricRegistry()
             plant.register_gauges(registry)
-            sampler = MetricsSampler(
-                sim, registry, interval_s=config.trace_sample_interval_s,
-                tracer=tracer)
+            sampler = MetricsSampler(sim, registry, tracer=tracer)
             sampler.start()
 
         # The meter's cadence is the paper's, clamped so short test windows
@@ -682,7 +681,7 @@ def run_experiment(config: ExperimentConfig,
         # Drain: let in-flight and queued test-phase requests finish so late
         # completions register as failures instead of being censored.
         servers = plant.servers
-        drain_end = test_end + config.drain_limit_seconds
+        drain_end = test_end + DRAIN_LIMIT_S
         while sim.now < drain_end:
             if all(w.idle and not w.queue_length()
                    for server in servers for w in server.workers):
@@ -748,7 +747,7 @@ def run_experiment(config: ExperimentConfig,
             wall_energy_joules=plant.wall_energy(),
             freq_residency=residency,
             power_timeline=(meter.binned_average(test_start, test_end,
-                                                 config.timeline_bin_seconds)
+                                                 TIMELINE_BIN_S)
                             if meter.samples else []),
             load_timeline=list(config.load_trace or []),
             mean_latency_by_workload=recorder.mean_latency_by_workload(),

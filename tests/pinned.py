@@ -198,7 +198,7 @@ def acceptance_trace() -> List[float]:
 def _diurnal_cell(fleet: FleetConfig, faults=None) -> ExperimentConfig:
     return ExperimentConfig(
         benchmark="tpcc", scheme="polaris", slack=60.0,
-        warmup_seconds=0.5, drain_limit_seconds=5.0, seed=11,
+        warmup_seconds=0.5, seed=11,
         load_trace=acceptance_trace(), trace_low_fraction=0.1,
         trace_high_fraction=0.4, trace=False, fleet=fleet, faults=faults)
 

@@ -1,8 +1,9 @@
 """Examples stay importable and expose a main() entry point.
 
-Full example runs are exercised manually / in docs; these tests catch
-API drift (an example referencing a renamed symbol) without paying the
-full simulation cost in the unit suite.
+CI's "Every example runs" step runs each example in full (about 50 s
+for all eight); these tests catch API drift (an example referencing a
+renamed symbol) without paying the full simulation cost in the unit
+suite.
 """
 
 import importlib.util

@@ -20,6 +20,7 @@ Every cell pins ``trace=False`` (as the pinned grids do): ambient
 import dataclasses
 import math
 import os
+import re
 import sys
 
 import pytest
@@ -29,6 +30,7 @@ from pinned import fingerprint
 
 from repro.fleet.config import FleetConfig
 from repro.fleet.experiment import FleetPlant
+from repro.harness import experiment
 from repro.harness.experiment import ExperimentConfig, run_experiment
 
 _SHORT = dict(workers=2, request_handlers=1, warmup_seconds=0.3,
@@ -88,12 +90,13 @@ def _overloaded(fleet, **overrides):
 
 
 @pytest.mark.parametrize("fleet", [False, True], ids=["server", "fleet"])
-def test_offered_is_independent_of_the_drain_limit(fleet):
+def test_offered_is_independent_of_the_drain_limit(fleet, monkeypatch):
     """A request that arrived in the test window is offered, whether or
     not the drain was allowed to reach it: cutting the drain short turns
     would-be late completions into losses, never into silence."""
     full = run_experiment(_overloaded(fleet))
-    cut = run_experiment(_overloaded(fleet, drain_limit_seconds=0.05))
+    monkeypatch.setattr(experiment, "DRAIN_LIMIT_S", 0.05)
+    cut = run_experiment(_overloaded(fleet))
     assert cut.lost > 0  # the cut actually stranded requests
     assert full.lost == 0
     assert cut.offered == full.offered
@@ -160,23 +163,23 @@ def test_slack_only_rescores_a_governor_cell(scheme):
     ("trace_low_fraction", math.nan),
     ("warmup_seconds", -1.0),
     ("warmup_seconds", math.inf),
-    ("drain_limit_seconds", -1.0),
-    ("drain_limit_seconds", math.inf),
     ("test_seconds", 0.0),
     ("test_seconds", -1.0),
     ("test_seconds", math.inf),
     ("load_trace", []),
-    ("timeline_bin_seconds", 0.0),
-    ("timeline_bin_seconds", -5.0),
-    ("timeline_bin_seconds", math.inf),
+    ("trace_high_fraction", 0.1),
     ("transition_latency", -1.0),
     ("topology_switch_latency", -1.0),
     ("topology_switch_latency", math.nan),
     ("request_handlers", 0),
     ("estimator_window", 0),
+    # A float or bool count would pass ">= 1" and fail in range().
+    ("workers", 2.5),
+    ("workers", True),
+    ("request_handlers", 1.5),
+    ("estimator_window", 10.5),
     ("estimator_percentile", 0.0),
     ("estimator_percentile", 101.0),
-    ("trace_sample_interval_s", 0.0),
     ("tier_targets", {"gold": math.nan, "silver": 0.0375}),
     ("tier_targets", {"gold": math.inf, "silver": 0.0375}),
     ("tier_targets", {"gold": 0.0075, "silver": 0.0}),
@@ -246,6 +249,27 @@ def test_unknown_benchmark_lists_the_known_ones():
 def test_validation_reaches_the_nested_fleet_config():
     with pytest.raises(ValueError, match="shard"):
         ExperimentConfig(fleet=FleetConfig(shards=0)).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("shards", 0),
+    ("shards", 1.5),
+    ("shards", True),
+    ("replicas_per_shard", 1.0),
+    ("node_workers", 2.0),
+    ("min_active_replicas", 0.5),
+    ("min_active_replicas", 2),
+    ("static_active_replicas", 0.5),
+])
+def test_out_of_range_fleet_config_is_rejected_naming_the_field(field,
+                                                                value):
+    """The fleet twin of the rule above: a count that is not an int
+    fails at the boundary, naming the field and the value."""
+    config = ExperimentConfig(
+        fleet=FleetConfig(**{field: value}), **_SHORT)
+    with pytest.raises(ValueError,
+                       match=rf"{field} .*got {re.escape(repr(value))}"):
+        run_experiment(config)
 
 
 def test_build_and_train_probe_stays_valid():

@@ -57,20 +57,23 @@ def test_throttle_and_skew_magnitudes():
 
 
 def test_degradation_policy_validation():
-    with pytest.raises(ValueError):
-        DegradationPolicy(msr_retry_limit=-1)
-    with pytest.raises(ValueError):
-        DegradationPolicy(retry_backoff_s=0.0)
-    with pytest.raises(ValueError):
-        DegradationPolicy(watchdog_interval_s=0.0)
-    with pytest.raises(ValueError):
-        DegradationPolicy(shed_queue_depth=0)
-    with pytest.raises(ValueError):
-        # Hysteresis: exit rate must sit strictly below the enter rate.
-        DegradationPolicy(panic_enter_miss_rate=0.1,
-                          panic_exit_miss_rate=0.1)
-    with pytest.raises(ValueError):
-        DegradationPolicy(panic_window=0)
+    """Each field is a switch: a count, a rate or None where a bool
+    goes fails, naming the field."""
+    for switch in ("retry", "watchdog", "shed", "panic"):
+        for value in (0, 1, 0.2, None, "yes"):
+            with pytest.raises(ValueError, match=f"switch {switch} "):
+                DegradationPolicy(**{switch: value})
+        assert DegradationPolicy(**{switch: True}).any_enabled
+
+
+def test_a_plan_with_the_removed_thresholds_fails_naming_the_key():
+    """A plan file written when the policy held thresholds does not
+    load silently under the switches."""
+    old = {"degradation": {"msr_retry_limit": 0, "retry_backoff_s": 0.001}}
+    with pytest.raises(ValueError, match="msr_retry_limit"):
+        FaultPlan.from_dict(old)
+    with pytest.raises(ValueError, match="switch shed "):
+        FaultPlan.from_dict({"degradation": {"shed": 12}})
 
 
 NAN = float("nan")
@@ -93,23 +96,23 @@ INF = float("inf")
     lambda: PartitionSpec(0.0, 1.0, shards=(-1,)),
     lambda: ReplicaLagSpec(0.0, 1.0, extra_lag_s=NAN),
     lambda: ReplicaLagSpec(0.0, 1.0, nodes=(-1,)),
-    lambda: DegradationPolicy(msr_retry_limit=1.5),
-    lambda: DegradationPolicy(retry_backoff_s=NAN),
-    lambda: DegradationPolicy(watchdog_interval_s=NAN),
-    lambda: DegradationPolicy(watchdog_stall_threshold_s=NAN),
-    lambda: DegradationPolicy(shed_queue_depth=NAN),
-    lambda: DegradationPolicy(panic_window=2.0),
+    # A setting where a switch goes: the old retry limit, watchdog
+    # interval, shed depth and panic window.
+    lambda: DegradationPolicy(retry=3),
+    lambda: DegradationPolicy(watchdog=0.025),
+    lambda: DegradationPolicy(shed=12),
+    lambda: DegradationPolicy(panic=50),
     lambda: FaultPlan.from_json(
         '{"skews": [{"start_s": 0, "end_s": 1, "factor": NaN}]}'),
 ], ids=["msr-workers", "throttle-ceiling", "throttle-workers",
         "stall-at", "stall-duration", "stall-workers", "burst-multiplier",
         "skew-factor", "window-start", "window-end", "crash-at",
         "crash-nodes", "partition-shards", "lag-extra", "lag-nodes",
-        "retry-limit", "retry-backoff", "watchdog-interval",
-        "watchdog-threshold", "shed-depth", "panic-window", "from-json"])
+        "retry-limit", "watchdog-interval", "shed-depth", "panic-window",
+        "from-json"])
 def test_a_value_the_engine_cannot_run_fails_at_the_boundary(build):
-    """NaN, an infinite time, a fractional count and a negative id each
-    fail where the plan is built, not inside the run."""
+    """NaN, an infinite time, a negative id and a number where a switch
+    goes each fail where the plan is built, not inside the run."""
     with pytest.raises(ValueError):
         build()
 
@@ -117,7 +120,7 @@ def test_a_value_the_engine_cannot_run_fails_at_the_boundary(build):
 def test_default_policy_is_inert():
     assert not DegradationPolicy().any_enabled
     assert FaultPlan().is_empty
-    assert DegradationPolicy(shed_queue_depth=4).any_enabled
+    assert DegradationPolicy(shed=True).any_enabled
     assert not FaultPlan(degradation=DegradationPolicy()).degradation \
         .any_enabled
 
@@ -133,9 +136,7 @@ def _sample_plan() -> FaultPlan:
         stalls=(StallSpec(0.3, duration_s=0.1, workers=(1,)),),
         bursts=(BurstSpec(0.4, 0.9, multiplier=2.5),),
         skews=(SkewSpec(0.5, 0.8, factor=0.7),),
-        degradation=DegradationPolicy(msr_retry_limit=2,
-                                      shed_queue_depth=8,
-                                      panic_enter_miss_rate=0.3),
+        degradation=DegradationPolicy(retry=True, shed=True, panic=True),
         name="kitchen-sink")
 
 
@@ -168,12 +169,13 @@ def test_merged_with_unions_faults():
 
 
 def test_merged_with_right_side_wins_armed_knobs():
-    left = FaultPlan(degradation=DegradationPolicy(shed_queue_depth=4,
-                                                   msr_retry_limit=1))
-    right = FaultPlan(degradation=DegradationPolicy(shed_queue_depth=9))
+    """A mechanism either side arms stays armed: there is no threshold
+    left for the sides to disagree on."""
+    left = FaultPlan(degradation=DegradationPolicy(shed=True, retry=True))
+    right = FaultPlan(degradation=DegradationPolicy(shed=True, panic=True))
     merged = left.merged_with(right).degradation
-    assert merged.shed_queue_depth == 9       # right arms it -> right wins
-    assert merged.msr_retry_limit == 1        # right leaves it off -> left
+    assert merged == DegradationPolicy(retry=True, shed=True, panic=True)
+    assert right.merged_with(left).degradation == merged
 
 
 # ----------------------------------------------------------------------

@@ -70,10 +70,7 @@ def test_accounting_balances_under_chaos(seed, scenario):
 def test_degradation_only_plan_changes_nothing_when_nothing_fails():
     """Armed mechanisms with no faults to react to stay dormant (the
     retry path, watchdog, and panic mode never trigger on their own)."""
-    policy = DegradationPolicy(msr_retry_limit=3,
-                               watchdog_interval_s=0.05,
-                               panic_enter_miss_rate=0.9,
-                               panic_exit_miss_rate=0.05)
+    policy = DegradationPolicy(retry=True, watchdog=True, panic=True)
     baseline = run_experiment(ExperimentConfig(seed=11, **_BASE))
     armed = run_experiment(ExperimentConfig(
         seed=11, faults=FaultPlan(degradation=policy), **_BASE))

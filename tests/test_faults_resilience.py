@@ -16,7 +16,10 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     DegradationPolicy, FaultPlan, MsrFaultSpec, StallSpec,
 )
-from repro.faults.resilience import ResilienceController
+from repro.faults.resilience import (
+    PANIC_ENTER_MISS_RATE, PANIC_EXIT_MISS_RATE, PANIC_WINDOW,
+    RETRY_BACKOFF_S, RETRY_LIMIT, SHED_QUEUE_DEPTH, ResilienceController,
+)
 from repro.faults.scenarios import scenario_named
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.sim.engine import Simulator
@@ -53,16 +56,16 @@ def request(arrival_s=0.0, work=0.0028, target_s=1.0) -> Request:
 # ----------------------------------------------------------------------
 def test_retry_reapplies_target_once_fault_window_closes(sim):
     server = make_server(sim, workers=1)
+    # Retry 1 fires at one backoff (still in the window, dropped);
+    # retry 2 at three backoffs (window closed, takes effect).
     resilience, _ = arm(sim, server, FaultPlan(
-        msr_faults=(MsrFaultSpec(0.0, 0.0015, mode="stuck"),),
-        degradation=DegradationPolicy(msr_retry_limit=3,
-                                      retry_backoff_s=0.001)))
+        msr_faults=(MsrFaultSpec(0.0, 1.5 * RETRY_BACKOFF_S,
+                                 mode="stuck"),),
+        degradation=DegradationPolicy(retry=True)))
     worker = server.workers[0]
     worker.pin_frequency(1.2)          # dropped: core stays at 2.8
     assert server.cores[0].freq == 2.8
-    sim.run(until=0.01)
-    # Retry 1 at 0.001 (still in the window, dropped); retry 2 at
-    # 0.001 + 0.002 = 0.003 (window closed, takes effect).
+    sim.run(until=0.05)
     assert server.cores[0].freq == 1.2
     assert resilience.actions["msr_retry"] == 2
     assert resilience.actions["msr_retry_success"] == 1
@@ -73,8 +76,7 @@ def test_exhausted_retries_fall_back_to_lower_pstate(sim):
     server = make_server(sim, workers=1)
     plan = FaultPlan(
         msr_faults=(MsrFaultSpec(0.0, 10.0, mode="error"),),
-        degradation=DegradationPolicy(msr_retry_limit=2,
-                                      retry_backoff_s=0.001))
+        degradation=DegradationPolicy(retry=True))
     resilience, injector = arm(sim, server, plan)
     worker = server.workers[0]
     server.cores[0].set_frequency(1.2)
@@ -82,7 +84,7 @@ def test_exhausted_retries_fall_back_to_lower_pstate(sim):
     sim.run(until=0.1)
     # Every attempt raises; after the last, the one-shot fallback to
     # step_down(2.8) also raises, so the controller gives up.
-    assert resilience.actions["msr_retry"] == 2
+    assert resilience.actions["msr_retry"] == RETRY_LIMIT
     assert resilience.actions["msr_giveup"] == 1
     assert server.cores[0].freq == 1.2  # rides the stale P-state
 
@@ -91,10 +93,9 @@ def test_new_decision_cancels_outstanding_retry(sim):
     server = make_server(sim, workers=1)
     resilience, _ = arm(sim, server, FaultPlan(
         msr_faults=(MsrFaultSpec(0.0, 0.0005, mode="stuck"),),
-        degradation=DegradationPolicy(msr_retry_limit=5,
-                                      retry_backoff_s=0.01)))
+        degradation=DegradationPolicy(retry=True)))
     worker = server.workers[0]
-    worker.pin_frequency(1.2)  # dropped -> retry scheduled at 0.01
+    worker.pin_frequency(1.2)  # dropped -> retry scheduled at 0.002
     # A newer decision lands after the fault window but before the
     # retry fires: it cancels the retry and applies directly.
     sim.schedule_at(0.001, lambda: worker.pin_frequency(2.4))
@@ -110,8 +111,7 @@ def test_watchdog_quarantines_and_migrates_without_losing_requests(sim):
     server = make_server(sim, workers=2, polaris=True)
     resilience, _ = arm(sim, server, FaultPlan(
         stalls=(StallSpec(at_s=0.05, duration_s=None, workers=(0,)),),
-        degradation=DegradationPolicy(watchdog_interval_s=0.01,
-                                      watchdog_stall_threshold_s=0.02)))
+        degradation=DegradationPolicy(watchdog=True)))
     dead, healthy = server.workers
 
     def feed_dead_worker():
@@ -134,8 +134,7 @@ def test_routing_probes_past_quarantined_workers(sim):
     server = make_server(sim, workers=2, polaris=True)
     _resilience, _ = arm(sim, server, FaultPlan(
         stalls=(StallSpec(at_s=0.0, duration_s=None, workers=(0,)),),
-        degradation=DegradationPolicy(watchdog_interval_s=0.01,
-                                      watchdog_stall_threshold_s=0.02)))
+        degradation=DegradationPolicy(watchdog=True)))
     sim.run(until=0.1)  # watchdog has quarantined worker 0
     for _ in range(4):
         server.submit(request(arrival_s=sim.now))
@@ -151,18 +150,20 @@ def test_shedding_rejects_past_queue_depth(sim):
     server = make_server(sim, workers=1)
     resilience, _ = arm(sim, server, FaultPlan(
         stalls=(StallSpec(at_s=0.0, duration_s=None, workers=(0,)),),
-        degradation=DegradationPolicy(shed_queue_depth=2)))
+        degradation=DegradationPolicy(shed=True)))
     rejected = []
     server.add_rejection_listener(rejected.append)
     sim.run(until=0.01)  # core now stalled: accepts queue, nothing runs
     worker = server.workers[0]
-    requests = [request(arrival_s=sim.now) for _ in range(4)]
+    requests = [request(arrival_s=sim.now)
+                for _ in range(SHED_QUEUE_DEPTH + 2)]
     for req in requests:
         server.submitted += 1
         worker.accept(req)
-    assert worker.queue_length() == 2
-    assert [r.state for r in requests[2:]] == [RequestState.REJECTED] * 2
-    assert rejected == requests[2:]
+    assert worker.queue_length() == SHED_QUEUE_DEPTH
+    shed = requests[SHED_QUEUE_DEPTH:]
+    assert [r.state for r in shed] == [RequestState.REJECTED] * 2
+    assert rejected == shed
     assert server.rejected == 2
     assert resilience.actions["shed"] == 2
     server.sanitize_accounting()
@@ -175,13 +176,11 @@ def test_panic_enters_pins_fmax_and_exits_hysteretically(sim):
     server = make_server(sim, workers=2, polaris=True)
     resilience, _ = arm(sim, server, FaultPlan(
         stalls=(StallSpec(at_s=100.0, duration_s=None, workers=(0,)),),
-        degradation=DegradationPolicy(panic_enter_miss_rate=0.5,
-                                      panic_exit_miss_rate=0.05,
-                                      panic_window=4)))
+        degradation=DegradationPolicy(panic=True)))
     server.cores[0].set_frequency(1.2)
     miss = SimpleNamespace(met_deadline=False)
     hit = SimpleNamespace(met_deadline=True)
-    for _ in range(4):
+    for _ in range(PANIC_WINDOW):
         resilience._on_outcome(miss)
     assert resilience.panic
     assert resilience.actions["panic_enter"] == 1
@@ -191,12 +190,18 @@ def test_panic_enters_pins_fmax_and_exits_hysteretically(sim):
     freqs = server.workers[0].dispatcher.frequencies
     assert server.workers[0].dispatcher.select_frequency(
         sim.now, None) == freqs[-1]
-    # One good completion is not enough to exit (hysteresis)...
-    resilience._on_outcome(hit)
-    assert resilience.panic
-    # ...but a clean window is.
-    for _ in range(3):
+    # A miss rate back below the enter rate is not enough to exit
+    # (hysteresis)...
+    hits = 0
+    while (PANIC_WINDOW - hits) / PANIC_WINDOW >= PANIC_ENTER_MISS_RATE:
         resilience._on_outcome(hit)
+        hits += 1
+    assert resilience.panic
+    # ...but one at the exit rate is.
+    while (PANIC_WINDOW - hits) / PANIC_WINDOW > PANIC_EXIT_MISS_RATE:
+        assert resilience.panic
+        resilience._on_outcome(hit)
+        hits += 1
     assert not resilience.panic
     assert resilience.actions["panic_exit"] == 1
 
@@ -205,16 +210,13 @@ def test_sheds_count_as_misses_for_panic(sim):
     server = make_server(sim, workers=1, polaris=True)
     resilience, _ = arm(sim, server, FaultPlan(
         stalls=(StallSpec(at_s=0.0, duration_s=None, workers=(0,)),),
-        degradation=DegradationPolicy(shed_queue_depth=1,
-                                      panic_enter_miss_rate=0.5,
-                                      panic_exit_miss_rate=0.05,
-                                      panic_window=4)))
+        degradation=DegradationPolicy(shed=True, panic=True)))
     sim.run(until=0.01)
     worker = server.workers[0]
-    for _ in range(6):  # 1 queued + 5 shed
+    for _ in range(SHED_QUEUE_DEPTH + PANIC_WINDOW):  # queued, then shed
         server.submitted += 1
         worker.accept(request(arrival_s=sim.now))
-    assert resilience.actions["shed"] == 5
+    assert resilience.actions["shed"] == PANIC_WINDOW
     assert resilience.panic  # rejections alone crossed the threshold
 
 

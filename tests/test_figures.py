@@ -6,11 +6,10 @@ golden captured from the commit before figures became data.
 """
 
 import pathlib
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
-from repro.fleet.config import FleetConfig
 from repro.harness import figures
 from repro.harness.figures import FIGURES, Figure, Grid
 
@@ -168,27 +167,3 @@ def test_cli_runs_theory(capsys):
     assert main(["theory"]) == 0
     out = capsys.readouterr().out
     assert "Thm 4.3" in out
-
-
-#: A fleet's shape: every fleet figure sizes its fleet, so a shape
-#: field needs no figure that varies it to earn its place.
-FLEET_SHAPE_FIELDS = {"shards", "replicas_per_shard", "node_workers"}
-
-
-def test_every_fleet_option_is_set_by_a_figure():
-    """A ``FleetConfig`` field that no figure cell sets off its default
-    has one value in use: it belongs in a module constant of the
-    component that reads it, not in the config, ``validate()`` and the
-    sweep-cache key."""
-    default = FleetConfig()
-    fleets = [config.fleet for figure in FIGURES.values()
-              for _key, config in figure.cells(
-                  figures.FigureOptions(trace_seconds=10))
-              if config.fleet is not None]
-    assert fleets
-    unused = [field.name for field in fields(FleetConfig)
-              if field.name not in FLEET_SHAPE_FIELDS
-              and all(getattr(fleet, field.name)
-                      == getattr(default, field.name) for fleet in fleets)]
-    assert unused == [], (
-        "FleetConfig fields no figure sets: " + ", ".join(unused))

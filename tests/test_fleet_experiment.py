@@ -108,7 +108,7 @@ def test_cell_matches_pinned_fingerprint(label, request):
 def _quick_fleet_config(**overrides):
     fleet = FleetConfig(shards=1, replicas_per_shard=1, node_workers=1)
     config = ExperimentConfig(warmup_seconds=0.2, test_seconds=0.5,
-                              drain_limit_seconds=2.0, fleet=fleet)
+                              fleet=fleet)
     for key, value in overrides.items():
         setattr(config, key, value)
     return config

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.estimator import ExecutionTimeEstimator
 from repro.cpu.pstates import POLARIS_FREQUENCIES
+from repro.harness import experiment
 from repro.harness.experiment import (
     BENCHMARKS, ExperimentConfig, _build_workloads, _train_estimator,
     effective_load_fraction, run_experiment,
@@ -97,12 +98,12 @@ def test_unknown_policy_rejected():
         run_experiment(ExperimentConfig(workload_policy="bogus", **FAST))
 
 
-def test_load_trace_drives_rates():
+def test_load_trace_drives_rates(monkeypatch):
+    monkeypatch.setattr(experiment, "TIMELINE_BIN_S", 1.0)
     trace = [0.0] * 2 + [1.0] * 2
     config = ExperimentConfig(scheme="static-2.8", slack=40.0,
                               load_trace=trace, workers=2,
-                              warmup_seconds=0.5, seed=3,
-                              timeline_bin_seconds=1.0)
+                              warmup_seconds=0.5, seed=3)
     result = run_experiment(config)
     # Test window = trace duration (4 s); the timeline shows the ramp.
     assert len(result.power_timeline) == 4

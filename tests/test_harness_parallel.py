@@ -11,12 +11,14 @@ sys.path.insert(0, os.path.dirname(__file__))
 from pinned import fingerprint
 
 from repro.fleet.config import FleetConfig
+from repro.harness import experiment
 from repro.harness.experiment import (
     ExperimentConfig, dynamics_key, rescored, run_experiment,
 )
 from repro.harness.figures import FIGURES, FigureOptions, run_figure
 from repro.harness.parallel import (
     SweepCache, SweepRunner, code_version_salt, config_key, resolve_jobs,
+    shutdown_shared_pool,
 )
 from repro.harness.profiling import TimingReport
 from repro.harness.schemes import SCHEMES
@@ -331,16 +333,28 @@ def shared_grid(benchmark, slacks):
                 trace=False)
     grid = [ExperimentConfig(scheme=scheme, slack=slack, **base)
             for scheme in GOVERNOR_SCHEMES for slack in slacks]
-    # An overloaded group whose backlog outlives the drain: the lost
-    # requests miss every deadline, whatever the slack.
+    # An overloaded group whose backlog outlives the (short_drain)
+    # drain: the lost requests miss every deadline, whatever the slack.
     grid += [ExperimentConfig(scheme="static-1.2", slack=slack,
-                              load_fraction=0.9, drain_limit_seconds=0.05,
-                              **base) for slack in slacks]
+                              load_fraction=0.9, **base)
+             for slack in slacks]
     return grid
 
 
+@pytest.fixture
+def short_drain(monkeypatch):
+    """Cut every cell's drain to 0.05 s.  A pool worker sees the patched
+    constant only if it forks after the patch, so the shared pool is
+    rebuilt on both sides of the test."""
+    shutdown_shared_pool()
+    monkeypatch.setattr(experiment, "DRAIN_LIMIT_S", 0.05)
+    yield
+    shutdown_shared_pool()
+
+
 @pytest.mark.parametrize("bench_name", sorted(SHARED_SECONDS))
-def test_slack_sweep_of_a_governor_scheme_is_one_simulation(bench_name):
+def test_slack_sweep_of_a_governor_scheme_is_one_simulation(bench_name,
+                                                            short_drain):
     """The licence for sharing: every cell a group serves equals the
     standalone run of that cell, whichever member is simulated."""
     assert {"ondemand", "conservative", "static-2.8"} \

@@ -96,14 +96,16 @@ def test_rejected_request_never_double_counted_end_to_end(sim):
     """Drive the server's real rejection path (resilience shedding) and
     check a shed request hits the recorder exactly once."""
     from repro.faults.plan import DegradationPolicy, FaultPlan, StallSpec
-    from repro.faults.resilience import ResilienceController
+    from repro.faults.resilience import (
+        SHED_QUEUE_DEPTH, ResilienceController,
+    )
     from repro.faults.injector import FaultInjector
     import random
 
     server = make_server(sim)
     plan = FaultPlan(
         stalls=(StallSpec(at_s=0.0, duration_s=0.05, workers=(0,)),),
-        degradation=DegradationPolicy(shed_queue_depth=1))
+        degradation=DegradationPolicy(shed=True))
     ResilienceController(sim, server, plan.degradation).attach()
     FaultInjector(sim, plan, random.Random(1)).attach(server)
     recorder = LatencyRecorder()
@@ -112,7 +114,8 @@ def test_rejected_request_never_double_counted_end_to_end(sim):
     server.add_rejection_listener(recorder.on_rejection)
 
     def offer():
-        for _ in range(3):  # stalled core: 1 queues, 2 shed
+        # Stalled core: the first SHED_QUEUE_DEPTH queue, 2 are shed.
+        for _ in range(SHED_QUEUE_DEPTH + 2):
             server.submit(request(arrival_s=sim.now))
 
     sim.schedule_at(0.01, offer)
@@ -120,8 +123,10 @@ def test_rejected_request_never_double_counted_end_to_end(sim):
     server.drain()
     assert server.rejected == 2
     assert recorder.total_rejected == 2
-    assert recorder.total_completed == 1
+    assert recorder.total_completed == SHED_QUEUE_DEPTH
     stats = recorder.per_workload["gold"]
-    # 3 offered = 1 completed + 2 missed-by-rejection; nothing twice.
-    assert (stats.offered, stats.completed, stats.missed) == (3, 1, 2)
+    # Offered = the queued ones completed + 2 missed-by-rejection;
+    # nothing twice.
+    assert (stats.offered, stats.completed, stats.missed) \
+        == (SHED_QUEUE_DEPTH + 2, SHED_QUEUE_DEPTH, 2)
     server.sanitize_accounting()

@@ -19,8 +19,7 @@ from repro.fleet.config import FleetConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.sim.rng import RandomStreams
 
-_TINY = dict(warmup_seconds=0.2, drain_limit_seconds=2.0, seed=3,
-             trace=False)
+_TINY = dict(warmup_seconds=0.2, seed=3, trace=False)
 
 
 def _cells():

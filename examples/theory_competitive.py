@@ -47,7 +47,7 @@ def main() -> None:
     print()
 
     print("Adversarial pair (Section 4.6: the cost of non-preemption):")
-    pair = adversarial_pair(w_max=10.0, w_min=0.1)
+    pair = adversarial_pair()
     e_yds = yds_energy(pair, ALPHA)
     polaris = polaris_ideal_schedule(pair)
     polaris.check_feasible(pair, preemptive=False)

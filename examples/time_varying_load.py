@@ -23,7 +23,7 @@ def main() -> None:
     trace = synthesize_worldcup_trace(TRACE_SECONDS, random.Random(1998))
     print(f"{TRACE_SECONDS}s trace, rate swept 30%..90% of peak, "
           "slack 50\n")
-    print("  load    : " + sparkline(trace, width=50))
+    print("  load    : " + sparkline(trace))
     summary = []
     for scheme in ["conservative", "ondemand", "polaris"]:
         config = ExperimentConfig(
@@ -37,7 +37,7 @@ def main() -> None:
         )
         result = run_experiment(config)
         watts = [w for _, w in result.power_timeline]
-        print(f"  {scheme:8s}: " + sparkline(watts, width=50))
+        print(f"  {scheme:8s}: " + sparkline(watts))
         summary.append((scheme, result.avg_power_watts,
                         result.failure_rate))
     print()

@@ -221,9 +221,10 @@ def _lint_file(path: str, source: str) -> Tuple[
     return kept, suppressed, ctx.suppressions
 
 
-def lint_source(source: str, path: str = "<string>") -> List[Finding]:
-    """Run the registered rules over one source string; the findings
-    no suppression silences, ordered by (line, col, code)."""
+def lint_source(source: str, path: str) -> List[Finding]:
+    """Run the registered rules over one source string, linted as the
+    file at ``path``; the findings no suppression silences, ordered by
+    (line, col, code)."""
     kept, _, _ = _lint_file(str(path), source)
     return sorted(kept, key=lambda f: (f.line, f.col, f.code))
 

@@ -21,10 +21,9 @@ simsan hooks.  Three idealizations have to be dropped at the door:
   "replan at every arrival/completion, dispatch in EDF order" --- the
   same embedding the paper uses for POLARIS itself.
 
-:class:`QoaScheduler` is OA with a speed multiplier ``q_factor``
-(Bansal, Chan & Pruhs's qOA: running at ``q >= 1`` times OA's speed
-trades energy for a better competitive ratio; ``q = 1`` is plain OA,
-``q = 2 - 1/alpha`` the classic qOA operating point).
+:class:`QoaScheduler` is Bansal, Chan & Pruhs's qOA at ``q = 1``, which
+is plain OA (running at ``q >= 1`` times OA's speed trades energy for
+a better competitive ratio; no figure runs another ``q``).
 :class:`AvrScheduler` is Yao, Demers & Shenker's density accumulator.
 """
 
@@ -107,16 +106,12 @@ class QoaScheduler(OnlineSpeedScaler):
     deadline, the target speed is the maximum prefix density
     ``sum(work) / (deadline - now)`` --- the first staircase group's
     speed, which is all OA ever executes before the next replan.  The
-    result is multiplied by :attr:`q_factor` and rounded with relation
-    L.  A deadline at or behind ``now`` is an infinite density: run
-    flat out (the discrete-grid analogue of the oracle's instantaneous
-    completion).
+    result is rounded with relation L.  A deadline at or behind ``now``
+    is an infinite density: run flat out (the discrete-grid analogue of
+    the oracle's instantaneous completion).
     """
 
     name = "oa-online"
-
-    #: OA speed multiplier; 1.0 is plain OA, ``2 - 1/alpha`` classic qOA.
-    q_factor = 1.0
 
     def _target_speed(self, now: float, running: Optional[Request],
                       running_elapsed: float) -> float:
@@ -138,7 +133,7 @@ class QoaScheduler(OnlineSpeedScaler):
                 # Due now: infinite density in the idealized model.
                 return float("inf")
             density = max(density, acc / horizon)
-        return density * self.q_factor
+        return density
 
 
 class AvrScheduler(OnlineSpeedScaler):

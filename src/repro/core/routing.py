@@ -34,6 +34,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+#: Packing's backlog cap (running + queued) per worker.
+MAX_BACKLOG = 3
+
 
 class RoutingPolicy:
     """Chooses the worker index for each incoming request.
@@ -85,22 +88,17 @@ class PackingRouting(RoutingPolicy):
     """Consolidate onto the fewest workers (Section 8's extension).
 
     Route to the lowest-numbered worker whose backlog (running + queued)
-    is below ``max_backlog``; spill to the next worker only when all
+    is below ``MAX_BACKLOG``; spill to the next worker only when all
     earlier ones are saturated.  Workers beyond the active prefix see no
     requests, so their cores' idle intervals grow long enough for the
     C-state ladder to demote them into C6.
 
-    ``max_backlog`` trades power for latency: a small cap behaves like
+    The cap trades power for latency: a small cap behaves like
     least-loaded (little parking); a large cap parks aggressively but
     queues more work per active core.
     """
 
     name = "packing"
-
-    def __init__(self, max_backlog: int = 3):
-        if max_backlog < 1:
-            raise ValueError("max_backlog must be at least 1")
-        self.max_backlog = max_backlog
 
     def choose_worker(self, workers: Sequence, request, now: float,
                       eligible: Optional[Sequence[int]] = None) -> int:
@@ -110,7 +108,7 @@ class PackingRouting(RoutingPolicy):
         for index in candidates:
             worker = workers[index]
             backlog = worker.queue_length() + (0 if worker.idle else 1)
-            if backlog < self.max_backlog:
+            if backlog < MAX_BACKLOG:
                 return index
             if fallback_backlog is None or backlog < fallback_backlog:
                 fallback_backlog = backlog

@@ -89,5 +89,5 @@ class WorkloadManager:
         The paper's differentiation experiment uses
         ``{"gold": 7.5e-3, "silver": 37.5e-3}`` (Section 6.5).
         """
-        return cls(Workload(name, target)
-                   for name, target in sorted(targets.items()))
+        return cls(workloads=[Workload(name, target)
+                              for name, target in sorted(targets.items())])

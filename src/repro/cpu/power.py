@@ -10,7 +10,7 @@ from the Watts up? meter that observes it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.cpu import calibration
 
@@ -18,16 +18,11 @@ from repro.cpu import calibration
 class CorePowerModel:
     """Maps a core's (frequency, busy/idle) state to instantaneous watts.
 
-    By default the calibrated curves from :mod:`repro.cpu.calibration`
-    are used; custom callables may be supplied for sensitivity studies
-    (e.g. the ablation bench that flattens the idle curve).
+    The curves are :mod:`repro.cpu.calibration`'s, memoized per
+    frequency.
     """
 
-    def __init__(self,
-                 active_fn: Optional[Callable[[float], float]] = None,
-                 idle_fn: Optional[Callable[[float], float]] = None):
-        self._active_fn = active_fn or calibration.active_watts
-        self._idle_fn = idle_fn or calibration.idle_watts
+    def __init__(self):
         self._active_cache: Dict[float, float] = {}
         self._idle_cache: Dict[float, float] = {}
 
@@ -35,7 +30,7 @@ class CorePowerModel:
         """Draw of a core executing a transaction at ``freq_ghz`` (W)."""
         watts = self._active_cache.get(freq_ghz)
         if watts is None:
-            watts = self._active_fn(freq_ghz)
+            watts = calibration.active_watts(freq_ghz)
             self._active_cache[freq_ghz] = watts
         return watts
 
@@ -43,31 +38,29 @@ class CorePowerModel:
         """Draw of an idle core whose operating point is ``freq_ghz`` (W)."""
         watts = self._idle_cache.get(freq_ghz)
         if watts is None:
-            watts = self._idle_fn(freq_ghz)
+            watts = calibration.idle_watts(freq_ghz)
             self._idle_cache[freq_ghz] = watts
         return watts
 
 
 class ServerPowerModel:
-    """Whole-server wall power: a static floor plus the sum of core draws.
+    """Whole-server wall power: the static floor
+    (``calibration.STATIC_WATTS``) plus the sum of core draws.
 
     ``wall_power(cores)`` gives the *instantaneous* draw; energy
     integration is done by the callers that track time.
     """
 
-    def __init__(self, static_watts: float = calibration.STATIC_WATTS):
-        if static_watts < 0:
-            raise ValueError("static watts cannot be negative")
-        self.static_watts = static_watts
-
     def wall_power(self, cores: Iterable) -> float:
         """Instantaneous wall draw given the cores' current states (W)."""
-        return self.static_watts + sum(c.current_power() for c in cores)
+        return calibration.STATIC_WATTS \
+            + sum(c.current_power() for c in cores)
 
     def wall_energy(self, cores: Iterable, now: float) -> float:
         """Total wall energy consumed up to virtual time ``now`` (J).
 
         Cores integrate their own energy exactly; the static floor
-        contributes ``static_watts * now``.
+        contributes ``STATIC_WATTS * now``.
         """
-        return self.static_watts * now + sum(c.energy_at(now) for c in cores)
+        return calibration.STATIC_WATTS * now \
+            + sum(c.energy_at(now) for c in cores)

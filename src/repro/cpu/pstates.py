@@ -123,10 +123,10 @@ class PStateTable:
                 return state.freq_ghz
         return self.min_freq
 
-    def step_down(self, freq_ghz: float, steps: int = 1) -> float:
-        """Frequency ``steps`` levels below ``freq_ghz``, clamped to min."""
+    def step_down(self, freq_ghz: float) -> float:
+        """Frequency one level below ``freq_ghz``, clamped to min."""
         idx = self._index_of(freq_ghz)
-        return self._states[max(idx - steps, 0)].freq_ghz
+        return self._states[max(idx - 1, 0)].freq_ghz
 
     def state_label(self, freq_ghz: float) -> str:
         """ACPI name of the state at ``freq_ghz`` (``P0`` = fastest).

@@ -39,6 +39,9 @@ from repro.cpu.topology import FrequencyDomain, SocketTopology, make_topology
 from repro.db.queues import FifoQueue, RequestQueue
 from repro.sim.engine import Simulator
 
+#: How long :meth:`DatabaseServer.drain` may run (virtual seconds).
+DRAIN_TIMEOUT_S = 60.0
+
 
 class DrainTimeout(RuntimeError):
     """`DatabaseServer.drain` could not empty the server: the virtual
@@ -612,11 +615,11 @@ class DatabaseServer:
         self._rejection_listeners.clear()
         self.resilience = None
 
-    def drain(self, timeout: float = 60.0) -> None:
+    def drain(self) -> None:
         """Run the simulation until every worker is idle and every queue
-        is empty (for tests).
+        is empty.
 
-        ``timeout`` is *virtual* (simulation) seconds, measured on
+        ``DRAIN_TIMEOUT_S`` is *virtual* (simulation) seconds, measured on
         ``sim.now`` from the call --- host wall time never enters, so a
         slow machine cannot flip a drain into a failure.  If work
         remains when the virtual deadline passes, or the event queue
@@ -625,7 +628,7 @@ class DatabaseServer:
         :class:`DrainTimeout` naming each undrained worker and what it
         is holding, instead of returning as if the drain succeeded.
         """
-        deadline = self.sim.now + timeout
+        deadline = self.sim.now + DRAIN_TIMEOUT_S
         # Sentinel no-op at the deadline: step() advances to the next
         # event, which may otherwise leap far past the deadline (and a
         # leap that happens to finish the work would turn a blown
@@ -637,7 +640,7 @@ class DatabaseServer:
                 return
             if self.sim.now >= deadline:
                 raise DrainTimeout(self._drain_report(
-                    f"drain exceeded {timeout:g} virtual seconds"))
+                    f"drain exceeded {DRAIN_TIMEOUT_S:g} virtual seconds"))
             if not self.sim.step():
                 raise DrainTimeout(self._drain_report(
                     "event queue ran dry with work still held"))

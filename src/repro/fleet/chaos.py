@@ -57,12 +57,9 @@ GROUP_COMMIT_SIZE = 8
 class ShardReplication:
     """One shard's WAL plus the replicas' apply positions."""
 
-    def __init__(self, sim: Simulator, shard_id: int,
-                 group_commit_size: int = GROUP_COMMIT_SIZE):
+    def __init__(self, sim: Simulator, shard_id: int):
         self.sim = sim
         self.shard_id = shard_id
-        #: The unit tests sweep it; fleet cells run the constant.
-        self.group_commit_size = group_commit_size
         self.next_lsn = 1
         #: COMMIT LSNs in the unforced tail; a full group forces it.
         self.buffered_commits: List[int] = []
@@ -92,7 +89,7 @@ class ShardReplication:
         self.next_lsn += 2
         buffered = self.buffered_commits
         buffered.append(commit_lsn)
-        if len(buffered) >= self.group_commit_size:
+        if len(buffered) >= GROUP_COMMIT_SIZE:
             self.durable_commits.extend(buffered)
             buffered.clear()
             self.force_times.append((self.sim.now, commit_lsn))

@@ -62,8 +62,7 @@ class Node:
                  role: str, server: DatabaseServer,
                  parked_floor_watts: float,
                  replication_lag_s: float = 0.0,
-                 start_parked: bool = False,
-                 on_transition: Optional[Callable] = None):
+                 start_parked: bool = False):
         if role not in (PRIMARY, REPLICA):
             raise ValueError(f"unknown node role {role!r}")
         if role == PRIMARY and start_parked:
@@ -79,7 +78,8 @@ class Node:
         #: snapshot.
         self.replication_lag_s = replication_lag_s
         self.state = NodeState.PARKED if start_parked else NodeState.ACTIVE
-        self._on_transition = on_transition
+        #: The owning :class:`Fleet`'s transition hook, once it has one.
+        self._on_transition: Optional[Callable] = None
         #: Energy (J) of completed lifecycle segments; the open segment
         #: is integrated on demand by :meth:`energy_joules_at`.
         self._segment_energy_j = 0.0

@@ -2,7 +2,7 @@
 
 Mirrors the structure of the Linux ``cpufreq`` core: a governor is
 attached to one core ("policy"), static governors act once, dynamic
-governors re-evaluate every ``sampling_period_s`` based on the busy
+governors re-evaluate every ``SAMPLING_PERIOD_S`` based on the busy
 fraction of the elapsed window.
 """
 
@@ -16,7 +16,7 @@ from repro.sim.engine import Event, Simulator
 
 #: Linux's default sampling interval on the paper's kernel era was
 #: ``sampling_rate = 10000`` microseconds for both dynamic governors.
-DEFAULT_SAMPLING_PERIOD = 0.010
+SAMPLING_PERIOD_S = 0.010
 
 
 class Governor:
@@ -80,11 +80,8 @@ class DynamicGovernor(Governor):
     frequency on the core's grid.
     """
 
-    def __init__(self, sampling_period_s: float = DEFAULT_SAMPLING_PERIOD):
+    def __init__(self):
         super().__init__()
-        if sampling_period_s <= 0:
-            raise ValueError("sampling period must be positive")
-        self.sampling_period_s = sampling_period_s
         self._timer: Optional[Event] = None
         self._last_sample_time_s = 0.0
         self._last_busy = 0.0
@@ -94,7 +91,7 @@ class DynamicGovernor(Governor):
         assert self.sim is not None and self.core is not None
         self._last_sample_time_s = self.sim.now
         self._last_busy = self.core.busy_seconds_at(self.sim.now)
-        self._timer = self.sim.schedule(self.sampling_period_s, self._sample)
+        self._timer = self.sim.schedule(SAMPLING_PERIOD_S, self._sample)
 
     def on_detach(self) -> None:
         if self._timer is not None:
@@ -130,7 +127,7 @@ class DynamicGovernor(Governor):
                 self.core.request_frequency(target)
             elif abs(target - self.core.freq) > 1e-12:
                 self.core.set_frequency(target)
-        self._timer = self.sim.schedule(self.sampling_period_s, self._sample)
+        self._timer = self.sim.schedule(SAMPLING_PERIOD_S, self._sample)
 
     def target_frequency(self, utilization: float) -> Optional[float]:
         """Map the last window's utilization to a grid frequency.

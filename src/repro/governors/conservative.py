@@ -3,10 +3,11 @@
 Decision rule (faithful to ``drivers/cpufreq/cpufreq_conservative.c``):
 
 * keep an internal ``requested_freq``;
-* if the sampled load exceeds ``up_threshold`` (default 80%), raise
-  ``requested_freq`` by ``freq_step`` (default 5% of max frequency);
-* if the load falls below ``down_threshold`` (default 20%), lower it by
-  the same step;
+* if the sampled load exceeds ``UP_THRESHOLD`` (the kernel default
+  80%), raise ``requested_freq`` by ``FREQ_STEP_PERCENT`` (5% of max
+  frequency);
+* if the load falls below ``DOWN_THRESHOLD`` (20%), lower it by the
+  same step;
 * between the thresholds, leave the frequency alone.
 
 That dead zone is why the paper observes Conservative "rarely lowers
@@ -21,12 +22,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.governors.base import DEFAULT_SAMPLING_PERIOD, DynamicGovernor
+from repro.governors.base import DynamicGovernor
 
-DEFAULT_UP_THRESHOLD = 80.0
-DEFAULT_DOWN_THRESHOLD = 20.0
+#: Kernel defaults for conservative's thresholds (percent load).
+UP_THRESHOLD = 80.0
+DOWN_THRESHOLD = 20.0
 #: Kernel default freq_step is 5 (percent of max frequency).
-DEFAULT_FREQ_STEP_PERCENT = 5.0
+FREQ_STEP_PERCENT = 5.0
 
 
 class ConservativeGovernor(DynamicGovernor):
@@ -34,19 +36,8 @@ class ConservativeGovernor(DynamicGovernor):
 
     name = "conservative"
 
-    def __init__(self, sampling_period_s: float = DEFAULT_SAMPLING_PERIOD,
-                 up_threshold: float = DEFAULT_UP_THRESHOLD,
-                 down_threshold: float = DEFAULT_DOWN_THRESHOLD,
-                 freq_step_percent: float = DEFAULT_FREQ_STEP_PERCENT):
-        super().__init__(sampling_period_s)
-        if not 0 <= down_threshold < up_threshold <= 100:
-            raise ValueError(
-                "need 0 <= down_threshold < up_threshold <= 100")
-        if freq_step_percent <= 0:
-            raise ValueError("freq_step_percent must be positive")
-        self.up_threshold = up_threshold
-        self.down_threshold = down_threshold
-        self.freq_step_percent = freq_step_percent
+    def __init__(self):
+        super().__init__()
         self._requested: Optional[float] = None
 
     def on_attach(self) -> None:
@@ -59,14 +50,14 @@ class ConservativeGovernor(DynamicGovernor):
         table = self.core.pstates
         if self._requested is None:
             self._requested = self.core.freq
-        step = self.freq_step_percent / 100.0 * table.max_freq
+        step = FREQ_STEP_PERCENT / 100.0 * table.max_freq
         load = utilization * 100.0
-        if load > self.up_threshold:
+        if load > UP_THRESHOLD:
             # Raising: lowest grid frequency at or above the request,
             # so the step is always honored in the safe direction.
             self._requested = min(self._requested + step, table.max_freq)
             return table.nearest_at_least(self._requested)
-        if load < self.down_threshold:
+        if load < DOWN_THRESHOLD:
             # Lowering: highest grid frequency at or below the request.
             # Rounding a *decrease* upward would overstate the applied
             # frequency by up to one P-state on coarse grids (the

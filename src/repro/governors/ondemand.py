@@ -3,9 +3,9 @@
 Decision rule (faithful to ``drivers/cpufreq/cpufreq_ondemand.c`` of the
 paper-era kernels):
 
-* if the sampled load *strictly exceeds* ``up_threshold`` (default 95%,
-  kernel test ``load > up_threshold`` — equality takes the proportional
-  path), jump straight to the maximum frequency;
+* if the sampled load *strictly exceeds* ``UP_THRESHOLD`` (the kernel
+  default 95%; kernel test ``load > up_threshold`` — equality takes the
+  proportional path), jump straight to the maximum frequency;
 * otherwise set ``freq_next = utilization * max_freq`` — the kernel's
   ``load * max_freq / 100`` with percent load rewritten for our
   fractional (0..1) utilization — and map it onto the grid with
@@ -21,23 +21,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.governors.base import DEFAULT_SAMPLING_PERIOD, DynamicGovernor
+from repro.governors.base import DynamicGovernor
 
 #: Kernel default for ondemand's up_threshold (percent).
-DEFAULT_UP_THRESHOLD = 95.0
+UP_THRESHOLD = 95.0
 
 
 class OnDemandGovernor(DynamicGovernor):
-    """Proportional scale-down with jump-to-max above ``up_threshold``."""
+    """Proportional scale-down with jump-to-max above ``UP_THRESHOLD``."""
 
     name = "ondemand"
-
-    def __init__(self, sampling_period_s: float = DEFAULT_SAMPLING_PERIOD,
-                 up_threshold: float = DEFAULT_UP_THRESHOLD):
-        super().__init__(sampling_period_s)
-        if not 0 < up_threshold <= 100:
-            raise ValueError("up_threshold must be in (0, 100]")
-        self.up_threshold = up_threshold
 
     def target_frequency(self, utilization: float) -> Optional[float]:
         assert self.core is not None
@@ -45,7 +38,7 @@ class OnDemandGovernor(DynamicGovernor):
         # Strictly greater, matching cpufreq_ondemand.c's
         # ``if (load > od_tuners->up_threshold)``: a load exactly at the
         # threshold takes the proportional path below.
-        if utilization * 100.0 > self.up_threshold:
+        if utilization * 100.0 > UP_THRESHOLD:
             return table.max_freq
         # freq_next = utilization * max_freq (the kernel computes
         # load * max_freq / 100 with load in percent), relation L.
@@ -53,4 +46,4 @@ class OnDemandGovernor(DynamicGovernor):
         return table.nearest_at_least(max(target, table.min_freq))
 
     def trace_args(self) -> dict:
-        return {"up_threshold": self.up_threshold}
+        return {"up_threshold": UP_THRESHOLD}

@@ -62,7 +62,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads import tpcc, tpce, ycsb
 from repro.workloads.arrivals import OpenLoopGenerator, RateSchedule
-from repro.workloads.base import BenchmarkSpec
+from repro.workloads.base import REF_FREQ_GHZ, BenchmarkSpec
 
 if TYPE_CHECKING:
     # Fault and metrics code loads where a run uses it, so a healthy,
@@ -227,6 +227,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             need(type(value) is int and value >= 1, name,
                  "must be an int of at least 1")
+        # Streams derive from f"{seed}:{name}", so "7" would run seed
+        # 7's simulation under another sweep-cache key.
+        need(type(self.seed) is int, "seed", "must be an int")
         need(0 < self.estimator_percentile <= 100, "estimator_percentile",
              "must be in (0, 100]")
         # Finite, too: a NaN or infinite load fraction would run at 0.97
@@ -363,7 +366,7 @@ def _train_estimator(estimator: ExecutionTimeEstimator,
                 if u <= acc:
                     model = m
                     break
-            work.append(model.draw_seconds(rng) * model.ref_freq_ghz)
+            work.append(model.draw_seconds(rng) * REF_FREQ_GHZ)
         for freq in frequencies:
             estimator.fill(workload.name, freq,
                            [gcycles / freq for gcycles in work])
@@ -530,17 +533,15 @@ def dynamics_key(config: ExperimentConfig,
 
 
 def run_experiment(config: ExperimentConfig,
-                   tracer: Optional[Tracer] = None,
                    recorder: Optional[LatencyRecorder] = None,
                    flags: Optional[RunFlags] = None) -> ExperimentResult:
     """Execute one cell and return the paper's metrics for it.
 
     The one run loop --- build, drive, collect --- over a single server
-    or (``config.fleet`` set) a fleet.  Pass an explicit ``tracer`` to
-    capture the run's trace in-process (otherwise ``flags.trace``
-    decides), an explicit ``recorder`` to keep the run's completion
-    instants (what :func:`rescored` reads), and the ``flags`` a sweep
-    already resolved for this cell (otherwise they are resolved here).
+    or (``config.fleet`` set) a fleet.  Pass an explicit ``recorder``
+    to keep the run's completion instants (what :func:`rescored`
+    reads), and the ``flags`` a sweep already resolved for this cell
+    (otherwise they are resolved here).
     """
     wall_start = perf_clock()
     config.validate()
@@ -550,8 +551,7 @@ def run_experiment(config: ExperimentConfig,
     spec = BENCHMARKS[config.benchmark]()
     streams = RandomStreams(config.seed)
     plan = flags.plan
-    if tracer is None:
-        tracer = Tracer() if flags.trace else NULL_TRACER
+    tracer = Tracer() if flags.trace else NULL_TRACER
     sim = Simulator(sanitize=flags.sanitize, tracer=tracer)
     manager = _build_workloads(config, spec)
     if config.fleet is None:

@@ -47,10 +47,8 @@ the outcome column in C; :attr:`~LatencyRecorder.per_workload` and
 :meth:`~LatencyRecorder.mean_latency_by_workload`,
 :meth:`~LatencyRecorder.missed_under`,
 :meth:`~LatencyRecorder.exec_times_by_pair` walk the rows
-(:meth:`~LatencyRecorder.exec_time_stats` and
-:meth:`~LatencyRecorder.combined_exec_time_stats` pool the last one's
-lists; a reader of several pools scans once and calls
-:func:`pooled_exec_time_stats`).  A view folds its floats in the order
+(:func:`pooled_exec_time_stats` pools the last one's lists, so a
+reader of several pools scans once).  A view folds its floats in the order
 the per-workload and per-(type, frequency) lists this log replaced held
 them --- the group's first row, then log order --- and with ``sum``, as
 they did, so every sum is the same sum on every CPython.  A completion costs
@@ -383,22 +381,6 @@ class LatencyRecorder:
                     values = times[pair] = []
                 values.append(finish - dispatch)
         return times
-
-    def exec_time_stats(self, txn_type: str,
-                        freq_ghz: Optional[float] = None
-                        ) -> Tuple[float, float, int]:
-        """(mean, P95, count) of execution times for a type.
-
-        With ``freq_ghz`` given, restricted to requests dispatched at
-        that frequency (the Figure 3 table's columns); otherwise pooled.
-        """
-        return pooled_exec_time_stats(
-            self.exec_times_by_pair(), freq_ghz, txn_type)
-
-    def combined_exec_time_stats(self, freq_ghz: Optional[float] = None
-                                 ) -> Tuple[float, float, int]:
-        """Pooled (mean, P95, count) across all types (Figure 3 last row)."""
-        return pooled_exec_time_stats(self.exec_times_by_pair(), freq_ghz)
 
 
 def pooled_exec_time_stats(

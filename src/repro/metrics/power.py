@@ -2,10 +2,11 @@
 
 The meter reports one reading per second --- the mean power over the
 elapsed second, i.e. the energy delta divided by the sampling interval
---- with a rated accuracy of +/-1.5%, modelled as uniform multiplicative
-reading noise.  The paper averages these one-second readings over the
-test phase; :meth:`average_power` reproduces that, restricted to an
-arbitrary window so warmup/training phases can be excluded.
+--- with a rated accuracy of +/-1.5% (``METER_NOISE_FRACTION``),
+modelled as uniform multiplicative reading noise.  The paper averages
+these one-second readings over the test phase; :meth:`average_power`
+reproduces that, restricted to an arbitrary window so warmup/training
+phases can be excluded.
 """
 
 from __future__ import annotations
@@ -25,12 +26,9 @@ class PowerMeter:
     """
 
     def __init__(self, sim: Simulator, energy_fn: Callable[[], float],
-                 rng: random.Random, interval: float = 1.0,
-                 noise_fraction: float = METER_NOISE_FRACTION):
+                 rng: random.Random, interval: float = 1.0):
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
-        if noise_fraction < 0:
-            raise ValueError("noise fraction cannot be negative")
         if rng is None:
             # An implicit Random(0) here once hid which seed a figure's
             # meter noise came from; the stream is now the caller's
@@ -41,7 +39,6 @@ class PowerMeter:
         self.energy_fn = energy_fn
         self.rng = rng
         self.interval = interval
-        self.noise_fraction = noise_fraction
         #: (sample_end_time, watts) readings.
         self.samples: List[Tuple[float, float]] = []
         self._last_energy = 0.0
@@ -70,13 +67,8 @@ class PowerMeter:
         energy = self.energy_fn()
         true_watts = (energy - self._last_energy) / self.interval
         self._last_energy = energy
-        if self.noise_fraction > 0:
-            error = self.rng.uniform(-self.noise_fraction,
-                                     self.noise_fraction)
-            reading = true_watts * (1.0 + error)
-        else:
-            reading = true_watts
-        self.samples.append((self.sim.now, reading))
+        error = self.rng.uniform(-METER_NOISE_FRACTION, METER_NOISE_FRACTION)
+        self.samples.append((self.sim.now, true_watts * (1.0 + error)))
         self._timer = self.sim.schedule(self.interval, self._sample,
                                         priority=10)
 

@@ -96,14 +96,16 @@ def availability_table(records: Sequence[Dict[str, object]]) -> str:
     return format_table(headers, rows, title="Availability under chaos")
 
 
-def sparkline(values: Sequence[float], width: int = 60) -> str:
-    """Compact ASCII sparkline (used by the World Cup timeline bench)."""
+def sparkline(values: Sequence[float]) -> str:
+    """Compact ASCII sparkline, at most 60 glyphs (the trace figures'
+    timelines)."""
     if not values:
         return ""
     glyphs = " .:-=+*#%@"
     low, high = min(values), max(values)
     span = high - low or 1.0
-    # Downsample to the requested width by bucket means.
+    # Downsample to 60 glyphs by bucket means.
+    width = 60
     if len(values) > width:
         bucket = len(values) / width
         sampled = []

@@ -19,6 +19,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.trace import NULL_TRACER, Tracer
 
+#: The sampler's cadence (virtual seconds).
+SAMPLE_INTERVAL_S = 0.25
+
 
 class Counter:
     """A monotonically increasing count (deadline misses)."""
@@ -105,26 +108,21 @@ class MetricRegistry:
 
 
 class MetricsSampler:
-    """Snapshots a registry on a fixed virtual-time cadence.
+    """Snapshots a registry every ``SAMPLE_INTERVAL_S`` of virtual time.
 
     Schedules itself on the simulator like ``PowerMeter``: ``start()``
     plants the first sample, each sample re-plants the next.  The
-    harness drain loop checks ``sim.idle`` before ``sim.step()``, so a
-    pending sampler event never keeps a finished run alive --- it is
-    simply left cancelled/unfired when the loop exits.
+    harness drain loop stops stepping once every worker is idle with
+    an empty queue, so a pending sampler event never keeps a finished
+    run alive --- the harness cancels it with :meth:`stop`.
     """
 
-    __slots__ = ("sim", "registry", "interval_s", "tracer", "series",
-                 "_event", "_track")
+    __slots__ = ("sim", "registry", "tracer", "series", "_event", "_track")
 
     def __init__(self, sim, registry: MetricRegistry,
-                 interval_s: float = 0.25,
                  tracer: Optional[Tracer] = None):
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {interval_s}")
         self.sim = sim
         self.registry = registry
-        self.interval_s = float(interval_s)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: metric name -> list of (t_s, value) samples.
         self.series: Dict[str, List[Tuple[float, float]]] = {}
@@ -143,7 +141,7 @@ class MetricsSampler:
 
     def _sample(self) -> None:
         self.sample_once()
-        self._event = self.sim.schedule(self.interval_s, self._sample)
+        self._event = self.sim.schedule(SAMPLE_INTERVAL_S, self._sample)
 
     def sample_once(self) -> None:
         """One snapshot at the current time; a series already sampled

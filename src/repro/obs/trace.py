@@ -196,12 +196,11 @@ class Tracer:
                                       track.tid, name, args=dict(values)))
 
     def async_begin(self, cat: str, key: Hashable, name: str, now_s: float,
-                    track: Optional[TraceTrack] = None,
                     **args: object) -> None:
         """Open an async span identified by ``(cat, key)`` (Chrome ``b``)."""
         if not self.enabled:
             return
-        track = track or self.track(cat, cat)
+        track = self.track(cat, cat)
         aid = self.async_id(key)
         self._open_async[(cat, aid)] = name
         self.events.append(TraceEvent("b", to_trace_us(now_s), track.pid,
@@ -209,24 +208,22 @@ class Tracer:
                                       scope_id=aid, args=args or None))
 
     def async_instant(self, cat: str, key: Hashable, name: str,
-                      now_s: float, track: Optional[TraceTrack] = None,
-                      **args: object) -> None:
+                      now_s: float, **args: object) -> None:
         """A step marker inside an open async span (Chrome ``n``)."""
         if not self.enabled:
             return
-        track = track or self.track(cat, cat)
+        track = self.track(cat, cat)
         self.events.append(TraceEvent("n", to_trace_us(now_s), track.pid,
                                       track.tid, name, cat=cat,
                                       scope_id=self.async_id(key),
                                       args=args or None))
 
     def async_end(self, cat: str, key: Hashable, name: str, now_s: float,
-                  track: Optional[TraceTrack] = None,
                   **args: object) -> None:
         """Close the async span identified by ``(cat, key)`` (Chrome ``e``)."""
         if not self.enabled:
             return
-        track = track or self.track(cat, cat)
+        track = self.track(cat, cat)
         aid = self.async_id(key)
         self._open_async.pop((cat, aid), None)
         self.events.append(TraceEvent("e", to_trace_us(now_s), track.pid,

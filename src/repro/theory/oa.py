@@ -69,8 +69,7 @@ def _staircase_plan(now: float, pending: List[Tuple[float, float, int]]
     return plan
 
 
-def oa_schedule(instance: ProblemInstance,
-                record_speeds: bool = False) -> Schedule:
+def oa_schedule(instance: ProblemInstance) -> Schedule:
     """Simulate OA on ``instance`` and return its schedule.
 
     The simulation advances from arrival to arrival, executing the

@@ -40,6 +40,8 @@ from repro.theory.polaris_ideal import polaris_ideal_schedule
 from repro.theory.yds import yds_schedule
 
 _TOL = 1e-12
+#: Interior points of every inter-event gap where claim 3 is sampled.
+DRIFT_POINTS = 7
 
 
 # ----------------------------------------------------------------------
@@ -130,12 +132,12 @@ class PotentialCheck:
                 and self.theorem_4_4_holds)
 
 
-def verify_theorem_4_4(instance: ProblemInstance, alpha: float = 3.0,
-                       drift_points: int = 7) -> PotentialCheck:
+def verify_theorem_4_4(instance: ProblemInstance,
+                       alpha: float = 3.0) -> PotentialCheck:
     """Check Appendix C's claims numerically on one instance.
 
     Simulates POLARIS on P and YDS on P' (loads scaled by c), then
-    samples the potential around every event and at ``drift_points``
+    samples the potential around every event and at ``DRIFT_POINTS``
     interior points of every inter-event gap.
     """
     c = instance.c_factor()
@@ -179,8 +181,8 @@ def verify_theorem_4_4(instance: ProblemInstance, alpha: float = 3.0,
         if gap < 10 * eps:
             continue
         h = min(gap / 20.0, max(gap * 1e-4, eps))
-        for k in range(1, drift_points + 1):
-            t = left + gap * k / (drift_points + 1)
+        for k in range(1, DRIFT_POINTS + 1):
+            t = left + gap * k / (DRIFT_POINTS + 1)
             s_p = speed_at(polaris, t)
             s_y = speed_at(yds, t)
             dphi = (potential(t + h) - potential(t - h)) / (2 * h)

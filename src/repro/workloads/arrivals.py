@@ -20,26 +20,26 @@ from typing import Callable, List, Sequence
 
 from repro.sim.engine import Simulator
 
+#: A trace sets a new target rate every second (Section 6.4).
+STEP_SECONDS = 1.0
+
 
 class RateSchedule:
     """Piecewise-constant target request rate.
 
-    ``rates[i]`` applies during ``[i * step, (i+1) * step)``; beyond the
-    end of the list the last rate persists.
+    ``rates[i]`` applies during ``[i * STEP_SECONDS, (i+1) *
+    STEP_SECONDS)``; beyond the end of the list the last rate persists.
     """
 
-    def __init__(self, rates: Sequence[float], step_seconds: float = 1.0):
+    def __init__(self, rates: Sequence[float]):
         if not rates:
             raise ValueError("rate schedule cannot be empty")
         if any(r < 0 for r in rates):
             raise ValueError("rates cannot be negative")
-        if step_seconds <= 0:
-            raise ValueError("step must be positive")
         self.rates: List[float] = list(rates)
-        self.step_seconds = step_seconds
 
     def rate_at(self, now: float) -> float:
-        index = int(now / self.step_seconds)
+        index = int(now / STEP_SECONDS)
         if index < 0:
             index = 0
         if index >= len(self.rates):
@@ -48,7 +48,7 @@ class RateSchedule:
 
     @property
     def duration(self) -> float:
-        return len(self.rates) * self.step_seconds
+        return len(self.rates) * STEP_SECONDS
 
 
 class OpenLoopGenerator:
@@ -87,11 +87,11 @@ class OpenLoopGenerator:
         return cls(sim, lambda _now: rate, on_arrival, rng)
 
     # ------------------------------------------------------------------
-    def start(self, delay: float = 0.0) -> None:
+    def start(self) -> None:
         if self._running:
             raise RuntimeError("generator already running")
         self._running = True
-        self.sim.schedule(delay + self._next_gap(), self._fire)
+        self.sim.schedule(self._next_gap(), self._fire)
 
     def stop(self) -> None:
         self._running = False
@@ -100,11 +100,11 @@ class OpenLoopGenerator:
         """Uniform(0, 2/rate) interarrival; a short poll when the rate
         is zero.
 
-        The draw is a *unit* draw scaled at fire time:
+        The draw is a *unit* draw scaled by the rate:
         ``uniform(0, 2/rate)`` is ``(2/rate) * random()`` exactly (the
         stdlib computes ``a + (b - a) * random()`` with ``a = 0``), so
-        the sequence is bit-identical whether the stream is batched or
-        plain and whatever the instantaneous rate is.
+        :meth:`_fire` draws through its bound ``random`` and the gaps
+        match the stdlib's ``uniform`` bit for bit.
         """
         rate = self._rate(self.sim.now)
         if rate <= 0:

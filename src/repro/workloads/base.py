@@ -34,6 +34,10 @@ Z95 = 1.6448536269514722
 #: Maximum P95/mean ratio a lognormal can express.
 MAX_LOGNORMAL_RATIO = math.exp(Z95 ** 2 / 2.0)
 
+#: The frequency the calibrated execution times were measured at (GHz):
+#: the paper's maximum.
+REF_FREQ_GHZ = 2.8
+
 
 def fit_lognormal(mean: float, p95: float) -> Tuple[float, float]:
     """Return ``(mu, sigma)`` of the lognormal with the given mean and P95.
@@ -61,7 +65,7 @@ class ServiceTimeModel:
     """Draws per-transaction work (giga-cycles) matching (mean, P95).
 
     ``mean_seconds`` / ``p95_seconds`` are execution times at the
-    reference frequency ``ref_freq_ghz``.  :meth:`draw_work` returns
+    reference frequency ``REF_FREQ_GHZ``.  :meth:`draw_work` returns
     work in giga-cycles such that running it at frequency ``f`` GHz
     takes ``work / f`` seconds.
     """
@@ -74,13 +78,11 @@ class ServiceTimeModel:
     #: Sigma of the lognormal body in spike mode.
     BODY_SIGMA = 0.45
 
-    def __init__(self, mean_seconds: float, p95_seconds: float,
-                 ref_freq_ghz: float = 2.8):
+    def __init__(self, mean_seconds: float, p95_seconds: float):
         if mean_seconds <= 0 or p95_seconds < mean_seconds:
             raise ValueError("need 0 < mean <= p95")
         self.mean_seconds = mean_seconds
         self.p95_seconds = p95_seconds
-        self.ref_freq_ghz = ref_freq_ghz
         try:
             self._mu, self._sigma = fit_lognormal(mean_seconds, p95_seconds)
             self._spike_seconds: Optional[float] = None
@@ -113,7 +115,7 @@ class ServiceTimeModel:
 
     def draw_work(self, rng: random.Random) -> float:
         """Sample the transaction's work in giga-cycles."""
-        return self.draw_seconds(rng) * self.ref_freq_ghz
+        return self.draw_seconds(rng) * REF_FREQ_GHZ
 
 
 @dataclass
@@ -178,21 +180,16 @@ class BenchmarkSpec:
         total = sum(t.mix_weight for t in self.types)
         return self._by_name[name].mix_weight / total
 
-    def combined_mean_seconds(self, freq_ghz: Optional[float] = None) -> float:
-        """Mix-weighted mean execution time at ``freq_ghz`` (ref freq if None)."""
-        mean = sum(self.mix_fraction(t.name) * t.service.mean_seconds
+    def combined_mean_seconds(self) -> float:
+        """Mix-weighted mean execution time at the reference frequency."""
+        return sum(self.mix_fraction(t.name) * t.service.mean_seconds
                    for t in self.types)
-        if freq_ghz is None:
-            return mean
-        ref = self.types[0].service.ref_freq_ghz
-        return mean * ref / freq_ghz
 
-    def peak_throughput(self, workers: int,
-                        freq_ghz: Optional[float] = None) -> float:
+    def peak_throughput(self, workers: int) -> float:
         """Saturation throughput (txn/s) of ``workers`` single-core workers.
 
         The paper expresses its load levels as fractions of the
         measured peak (Section 6.1); the reproduction derives peak from
         the service-time model the same way.
         """
-        return workers / self.combined_mean_seconds(freq_ghz)
+        return workers / self.combined_mean_seconds()

@@ -21,9 +21,8 @@ import random
 from typing import Iterable, List, Sequence
 
 
-def synthesize_worldcup_trace(duration_seconds: int = 300,
-                              rng: random.Random = None,
-                              seed: int = 1998) -> List[float]:
+def synthesize_worldcup_trace(duration_seconds: int,
+                              rng: random.Random) -> List[float]:
     """Normalized (0..1) per-second request-rate series.
 
     Structure: a baseline of two slow sinusoidal swells with different
@@ -32,8 +31,6 @@ def synthesize_worldcup_trace(duration_seconds: int = 300,
     """
     if duration_seconds < 1:
         raise ValueError("duration must be at least one second")
-    if rng is None:
-        rng = random.Random(seed)
 
     # Random phase offsets make each seed a different "day" of the trace.
     phase_a = rng.uniform(0.0, 2.0 * math.pi)
@@ -61,9 +58,7 @@ def synthesize_worldcup_trace(duration_seconds: int = 300,
     return series
 
 
-def synthesize_diurnal_trace(duration_seconds: int = 300,
-                             rng: random.Random = None,
-                             seed: int = 2026,
+def synthesize_diurnal_trace(duration_seconds: int, rng: random.Random,
                              peak_rate_scale: float = 1.0) -> List[float]:
     """Per-second request-*rate* series (requests/s) over one synthetic day.
 
@@ -89,8 +84,6 @@ def synthesize_diurnal_trace(duration_seconds: int = 300,
         raise ValueError("duration must be at least one second")
     if peak_rate_scale <= 0:
         raise ValueError("peak_rate_scale must be positive")
-    if rng is None:
-        rng = random.Random(seed)
 
     # Seeded day-to-day variation: where the commute ramp and evening
     # peak land, and how hard each pushes.

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.workloads import arrivals
 from repro.workloads.arrivals import OpenLoopGenerator, RateSchedule
 from repro.workloads.traces import (
     load_trace, normalize, synthesize_diurnal_trace,
@@ -75,8 +76,7 @@ def test_rate_must_be_positive():
 def test_scheduled_rate_changes_take_effect():
     sim = Simulator()
     times = []
-    schedule = RateSchedule([100.0, 100.0, 2000.0, 2000.0],
-                            step_seconds=1.0)
+    schedule = RateSchedule([100.0, 100.0, 2000.0, 2000.0])
     generator = OpenLoopGenerator(sim, schedule.rate_at, times.append,
                                   random.Random(3))
     generator.start()
@@ -89,7 +89,7 @@ def test_scheduled_rate_changes_take_effect():
 def test_zero_rate_stretch_survives():
     sim = Simulator()
     times = []
-    schedule = RateSchedule([0.0, 0.0, 500.0], step_seconds=1.0)
+    schedule = RateSchedule([0.0, 0.0, 500.0])
     generator = OpenLoopGenerator(sim, schedule.rate_at, times.append,
                                   random.Random(4))
     generator.start()
@@ -98,8 +98,9 @@ def test_zero_rate_stretch_survives():
     assert len(times) > 100
 
 
-def test_rate_schedule_lookup():
-    schedule = RateSchedule([10.0, 20.0], step_seconds=2.0)
+def test_rate_schedule_lookup(monkeypatch):
+    monkeypatch.setattr(arrivals, "STEP_SECONDS", 2.0)
+    schedule = RateSchedule([10.0, 20.0])
     assert schedule.rate_at(0.0) == 10.0
     assert schedule.rate_at(1.99) == 10.0
     assert schedule.rate_at(2.0) == 20.0
@@ -112,8 +113,6 @@ def test_rate_schedule_validation():
         RateSchedule([])
     with pytest.raises(ValueError):
         RateSchedule([-1.0])
-    with pytest.raises(ValueError):
-        RateSchedule([1.0], step_seconds=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +136,7 @@ def test_worldcup_trace_deterministic_by_seed():
 
 def test_worldcup_trace_validation():
     with pytest.raises(ValueError):
-        synthesize_worldcup_trace(0)
+        synthesize_worldcup_trace(0, random.Random(0))
 
 
 def test_normalize():
@@ -181,9 +180,6 @@ def test_diurnal_trace_deterministic_by_seed():
     c = synthesize_diurnal_trace(120, random.Random(8))
     assert a == b
     assert a != c
-    # The seed= parameter is an alias for a fresh Random(seed).
-    assert synthesize_diurnal_trace(120, seed=7) \
-        == synthesize_diurnal_trace(120, random.Random(7))
 
 
 def test_diurnal_peak_rate_scale_is_exact():
@@ -207,8 +203,9 @@ def test_diurnal_normalized_shape_invariant_under_scaling():
 
 def test_diurnal_trace_validation():
     with pytest.raises(ValueError):
-        synthesize_diurnal_trace(0)
+        synthesize_diurnal_trace(0, random.Random(0))
     with pytest.raises(ValueError):
-        synthesize_diurnal_trace(100, peak_rate_scale=0.0)
+        synthesize_diurnal_trace(100, random.Random(0), peak_rate_scale=0.0)
     with pytest.raises(ValueError):
-        synthesize_diurnal_trace(100, peak_rate_scale=-2.0)
+        synthesize_diurnal_trace(100, random.Random(0),
+                                 peak_rate_scale=-2.0)

@@ -45,7 +45,6 @@ def test_nearest_at_least(full_grid):
 def test_step_up_down(polaris_grid):
     assert polaris_grid.step_down(2.8) == 2.4
     assert polaris_grid.step_down(1.2) == 1.2
-    assert polaris_grid.step_down(2.8, steps=10) == 1.2
 
 
 def test_step_requires_grid_frequency(polaris_grid):

@@ -8,6 +8,8 @@ written).  Anything that starts pre-scheduling a whole trace should
 fail here, not quietly slow every run.
 """
 
+import random
+
 import pytest
 
 from repro.fleet.experiment import FleetConfig
@@ -26,7 +28,7 @@ CELLS = {
     "fleet-2x2-elastic": (8, ExperimentConfig(
         benchmark="tpcc", scheme="polaris", slack=60, seed=7,
         warmup_seconds=0.25, trace_low_fraction=0.1, trace_high_fraction=0.4,
-        load_trace=normalize(synthesize_diurnal_trace(2, seed=7)),
+        load_trace=normalize(synthesize_diurnal_trace(2, random.Random(7))),
         fleet=FleetConfig(elastic=True, shards=2, replicas_per_shard=1,
                           node_workers=2))),
 }

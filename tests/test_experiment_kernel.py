@@ -184,6 +184,12 @@ def test_slack_only_rescores_a_governor_cell(scheme):
     ("tier_targets", {"gold": math.inf, "silver": 0.0375}),
     ("tier_targets", {"gold": 0.0075, "silver": 0.0}),
     ("tier_targets", {"gold": -0.0075, "silver": 0.0375}),
+    # Streams derive from f"{seed}:{name}": "7" would run seed 7 under
+    # another cache key, and None, 1.5 and True would run silently.
+    ("seed", "7"),
+    ("seed", None),
+    ("seed", 1.5),
+    ("seed", True),
 ])
 def test_out_of_range_config_is_rejected_naming_the_field(field, value):
     config = ExperimentConfig(**dict(_SHORT, **{field: value}))

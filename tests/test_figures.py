@@ -6,6 +6,7 @@ golden captured from the commit before figures became data.
 """
 
 import pathlib
+import re
 from dataclasses import replace
 
 import pytest
@@ -148,6 +149,23 @@ def test_bad_run_size_is_a_usage_error(monkeypatch, capsys, env, argv,
         main(["fig6", "--no-cache", *argv])
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    # A float trace length used to pass and die in range() inside the
+    # trace synthesizers; a bool passed as 1.
+    ("trace_seconds", 1.5),
+    ("trace_seconds", True),
+    ("seed", "7"),
+    ("seed", None),
+    ("seed", 1.5),
+    ("seed", True),
+])
+def test_bad_figure_options_are_rejected_naming_the_field(field, value):
+    options = figures.FigureOptions(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be an int.*"
+                                         f"got {re.escape(repr(value))}"):
+        options.validate()
 
 
 def test_cli_parser():

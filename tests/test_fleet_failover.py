@@ -8,12 +8,13 @@ chaos cells live in ``test_fleet_chaos.py``.
 
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db.server import DatabaseServer, ServerConfig
-from repro.fleet import failover
+from repro.fleet import chaos, failover
 from repro.fleet.chaos import ShardReplication
 from repro.fleet.failover import AvailabilityTracker, FailoverManager
 from repro.fleet.node import Fleet, Node, NodeState, PRIMARY, REPLICA
@@ -26,6 +27,12 @@ def fixed_boot_latency(monkeypatch):
     monkeypatch.setattr(failover, "BOOT_LATENCY_S", (0.3, 0.3))
 
 
+@pytest.fixture(autouse=True)
+def group_of_one(monkeypatch):
+    """Every commit forces the log, so every write is durable at once."""
+    monkeypatch.setattr(chaos, "GROUP_COMMIT_SIZE", 1)
+
+
 def _node(sim, node_id, role, lag_s=0.0, parked=False):
     server = DatabaseServer(sim, ServerConfig(workers=1,
                                               request_handlers=1))
@@ -33,7 +40,7 @@ def _node(sim, node_id, role, lag_s=0.0, parked=False):
                 replication_lag_s=lag_s, start_parked=parked)
 
 
-def build(sim, lags=(0.05, 1.0), parked=0, group_commit_size=1):
+def build(sim, lags=(0.05, 1.0), parked=0):
     """One shard: primary node 0 plus one replica per lag entry (the
     last ``parked`` of them starting parked)."""
     primary = _node(sim, 0, PRIMARY)
@@ -43,7 +50,7 @@ def build(sim, lags=(0.05, 1.0), parked=0, group_commit_size=1):
         for i, lag in enumerate(lags)]
     fleet = Fleet(sim, [primary] + replicas)
     shard = ShardState(0, primary, replicas)
-    replication = ShardReplication(sim, 0, group_commit_size)
+    replication = ShardReplication(sim, 0)
     tracker = AvailabilityTracker(sim, [0])
     manager = FailoverManager(sim, fleet, [shard], {0: replication},
                               tracker, random.Random(42))
@@ -119,7 +126,7 @@ def test_tracker_overlap_is_clamped_to_the_window(sim):
 # ShardReplication (the WAL model)
 # ----------------------------------------------------------------------
 def test_replica_applies_forced_prefix_after_lag(sim):
-    replication = ShardReplication(sim, 0, group_commit_size=1)
+    replication = ShardReplication(sim, 0)
     commit_writes(sim, replication, 3, spacing_s=0.1, start_s=0.0)
     run(sim, 1.0)
     assert len(replication.force_times) == 3
@@ -132,10 +139,11 @@ def test_replica_applies_forced_prefix_after_lag(sim):
     assert replication.applied_lsn(1, 5.0, 0.2) == 0
 
 
-def test_crash_loses_exactly_the_buffered_tail(sim):
+def test_crash_loses_exactly_the_buffered_tail(sim, monkeypatch):
     # Group commit forces every 4 COMMITs: the first four writes are
     # durable, the fifth's sits in the buffer when the primary dies.
-    replication = ShardReplication(sim, 0, group_commit_size=4)
+    monkeypatch.setattr(chaos, "GROUP_COMMIT_SIZE", 4)
+    replication = ShardReplication(sim, 0)
     commit_writes(sim, replication, 5, spacing_s=0.01, start_s=0.0)
     run(sim, 1.0)
     assert len(replication.buffered_commits) == 1
@@ -146,7 +154,7 @@ def test_crash_loses_exactly_the_buffered_tail(sim):
 
 
 def test_nothing_ships_after_the_crash(sim):
-    replication = ShardReplication(sim, 0, group_commit_size=1)
+    replication = ShardReplication(sim, 0)
     commit_writes(sim, replication, 2, spacing_s=0.1, start_s=0.0)
     run(sim, 0.15)
     replication.on_primary_crash()  # at 0.15, after the first force
@@ -157,7 +165,7 @@ def test_nothing_ships_after_the_crash(sim):
 
 
 def test_partition_freezes_the_apply_position(sim):
-    replication = ShardReplication(sim, 0, group_commit_size=1)
+    replication = ShardReplication(sim, 0)
     node = _node(sim, 1, REPLICA, lag_s=0.0)
     commit_writes(sim, replication, 1, start_s=0.0)
     run(sim, 0.05)
@@ -173,7 +181,7 @@ def test_partition_freezes_the_apply_position(sim):
 
 
 def test_promotion_trims_unshipped_commits_and_replays(sim):
-    replication = ShardReplication(sim, 0, group_commit_size=1)
+    replication = ShardReplication(sim, 0)
     node = _node(sim, 1, REPLICA, lag_s=0.15)
     commit_writes(sim, replication, 3, spacing_s=0.1, start_s=0.0)
     run(sim, 0.25)
@@ -207,48 +215,49 @@ def test_wal_model_invariants(group, lags, ops):
     a group's tail, an unpartitioned replica's apply position only
     moves forward between promotions and never past the durable log,
     and a promotion replays two records per durable commit it keeps."""
-    clock = SimpleNamespace(now=0.0)
-    replication = ShardReplication(clock, 0, group)
-    replicas = [SimpleNamespace(node_id=i + 1, replication_lag_s=lag)
-                for i, lag in enumerate(lags)]
-    committed = 0
-    seen = {}  # node id -> applied LSN last observed since a promotion
-    for op, index, step_s in ops:
-        alive = replication.crashed_at_s is None
-        replica = replicas[index]
-        if op == "write" and alive:
-            replication.on_write_committed()
-            committed += 1
-        elif op == "advance":
-            clock.now += step_s
-        elif op == "crash" and alive:
-            assert replication.on_primary_crash() <= group - 1
-        elif op == "freeze":
-            replication.freeze_replica(replica)
-        elif op == "heal":
-            replication.heal_replica(replica)
-        elif op == "promote" and not alive:
-            applied = replication.applied_lsn(
-                replica.node_id, replica.replication_lag_s, clock.now)
-            above = sum(1 for lsn in replication.durable_commits
-                        if lsn > applied)
-            lost_before = replication.lost_commits
-            records = replication.promote_to(
-                replica, replica.replication_lag_s, clock.now)
-            assert replication.lost_commits - lost_before == above
-            assert records == 2 * len(replication.durable_commits)
-            seen.clear()
-        durable = replication.durable_commits
-        assert committed == len(durable) + replication.lost_commits \
-            + len(replication.buffered_commits)
-        last_durable = durable[-1] if durable else 0
-        for node in replicas:
-            if replication.is_frozen(node.node_id):
-                continue  # pinned where the partition found it
-            applied = replication.applied_lsn(
-                node.node_id, node.replication_lag_s, clock.now)
-            assert seen.get(node.node_id, 0) <= applied <= last_durable
-            seen[node.node_id] = applied
+    with mock.patch.object(chaos, "GROUP_COMMIT_SIZE", group):
+        clock = SimpleNamespace(now=0.0)
+        replication = ShardReplication(clock, 0)
+        replicas = [SimpleNamespace(node_id=i + 1, replication_lag_s=lag)
+                    for i, lag in enumerate(lags)]
+        committed = 0
+        seen = {}  # node id -> applied LSN last observed since a promotion
+        for op, index, step_s in ops:
+            alive = replication.crashed_at_s is None
+            replica = replicas[index]
+            if op == "write" and alive:
+                replication.on_write_committed()
+                committed += 1
+            elif op == "advance":
+                clock.now += step_s
+            elif op == "crash" and alive:
+                assert replication.on_primary_crash() <= group - 1
+            elif op == "freeze":
+                replication.freeze_replica(replica)
+            elif op == "heal":
+                replication.heal_replica(replica)
+            elif op == "promote" and not alive:
+                applied = replication.applied_lsn(
+                    replica.node_id, replica.replication_lag_s, clock.now)
+                above = sum(1 for lsn in replication.durable_commits
+                            if lsn > applied)
+                lost_before = replication.lost_commits
+                records = replication.promote_to(
+                    replica, replica.replication_lag_s, clock.now)
+                assert replication.lost_commits - lost_before == above
+                assert records == 2 * len(replication.durable_commits)
+                seen.clear()
+            durable = replication.durable_commits
+            assert committed == len(durable) + replication.lost_commits \
+                + len(replication.buffered_commits)
+            last_durable = durable[-1] if durable else 0
+            for node in replicas:
+                if replication.is_frozen(node.node_id):
+                    continue  # pinned where the partition found it
+                applied = replication.applied_lsn(
+                    node.node_id, node.replication_lag_s, clock.now)
+                assert seen.get(node.node_id, 0) <= applied <= last_durable
+                seen[node.node_id] = applied
 
 
 # ----------------------------------------------------------------------

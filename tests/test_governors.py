@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu.core import Core
 from repro.cpu.pstates import XEON_E5_2640V3_PSTATES
+from repro.governors import ondemand
 from repro.governors.base import DynamicGovernor, GovernorSet
 from repro.governors.conservative import ConservativeGovernor
 from repro.governors.ondemand import OnDemandGovernor
@@ -54,7 +55,7 @@ def test_userspace_requires_grid_frequency(sim):
 # ----------------------------------------------------------------------
 def test_ondemand_jumps_to_max_when_saturated(sim):
     core = make_core(sim, freq=1.2)
-    governor = OnDemandGovernor(sampling_period_s=0.01)
+    governor = OnDemandGovernor()
     governor.attach(core, sim)
     core.start_job(Job(1000.0))  # saturate indefinitely
     sim.run(until=0.05)
@@ -63,7 +64,7 @@ def test_ondemand_jumps_to_max_when_saturated(sim):
 
 def test_ondemand_scales_proportionally_at_partial_load(sim):
     core = make_core(sim, freq=2.8)
-    governor = OnDemandGovernor(sampling_period_s=0.01)
+    governor = OnDemandGovernor()
     governor.attach(core, sim)
     keep_busy(sim, core, fraction=0.5, until=0.5)
     sim.run(until=0.5)
@@ -74,29 +75,23 @@ def test_ondemand_scales_proportionally_at_partial_load(sim):
 
 def test_ondemand_idle_core_drops_to_min(sim):
     core = make_core(sim, freq=2.8)
-    OnDemandGovernor(sampling_period_s=0.01).attach(core, sim)
+    OnDemandGovernor().attach(core, sim)
     sim.run(until=0.1)
     assert core.freq == 1.2
 
 
-def test_ondemand_threshold_validation():
-    with pytest.raises(ValueError):
-        OnDemandGovernor(up_threshold=0.0)
-    with pytest.raises(ValueError):
-        OnDemandGovernor(up_threshold=101.0)
-
-
-def test_ondemand_up_threshold_boundary_is_strictly_greater(sim):
+def test_ondemand_up_threshold_boundary_is_strictly_greater(sim,
+                                                            monkeypatch):
     """cpufreq_ondemand.c tests ``load > up_threshold``: a load exactly
     at the threshold takes the proportional path, one epsilon above it
     jumps to max."""
     core = make_core(sim)
-    governor = OnDemandGovernor(sampling_period_s=0.01, up_threshold=95.0)
+    governor = OnDemandGovernor()
     governor.attach(core, sim)
     # Exactly at the threshold: proportional, relation L of 0.95 * 2.8
     # = 2.66 -> 2.8 happens to round to max on this grid, so use a
     # threshold the grid can distinguish.
-    governor.up_threshold = 50.0
+    monkeypatch.setattr(ondemand, "UP_THRESHOLD", 50.0)
     at = governor.target_frequency(0.50)
     above = governor.target_frequency(0.50 + 1e-9)
     assert at == XEON_E5_2640V3_PSTATES.nearest_at_least(0.50 * 2.8)
@@ -109,7 +104,7 @@ def test_ondemand_up_threshold_boundary_is_strictly_greater(sim):
 # ----------------------------------------------------------------------
 def test_conservative_steps_up_gradually_under_load(sim):
     core = make_core(sim, freq=1.2)
-    governor = ConservativeGovernor(sampling_period_s=0.01)
+    governor = ConservativeGovernor()
     governor.attach(core, sim)
     core.start_job(Job(1000.0))
     sim.run(until=0.035)  # three samples: 3 steps of 0.14 GHz
@@ -122,7 +117,7 @@ def test_conservative_steps_up_gradually_under_load(sim):
 
 def test_conservative_steps_down_when_idle(sim):
     core = make_core(sim, freq=2.8)
-    ConservativeGovernor(sampling_period_s=0.01).attach(core, sim)
+    ConservativeGovernor().attach(core, sim)
     sim.run(until=0.05)
     assert core.freq < 2.8  # stepped, not jumped
     freq_after_short_idle = core.freq
@@ -133,7 +128,7 @@ def test_conservative_steps_down_when_idle(sim):
 
 def test_conservative_dead_zone_holds_frequency(sim):
     core = make_core(sim, freq=2.8)
-    governor = ConservativeGovernor(sampling_period_s=0.01)
+    governor = ConservativeGovernor()
     governor.attach(core, sim)
     keep_busy(sim, core, fraction=0.5, until=0.5)  # between 20% and 80%
     sim.run(until=0.5)
@@ -147,7 +142,7 @@ def test_conservative_down_steps_round_to_at_most():
     at-least rounding would report 2.8 --- no movement at all."""
     sim = Simulator()
     core = make_core(sim, freq=2.8)
-    governor = ConservativeGovernor(sampling_period_s=0.01)
+    governor = ConservativeGovernor()
     governor.attach(core, sim)
     assert governor.target_frequency(0.0) == 2.6
     assert governor._requested == pytest.approx(2.8 - 0.14)
@@ -168,18 +163,11 @@ def test_conservative_descends_to_min_on_coarse_grid():
     sim = Simulator()
     grid = XEON_E5_2640V3_PSTATES.subset((1.2, 1.6, 2.0, 2.4, 2.8))
     core = Core(sim, 0, grid, initial_freq=2.8)
-    ConservativeGovernor(sampling_period_s=0.01).attach(core, sim)
+    ConservativeGovernor().attach(core, sim)
     sim.run(until=0.035)  # three idle samples: requested 2.8 -> 2.38
     assert core.freq == 2.0  # at-most of 2.38; at-least gave 2.4
     sim.run(until=0.2)
     assert core.freq == 1.2  # descent completes to the floor
-
-
-def test_conservative_threshold_validation():
-    with pytest.raises(ValueError):
-        ConservativeGovernor(up_threshold=10.0, down_threshold=20.0)
-    with pytest.raises(ValueError):
-        ConservativeGovernor(freq_step_percent=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +175,7 @@ def test_conservative_threshold_validation():
 # ----------------------------------------------------------------------
 def test_dynamic_governor_detach_stops_sampling(sim):
     core = make_core(sim, freq=2.8)
-    governor = OnDemandGovernor(sampling_period_s=0.01)
+    governor = OnDemandGovernor()
     governor.attach(core, sim)
     sim.run(until=0.03)
     samples = governor.samples_taken
@@ -195,11 +183,6 @@ def test_dynamic_governor_detach_stops_sampling(sim):
     sim.schedule(0.1, lambda: None)
     sim.run()
     assert governor.samples_taken == samples
-
-
-def test_sampling_period_validation():
-    with pytest.raises(ValueError):
-        OnDemandGovernor(sampling_period_s=0.0)
 
 
 def test_governor_set_attaches_one_per_core(sim):
@@ -216,7 +199,7 @@ def test_governor_set_attaches_one_per_core(sim):
 
 def test_dynamic_base_requires_target_implementation(sim):
     core = make_core(sim)
-    governor = DynamicGovernor(sampling_period_s=0.01)
+    governor = DynamicGovernor()
     governor.attach(core, sim)
     with pytest.raises(NotImplementedError):
         sim.run(until=0.02)

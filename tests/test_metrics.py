@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.request import Request
 from repro.core.workload import Workload
-from repro.metrics import latency
-from repro.metrics.latency import LatencyRecorder, percentile
+from repro.metrics import latency, power
+from repro.metrics.latency import (
+    LatencyRecorder, percentile, pooled_exec_time_stats,
+)
 from repro.metrics.power import PowerMeter
 from repro.metrics.report import (
     AVAILABILITY_SCHEMA_VERSION, availability_record, availability_table,
@@ -22,9 +24,14 @@ from repro.sim.engine import Simulator
 # ----------------------------------------------------------------------
 # PowerMeter
 # ----------------------------------------------------------------------
-def test_meter_samples_every_second(sim):
-    meter = PowerMeter(sim, lambda: sim.now * 50.0, random.Random(0),
-                       noise_fraction=0.0)
+@pytest.fixture
+def noiseless(monkeypatch):
+    """Meter readings equal to the true draw."""
+    monkeypatch.setattr(power, "METER_NOISE_FRACTION", 0.0)
+
+
+def test_meter_samples_every_second(sim, noiseless):
+    meter = PowerMeter(sim, lambda: sim.now * 50.0, random.Random(0))
     meter.start()
     sim.schedule(5.5, sim.stop)
     sim.run()
@@ -34,8 +41,7 @@ def test_meter_samples_every_second(sim):
 
 
 def test_meter_noise_within_rating(sim):
-    meter = PowerMeter(sim, lambda: sim.now * 100.0,
-                       rng=random.Random(1), noise_fraction=0.015)
+    meter = PowerMeter(sim, lambda: sim.now * 100.0, rng=random.Random(1))
     meter.start()
     sim.schedule(200.0, sim.stop)
     sim.run()
@@ -45,11 +51,11 @@ def test_meter_noise_within_rating(sim):
     assert min(readings) < 99.7
 
 
-def test_meter_average_over_window(sim):
+def test_meter_average_over_window(sim, noiseless):
     # 10 W for 2 s, then 30 W.
     meter = PowerMeter(sim, lambda: 10.0 * min(sim.now, 2.0)
                        + 30.0 * max(0.0, sim.now - 2.0),
-                       random.Random(0), noise_fraction=0.0)
+                       random.Random(0))
     meter.start()
     sim.schedule(4.5, sim.stop)
     sim.run()
@@ -64,9 +70,8 @@ def test_meter_average_empty_window_raises(sim):
         meter.average_power()
 
 
-def test_meter_binned_average(sim):
-    meter = PowerMeter(sim, lambda: 10.0 * sim.now, random.Random(0),
-                       noise_fraction=0.0)
+def test_meter_binned_average(sim, noiseless):
+    meter = PowerMeter(sim, lambda: 10.0 * sim.now, random.Random(0))
     meter.start()
     sim.schedule(10.0, sim.stop)
     sim.run()
@@ -93,9 +98,6 @@ def test_meter_stop_and_validation(sim):
     assert meter.samples == []
     with pytest.raises(ValueError):
         PowerMeter(sim, lambda: 0.0, random.Random(0), interval=0.0)
-    with pytest.raises(ValueError):
-        PowerMeter(sim, lambda: 0.0, random.Random(0),
-                   noise_fraction=-0.1)
 
 
 # ----------------------------------------------------------------------
@@ -162,14 +164,15 @@ def test_recorder_exec_time_stats():
         recorder.on_completion(finished_request(
             workload, 0.0, exec_time, exec_time=exec_time, freq=freq,
             txn_type="a"))
-    mean, p95, count = recorder.exec_time_stats("a", 2.8)
+    times = recorder.exec_times_by_pair()
+    mean, p95, count = pooled_exec_time_stats(times, 2.8, "a")
     assert (mean, count) == (1.5, 2)
     assert p95 == 2.0
-    mean_all, _, count_all = recorder.exec_time_stats("a")
+    mean_all, _, count_all = pooled_exec_time_stats(times, txn_type="a")
     assert (mean_all, count_all) == (2.0, 3)
-    mean_combined, _, n = recorder.combined_exec_time_stats(2.8)
+    mean_combined, _, n = pooled_exec_time_stats(times, 2.8)
     assert (mean_combined, n) == (1.5, 2)
-    nan_mean, _, zero = recorder.exec_time_stats("missing")
+    nan_mean, _, zero = pooled_exec_time_stats(times, txn_type="missing")
     assert zero == 0
 
 
@@ -343,11 +346,12 @@ def _check_log_views(rows, rescore):
     def read(result):
         return result[2:] if result[2] == 0 else result
 
+    times = recorder.exec_times_by_pair()
     for freq in (None, 1.2, 2.8):
         for txn in ("pay", "order"):
-            assert read(recorder.exec_time_stats(txn, freq)) \
+            assert read(pooled_exec_time_stats(times, freq, txn)) \
                 == stats(matching(txn, freq))
-        assert read(recorder.combined_exec_time_stats(freq)) \
+        assert read(pooled_exec_time_stats(times, freq)) \
             == stats(matching(freq=freq))
 
 
@@ -404,11 +408,11 @@ def test_format_series():
 
 def test_sparkline():
     assert sparkline([]) == ""
-    line = sparkline([0.0, 0.5, 1.0], width=3)
+    line = sparkline([0.0, 0.5, 1.0])
     assert len(line) == 3
     assert line[0] == " " and line[-1] == "@"
-    long = sparkline(list(range(100)), width=10)
-    assert len(long) == 10
+    long = sparkline(list(range(100)))
+    assert len(long) == 60
 
 
 # ----------------------------------------------------------------------

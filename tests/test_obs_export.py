@@ -17,6 +17,7 @@ from repro.obs.export import (
     build_trace_events, export_chrome_trace, export_series_csv,
     validate_chrome_trace,
 )
+from repro.obs import metrics
 from repro.obs.metrics import MetricRegistry, MetricsSampler
 from repro.obs.trace import Tracer
 from repro.sim.engine import Simulator
@@ -92,11 +93,12 @@ def test_validator_rejects_structural_breakage(tmp_path):
         validate_chrome_trace(path)
 
 
-def test_export_series_csv(tmp_path):
+def test_export_series_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(metrics, "SAMPLE_INTERVAL_S", 1.0)
     sim = Simulator()
     reg = MetricRegistry()
     reg.gauge("clock", fn=lambda: sim.now)
-    sampler = MetricsSampler(sim, reg, interval_s=1.0)
+    sampler = MetricsSampler(sim, reg)
     sampler.start()
     sim.schedule(2.5, sim.stop)
     sim.run()

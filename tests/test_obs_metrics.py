@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import metrics
 from repro.obs.metrics import (
     Counter, Gauge, Histogram, MetricRegistry, MetricsSampler,
 )
@@ -61,11 +62,17 @@ def test_registry_rejects_duplicates():
 # ----------------------------------------------------------------------
 # Sampler
 # ----------------------------------------------------------------------
-def test_sampler_samples_on_virtual_cadence():
+@pytest.fixture
+def one_second(monkeypatch):
+    """A sampler cadence of one virtual second."""
+    monkeypatch.setattr(metrics, "SAMPLE_INTERVAL_S", 1.0)
+
+
+def test_sampler_samples_on_virtual_cadence(one_second):
     sim = Simulator()
     reg = MetricRegistry()
     reg.gauge("clock", lambda: sim.now)
-    sampler = MetricsSampler(sim, reg, interval_s=1.0)
+    sampler = MetricsSampler(sim, reg)
     sampler.start()
     sim.schedule(3.5, sim.stop)
     sim.run()
@@ -74,12 +81,12 @@ def test_sampler_samples_on_virtual_cadence():
     assert [v for _, v in points] == [0.0, 1.0, 2.0, 3.0]
 
 
-def test_sampler_stop_and_final_sample():
+def test_sampler_stop_and_final_sample(one_second):
     sim = Simulator()
     reg = MetricRegistry()
     state = {"done": 0}
     reg.gauge("done", lambda: state["done"])
-    sampler = MetricsSampler(sim, reg, interval_s=1.0)
+    sampler = MetricsSampler(sim, reg)
     sampler.start()
     sim.schedule(2.5, sim.stop)
     sim.run()
@@ -97,12 +104,12 @@ def test_sampler_stop_and_final_sample():
     assert len(sampler.series["done"]) == len(points)
 
 
-def test_sampler_mirrors_onto_tracer():
+def test_sampler_mirrors_onto_tracer(one_second):
     tracer = Tracer()
     sim = Simulator(tracer=tracer)
     reg = MetricRegistry()
     reg.gauge("power_watts", lambda: 42.0)
-    sampler = MetricsSampler(sim, reg, interval_s=1.0, tracer=tracer)
+    sampler = MetricsSampler(sim, reg, tracer=tracer)
     sampler.start()
     sim.schedule(1.5, sim.stop)
     sim.run()
@@ -110,9 +117,3 @@ def test_sampler_mirrors_onto_tracer():
     assert len(counters) == 2
     assert all(e.name == "power_watts" and e.args == {"value": 42.0}
                for e in counters)
-
-
-def test_sampler_rejects_bad_interval():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        MetricsSampler(sim, MetricRegistry(), interval_s=0.0)

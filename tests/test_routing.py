@@ -2,10 +2,17 @@
 
 import pytest
 
+from repro.core import routing
 from repro.core.routing import (
     LeastLoadedRouting, PackingRouting, ROUTING_POLICIES, RoutingPolicy,
     make_routing,
 )
+
+
+def packing(monkeypatch, cap):
+    """A packing policy whose backlog cap is ``cap``."""
+    monkeypatch.setattr(routing, "MAX_BACKLOG", cap)
+    return PackingRouting()
 
 
 class FakeWorker:
@@ -33,33 +40,28 @@ def test_least_loaded_breaks_ties_by_queue_then_index():
     assert policy.choose_worker(workers, None, 0.0) == 1
 
 
-def test_packing_fills_low_indices_first():
-    policy = PackingRouting(max_backlog=2)
+def test_packing_fills_low_indices_first(monkeypatch):
+    policy = packing(monkeypatch, 2)
     workers = [FakeWorker(idle=False, queued=0),  # backlog 1 -> room
                FakeWorker(idle=True, queued=0),
                FakeWorker(idle=True, queued=0)]
     assert policy.choose_worker(workers, None, 0.0) == 0
 
 
-def test_packing_spills_when_saturated():
-    policy = PackingRouting(max_backlog=2)
+def test_packing_spills_when_saturated(monkeypatch):
+    policy = packing(monkeypatch, 2)
     workers = [FakeWorker(idle=False, queued=1),  # backlog 2 -> full
                FakeWorker(idle=False, queued=1),  # full
                FakeWorker(idle=True, queued=0)]   # room
     assert policy.choose_worker(workers, None, 0.0) == 2
 
 
-def test_packing_falls_back_to_least_backlogged():
-    policy = PackingRouting(max_backlog=1)
+def test_packing_falls_back_to_least_backlogged(monkeypatch):
+    policy = packing(monkeypatch, 1)
     workers = [FakeWorker(idle=False, queued=5),
                FakeWorker(idle=False, queued=2),
                FakeWorker(idle=False, queued=9)]
     assert policy.choose_worker(workers, None, 0.0) == 1
-
-
-def test_packing_validation():
-    with pytest.raises(ValueError):
-        PackingRouting(max_backlog=0)
 
 
 def test_make_routing():
@@ -88,18 +90,18 @@ def test_least_loaded_ignores_ineligible_idle_worker():
     assert policy.choose_worker(workers, None, 0.0, eligible=[0, 2]) == 2
 
 
-def test_packing_prefix_skips_quarantined_worker():
+def test_packing_prefix_skips_quarantined_worker(monkeypatch):
     """Packing's active prefix is the eligible order: with worker 0
     dead, worker 1 becomes the pack target even though 0 has 'room'."""
-    policy = PackingRouting(max_backlog=2)
+    policy = packing(monkeypatch, 2)
     workers = [FakeWorker(idle=True, queued=0),
                FakeWorker(idle=False, queued=0),
                FakeWorker(idle=True, queued=0)]
     assert policy.choose_worker(workers, None, 0.0, eligible=[1, 2]) == 1
 
 
-def test_packing_fallback_restricted_to_eligible():
-    policy = PackingRouting(max_backlog=1)
+def test_packing_fallback_restricted_to_eligible(monkeypatch):
+    policy = packing(monkeypatch, 1)
     workers = [FakeWorker(idle=False, queued=1),   # dead, least backlog
                FakeWorker(idle=False, queued=5),
                FakeWorker(idle=False, queued=3)]

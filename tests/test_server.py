@@ -8,7 +8,9 @@ from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.polaris import PolarisScheduler
 from repro.core.request import Request, RequestState
 from repro.core.workload import Workload
+from repro.cpu.calibration import STATIC_WATTS
 from repro.cpu.pstates import POLARIS_FREQUENCIES
+from repro.db import server as server_module
 from repro.db.server import BaselineDispatcher, DatabaseServer, ServerConfig
 from repro.governors.static import UserspaceGovernor
 from repro.harness.experiment import ExperimentConfig, RunFlags, run_experiment
@@ -148,7 +150,7 @@ def test_single_freq_flag_cleared_on_mid_run_change(sim):
 def test_wall_power_and_energy(sim):
     server, _ = make_server(sim, workers=2)
     idle = server.wall_power()
-    assert idle > server.server_power.static_watts
+    assert idle > STATIC_WATTS
     submit_n(server, 1, work=28.0)  # long job
     busy = server.wall_power()
     assert busy > idle
@@ -173,17 +175,18 @@ def test_drain_runs_queues_empty(sim):
     assert all(w.idle for w in server.workers)
 
 
-def test_drain_timeout_is_virtual_time(sim):
-    """``drain(timeout=...)`` bounds *virtual* seconds, and the error
+def test_drain_timeout_is_virtual_time(sim, monkeypatch):
+    """``DRAIN_TIMEOUT_S`` bounds *virtual* seconds, and the error
     names the workers still holding work."""
     from repro.db.server import DrainTimeout
+    monkeypatch.setattr(server_module, "DRAIN_TIMEOUT_S", 0.5)
     server, _ = make_server(sim, workers=2)
     # Worker 0: a 10-virtual-second transaction plus one queued behind.
     submit_n(server, 1, work=28.0)
     sim.run(until=1e-4)  # request handler hop: let it start executing
     submit_n(server, 2, work=28.0)
     with pytest.raises(DrainTimeout) as excinfo:
-        server.drain(timeout=0.5)
+        server.drain()
     message = str(excinfo.value)
     assert "0.5 virtual seconds" in message
     assert "worker 0" in message
@@ -193,20 +196,22 @@ def test_drain_timeout_is_virtual_time(sim):
     assert 0.5 <= sim.now < 10.0
 
 
-def test_drain_timeout_leaves_idle_workers_out_of_the_report(sim):
+def test_drain_timeout_leaves_idle_workers_out_of_the_report(
+        sim, monkeypatch):
     from repro.db.server import DrainTimeout
+    monkeypatch.setattr(server_module, "DRAIN_TIMEOUT_S", 0.2)
     server, _ = make_server(sim, workers=2)
     submit_n(server, 1, work=28.0)  # lands on worker 0 only
     sim.run(until=1e-4)
     with pytest.raises(DrainTimeout) as excinfo:
-        server.drain(timeout=0.2)
+        server.drain()
     assert "worker 1" not in str(excinfo.value)
 
 
 def test_drain_generous_timeout_succeeds(sim):
     server, _ = make_server(sim, workers=1)
     submit_n(server, 3, work=2.8e-3)  # ~1 ms each
-    server.drain(timeout=60.0)
+    server.drain()
     assert all(w.idle for w in server.workers)
     assert sim.now < 1.0
 

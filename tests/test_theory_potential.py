@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.theory import instances
 from repro.theory.instances import (
     adversarial_pair, random_agreeable_instance, random_instance,
 )
@@ -64,12 +65,13 @@ def test_appendix_c_claims_on_agreeable_instances(seed):
     assert check.all_claims_hold
 
 
-def test_appendix_c_on_adversarial_pair():
+def test_appendix_c_on_adversarial_pair(monkeypatch):
     """The lemma the proof leans on hardest: the earliest-deadline
     arrival case, where POLARIS's queue swaps the running job against
     t_new + t'_cur with c * w(t_new) >= w(t_new) + w(t_cur)."""
-    check = verify_theorem_4_4(adversarial_pair(w_max=4.0, w_min=1.0),
-                               alpha=ALPHA)
+    monkeypatch.setattr(instances, "W_MAX", 4.0)
+    monkeypatch.setattr(instances, "W_MIN", 1.0)
+    check = verify_theorem_4_4(adversarial_pair(), alpha=ALPHA)
     assert check.all_claims_hold
     assert check.c_factor == pytest.approx(5.0)
 

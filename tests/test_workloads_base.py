@@ -68,7 +68,7 @@ def test_infeasible_spike_model_rejected():
 
 
 def test_work_scales_with_reference_frequency():
-    model = ServiceTimeModel(1e-3, 2e-3, ref_freq_ghz=2.8)
+    model = ServiceTimeModel(1e-3, 2e-3)
     rng_a, rng_b = random.Random(5), random.Random(5)
     seconds = model.draw_seconds(rng_a)
     work = model.draw_work(rng_b)
@@ -106,9 +106,6 @@ def test_spec_combined_mean_and_peak():
     ])
     assert spec.combined_mean_seconds() == pytest.approx(2e-3)
     assert spec.peak_throughput(workers=4) == pytest.approx(2000.0)
-    # At half frequency, execution takes twice as long.
-    assert spec.combined_mean_seconds(1.4) == pytest.approx(4e-3)
-    assert spec.peak_throughput(4, freq_ghz=1.4) == pytest.approx(1000.0)
 
 
 def test_spec_validation():

@@ -13,7 +13,8 @@ reports in Figure 10(b).
 import random
 
 from repro.harness import ExperimentConfig, run_experiment
-from repro.metrics.report import sparkline
+from repro.harness.experiment import TIMELINE_BIN_S
+from repro.metrics.report import timelines
 from repro.workloads.traces import synthesize_worldcup_trace
 
 TRACE_SECONDS = 60
@@ -23,7 +24,7 @@ def main() -> None:
     trace = synthesize_worldcup_trace(TRACE_SECONDS, random.Random(1998))
     print(f"{TRACE_SECONDS}s trace, rate swept 30%..90% of peak, "
           "slack 50\n")
-    print("  load    : " + sparkline(trace))
+    power_timelines = []
     summary = []
     for scheme in ["conservative", "ondemand", "polaris"]:
         config = ExperimentConfig(
@@ -36,10 +37,11 @@ def main() -> None:
             seed=1998,
         )
         result = run_experiment(config)
-        watts = [w for _, w in result.power_timeline]
-        print(f"  {scheme:8s}: " + sparkline(watts))
+        power_timelines.append((scheme, result.power_timeline))
         summary.append((scheme, result.avg_power_watts,
                         result.failure_rate))
+    print(f"normalized timelines ({TIMELINE_BIN_S:g} s bins)")
+    print("\n".join(timelines(trace, power_timelines, TIMELINE_BIN_S)))
     print()
     print(f"{'scheme':14s} {'avg power (W)':>14s} {'failure rate':>13s}")
     for scheme, power, failure in summary:

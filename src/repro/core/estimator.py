@@ -33,6 +33,15 @@ empty window with one sort.
 no same-side rule and no ``fill``, so the property tests can assert
 that those three shortcuts change no ``value()``.
 
+**Estimate rows.**  POLARIS scales over one P-state set, so an
+estimator serves one frequency ladder, fixed by the first scheduler
+built on it (:meth:`ExecutionTimeEstimator.mu_rows`; a scheduler with
+another ladder is a ``ValueError``).  For that ladder it keeps one
+plain ``workload -> row`` dict, ``row[j] == estimate(c, freqs[j])``,
+and patches the one slot a mutation moves.  The trackers stay keyed by
+``(workload, frequency)``: an observation made before any scheduler
+exists, or at a frequency off the ladder, patches no row.
+
 Unobserved pairs estimate **zero**: "the execution time estimates for
 all workloads at all frequencies can be initialized to zero.  This will
 cause POLARIS to gradually explore and initialize its estimators for
@@ -47,8 +56,7 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from operator import lt
-from typing import Callable, Deque, Dict, List, Sequence, Tuple
-from weakref import WeakMethod
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 DEFAULT_WINDOW = 1000
 DEFAULT_PERCENTILE = 95.0
@@ -199,59 +207,22 @@ def rising_pairs(row: Sequence[float]) -> int:
     return sum(map(lt, row, row[1:-1]))
 
 
-class EstimateRows(dict):
-    """``rows[c][j] == estimate(c, freqs[j])``, one row per workload.
-
-    A row is built on first lookup (``rows[c]``; ``rows.get(c)`` never
-    builds), through the owning estimator's ``estimate``, and is then
-    the one list object every reader of that workload holds.
-    ``bind(c, freqs, row)`` tells the estimator about the new row so it
-    keeps it current.  The estimator hands its tables only weak
-    callables (:func:`_weakly`): it owns the tables, so bound methods
-    would make every run's estimator a reference cycle.
-
-    ``rising`` is :func:`rising_pairs` summed over the rows, kept by
-    whoever writes a slot (``__missing__``, the estimator's
-    ``_mutated`` and ``skew``; simsan recounts it as ``rows-falling``).
-    Zero means every row is non-increasing below the top level --- the
-    licence ``select_frequency`` needs to start its walk above the
-    floor.  The top slot breaks the order most often (p95s of
-    separately filled windows) and the walk never needs it, so it is
-    not counted.
-    """
-
-    __slots__ = ("_estimate", "_freqs", "_bind", "rising")
-
-    def __init__(self, estimate, freqs: Tuple[float, ...], bind):
-        super().__init__()
-        self._estimate = estimate
-        self._freqs = freqs
-        self._bind = bind
-        self.rising = 0
-
-    def __missing__(self, workload: str) -> List[float]:
-        estimate = self._estimate
-        row = self[workload] = [estimate(workload, f) for f in self._freqs]
-        self.rising += rising_pairs(row)
-        self._bind(workload, self._freqs, row)
-        return row
-
-
-def _weakly(method) -> Callable:
-    """``method``, called through a weak reference to its object."""
-    weak = WeakMethod(method)
-    return lambda *args: weak()(*args)
-
-
 class ExecutionTimeEstimator:
     """The full ``mu(c, f)`` table: one percentile tracker per pair.
 
     The estimator also owns the *estimate rows* SetProcessorFreq reads
-    (:meth:`mu_rows`): per frequency ladder, one identity-stable list
-    per workload with ``row[j] == estimate(c, freqs[j])`` at all times.
-    Every mutation that moves a percentile patches the one slot it
-    changes, so a reader that holds a row --- each queued request
-    carries its workload's --- never validates or rebuilds anything.
+    (:meth:`mu_rows`, module docstring), one identity-stable list per
+    workload.  A reader that holds a row --- each queued request
+    carries its workload's --- never validates or rebuilds anything; one
+    that meets a workload with no row asks :meth:`row` to build it.
+
+    ``rising`` is :func:`rising_pairs` summed over the rows, kept by
+    whatever writes a slot (:meth:`row`, ``_mutated`` and :meth:`skew`;
+    simsan recounts it as ``rows-falling``).  Zero means every row is
+    non-increasing below the top level --- the licence
+    ``select_frequency`` needs to start its walk above the floor.  The
+    top slot breaks the order most often (p95s of separately filled
+    windows) and the walk never needs it, so it is not counted.
 
     :meth:`skew` scales every estimate by a list of factors without an
     observation (repro.faults' misprediction windows): the windows keep
@@ -263,45 +234,50 @@ class ExecutionTimeEstimator:
         self.window = window
         self.percentile = percentile
         self._trackers: Dict[Tuple[str, float], SlidingWindowPercentile] = {}
-        self._rows: Dict[Tuple[float, ...], EstimateRows] = {}
-        #: ``(workload, freq) -> [(table, row, index), ...]``: every row
-        #: slot that mirrors this pair, across all ladders, pre-bound when
-        #: the row is built so a mutation writes them without searching.
-        self._slots: Dict[Tuple[str, float],
-                          List[Tuple[EstimateRows, List[float], int]]] = {}
+        #: The ladder the rows span, fixed by the first :meth:`mu_rows`.
+        self._freqs: Optional[Tuple[float, ...]] = None
+        #: ``freq -> index`` into a row, for the slot a mutation patches.
+        self._slot: Dict[float, int] = {}
+        self._rows: Dict[str, List[float]] = {}
+        self.rising = 0
         #: Factors every estimate is multiplied by, in order (:meth:`skew`).
         self._skew: Tuple[float, ...] = ()
 
-    def mu_rows(self, freqs: Tuple[float, ...]) -> EstimateRows:
-        """The live ``workload -> row`` table for one frequency ladder,
-        shared by every scheduler built on this estimator with it."""
-        rows = self._rows.get(freqs)
-        if rows is None:
-            rows = self._rows[freqs] = EstimateRows(
-                _weakly(self.estimate), freqs, _weakly(self._bind_row))
-        return rows
+    def mu_rows(self, freqs: Tuple[float, ...]) -> Dict[str, List[float]]:
+        """The live ``workload -> row`` table over ``freqs``, shared by
+        every scheduler built on this estimator.  The first call fixes
+        the ladder; one with another ladder is a ``ValueError``."""
+        if self._freqs is None:
+            self._freqs = freqs
+            self._slot = {freq_ghz: j for j, freq_ghz in enumerate(freqs)}
+        elif freqs != self._freqs:
+            raise ValueError(f"this estimator's rows span the ladder "
+                             f"{self._freqs}, not {freqs}")
+        return self._rows
 
-    def _bind_row(self, workload: str, freqs: Tuple[float, ...],
-                  row: List[float]) -> None:
-        slots = self._slots
-        table = self._rows[freqs]
-        for index, freq_ghz in enumerate(freqs):
-            slots.setdefault((workload, freq_ghz), []).append(
-                (table, row, index))
+    def row(self, workload: str) -> List[float]:
+        """``workload``'s live row, built on first request."""
+        row = self._rows.get(workload)
+        if row is None:
+            estimate = self.estimate
+            row = self._rows[workload] = [estimate(workload, f)
+                                          for f in self._freqs]
+            self.rising += rising_pairs(row)
+        return row
 
-    def _mutated(self, key: Tuple[str, float],
+    def _mutated(self, workload: str, freq_ghz: float,
                  tracker: SlidingWindowPercentile) -> None:
-        """Bring every row slot mirroring ``key`` up to date.  One
-        tracker changed, so every other slot of every row is current."""
-        slots = self._slots.get(key)
-        if slots is not None:
+        """Bring the row slot mirroring ``(workload, freq_ghz)`` up to
+        date.  One tracker changed, so every other slot is current."""
+        row = self._rows.get(workload)
+        index = self._slot.get(freq_ghz)
+        if row is not None and index is not None:
             value = tracker.value()
             for factor in self._skew:
                 value *= factor
-            for table, row, index in slots:
-                before = rising_pairs(row)
-                row[index] = value
-                table.rising += rising_pairs(row) - before
+            before = rising_pairs(row)
+            row[index] = value
+            self.rising += rising_pairs(row) - before
 
     def _tracker(self, key: Tuple[str, float]) -> SlidingWindowPercentile:
         tracker = self._trackers.get(key)
@@ -318,19 +294,17 @@ class ExecutionTimeEstimator:
         dispatch, as in the prototype (a transaction occasionally spans
         a frequency change; the sliding window absorbs the noise).
         """
-        key = (workload, freq_ghz)
-        tracker = self._tracker(key)
+        tracker = self._tracker((workload, freq_ghz))
         if tracker.observe(execution_seconds):
-            self._mutated(key, tracker)
+            self._mutated(workload, freq_ghz, tracker)
 
     def fill(self, workload: str, freq_ghz: float,
              values: Sequence[float]) -> None:
         """Record ``values`` in order, publishing the row slot once
         (how the harness's training phase fills a window)."""
-        key = (workload, freq_ghz)
-        tracker = self._tracker(key)
+        tracker = self._tracker((workload, freq_ghz))
         tracker.fill(values)
-        self._mutated(key, tracker)
+        self._mutated(workload, freq_ghz, tracker)
 
     def estimate(self, workload: str, freq_ghz: float) -> float:
         """``mu(c, f)``: predicted execution time in seconds (0 if
@@ -349,12 +323,11 @@ class ExecutionTimeEstimator:
         Observations and training still feed the unscaled windows."""
         self._skew = tuple(factors)
         estimate = self.estimate
-        for freqs, table in self._rows.items():
-            rising = 0
-            for workload, row in table.items():
-                row[:] = [estimate(workload, f) for f in freqs]
-                rising += rising_pairs(row)
-            table.rising = rising
+        rising = 0
+        for workload, row in self._rows.items():
+            row[:] = [estimate(workload, f) for f in self._freqs]
+            rising += rising_pairs(row)
+        self.rising = rising
 
     def prime(self, workload: str, freq_ghz: float, value: float,
               count: int = 1) -> None:

@@ -43,9 +43,9 @@ value of it yields the same selection, items scanned and decision
 record.  The precondition is that every row is non-increasing *below
 the top level* (a hinted start is at most ``last - 1``).  p95s of
 separately filled windows need not honour it, so the estimator counts
-its live table's rising pairs (``EstimateRows.rising``) and the walk is
-hinted only while that is zero.  simsan walks every hinted selection
-again from the floor (``hint-exact``) and recounts the pairs
+its table's rising pairs (``ExecutionTimeEstimator.rising``) and the
+walk is hinted only while that is zero.  simsan walks every hinted
+selection again from the floor (``hint-exact``) and recounts the pairs
 (``rows-falling``).
 
 A feasible queue costs |Q| adds; a confirmed answer the walk up to the
@@ -54,12 +54,13 @@ that climbs every level one replay per level below the top.  The
 overhead bench times all three against the prototype's ~10 us (§5).
 
 **Where the estimates come from.**  No estimate is computed, looked up
-by name or validated inside the walk.  The estimator owns one
-always-current row ``[mu(c, f) for f in freqs]`` per workload
-(:meth:`~repro.core.estimator.ExecutionTimeEstimator.mu_rows`), and
+by name or validated inside the walk.  The estimator serves one
+ladder and owns one always-current row ``[mu(c, f) for f in freqs]``
+per workload (:meth:`~repro.core.estimator.ExecutionTimeEstimator.mu_rows`).
 :meth:`PolarisScheduler.enqueue` stamps a reference to it on the
-request as ``request.mu``; the walk reads ``request.mu[chosen]`` and a
-replay reads ``w.mu[j]``.
+request as ``request.mu``, asking the estimator to build the row the
+first time a workload arrives; the walk reads ``request.mu[chosen]``
+and a replay reads ``w.mu[j]``.
 
 **Shared frequency domains.**  ``select_frequency`` assumes per-core
 DVFS, as the paper does.  On coarse topologies
@@ -76,10 +77,10 @@ the harness's granularity figure quantifies exactly that cost.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.sanitizer import invariant, simsan_enabled
-from repro.core.estimator import EstimateRows, ExecutionTimeEstimator
+from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.request import Request
 from repro.db.queues import EdfQueue, RequestQueue
 
@@ -125,10 +126,9 @@ class PolarisScheduler:
         #: pop/selection, so the disabled cost is one boolean test.
         self.sanitize = simsan_enabled(sanitize)
         self._freq_set = frozenset(freqs)
-        #: The estimator's live ``workload -> estimate row`` table for
-        #: this ladder (shared by every scheduler built on the estimator
-        #: with the same frequencies).
-        self._rows: EstimateRows = estimator.mu_rows(freqs)
+        #: The estimator's live ``workload -> estimate row`` table
+        #: (shared by every scheduler built on the estimator).
+        self._rows: Dict[str, List[float]] = estimator.mu_rows(freqs)
         self._zeros = (0.0,) * len(freqs)
         #: Level of the last selection, where the next walk looks first.
         #: Advice only (any value selects the same): in no result.
@@ -153,8 +153,10 @@ class PolarisScheduler:
     # ------------------------------------------------------------------
     def enqueue(self, request: Request) -> None:
         """Queue a request (EDF position for POLARIS proper), carrying
-        its workload's estimate row for this scheduler's ladder."""
-        request.mu = self._rows[request.workload_name]
+        its workload's estimate row."""
+        row = self._rows.get(request.workload_name)
+        request.mu = row if row is not None \
+            else self.estimator.row(request.workload_name)
         self.queue.push(request)
 
     def next_request(self) -> Optional[Request]:
@@ -211,10 +213,9 @@ class PolarisScheduler:
         last = len(freqs) - 1
         items, index = self.queue.scan()
         live = items[index:] if index < len(items) else ()
-        rows = self._rows
         # _stamp_running, inlined: this runs on every selection.
         if running is not None and running.mu is None:
-            running.mu = rows[running.workload_name]
+            running.mu = self.estimator.row(running.workload_name)
 
         # Lines 2-4: minimum frequency for the running transaction.  Its
         # predicted remaining time max(0, mu0[j] - e0) also seeds q-hat
@@ -241,7 +242,7 @@ class PolarisScheduler:
         # rows license it (module docstring); a hinted walk that never
         # escalates proved nothing and is redone from the floor.
         start = self._hint - 1
-        if not (start > floor_index and not rows.rising):
+        if not (start > floor_index and not self.estimator.rising):
             start = floor_index
         chosen, scanned, early_exit = self._walk(now, live, mu0, e0, start)
         if chosen == start != floor_index:
@@ -316,7 +317,7 @@ class PolarisScheduler:
         """Give a ``running`` request that never passed :meth:`enqueue`
         its estimate row (queued requests already carry theirs)."""
         if running is not None and running.mu is None:
-            running.mu = self._rows[running.workload_name]
+            running.mu = self.estimator.row(running.workload_name)
 
     def _record_decision(self, now_s: float, running: Optional[Request],
                          remaining_s: float, selected_ghz: float,
@@ -362,16 +363,18 @@ class PolarisScheduler:
 
     def _sanitize_rows(self, requests: Iterable[Request],
                        now: float) -> None:
-        """simsan: the table's ``rising`` count matches its rows, every
-        request the walk read carries *the estimator's* row for its
-        workload, and that row equals ``estimate(c, f)`` slot for slot."""
+        """simsan: the estimator's ``rising`` count matches its rows,
+        every request the walk read carries *the estimator's* row for
+        its workload, and that row equals ``estimate(c, f)`` slot for
+        slot."""
         rows = self._rows
+        counted = self.estimator.rising
         rising = [(c, j) for c, row in rows.items()
                   for j in range(len(row) - 2) if row[j] < row[j + 1]]
-        invariant(rows.rising == len(rising), "rows-falling",
+        invariant(counted == len(rising), "rows-falling",
                   "the table's rising-pair count (a hinted walk's "
                   "licence) disagrees with its rows (workload, level)",
-                  counted=rows.rising, rising=rising, now=now)
+                  counted=counted, rising=rising, now=now)
         estimate = self.estimator.estimate
         for request in requests:
             c = request.workload_name

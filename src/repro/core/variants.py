@@ -71,5 +71,5 @@ class PolarisShedScheduler(PolarisScheduler):
             if queued.deadline <= request.deadline:
                 queueing += queued.mu[-1]
         predicted_finish = now + queueing \
-            + self._rows[request.workload_name][-1]
+            + self.estimator.row(request.workload_name)[-1]
         return predicted_finish <= request.deadline

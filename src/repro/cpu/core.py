@@ -354,16 +354,23 @@ class Core:
         if duration > 0:
             freq = self.freq
             residency = self.freq_residency
+            self.energy_joules += self._segment_energy(duration)
             if self._segment_busy:
-                self.energy_joules += self._busy_watts[freq] * duration
                 self.busy_seconds += duration
-            elif self._idle_watts is not None:
-                self.energy_joules += self._idle_watts[freq] * duration
-            else:
-                self.energy_joules += self.cstates.idle_energy(
-                    self.power_model.idle_power(freq), duration)
             residency[freq] = residency.get(freq, 0.0) + duration
         self._segment_start = now
+
+    def _segment_energy(self, duration: float) -> float:
+        """Joules of the open segment after ``duration`` seconds: the
+        per-frequency watt tables, or on a multi-state ladder the
+        C-state model (the same ``(a * b) * d`` either way)."""
+        freq = self.freq
+        if self._segment_busy:
+            return self._busy_watts[freq] * duration
+        if self._idle_watts is not None:
+            return self._idle_watts[freq] * duration
+        return self.cstates.idle_energy(self.power_model.idle_power(freq),
+                                        duration)
 
     def flush_accounting(self) -> None:
         """Close the open accounting segment at the current time.
@@ -379,12 +386,7 @@ class Core:
         duration = now - self._segment_start
         if duration <= 0:
             return self.energy_joules
-        if self._segment_busy:
-            partial = self.power_model.active_power(self.freq) * duration
-        else:
-            partial = self.cstates.idle_energy(
-                self.power_model.idle_power(self.freq), duration)
-        return self.energy_joules + partial
+        return self.energy_joules + self._segment_energy(duration)
 
     def busy_seconds_at(self, now: float) -> float:
         """Cumulative busy time up to ``now`` (for governor utilization)."""

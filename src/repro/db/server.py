@@ -245,7 +245,6 @@ class Worker:
         consulted at all).
         """
         server = self.server
-        dispatcher = self.dispatcher
         tracer = self.tracer
         resilience = server.resilience
         if resilience is not None and resilience.maybe_shed(self, request):
@@ -269,25 +268,7 @@ class Worker:
                                deadline=request.deadline)
             server.notify_rejection(request)
             return
-        dispatcher.enqueue(request)
-        if tracer.enabled:
-            now_s = server.sim.now
-            tracer.async_begin("txn", request.request_id,
-                               f"txn:{request.txn_type}", now_s,
-                               worker=self.worker_id,
-                               deadline=request.deadline)
-            tracer.counter(self.trace_track,
-                           f"queue_depth.w{self.worker_id}", now_s,
-                           depth=len(dispatcher))
-        if self.current is None:
-            self._dispatch_next()
-        elif dispatcher.adjusts_on_arrival:
-            freq = dispatcher.select_frequency(
-                server.sim.now, self.current,
-                self.core.running_elapsed())
-            if tracer.enabled:
-                self._trace_decision("setfreq:arrival", freq)
-            self._apply_frequency(freq)
+        self._arrive(request, migrated=False)
 
     # ------------------------------------------------------------------
     # Degraded-mode entry points (repro.faults)
@@ -306,23 +287,38 @@ class Worker:
         dispatcher re-sorts it by deadline (EDF queues) and the same
         arrival-path frequency adjustment runs as for a fresh arrival.
         """
-        self.dispatcher.enqueue(request)
-        if self.tracer.enabled:
+        self._arrive(request, migrated=True)
+
+    def _arrive(self, request: Request, migrated: bool) -> None:
+        """Queue an admitted request, then dispatch if idle, else run
+        SetProcessorFreq on arrival.  ``migrated`` changes only the
+        trace: a migrated request's transaction span is already open."""
+        dispatcher = self.dispatcher
+        tracer = self.tracer
+        dispatcher.enqueue(request)
+        if tracer.enabled:
             now_s = self.server.sim.now
-            self.tracer.async_instant("txn", request.request_id,
-                                      "txn:migrated", now_s,
-                                      worker=self.worker_id)
-            self.tracer.counter(self.trace_track,
-                                f"queue_depth.w{self.worker_id}", now_s,
-                                depth=len(self.dispatcher))
-        if self.idle:
+            if migrated:
+                tracer.async_instant("txn", request.request_id,
+                                     "txn:migrated", now_s,
+                                     worker=self.worker_id)
+            else:
+                tracer.async_begin("txn", request.request_id,
+                                   f"txn:{request.txn_type}", now_s,
+                                   worker=self.worker_id,
+                                   deadline=request.deadline)
+            tracer.counter(self.trace_track,
+                           f"queue_depth.w{self.worker_id}", now_s,
+                           depth=len(dispatcher))
+        if self.current is None:
             self._dispatch_next()
-        elif self.dispatcher.adjusts_on_arrival:
-            freq = self.dispatcher.select_frequency(
+        elif dispatcher.adjusts_on_arrival:
+            freq = dispatcher.select_frequency(
                 self.server.sim.now, self.current,
                 self.core.running_elapsed())
-            if self.tracer.enabled:
-                self._trace_decision("setfreq:migrated", freq)
+            if tracer.enabled:
+                self._trace_decision("setfreq:migrated" if migrated
+                                     else "setfreq:arrival", freq)
             self._apply_frequency(freq)
 
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.core.request import Request
 from repro.core.workload import Workload
 from repro.faults.plan import FaultsLike
 from repro.harness.experiment import (
-    ExperimentConfig, ExperimentResult, run_experiment,
+    TIMELINE_BIN_S, ExperimentConfig, ExperimentResult, run_experiment,
 )
 from repro.harness.parallel import SweepRunner
 from repro.harness.profiling import TimingReport, perf_clock
@@ -41,7 +41,7 @@ from repro.harness.schemes import (
 from repro.metrics.latency import LatencyRecorder, pooled_exec_time_stats
 from repro.metrics.report import (
     availability_record, availability_table, format_series, format_table,
-    sparkline,
+    sparkline, timelines,
 )
 from repro.theory.instances import (
     adversarial_pair, random_agreeable_instance, random_instance,
@@ -426,9 +426,10 @@ def _power_sparklines(result: FigureResult, width: int) -> List[str]:
 
 def trace_timelines(result: FigureResult) -> str:
     trace = result.results[0].config.load_trace
-    return "\n".join(["(a) normalized timelines (5 s bins)",
-                      "  load : " + sparkline(trace),
-                      *_power_sparklines(result, 12)])
+    power = [(cell.scheme_label, cell.power_timeline)
+             for cell in result.results]
+    return "\n".join([f"(a) normalized timelines ({TIMELINE_BIN_S:g} s bins)",
+                      *timelines(trace, power, TIMELINE_BIN_S)])
 
 
 def tier_gap(result: FigureResult, scheme: str) -> float:

@@ -7,7 +7,7 @@ consistent across benches.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence],
@@ -121,3 +121,20 @@ def sparkline(values: Sequence[float]) -> str:
         idx = int((v - low) / span * (len(glyphs) - 1))
         out.append(glyphs[idx])
     return "".join(out)
+
+
+def timelines(load: Sequence[float],
+              power: Sequence[Tuple[str, Sequence[Tuple[float, float]]]],
+              bin_s: float) -> List[str]:
+    """Figure 10(a)'s rows on one time axis: the load trace (one sample
+    a second) averaged into the power meter's ``bin_s`` bins, then each
+    ``(label, [(time, watts), ...])`` power timeline, every label padded
+    to one width so all sparklines start in the same column."""
+    per_bin = int(bin_s)
+    chunks = [load[at:at + per_bin] for at in range(0, len(load), per_bin)]
+    rows = [("load", [sum(chunk) / len(chunk) for chunk in chunks]),
+            *((f"{label} power", [watts for _, watts in timeline])
+              for label, timeline in power)]
+    width = max(len(label) for label, _ in rows)
+    return [f"  {label:{width}s} : {sparkline(values)}"
+            for label, values in rows]

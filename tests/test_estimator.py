@@ -276,7 +276,8 @@ def test_nan_observation_is_rejected_before_it_corrupts_the_window():
 def test_estimator_rejects_nan_and_keeps_its_rows():
     estimator = ExecutionTimeEstimator(window=4, percentile=100)
     estimator.observe("w", 2.0, 0.5)
-    row = estimator.mu_rows((1.0, 2.0))["w"]
+    estimator.mu_rows((1.0, 2.0))
+    row = estimator.row("w")
     with pytest.raises(ValueError):
         estimator.observe("w", 2.0, float("nan"))
     with pytest.raises(ValueError):
@@ -287,42 +288,55 @@ def test_estimator_rejects_nan_and_keeps_its_rows():
     assert estimator.observation_count("w", 1.0) == 0
 
 
+def test_an_estimator_serves_one_ladder():
+    """The first ladder asked for is the estimator's; asking again for
+    it returns the same table, and another ladder is refused by name."""
+    estimator = ExecutionTimeEstimator()
+    table = estimator.mu_rows((1.2, 2.8))
+    assert estimator.mu_rows((1.2, 2.8)) is table
+    with pytest.raises(ValueError, match=r"\(1\.2, 2\.8\).*"
+                                         r"\(1\.2, 2\.0, 2\.8\)"):
+        estimator.mu_rows((1.2, 2.0, 2.8))
+
+
 LADDERS = ((1.0, 2.0, 3.0, 4.0), (0.5, 2.0, 4.0))
+#: Frequencies on both ladders, on one, and (1.0 or 3.0 against the
+#: second ladder, 0.5 against the first) off the one an example serves.
+FREQS = [0.5, 1.0, 2.0, 3.0, 4.0]
 mutation = st.one_of(
     st.tuples(st.just("observe"), st.sampled_from("ab"),
-              st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]),
+              st.sampled_from(FREQS),
               st.sampled_from([0.0, 1.0, 2.0, 2.0, 3.0])),
     st.tuples(st.just("prime"), st.sampled_from("ab"),
-              st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]),
+              st.sampled_from(FREQS),
               st.sampled_from([0.0, 1.0, 2.0, 3.0]),
               st.integers(min_value=1, max_value=5)),
     st.tuples(st.just("fill"), st.sampled_from("ab"),
-              st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]),
+              st.sampled_from(FREQS),
               st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), max_size=5)),
     # A row first built mid-sequence, over trackers that already exist.
-    st.tuples(st.just("build"), st.sampled_from("ab"),
-              st.sampled_from(LADDERS)),
+    st.tuples(st.just("row"), st.sampled_from("ab")),
+    st.tuples(st.just("skew"),
+              st.lists(st.sampled_from([0.5, 1.0, 3.0]), max_size=2)),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(operations=st.lists(mutation, max_size=60),
+       ladder=st.sampled_from(LADDERS),
        window=st.integers(min_value=1, max_value=4),
        percentile=st.sampled_from([50.0, 95.0, 100.0]))
-def test_property_rows_are_never_stale(operations, window, percentile):
+def test_property_rows_are_never_stale(operations, ladder, window,
+                                       percentile):
     """An unpublished observation must be one that moved nothing: after
     every operation each row equals ``estimate`` slot for slot, and the
-    table's ``rising`` count equals a recount of its rows."""
+    estimator's ``rising`` count equals a recount of its rows."""
     estimator = ExecutionTimeEstimator(window, percentile)
+    table = estimator.mu_rows(ladder)
     for op in operations:
-        if op[0] == "build":
-            estimator.mu_rows(op[2])[op[1]]
-        else:
-            getattr(estimator, op[0])(*op[1:])
-        for freqs in LADDERS:
-            table = estimator.mu_rows(freqs)
-            for name, row in table.items():
-                assert row == [estimator.estimate(name, f) for f in freqs]
-            assert table.rising == sum(
-                row[j] < row[j + 1]
-                for row in table.values() for j in range(len(row) - 2))
+        getattr(estimator, op[0])(*op[1:])
+        for name, row in table.items():
+            assert row == [estimator.estimate(name, f) for f in ladder]
+        assert estimator.rising == sum(
+            row[j] < row[j + 1]
+            for row in table.values() for j in range(len(row) - 2))

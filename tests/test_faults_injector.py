@@ -193,7 +193,7 @@ def test_skew_window_edges_set_the_schedulers_estimator(sim):
         sim, ServerConfig(workers=2, request_handlers=1),
         scheduler_factory=lambda: PolarisScheduler(POLARIS_FREQUENCIES,
                                                    estimator))
-    row = estimator.mu_rows(POLARIS_FREQUENCIES)["w"]
+    row = estimator.row("w")
     attach(sim, server, FaultPlan(skews=(SkewSpec(1.0, 3.0, factor=0.3),
                                          SkewSpec(2.0, 4.0, factor=1.7))))
     seen = []

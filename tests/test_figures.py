@@ -48,6 +48,20 @@ def test_render_pinned(figure):
     assert result.render() + "\n" == golden
 
 
+def test_fig10_timelines_share_one_axis():
+    """Load and power sparklines start in one column and span the same
+    bins: the per-second load is averaged into the power meter's."""
+    render = figures.run_figure(FIGURES["fig10"], TINY).render()
+    rows = render.split("(a) normalized timelines")[1].splitlines()[1:]
+    assert len(rows) == 4  # load, then the three schemes' power
+    starts = {row.index(": ") + 2 for row in rows}
+    assert len(starts) == 1
+    (start,) = starts
+    glyphs = [row[start:] for row in rows]
+    assert len(glyphs[1]) == TINY.trace_seconds // 5
+    assert {len(sparkline) for sparkline in glyphs} == {len(glyphs[1])}
+
+
 def test_slack_sweep_structure():
     """The accessor rule: full key -> number, prefix -> list in grid
     order; schemes are keyed by registry name and shown by label."""

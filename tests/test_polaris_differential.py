@@ -7,9 +7,9 @@ below is the figure as printed: one running sum per frequency,
 ``estimate()`` called per item, O(|Q| * |F|).  Both perform the same
 left-fold additions, so selected frequency and items scanned must be
 *equal*, not close --- on non-monotone mu vectors, with mutations
-interleaved between selections, requests migrating between schedulers,
-two ladders on one estimator, and a scheduler built after rows and
-trackers already exist.
+interleaved between selections, requests migrating between the
+schedulers of one ladder, two ladders with an estimator each, and a
+scheduler built after rows and trackers already exist.
 
 The walk may start above the floor, one level under the scheduler's
 last answer, when every row is non-increasing below the top level.  The
@@ -40,8 +40,9 @@ from repro.core.variants import PolarisFifoScheduler
 from repro.core.workload import Workload
 
 LADDER_A = (1.2, 1.6, 2.0, 2.4, 2.8)
-#: Shares 1.6 and 2.8 with LADDER_A, so one observation patches a slot
-#: in both ladders' rows; 0.8 and 2.2 belong to this ladder alone.
+#: Shares 1.6 and 2.8 with LADDER_A, so one observation (made on both
+#: ladders' estimators) patches a slot in each; 0.8 and 2.2 belong to
+#: this ladder alone, so LADDER_A's estimator keeps them off its rows.
 LADDER_B = (0.8, 1.6, 2.2, 2.8)
 WORKLOADS = ("a", "b", "c")
 ALL_FREQS = sorted(set(LADDER_A) | set(LADDER_B))
@@ -128,9 +129,10 @@ class Cell:
         return held
 
 
-def assert_rows_fresh(estimator, cells):
+def assert_rows_fresh(cells):
     for cell in cells:
         freqs = cell.scheduler.frequencies
+        estimator = cell.scheduler.estimator
         table = estimator.mu_rows(freqs)
         for request in cell.requests():
             name = request.workload_name
@@ -139,12 +141,13 @@ def assert_rows_fresh(estimator, cells):
                                   for f in freqs]
 
 
-def check_selection(estimator, cell, now, elapsed, reached=None):
+def check_selection(cell, now, elapsed, reached=None):
     """The selection as the scheduler's own hint has it, then with the
     hint forced to every level: all equal Figure 2, and each other on
     the whole decision record."""
     scheduler = cell.scheduler
-    expected = figure2(scheduler.frequencies, estimator.estimate, now,
+    expected = figure2(scheduler.frequencies,
+                       scheduler.estimator.estimate, now,
                        cell.running, elapsed, list(scheduler.queue))
     decisions = []
     for hint in (None, *range(len(scheduler.frequencies))):
@@ -218,38 +221,44 @@ def test_select_frequency_equals_figure2_under_mutation():
            operations=st.lists(operation, max_size=40),
            window=st.integers(min_value=1, max_value=5))
     def run(values, shape, queues, operations, window):
-        estimator = ExecutionTimeEstimator(window=window, percentile=95.0)
-        slots = shaped(values, shape)
-        for name in WORKLOADS:
-            for freq in ALL_FREQS:
-                estimator.observe(name, freq, next(slots))
+        estimators = {}
+        for ladder in (LADDER_A, LADDER_B):
+            estimator = estimators[ladder] = ExecutionTimeEstimator(
+                window=window, percentile=95.0)
+            slots = shaped(values, shape)
+            for name in WORKLOADS:
+                for freq in ALL_FREQS:
+                    estimator.observe(name, freq, next(slots))
         # The argument for the hint never uses EDF order: FIFO too.
-        cells = [Cell(CountingPolaris(LADDER_A, estimator)),
-                 Cell(CountingFifo(LADDER_A, estimator)),
-                 Cell(CountingPolaris(LADDER_B, estimator)),
-                 Cell(CountingFifo(LADDER_B, estimator))]
+        cells = [Cell(scheduler_class(ladder, estimators[ladder]))
+                 for ladder in (LADDER_A, LADDER_B)
+                 for scheduler_class in (CountingPolaris, CountingFifo)]
         for target, requests in zip(cells, queues):
             for name, arrival, latency in requests:
                 target.scheduler.enqueue(
                     Request(Workload(name, latency), name, arrival, 1.0))
-            check_selection(estimator, target, 0.02, 0.0, reached)
+            check_selection(target, 0.02, 0.0, reached)
             target.running = target.scheduler.next_request()
-            check_selection(estimator, target, 0.02, 0.001, reached)
+            check_selection(target, 0.02, 0.001, reached)
 
         def cell(index):
             return cells[index % len(cells)]
 
+        def peers(source):
+            """The cells on ``source``'s ladder, and so its estimator."""
+            return [c for c in cells
+                    if c.scheduler.estimator is source.scheduler.estimator]
+
         for op in operations:
             kind = op[0]
-            if kind == "observe":
-                estimator.observe(*op[1:])
-            elif kind == "prime":
-                estimator.prime(*op[1:])
-            elif kind == "fill":
-                estimator.fill(*op[1:])
+            if kind in ("observe", "prime", "fill"):
+                for estimator in estimators.values():
+                    getattr(estimator, kind)(*op[1:])
             elif kind == "heal":
-                for freq in ALL_FREQS:
-                    estimator.prime(op[1], freq, op[2] / freq, count=window)
+                for estimator in estimators.values():
+                    for freq in ALL_FREQS:
+                        estimator.prime(op[1], freq, op[2] / freq,
+                                        count=window)
             elif kind == "enqueue":
                 _, index, (name, arrival, latency) = op
                 cell(index).scheduler.enqueue(
@@ -258,26 +267,28 @@ def test_select_frequency_equals_figure2_under_mutation():
                 target = cell(op[1])
                 target.running = target.scheduler.next_request()
             elif kind == "migrate":
-                moved = cell(op[1]).scheduler.next_request()
+                source = cell(op[1])
+                moved = source.scheduler.next_request()
                 if moved is not None:
-                    cell(op[2]).scheduler.enqueue(moved)
+                    ladder = peers(source)
+                    ladder[op[2] % len(ladder)].scheduler.enqueue(moved)
             elif kind == "build-late":
                 # Rows and trackers exist by now; a new scheduler joins
-                # the ladder's table, and one on the other ladder too.
-                for ladder in (LADDER_A, LADDER_B):
-                    late = Cell(CountingPolaris(ladder, estimator))
-                    donor = cells[0].scheduler.next_request()
+                # each ladder's table, with a request from a peer.
+                for first in (cells[0], cells[2]):
+                    late = Cell(CountingPolaris(first.scheduler.frequencies,
+                                                first.scheduler.estimator))
+                    donor = first.scheduler.next_request()
                     if donor is not None:
                         late.scheduler.enqueue(donor)
                     cells.append(late)
             else:
                 _, index, now, elapsed = op
-                check_selection(estimator, cell(index), now, elapsed,
-                                reached)
-            assert_rows_fresh(estimator, cells)
+                check_selection(cell(index), now, elapsed, reached)
+            assert_rows_fresh(cells)
         for target in cells:
-            check_selection(estimator, target, 0.01, 0.0, reached)
-            check_selection(estimator, target, 0.03, 0.002, reached)
+            check_selection(target, 0.01, 0.0, reached)
+            check_selection(target, 0.03, 0.002, reached)
 
     run()
     assert reached["hinted"] and reached["redone"] and reached["unhinted"]
@@ -316,13 +327,13 @@ def test_skew_between_selections_is_read_by_the_next():
             target.scheduler.enqueue(
                 Request(Workload(name, latency), name, arrival, 1.0))
         target.running = target.scheduler.next_request()
-        check_selection(estimator, target, now, 0.001, reached)
+        check_selection(target, now, 0.001, reached)
         estimator.skew(factors)
-        assert_rows_fresh(estimator, [target])
-        check_selection(estimator, target, now, 0.001, reached)
+        assert_rows_fresh([target])
+        check_selection(target, now, 0.001, reached)
         estimator.skew(())
-        assert_rows_fresh(estimator, [target])
-        check_selection(estimator, target, now, 0.001, reached)
+        assert_rows_fresh([target])
+        check_selection(target, now, 0.001, reached)
 
     run()
     assert reached["hinted"]

@@ -250,19 +250,18 @@ def _rising_at_level_one(sched):
     sched.enqueue(Request(Workload("w", 0.004), "t", 0.0, 1.0))
     assert sched.select_frequency(0.0, None) == POLARIS_FREQUENCIES[0]
     sched.estimator.prime("w", POLARIS_FREQUENCIES[1], 0.005, count=1000)
-    table = sched.estimator.mu_rows(sched.frequencies)
-    assert table.rising == 1
-    return table
+    assert sched.estimator.rising == 1
+    return sched.estimator
 
 
 def test_polaris_hint_exact_violation_on_an_unlicensed_hint():
     sched = _scheduler()
-    table = _rising_at_level_one(sched)
+    estimator = _rising_at_level_one(sched)
     sched._hint = 2
     assert sched.select_frequency(0.0, None) == POLARIS_FREQUENCIES[0]
     # A hand-corrupted counter licenses the start at level 1, where the
     # request looks infeasible and the walk climbs past the true answer.
-    table.rising = 0
+    estimator.rising = 0
     sched._hint = 2
     with pytest.raises(SimulationInvariantError) as exc:
         sched.select_frequency(0.0, None)
@@ -287,7 +286,7 @@ def test_polaris_rows_falling_violation_on_a_row_edited_in_place():
     sched.enqueue(Request(Workload("w", 1.0), "t", 0.0, 1.0))
     sched.select_frequency(0.0, None)
     # Behind the estimator's back: nothing recounted the table.
-    row = sched.estimator.mu_rows(sched.frequencies)["w"]
+    row = sched.estimator.row("w")
     row[3] = row[2] * 2
     with pytest.raises(SimulationInvariantError) as exc:
         sched.select_frequency(0.0, None)

@@ -37,7 +37,7 @@ def main() -> None:
             seed=1998,
         )
         result = run_experiment(config)
-        power_timelines.append((scheme, result.power_timeline))
+        power_timelines.append((f"{scheme} power", result.power_timeline))
         summary.append((scheme, result.avg_power_watts,
                         result.failure_rate))
     print(f"normalized timelines ({TIMELINE_BIN_S:g} s bins)")

@@ -44,12 +44,15 @@ class Request:
         True work in giga-cycles (drawn from the service model).  The
         scheduler never reads this --- it only sees measured execution
         times --- matching the paper's black-box estimation setting.
+    key:
+        The fleet key the cluster router shards this request by (None
+        outside fleet cells); a write commits its LSN under it.
     """
 
     __slots__ = ("request_id", "workload", "workload_name", "txn_type",
                  "arrival_time", "deadline", "work", "state",
                  "dispatch_time", "finish_time", "worker_id",
-                 "dispatch_freq", "single_freq", "mu")
+                 "dispatch_freq", "single_freq", "mu", "key")
 
     def __init__(self, workload, txn_type: str, arrival_time: float,
                  work: float, deadline: Optional[float] = None):
@@ -76,6 +79,7 @@ class Request:
         #: request's workload, stamped by the scheduler that queued it
         #: (see ``PolarisScheduler.enqueue``); None until then.
         self.mu: Optional[list] = None
+        self.key: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property

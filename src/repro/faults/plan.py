@@ -158,10 +158,10 @@ class PartitionSpec:
     """Replication partition: replicas stop acking during a window.
 
     During ``[start_s, end_s)`` the affected shards' replicas apply
-    nothing new --- their applied-LSN freezes and their effective lag
-    grows without bound, so every read routed to them is stale and
-    bounces (or is served degraded when the primary is down).  The
-    partition heals at ``end_s``.  ``shards`` names affected shard ids;
+    nothing new --- their applied LSN freezes, so a key committed since
+    is stale on them and its reads go to a fresh node (or are served
+    degraded when the primary is down).  The partition heals at
+    ``end_s``.  ``shards`` names affected shard ids;
     empty means every shard.
     """
 

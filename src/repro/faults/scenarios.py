@@ -84,8 +84,8 @@ def shard_crash() -> FaultPlan:
 
 def partition() -> FaultPlan:
     """Replication partition: every shard's replicas stop applying for
-    [1.5 s, 6 s).  Reads bounce to the primaries for the whole window
-    (unbounded staleness), then the partition heals."""
+    [1.5 s, 6 s), so every key written in the window is stale on them
+    until the partition heals."""
     return FaultPlan(partitions=(PartitionSpec(_CRASH_AT_S, _END_S),),
                      name="partition")
 

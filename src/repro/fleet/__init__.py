@@ -4,8 +4,9 @@ The fleet tier lifts the single-server POLARIS model to a sharded,
 replicated cluster: :class:`Node` wraps a
 :class:`~repro.db.server.DatabaseServer` with a role and a
 ``warming -> active -> draining -> parked`` lifecycle,
-:class:`ClusterRouter` shards requests by key and serves reads from
-replicas (bouncing stale reads to primaries), and
+:class:`ClusterRouter` shards requests by key and rotates reads over
+every node that has applied the key's last commit (the shard's
+:class:`ShardReplication` answers that per key), and
 :class:`ElasticController` parks and boots whole replicas from the
 windowed per-shard load --- the paper's race-to-idle argument applied
 to nodes instead of cores.  A fleet cell runs through the one
@@ -17,8 +18,8 @@ only for fleet cells) instead of a single server.
 
 PR 9 adds the failure model: :class:`FleetFaultInjector` schedules a
 fault plan's node crashes / partitions / replica-lag windows onto the
-virtual clock against the per-shard WAL-and-apply model
-(:class:`ShardReplication`), :class:`FailoverManager` heartbeats the
+virtual clock against the same per-shard WAL-and-apply model,
+:class:`FailoverManager` heartbeats the
 shards and promotes the most-caught-up replica after a durable-WAL
 replay, and an armed router self-heals with circuit breakers and
 bounded retry-with-backoff --- see DESIGN.md, "Fleet failure model".

@@ -38,13 +38,12 @@ from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
-    from repro.fleet.chaos import FleetFaultInjector, ShardReplication
+    from repro.fleet.chaos import FleetFaultInjector
     from repro.fleet.failover import AvailabilityTracker, FailoverManager
     from repro.obs.metrics import MetricRegistry
 
 #: Per-replica apply lag drawn uniformly from this range at build time
-#: (seeded): a read hitting a replica within its lag of the shard's last
-#: write is stale and bounces to the primary.
+#: (seeded): a replica applies each log force this long after it.
 REPLICATION_LAG_S = (0.01, 0.08)
 #: Keys are drawn uniformly from [0, KEYSPACE) and sharded modulo.
 KEYSPACE = 4096
@@ -131,8 +130,8 @@ class FleetPlant:
         self.peak_throughput = node_peak * fleet_config.provisioned_nodes()
         self.fleet, self.shards = _build_fleet(sim, fleet_config,
                                                make_server, streams)
-        self.read_types = read_only_types(config.benchmark)
-        self.router = ClusterRouter(sim, self.shards, self.read_types)
+        self.router = ClusterRouter(sim, self.shards,
+                                    read_only_types(config.benchmark))
         self.wall_energy = self.fleet.wall_energy
         self.sanitize_accounting = self.fleet.sanitize_accounting
         #: Per-shard books: no recorder of their own.  Every outcome is
@@ -142,9 +141,7 @@ class FleetPlant:
                          for node in self.fleet.nodes}
         self.servers = list(self.shard_of)
         # Chaos cells only (see _arm_chaos); healthy cells build (and
-        # import) none of it, so they stay byte-identical to their
-        # pinned goldens.
-        self.replication: Dict[int, ShardReplication] = {}
+        # import) none of it.
         self.tracker: Optional[AvailabilityTracker] = None
         self.failover: Optional[FailoverManager] = None
         self.injector: Optional[FleetFaultInjector] = None
@@ -183,29 +180,13 @@ class FleetPlant:
             self.controller.start()
 
     def _arm_chaos(self, recorder: LatencyRecorder) -> None:
-        """Replication/WAL model, self-healing router, fault injection,
-        and (when enabled) the failover machinery."""
-        from repro.fleet.chaos import FleetFaultInjector, ShardReplication
+        """Self-healing router, fault injection, and (when enabled) the
+        failover machinery."""
+        from repro.fleet.chaos import FleetFaultInjector
         from repro.fleet.failover import AvailabilityTracker, FailoverManager
-        sim, shards, fleet_config = self.sim, self.shards, self.fleet_config
-        replication = self.replication = {
-            shard.shard_id: ShardReplication(sim, shard.shard_id)
-            for shard in shards}
+        sim, shards = self.sim, self.shards
         tracker = self.tracker = AvailabilityTracker(
             sim, [s.shard_id for s in shards])
-        read_types = self.read_types
-
-        def _log_write(node: Node, request: Request) -> None:
-            # Completed writes reach the shard's WAL iff this node is
-            # the shard's primary *now* (role at completion time, so a
-            # promoted replica starts logging the moment it takes over).
-            shard = shards[node.shard_id]
-            if request.txn_type in read_types or shard.primary is not node:
-                return
-            replication[node.shard_id].on_write_committed()
-
-        for node in self.fleet.nodes:
-            node.server.add_completion_listener(partial(_log_write, node))
 
         def _on_crash(node: Node, lost: List[Request]) -> None:
             for request in lost:
@@ -214,16 +195,15 @@ class FleetPlant:
                 tracker.mark_down(node.shard_id)
 
         self.injector = FleetFaultInjector(sim, self.plan, self.fleet,
-                                           shards, replication, _on_crash)
+                                           shards, _on_crash)
         # Retry-exhausted (or end-of-run flushed) requests are shed as
         # offered-and-rejected, the unavailability the availability
         # figure charges against the baseline.
-        self.router.arm_self_healing(recorder.on_rejection,
-                                     self.injector.effective_lag_s)
+        self.router.arm_self_healing(recorder.on_rejection)
         self.injector.attach()
-        if fleet_config.failover_enabled:
+        if self.fleet_config.failover_enabled:
             self.failover = FailoverManager(
-                sim, self.fleet, shards, replication, tracker,
+                sim, self.fleet, shards, tracker,
                 self.streams.get("fleet-failover"))
             self.failover.start()
 
@@ -284,8 +264,8 @@ class FleetPlant:
                     f"shard{shard_id}": fraction for shard_id, fraction in
                     self.tracker.availability(
                         *self.recorder.window).items()},
-                lost_commits=sum(r.lost_commits
-                                 for r in self.replication.values()),
+                lost_commits=sum(shard.replication.lost_commits
+                                 for shard in self.shards),
                 # Shards whose write path is still down when the run
                 # ends --- the metric the chaos acceptance pins: zero
                 # with failover, positive for the no-failover baseline.

@@ -7,7 +7,9 @@ at least ``HEARTBEAT_TIMEOUT_S`` at a tick is *detected*, and failover
 begins:
 
 1. **Elect** the most-caught-up active replica --- highest applied LSN
-   per :class:`~repro.fleet.chaos.ShardReplication`, ties to the lowest
+   per the shard's :class:`~repro.fleet.router.ShardReplication`, which
+   the router's freshness check reads too (a slow follower's extra lag
+   and a partition count here as they do there), ties to the lowest
    node id (deterministic).  If no replica is active but one is parked,
    a warm spare is booted first and the election re-runs when it comes
    up.
@@ -36,7 +38,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.fleet.chaos import ShardReplication
 from repro.fleet.node import BOOT_LATENCY_S, Fleet, Node, NodeState, REPLICA
 from repro.fleet.router import ShardState
 from repro.sim.engine import Simulator
@@ -102,13 +103,11 @@ class FailoverManager:
 
     def __init__(self, sim: Simulator, fleet: Fleet,
                  shards: List[ShardState],
-                 replication: Dict[int, ShardReplication],
                  tracker: AvailabilityTracker,
                  lifecycle_rng: random.Random):
         self.sim = sim
         self.fleet = fleet
         self.shards = shards
-        self.replication = replication
         self.tracker = tracker
         #: Boot latencies for warm spares booted mid-failover; a
         #: dedicated stream ("fleet-failover") so the elastic
@@ -175,7 +174,7 @@ class FailoverManager:
         self._elect(shard)
 
     def _elect(self, shard: ShardState) -> None:
-        replication = self.replication[shard.shard_id]
+        replication = shard.replication
         now_s = self.sim.now
         candidates = [r for r in shard.replicas
                       if r.state is NodeState.ACTIVE]
@@ -195,11 +194,9 @@ class FailoverManager:
         # Most caught-up wins; ties to the lowest node id (negated in
         # the max key) --- fully deterministic.
         winner = max(candidates,
-                     key=lambda node: (replication.applied_lsn(
-                         node.node_id, node.replication_lag_s, now_s),
-                         -node.node_id))
-        records = replication.promote_to(
-            winner, winner.replication_lag_s, now_s)
+                     key=lambda node: (replication.applied_lsn(node, now_s),
+                                       -node.node_id))
+        records = replication.promote_to(winner, now_s)
         self.records_replayed += records
         replay_s = REPLAY_FIXED_S + REPLAY_PER_RECORD_S * records
         self._event(shard, "replay", winner.node_id)

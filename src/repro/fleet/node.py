@@ -73,9 +73,8 @@ class Node:
         self.role = role
         self.server = server
         self.parked_floor_watts = parked_floor_watts
-        #: Apply lag of this replica (0.0 for primaries): a read landing
-        #: within this of the shard's last write would observe a stale
-        #: snapshot.
+        #: Base apply lag of this replica (0.0 for primaries): it applies
+        #: each log force of its shard this long after the force.
         self.replication_lag_s = replication_lag_s
         self.state = NodeState.PARKED if start_parked else NodeState.ACTIVE
         #: The owning :class:`Fleet`'s transition hook, once it has one.

@@ -301,7 +301,7 @@ class ExperimentResult:
     degradation_actions: Dict[str, int] = field(default_factory=dict)
     lost: int = 0
     #: repro.fleet: per-shard deadline-miss rates and offered counts
-    #: (keys ``"shard0"``...), stale reads bounced to primaries,
+    #: (keys ``"shard0"``...), reads that passed over a stale replica,
     #: router/controller action counts, and the (time_s, active nodes)
     #: timeline.  All zero/empty on single-server cells;
     #: seed-deterministic.

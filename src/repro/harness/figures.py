@@ -41,7 +41,7 @@ from repro.harness.schemes import (
 from repro.metrics.latency import LatencyRecorder, pooled_exec_time_stats
 from repro.metrics.report import (
     availability_record, availability_table, format_series, format_table,
-    sparkline, timelines,
+    timelines,
 )
 from repro.theory.instances import (
     adversarial_pair, random_agreeable_instance, random_instance,
@@ -418,15 +418,9 @@ def trace_summary(result: FigureResult) -> str:
         title="(b) average power and failure rate")
 
 
-def _power_sparklines(result: FigureResult, width: int) -> List[str]:
-    return [f"  {cell.scheme_label:{width}s} power: "
-            + sparkline([watts for _, watts in cell.power_timeline])
-            for cell in result.results]
-
-
 def trace_timelines(result: FigureResult) -> str:
     trace = result.results[0].config.load_trace
-    power = [(cell.scheme_label, cell.power_timeline)
+    power = [(f"{cell.scheme_label} power", cell.power_timeline)
              for cell in result.results]
     return "\n".join([f"(a) normalized timelines ({TIMELINE_BIN_S:g} s bins)",
                       *timelines(trace, power, TIMELINE_BIN_S)])
@@ -464,39 +458,34 @@ def provisioning_frontier(result: FigureResult) -> str:
         map(row, result.results), title="(b) provisioning frontier")
 
 
-def _step_bins(timeline: Sequence[Tuple[float, float]], start: float,
-               end: float, bins: int) -> List[float]:
-    """Sample a (time, value) step series at ``bins`` bin centres."""
-    if not timeline or bins < 1 or end <= start:
-        return []
-    width = (end - start) / bins
-    values: List[float] = []
-    for i in range(bins):
-        centre = start + (i + 0.5) * width
-        value = timeline[0][1]
-        for time_s, v in timeline:
-            if time_s > centre:
-                break
-            value = v
-        values.append(value)
-    return values
+def _mean_active(node_timeline: Sequence[Tuple[float, int]],
+                 start_s: float, end_s: float) -> float:
+    """Time-weighted mean of the active-node step timeline over
+    ``[start_s, end_s)``, rounded so a steady count reads exactly."""
+    total = 0.0
+    ends = [at_s for at_s, _ in node_timeline[1:]] + [end_s]
+    for (at_s, active), until_s in zip(node_timeline, ends):
+        overlap = min(until_s, end_s) - max(at_s, start_s)
+        if overlap > 0:
+            total += active * overlap
+    return round(total / (end_s - start_s), 6)
 
 
 def fleet_timelines(result: FigureResult) -> str:
-    config = result.results[0].config
-    trace = config.load_trace
-    test_start = config.warmup_seconds
-    out = ["(a) normalized timelines", "  load  : " + sparkline(trace),
-           *_power_sparklines(result, 16)]
-    for cell in result.results:
-        bins = _step_bins(cell.node_timeline, test_start,
-                          test_start + len(trace), max(len(trace) // 5, 8))
-        if len(set(bins)) > 1:
-            nodes = sparkline(bins)
-        else:
-            nodes = f"constant {bins[0] if bins else 0:g}"
-        out.append(f"  {cell.scheme_label:16s} nodes: {nodes}")
-    return "\n".join(out)
+    """Figure 10(a)'s axis for the fleet: load, then each cell's power
+    and its active-node count, both averaged into the power bins."""
+    cells = result.results
+    half = TIMELINE_BIN_S / 2
+    rows = [*((f"{cell.scheme_label} power", cell.power_timeline)
+              for cell in cells),
+            *((f"{cell.scheme_label} nodes",
+               [(time_s, _mean_active(cell.node_timeline, time_s - half,
+                                      time_s + half))
+                for time_s, _ in cell.power_timeline])
+              for cell in cells)]
+    return "\n".join([f"(a) normalized timelines ({TIMELINE_BIN_S:g} s bins)",
+                      *timelines(cells[0].config.load_trace, rows,
+                                 TIMELINE_BIN_S)])
 
 
 def availability_summary(result: FigureResult) -> str:

@@ -124,17 +124,20 @@ def sparkline(values: Sequence[float]) -> str:
 
 
 def timelines(load: Sequence[float],
-              power: Sequence[Tuple[str, Sequence[Tuple[float, float]]]],
+              rows: Sequence[Tuple[str, Sequence[Tuple[float, float]]]],
               bin_s: float) -> List[str]:
-    """Figure 10(a)'s rows on one time axis: the load trace (one sample
-    a second) averaged into the power meter's ``bin_s`` bins, then each
-    ``(label, [(time, watts), ...])`` power timeline, every label padded
-    to one width so all sparklines start in the same column."""
+    """Trace-figure rows on one time axis: the load trace (one sample a
+    second) averaged into the power meter's ``bin_s`` bins, then each
+    ``(label, [(time, value), ...])`` row, sampled on those bins, every
+    label padded to one width so all rows start in the same column.  A
+    row of one repeated value prints that value, not a flat line."""
     per_bin = int(bin_s)
     chunks = [load[at:at + per_bin] for at in range(0, len(load), per_bin)]
-    rows = [("load", [sum(chunk) / len(chunk) for chunk in chunks]),
-            *((f"{label} power", [watts for _, watts in timeline])
-              for label, timeline in power)]
-    width = max(len(label) for label, _ in rows)
-    return [f"  {label:{width}s} : {sparkline(values)}"
-            for label, values in rows]
+    series = [("load", [sum(chunk) / len(chunk) for chunk in chunks]),
+              *((label, [value for _, value in timeline])
+                for label, timeline in rows)]
+    width = max(len(label) for label, _ in series)
+    return [f"  {label:{width}s} : "
+            + (f"constant {values[0]:g}" if len(set(values)) == 1
+               else sparkline(values))
+            for label, values in series]

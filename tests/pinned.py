@@ -80,10 +80,6 @@ HIGH_FAILURE_CELLS = {
     "chaos-no-failover-diurnal":
         "the availability baseline: crashed primaries are never "
         "replaced, so most requests after the crash fail by design",
-    "fleet-ycsb-b-replicas":
-        "known defect: the router tracks replica staleness per shard, "
-        "so nearly every read bounces to the 2-worker primary and its "
-        "queue grows without bound; the fix deletes this entry",
 }
 
 

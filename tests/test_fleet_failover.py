@@ -1,12 +1,13 @@
 """Failover machinery units: detection, election, replay, availability.
 
 Exercises :mod:`repro.fleet.failover` and the :class:`ShardReplication`
-WAL model from :mod:`repro.fleet.chaos` in isolation --- small fleets,
+WAL model from :mod:`repro.fleet.router` in isolation --- small fleets,
 hand-scheduled crashes, exact virtual-clock assertions.  The end-to-end
 chaos cells live in ``test_fleet_chaos.py``.
 """
 
 import random
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -14,11 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db.server import DatabaseServer, ServerConfig
-from repro.fleet import chaos, failover
-from repro.fleet.chaos import ShardReplication
+from repro.faults.plan import FaultPlan, NodeCrashSpec, ReplicaLagSpec
+from repro.fleet import failover, router
+from repro.fleet.config import FleetConfig
 from repro.fleet.failover import AvailabilityTracker, FailoverManager
 from repro.fleet.node import Fleet, Node, NodeState, PRIMARY, REPLICA
-from repro.fleet.router import ShardState
+from repro.fleet.router import ShardReplication, ShardState
+from repro.harness.experiment import ExperimentConfig, run_experiment
 
 
 @pytest.fixture(autouse=True)
@@ -30,7 +33,7 @@ def fixed_boot_latency(monkeypatch):
 @pytest.fixture(autouse=True)
 def group_of_one(monkeypatch):
     """Every commit forces the log, so every write is durable at once."""
-    monkeypatch.setattr(chaos, "GROUP_COMMIT_SIZE", 1)
+    monkeypatch.setattr(router, "GROUP_COMMIT_SIZE", 1)
 
 
 def _node(sim, node_id, role, lag_s=0.0, parked=False):
@@ -50,18 +53,17 @@ def build(sim, lags=(0.05, 1.0), parked=0):
         for i, lag in enumerate(lags)]
     fleet = Fleet(sim, [primary] + replicas)
     shard = ShardState(0, primary, replicas)
-    replication = ShardReplication(sim, 0)
     tracker = AvailabilityTracker(sim, [0])
-    manager = FailoverManager(sim, fleet, [shard], {0: replication},
-                              tracker, random.Random(42))
-    return shard, replication, tracker, manager
+    manager = FailoverManager(sim, fleet, [shard], tracker,
+                              random.Random(42))
+    return shard, shard.replication, tracker, manager
 
 
 def commit_writes(sim, replication, count, spacing_s=0.1,
                   start_s=0.01):
     for i in range(count):
         sim.schedule_at(start_s + spacing_s * i,
-                        replication.on_write_committed)
+                        partial(replication.on_write_committed, i))
 
 
 def crash_primary(sim, shard, replication, tracker, at_s):
@@ -125,43 +127,48 @@ def test_tracker_overlap_is_clamped_to_the_window(sim):
 # ----------------------------------------------------------------------
 # ShardReplication (the WAL model)
 # ----------------------------------------------------------------------
+def replica(node_id, lag_s):
+    return SimpleNamespace(node_id=node_id, replication_lag_s=lag_s)
+
+
 def test_replica_applies_forced_prefix_after_lag(sim):
     replication = ShardReplication(sim, 0)
     commit_writes(sim, replication, 3, spacing_s=0.1, start_s=0.0)
     run(sim, 1.0)
-    assert len(replication.force_times) == 3
-    top = replication.force_times[-1][1]
+    assert len(replication.force_lsn) == 3
+    top = replication.force_lsn[-1]
     # Zero lag sees everything immediately; 0.15 s lag at t=0.2 has
     # only the first force (t=0.0) applied.
-    assert replication.applied_lsn(1, 0.0, 0.25) == top
-    assert replication.applied_lsn(1, 0.15, 0.2) \
-        == replication.force_times[0][1]
-    assert replication.applied_lsn(1, 5.0, 0.2) == 0
+    assert replication.applied_lsn(replica(1, 0.0), 0.25) == top
+    assert replication.applied_lsn(replica(1, 0.15), 0.2) \
+        == replication.force_lsn[0]
+    assert replication.applied_lsn(replica(1, 5.0), 0.2) == 0
 
 
 def test_crash_loses_exactly_the_buffered_tail(sim, monkeypatch):
     # Group commit forces every 4 COMMITs: the first four writes are
     # durable, the fifth's sits in the buffer when the primary dies.
-    monkeypatch.setattr(chaos, "GROUP_COMMIT_SIZE", 4)
+    monkeypatch.setattr(router, "GROUP_COMMIT_SIZE", 4)
     replication = ShardReplication(sim, 0)
     commit_writes(sim, replication, 5, spacing_s=0.01, start_s=0.0)
     run(sim, 1.0)
-    assert len(replication.buffered_commits) == 1
+    assert replication.buffered_commits == 1
     lost = replication.on_primary_crash()
     assert lost == 1
     assert replication.lost_commits == 1
-    assert replication.crashed_at_s == sim.now
+    assert replication.buffered_commits == 0
 
 
 def test_nothing_ships_after_the_crash(sim):
     replication = ShardReplication(sim, 0)
     commit_writes(sim, replication, 2, spacing_s=0.1, start_s=0.0)
     run(sim, 0.15)
-    replication.on_primary_crash()  # at 0.15, after the first force
+    replication.on_primary_crash()  # at 0.15, after both forces
     run(sim, 5.0)
-    # A zero-lag replica still only ever sees pre-crash forces.
-    pre_crash = [lsn for t, lsn in replication.force_times if t <= 0.15]
-    assert replication.applied_lsn(1, 0.0, 5.0) == pre_crash[-1]
+    # A dead primary forces nothing more: a zero-lag replica still only
+    # ever sees the pre-crash log.
+    assert replication.applied_lsn(replica(1, 0.0), 5.0) \
+        == replication.force_lsn[-1] == 4
 
 
 def test_partition_freezes_the_apply_position(sim):
@@ -170,14 +177,33 @@ def test_partition_freezes_the_apply_position(sim):
     commit_writes(sim, replication, 1, start_s=0.0)
     run(sim, 0.05)
     replication.freeze_replica(node)
-    frozen_at = replication.applied_lsn(1, 0.0, sim.now)
+    frozen_at = replication.applied_lsn(node, sim.now)
     commit_writes(sim, replication, 2, spacing_s=0.1, start_s=0.1)
     run(sim, 1.0)
-    assert replication.is_frozen(1)
-    assert replication.applied_lsn(1, 0.0, sim.now) == frozen_at
+    assert replication.applied_lsn(node, sim.now) == frozen_at
     replication.heal_replica(node)
-    assert replication.applied_lsn(1, 0.0, sim.now) \
-        == replication.force_times[-1][1]
+    assert replication.applied_lsn(node, sim.now) \
+        == replication.force_lsn[-1]
+
+
+def test_a_lag_window_never_unapplies_the_log(sim):
+    """A slow-follower window that opens holds the replica where it is
+    (the log it applied stays applied) and it catches up once the
+    window's lag has passed; the window's close moves it on at once."""
+    replication = ShardReplication(sim, 0)
+    node = replica(1, 0.05)
+    commit_writes(sim, replication, 5, spacing_s=0.1, start_s=0.0)
+    run(sim, 0.42)
+    before = replication.applied_lsn(node, sim.now)
+    assert before == replication.force_lsn[3]  # the 0.3 s force
+    replication.add_lag(node, 0.25)
+    assert replication.applied_lsn(node, sim.now) == before
+    run(sim, 0.71)  # the 0.4 s force is 0.31 s old: past 0.05 + 0.25
+    assert replication.applied_lsn(node, sim.now) \
+        == replication.force_lsn[4]
+    replication.add_lag(node, -0.25)
+    assert replication.applied_lsn(node, sim.now) \
+        == replication.force_lsn[4]
 
 
 def test_promotion_trims_unshipped_commits_and_replays(sim):
@@ -188,17 +214,17 @@ def test_promotion_trims_unshipped_commits_and_replays(sim):
     replication.on_primary_crash()  # forces at 0.0, 0.1, 0.2 all durable
     # At 0.25 a 0.15 s-lag replica has applied the 0.0 and 0.1 forces;
     # the t=0.2 durable commit was never shipped.
-    records = replication.promote_to(node, 0.15, sim.now)
+    records = replication.promote_to(node, sim.now)
     assert replication.lost_commits == 1
     assert records == 4  # two txns x (UPDATE + COMMIT) survive the trim
-    assert replication.durable_commits == [2, 4]
-    assert replication.crashed_at_s is None  # write path alive again
+    assert replication.force_lsn == [2, 4]
 
 
 #: (op, replica index, clock step); repeats weight the draw.
 WAL_OPS = st.lists(st.tuples(
     st.sampled_from(("write",) * 5 + ("advance",) * 3
-                    + ("crash", "freeze", "heal", "promote", "promote")),
+                    + ("crash", "freeze", "heal", "slow", "fast",
+                       "promote", "promote")),
     st.integers(0, 1), st.sampled_from((0.0, 0.01, 0.04, 0.2))),
     min_size=30, max_size=120)
 
@@ -209,55 +235,59 @@ WAL_OPS = st.lists(st.tuples(
 @settings(max_examples=200, deadline=None)
 def test_wal_model_invariants(group, lags, ops):
     """Random interleavings of writes, clock advances, crashes,
-    partitions and promotions, in the order the fleet can produce them
-    (writes and crashes only while the primary is alive, promotion only
-    after a crash): no commit is unaccounted for, a crash loses at most
-    a group's tail, an unpartitioned replica's apply position only
-    moves forward between promotions and never past the durable log,
-    and a promotion replays two records per durable commit it keeps."""
-    with mock.patch.object(chaos, "GROUP_COMMIT_SIZE", group):
+    partitions, slow-follower windows and promotions, in the order the
+    fleet can produce them (writes and crashes only while the primary
+    is alive, promotion only after a crash): no commit is unaccounted
+    for, a crash loses at most a group's tail, every replica's apply
+    position --- partitioned or slowed included --- only moves forward
+    between promotions and never past the durable log, and a promotion
+    replays two records per durable commit it keeps."""
+    with mock.patch.object(router, "GROUP_COMMIT_SIZE", group):
         clock = SimpleNamespace(now=0.0)
         replication = ShardReplication(clock, 0)
-        replicas = [SimpleNamespace(node_id=i + 1, replication_lag_s=lag)
-                    for i, lag in enumerate(lags)]
+        replicas = [replica(i + 1, lag) for i, lag in enumerate(lags)]
         committed = 0
+        alive = True
+        windows = {node.node_id: 0 for node in replicas}
         seen = {}  # node id -> applied LSN last observed since a promotion
         for op, index, step_s in ops:
-            alive = replication.crashed_at_s is None
-            replica = replicas[index]
+            node = replicas[index]
             if op == "write" and alive:
-                replication.on_write_committed()
+                replication.on_write_committed(committed)
                 committed += 1
             elif op == "advance":
                 clock.now += step_s
             elif op == "crash" and alive:
                 assert replication.on_primary_crash() <= group - 1
+                alive = False
             elif op == "freeze":
-                replication.freeze_replica(replica)
+                replication.freeze_replica(node)
             elif op == "heal":
-                replication.heal_replica(replica)
+                replication.heal_replica(node)
+            elif op == "slow":
+                replication.add_lag(node, 0.25)
+                windows[node.node_id] += 1
+            elif op == "fast" and windows[node.node_id]:
+                replication.add_lag(node, -0.25)
+                windows[node.node_id] -= 1
             elif op == "promote" and not alive:
-                applied = replication.applied_lsn(
-                    replica.node_id, replica.replication_lag_s, clock.now)
-                above = sum(1 for lsn in replication.durable_commits
+                applied = replication.applied_lsn(node, clock.now)
+                above = sum(group for lsn in replication.force_lsn
                             if lsn > applied)
                 lost_before = replication.lost_commits
-                records = replication.promote_to(
-                    replica, replica.replication_lag_s, clock.now)
+                records = replication.promote_to(node, clock.now)
                 assert replication.lost_commits - lost_before == above
-                assert records == 2 * len(replication.durable_commits)
+                assert records == 2 * group * len(replication.force_lsn)
+                alive = True
                 seen.clear()
-            durable = replication.durable_commits
-            assert committed == len(durable) + replication.lost_commits \
-                + len(replication.buffered_commits)
-            last_durable = durable[-1] if durable else 0
-            for node in replicas:
-                if replication.is_frozen(node.node_id):
-                    continue  # pinned where the partition found it
-                applied = replication.applied_lsn(
-                    node.node_id, node.replication_lag_s, clock.now)
-                assert seen.get(node.node_id, 0) <= applied <= last_durable
-                seen[node.node_id] = applied
+            forces = replication.force_lsn
+            assert committed == group * len(forces) \
+                + replication.lost_commits + replication.buffered_commits
+            last_durable = forces[-1] if forces else 0
+            for other in replicas:
+                applied = replication.applied_lsn(other, clock.now)
+                assert seen.get(other.node_id, 0) <= applied <= last_durable
+                seen[other.node_id] = applied
 
 
 # ----------------------------------------------------------------------
@@ -376,3 +406,25 @@ def test_stop_cancels_the_heartbeat(sim):
     crash_primary(sim, shard, replication, tracker, at_s=0.5)
     run(sim, 2.0)
     assert manager.timeline == []
+
+
+def test_election_sees_the_slow_follower_window():
+    """A slow-follower window acts through the replication model, so
+    the election reads the lag the router reads.  Both replicas'
+    base lags are far below the heartbeat timeout, so by the election
+    they have applied the same log and node 1 would win the tie; but
+    node 1 sits in a 5 s lag window opened before the crash, so node 2
+    is the more caught-up replica and wins."""
+    plan = FaultPlan(
+        node_crashes=(NodeCrashSpec(at_s=1.5),),
+        replica_lags=(ReplicaLagSpec(0.5, 3.0, extra_lag_s=5.0,
+                                     nodes=(1,)),),
+        name="slow-node-1-then-crash")
+    config = ExperimentConfig(
+        warmup_seconds=0.2, test_seconds=2.5, seed=3, faults=plan,
+        fleet=FleetConfig(shards=1, replicas_per_shard=2, node_workers=1,
+                          elastic=False))
+    result = run_experiment(config)
+    promoted = [node for _, _, event, node in result.failover_timeline
+                if event == "promoted"]
+    assert promoted == [2]

@@ -1,8 +1,9 @@
-"""ClusterRouter: sharding, replica reads, stale-read bounces, and the
-self-healing machinery (typed no-active errors, circuit breakers,
-retry-with-backoff) armed under chaos plans."""
+"""ClusterRouter: sharding, the read rotation, per-key freshness and
+stale-read bounces, and the self-healing machinery (typed no-active
+errors, circuit breakers, retry-with-backoff) armed under chaos plans."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.request import Request
 from repro.core.workload import Workload
@@ -44,48 +45,98 @@ def test_read_only_types_per_family():
         read_only_types("tpch")
 
 
-def test_writes_go_to_primary_and_advance_the_write_clock(sim):
+def advance(sim, to_s):
+    sim.schedule_at(to_s, lambda: None)
+    sim.run(until=to_s)
+
+
+@pytest.fixture
+def group_of_one(monkeypatch):
+    """Every commit forces the log at once."""
+    monkeypatch.setattr(router_module, "GROUP_COMMIT_SIZE", 1)
+
+
+def test_writes_go_to_primary_and_commit_their_key(sim):
     shard = make_shard(sim)
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    target = router.route(request(sim, "Write"), key=0)
+    target = router.route(request(sim, "Write"), key=6)
     assert target is shard.primary
-    assert shard.last_write_s == 0.0
+    assert shard.replication.key_lsn == {}  # routed, not yet committed
+    sim.run()
+    assert shard.replication.key_lsn == {6: 2}
     assert router.decision_counts()["routed_writes"] == 1
 
 
 def test_fresh_read_served_by_replica(sim):
     shard = make_shard(sim, lag_s=0.05)
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    # No write ever happened: the replica cannot be stale.
-    target = router.route(request(sim, "Read"), key=0)
-    assert target is shard.replicas[0]
+    # No write ever happened: the replica cannot be stale.  The
+    # rotation starts at the primary, so the second read is the
+    # replica's.
+    assert router.route(request(sim, "Read"), key=0) is shard.primary
+    assert router.route(request(sim, "Read"), key=0) is shard.replicas[0]
     assert router.replica_reads == 1
     assert router.stale_read_bounces == 0
 
 
-def test_stale_read_bounces_to_primary(sim):
+def test_stale_read_bounces_to_primary(sim, group_of_one):
     shard = make_shard(sim, lag_s=0.05)
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
     router.route(request(sim, "Write"), key=0)
-    sim.schedule(0.01, lambda: None)
-    sim.run()  # 10 ms later: still inside the 50 ms apply lag
-    target = router.route(request(sim, "Read"), key=0)
-    assert target is shard.primary
+    advance(sim, 0.01)  # committed and forced, inside the 50 ms lag
+    assert router.route(request(sim, "Read"), key=0) is shard.primary
+    # The replica's turn: it has not applied key 0's commit, so the
+    # read passes over it to the next fresh node.
+    assert router.route(request(sim, "Read"), key=0) is shard.primary
     assert router.stale_read_bounces == 1
-    assert shard.stale_read_bounces == 1
-    sim.schedule(0.1, lambda: None)
-    sim.run()  # beyond the lag: the replica caught up
+    advance(sim, 0.1)  # beyond the lag: the replica caught up
     assert router.route(request(sim, "Read"), key=0) \
         is shard.replicas[0]
     assert router.replica_reads == 1
 
 
+def test_freshness_is_per_key(sim, group_of_one):
+    """A write makes only its own key stale on the replicas: a read of
+    any other key is served there at once."""
+    shard = make_shard(sim, lag_s=0.05)
+    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
+    router.route(request(sim, "Write"), key=0)
+    advance(sim, 0.01)
+    assert router.route(request(sim, "Read"), key=1) is shard.primary
+    assert router.route(request(sim, "Read"), key=1) is shard.replicas[0]
+    assert router.stale_read_bounces == 0
+
+
+def test_an_unforced_commit_is_stale_on_every_replica(sim):
+    """Group commit: a commit still in the buffer has shipped nowhere."""
+    shard = make_shard(sim, lag_s=0.0)
+    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
+    router.route(request(sim, "Write"), key=3)
+    advance(sim, 1.0)
+    replica = shard.replicas[0]
+    assert shard.replication.buffered_commits == 1
+    assert not shard.fresh(replica, 3, sim.now)
+    assert shard.fresh(shard.primary, 3, sim.now)
+    assert shard.fresh(replica, 4, sim.now)
+
+
+def test_reads_rotate_over_the_primary_too(sim):
+    """With fresh replicas the primary still takes its turn, so no
+    replica carries more than its share of the reads."""
+    shard = make_shard(sim, replicas=2, lag_s=0.0)
+    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
+    served = [router.route(request(sim, "Read"), key=0).node_id
+              for _ in range(6)]
+    assert served == [0, 1, 2, 0, 1, 2]
+    assert router.replica_reads == 4
+
+
 def test_read_falls_back_to_primary_without_active_replicas(sim):
     shard = make_shard(sim, start_parked=True)
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    target = router.route(request(sim, "Read"), key=0)
-    assert target is shard.primary
-    assert router.replica_fallbacks == 1
+    for _ in range(3):
+        assert router.route(request(sim, "Read"), key=0) is shard.primary
+    assert router.replica_reads == 0
 
 
 def test_round_robin_skips_inactive_replicas(sim):
@@ -93,8 +144,8 @@ def test_round_robin_skips_inactive_replicas(sim):
     shard.replicas[1]._transition(NodeState.PARKED)
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
     served = [router.route(request(sim, "Read"), key=0).node_id
-              for _ in range(4)]
-    assert served == [1, 3, 1, 3]  # node 2 is parked
+              for _ in range(6)]
+    assert served == [0, 1, 3, 0, 1, 3]  # node 2 is parked
 
 
 def test_key_sharding_is_modulo(sim):
@@ -113,7 +164,7 @@ def test_requests_actually_execute_on_the_target(sim):
     write = request(sim, "Write")
     read = request(sim, "Read")
     router.route(write, key=0)
-    router.route(read, key=0)  # stale (lag 50 ms) -> primary too
+    router.route(read, key=0)  # the rotation starts at the primary
     sim.run()
     assert write.finish_time is not None
     assert read.finish_time is not None
@@ -147,7 +198,7 @@ def test_decision_counts_grow_only_when_armed(sim):
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
     assert set(router.decision_counts()) == {
         "routed_writes", "routed_reads", "replica_reads",
-        "stale_read_bounces", "replica_fallbacks"}
+        "stale_read_bounces"}
     router.arm_self_healing(lambda r, s: None)
     counts = router.decision_counts()
     assert {"breaker_trips", "breaker_skips", "retries", "shed_no_active",
@@ -269,12 +320,98 @@ def test_open_primary_breaker_serves_stale_reads_degraded(
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
     arm(router, [])
     router.route(request(sim, "Write"), key=0)
+    sim.run()  # committed; still buffered, so shipped nowhere
     # Trip the primary's breaker while it stays nominally active.
     router._breakers[0].record_failure(sim.now)
     target = router.route(request(sim, "Read"), key=0)
-    # Inside the apply lag the read is stale, but the bounce target is
-    # breaker-gated: a stale answer on the replica beats no answer.
+    # The replica has not applied key 0's commit and the only fresh
+    # node is breaker-gated: a stale answer beats no answer.
     assert target is shard.replicas[0]
     assert router.breaker_skips == 1
     assert router.stale_reads_served == 1
     assert router.stale_read_bounces == 0
+
+
+# ----------------------------------------------------------------------
+# The freshness property: router and replication together
+# ----------------------------------------------------------------------
+#: (op, replica index or key, clock step); repeats weight the draw.
+FLEET_OPS = st.lists(st.tuples(
+    st.sampled_from(("write",) * 4 + ("read",) * 5 + ("advance",) * 3
+                    + ("partition", "heal", "slow", "fast", "crash",
+                       "promote")),
+    st.integers(0, 3), st.sampled_from((0.001, 0.01, 0.04, 0.2))),
+    min_size=20, max_size=80)
+
+
+@given(group=st.integers(1, 3),
+       lags=st.tuples(*[st.sampled_from((0.0, 0.02, 0.08))] * 2),
+       ops=FLEET_OPS)
+@settings(max_examples=150, deadline=None)
+def test_fresh_replica_reads_never_see_a_stale_key(group, lags, ops):
+    """Random writes, reads, clock steps, partitions, heals, slow-
+    follower windows, primary crashes and promotions through an armed
+    router: every read a replica serves fresh finds the key's last
+    commit applied there, and no replica's apply position falls between
+    promotions."""
+    sim = Simulator()
+    primary = make_node(sim, 0, role=PRIMARY)
+    replicas = [make_node(sim, 1 + i, lag_s=lag)
+                for i, lag in enumerate(lags)]
+    shard = ShardState(0, primary, replicas)
+    replication = shard.replication
+    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
+    router.arm_self_healing(lambda request, shard_id: None)
+    pick = router._pick_read_target
+    fresh_reads = []
+
+    def checked_pick(shard, key, now_s):
+        served_fresh = router.replica_reads
+        node = pick(shard, key, now_s)
+        if router.replica_reads > served_fresh:
+            fresh_reads.append(node)
+            assert replication.applied_lsn(node, now_s) \
+                >= replication.key_lsn.get(key, 0)
+        return node
+
+    router._pick_read_target = checked_pick
+    slowed = {node.node_id: 0 for node in replicas}
+    seen = {}  # node id -> applied LSN last observed since a promotion
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(router_module, "GROUP_COMMIT_SIZE", group)
+        for op, arg, step_s in ops:
+            node = shard.replicas[arg % len(shard.replicas)]
+            alive = shard.primary.state is NodeState.ACTIVE
+            if op in ("write", "read"):
+                router.route(request(sim, op.capitalize()), key=arg)
+            elif op == "advance":
+                advance(sim, sim.now + step_s)
+            elif op == "partition":
+                replication.freeze_replica(node)
+            elif op == "heal":
+                replication.heal_replica(node)
+            elif op == "slow":
+                replication.add_lag(node, 0.25)
+                slowed[node.node_id] = slowed.get(node.node_id, 0) + 1
+            elif op == "fast" and slowed.get(node.node_id):
+                replication.add_lag(node, -0.25)
+                slowed[node.node_id] -= 1
+            elif op == "crash" and alive:
+                shard.primary.crash()
+                replication.on_primary_crash()
+            elif op == "promote" and not alive \
+                    and node.state is NodeState.ACTIVE:
+                # FailoverManager's promotion, without its clock.
+                replication.promote_to(node, sim.now)
+                corpse = shard.primary
+                node.promote()
+                shard.replicas.remove(node)
+                corpse.role = REPLICA
+                shard.replicas.append(corpse)
+                shard.primary = node
+                seen.clear()
+            for other in shard.replicas:
+                applied = replication.applied_lsn(other, sim.now)
+                assert applied >= seen.get(other.node_id, 0)
+                seen[other.node_id] = applied
+    assert len(fresh_reads) == router.replica_reads

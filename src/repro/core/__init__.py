@@ -19,20 +19,8 @@ Variants from the component analysis (Section 6.6):
 * ``PolarisFifoScheduler`` --- FIFO order instead of EDF (Rubik-like);
 * ``PolarisFifoNoArriveScheduler`` --- FIFO and frequency adjustment on
   completion only (LAPS-like).
+
+Nothing is re-exported here, so a run loads only the modules it uses:
+import from the submodule (``from repro.core.polaris import
+PolarisScheduler``).
 """
-
-from repro.core.request import Request, RequestState
-from repro.core.workload import Workload, WorkloadManager
-from repro.core.estimator import ExecutionTimeEstimator, SlidingWindowPercentile
-from repro.core.polaris import PolarisScheduler
-from repro.core.variants import PolarisFifoNoArriveScheduler, PolarisFifoScheduler
-from repro.core.online import AvrScheduler, OnlineSpeedScaler, QoaScheduler
-
-__all__ = [
-    "Request", "RequestState",
-    "Workload", "WorkloadManager",
-    "ExecutionTimeEstimator", "SlidingWindowPercentile",
-    "PolarisScheduler",
-    "PolarisFifoScheduler", "PolarisFifoNoArriveScheduler",
-    "OnlineSpeedScaler", "QoaScheduler", "AvrScheduler",
-]

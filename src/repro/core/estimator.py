@@ -26,8 +26,8 @@ same element.  :meth:`SlidingWindowPercentile.observe` returns whether
 the statistic can have moved, and the estimator recomputes and
 publishes only then (a tie, a growing window or a stale memo always
 does); about one in-run observation in ten moves its p95.
-:meth:`SlidingWindowPercentile.fill` loads a training column into an
-empty window with one sort.
+:meth:`ExecutionTimeEstimator.train` loads a workload's training
+columns, one per frequency, into empty windows with one sort.
 
 :class:`ListSlidingWindowPercentile` is the reference oracle: no memo,
 no same-side rule and no ``fill``, so the property tests can assert
@@ -118,11 +118,16 @@ class SlidingWindowPercentile:
         value, in one sort when the window is empty and they fit it."""
         if not all(value >= 0.0 for value in values):
             raise ValueError("execution times must be non-negative numbers")
+        self.load(values, sorted(values))
+
+    def load(self, values: Sequence[float], ordered: List[float]) -> None:
+        """:meth:`fill` of checked ``values``; ``ordered``, the same float
+        objects sorted, becomes the sorted list of an empty window."""
         if self._order or len(values) > self.window:
             for value in values:
                 self.observe(value)
             return
-        self._sorted = sorted(values)
+        self._sorted = ordered
         self._order.extend(values)
         self.observations += len(values)
 
@@ -298,13 +303,20 @@ class ExecutionTimeEstimator:
         if tracker.observe(execution_seconds):
             self._mutated(workload, freq_ghz, tracker)
 
-    def fill(self, workload: str, freq_ghz: float,
-             values: Sequence[float]) -> None:
-        """Record ``values`` in order, publishing the row slot once
-        (how the harness's training phase fills a window)."""
-        tracker = self._tracker((workload, freq_ghz))
-        tracker.fill(values)
-        self._mutated(workload, freq_ghz, tracker)
+    def train(self, workload: str, work: Sequence[float],
+              freqs: Sequence[float]) -> None:
+        """Fill ``(workload, f)``'s window with ``[w / f for w in work]``
+        for each ``f`` in ``freqs`` (the training phase), publishing each
+        row slot once.  Dividing by a positive frequency keeps the order,
+        so one sort gives every window's sorted list."""
+        if not all(gcycles >= 0.0 for gcycles in work):
+            raise ValueError("execution times must be non-negative numbers")
+        order = sorted(range(len(work)), key=work.__getitem__)
+        for freq_ghz in freqs:
+            column = [gcycles / freq_ghz for gcycles in work]
+            tracker = self._tracker((workload, freq_ghz))
+            tracker.load(column, list(map(column.__getitem__, order)))
+            self._mutated(workload, freq_ghz, tracker)
 
     def estimate(self, workload: str, freq_ghz: float) -> float:
         """``mu(c, f)``: predicted execution time in seconds (0 if
@@ -332,7 +344,9 @@ class ExecutionTimeEstimator:
     def prime(self, workload: str, freq_ghz: float, value: float,
               count: int = 1) -> None:
         """Seed a tracker with ``count`` copies of ``value``."""
-        self.fill(workload, freq_ghz, [value] * count)
+        tracker = self._tracker((workload, freq_ghz))
+        tracker.fill([value] * count)
+        self._mutated(workload, freq_ghz, tracker)
 
     def observation_count(self, workload: str, freq_ghz: float) -> int:
         tracker = self._trackers.get((workload, freq_ghz))

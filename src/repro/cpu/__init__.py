@@ -13,22 +13,7 @@ whose *work* is expressed in giga-cycles, so a job of work ``w`` takes
 of the paper's Section 4.1, discretized to the P-state grid.  Frequency
 may change *while a job runs* (POLARIS does this on request arrival);
 the core re-computes the remaining work and reschedules its completion.
+
+Nothing is re-exported here, so a run loads only the modules it uses:
+import from the submodule (``from repro.cpu.core import Core``).
 """
-
-from repro.cpu.pstates import PState, PStateTable, XEON_E5_2640V3_PSTATES, POLARIS_FREQUENCIES
-from repro.cpu.power import CorePowerModel, ServerPowerModel
-from repro.cpu.cstates import CState, CStateModel
-from repro.cpu.core import Core
-from repro.cpu.msr import MsrFile, MsrError, IA32_PERF_CTL
-from repro.cpu.rapl import RaplPackage
-from repro.cpu.topology import FrequencyDomain, SocketTopology, make_topology, GRANULARITIES
-
-__all__ = [
-    "PState", "PStateTable", "XEON_E5_2640V3_PSTATES", "POLARIS_FREQUENCIES",
-    "CorePowerModel", "ServerPowerModel",
-    "CState", "CStateModel",
-    "Core",
-    "MsrFile", "MsrError", "IA32_PERF_CTL",
-    "RaplPackage",
-    "FrequencyDomain", "SocketTopology", "make_topology", "GRANULARITIES",
-]

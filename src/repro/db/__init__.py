@@ -14,11 +14,7 @@ architecture, not the storage manager:
 * :mod:`repro.db.queues` --- the worker request queues, in FIFO order
   (Shore-MT's default) or EDF order (as modified for POLARIS).
 
-Import :mod:`repro.db.server` directly; this package init stays light
-to keep the layering acyclic (the POLARIS scheduler sits *between* the
-queue layer and the server layer).
+Nothing is re-exported here, so a run loads only the modules it uses:
+import from the submodule (``from repro.db.server import
+DatabaseServer``).
 """
-
-from repro.db.queues import EdfQueue, FifoQueue, RequestQueue
-
-__all__ = ["EdfQueue", "FifoQueue", "RequestQueue"]

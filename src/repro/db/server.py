@@ -21,12 +21,11 @@ direct-MSR path does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.analysis.sanitizer import invariant
 from repro.core.polaris import PolarisScheduler
 from repro.core.request import Request, RequestState
-from repro.core.routing import ROUTING_POLICIES, RoutingPolicy, make_routing
 from repro.cpu.core import Core
 from repro.cpu.cstates import LADDERS, CStateModel
 from repro.cpu.msr import (
@@ -38,6 +37,9 @@ from repro.cpu.rapl import RaplPackage
 from repro.cpu.topology import FrequencyDomain, SocketTopology, make_topology
 from repro.db.queues import FifoQueue, RequestQueue
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:
+    from repro.core.routing import RoutingPolicy
 
 #: How long :meth:`DatabaseServer.drain` may run (virtual seconds).
 DRAIN_TIMEOUT_S = 60.0
@@ -76,8 +78,8 @@ class BaselineDispatcher:
 
 
 #: ``ServerConfig.routing`` values: the prototype's rotation, built into
-#: the server, and the :mod:`repro.core.routing` policies.
-ROUTINGS = ("rh-round-robin", *ROUTING_POLICIES)
+#: the server, and the :mod:`repro.core.routing` policies (loaded on use).
+ROUTINGS = ("rh-round-robin", "least-loaded", "packing")
 
 
 @dataclass
@@ -482,6 +484,7 @@ class DatabaseServer:
         self._next_rh = 0
         self._routing: Optional[RoutingPolicy] = None
         if config.routing != "rh-round-robin":
+            from repro.core.routing import make_routing
             self._routing = make_routing(config.routing)
         self._completion_listeners: List[Callable[[Request], None]] = []
         self._rejection_listeners: List[Callable[[Request], None]] = []

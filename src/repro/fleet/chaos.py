@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List
 
-from repro.fleet.node import Fleet, Node, NodeState
+from repro.fleet.node import REPLICA, Fleet, Node, NodeState
 from repro.fleet.router import ShardState
 from repro.sim.engine import Simulator
 
@@ -108,7 +108,8 @@ class FleetFaultInjector:
 
     def _lag_targets(self, spec) -> List[Node]:
         if not spec.nodes:
-            return list(self.fleet.nodes)
+            # Empty target tuple = every replica (never a primary).
+            return [n for n in self.fleet.nodes if n.role == REPLICA]
         nodes_by_id = {n.node_id: n for n in self.fleet.nodes}
         targets = []
         for node_id in spec.nodes:

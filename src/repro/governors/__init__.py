@@ -14,16 +14,8 @@ POLARIS against (Section 6.1):
 All dynamic governors are *deadline-blind*: they see only per-core busy
 time, sampled every ``SAMPLING_PERIOD_S`` --- exactly the information
 asymmetry versus POLARIS that the paper is about.
+
+Nothing is re-exported here, so a run loads only the modules it uses:
+import from the submodule (``from repro.governors.ondemand import
+OnDemandGovernor``).
 """
-
-from repro.governors.base import Governor, DynamicGovernor, GovernorSet
-from repro.governors.static import UserspaceGovernor
-from repro.governors.ondemand import OnDemandGovernor
-from repro.governors.conservative import ConservativeGovernor
-from repro.governors.nonclairvoyant import NonclairvoyantScheduler
-
-__all__ = [
-    "Governor", "DynamicGovernor", "GovernorSet", "UserspaceGovernor",
-    "OnDemandGovernor", "ConservativeGovernor",
-    "NonclairvoyantScheduler",
-]

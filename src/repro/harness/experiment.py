@@ -40,6 +40,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.sanitizer import simsan_enabled
@@ -52,7 +53,6 @@ from repro.cpu.topology import GRANULARITIES, make_topology
 from repro.db.server import ROUTINGS, DatabaseServer, ServerConfig
 from repro.faults import resolve_fault_plan
 from repro.fleet.config import FleetConfig
-from repro.governors.base import GovernorSet
 from repro.harness.profiling import perf_clock
 from repro.harness.schemes import SCHEMES, scheme_named
 from repro.metrics.latency import LatencyRecorder
@@ -60,25 +60,34 @@ from repro.metrics.power import PowerMeter
 from repro.obs.trace import NULL_TRACER, Tracer, trace_enabled
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.workloads import tpcc, tpce, ycsb
+from repro.workloads import tpcc
 from repro.workloads.arrivals import OpenLoopGenerator, RateSchedule
 from repro.workloads.base import REF_FREQ_GHZ, BenchmarkSpec
 
 if TYPE_CHECKING:
     # Fault and metrics code loads where a run uses it, so a healthy,
-    # untraced cell imports none of it (tests/test_import_surface.py).
+    # untraced cell imports none of it (tests/test_import_surface.py);
+    # so do the governors, for a governor scheme.
     from repro.faults.plan import FaultPlan, FaultsLike
+    from repro.governors.base import GovernorSet
     from repro.obs.metrics import MetricRegistry, MetricsSampler
 
-#: benchmark name -> spec factory.
+
+def _tpce() -> BenchmarkSpec:
+    from repro.workloads import tpce
+    return tpce.make_spec()
+
+
+def _ycsb(letter: str) -> BenchmarkSpec:
+    from repro.workloads import ycsb
+    return ycsb.make_spec(letter)
+
+
+#: benchmark name -> spec factory; a spec's module loads on first use.
+#: YCSB core workloads are the Section 8 key-value target.
 BENCHMARKS: Dict[str, Callable[[], BenchmarkSpec]] = {
-    "tpcc": tpcc.make_spec,
-    "tpce": tpce.make_spec,
-}
-# YCSB core workloads (the Section 8 key-value target): ycsb-a .. ycsb-f.
-for _letter in "abcdef":
-    BENCHMARKS[f"ycsb-{_letter}"] = (
-        lambda letter=_letter: ycsb.make_spec(letter))
+    "tpcc": tpcc.make_spec, "tpce": _tpce,
+    **{f"ycsb-{letter}": partial(_ycsb, letter) for letter in "abcdef"}}
 
 #: How workloads are formed: one per transaction type (Sections
 #: 6.2-6.4) or one per named tier (Section 6.5, ``tier_targets``).
@@ -345,31 +354,22 @@ def _train_estimator(estimator: ExecutionTimeEstimator,
     For per-type workloads the window receives draws of that type's
     service time scaled to each frequency; tier workloads receive draws
     from the full mix (what measuring the tier's transactions yields).
+    Each draw's work (giga-cycles) is seconds at the reference frequency
+    times that frequency, after a mix draw that a per-type window takes
+    and ignores.
     """
     fill = estimator.window
     for workload in manager.workloads:
         if config.workload_policy == "per-type":
-            models = [spec.type_named(workload.name).service]
-            weights = [1.0]
+            draw = spec.type_named(workload.name).service.draw_seconds
+            work: List[float] = []
+            for _ in range(fill):
+                rng.random()
+                work.append(draw(rng) * REF_FREQ_GHZ)
         else:
-            models = [t.service for t in spec.types]
-            weights = [spec.mix_fraction(t.name) for t in spec.types]
-        # Each draw's work (giga-cycles): seconds at the model's
-        # reference frequency times that frequency.
-        work: List[float] = []
-        for _ in range(fill):
-            u = rng.random()
-            acc = 0.0
-            model = models[-1]
-            for m, w in zip(models, weights):
-                acc += w
-                if u <= acc:
-                    model = m
-                    break
-            work.append(model.draw_seconds(rng) * REF_FREQ_GHZ)
-        for freq in frequencies:
-            estimator.fill(workload.name, freq,
-                           [gcycles / freq for gcycles in work])
+            work = [spec.choose_type(rng).service.draw_seconds(rng)
+                    * REF_FREQ_GHZ for _ in range(fill)]
+        estimator.train(workload.name, work, frequencies)
 
 
 class ServerPlant:
@@ -600,6 +600,7 @@ def run_experiment(config: ExperimentConfig,
                                 scheduler_factory=factory,
                                 initial_freq=scheme.initial_freq)
         if factory is None:
+            from repro.governors.base import GovernorSet
             assert scheme.governor_factory is not None
             governors = GovernorSet(scheme.governor_factory)
             governors.attach_all(server.cores, sim)

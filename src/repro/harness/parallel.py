@@ -221,10 +221,17 @@ _pool_workers: Optional[int] = None
 
 
 def _warm_worker() -> None:
-    """Pool initializer, run once per worker process: import the full
-    experiment stack and hash the source tree, so the first cell a
-    worker executes pays neither the import cascade nor the salt."""
-    import repro.harness.experiment  # noqa: F401
+    """Pool initializer, run once per worker process: import what any
+    cell may load (each scheme's classes, each benchmark's spec and the
+    routing policies load on first use) and hash the source tree, so no
+    cell a worker executes pays an import or the salt."""
+    import repro.core.routing  # noqa: F401
+    from repro.harness.experiment import BENCHMARKS
+    from repro.harness.schemes import SCHEMES
+    for load in [*BENCHMARKS.values(), *(
+            scheme.load_scheduler or scheme.governor_factory
+            for scheme in SCHEMES.values())]:
+        load()
     code_version_salt()
 
 

@@ -10,19 +10,15 @@ governors and the fixed-frequency baselines).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from functools import partial
+from types import ModuleType
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.core.estimator import ExecutionTimeEstimator
-from repro.core.online import AvrScheduler, QoaScheduler
 from repro.core.polaris import PolarisScheduler
-from repro.core.variants import (
-    PolarisFifoNoArriveScheduler, PolarisFifoScheduler, PolarisShedScheduler,
-)
-from repro.governors.base import Governor
-from repro.governors.conservative import ConservativeGovernor
-from repro.governors.nonclairvoyant import NonclairvoyantScheduler
-from repro.governors.ondemand import OnDemandGovernor
-from repro.governors.static import UserspaceGovernor
+
+if TYPE_CHECKING:
+    from repro.governors.base import Governor
 
 
 @dataclass(frozen=True)
@@ -32,19 +28,24 @@ class Scheme:
     Exactly one of ``scheduler_class`` / ``governor_factory`` is set:
     in-DBMS schedulers replace both the transaction order and the
     frequency control; governor schemes keep FIFO dispatch and let the
-    governor drive each core.
+    governor drive each core.  ``load_scheduler`` imports and returns
+    the scheduler class; ``governor_factory`` imports on its first call.
     """
 
     name: str
     label: str
-    scheduler_class: Optional[type] = None
+    load_scheduler: Optional[Callable[[], type]] = None
     governor_factory: Optional[Callable[[], Governor]] = None
     #: Initial core frequency (None = grid maximum).
     initial_freq: Optional[float] = None
 
     @property
     def uses_scheduler(self) -> bool:
-        return self.scheduler_class is not None
+        return self.load_scheduler is not None
+
+    @property
+    def scheduler_class(self) -> Optional[type]:
+        return self.load_scheduler() if self.uses_scheduler else None
 
     def make_scheduler_factory(self, frequencies: Tuple[float, ...],
                                estimator: ExecutionTimeEstimator,
@@ -53,10 +54,43 @@ class Scheme:
         """One scheduler per worker; ``sanitize`` is the run's resolved
         simsan state (a scheduler built directly defaults to the
         environment instead)."""
-        if self.scheduler_class is None:
+        if self.load_scheduler is None:
             raise ValueError(f"scheme {self.name} has no scheduler")
-        cls = self.scheduler_class
+        cls = self.load_scheduler()
         return lambda: cls(frequencies, estimator, sanitize=sanitize)
+
+
+# A scheme's code loads on its first use, so a cell imports only its
+# own (tests/test_import_surface.py); ``variants`` and ``online`` hold
+# several schemes' schedulers each.
+def _variants() -> ModuleType:
+    from repro.core import variants
+    return variants
+
+
+def _online() -> ModuleType:
+    from repro.core import online
+    return online
+
+
+def _nonclairvoyant() -> type:
+    from repro.governors.nonclairvoyant import NonclairvoyantScheduler
+    return NonclairvoyantScheduler
+
+
+def _ondemand() -> Governor:
+    from repro.governors.ondemand import OnDemandGovernor
+    return OnDemandGovernor()
+
+
+def _conservative() -> Governor:
+    from repro.governors.conservative import ConservativeGovernor
+    return ConservativeGovernor()
+
+
+def _userspace(freq: float) -> Governor:
+    from repro.governors.static import UserspaceGovernor
+    return UserspaceGovernor(freq)
 
 
 def _static(freq: float) -> Scheme:
@@ -66,31 +100,29 @@ def _static(freq: float) -> Scheme:
     return Scheme(
         name=f"static-{freq:.1f}",
         label=f"{freq:.1f} GHz",
-        governor_factory=lambda: UserspaceGovernor(freq),
+        governor_factory=partial(_userspace, freq),
         initial_freq=freq,
     )
 
 
 SCHEMES = {
-    "polaris": Scheme("polaris", "POLARIS",
-                      scheduler_class=PolarisScheduler),
+    "polaris": Scheme("polaris", "POLARIS", lambda: PolarisScheduler),
     "polaris-fifo": Scheme("polaris-fifo", "POLARIS-FIFO",
-                           scheduler_class=PolarisFifoScheduler),
+                           lambda: _variants().PolarisFifoScheduler),
     "polaris-fifo-noarrive": Scheme(
         "polaris-fifo-noarrive", "POLARIS-FIFO-NOARRIVE",
-        scheduler_class=PolarisFifoNoArriveScheduler),
+        lambda: _variants().PolarisFifoNoArriveScheduler),
     "polaris-shed": Scheme("polaris-shed", "POLARIS-SHED",
-                           scheduler_class=PolarisShedScheduler),
+                           lambda: _variants().PolarisShedScheduler),
     "oa-online": Scheme("oa-online", "OA-Online",
-                        scheduler_class=QoaScheduler),
+                        lambda: _online().QoaScheduler),
     "avr-online": Scheme("avr-online", "AVR-Online",
-                         scheduler_class=AvrScheduler),
+                         lambda: _online().AvrScheduler),
     "nonclairvoyant": Scheme("nonclairvoyant", "Nonclairvoyant",
-                             scheduler_class=NonclairvoyantScheduler),
-    "ondemand": Scheme("ondemand", "OnDemand",
-                       governor_factory=OnDemandGovernor),
+                             _nonclairvoyant),
+    "ondemand": Scheme("ondemand", "OnDemand", governor_factory=_ondemand),
     "conservative": Scheme("conservative", "Conservative",
-                           governor_factory=ConservativeGovernor),
+                           governor_factory=_conservative),
     "static-2.8": _static(2.8),
     "static-2.4": _static(2.4),
     "static-2.0": _static(2.0),

@@ -5,13 +5,8 @@ sampled once per second (the finest granularity of the Watts up? PRO
 meter, rated +/-1.5%) and averaged over the test phase; performance is
 the *failure rate* --- the fraction of transactions that do not finish
 by their deadline.
+
+Nothing is re-exported here, so a run loads only the modules it uses:
+import from the submodule (``from repro.metrics.power import
+PowerMeter``).
 """
-
-from repro.metrics.power import PowerMeter
-from repro.metrics.latency import LatencyRecorder, WorkloadStats
-from repro.metrics.report import format_table, format_series
-
-__all__ = [
-    "PowerMeter", "LatencyRecorder", "WorkloadStats",
-    "format_table", "format_series",
-]

@@ -8,20 +8,11 @@ in (floating point) seconds.  Everything above this package --- CPU cores,
 governors, the database server, POLARIS itself --- is written against the
 :class:`Simulator` event loop and never consults wall-clock time.
 
-Public classes
---------------
-Simulator
-    The event loop: schedule callbacks at absolute or relative virtual
-    times, run until a deadline or until the event queue drains.
-Event
-    Handle returned by :meth:`Simulator.schedule`; supports cancellation.
-RandomStreams
-    A registry of independently seeded ``random.Random`` streams, so each
-    stochastic component (arrivals, service times, meter noise, ...)
-    draws from its own reproducible stream.
+``repro.sim.engine`` holds the event loop (``Simulator``: schedule
+callbacks at absolute or relative virtual times, run until a deadline
+or until the queue drains; ``Event``, a cancellable handle) and
+``repro.sim.rng`` holds ``RandomStreams``, independently seeded streams
+so each stochastic component (arrivals, service times, meter noise,
+...) draws from its own.  Nothing is re-exported here, so a run loads
+only the modules it uses.
 """
-
-from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.rng import RandomStreams
-
-__all__ = ["Event", "Simulator", "SimulationError", "RandomStreams"]

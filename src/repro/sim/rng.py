@@ -14,9 +14,13 @@ properties the experiments rely on:
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict
+
+try:  # CPython's own SHA-256, so a run need not load OpenSSL (hashlib)
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -25,7 +29,7 @@ def derive_seed(master_seed: int, name: str) -> int:
     Uses SHA-256 rather than ``hash()`` so the derivation is stable
     across interpreter runs and PYTHONHASHSEED settings.
     """
-    digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
+    digest = sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

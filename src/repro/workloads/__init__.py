@@ -15,17 +15,8 @@ reads or writes.
 Also here: the open-loop request generator with uniform interarrival
 times (Section 6.1) and the World Cup-style time-varying load trace
 (Section 6.4).
+
+Nothing is re-exported here, so a run loads only the modules it uses:
+import from the submodule (``from repro.workloads.tpcc import
+make_spec``).
 """
-
-from repro.workloads.base import (
-    BenchmarkSpec, ServiceTimeModel, TransactionType, fit_lognormal,
-)
-from repro.workloads.arrivals import OpenLoopGenerator, RateSchedule
-from repro.workloads.traces import synthesize_worldcup_trace
-from repro.workloads import tpcc, tpce, ycsb
-
-__all__ = [
-    "BenchmarkSpec", "ServiceTimeModel", "TransactionType", "fit_lognormal",
-    "OpenLoopGenerator", "RateSchedule", "synthesize_worldcup_trace",
-    "tpcc", "tpce", "ycsb",
-]

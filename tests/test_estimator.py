@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.estimator import (
     ExecutionTimeEstimator, ListSlidingWindowPercentile,
-    SlidingWindowPercentile,
+    SlidingWindowPercentile, rising_pairs,
 )
 
 
@@ -288,6 +288,43 @@ def test_estimator_rejects_nan_and_keeps_its_rows():
     assert estimator.observation_count("w", 1.0) == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(work=st.lists(st.floats(min_value=0.0, max_value=1e3), max_size=60),
+       freqs=st.lists(st.sampled_from([1.2, 1.3, 1.9, 2.6, 2.8]),
+                      min_size=1, max_size=5, unique=True),
+       window=st.integers(min_value=1, max_value=80))
+def test_property_train_is_a_fill_per_frequency(work, freqs, window):
+    """``train`` sorts once and permutes each column; it must leave
+    every window as one ``fill`` per frequency does, publish the rows
+    they imply, and keep one float object per value in a window it
+    loads in one piece."""
+    ladder = tuple(sorted(freqs))
+    trained = ExecutionTimeEstimator(window=window, percentile=95.0)
+    trained.mu_rows(ladder)
+    trained.row("w")
+    trained.train("w", work, freqs)
+    filled = {}
+    for freq in freqs:
+        filled[freq] = SlidingWindowPercentile(window, 95.0)
+        filled[freq].fill([gcycles / freq for gcycles in work])
+        twin = trained._trackers[("w", freq)]
+        assert twin._sorted == filled[freq]._sorted
+        assert list(twin._order) == list(filled[freq]._order)
+        assert twin.observations == filled[freq].observations
+        if len(work) <= window:
+            assert set(map(id, twin._sorted)) == set(map(id, twin._order))
+    assert trained.row("w") == [filled[freq].value() for freq in ladder]
+    assert trained.rising == rising_pairs(trained.row("w"))
+
+
+def test_train_rejects_bad_work_before_recording_any():
+    for bad in (float("nan"), -1.0):
+        estimator = ExecutionTimeEstimator(window=4, percentile=100)
+        with pytest.raises(ValueError):
+            estimator.train("w", [1.0, bad], (1.2, 2.8))
+        assert estimator.pairs() == []
+
+
 def test_an_estimator_serves_one_ladder():
     """The first ladder asked for is the estimator's; asking again for
     it returns the same table, and another ladder is refused by name."""
@@ -311,9 +348,9 @@ mutation = st.one_of(
               st.sampled_from(FREQS),
               st.sampled_from([0.0, 1.0, 2.0, 3.0]),
               st.integers(min_value=1, max_value=5)),
-    st.tuples(st.just("fill"), st.sampled_from("ab"),
-              st.sampled_from(FREQS),
-              st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), max_size=5)),
+    st.tuples(st.just("train"), st.sampled_from("ab"),
+              st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), max_size=5),
+              st.lists(st.sampled_from(FREQS), max_size=3, unique=True)),
     # A row first built mid-sequence, over trackers that already exist.
     st.tuples(st.just("row"), st.sampled_from("ab")),
     st.tuples(st.just("skew"),

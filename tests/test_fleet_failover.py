@@ -428,3 +428,19 @@ def test_election_sees_the_slow_follower_window():
     promoted = [node for _, _, event, node in result.failover_timeline
                 if event == "promoted"]
     assert promoted == [2]
+
+
+def test_a_lag_window_naming_no_node_slows_every_replica_only():
+    """``ReplicaLagSpec(nodes=())`` means every replica (its docstring,
+    DESIGN.md §7), never a primary, whose lag entry would lie inert
+    only until a failover promoted or demoted it.  Two shards of one
+    primary and one replica: one opening and one closing edge per
+    replica."""
+    plan = FaultPlan(
+        replica_lags=(ReplicaLagSpec(0.2, 0.6, extra_lag_s=0.25),),
+        name="slow-every-replica")
+    config = ExperimentConfig(
+        warmup_seconds=0.1, test_seconds=0.6, seed=3, faults=plan,
+        fleet=FleetConfig(shards=2, replicas_per_shard=1, node_workers=1,
+                          elastic=False))
+    assert run_experiment(config).faults_injected == 2 * 2

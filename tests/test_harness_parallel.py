@@ -1,8 +1,10 @@
 """Parallel sweep runner: equivalence, caching, key discipline."""
 
 import dataclasses
+import json
 import os
 import pickle
+import subprocess
 import sys
 
 import pytest
@@ -476,6 +478,43 @@ def test_report_counts_a_shared_simulation_once():
 # ----------------------------------------------------------------------
 # persistent pool (reuse across sweeps: tests/test_run_flags.py)
 # ----------------------------------------------------------------------
+_WARM_PROBE = """
+import json, sys
+from repro.db.server import ROUTINGS
+from repro.harness.experiment import BENCHMARKS, ExperimentConfig
+from repro.harness.experiment import run_experiment
+from repro.harness.parallel import _warm_worker
+from repro.harness.schemes import SCHEMES
+_warm_worker()
+warm = set(sys.modules)
+cells = ([dict(scheme=name) for name in SCHEMES]
+         + [dict(benchmark=name) for name in BENCHMARKS]
+         + [dict(routing=name) for name in ROUTINGS])
+for fields in cells:
+    run_experiment(ExperimentConfig(workers=2, warmup_seconds=0.0,
+                                    test_seconds=0.05, seed=1, **fields))
+print(json.dumps(sorted(set(sys.modules) - warm)))
+"""
+
+
+def test_a_warm_worker_imports_what_any_cell_loads_on_first_use(tmp_path):
+    """A scheme's classes, a benchmark's spec and a routing policy load
+    on a cell's first use; the pool initializer loads them all, so a
+    measured sweep pays no import.  A fresh interpreter runs one cell of
+    every scheme, benchmark and routing after ``_warm_worker``."""
+    src = os.path.dirname(os.path.dirname(os.path.dirname(
+        experiment.__file__)))
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _WARM_PROBE], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 def test_broken_pool_degrades_to_serial(tmp_path, monkeypatch):
     """A poisoned executor must not fail the sweep: the runner discards
     the pool and re-runs the unfinished cells in-process."""

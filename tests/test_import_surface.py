@@ -6,7 +6,10 @@ paid once per run.  Each case runs one tiny cell in a fresh interpreter
 with every ``REPRO_*`` variable scrubbed, then reads ``sys.modules``: a
 healthy cell must not load the optional subsystems it does not run, and
 switching one on must load it (the positive controls show the probe
-sees an import when there is one).
+sees an import when there is one).  The two plain server cells also run
+under ``sys.setprofile``: every ``repro`` module they load (package
+``__init__``s aside) must have run a function, unless ``IDLE_ALLOWED``
+says why it is loaded anyway.
 
 The converse is static: every module under ``repro`` must be reachable
 by imports from an entry point, so a package only its own tests import
@@ -25,6 +28,8 @@ import pytest
 
 import repro
 import repro.faults
+from repro.core.routing import ROUTING_POLICIES
+from repro.db.server import ROUTINGS
 
 SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
@@ -48,6 +53,19 @@ FLEET_FORBIDDEN = (
     *FAULT_MODULES, "repro.fleet.chaos", "repro.fleet.failover",
     "repro.harness.parallel", "repro.obs.export",
 )
+
+#: The cases whose every loaded module must run a function.
+PROFILED = ("polaris", "ondemand")
+
+#: Modules a profiled cell may load without running a function of them,
+#: and why.
+IDLE_ALLOWED = {
+    "repro.fleet.config": "the type of ExperimentConfig.fleet (and the "
+                          "probe imports FleetConfig)",
+    "repro.core.polaris": "POLARIS is the registry's eagerly loaded scheme, "
+                          "and db.server's Worker binds a scheduler's admits "
+                          "hook only if it overrides PolarisScheduler's",
+}
 
 TINY = "dict(warmup_seconds=0.1, test_seconds=0.3, seed=3)"
 SERVER = f"dict(workers=2, **{TINY})"
@@ -76,11 +94,28 @@ CASES = {
 
 _PROBE = """
 import json, sys
+ran = set()
+
+def on_call(frame, event, arg):
+    # Function bodies only: module and class bodies lack CO_NEWLOCALS,
+    # and a comprehension counts only for the code that runs it.
+    code = frame.f_code
+    if event == "call" and code.co_flags & 0x2 and code.co_name not in (
+            "<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"):
+        ran.add(code.co_filename)
+
+if {profiled}:
+    sys.setprofile(on_call)
 from repro.fleet.config import FleetConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 result = run_experiment({config})
+sys.setprofile(None)
+idle = sorted(name for name, module in sys.modules.items()
+              if name.startswith("repro.")
+              and not module.__file__.endswith("__init__.py")
+              and module.__file__ not in ran)
 print(json.dumps({{"completed": result.completed,
-                   "modules": sorted(sys.modules)}}))
+                   "modules": sorted(sys.modules), "idle": idle}}))
 """
 
 
@@ -97,7 +132,8 @@ def test_a_cell_imports_only_what_it_runs(label, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(config=config)], env=env,
+        [sys.executable, "-c",
+         _PROBE.format(config=config, profiled=label in PROFILED)], env=env,
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout.splitlines()[-1])
@@ -106,6 +142,15 @@ def test_a_cell_imports_only_what_it_runs(label, tmp_path):
     assert not loaded, f"{label} loaded {loaded}"
     missing = set(required) - set(probe["modules"])
     assert not missing, f"{label} did not load {sorted(missing)}"
+    if label in PROFILED:
+        idle = sorted(set(probe["idle"]) - set(IDLE_ALLOWED))
+        assert not idle, f"{label} loaded, but ran no function of, {idle}"
+
+
+def test_the_servers_routing_names_are_the_policies():
+    """``db.server`` spells the policy names out so that the default
+    rotation never imports :mod:`repro.core.routing`."""
+    assert ROUTINGS == ("rh-round-robin", *ROUTING_POLICIES)
 
 
 #: The documented entry points: the figure CLI, the linter CLI, and the

@@ -177,9 +177,9 @@ operation = st.one_of(
     st.tuples(st.just("prime"), st.sampled_from(WORKLOADS),
               st.sampled_from(ALL_FREQS), estimates,
               st.integers(min_value=1, max_value=4)),
-    st.tuples(st.just("fill"), st.sampled_from(WORKLOADS),
-              st.sampled_from(ALL_FREQS),
-              st.lists(estimates, max_size=6)),
+    st.tuples(st.just("train"), st.sampled_from(WORKLOADS),
+              st.lists(estimates, max_size=6),
+              st.lists(st.sampled_from(ALL_FREQS), max_size=3, unique=True)),
     # Refill every window of one workload with base / f: whatever broke
     # the falling order of its rows, this heals it.
     st.tuples(st.just("heal"), st.sampled_from(WORKLOADS), estimates),
@@ -251,7 +251,7 @@ def test_select_frequency_equals_figure2_under_mutation():
 
         for op in operations:
             kind = op[0]
-            if kind in ("observe", "prime", "fill"):
+            if kind in ("observe", "prime", "train"):
                 for estimator in estimators.values():
                     getattr(estimator, kind)(*op[1:])
             elif kind == "heal":

@@ -11,11 +11,12 @@ factor approaching ``c^alpha``.
 
 import random
 
-from repro.theory import (
-    adversarial_pair, oa_schedule, polaris_ideal_schedule,
-    random_agreeable_instance, yds_schedule,
+from repro.theory.instances import (
+    adversarial_pair, random_agreeable_instance,
 )
-from repro.theory.yds import yds_energy
+from repro.theory.oa import oa_schedule
+from repro.theory.polaris_ideal import polaris_ideal_schedule
+from repro.theory.yds import yds_energy, yds_schedule
 
 ALPHA = 3.0
 

@@ -2,11 +2,13 @@
 
 The theory package holds OA and AVR as idealized offline oracles
 (continuous speeds, true work known, preemption free).  This module
-promotes both into first-class runnable schedulers that share the
-:class:`~repro.core.polaris.PolarisScheduler` worker/queue contract:
-EDF dispatch, ``select_frequency`` invoked on every arrival and
-completion, discrete P-states with relation-L rounding, panic and
-simsan hooks.  Three idealizations have to be dropped at the door:
+promotes both into first-class runnable schedulers.  They subclass
+:class:`~repro.core.polaris.PolarisScheduler`, so they declare the
+dispatcher protocol of :class:`~repro.db.server.BaselineDispatcher`
+exactly as POLARIS does: EDF dispatch, ``select_frequency`` on every
+arrival and completion, completions fed to the estimator, no
+``admits`` hook, discrete P-states with relation-L rounding, panic and
+simsan.  Three idealizations have to be dropped at the door:
 
 * **True work is hidden.**  Like POLARIS, the schedulers only see the
   ``mu(c, f)`` execution-time estimator; a request's work is inferred
@@ -41,8 +43,8 @@ class OnlineSpeedScaler(PolarisScheduler):
 
     Subclasses implement :meth:`_target_speed` returning a continuous
     target in GHz; this base handles panic, rounding, accounting, and
-    decision tracing, keeping the :class:`PolarisScheduler` contract
-    (pstate-membership simsan check included) intact.
+    decision tracing (the pstate-membership simsan check included).
+    Every other protocol member is :class:`PolarisScheduler`'s.
     """
 
     def _work_gcycles(self, request: Request) -> float:

@@ -77,7 +77,7 @@ the harness's granularity figure quantifies exactly that cost.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.sanitizer import invariant, simsan_enabled
 from repro.core.estimator import ExecutionTimeEstimator
@@ -104,9 +104,14 @@ class PolarisScheduler:
     #: not --- Section 6.6).
     adjusts_on_arrival = True
 
-    #: Whether this scheduler's queue pops in EDF order (simsan checks
-    #: the pop order only when it does; the FIFO variants do not).
-    edf_pop_order = True
+    #: The queue discipline: EDF for POLARIS proper (simsan checks the
+    #: pop order only for it; the FIFO variants declare ``FifoQueue``).
+    queue_class: Type[RequestQueue] = EdfQueue
+
+    #: Admission control (Section 1: the DBMS "can reorder requests, or
+    #: reject low value requests when load is high").  Base POLARIS
+    #: admits everything; see PolarisShedScheduler.
+    admits = None
 
     name = "polaris"
 
@@ -118,7 +123,7 @@ class PolarisScheduler:
             raise ValueError("frequencies must be non-empty and ascending")
         self.frequencies = freqs
         self.estimator = estimator
-        self.queue: RequestQueue = self._make_queue()
+        self.queue: RequestQueue = self.queue_class()
         # Overhead accounting for the Section 5 measurement.
         self.invocations = 0
         self.queue_items_scanned = 0
@@ -145,9 +150,6 @@ class PolarisScheduler:
         #: deadline-miss rate recovers and the controller clears it.
         self.panic = False
 
-    def _make_queue(self) -> RequestQueue:
-        return EdfQueue()
-
     # ------------------------------------------------------------------
     # Queue management
     # ------------------------------------------------------------------
@@ -162,7 +164,8 @@ class PolarisScheduler:
     def next_request(self) -> Optional[Request]:
         """Dequeue the next request to execute (earliest deadline)."""
         request = self.queue.pop()
-        if self.sanitize and request is not None and self.edf_pop_order:
+        if self.sanitize and request is not None \
+                and self.queue_class is EdfQueue:
             # EDF pop order: nothing still queued may have an earlier
             # deadline than what we just popped.  (Pop times are NOT
             # globally monotone --- later arrivals can carry earlier
@@ -389,16 +392,6 @@ class PolarisScheduler:
                       "mu-row-fresh",
                       "estimate row differs from estimate(c, f)",
                       workload=c, row=list(request.mu), now=now)
-
-    # ------------------------------------------------------------------
-    # Admission control (Section 1: the DBMS "can reorder requests, or
-    # reject low value requests when load is high").  Base POLARIS
-    # admits everything; see PolarisShedScheduler.
-    # ------------------------------------------------------------------
-    def admits(self, now: float, running: Optional[Request],
-               running_elapsed: float, request: Request) -> bool:
-        """Whether to accept ``request`` (called before enqueueing)."""
-        return True
 
     # ------------------------------------------------------------------
     # Feedback

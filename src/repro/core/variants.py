@@ -18,7 +18,7 @@ Both variants use POLARIS's execution-time estimator, as in the paper
 from __future__ import annotations
 
 from repro.core.polaris import PolarisScheduler
-from repro.db.queues import FifoQueue, RequestQueue
+from repro.db.queues import FifoQueue
 
 
 class PolarisFifoScheduler(PolarisScheduler):
@@ -32,11 +32,7 @@ class PolarisFifoScheduler(PolarisScheduler):
     """
 
     name = "polaris-fifo"
-    #: FIFO pops in arrival order; simsan must not apply the EDF check.
-    edf_pop_order = False
-
-    def _make_queue(self) -> RequestQueue:
-        return FifoQueue()
+    queue_class = FifoQueue
 
 
 class PolarisFifoNoArriveScheduler(PolarisFifoScheduler):

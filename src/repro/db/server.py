@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.analysis.sanitizer import invariant
-from repro.core.polaris import PolarisScheduler
 from repro.core.request import Request, RequestState
 from repro.cpu.core import Core
 from repro.cpu.cstates import LADDERS, CStateModel
@@ -55,23 +54,40 @@ class DrainTimeout(RuntimeError):
 class BaselineDispatcher:
     """Shore-MT's default scheduler: FIFO queue, no frequency control.
 
-    ``enqueue``/``next_request`` are the queue's own ``push``/``pop``;
-    a :class:`Worker` skips the two no-op hooks (see ``_override``)."""
+    Its attributes spell out the dispatcher protocol that every scheme
+    family declares as data (DESIGN.md §8).  A :class:`Worker` and the
+    fault layer read them directly; a hook that would do nothing is
+    ``None``:
 
-    adjusts_on_arrival = False
+    * ``enqueue(request)`` / ``next_request()`` / ``len()`` over
+      ``queue`` (here its own bound ``push``/``pop``; a run iterates
+      ``queue`` at its end for stranded requests);
+    * ``adjusts_on_arrival`` --- run ``select_frequency`` when a
+      request arrives at a busy worker, not only at dispatch;
+    * ``admits(now, running, running_elapsed, request)`` --- admission
+      control before enqueueing (None: admit everything);
+    * ``select_frequency(now, running, running_elapsed=0.0)`` ---
+      SetProcessorFreq (None: the attached governor owns the core);
+    * ``record_completion(request)`` --- feedback from a finished
+      request (None: nothing learns);
+    * ``estimator`` --- the ``mu(c, f)`` estimator a fault plan skews;
+    * ``trace_decisions`` / ``last_decision`` --- the worker sets the
+      first while tracing and reads the second after each selection;
+    * ``panic`` --- set by the resilience controller's panic mode.
+    """
+
     name = "fifo-baseline"
+    adjusts_on_arrival = False
+    admits = select_frequency = record_completion = None
+    estimator = None
+    trace_decisions = False
+    last_decision = None
+    panic = False
 
     def __init__(self):
         self.queue: RequestQueue = FifoQueue()
         self.enqueue = self.queue.push
         self.next_request = self.queue.pop
-
-    def select_frequency(self, now: float, running: Optional[Request],
-                         running_elapsed: float = 0.0) -> Optional[float]:
-        return None  # the attached governor owns the frequency
-
-    def record_completion(self, request: Request) -> None:
-        pass
 
     def __len__(self) -> int:
         return len(self.queue)
@@ -120,14 +136,6 @@ class ServerConfig:
         return CStateModel(LADDERS[self.cstate_ladder])
 
 
-def _override(dispatcher, name: str, base: type) -> Optional[Callable]:
-    """``dispatcher.<name>``, or None unless its class overrides the
-    no-op ``base.<name>``."""
-    hook = getattr(type(dispatcher), name, None)
-    return None if hook in (None, getattr(base, name)) \
-        else getattr(dispatcher, name)
-
-
 class Worker:
     """One worker thread pinned to one core.
 
@@ -149,15 +157,11 @@ class Worker:
         self.msr = msr
         self.dispatcher = dispatcher
         self.server = server
-        #: Dispatcher hooks, resolved once (the dispatcher is fixed for
-        #: the worker's lifetime): None where a call would be a no-op ---
-        #: ``PolarisScheduler.admits`` cannot say no, and FIFO neither
-        #: picks a frequency nor learns from a completion.
-        self._admits = _override(dispatcher, "admits", PolarisScheduler)
-        self._select_frequency = _override(dispatcher, "select_frequency",
-                                           BaselineDispatcher)
-        self._record_completion = _override(dispatcher, "record_completion",
-                                            BaselineDispatcher)
+        #: Dispatcher hooks, read once (the dispatcher is fixed for the
+        #: worker's lifetime); None where the dispatcher declares none.
+        self._admits = dispatcher.admits
+        self._select_frequency = dispatcher.select_frequency
+        self._record_completion = dispatcher.record_completion
         self.current: Optional[Request] = None
         self.completed = 0
         self._transitions_at_dispatch = 0
@@ -167,15 +171,15 @@ class Worker:
         self.tracer = server.sim.tracer
         self.trace_track = self.tracer.track("server",
                                              f"worker-{worker_id}")
-        if self.tracer.enabled and hasattr(dispatcher, "trace_decisions"):
-            # Schedulers that can explain their choices do so only when
-            # someone is listening (see PolarisScheduler.last_decision).
+        if self.tracer.enabled:
+            # Schedulers explain their choices only when someone is
+            # listening (see PolarisScheduler.last_decision).
             dispatcher.trace_decisions = True
 
     def _trace_decision(self, name: str, freq_ghz: Optional[float]) -> None:
         """Emit a SetProcessorFreq instant with the scheduler's stated
         reasoning (slack, floor, queue length) attached when available."""
-        decision = getattr(self.dispatcher, "last_decision", None)
+        decision = self.dispatcher.last_decision
         if decision is not None:
             self.tracer.instant(self.trace_track, name,
                                 self.server.sim.now, **decision)
@@ -239,12 +243,12 @@ class Worker:
     def accept(self, request: Request) -> None:
         """Enqueue a routed request and run the arrival-path actions.
 
-        Admission control (if the dispatcher implements it) runs first:
-        a rejected request never enters the queue and is reported to the
-        server's rejection listeners.  When a resilience controller with
-        load shedding is attached, overload shedding runs even earlier
-        (a queue past the shed depth rejects before the dispatcher is
-        consulted at all).
+        Admission control (the dispatcher's ``admits`` hook, when it
+        declares one) runs first: a rejected request never enters the
+        queue and is reported to the server's rejection listeners.
+        When a resilience controller with load shedding is attached,
+        overload shedding runs even earlier (a queue past the shed depth
+        rejects before the dispatcher is consulted at all).
         """
         server = self.server
         tracer = self.tracer

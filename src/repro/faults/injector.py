@@ -86,7 +86,7 @@ class FaultInjector:
         self._server = server
         # The schedulers' estimators, each once (a run shares one).
         self._estimators = [e for e in dict.fromkeys(
-            getattr(w.dispatcher, "estimator", None) for w in server.workers)
+            w.dispatcher.estimator for w in server.workers)
             if e is not None]
         if self.plan.msr_faults:
             for worker in server.workers:

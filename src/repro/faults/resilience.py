@@ -253,8 +253,7 @@ class ResilienceController:
             self.tracer.counter(self.trace_track, "panic_mode",
                                 self.sim.now, active=1 if entering else 0)
         for worker in self.server.workers:
-            if hasattr(worker.dispatcher, "panic"):
-                worker.dispatcher.panic = entering
+            worker.dispatcher.panic = entering
             if entering and worker.worker_id not in self.quarantined \
                     and not worker.core.stalled:
                 # Pin survivors to fmax immediately; on exit the next

@@ -9,12 +9,14 @@ power ``s^alpha``, that spends energy at the same rate the algorithm
 accumulates flow, which is the balance point of the potential-function
 analysis.
 
-:class:`NonclairvoyantScheduler` embeds that rule in the
-:class:`~repro.core.polaris.PolarisScheduler` worker contract --- EDF
-dispatch, replan on every arrival/completion, relation-L rounding ---
-but, unlike every other scheduler in the arena, it never reads the
-``mu(c, f)`` estimator and never feeds completions back into it.  Its
-whole input is the observable queue state:
+:class:`NonclairvoyantScheduler` embeds that rule in
+:class:`~repro.core.polaris.PolarisScheduler`'s declaration of the
+dispatcher protocol (:class:`~repro.db.server.BaselineDispatcher`) ---
+EDF dispatch, replan on every arrival/completion, relation-L rounding
+--- but, unlike every other scheduler in the arena, it never reads the
+``mu(c, f)`` estimator and never feeds completions back into it (its
+``record_completion`` only checks the request).  Its whole input is
+the observable queue state:
 
 * ``n`` --- the number of active requests (queued + running); the base
   speed is ``f_min * n^(1/alpha)``.

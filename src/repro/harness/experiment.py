@@ -44,7 +44,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.sanitizer import simsan_enabled
-from repro.core.estimator import ExecutionTimeEstimator
 from repro.core.request import Request
 from repro.core.workload import Workload, WorkloadManager
 from repro.cpu.cstates import LADDERS
@@ -67,7 +66,9 @@ from repro.workloads.base import REF_FREQ_GHZ, BenchmarkSpec
 if TYPE_CHECKING:
     # Fault and metrics code loads where a run uses it, so a healthy,
     # untraced cell imports none of it (tests/test_import_surface.py);
-    # so do the governors, for a governor scheme.
+    # so do the governors, for a governor scheme, and the estimator,
+    # for a scheduler scheme.
+    from repro.core.estimator import ExecutionTimeEstimator
     from repro.faults.plan import FaultPlan, FaultsLike
     from repro.governors.base import GovernorSet
     from repro.obs.metrics import MetricRegistry, MetricsSampler
@@ -579,10 +580,11 @@ def run_experiment(config: ExperimentConfig,
         topology=topology,
     )
 
-    estimator = ExecutionTimeEstimator(config.estimator_window,
-                                       config.estimator_percentile)
     factory: Optional[Callable[[], object]] = None
     if scheme.uses_scheduler:
+        from repro.core.estimator import ExecutionTimeEstimator
+        estimator = ExecutionTimeEstimator(config.estimator_window,
+                                           config.estimator_percentile)
         factory = scheme.make_scheduler_factory(
             POLARIS_FREQUENCIES, estimator, flags.sanitize)
         if config.estimator_mixed_freq_updates:
@@ -697,8 +699,7 @@ def run_experiment(config: ExperimentConfig,
         # nor a killed core can censor casualties into a better failure rate.
         for server in servers:
             for worker in server.workers:
-                stranded = list(
-                    getattr(worker.dispatcher, "queue", None) or ())
+                stranded = list(worker.dispatcher.queue)
                 if worker.current is not None:
                     stranded.append(worker.current)
                 for request in stranded:

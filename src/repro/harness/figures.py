@@ -43,15 +43,6 @@ from repro.metrics.report import (
     availability_record, availability_table, format_series, format_table,
     timelines,
 )
-from repro.theory.instances import (
-    adversarial_pair, random_agreeable_instance, random_instance,
-)
-from repro.theory.avr import avr_schedule
-from repro.theory.model import DEFAULT_ALPHA
-from repro.theory.oa import oa_schedule
-from repro.theory.polaris_ideal import polaris_ideal_schedule
-from repro.theory.potential import verify_theorem_4_4
-from repro.theory.yds import yds_energy
 from repro.fleet.config import FleetConfig
 from repro.workloads.tpcc import FIGURE3_CALIBRATION
 from repro.workloads.traces import (
@@ -837,7 +828,18 @@ class TheoryResult:
 
 
 def theory_competitive(trials: int = 5, jobs: int = 10) -> TheoryResult:
-    """Empirically verify Theorem 4.3, the OA bound, and Corollary 4.6."""
+    """Empirically verify Theorem 4.3, the OA bound, and Corollary 4.6.
+
+    The Section 4 oracles load here, so no other command imports them."""
+    from repro.theory.avr import avr_schedule
+    from repro.theory.instances import (
+        adversarial_pair, random_agreeable_instance, random_instance,
+    )
+    from repro.theory.model import DEFAULT_ALPHA
+    from repro.theory.oa import oa_schedule
+    from repro.theory.polaris_ideal import polaris_ideal_schedule
+    from repro.theory.potential import verify_theorem_4_4
+    from repro.theory.yds import yds_energy
     alpha = DEFAULT_ALPHA
     rng = random.Random(11)
     agreeable_ratios: List[float] = []

@@ -14,10 +14,9 @@ from functools import partial
 from types import ModuleType
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from repro.core.estimator import ExecutionTimeEstimator
-from repro.core.polaris import PolarisScheduler
-
 if TYPE_CHECKING:
+    from repro.core.estimator import ExecutionTimeEstimator
+    from repro.core.polaris import PolarisScheduler
     from repro.governors.base import Governor
 
 
@@ -63,6 +62,11 @@ class Scheme:
 # A scheme's code loads on its first use, so a cell imports only its
 # own (tests/test_import_surface.py); ``variants`` and ``online`` hold
 # several schemes' schedulers each.
+def _polaris() -> type:
+    from repro.core.polaris import PolarisScheduler
+    return PolarisScheduler
+
+
 def _variants() -> ModuleType:
     from repro.core import variants
     return variants
@@ -106,7 +110,7 @@ def _static(freq: float) -> Scheme:
 
 
 SCHEMES = {
-    "polaris": Scheme("polaris", "POLARIS", lambda: PolarisScheduler),
+    "polaris": Scheme("polaris", "POLARIS", _polaris),
     "polaris-fifo": Scheme("polaris-fifo", "POLARIS-FIFO",
                            lambda: _variants().PolarisFifoScheduler),
     "polaris-fifo-noarrive": Scheme(

@@ -24,22 +24,8 @@ The theory benches verify the paper's competitive claims empirically:
 POLARIS == OA on agreeable instances (Theorem 4.3), OA within
 ``alpha^alpha`` of YDS, and POLARIS within ``(c*alpha)^alpha`` of YDS
 on arbitrary instances (Corollary 4.6).
+
+Nothing is re-exported here, so only the ``theory`` command loads the
+oracles: import from the submodule (``from repro.theory.yds import
+yds_schedule``).
 """
-
-from repro.theory.model import Job, ProblemInstance, Schedule, Segment
-from repro.theory.yds import yds_schedule
-from repro.theory.oa import oa_schedule
-from repro.theory.avr import avr_schedule
-from repro.theory.polaris_ideal import polaris_ideal_schedule
-from repro.theory.instances import (
-    adversarial_pair, random_agreeable_instance, random_instance,
-)
-from repro.theory.potential import verify_theorem_4_4
-
-__all__ = [
-    "Job", "ProblemInstance", "Schedule", "Segment",
-    "yds_schedule", "oa_schedule", "avr_schedule",
-    "polaris_ideal_schedule",
-    "adversarial_pair", "random_agreeable_instance", "random_instance",
-    "verify_theorem_4_4",
-]

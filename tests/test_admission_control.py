@@ -59,11 +59,25 @@ def test_later_deadline_queue_entries_ignored():
     assert scheduler.admits(0.0, None, 0.0, request)
 
 
-def test_base_polaris_admits_everything():
+def test_base_polaris_admits_everything(sim):
+    """Base POLARIS declares no ``admits`` hook, so a server running it
+    accepts even a request that is infeasible on arrival."""
     from repro.core.polaris import PolarisScheduler
-    scheduler = PolarisScheduler(FREQS, ExecutionTimeEstimator())
-    doomed = Request(Workload("w", 1e-9), "w", 0.0, 1.0)
-    assert scheduler.admits(0.0, None, 0.0, doomed)
+    estimator = ExecutionTimeEstimator(window=4)
+    for freq in FREQS:
+        estimator.prime("w", freq, 1e-3 * 2.8 / freq, count=4)
+    server = DatabaseServer(
+        sim, ServerConfig(workers=1),
+        scheduler_factory=lambda: PolarisScheduler(
+            POLARIS_FREQUENCIES, estimator))
+    rejected = []
+    server.add_rejection_listener(rejected.append)
+    doomed = Request(Workload("w", 1e-9), "w", 0.0, 2.8e-3)
+    server.submit(doomed)
+    sim.run()
+    assert doomed.state is RequestState.DONE
+    assert not doomed.met_deadline
+    assert rejected == [] and server.rejected == 0
 
 
 def test_server_routes_rejections_to_listeners(sim):

@@ -62,9 +62,6 @@ PROFILED = ("polaris", "ondemand")
 IDLE_ALLOWED = {
     "repro.fleet.config": "the type of ExperimentConfig.fleet (and the "
                           "probe imports FleetConfig)",
-    "repro.core.polaris": "POLARIS is the registry's eagerly loaded scheme, "
-                          "and db.server's Worker binds a scheduler's admits "
-                          "hook only if it overrides PolarisScheduler's",
 }
 
 TINY = "dict(warmup_seconds=0.1, test_seconds=0.3, seed=3)"
@@ -76,7 +73,8 @@ CASES = {
     "polaris": (f"ExperimentConfig(scheme='polaris', **{SERVER})",
                 SERVER_FORBIDDEN, ()),
     "ondemand": (f"ExperimentConfig(scheme='ondemand', **{SERVER})",
-                 SERVER_FORBIDDEN, ()),
+                 (*SERVER_FORBIDDEN, "repro.core.polaris",
+                  "repro.core.estimator"), ()),
     "elastic-fleet": (
         f"ExperimentConfig(fleet=FleetConfig(elastic=True, shards=2, "
         f"replicas_per_shard=1, node_workers=2), **{TINY})",
@@ -119,6 +117,16 @@ print(json.dumps({{"completed": result.completed,
 """
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter: ``REPRO_*`` scrubbed,
+    this tree's ``src`` first on the path."""
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
 def _loaded(modules, names):
     return sorted(module for module in modules for name in names
                   if module == name or module.startswith(name + "."))
@@ -127,14 +135,11 @@ def _loaded(modules, names):
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_a_cell_imports_only_what_it_runs(label, tmp_path):
     config, forbidden, required = CASES[label]
-    env = {key: value for key, value in os.environ.items()
-           if not key.startswith("REPRO_")}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c",
-         _PROBE.format(config=config, profiled=label in PROFILED)], env=env,
-        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+         _PROBE.format(config=config, profiled=label in PROFILED)],
+        env=_fresh_env(), cwd=tmp_path, capture_output=True, text=True,
+        timeout=120)
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout.splitlines()[-1])
     assert probe["completed"] > 0
@@ -145,6 +150,21 @@ def test_a_cell_imports_only_what_it_runs(label, tmp_path):
     if label in PROFILED:
         idle = sorted(set(probe["idle"]) - set(IDLE_ALLOWED))
         assert not idle, f"{label} loaded, but ran no function of, {idle}"
+
+
+def test_figures_load_the_theory_oracles_only_on_call():
+    """The Section 4 oracles load when the ``theory`` command runs, not
+    with the figure table every other command imports."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; import repro.harness.figures; "
+         "print(json.dumps(sorted(sys.modules)))"],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    modules = json.loads(done.stdout.splitlines()[-1])
+    assert "repro.harness.figures" in modules
+    loaded = _loaded(modules, ("repro.theory",))
+    assert not loaded, f"import repro.harness.figures loaded {loaded}"
 
 
 def test_the_servers_routing_names_are_the_policies():

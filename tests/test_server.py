@@ -14,6 +14,7 @@ from repro.db import server as server_module
 from repro.db.server import BaselineDispatcher, DatabaseServer, ServerConfig
 from repro.governors.static import UserspaceGovernor
 from repro.harness.experiment import ExperimentConfig, RunFlags, run_experiment
+from repro.harness.schemes import SCHEMES
 from repro.sim.engine import Simulator
 
 WORKLOAD = Workload("w", 0.050)
@@ -225,16 +226,66 @@ def test_config_validation(sim):
 
 def test_baseline_dispatcher_interface():
     dispatcher = BaselineDispatcher()
+    # FIFO admits everything, leaves the frequency to the governor and
+    # learns nothing: it declares none of the three hooks.
+    assert dispatcher.admits is None
+    assert dispatcher.select_frequency is None
+    assert dispatcher.record_completion is None
     request = Request(WORKLOAD, "t", 0.0, 1.0)
     dispatcher.enqueue(request)
     assert len(dispatcher) == 1
-    assert dispatcher.select_frequency(0.0, request) is None
-    dispatcher.record_completion(request)  # no-op
+    assert list(dispatcher.queue) == [request]
     assert dispatcher.next_request() is request
 
 
 # ----------------------------------------------------------------------
-# Dispatcher hooks: resolved once, skipped when they are the FIFO no-ops
+# The dispatcher protocol: every family declares every hook as data
+# ----------------------------------------------------------------------
+#: Hooks a worker calls: each is a callable or None.
+HOOKS = ("enqueue", "next_request", "admits", "select_frequency",
+         "record_completion")
+#: Hooks a family may declare None, on the class.
+OPTIONAL_HOOKS = ("admits", "select_frequency", "record_completion")
+#: Data the worker and the fault layer read or set.
+DATA = ("name", "adjusts_on_arrival", "queue", "estimator",
+        "trace_decisions", "last_decision", "panic")
+SCHEDULER_SCHEMES = sorted(name for name, scheme in SCHEMES.items()
+                           if scheme.uses_scheduler)
+
+
+def _dispatcher(name):
+    if name == "fifo-baseline":
+        return BaselineDispatcher()
+    return SCHEMES[name].make_scheduler_factory(
+        POLARIS_FREQUENCIES, ExecutionTimeEstimator(), sanitize=False)()
+
+
+@pytest.mark.parametrize("name", ["fifo-baseline", *SCHEDULER_SCHEMES])
+def test_every_dispatcher_declares_the_whole_protocol(name, sim):
+    dispatcher = _dispatcher(name)
+    assert dispatcher.name == name
+    for hook in HOOKS:
+        value = getattr(dispatcher, hook)
+        assert value is None or callable(value), (name, hook)
+    for hook in OPTIONAL_HOOKS:
+        assert hasattr(type(dispatcher), hook), (name, hook)
+    for attr in DATA:
+        assert hasattr(dispatcher, attr), (name, attr)
+    assert type(dispatcher.adjusts_on_arrival) is bool
+    assert dispatcher.trace_decisions is False
+    assert dispatcher.last_decision is None
+    assert dispatcher.panic is False
+    assert len(dispatcher) == 0 and list(dispatcher.queue) == []
+    # The worker binds exactly what the dispatcher declares.
+    server = DatabaseServer(sim, ServerConfig(workers=1),
+                            scheduler_factory=lambda: dispatcher)
+    worker = server.workers[0]
+    for hook in OPTIONAL_HOOKS:
+        assert getattr(worker, f"_{hook}") == getattr(dispatcher, hook)
+
+
+# ----------------------------------------------------------------------
+# Dispatcher hooks: read once, skipped when the dispatcher declares None
 # ----------------------------------------------------------------------
 class _FifoThatScales(BaselineDispatcher):
     """A FIFO dispatcher that does pick a frequency and does learn."""

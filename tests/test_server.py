@@ -12,6 +12,8 @@ from repro.cpu.calibration import STATIC_WATTS
 from repro.cpu.pstates import POLARIS_FREQUENCIES
 from repro.db import server as server_module
 from repro.db.server import BaselineDispatcher, DatabaseServer, ServerConfig
+from repro.faults import resolve_fault_plan
+from repro.fleet.config import FleetConfig
 from repro.governors.static import UserspaceGovernor
 from repro.harness.experiment import ExperimentConfig, RunFlags, run_experiment
 from repro.harness.schemes import SCHEMES
@@ -324,25 +326,54 @@ def test_baseline_subclass_overrides_are_still_called(sim):
     assert server.cores[0].freq == 2.0
 
 
-#: sha256 of the Chrome-trace export and the series CSV of two small
-#: traced cells.  Dispatch paths that skip no-op hooks or forwarding
-#: frames must not move a byte of what a traced run records.
+#: Small traced cells, by label.  Besides the two healthy cells, a
+#: dying core reaches ``finalize``'s truncated spans and migrated
+#: transactions, a per-socket topology the frequency-domain track, and
+#: a one-shard fleet with a crash the failover async spans.
+TRACE_CELLS = {
+    "ondemand": dict(scheme="ondemand", workers=2, warmup_seconds=0.2,
+                     test_seconds=0.4, seed=9),
+    "polaris": dict(scheme="polaris", workers=2, warmup_seconds=0.2,
+                    test_seconds=0.4, seed=9),
+    "polaris-dying-core": dict(scheme="polaris", faults="dying-core",
+                               workers=2, warmup_seconds=0.2,
+                               test_seconds=0.8, seed=3),
+    "per-socket": dict(topology="per-socket", topology_switch_latency=5e-5,
+                       workers=4, warmup_seconds=0.2, test_seconds=0.4,
+                       seed=5),
+    "fleet-shard-crash": dict(
+        fleet=FleetConfig(shards=1, replicas_per_shard=1, node_workers=1),
+        faults="shard-crash", load_fraction=0.3, warmup_seconds=0.2,
+        test_seconds=2.0, seed=7),
+}
+
+#: sha256 of each cell's Chrome-trace export and series CSV.  Dispatch
+#: paths that skip no-op hooks or forwarding frames, and the tracer's
+#: own storage, must not move a byte of what a traced run records.
 TRACE_SHA256 = {
     "ondemand": ("20c1dabb67f30c779142f529875c05f538660798e32e3b1203eedf4f64d0d371",
                  "542ec3bab7b6c52bb251f56fe11d57a6d164b75bc7709cc9e25346d250bad08f"),
     "polaris": ("a9a2d58a0faf0438fb6f0ddd569153546eb0dc82fa5ccc8d3fea873a1c1eca42",
                 "c6ad8caa6eb3805481f476b5f9c4642ee7c1921436175db70e99ea4b75f50e6f"),
+    "polaris-dying-core": (
+        "3050a50abf58e0793093d33d360afd4e5ac35362e759e9b96d9af182bb19ad3c",
+        "5ac3914edf9f89e0adea03c0e3e6b88ec4ce86a275c1894ebe0484e2bcad7ab4"),
+    "per-socket": (
+        "2f5ab04040fcb9771e3787224e80da06d8797a0a0c50b10146759564fca9db7b",
+        "6b5bc54f0fc8093f93123dbb18be751b298556bdb7805ea6d3b7b04399e6730d"),
+    "fleet-shard-crash": (
+        "2316a4372ee5c6604de66fcb4de9d56995296f2448235acd880293861c1d1b5b",
+        "6a2c483d938baff319eead7cff48af5909bf2b8e45c3fee13ca39a096efabf8d"),
 }
 
 
-@pytest.mark.parametrize("scheme", sorted(TRACE_SHA256))
+@pytest.mark.parametrize("scheme", sorted(TRACE_CELLS))
 def test_traced_exports_are_byte_identical(scheme, tmp_path):
-    cell = ExperimentConfig(scheme=scheme, workers=2, warmup_seconds=0.2,
-                            test_seconds=0.4, seed=9,
+    cell = ExperimentConfig(**TRACE_CELLS[scheme],
                             trace_path=str(tmp_path / "trace.json"),
                             trace_series_path=str(tmp_path / "series.csv"))
-    run_experiment(cell, flags=RunFlags(sanitize=False, trace=True,
-                                        plan=None))
+    run_experiment(cell, flags=RunFlags(
+        sanitize=False, trace=True, plan=resolve_fault_plan(cell.faults)))
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                     for path in (tmp_path / "trace.json",
                                  tmp_path / "series.csv"))

@@ -113,6 +113,10 @@ class PolarisScheduler:
     #: admits everything; see PolarisShedScheduler.
     admits = None
 
+    #: Every selection reads the estimator's rows, so the harness
+    #: trains it (phase 2) before the run.
+    reads_estimates = True
+
     name = "polaris"
 
     def __init__(self, frequencies: Sequence[float],

@@ -71,6 +71,8 @@ class BaselineDispatcher:
     * ``record_completion(request)`` --- feedback from a finished
       request (None: nothing learns);
     * ``estimator`` --- the ``mu(c, f)`` estimator a fault plan skews;
+    * ``reads_estimates`` --- whether a decision reads that estimator
+      (False: the harness leaves it untrained);
     * ``trace_decisions`` / ``last_decision`` --- the worker sets the
       first while tracing and reads the second after each selection;
     * ``panic`` --- set by the resilience controller's panic mode.
@@ -80,6 +82,7 @@ class BaselineDispatcher:
     adjusts_on_arrival = False
     admits = select_frequency = record_completion = None
     estimator = None
+    reads_estimates = False
     trace_decisions = False
     last_decision = None
     panic = False

@@ -40,7 +40,6 @@ if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
     from repro.fleet.chaos import FleetFaultInjector
     from repro.fleet.failover import AvailabilityTracker, FailoverManager
-    from repro.obs.metrics import MetricRegistry
 
 #: Per-replica apply lag drawn uniformly from this range at build time
 #: (seeded): a replica applies each log force this long after it.
@@ -207,11 +206,11 @@ class FleetPlant:
                 self.streams.get("fleet-failover"))
             self.failover.start()
 
-    def register_gauges(self, registry: MetricRegistry) -> None:
+    def gauges(self) -> Dict[str, Callable[[], float]]:
         fleet = self.fleet
-        registry.gauge("fleet_power_watts", fleet.wall_power)
-        registry.gauge("active_nodes", fleet.active_count)
-        registry.gauge("queue_depth_total", fleet.total_queue_length)
+        return {"fleet_power_watts": fleet.wall_power,
+                "active_nodes": fleet.active_count,
+                "queue_depth_total": fleet.total_queue_length}
 
     def end_of_test(self) -> None:
         # Scaling follows offered load; once the generator stops the

@@ -47,6 +47,9 @@ class NonclairvoyantScheduler(PolarisScheduler):
 
     name = "nonclairvoyant"
 
+    #: No selection reads an estimate, so the harness skips training.
+    reads_estimates = False
+
     #: Power-model exponent; the base speed is ``f_min * n^(1/alpha)``.
     alpha = 3.0
 

@@ -71,7 +71,7 @@ if TYPE_CHECKING:
     from repro.core.estimator import ExecutionTimeEstimator
     from repro.faults.plan import FaultPlan, FaultsLike
     from repro.governors.base import GovernorSet
-    from repro.obs.metrics import MetricRegistry, MetricsSampler
+    from repro.obs.metrics import MetricsSampler
 
 
 def _tpce() -> BenchmarkSpec:
@@ -425,31 +425,37 @@ class ServerPlant:
         server.add_completion_listener(recorder.on_completion)
         server.add_rejection_listener(recorder.on_rejection)
 
-    def register_gauges(self, registry: MetricRegistry) -> None:
-        """The Prometheus-style registry mirrors what the paper plots
-        over time (Figures 6-12): wall power, queue depth, per-core
-        frequency, misses, latency.  Gauges read live simulation state
-        through callbacks; the sampler snapshots everything on the
+    def gauges(self) -> Dict[str, Callable[[], float]]:
+        """What the paper plots over time (Figures 6-12): wall power,
+        queue depth, per-core frequency, misses, latency.  Each gauge
+        reads live simulation state; the sampler snapshots them on the
         virtual clock, so the series are seed-deterministic."""
         server = self.server
-        registry.gauge("power_watts", server.wall_power)
-        registry.gauge("queue_depth_total", server.total_queue_length)
-        registry.gauge("pending_events", server.sim.pending_count)
-        for core in server.cores:
-            registry.gauge(f"freq_ghz.core{core.core_id}",
-                           lambda c=core: c.freq)
-        registry.gauge("txn_completed",
-                       lambda: sum(w.completed for w in server.workers))
-        registry.gauge("txn_rejected", lambda: server.rejected)
-        miss_counter = registry.counter("deadline_misses")
-        latency_hist = registry.histogram("txn_latency_s")
+        misses = latency_total = 0.0
+        latency_count = 0
 
         def _obs_completion(request: Request) -> None:
-            latency_hist.observe(request.latency)
+            nonlocal misses, latency_total, latency_count
+            latency_count += 1
+            latency_total += request.latency
             if not request.met_deadline:
-                miss_counter.inc()
+                misses += 1.0
 
         server.add_completion_listener(_obs_completion)
+        gauges = {
+            "power_watts": server.wall_power,
+            "queue_depth_total": server.total_queue_length,
+            "pending_events": server.sim.pending_count,
+            "txn_completed": lambda: sum(w.completed
+                                         for w in server.workers),
+            "txn_rejected": lambda: server.rejected,
+            "deadline_misses": lambda: misses,
+            "txn_latency_s": lambda: (latency_total / latency_count
+                                      if latency_count else 0.0),
+        }
+        for core in server.cores:
+            gauges[f"freq_ghz.core{core.core_id}"] = lambda c=core: c.freq
+        return gauges
 
     def end_of_test(self) -> None:
         """Nothing on a single server scales with offered load."""
@@ -592,9 +598,10 @@ def run_experiment(config: ExperimentConfig,
                 scheduler = _base()
                 scheduler.update_on_mixed_freq = True
                 return scheduler
-        _train_estimator(estimator, manager, spec,
-                         POLARIS_FREQUENCIES, config,
-                         streams.get(prefix + "training"))
+        if scheme.scheduler_class.reads_estimates:
+            _train_estimator(estimator, manager, spec,
+                             POLARIS_FREQUENCIES, config,
+                             streams.get(prefix + "training"))
     governor_sets: List[GovernorSet] = []
 
     def make_server() -> DatabaseServer:
@@ -664,10 +671,8 @@ def run_experiment(config: ExperimentConfig,
 
         sampler: Optional[MetricsSampler] = None
         if tracer.enabled:
-            from repro.obs.metrics import MetricRegistry, MetricsSampler
-            registry = MetricRegistry()
-            plant.register_gauges(registry)
-            sampler = MetricsSampler(sim, registry, tracer=tracer)
+            from repro.obs.metrics import MetricsSampler
+            sampler = MetricsSampler(sim, plant.gauges(), tracer=tracer)
             sampler.start()
 
         # The meter's cadence is the paper's, clamped so short test windows

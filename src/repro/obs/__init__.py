@@ -11,11 +11,12 @@ bit-deterministic function of ``(ExperimentConfig, seed)``.
 
 Three layers:
 
-* :mod:`repro.obs.trace` --- the :class:`Tracer` event sink and the
-  ``REPRO_TRACE`` enable hook (same no-op-when-disabled pattern as
-  simsan: components test one pre-resolved boolean).
-* :mod:`repro.obs.metrics` --- counters/gauges/histograms and the
-  virtual-time :class:`MetricsSampler`.
+* :mod:`repro.obs.trace` --- the :class:`Tracer`, which records each
+  event as its export-ready Chrome record on a ``(pid, tid)`` track,
+  and the ``REPRO_TRACE`` enable hook (same no-op-when-disabled
+  pattern as simsan: components test one pre-resolved boolean).
+* :mod:`repro.obs.metrics` --- the virtual-time :class:`MetricsSampler`
+  over a plant's ``name -> callable`` gauges.
 * :mod:`repro.obs.export` --- Chrome trace-event / Perfetto JSON
   (open the file at ``ui.perfetto.dev``), CSV series dumps, and a
   structural validator.  Figures render their own trace summary

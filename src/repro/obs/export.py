@@ -26,35 +26,15 @@ _KNOWN_PHASES = frozenset({"B", "E", "X", "i", "I", "C", "b", "n", "e",
 
 
 def build_trace_events(tracer: Tracer) -> List[Dict[str, object]]:
-    """The tracer's events as Chrome trace-event dicts.
-
-    Prepends ``M`` metadata records naming each registered track's
-    process and thread (what Perfetto shows in the left rail), then
-    emits the recorded events in recording order --- which is virtual-
-    time order, so every track's ``ts`` sequence is monotone.
-    """
-    out: List[Dict[str, object]] = []
-    for track in tracer.tracks():
-        out.append({"ph": "M", "pid": track.pid, "tid": track.tid,
-                    "name": "process_name", "ts": 0,
-                    "args": {"name": track.process}})
-        out.append({"ph": "M", "pid": track.pid, "tid": track.tid,
-                    "name": "thread_name", "ts": 0,
-                    "args": {"name": track.thread}})
-    for ev in tracer.events:
-        rec: Dict[str, object] = {"ph": ev.ph, "ts": ev.ts_us,
-                                  "pid": ev.pid, "tid": ev.tid,
-                                  "name": ev.name}
-        if ev.cat is not None:
-            rec["cat"] = ev.cat
-        if ev.scope_id is not None:
-            rec["id"] = ev.scope_id
-        if ev.ph == "i":
-            rec["s"] = "t"  # thread-scoped instant
-        if ev.args:
-            rec["args"] = ev.args
-        out.append(rec)
-    return out
+    """The ``M`` metadata records naming each registered track's
+    process and thread (what Perfetto shows in the left rail), then the
+    tracer's records in recording order --- which is virtual-time
+    order, so every track's ``ts`` sequence is monotone."""
+    return [{"ph": "M", "pid": pid, "tid": tid, "name": kind, "ts": 0,
+             "args": {"name": label}}
+            for names, (pid, tid) in tracer.tracks.items()
+            for kind, label in zip(("process_name", "thread_name"), names)
+            ] + tracer.events
 
 
 def export_chrome_trace(tracer: Tracer, path: str) -> int:

@@ -1,12 +1,13 @@
-"""Prometheus-style metric primitives sampled on virtual time.
+"""Time-series metrics sampled on virtual time.
 
-A :class:`MetricRegistry` owns named :class:`Counter`/:class:`Gauge`/
-:class:`Histogram` instruments.  Instruments are updated by the code
-under test (worker completion hooks, the power meter) and *sampled*
-periodically by a :class:`MetricsSampler`, a self-rescheduling
-simulation event (the ``PowerMeter`` pattern) that snapshots every
-instrument into in-memory time series and mirrors each sample onto the
-tracer as a Chrome counter track.
+A run's gauges are a ``name -> callable`` dict (each plant's
+``gauges()``): every callable reads live simulation state --- queue
+depth, core frequency, wall power, a count or mean kept by a
+completion listener --- so nothing holds a stale copy of it.  A
+:class:`MetricsSampler`, a self-rescheduling simulation event (the
+``PowerMeter`` pattern), samples the dict in name order into in-memory
+time series and mirrors each sample onto the tracer as a Chrome
+counter track.
 
 Like the tracer, everything runs on the virtual clock: two same-seed
 runs produce identical series, and the sampler never outlives the
@@ -23,92 +24,8 @@ from repro.obs.trace import NULL_TRACER, Tracer
 SAMPLE_INTERVAL_S = 0.25
 
 
-class Counter:
-    """A monotonically increasing count (deadline misses)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def inc(self) -> None:
-        self.value += 1.0
-
-    def sample(self) -> float:
-        return self.value
-
-
-class Gauge:
-    """A point-in-time value read lazily through ``fn``.
-
-    The gauge is bound to a live accessor (queue depth, core
-    frequency): each sample calls it, so the registry never holds stale
-    copies of simulation state.
-    """
-
-    __slots__ = ("name", "fn")
-
-    def __init__(self, name: str, fn: Callable[[], float]):
-        self.name = name
-        self.fn = fn
-
-    def sample(self) -> float:
-        return float(self.fn())
-
-
-class Histogram:
-    """Count and sum of observations (latency distributions)."""
-
-    __slots__ = ("name", "count", "total")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-
-    def sample(self) -> float:
-        """Histograms sample as their running mean (series-friendly)."""
-        if self.count == 0:
-            return 0.0
-        return self.total / self.count
-
-
-class MetricRegistry:
-    """Named instruments, registered once and sampled in name order."""
-
-    __slots__ = ("_metrics",)
-
-    def __init__(self):
-        self._metrics: Dict[str, object] = {}
-
-    def _register(self, metric):
-        if metric.name in self._metrics:
-            raise ValueError(f"metric {metric.name!r} already registered")
-        self._metrics[metric.name] = metric
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._register(Counter(name))
-
-    def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
-        return self._register(Gauge(name, fn))
-
-    def histogram(self, name: str) -> Histogram:
-        return self._register(Histogram(name))
-
-    def sample_all(self) -> List[Tuple[str, float]]:
-        """One (name, value) snapshot per instrument, name-sorted."""
-        metrics = self._metrics
-        return [(name, metrics[name].sample()) for name in sorted(metrics)]
-
-
 class MetricsSampler:
-    """Snapshots a registry every ``SAMPLE_INTERVAL_S`` of virtual time.
+    """Samples ``gauges`` every ``SAMPLE_INTERVAL_S`` of virtual time.
 
     Schedules itself on the simulator like ``PowerMeter``: ``start()``
     plants the first sample, each sample re-plants the next.  The
@@ -117,17 +34,20 @@ class MetricsSampler:
     run alive --- the harness cancels it with :meth:`stop`.
     """
 
-    __slots__ = ("sim", "registry", "tracer", "series", "_event", "_track")
+    __slots__ = ("sim", "gauges", "tracer", "series", "_event")
 
-    def __init__(self, sim, registry: MetricRegistry,
+    def __init__(self, sim, gauges: Dict[str, Callable[[], float]],
                  tracer: Optional[Tracer] = None):
         self.sim = sim
-        self.registry = registry
+        #: metric name -> live accessor, in name order.
+        self.gauges = dict(sorted(gauges.items()))
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: metric name -> list of (t_s, value) samples.
         self.series: Dict[str, List[Tuple[float, float]]] = {}
         self._event = None
-        self._track = self.tracer.track("metrics", "sampler")
+        # The "metrics" process and its first thread; no record lands
+        # on it, but its registration fixes the track ids of a trace.
+        self.tracer.track("metrics", "sampler")
 
     def start(self) -> None:
         """Take the t=now sample and begin the cadence."""
@@ -149,15 +69,15 @@ class MetricsSampler:
         land on a cadence tick)."""
         now_s = self.sim.now
         tracer = self.tracer
-        for name, value in self.registry.sample_all():
+        values = [(name, float(fn())) for name, fn in self.gauges.items()]
+        for name, value in values:
             points = self.series.setdefault(name, [])
             if points and abs(points[-1][0] - now_s) < 1e-12:
                 continue
             points.append((now_s, value))
             if tracer.enabled:
-                tracer.counter(self.tracer.track("metrics", name),
-                               name, now_s, value=value)
+                tracer.counter(tracer.track("metrics", name), name, now_s,
+                               value=value)
 
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry",
-           "MetricsSampler"]
+__all__ = ["MetricsSampler"]

@@ -22,12 +22,15 @@ Perfetto ingests):
   governor samples;
 * **counters** (``C``) --- per-core frequency, queue depth.
 
-A *track* is a (process, thread) name pair mapped to small integer
-ids in registration order, so ids --- like every timestamp --- are a
-pure function of the simulation and traces are byte-identical across
-same-seed runs.  Timestamps are virtual-clock seconds converted to the
-format's mandatory integer microseconds (``ts_us``; DESIGN.md §5,
-decision 14).
+A *track* is the ``(pid, tid)`` pair of small integer ids that a
+(process, thread) name pair is given in registration order, so ids
+--- like every timestamp --- are a pure function of the simulation
+and traces are byte-identical across same-seed runs.  Each recording
+method appends the Chrome record itself (``ph``, ``ts``, ``pid``,
+``tid``, ``name``, plus ``cat``/``id``/``s``/``args`` where they
+apply), so the exporter writes :attr:`Tracer.events` as recorded.
+Timestamps are virtual-clock seconds converted to the format's
+mandatory integer microseconds (``ts``; DESIGN.md §5, decision 14).
 """
 
 from __future__ import annotations
@@ -59,53 +62,16 @@ def to_trace_us(now_s: float) -> int:
     return int(round(now_s * 1e6))
 
 
-class TraceTrack:
-    """One (process, thread) pair; an opaque handle for emitters."""
+#: A track is its ``(pid, tid)`` pair.
+Track = Tuple[int, int]
 
-    __slots__ = ("pid", "tid", "process", "thread")
-
-    def __init__(self, pid: int, tid: int, process: str, thread: str):
-        self.pid = pid
-        self.tid = tid
-        self.process = process
-        self.thread = thread
-
-    def __repr__(self) -> str:
-        return (f"<TraceTrack {self.process}/{self.thread} "
-                f"pid={self.pid} tid={self.tid}>")
-
-
-#: Handle returned by :meth:`Tracer.track` while tracing is disabled;
-#: never recorded, exists so callers can register tracks unconditionally.
-NULL_TRACK = TraceTrack(0, 0, "null", "null")
-
-
-class TraceEvent:
-    """One recorded event (internal storage; exporters shape the JSON)."""
-
-    __slots__ = ("ph", "ts_us", "pid", "tid", "name", "cat", "scope_id",
-                 "args")
-
-    def __init__(self, ph: str, ts_us: int, pid: int, tid: int, name: str,
-                 cat: Optional[str] = None,
-                 scope_id: Optional[int] = None,
-                 args: Optional[Dict[str, object]] = None):
-        self.ph = ph
-        self.ts_us = ts_us
-        self.pid = pid
-        self.tid = tid
-        self.name = name
-        self.cat = cat
-        self.scope_id = scope_id
-        self.args = args
-
-    def __repr__(self) -> str:
-        return (f"<TraceEvent {self.ph} {self.name!r} ts_us={self.ts_us} "
-                f"pid={self.pid} tid={self.tid}>")
+#: What :meth:`Tracer.track` returns while tracing is disabled; never
+#: recorded, exists so callers can register tracks unconditionally.
+NULL_TRACK: Track = (0, 0)
 
 
 class Tracer:
-    """Collects trace events on the virtual clock.
+    """Collects Chrome trace-event records on the virtual clock.
 
     ``Tracer()`` is enabled; the shared :data:`NULL_TRACER` is the
     disabled instance every un-traced simulation holds.  All recording
@@ -115,10 +81,12 @@ class Tracer:
 
     def __init__(self, enabled: bool = True):
         self.enabled = bool(enabled)
-        self.events: List[TraceEvent] = []
-        self._tracks: Dict[Tuple[str, str], TraceTrack] = {}
-        self._pids: Dict[str, int] = {}
-        self._next_tid: Dict[int, int] = {}
+        #: Chrome trace-event records, in recording (virtual-time) order.
+        self.events: List[Dict[str, object]] = []
+        #: (process, thread) names -> track, in registration order.
+        self.tracks: Dict[Tuple[str, str], Track] = {}
+        #: process name -> (pid, threads registered so far).
+        self._processes: Dict[str, Tuple[int, int]] = {}
         #: arbitrary caller keys -> dense run-local async ids, so traces
         #: do not depend on process-global counters (Request ids keep
         #: counting across runs; local ids restart at 1 every run).
@@ -126,29 +94,22 @@ class Tracer:
         #: async spans begun but not yet ended: (cat, id) -> name.
         self._open_async: Dict[Tuple[str, int], str] = {}
         #: per-track stack of open B spans (names), for finalize().
-        self._open_spans: Dict[Tuple[int, int], List[str]] = {}
+        self._open_spans: Dict[Track, List[str]] = {}
 
     # ------------------------------------------------------------------
     # Track registry
     # ------------------------------------------------------------------
-    def track(self, process: str, thread: str) -> TraceTrack:
+    def track(self, process: str, thread: str) -> Track:
         """The (deduplicated) track for a process/thread name pair."""
         if not self.enabled:
             return NULL_TRACK
-        key = (process, thread)
-        existing = self._tracks.get(key)
-        if existing is not None:
-            return existing
-        pid = self._pids.setdefault(process, len(self._pids) + 1)
-        tid = self._next_tid.get(pid, 0) + 1
-        self._next_tid[pid] = tid
-        new = TraceTrack(pid, tid, process, thread)
-        self._tracks[key] = new
-        return new
-
-    def tracks(self) -> List[TraceTrack]:
-        """All registered tracks, in registration order."""
-        return list(self._tracks.values())
+        track = self.tracks.get((process, thread))
+        if track is None:
+            pid, threads = self._processes.get(
+                process, (len(self._processes) + 1, 0))
+            self._processes[process] = (pid, threads + 1)
+            track = self.tracks[(process, thread)] = (pid, threads + 1)
+        return track
 
     def async_id(self, key: Hashable) -> int:
         """Run-local dense id for an arbitrary hashable caller key."""
@@ -161,74 +122,74 @@ class Tracer:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def begin(self, track: TraceTrack, name: str, now_s: float,
+    def _record(self, ph: str, track: Track, name: str, now_s: float,
+                args: Dict[str, object], **fields: object) -> None:
+        record = {"ph": ph, "ts": to_trace_us(now_s), "pid": track[0],
+                  "tid": track[1], "name": name, **fields}
+        if args:
+            record["args"] = args
+        self.events.append(record)
+
+    def begin(self, track: Track, name: str, now_s: float,
               **args: object) -> None:
         """Open a synchronous span on ``track`` (Chrome ``B``)."""
         if not self.enabled:
             return
-        self.events.append(TraceEvent("B", to_trace_us(now_s), track.pid,
-                                      track.tid, name, args=args or None))
-        self._open_spans.setdefault((track.pid, track.tid), []).append(name)
+        self._record("B", track, name, now_s, args)
+        self._open_spans.setdefault(track, []).append(name)
 
-    def end(self, track: TraceTrack, now_s: float, **args: object) -> None:
+    def end(self, track: Track, now_s: float, **args: object) -> None:
         """Close the innermost open span on ``track`` (Chrome ``E``)."""
         if not self.enabled:
             return
-        stack = self._open_spans.get((track.pid, track.tid))
-        name = stack.pop() if stack else "span"
-        self.events.append(TraceEvent("E", to_trace_us(now_s), track.pid,
-                                      track.tid, name, args=args or None))
+        stack = self._open_spans.get(track)
+        self._record("E", track, stack.pop() if stack else "span", now_s,
+                     args)
 
-    def instant(self, track: TraceTrack, name: str, now_s: float,
+    def instant(self, track: Track, name: str, now_s: float,
                 **args: object) -> None:
-        """A zero-duration marker on ``track`` (Chrome ``i``)."""
+        """A thread-scoped zero-duration marker on ``track`` (Chrome
+        ``i``)."""
         if not self.enabled:
             return
-        self.events.append(TraceEvent("i", to_trace_us(now_s), track.pid,
-                                      track.tid, name, args=args or None))
+        self._record("i", track, name, now_s, args, s="t")
 
-    def counter(self, track: TraceTrack, name: str, now_s: float,
+    def counter(self, track: Track, name: str, now_s: float,
                 **values: float) -> None:
         """A counter sample on ``track`` (Chrome ``C``)."""
         if not self.enabled:
             return
-        self.events.append(TraceEvent("C", to_trace_us(now_s), track.pid,
-                                      track.tid, name, args=dict(values)))
+        self._record("C", track, name, now_s, values)
+
+    def _async(self, ph: str, cat: str, key: Hashable, name: str,
+               now_s: float, args: Dict[str, object]) -> int:
+        aid = self.async_id(key)
+        self._record(ph, self.track(cat, cat), name, now_s, args, cat=cat,
+                     id=aid)
+        return aid
 
     def async_begin(self, cat: str, key: Hashable, name: str, now_s: float,
                     **args: object) -> None:
         """Open an async span identified by ``(cat, key)`` (Chrome ``b``)."""
         if not self.enabled:
             return
-        track = self.track(cat, cat)
-        aid = self.async_id(key)
+        aid = self._async("b", cat, key, name, now_s, args)
         self._open_async[(cat, aid)] = name
-        self.events.append(TraceEvent("b", to_trace_us(now_s), track.pid,
-                                      track.tid, name, cat=cat,
-                                      scope_id=aid, args=args or None))
 
     def async_instant(self, cat: str, key: Hashable, name: str,
                       now_s: float, **args: object) -> None:
         """A step marker inside an open async span (Chrome ``n``)."""
         if not self.enabled:
             return
-        track = self.track(cat, cat)
-        self.events.append(TraceEvent("n", to_trace_us(now_s), track.pid,
-                                      track.tid, name, cat=cat,
-                                      scope_id=self.async_id(key),
-                                      args=args or None))
+        self._async("n", cat, key, name, now_s, args)
 
     def async_end(self, cat: str, key: Hashable, name: str, now_s: float,
                   **args: object) -> None:
         """Close the async span identified by ``(cat, key)`` (Chrome ``e``)."""
         if not self.enabled:
             return
-        track = self.track(cat, cat)
-        aid = self.async_id(key)
+        aid = self._async("e", cat, key, name, now_s, args)
         self._open_async.pop((cat, aid), None)
-        self.events.append(TraceEvent("e", to_trace_us(now_s), track.pid,
-                                      track.tid, name, cat=cat,
-                                      scope_id=aid, args=args or None))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -245,18 +206,14 @@ class Tracer:
         if not self.enabled:
             return 0
         closed = 0
-        ts = to_trace_us(now_s)
-        for (pid, tid), stack in sorted(self._open_spans.items()):
+        for track, stack in sorted(self._open_spans.items()):
             while stack:
-                name = stack.pop()
-                self.events.append(TraceEvent("E", ts, pid, tid, name,
-                                              args={"truncated": True}))
+                self._record("E", track, stack.pop(), now_s,
+                             {"truncated": True})
                 closed += 1
         for (cat, aid), name in sorted(self._open_async.items()):
-            track = self.track(cat, cat)
-            self.events.append(TraceEvent("e", ts, track.pid, track.tid,
-                                          name, cat=cat, scope_id=aid,
-                                          args={"truncated": True}))
+            self._record("e", self.track(cat, cat), name, now_s,
+                         {"truncated": True}, cat=cat, id=aid)
             closed += 1
         self._open_async.clear()
         return closed
@@ -283,6 +240,6 @@ def resolve_tracer(tracer: Optional[Tracer] = None) -> Tracer:
 
 
 __all__ = [
-    "NULL_TRACER", "NULL_TRACK", "TRACE_ENV", "TraceEvent", "TraceTrack",
-    "Tracer", "resolve_tracer", "to_trace_us", "trace_enabled",
+    "NULL_TRACER", "NULL_TRACK", "TRACE_ENV", "Track", "Tracer",
+    "resolve_tracer", "to_trace_us", "trace_enabled",
 ]

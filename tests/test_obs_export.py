@@ -18,7 +18,7 @@ from repro.obs.export import (
     validate_chrome_trace,
 )
 from repro.obs import metrics
-from repro.obs.metrics import MetricRegistry, MetricsSampler
+from repro.obs.metrics import MetricsSampler
 from repro.obs.trace import Tracer
 from repro.sim.engine import Simulator
 
@@ -41,7 +41,10 @@ def small_tracer():
 # build / export / validate on synthetic traces
 # ----------------------------------------------------------------------
 def test_build_trace_events_shapes():
-    events = build_trace_events(small_tracer())
+    tracer = small_tracer()
+    events = build_trace_events(tracer)
+    # The tracer's own records follow the metadata, unchanged.
+    assert events[4:] == tracer.events
     by_ph = {}
     for ev in events:
         by_ph.setdefault(ev["ph"], []).append(ev)
@@ -96,9 +99,7 @@ def test_validator_rejects_structural_breakage(tmp_path):
 def test_export_series_csv(tmp_path, monkeypatch):
     monkeypatch.setattr(metrics, "SAMPLE_INTERVAL_S", 1.0)
     sim = Simulator()
-    reg = MetricRegistry()
-    reg.gauge("clock", fn=lambda: sim.now)
-    sampler = MetricsSampler(sim, reg)
+    sampler = MetricsSampler(sim, {"clock": lambda: sim.now})
     sampler.start()
     sim.schedule(2.5, sim.stop)
     sim.run()

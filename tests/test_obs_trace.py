@@ -54,17 +54,18 @@ def test_tracks_are_deduplicated_and_registration_ordered():
     a = tracer.track("cpu", "core-0")
     b = tracer.track("cpu", "core-1")
     c = tracer.track("server", "worker-0")
-    assert tracer.track("cpu", "core-0") is a
-    assert (a.pid, a.tid) == (1, 1)
-    assert (b.pid, b.tid) == (1, 2)
-    assert (c.pid, c.tid) == (2, 1)
-    assert tracer.tracks() == [a, b, c]
+    assert tracer.track("cpu", "core-0") == a == (1, 1)
+    assert b == (1, 2)
+    assert c == (2, 1)
+    assert list(tracer.tracks.items()) == [
+        (("cpu", "core-0"), a), (("cpu", "core-1"), b),
+        (("server", "worker-0"), c)]
 
 
 def test_disabled_tracer_returns_null_track_and_records_nothing():
     tracer = Tracer(enabled=False)
     track = tracer.track("cpu", "core-0")
-    assert track is NULL_TRACK
+    assert track == NULL_TRACK == (0, 0)
     tracer.begin(track, "x", 0.0)
     tracer.end(track, 1.0)
     tracer.instant(track, "x", 0.5)
@@ -72,7 +73,7 @@ def test_disabled_tracer_returns_null_track_and_records_nothing():
     tracer.async_begin("txn", 1, "x", 0.0)
     tracer.async_end("txn", 1, "x", 1.0)
     assert tracer.events == []
-    assert tracer.tracks() == []
+    assert tracer.tracks == {}
     assert tracer.finalize(2.0) == 0
 
 
@@ -121,10 +122,25 @@ def test_span_recording_and_stack():
     track = tracer.track("server", "worker-0")
     tracer.begin(track, "exec:payment", 1.0, freq_ghz=2.8)
     tracer.end(track, 2.0, met_deadline=True)
-    b, e = tracer.events
-    assert (b.ph, b.name, b.ts_us) == ("B", "exec:payment", 1_000_000)
-    assert b.args == {"freq_ghz": 2.8}
-    assert (e.ph, e.name, e.ts_us) == ("E", "exec:payment", 2_000_000)
+    assert tracer.events == [
+        {"ph": "B", "ts": 1_000_000, "pid": 1, "tid": 1,
+         "name": "exec:payment", "args": {"freq_ghz": 2.8}},
+        {"ph": "E", "ts": 2_000_000, "pid": 1, "tid": 1,
+         "name": "exec:payment", "args": {"met_deadline": True}}]
+
+
+def test_instant_and_counter_records():
+    """An instant is thread-scoped; a record without arguments carries
+    no ``args`` key."""
+    tracer = Tracer()
+    track = tracer.track("cpu", "core-0")
+    tracer.instant(track, "pstate:transition", 0.25)
+    tracer.counter(track, "freq_ghz", 0.5, freq_ghz=2.8)
+    assert tracer.events == [
+        {"ph": "i", "ts": 250_000, "pid": 1, "tid": 1,
+         "name": "pstate:transition", "s": "t"},
+        {"ph": "C", "ts": 500_000, "pid": 1, "tid": 1, "name": "freq_ghz",
+         "args": {"freq_ghz": 2.8}}]
 
 
 def test_async_ids_are_dense_and_run_local():
@@ -144,9 +160,13 @@ def test_async_span_lifecycle():
     tracer.async_begin("txn", "r1", "txn:payment", 0.0, worker=0)
     tracer.async_instant("txn", "r1", "txn:dispatch", 0.5)
     tracer.async_end("txn", "r1", "txn:payment", 1.0, met_deadline=True)
-    phases = [e.ph for e in tracer.events]
+    phases = [e["ph"] for e in tracer.events]
     assert phases == ["b", "n", "e"]
-    assert all(e.cat == "txn" and e.scope_id == 1 for e in tracer.events)
+    assert all(e["cat"] == "txn" and e["id"] == 1 for e in tracer.events)
+    # The async track is the category's own (process, thread) pair.
+    assert tracer.tracks == {("txn", "txn"): (1, 1)}
+    assert tracer.events[0]["args"] == {"worker": 0}
+    assert "args" not in tracer.events[1]
 
 
 def test_finalize_closes_dangling_spans():
@@ -158,9 +178,11 @@ def test_finalize_closes_dangling_spans():
     closed = tracer.finalize(5.0)
     assert closed == 3
     tail = tracer.events[-3:]
-    assert [e.ph for e in tail] == ["E", "E", "e"]
-    assert all(e.ts_us == 5_000_000 for e in tail)
-    assert all(e.args == {"truncated": True} for e in tail)
+    assert [(e["ph"], e["name"]) for e in tail] == [
+        ("E", "exec:b"), ("E", "exec:a"), ("e", "txn:a")]
+    assert all(e["ts"] == 5_000_000 for e in tail)
+    assert all(e["args"] == {"truncated": True} for e in tail)
+    assert (tail[2]["cat"], tail[2]["id"]) == ("txn", 1)
     # Idempotent: nothing left to close.
     assert tracer.finalize(6.0) == 0
 
@@ -169,7 +191,8 @@ def test_end_without_begin_still_records():
     tracer = Tracer()
     track = tracer.track("p", "t")
     tracer.end(track, 1.0)
-    assert tracer.events[0].ph == "E"
+    assert tracer.events[0]["ph"] == "E"
+    assert tracer.events[0]["name"] == "span"
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +206,6 @@ def test_same_recording_sequence_gives_identical_events():
             tracer.instant(track, "pstate:transition", 0.1 * i,
                            old_ghz=1.2, new_ghz=2.8)
             tracer.counter(track, "freq_ghz", 0.1 * i, freq_ghz=2.8)
-        return [(e.ph, e.ts_us, e.pid, e.tid, e.name, e.args)
-                for e in tracer.events]
+        return tracer.events
 
     assert record() == record()

@@ -164,3 +164,19 @@ def test_nonclairvoyant_never_touches_estimator():
     scheduler.record_completion(popped)
     assert estimator.pairs() == []
     assert estimator.estimate("j1", 2.8) == 0.0
+
+
+@pytest.mark.parametrize("scheme, trained", [("nonclairvoyant", False),
+                                             ("polaris", True)])
+def test_harness_trains_only_an_estimator_a_scheme_reads(
+        scheme, trained, monkeypatch):
+    from repro.harness.experiment import ExperimentConfig, run_experiment
+    calls = []
+    train = ExecutionTimeEstimator.train
+    monkeypatch.setattr(
+        ExecutionTimeEstimator, "train",
+        lambda self, *args: calls.append(args[0]) or train(self, *args))
+    run_experiment(ExperimentConfig(scheme=scheme, workers=2,
+                                    warmup_seconds=0.1, test_seconds=0.2,
+                                    seed=3, trace=False, faults=""))
+    assert bool(calls) == trained

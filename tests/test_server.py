@@ -248,9 +248,9 @@ HOOKS = ("enqueue", "next_request", "admits", "select_frequency",
          "record_completion")
 #: Hooks a family may declare None, on the class.
 OPTIONAL_HOOKS = ("admits", "select_frequency", "record_completion")
-#: Data the worker and the fault layer read or set.
+#: Data the worker, the fault layer and the harness read or set.
 DATA = ("name", "adjusts_on_arrival", "queue", "estimator",
-        "trace_decisions", "last_decision", "panic")
+        "reads_estimates", "trace_decisions", "last_decision", "panic")
 SCHEDULER_SCHEMES = sorted(name for name, scheme in SCHEMES.items()
                            if scheme.uses_scheduler)
 
@@ -274,6 +274,7 @@ def test_every_dispatcher_declares_the_whole_protocol(name, sim):
     for attr in DATA:
         assert hasattr(dispatcher, attr), (name, attr)
     assert type(dispatcher.adjusts_on_arrival) is bool
+    assert type(dispatcher.reads_estimates) is bool
     assert dispatcher.trace_decisions is False
     assert dispatcher.last_decision is None
     assert dispatcher.panic is False

@@ -87,7 +87,7 @@ class Core:
         self._job_start: float = sim.now      # when _job was started
         self._executed: float = 0.0          # giga-cycles done on _job
         self._progress_mark: float = sim.now  # when _executed was last true
-        self._completion: Optional[Event] = None
+        self._completion: Optional[list] = None
         self._on_complete: Optional[Callable[[Any], None]] = None
 
         # --- degraded regimes (repro.faults) ---------------------------
@@ -226,7 +226,7 @@ class Core:
             self._progress_mark = self.sim.now + self.transition_latency
             remaining_gcycles = max(0.0, self._job.work - self._executed)
             assert self._completion is not None
-            self._completion.cancel()
+            Event.cancel(self._completion)
             self._completion = self.sim.schedule(
                 self.transition_latency + remaining_gcycles / freq_ghz,
                 self._complete)
@@ -314,7 +314,7 @@ class Core:
             self._executed = min(self._job.work,
                                  self._executed + ran * self.freq)
             if self._completion is not None:
-                self._completion.cancel()
+                Event.cancel(self._completion)
                 self._completion = None
         self._segment_busy = False
         self.stalled = True
@@ -436,7 +436,7 @@ class Core:
                       core_id=self.core_id, executed=self._executed,
                       work=self._job.work, now=self.sim.now)
             invariant(self.stalled or (self._completion is not None
-                      and not self._completion.cancelled), "work-cycles",
+                      and not self._completion[4]), "work-cycles",
                       "running job has no pending completion event",
                       core_id=self.core_id, now=self.sim.now)
             invariant(not self.stalled or self._completion is None,

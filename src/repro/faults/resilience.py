@@ -37,6 +37,7 @@ from typing import Deque, Dict, Optional
 from repro.cpu.msr import IA32_PERF_CTL, InjectedMsrError, encode_perf_ctl
 from repro.db.server import drain_worker_queue, redistribute_requests
 from repro.faults.plan import DegradationPolicy
+from repro.sim.engine import Event
 
 #: DVFS retry: attempts after the failed write; retry ``k`` fires
 #: ``RETRY_BACKOFF_S * 2**(k - 1)`` seconds after the failure
@@ -118,7 +119,7 @@ class ResilienceController:
         """Drop the outstanding retry (a newer decision supersedes it)."""
         event = self._retries.pop(worker.worker_id, None)
         if event is not None:
-            event.cancel()
+            Event.cancel(event)
 
     def _schedule_retry(self, worker, target_ghz: float,
                         attempt: int) -> None:

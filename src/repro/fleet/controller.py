@@ -31,7 +31,7 @@ from repro.db.server import drain_worker_queue, redistribute_requests
 from repro.fleet.config import FleetConfig
 from repro.fleet.node import BOOT_LATENCY_S, Fleet, Node, NodeState
 from repro.fleet.router import ClusterRouter, ShardState
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 #: Deterministic ordering of the action counters.
 _ACTIONS = ("scale_out", "scale_in", "migrations", "migrated_requests")
@@ -81,7 +81,7 @@ class ElasticController:
 
     def stop(self) -> None:
         if self._tick_event is not None:
-            self._tick_event.cancel()
+            Event.cancel(self._tick_event)
             self._tick_event = None
 
     # ------------------------------------------------------------------

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.fleet.node import BOOT_LATENCY_S, Fleet, Node, NodeState, REPLICA
 from repro.fleet.router import ShardState
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 #: Heartbeat cadence on the virtual clock; a crash is detected on the
 #: first tick at least ``HEARTBEAT_TIMEOUT_S`` after it.
@@ -131,7 +131,7 @@ class FailoverManager:
 
     def stop(self) -> None:
         if self._tick_event is not None:
-            self._tick_event.cancel()
+            Event.cancel(self._tick_event)
             self._tick_event = None
 
     @property

@@ -82,7 +82,7 @@ class DynamicGovernor(Governor):
 
     def __init__(self):
         super().__init__()
-        self._timer: Optional[Event] = None
+        self._timer: Optional[list] = None
         self._last_sample_time_s = 0.0
         self._last_busy = 0.0
         self.samples_taken = 0
@@ -95,7 +95,7 @@ class DynamicGovernor(Governor):
 
     def on_detach(self) -> None:
         if self._timer is not None:
-            self._timer.cancel()
+            Event.cancel(self._timer)
             self._timer = None
 
     def _sample(self) -> None:

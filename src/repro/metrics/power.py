@@ -42,7 +42,7 @@ class PowerMeter:
         #: (sample_end_time, watts) readings.
         self.samples: List[Tuple[float, float]] = []
         self._last_energy = 0.0
-        self._timer: Optional[Event] = None
+        self._timer: Optional[list] = None
         self._running = False
 
     # ------------------------------------------------------------------
@@ -58,7 +58,7 @@ class PowerMeter:
     def stop(self) -> None:
         self._running = False
         if self._timer is not None:
-            self._timer.cancel()
+            Event.cancel(self._timer)
             self._timer = None
 
     def _sample(self) -> None:

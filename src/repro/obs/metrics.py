@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.sim.engine import Event
 
 #: The sampler's cadence (virtual seconds).
 SAMPLE_INTERVAL_S = 0.25
@@ -56,7 +57,7 @@ class MetricsSampler:
     def stop(self) -> None:
         """Cancel the pending sample, if any."""
         if self._event is not None:
-            self._event.cancel()
+            Event.cancel(self._event)
             self._event = None
 
     def _sample(self) -> None:

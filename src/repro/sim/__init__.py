@@ -10,7 +10,8 @@ governors, the database server, POLARIS itself --- is written against the
 
 ``repro.sim.engine`` holds the event loop (``Simulator``: schedule
 callbacks at absolute or relative virtual times, run until a deadline
-or until the queue drains; ``Event``, a cancellable handle) and
+or until the queue drains; ``Event.cancel``, which cancels the plain
+list entry a schedule call returns) and
 ``repro.sim.rng`` holds ``RandomStreams``, independently seeded streams
 so each stochastic component (arrivals, service times, meter noise,
 ...) draws from its own.  Nothing is re-exported here, so a run loads

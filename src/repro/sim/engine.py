@@ -6,21 +6,29 @@ runs first) and then on insertion order, which keeps runs fully
 deterministic regardless of hash randomization or container internals.
 
 One structure implements that contract: a global binary heap
-(:mod:`heapq`) whose entries are the events themselves.  An
-:class:`Event` *is* the list ``[time, priority, seq, callback,
-cancelled, sim]``, so
+(:mod:`heapq`) of plain lists ``[time, priority, seq, callback,
+cancelled, sim]``.  The entry is also the handle
+:meth:`Simulator.schedule` returns, so
 
-* building one is a single C call (no Python ``__init__`` frame, no
-  separate key tuple next to the event);
+* building one is a list display, served from CPython's list freelist
+  and freed back to it (a ``list`` *subclass* instance costs 3-4x as
+  much to build, and is freed through subtype dealloc, which has no
+  freelist --- once per event, that was the largest single cost of a
+  governor cell);
 * every heap comparison is ``list < list`` in C, and because ``seq`` is
   unique per simulator it is decided by the third item at the latest
-  --- the callback is never compared.  This holds only while
-  :class:`Event` defines **no** rich comparison (``__eq__``, ``__lt__``,
-  ...): defining one swaps the type's C ``tp_richcompare`` slot for
+  --- the callback is never compared.  That is also why the entry must
+  stay a plain list: a type that defines any rich comparison
+  (``__eq__``, ``__lt__``, ...) swaps the C ``tp_richcompare`` slot for
   Python dispatch on every sift step (measured 1.45x slower push+pop).
-  Events stay hashable handles through ``__hash__ = object.__hash__``;
-  content equality already *is* identity, again because ``seq`` is
-  unique.
+  Content equality of two entries is identity, again because ``seq`` is
+  unique and ``sim`` differs across simulators; entries are not
+  hashable.
+
+:class:`Event` is never instantiated: it holds the operations on an
+entry.  ``Event.cancel(entry)``, looked up on the class at each call,
+is the one cancellation path in the program, so a wrapper installed on
+the class (a profiler's span) sees every cancellation.
 
 A heap's O(log n) push/pop is the right trade here because the pending
 depth is tiny: arrivals self-schedule one at a time, so the queue holds
@@ -38,7 +46,7 @@ Design notes
   for simulated horizons of minutes.  NaN and infinite times are
   rejected when scheduled: in a heap a NaN compares false against
   everything and would silently corrupt the order.
-* Cancellation is O(1): events carry a ``cancelled`` flag and are skipped
+* Cancellation is O(1): entries carry a ``cancelled`` flag and are skipped
   when popped.  This matches how the CPU core model reschedules a
   transaction's completion when POLARIS changes the frequency mid-run.
   To keep reschedule-heavy runs (every frequency change cancels and
@@ -48,7 +56,7 @@ Design notes
 * Callbacks receive no arguments; use :func:`functools.partial` or
   closures to bind state.  This keeps the hot loop free of argument
   plumbing.
-* Every pending event points back at its simulator (``event[5]``), so
+* Every pending entry points back at its simulator (``entry[5]``), so
   a finished run's heap is a reference cycle; :meth:`Simulator.close`
   clears it.
 """
@@ -57,7 +65,6 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import inf
-from operator import itemgetter
 from typing import Callable, List, Optional
 
 from repro.analysis.sanitizer import invariant, simsan_enabled
@@ -74,55 +81,35 @@ class SimulationError(RuntimeError):
     """Raised for invalid scheduling requests (e.g. scheduling in the past)."""
 
 
-class Event(list):
-    """A scheduled callback; returned by :meth:`Simulator.schedule`.
+class Event:
+    """The operations on a heap entry; never instantiated.
 
-    The event is its own heap entry ``[time, priority, seq, callback,
-    cancelled, sim]`` (see the module docstring for why, and for why no
-    rich comparison may be defined here).  User code should treat it as
-    an opaque handle, calling only :meth:`cancel` and reading the
-    properties.
+    :meth:`Simulator.schedule` returns the entry itself, the plain list
+    ``[time, priority, seq, callback, cancelled, sim]`` (see the module
+    docstring for why it is a plain list and why nothing may define a
+    rich comparison for it).  User code treats the entry as an opaque
+    handle: it may read ``entry[0]`` (the time) and cancel it with
+    ``Event.cancel(entry)``.
     """
 
     __slots__ = ()
-    __hash__ = object.__hash__
 
-    time = property(itemgetter(0), doc="Virtual time the event fires at.")
-    priority = property(itemgetter(1), doc="Same-time tie-break; lower first.")
-    seq = property(itemgetter(2), doc="Insertion number; unique per simulator.")
-    callback = property(itemgetter(3), doc="The callable; ``None`` once fired.")
-    cancelled = property(itemgetter(4), doc="True once :meth:`cancel` took.")
+    @staticmethod
+    def cancel(entry: list) -> None:
+        """Mark ``entry`` so the engine skips it when its time comes.
 
-    def cancel(self) -> None:
-        """Mark this event so the engine skips it when its time comes.
-
-        Cancelling an event that already fired (or was already
+        Cancelling an entry that already fired (or was already
         cancelled) is a harmless no-op: the live-event accounting is
-        only adjusted the first time a still-pending event is cancelled.
+        only adjusted the first time a still-pending entry is cancelled.
         """
-        if self[4] or self[3] is None:
+        if entry[4] or entry[3] is None:
             return
-        self[4] = True
-        sim = self[5]
+        entry[4] = True
+        sim = entry[5]
         sim._live -= 1
         sim._stale += 1
         if sim._stale > COMPACTION_MIN_GARBAGE and sim._stale > sim._live:
             sim._compact()
-
-    @property
-    def fired(self) -> bool:
-        """True once the callback has run (the engine clears it)."""
-        return self[3] is None and not self[4]
-
-    def __repr__(self) -> str:
-        if self[4]:
-            state = "cancelled"
-        elif self[3] is None:
-            state = "fired"
-        else:
-            state = "pending"
-        return (f"<Event t={self[0]:.9f} prio={self[1]} "
-                f"seq={self[2]} {state}>")
 
 
 class Simulator:
@@ -155,7 +142,7 @@ class Simulator:
         self.tracer: Tracer = resolve_tracer(tracer)
         #: the event heap; mutated only in place (a running :meth:`run`
         #: holds a reference to this very list).
-        self._heap: List[Event] = []
+        self._heap: List[list] = []
         self._seq: int = 0
         self._running: bool = False
         self._stopped: bool = False
@@ -170,11 +157,11 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[[], None],
-                 priority: int = 0) -> Event:
+                 priority: int = 0) -> list:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
-        ``delay`` must be non-negative and finite.  Returns the
-        :class:`Event` handle, which may be cancelled before it fires.
+        ``delay`` must be non-negative and finite.  Returns the heap
+        entry, which :meth:`Event.cancel` may cancel before it fires.
         """
         # One chained comparison rejects negative, NaN and infinite.  The
         # rest repeats schedule_at's body rather than calling it: this
@@ -184,24 +171,23 @@ class Simulator:
                 f"cannot schedule {delay!r} seconds from now: the delay "
                 f"must be non-negative and finite")
         self._seq = seq = self._seq + 1
-        event = Event((self.now + delay, priority, seq, callback, False,
-                       self))
-        heappush(self._heap, event)
+        entry = [self.now + delay, priority, seq, callback, False, self]
+        heappush(self._heap, entry)
         self._live += 1
-        return event
+        return entry
 
     def schedule_at(self, time: float, callback: Callable[[], None],
-                    priority: int = 0) -> Event:
+                    priority: int = 0) -> list:
         """Schedule ``callback`` at absolute virtual time ``time``."""
         if not self.now <= time < inf:
             raise SimulationError(
                 f"cannot schedule at {time!r}: the time must be finite "
                 f"and not before now ({self.now})")
         self._seq = seq = self._seq + 1
-        event = Event((time, priority, seq, callback, False, self))
-        heappush(self._heap, event)
+        entry = [time, priority, seq, callback, False, self]
+        heappush(self._heap, entry)
         self._live += 1
-        return event
+        return entry
 
     # ------------------------------------------------------------------
     # Execution
@@ -338,7 +324,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # simsan
     # ------------------------------------------------------------------
-    def _check_fires_now(self, event: Event) -> None:
+    def _check_fires_now(self, event: list) -> None:
         invariant(event[0] >= self.now, "clock-monotonic",
                   "event fires before the current clock",
                   event_time=event[0], now=self.now,

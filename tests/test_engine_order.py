@@ -8,8 +8,6 @@ every pop, with cancelled entries skipped --- slow, and too simple to
 be wrong in the same way as a heap.
 """
 
-import types
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,8 +30,11 @@ class ModelSimulator:
         self._seq += 1
         entry = [self.now + delay, priority, self._seq, callback, False]
         self._entries.append(entry)
-        return types.SimpleNamespace(
-            cancel=lambda: entry.__setitem__(4, True))
+        return entry
+
+    @staticmethod
+    def cancel(entry):
+        entry[4] = True
 
     def _pop(self, until=None):
         self._entries = [e for e in self._entries if not e[4]]
@@ -68,8 +69,9 @@ class Driver:
     """Applies one operation trace to one simulator, logging everything
     observable: fire order, clock at fire time, peeks, final state."""
 
-    def __init__(self, sim):
+    def __init__(self, sim, cancel=Event.cancel):
         self.sim = sim
+        self.cancel = cancel
         self.log = []
         self.handles = []
 
@@ -94,12 +96,12 @@ class Driver:
                                chain_delay, chain_depth)
             elif kind == "cancel":
                 if self.handles:
-                    self.handles[op[1] % len(self.handles)].cancel()
+                    self.cancel(self.handles[op[1] % len(self.handles)])
             elif kind == "reschedule":
                 # The POLARIS core pattern: cancel + schedule later.
                 if self.handles:
                     victim = self.handles[op[1] % len(self.handles)]
-                    victim.cancel()
+                    self.cancel(victim)
                     self._schedule(f"r{index}", op[2], 0, 0.0, 0)
             elif kind == "run_until":
                 self.sim.run(until=self.sim.now + op[1])
@@ -134,7 +136,8 @@ OPS = st.lists(
 @given(ops=OPS)
 def test_engine_matches_sorted_list_model(ops):
     sim = Simulator()
-    assert Driver(sim).apply(ops) == Driver(ModelSimulator()).apply(ops)
+    assert Driver(sim).apply(ops) == Driver(
+        ModelSimulator(), ModelSimulator.cancel).apply(ops)
     assert sim.heap_size() == 0
 
 
@@ -192,13 +195,14 @@ def test_same_time_schedule_mid_callback_keeps_priority_then_seq():
 
 def test_compaction_matches_model():
     logs = []
-    for sim in (Simulator(), ModelSimulator()):
+    for sim, cancel in ((Simulator(), Event.cancel),
+                        (ModelSimulator(), ModelSimulator.cancel)):
         fired = []
         for i in range(400):
             event = sim.schedule(1.0 + (i * 31 % 97),
                                  lambda i=i: fired.append(i))
             if i % 4:
-                event.cancel()
+                cancel(event)
         sim.run()
         logs.append((fired, sim.events_processed, sim.pending_count()))
     assert logs[0] == logs[1]
@@ -213,7 +217,8 @@ def test_compaction_is_in_place_during_run():
     def churn():
         heap = sim._heap
         for i in range(4 * COMPACTION_MIN_GARBAGE):
-            sim.schedule(1.0 + i, lambda: fired.append("garbage")).cancel()
+            Event.cancel(sim.schedule(1.0 + i,
+                                      lambda: fired.append("garbage")))
         assert sim._heap is heap
         assert sim.heap_size() <= COMPACTION_MIN_GARBAGE + 2
         sim.schedule(0.5, lambda: fired.append("kept"))
@@ -239,15 +244,15 @@ def test_non_finite_time_rejected():
 
 
 # ----------------------------------------------------------------------
-# The Event handle
+# The heap entry and Event.cancel
 # ----------------------------------------------------------------------
-def test_event_is_a_hashable_identity_handle():
+def test_entry_equality_is_identity():
+    """Entries compare by content, and content is unique: ``seq`` within
+    one simulator, the simulator itself across two."""
     sim, other = Simulator(), Simulator()
     a = sim.schedule(1.0, None)
     b = sim.schedule(1.0, None)
     twin = other.schedule(1.0, None)  # same (time, priority, seq) as a
-    assert len({a, b, twin}) == 3
-    assert {a: "a", b: "b"}[a] == "a"
     assert a == a and a != b and a != twin
     assert a in [b, a] and [b, twin].count(a) == 0
 
@@ -265,11 +270,27 @@ def test_event_orders_in_c_without_touching_the_callback():
         assert name not in vars(Event)
 
 
-@pytest.mark.parametrize("name", ["time", "priority", "seq", "callback",
-                                  "cancelled", "fired"])
-def test_event_properties_are_read_only(name):
-    event = Simulator().schedule(1.0, lambda: None)
-    getattr(event, name)
-    with pytest.raises(AttributeError):
-        setattr(event, name, 0)
+#: ``Event.cancel`` calls in :data:`CANCEL_CELL`, counted on the tree
+#: whose handles were still ``Event`` instances with a ``cancel``
+#: method.  Every cancellation must still pass through the class.
+CANCEL_CELL_CANCELS = 146
+CANCEL_CELL = dict(scheme="polaris", workers=2, warmup_seconds=0.2,
+                   test_seconds=0.4, seed=9)
 
+
+def test_every_cancellation_goes_through_event_cancel(monkeypatch):
+    """Patched on the class, as a profiler installs its span: a POLARIS
+    cell whose cores change frequency mid-job cancels each rescheduled
+    completion through ``Event.cancel``, and no site bypasses it."""
+    from repro.harness.experiment import ExperimentConfig, run_experiment
+    original = Event.__dict__["cancel"]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(Event, "cancel", counting)
+    run_experiment(ExperimentConfig(**CANCEL_CELL))
+    assert len(calls) == CANCEL_CELL_CANCELS
+    assert type(Simulator().schedule(0.0, lambda: None)) is list

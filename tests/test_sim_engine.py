@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 
 
 def test_events_run_in_time_order(sim):
@@ -30,7 +30,7 @@ def test_cancelled_event_skipped(sim):
     fired = []
     event = sim.schedule(1.0, lambda: fired.append("no"))
     sim.schedule(2.0, lambda: fired.append("yes"))
-    event.cancel()
+    Event.cancel(event)
     sim.run()
     assert fired == ["yes"]
 
@@ -101,16 +101,16 @@ def test_step_processes_single_event(sim):
 def test_peek_time_skips_cancelled(sim):
     first = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
-    first.cancel()
+    Event.cancel(first)
     assert sim.peek_time() == 2.0
 
 
 def test_pending_count_excludes_cancelled(sim):
     keep = sim.schedule(1.0, lambda: None)
     drop = sim.schedule(2.0, lambda: None)
-    drop.cancel()
+    Event.cancel(drop)
     assert sim.pending_count() == 1
-    keep.cancel()
+    Event.cancel(keep)
     assert sim.pending_count() == 0
 
 
@@ -145,32 +145,31 @@ def test_cancel_after_fire_is_noop(sim):
     event = sim.schedule(1.0, lambda: None)
     later = sim.schedule(2.0, lambda: None)
     sim.run(until=1.5)
-    assert event.fired
-    event.cancel()  # harmless no-op
-    event.cancel()  # idempotent
-    assert not event.cancelled
+    assert event[3] is None and not event[4]  # fired
+    Event.cancel(event)  # harmless no-op
+    Event.cancel(event)  # idempotent
+    assert not event[4]
     assert sim.pending_count() == 1
-    later.cancel()
+    Event.cancel(later)
     assert sim.pending_count() == 0
 
 
 def test_event_repr_shows_time_priority_seq_state(sim):
     event = sim.schedule(1.5, lambda: None, priority=2)
-    text = repr(event)
-    assert text == f"<Event t=1.500000000 prio=2 seq={event.seq} pending>"
-    event.cancel()
-    assert repr(event).endswith("cancelled>")
+    assert repr(event).startswith(f"[1.5, 2, {event[2]}, <function ")
+    assert ", False, <repro.sim.engine.Simulator " in repr(event)
+    Event.cancel(event)
+    assert ", True, <repro.sim.engine.Simulator " in repr(event)
     fired = sim.schedule(0.5, lambda: None)
     sim.run(until=1.0)
-    assert repr(fired).endswith("fired>")
-    assert f"seq={fired.seq}" in repr(fired)
+    assert repr(fired).startswith(f"[0.5, 0, {fired[2]}, None, False, ")
 
 
 def test_cancel_twice_counts_once(sim):
     event = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
-    event.cancel()
-    event.cancel()
+    Event.cancel(event)
+    Event.cancel(event)
     assert sim.pending_count() == 1
 
 
@@ -178,7 +177,7 @@ def test_cancel_during_run_reflected_in_pending_count(sim):
     victim = sim.schedule(2.0, lambda: None)
 
     def killer():
-        victim.cancel()
+        Event.cancel(victim)
         assert sim.pending_count() == 0
 
     sim.schedule(1.0, killer)
@@ -191,7 +190,7 @@ def test_pending_count_tracks_schedule_pop_cancel(sim):
     assert sim.pending_count() == 5
     sim.step()
     assert sim.pending_count() == 4
-    events[2].cancel()
+    Event.cancel(events[2])
     assert sim.pending_count() == 3
     sim.run()
     assert sim.pending_count() == 0
@@ -200,10 +199,11 @@ def test_pending_count_tracks_schedule_pop_cancel(sim):
 def test_events_processed_counts_only_fired(sim):
     fired = sim.schedule(1.0, lambda: None)
     dropped = sim.schedule(2.0, lambda: None)
-    dropped.cancel()
+    Event.cancel(dropped)
     sim.run()
     assert sim.events_processed == 1
-    assert fired.fired and not dropped.fired
+    assert fired[3] is None and not fired[4]
+    assert dropped[4]
 
 
 def test_compaction_bounds_heap_garbage(sim):
@@ -212,14 +212,14 @@ def test_compaction_bounds_heap_garbage(sim):
     from repro.sim.engine import COMPACTION_MIN_GARBAGE
     live = [sim.schedule(1000.0 + i, lambda: None) for i in range(10)]
     for i in range(10000):
-        sim.schedule(1.0 + i * 1e-6, lambda: None).cancel()
+        Event.cancel(sim.schedule(1.0 + i * 1e-6, lambda: None))
     assert sim.pending_count() == 10
     # Garbage is kept below the live count once past the floor.
     assert sim.heap_size() <= 10 + COMPACTION_MIN_GARBAGE + 1
     sim.run(until=500.0)
     assert sim.now == 500.0
     for event in live:
-        event.cancel()
+        Event.cancel(event)
     assert sim.pending_count() == 0
 
 
@@ -234,7 +234,7 @@ def test_compaction_preserves_order_and_results(sim):
         if i % 3 == 0:
             keep.append((1.0 + (i * 7919 % 500), i))
         else:
-            event.cancel()
+            Event.cancel(event)
     sim.run()
     assert fired == [i for _t, i in sorted(keep)]
     assert sim.pending_count() == 0

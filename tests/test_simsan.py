@@ -78,7 +78,7 @@ def test_engine_clock_monotonicity_violation():
     sim.run(until=5.0)
     sim.schedule(1.0, lambda: None)
     # tamper: an entry earlier than now, pushed behind schedule()'s back
-    heapq.heappush(sim._heap, Event((-1.0, 0, 99, lambda: None, False, sim)))
+    heapq.heappush(sim._heap, [-1.0, 0, 99, lambda: None, False, sim])
     sim._live += 1
     with pytest.raises(SimulationInvariantError) as exc:
         sim.run()
@@ -128,7 +128,7 @@ def test_engine_sanitized_run_is_clean():
     for delay in (2.0, 1.0, 3.0):
         sim.schedule(delay, lambda d=delay: fired.append(d))
     cancelled = sim.schedule(2.5, lambda: fired.append(-1.0))
-    cancelled.cancel()
+    Event.cancel(cancelled)
     sim.run()
     assert fired == [1.0, 2.0, 3.0]
     sim.sanitize_check()  # drained engine still satisfies everything
@@ -170,7 +170,7 @@ def test_engine_compaction_checked_under_sanitizer():
     events = [sim.schedule(1.0 + i * 1e-3, lambda: None)
               for i in range(200)]
     for event in events[:150]:
-        event.cancel()  # crosses the garbage threshold -> _compact()
+        Event.cancel(event)  # crosses the garbage threshold -> _compact()
     assert sim.heap_size() < 200  # compaction ran (checked as it did)
     assert sim.pending_count() == 50
     sim.sanitize_check()
@@ -326,7 +326,7 @@ def test_core_negative_work_violation():
 def test_core_missing_completion_violation():
     sim, core = _core()
     core.start_job(Job(work=1.0))
-    core._completion.cancel()  # tamper: job can now never finish
+    Event.cancel(core._completion)  # tamper: job can now never finish
     with pytest.raises(SimulationInvariantError) as exc:
         core.sanitize_check()
     assert exc.value.invariant == "work-cycles"

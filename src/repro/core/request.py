@@ -20,6 +20,8 @@ _request_ids = itertools.count(1)
 
 
 class RequestState(enum.Enum):
+    """Where a request is in its life; :attr:`Request.state` derives it."""
+
     QUEUED = "queued"
     RUNNING = "running"
     DONE = "done"
@@ -47,10 +49,14 @@ class Request:
     key:
         The fleet key the cluster router shards this request by (None
         outside fleet cells); a write commits its LSN under it.
+    state:
+        A :class:`RequestState` derived on read from ``rejected``,
+        ``finish_time`` and ``dispatch_time``, which the server writes
+        anyway: the serving path stores no state of its own.
     """
 
     __slots__ = ("request_id", "workload", "workload_name", "txn_type",
-                 "arrival_time", "deadline", "work", "state",
+                 "arrival_time", "deadline", "work", "rejected",
                  "dispatch_time", "finish_time", "worker_id",
                  "dispatch_freq", "single_freq", "mu", "key")
 
@@ -67,7 +73,9 @@ class Request:
         self.deadline = deadline if deadline is not None \
             else arrival_time + workload.latency_target
         self.work = work
-        self.state = RequestState.QUEUED
+        #: Set when admission control or load shedding turned the
+        #: request away; it then never runs.
+        self.rejected: bool = False
         self.dispatch_time: Optional[float] = None
         self.finish_time: Optional[float] = None
         self.worker_id: Optional[int] = None
@@ -82,6 +90,17 @@ class Request:
         self.key: Optional[int] = None
 
     # ------------------------------------------------------------------
+    @property
+    def state(self) -> RequestState:
+        """Queued, running, done, or rejected."""
+        if self.rejected:
+            return RequestState.REJECTED
+        if self.finish_time is not None:
+            return RequestState.DONE
+        if self.dispatch_time is not None:
+            return RequestState.RUNNING
+        return RequestState.QUEUED
+
     @property
     def latency(self) -> float:
         """Response time: finish minus arrival (requires completion)."""

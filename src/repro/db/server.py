@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.analysis.sanitizer import invariant
-from repro.core.request import Request, RequestState
+from repro.core.request import Request
 from repro.cpu.core import Core
 from repro.cpu.cstates import LADDERS, CStateModel
 from repro.cpu.msr import (
@@ -257,7 +257,7 @@ class Worker:
         tracer = self.tracer
         resilience = server.resilience
         if resilience is not None and resilience.maybe_shed(self, request):
-            request.state = RequestState.REJECTED
+            request.rejected = True
             if tracer.enabled:
                 tracer.instant(self.trace_track, "txn:shed",
                                server.sim.now,
@@ -269,7 +269,7 @@ class Worker:
         if admits is not None and not admits(
                 server.sim.now, self.current,
                 self.core.running_elapsed(), request):
-            request.state = RequestState.REJECTED
+            request.rejected = True
             if tracer.enabled:
                 tracer.instant(self.trace_track, "txn:rejected",
                                server.sim.now,
@@ -364,7 +364,6 @@ class Worker:
                                 depth=len(dispatcher))
         if freq is not None:
             self._apply_frequency(freq)
-        request.state = RequestState.RUNNING
         request.dispatch_time = now
         request.worker_id = self.worker_id
         request.dispatch_freq = core.freq
@@ -384,7 +383,6 @@ class Worker:
     def _on_complete(self, request: Request) -> None:
         server = self.server
         assert request is self.current
-        request.state = RequestState.DONE
         request.finish_time = server.sim.now
         request.single_freq = \
             self.core.freq_transitions == self._transitions_at_dispatch

@@ -117,6 +117,9 @@ class Core:
         fraction = self.cstates.single_state_fraction
         self._idle_watts = None if fraction is None else {
             f: self.power_model.idle_power(f) * fraction for f in freqs}
+        #: A single-state ladder's wake latency after any idle spell
+        #: (``CStateModel.wake_latency`` for a positive duration).
+        self._single_wake = self.cstates.ladder[0].wake_latency_s
 
     # ------------------------------------------------------------------
     # Public state
@@ -155,8 +158,27 @@ class Core:
             raise RuntimeError(f"core {self.core_id} is stalled")
         sim = self.sim
         now = sim.now
-        wake = self.cstates.wake_latency(now - self._segment_start)
-        self._close_segment()
+        # Close the idle segment that ends here (an idle core's segment
+        # is never busy): _close_segment and wake_latency, inlined.
+        duration = now - self._segment_start
+        if self.sanitize:
+            self._check_segment(now, duration)
+        if duration > 0:
+            freq = self.freq
+            idle_watts = self._idle_watts
+            if idle_watts is not None:
+                wake = self._single_wake
+                self.energy_joules += idle_watts[freq] * duration
+            else:
+                cstates = self.cstates
+                wake = cstates.wake_latency(duration)
+                self.energy_joules += cstates.idle_energy(
+                    self.power_model.idle_power(freq), duration)
+            residency = self.freq_residency
+            residency[freq] = residency.get(freq, 0.0) + duration
+        else:
+            wake = 0.0
+        self._segment_start = now
         self._segment_busy = True
         self._job = job
         self._job_start = now
@@ -171,7 +193,18 @@ class Core:
     def _complete(self) -> None:
         job = self._job
         assert job is not None
-        self._close_segment()
+        # Close the busy segment that ends here: _close_segment inlined.
+        now = self.sim.now
+        duration = now - self._segment_start
+        if self.sanitize:
+            self._check_segment(now, duration)
+        if duration > 0:
+            freq = self.freq
+            self.energy_joules += self._busy_watts[freq] * duration
+            self.busy_seconds += duration
+            residency = self.freq_residency
+            residency[freq] = residency.get(freq, 0.0) + duration
+        self._segment_start = now
         self._segment_busy = False
         self._job = None
         self._completion = None
@@ -347,10 +380,7 @@ class Core:
         now = self.sim.now
         duration = now - self._segment_start
         if self.sanitize:
-            invariant(duration >= 0, "clock-monotonic",
-                      "accounting segment runs backwards in time",
-                      core_id=self.core_id, now=now,
-                      segment_start=self._segment_start)
+            self._check_segment(now, duration)
         if duration > 0:
             freq = self.freq
             residency = self.freq_residency
@@ -359,6 +389,12 @@ class Core:
                 self.busy_seconds += duration
             residency[freq] = residency.get(freq, 0.0) + duration
         self._segment_start = now
+
+    def _check_segment(self, now: float, duration: float) -> None:
+        invariant(duration >= 0, "clock-monotonic",
+                  "accounting segment runs backwards in time",
+                  core_id=self.core_id, now=now,
+                  segment_start=self._segment_start)
 
     def _segment_energy(self, duration: float) -> float:
         """Joules of the open segment after ``duration`` seconds: the

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from math import exp, log
+from random import NV_MAGICCONST
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -101,17 +103,29 @@ class ServiceTimeModel:
     def draw_seconds(self, rng: random.Random) -> float:
         """Sample an execution time at the reference frequency.
 
-        Hot path: one draw per offered request.  Both branches consume
-        entropy through ``rng.random()`` only (``lognormvariate``
-        included), so service streams batch safely.
+        Hot path: one draw per offered request.  The lognormal is
+        ``rng.lognormvariate(mu, sigma)`` computed in this frame: the
+        standard library's Kinderman--Monahan loop, with its arithmetic
+        and its ``rng.random()`` calls in the same order, so every float
+        and the stream's state after the draw are the library's own
+        (``tests/test_workloads_base.py`` holds the two draw for draw).
         """
+        random = rng.random
         mu = self._mu
-        if mu is not None:
-            return rng.lognormvariate(mu, self._sigma)
-        if rng.random() < self.SPIKE_PROBABILITY:
-            jitter = 1.0 + self.SPIKE_JITTER * (2.0 * rng.random() - 1.0)
-            return self._spike_seconds * jitter
-        return rng.lognormvariate(self._body_mu, self.BODY_SIGMA)
+        if mu is None:
+            if random() < self.SPIKE_PROBABILITY:
+                jitter = 1.0 + self.SPIKE_JITTER * (2.0 * random() - 1.0)
+                return self._spike_seconds * jitter
+            mu, sigma = self._body_mu, self.BODY_SIGMA
+        else:
+            sigma = self._sigma
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            zz = z * z / 4.0
+            if zz <= -log(u2):
+                return exp(mu + z * sigma)
 
     def draw_work(self, rng: random.Random) -> float:
         """Sample the transaction's work in giga-cycles."""

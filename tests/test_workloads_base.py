@@ -61,6 +61,29 @@ def test_spike_model_for_heavy_tail():
     assert p95 == pytest.approx(1682e-6, rel=0.15)
 
 
+@pytest.mark.parametrize("mean, p95", [(2059e-6, 5414e-6),   # lognormal
+                                       (250e-6, 1682e-6)])   # spike
+def test_draw_seconds_is_the_stdlib_lognormal_draw_for_draw(mean, p95):
+    """draw_seconds computes lognormvariate in its own frame; a change
+    to the library's normalvariate must fail here, not fork the stream."""
+    model = ServiceTimeModel(mean, p95)
+    ours, stdlib = random.Random(11), random.Random(11)
+    spikes = 0
+    for _ in range(20000):
+        if model._mu is not None:
+            expected = stdlib.lognormvariate(model._mu, model._sigma)
+        elif stdlib.random() < model.SPIKE_PROBABILITY:
+            spikes += 1
+            expected = model._spike_seconds * (
+                1.0 + model.SPIKE_JITTER * (2.0 * stdlib.random() - 1.0))
+        else:
+            expected = stdlib.lognormvariate(model._body_mu,
+                                             model.BODY_SIGMA)
+        assert model.draw_seconds(ours) == expected
+    assert ours.getstate() == stdlib.getstate()
+    assert (spikes > 0) == (model._mu is None)
+
+
 def test_infeasible_spike_model_rejected():
     # Spike mean exceeding what q=8% can absorb: body mean would be <= 0.
     with pytest.raises(ValueError):

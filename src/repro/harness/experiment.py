@@ -643,8 +643,11 @@ def run_experiment(config: ExperimentConfig,
         tier_rng = streams.get(prefix + "tier-assignment")
         tiers = (manager.workloads if config.workload_policy == "tiers"
                  else None)
+        # per-type: each transaction type's own workload, resolved once.
+        workload_of = {} if tiers is not None else {
+            txn_type.name: manager.get(txn_type.name)
+            for txn_type in spec.types}
         choose_type = spec.choose_type
-        manager_get = manager.get
         admit = plant.admit
 
         def on_arrival(now: float) -> None:
@@ -652,7 +655,7 @@ def run_experiment(config: ExperimentConfig,
             if tiers is not None:
                 workload = tiers[tier_rng.randrange(len(tiers))]
             else:
-                workload = manager_get(txn_type.name)
+                workload = workload_of[txn_type.name]
             admit(Request(workload, txn_type.name, now,
                           txn_type.service.draw_work(service_rng)))
 

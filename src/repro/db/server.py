@@ -484,6 +484,9 @@ class DatabaseServer:
             self.workers.append(Worker(worker_id, core, MsrFile(core),
                                        dispatcher, self))
 
+        #: The round-robin moduli, read on every submit.
+        self._n_handlers = config.request_handlers
+        self._n_workers = config.workers
         self._rh_pointers = [rh % config.workers
                              for rh in range(config.request_handlers)]
         self._next_rh = 0
@@ -525,19 +528,19 @@ class DatabaseServer:
             worker_index = self._routing.choose_worker(
                 self.workers, request, self.sim.now, eligible=eligible)
         else:
+            handlers = self._n_handlers
+            workers = self._n_workers
             rh = self._next_rh
-            self._next_rh = (rh + 1) % self.config.request_handlers
+            self._next_rh = (rh + 1) % handlers
             worker_index = self._rh_pointers[rh]
-            self._rh_pointers[rh] = \
-                (worker_index + self.config.request_handlers) \
-                % self.config.workers
+            self._rh_pointers[rh] = (worker_index + handlers) % workers
             if self.quarantined:
                 # Probe forward past dead workers; if every worker is
                 # quarantined, fall through to the original choice (the
                 # request then queues and is ultimately counted as lost).
                 base = worker_index
-                for offset in range(self.config.workers):
-                    candidate = (base + offset) % self.config.workers
+                for offset in range(workers):
+                    candidate = (base + offset) % workers
                     if candidate not in self.quarantined:
                         worker_index = candidate
                         break

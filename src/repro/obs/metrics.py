@@ -46,9 +46,6 @@ class MetricsSampler:
         #: metric name -> list of (t_s, value) samples.
         self.series: Dict[str, List[Tuple[float, float]]] = {}
         self._event = None
-        # The "metrics" process and its first thread; no record lands
-        # on it, but its registration fixes the track ids of a trace.
-        self.tracer.track("metrics", "sampler")
 
     def start(self) -> None:
         """Take the t=now sample and begin the cadence."""

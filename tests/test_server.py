@@ -352,18 +352,18 @@ TRACE_CELLS = {
 #: paths that skip no-op hooks or forwarding frames, and the tracer's
 #: own storage, must not move a byte of what a traced run records.
 TRACE_SHA256 = {
-    "ondemand": ("20c1dabb67f30c779142f529875c05f538660798e32e3b1203eedf4f64d0d371",
+    "ondemand": ("47e12a5839bf245bff0887b95924e6f4368f518a1c7898a66d1d3de7d79b093a",
                  "542ec3bab7b6c52bb251f56fe11d57a6d164b75bc7709cc9e25346d250bad08f"),
-    "polaris": ("a9a2d58a0faf0438fb6f0ddd569153546eb0dc82fa5ccc8d3fea873a1c1eca42",
+    "polaris": ("975a6d975caef72902fdcb9c4c3e1d45fac2976ed62882b4b1282843753f94a5",
                 "c6ad8caa6eb3805481f476b5f9c4642ee7c1921436175db70e99ea4b75f50e6f"),
     "polaris-dying-core": (
-        "3050a50abf58e0793093d33d360afd4e5ac35362e759e9b96d9af182bb19ad3c",
+        "33331172bed678f50d4f934f4e0c07d5db6ea6739fb6ae4308610cc564dd4b25",
         "5ac3914edf9f89e0adea03c0e3e6b88ec4ce86a275c1894ebe0484e2bcad7ab4"),
     "per-socket": (
-        "2f5ab04040fcb9771e3787224e80da06d8797a0a0c50b10146759564fca9db7b",
+        "5b6e4e8ca0accfd2717e6026c4174a19cda441420a92586ec9fa98e3540f5784",
         "6b5bc54f0fc8093f93123dbb18be751b298556bdb7805ea6d3b7b04399e6730d"),
     "fleet-shard-crash": (
-        "2316a4372ee5c6604de66fcb4de9d56995296f2448235acd880293861c1d1b5b",
+        "4b779f013dae829f0a1e1baec5de9edcf7a3a4a73f1b668d14de2e391b63c8d2",
         "6a2c483d938baff319eead7cff48af5909bf2b8e45c3fee13ca39a096efabf8d"),
 }
 

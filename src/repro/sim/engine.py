@@ -92,8 +92,6 @@ class Event:
     ``Event.cancel(entry)``.
     """
 
-    __slots__ = ()
-
     @staticmethod
     def cancel(entry: list) -> None:
         """Mark ``entry`` so the engine skips it when its time comes.

@@ -154,13 +154,17 @@ def _server_cells() -> List[ExperimentConfig]:
                          load_fraction=0.9, **_SHORT),
         ExperimentConfig(scheme="polaris", slack=10.0, seed=5,
                          estimator_mixed_freq_updates=True, **_SHORT),
-        # The scheduler arena's promoted online algorithms, one healthy
-        # cell each plus one arena fault round.
+        # The scheduler arena's target-speed schemes: one healthy cell
+        # and one dying-core round (panic included) each.
         ExperimentConfig(scheme="oa-online", slack=40.0, seed=5, **_SHORT),
         ExperimentConfig(scheme="avr-online", slack=40.0, seed=5, **_SHORT),
         ExperimentConfig(scheme="nonclairvoyant", slack=40.0, seed=5,
                          **_SHORT),
         ExperimentConfig(scheme="oa-online", slack=40.0, seed=3,
+                         faults="dying-core", **_SHORT),
+        ExperimentConfig(scheme="nonclairvoyant", slack=40.0, seed=3,
+                         faults="dying-core", **_SHORT),
+        ExperimentConfig(scheme="avr-online", slack=40.0, seed=3,
                          faults="dying-core", **_SHORT),
     ]
 

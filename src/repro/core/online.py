@@ -2,13 +2,17 @@
 
 The theory package holds OA and AVR as idealized offline oracles
 (continuous speeds, true work known, preemption free).  This module
-promotes both into first-class runnable schedulers.  They subclass
+promotes both into first-class runnable schedulers, next to the
+nonclairvoyant scaler of Chan et al., which needs no work at all.
+All three are speed rules over one frame, :class:`OnlineSpeedScaler`,
+which subclasses
 :class:`~repro.core.polaris.PolarisScheduler`, so they declare the
 dispatcher protocol of :class:`~repro.db.server.BaselineDispatcher`
 exactly as POLARIS does: EDF dispatch, ``select_frequency`` on every
 arrival and completion, completions fed to the estimator, no
 ``admits`` hook, discrete P-states with relation-L rounding, panic and
-simsan.  Three idealizations have to be dropped at the door:
+simsan.  Three idealizations have to be dropped at the door of OA and
+AVR:
 
 * **True work is hidden.**  Like POLARIS, the schedulers only see the
   ``mu(c, f)`` execution-time estimator; a request's work is inferred
@@ -27,6 +31,8 @@ simsan.  Three idealizations have to be dropped at the door:
 is plain OA (running at ``q >= 1`` times OA's speed trades energy for
 a better competitive ratio; no figure runs another ``q``).
 :class:`AvrScheduler` is Yao, Demers & Shenker's density accumulator.
+:class:`NonclairvoyantScheduler` scales on the active-request count
+alone.
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ from repro.core.request import Request
 
 
 class OnlineSpeedScaler(PolarisScheduler):
-    """Shared plumbing: estimate-based work inference + relation-L.
+    """Shared plumbing: relation-L rounding + estimate-based work
+    inference.
 
     Subclasses implement :meth:`_target_speed` returning a continuous
     target in GHz; this base handles panic, rounding, accounting, and
@@ -168,3 +175,61 @@ class AvrScheduler(OnlineSpeedScaler):
                 return float("inf")
             density += self._work_gcycles(request) / window
         return density
+
+
+class NonclairvoyantScheduler(OnlineSpeedScaler):
+    """Active-job-count speed scaling with a queue-age escape hatch.
+
+    Chan, Edmonds, Lam, Lee, Marchetti-Spaccamela & Pruhs studied speed
+    scaling when job sizes are *unknown* (nonclairvoyance is about
+    processing times --- arrival times and deadlines are declared on
+    the request, so reading them is fair).  Their flow+energy scaler
+    runs at a speed proportional to ``n^(1/alpha)`` for ``n`` active
+    jobs: with power ``s^alpha``, that spends energy at the same rate
+    the algorithm accumulates flow, which is the balance point of the
+    potential-function analysis.
+
+    Unlike every other scheduler in the arena, this one never reads the
+    ``mu(c, f)`` estimator and never feeds completions back into it
+    (``record_completion`` is ``None``: measured execution times are
+    exactly the information this scheme is defined not to have).  Its
+    whole input is the observable queue state:
+
+    * ``n`` --- the number of active requests (queued + running); the
+      base speed is ``f_min * n^(1/alpha)``.
+    * queue age --- when any active request has burned more than
+      :attr:`urgency_threshold` of its own window sitting in the
+      system, the scheduler escalates flat out (deadline pressure
+      without a time estimate: "it has been here too long" is
+      observable, "it needs X more seconds" is not).
+    """
+
+    name = "nonclairvoyant"
+
+    #: No selection reads an estimate, so the harness skips training.
+    reads_estimates = False
+
+    #: Power-model exponent; the base speed is ``f_min * n^(1/alpha)``.
+    alpha = 3.0
+
+    #: Fraction of its own window an active request may spend in the
+    #: system before the scheduler runs flat out.
+    urgency_threshold = 0.75
+
+    #: Completions teach it nothing: no feedback hook.
+    record_completion = None
+
+    def _target_speed(self, now: float, running: Optional[Request],
+                      running_elapsed: float) -> float:
+        active = list(self.queue)
+        if running is not None:
+            active.append(running)
+        if not active:
+            return self.frequencies[0]
+        for request in active:
+            window = request.deadline - request.arrival_time
+            if window <= 1e-12 \
+                    or now - request.arrival_time \
+                    > self.urgency_threshold * window:
+                return float("inf")
+        return self.frequencies[0] * len(active) ** (1.0 / self.alpha)

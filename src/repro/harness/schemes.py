@@ -77,11 +77,6 @@ def _online() -> ModuleType:
     return online
 
 
-def _nonclairvoyant() -> type:
-    from repro.governors.nonclairvoyant import NonclairvoyantScheduler
-    return NonclairvoyantScheduler
-
-
 def _ondemand() -> Governor:
     from repro.governors.ondemand import OnDemandGovernor
     return OnDemandGovernor()
@@ -123,7 +118,7 @@ SCHEMES = {
     "avr-online": Scheme("avr-online", "AVR-Online",
                          lambda: _online().AvrScheduler),
     "nonclairvoyant": Scheme("nonclairvoyant", "Nonclairvoyant",
-                             _nonclairvoyant),
+                             lambda: _online().NonclairvoyantScheduler),
     "ondemand": Scheme("ondemand", "OnDemand", governor_factory=_ondemand),
     "conservative": Scheme("conservative", "Conservative",
                            governor_factory=_conservative),

@@ -55,7 +55,7 @@ FLEET_FORBIDDEN = (
 )
 
 #: The cases whose every loaded module must run a function.
-PROFILED = ("polaris", "ondemand")
+PROFILED = ("polaris", "ondemand", "nonclairvoyant")
 
 #: Modules a profiled cell may load without running a function of them,
 #: and why.
@@ -75,6 +75,10 @@ CASES = {
     "ondemand": (f"ExperimentConfig(scheme='ondemand', **{SERVER})",
                  (*SERVER_FORBIDDEN, "repro.core.polaris",
                   "repro.core.estimator"), ()),
+    # A speed rule, not a governor: it loads with OA's and AVR's.
+    "nonclairvoyant": (
+        f"ExperimentConfig(scheme='nonclairvoyant', **{SERVER})",
+        (*SERVER_FORBIDDEN, "repro.governors"), ("repro.core.online",)),
     "elastic-fleet": (
         f"ExperimentConfig(fleet=FleetConfig(elastic=True, shards=2, "
         f"replicas_per_shard=1, node_workers=2), **{TINY})",

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.estimator import ExecutionTimeEstimator
-from repro.core.online import AvrScheduler, QoaScheduler
+from repro.core.online import (
+    AvrScheduler, NonclairvoyantScheduler, QoaScheduler,
+)
 from repro.core.request import Request
 from repro.core.workload import Workload
 from repro.cpu.pstates import POLARIS_FREQUENCIES
-from repro.governors.nonclairvoyant import NonclairvoyantScheduler
 from repro.theory.avr import avr_speed_profile
 from repro.theory.model import Job, ProblemInstance
 from repro.theory.oa import oa_schedule
@@ -157,13 +158,26 @@ def test_nonclairvoyant_never_touches_estimator():
     request = _make_request(Job(1, 0.0, 10.0, 1.0))
     scheduler.enqueue(request)
     scheduler.select_frequency(0.5, None)
-    popped = scheduler.next_request()
-    popped.dispatch_time = 0.5
-    popped.dispatch_freq = 2.8
-    popped.finish_time = 1.0
-    scheduler.record_completion(popped)
+    assert scheduler.next_request() is request
+    # No feedback hook: the worker has nothing to call on completion.
+    assert scheduler.record_completion is None
     assert estimator.pairs() == []
     assert estimator.estimate("j1", 2.8) == 0.0
+
+
+def test_nonclairvoyant_traces_its_target_speed():
+    # Eight queued requests: f_min * 8^(1/3) = 2.4 GHz, on the grid.
+    scheduler = NonclairvoyantScheduler(POLARIS_FREQUENCIES,
+                                        ExecutionTimeEstimator())
+    scheduler.trace_decisions = True
+    for i in range(8):
+        scheduler.enqueue(_make_request(Job(i + 1, 0.0, 1000.0, 1.0)))
+    assert scheduler.select_frequency(0.0, None) == 2.4
+    decision = scheduler.last_decision
+    assert decision["target_ghz"] == 2.4
+    assert decision["selected_ghz"] == 2.4
+    assert decision["queue_len"] == 8
+    assert decision["early_exit"] is False
 
 
 @pytest.mark.parametrize("scheme, trained", [("nonclairvoyant", False),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.theory.model import ProblemInstance, Schedule, Segment
+from repro.theory.model import ProblemInstance, Schedule, Segment, coalesce
 
 _TOL = 1e-12
 
@@ -70,19 +70,4 @@ def avr_schedule(instance: ProblemInstance) -> Schedule:
             remaining[job.job_id] = max(
                 0.0, remaining[job.job_id] - speed * (until - t))
             t = until
-    return Schedule(_coalesce(segments))
-
-
-def _coalesce(segments: List[Segment]) -> List[Segment]:
-    out: List[Segment] = []
-    for seg in sorted(segments, key=lambda s: s.start):
-        if out:
-            last = out[-1]
-            if last.job_id == seg.job_id \
-                    and abs(last.speed - seg.speed) <= 1e-9 \
-                    and abs(last.end - seg.start) <= 1e-9:
-                out[-1] = Segment(last.start, seg.end, last.speed,
-                                  last.job_id)
-                continue
-        out.append(seg)
-    return out
+    return Schedule(coalesce(segments))

@@ -134,6 +134,23 @@ class Segment:
         return self.speed * self.duration
 
 
+def coalesce(segments: Sequence[Segment]) -> List[Segment]:
+    """Merge back-to-back segments of the same job and speed (both
+    matched to 1e-9), in start order."""
+    out: List[Segment] = []
+    for seg in sorted(segments, key=lambda s: s.start):
+        if out:
+            last = out[-1]
+            if last.job_id == seg.job_id \
+                    and abs(last.speed - seg.speed) <= 1e-9 \
+                    and abs(last.end - seg.start) <= 1e-9:
+                out[-1] = Segment(last.start, seg.end, last.speed,
+                                  last.job_id)
+                continue
+        out.append(seg)
+    return out
+
+
 class Schedule:
     """A speed/job assignment over time; validates against an instance."""
 

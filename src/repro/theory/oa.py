@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-from repro.theory.model import ProblemInstance, Schedule, Segment
+from repro.theory.model import ProblemInstance, Schedule, Segment, coalesce
 
 _TOL = 1e-12
 
@@ -126,18 +126,4 @@ def oa_schedule(instance: ProblemInstance) -> Schedule:
                     cursor = end
                 if cursor >= next_arrival - _TOL:
                     break
-    return Schedule(_coalesce(segments))
-
-
-def _coalesce(segments: List[Segment]) -> List[Segment]:
-    out: List[Segment] = []
-    for seg in sorted(segments, key=lambda s: s.start):
-        if out:
-            last = out[-1]
-            if last.job_id == seg.job_id \
-                    and abs(last.speed - seg.speed) <= 1e-9 \
-                    and abs(last.end - seg.start) <= 1e-9:
-                out[-1] = Segment(last.start, seg.end, last.speed, last.job_id)
-                continue
-        out.append(seg)
-    return out
+    return Schedule(coalesce(segments))

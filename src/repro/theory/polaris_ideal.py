@@ -21,7 +21,7 @@ import heapq
 import math
 from typing import List, Optional, Tuple
 
-from repro.theory.model import ProblemInstance, Schedule, Segment
+from repro.theory.model import ProblemInstance, Schedule, Segment, coalesce
 
 _TOL = 1e-12
 _EPS_DENOM = 1e-15
@@ -107,18 +107,4 @@ def polaris_ideal_schedule(instance: ProblemInstance) -> Schedule:
         speed = _required_speed(now, running_rem, running_deadline, queue)
         last_change = now
 
-    return Schedule(_coalesce(segments))
-
-
-def _coalesce(segments: List[Segment]) -> List[Segment]:
-    out: List[Segment] = []
-    for seg in sorted(segments, key=lambda s: s.start):
-        if out:
-            last = out[-1]
-            if last.job_id == seg.job_id \
-                    and abs(last.speed - seg.speed) <= 1e-9 \
-                    and abs(last.end - seg.start) <= 1e-9:
-                out[-1] = Segment(last.start, seg.end, last.speed, last.job_id)
-                continue
-        out.append(seg)
-    return out
+    return Schedule(coalesce(segments))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.theory.model import Job, ProblemInstance, Schedule, Segment
+from repro.theory.model import ProblemInstance, Schedule, Segment, coalesce
 
 _TOL = 1e-9
 
@@ -205,24 +205,8 @@ def yds_schedule(instance: ProblemInstance) -> Schedule:
     """
     profile = yds_speed_profile(instance)
     segments = _edf_over_profile(instance, profile)
-    merged = _coalesce(segments)
-    return Schedule(merged)
+    return Schedule(coalesce(segments))
 
-
-def _coalesce(segments: List[Segment]) -> List[Segment]:
-    """Merge back-to-back segments of the same job and speed."""
-    out: List[Segment] = []
-    for seg in sorted(segments, key=lambda s: s.start):
-        if out:
-            last = out[-1]
-            if last.job_id == seg.job_id \
-                    and abs(last.speed - seg.speed) <= _TOL \
-                    and abs(last.end - seg.start) <= _TOL:
-                out[-1] = Segment(last.start, seg.end, last.speed,
-                                  last.job_id)
-                continue
-        out.append(seg)
-    return out
 
 
 def yds_energy(instance: ProblemInstance, alpha: float = 3.0) -> float:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.analysis.sanitizer import invariant
 
@@ -91,19 +91,6 @@ class SocketTopology:
         size = self.domain_size()
         return [tuple(range(start, min(start + size, n_cores)))
                 for start in range(0, n_cores, size)]
-
-
-def make_topology(spec: Union[None, str, SocketTopology]) -> SocketTopology:
-    """Coerce a config value into a :class:`SocketTopology`.
-
-    Accepts ``None`` (identity), a granularity name, or an explicit
-    topology.
-    """
-    if spec is None:
-        return SocketTopology()
-    if isinstance(spec, SocketTopology):
-        return spec
-    return SocketTopology(granularity=spec)
 
 
 class FrequencyDomain:
@@ -247,5 +234,5 @@ class FrequencyDomain:
 
 __all__ = [
     "CORES_PER_SOCKET", "FrequencyDomain",
-    "GRANULARITIES", "SocketTopology", "make_topology",
+    "GRANULARITIES", "SocketTopology",
 ]

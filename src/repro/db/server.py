@@ -33,7 +33,7 @@ from repro.cpu.msr import (
 from repro.cpu.power import CorePowerModel, ServerPowerModel
 from repro.cpu.pstates import POLARIS_FREQUENCIES, XEON_E5_2640V3_PSTATES
 from repro.cpu.rapl import RaplPackage
-from repro.cpu.topology import FrequencyDomain, SocketTopology, make_topology
+from repro.cpu.topology import FrequencyDomain, SocketTopology
 from repro.db.queues import FifoQueue, RequestQueue
 from repro.sim.engine import Simulator
 
@@ -122,15 +122,11 @@ class ServerConfig:
     #: Idle ladder: "c1" (the paper's effective setting) or "deep"
     #: (C1/C3/C6 demotion, for the worker-parking extension).
     cstate_ladder: str = "c1"
-    #: Frequency-domain granularity: ``None``/"per-core" (independent
-    #: P-state registers, the paper's assumption and today's default),
-    #: "per-socket", or an explicit
+    #: Frequency domains: the default per-core identity (independent
+    #: P-state registers, the paper's assumption) or a per-socket
     #: :class:`~repro.cpu.topology.SocketTopology`.  Coarse domains
     #: resolve member requests with the cpufreq max-of-votes rule.
-    topology: Optional[object] = None
-
-    def make_topology(self) -> SocketTopology:
-        return make_topology(self.topology)
+    topology: SocketTopology = SocketTopology()
 
     def make_cstates(self) -> CStateModel:
         if self.cstate_ladder not in LADDERS:
@@ -445,7 +441,7 @@ class DatabaseServer:
             start_freq = core_table.min_freq
         else:
             start_freq = core_table.max_freq
-        self.topology: SocketTopology = config.make_topology()
+        self.topology: SocketTopology = config.topology
         if self.topology.per_core:
             effective_latency = config.transition_latency
         else:

@@ -48,7 +48,7 @@ from repro.core.request import Request
 from repro.core.workload import Workload, WorkloadManager
 from repro.cpu.cstates import LADDERS
 from repro.cpu.pstates import POLARIS_FREQUENCIES
-from repro.cpu.topology import GRANULARITIES, make_topology
+from repro.cpu.topology import GRANULARITIES, SocketTopology
 from repro.db.server import ROUTINGS, DatabaseServer, ServerConfig
 from repro.faults import resolve_fault_plan
 from repro.fleet.config import FleetConfig
@@ -573,7 +573,7 @@ def run_experiment(config: ExperimentConfig,
         workers, handlers = config.fleet.node_workers, NODE_REQUEST_HANDLERS
     prefix = plant_class.stream_prefix
 
-    topology = make_topology(config.topology)
+    topology = SocketTopology(config.topology)
     if not topology.per_core and config.topology_switch_latency > 0:
         topology = replace(
             topology, switch_latency_s=config.topology_switch_latency)

@@ -8,7 +8,7 @@ from repro.cpu.core import Core
 from repro.cpu.msr import IA32_PERF_CTL, MsrFile, encode_perf_ctl
 from repro.cpu.pstates import POLARIS_FREQUENCIES, XEON_E5_2640V3_PSTATES
 from repro.cpu.topology import (
-    FrequencyDomain, GRANULARITIES, SocketTopology, make_topology,
+    FrequencyDomain, GRANULARITIES, SocketTopology,
 )
 from repro.sim.engine import Simulator
 
@@ -47,24 +47,14 @@ def test_topology_two_core_socket_groups(monkeypatch):
 
 
 def test_topology_validation():
-    for granularity in ("per-rack", "per-module"):
+    assert GRANULARITIES == ("per-core", "per-socket")
+    for granularity in ("per-rack", "per-module", "bogus"):
         with pytest.raises(ValueError):
             SocketTopology(granularity=granularity)
     for latency_s in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="switch_latency_s"):
             SocketTopology(granularity="per-socket",
                            switch_latency_s=latency_s)
-
-
-def test_make_topology_coercions():
-    assert make_topology(None).per_core
-    assert make_topology("per-socket").granularity == "per-socket"
-    explicit = SocketTopology(granularity="per-socket",
-                              switch_latency_s=1e-5)
-    assert make_topology(explicit) is explicit
-    with pytest.raises(ValueError):
-        make_topology("bogus")
-    assert GRANULARITIES == ("per-core", "per-socket")
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,19 @@
-"""Online speed-scaling schedulers: qOA-style and AVR, on real hardware.
+"""Online speed-scaling schedulers: qOA, AVR and nonclairvoyant, on
+real hardware.
 
 The theory package holds OA and AVR as idealized offline oracles
 (continuous speeds, true work known, preemption free).  This module
 promotes both into first-class runnable schedulers, next to the
 nonclairvoyant scaler of Chan et al., which needs no work at all.
-All three are speed rules over one frame, :class:`OnlineSpeedScaler`,
-which subclasses
-:class:`~repro.core.polaris.PolarisScheduler`, so they declare the
-dispatcher protocol of :class:`~repro.db.server.BaselineDispatcher`
-exactly as POLARIS does: EDF dispatch, ``select_frequency`` on every
-arrival and completion, completions fed to the estimator, no
-``admits`` hook, discrete P-states with relation-L rounding, panic and
-simsan.  Three idealizations have to be dropped at the door of OA and
-AVR:
+All three are speed rules over one frame, :class:`OnlineSpeedScaler`.
+It subclasses :class:`~repro.core.polaris.PolarisScheduler`, so they
+declare the dispatcher protocol of
+:class:`~repro.db.server.BaselineDispatcher` exactly as POLARIS does:
+EDF dispatch, ``select_frequency`` on every arrival and completion,
+completions fed to the estimator (the nonclairvoyant scaler declares
+no such hook), no ``admits`` hook, discrete P-states with relation-L
+rounding, panic and simsan.  Three idealizations have to be dropped
+at the door of OA and AVR:
 
 * **True work is hidden.**  Like POLARIS, the schedulers only see the
   ``mu(c, f)`` execution-time estimator; a request's work is inferred

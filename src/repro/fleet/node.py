@@ -46,6 +46,12 @@ class NodeState(enum.Enum):
     ``draining -> parked`` (in-flight work finished, grace elapsed),
     ``any powered state -> crashed`` (fail-stop; terminal --- recovery
     is failover to a sibling, never reboot of the corpse).
+
+    A shard's primary is only ever active or crashed: it is built
+    active, only an active replica is promoted, a primary is never
+    drained or parked, and a crash is terminal.  simsan checks at every
+    transition that no node leaves crashed and no primary enters another
+    state, and :meth:`Fleet.sanitize_accounting` checks every primary.
     """
 
     WARMING = "warming"
@@ -53,6 +59,15 @@ class NodeState(enum.Enum):
     DRAINING = "draining"
     PARKED = "parked"
     CRASHED = "crashed"
+
+
+def _check_primary_state(node: "Node", state: NodeState) -> None:
+    invariant(node.role != PRIMARY
+              or state in (NodeState.ACTIVE, NodeState.CRASHED),
+              "primary-lifecycle",
+              "a shard's primary is neither active nor crashed",
+              node=node.node_id, shard=node.shard_id, state=state.value,
+              now=node.sim.now)
 
 
 class Node:
@@ -124,6 +139,12 @@ class Node:
 
     def _transition(self, new_state: NodeState) -> None:
         now_s = self.sim.now
+        if self.sim.sanitize:
+            invariant(self.state is not NodeState.CRASHED,
+                      "crash-terminal", "a crashed node changed state",
+                      node=self.node_id, shard=self.shard_id,
+                      state=new_state.value, now=now_s)
+            _check_primary_state(self, new_state)
         # Close the open energy segment under the *old* state's rule.
         if self.state is NodeState.PARKED:
             self._segment_energy_j += \
@@ -293,7 +314,8 @@ class Fleet:
         requests' credit out the same way (``Node.crash`` returns the
         corpses for the experiment to count as losses), so the books
         balance through fail-stops too.  Per-node books are audited
-        as well, since migration keeps them individually balanced."""
+        as well, since migration keeps them individually balanced, and
+        every primary is active or crashed (:class:`NodeState`)."""
         submitted = sum(n.server.submitted for n in self.nodes)
         completed = sum(w.completed for n in self.nodes
                         for w in n.server.workers)
@@ -309,6 +331,7 @@ class Fleet:
                   now=self.sim.now)
         for node in self.nodes:
             node.server.sanitize_accounting()
+            _check_primary_state(node, node.state)
 
 
 __all__ = ["Fleet", "Node", "NodeState", "PRIMARY", "REPLICA"]

@@ -18,31 +18,23 @@ LogIndex answers the same question per page for its read-only nodes;
 here the unit is the key.
 
 Reads rotate over the shard's nodes, the primary included, and go to
-the first one that is active, breaker-allowed and fresh for the key.
-A read that passes over a stale replica is a **stale bounce**: counted
+the first one that is active and fresh for the key.  A read that
+passes over a stale replica is a **stale bounce**: counted
 (:attr:`ClusterRouter.stale_read_bounces`, surfaced on the experiment
 result) and traced as a ``router:stale-read`` instant.  Only when no
-node can serve it fresh --- the primary is down or breaker-vetoed ---
-is a read served degraded on a stale replica
-(:attr:`ClusterRouter.stale_reads_served`).
+node can serve it fresh --- the primary is down --- is a read served
+degraded on a stale replica (:attr:`ClusterRouter.stale_reads_served`).
 
-Failure semantics (PR 9): when every node that could serve a request is
-parked, draining, warming, or crashed, :meth:`ClusterRouter.route`
-raises the typed :class:`NoActiveNodeError` and the experiment sheds
-the request.  Under a chaos plan the router is additionally **armed**
-(:meth:`ClusterRouter.arm_self_healing`) and becomes self-healing:
-
-* a per-node **circuit breaker** (closed -> open after
-  ``BREAKER_FAILURE_THRESHOLD`` consecutive failures -> half-open probe
-  after ``BREAKER_RESET_S``) keeps read routing off nodes that recently
-  failed to serve;
-* a **bounded retry-with-backoff**: instead of shedding immediately, a
-  request with no active target is re-routed ``RETRY_BACKOFF_S * 2**k``
-  later, up to ``RETRY_LIMIT`` times --- failover usually lands inside
-  that envelope, so retried requests survive the unavailability window.
-
-None of the self-healing machinery touches an unarmed router, and
-:meth:`decision_counts` only grows its chaos counters when armed.
+**One routing path.**  A shard's primary is always active or crashed:
+it is built active, only an active replica is promoted, a primary is
+never drained, and a crash is terminal (simsan checks both at every
+node transition).  So a route fails only while a crashed primary
+awaits failover, and every fleet cell handles that the same way:
+instead of shedding at once, a request with no node to serve it is
+re-routed ``RETRY_BACKOFF_S * 2**k`` later, up to ``RETRY_LIMIT``
+times --- failover usually lands inside that envelope --- and then
+shed through :attr:`ClusterRouter.on_shed`.  A healthy cell never
+takes that path: its primaries are active and always fresh.
 """
 
 from __future__ import annotations
@@ -76,86 +68,11 @@ def read_only_types(benchmark: str) -> FrozenSet[str]:
         raise ValueError(f"no read/write split known for {benchmark!r}")
 
 
-class NoActiveNodeError(RuntimeError):
-    """A shard has no node able to serve a routed request.
-
-    Raised by :meth:`ClusterRouter.route` when the write primary is not
-    active (crashed, or mid-transition) and, for reads, no active
-    replica can stand in either.  The experiment catches it and sheds
-    the request --- offered-and-rejected, never silently dropped.
-    """
-
-    def __init__(self, shard_id: int, kind: str):
-        super().__init__(f"shard {shard_id} has no active node to "
-                         f"serve a {kind}")
-        self.shard_id = shard_id
-        self.kind = kind
-
-
-#: Consecutive routing failures that trip a node's breaker open.
-BREAKER_FAILURE_THRESHOLD = 3
-#: Open -> half-open probe delay on the virtual clock.
-BREAKER_RESET_S = 0.5
 #: Bounded retry-with-backoff when a shard has no active target: retry
 #: ``k`` re-routes ``RETRY_BACKOFF_S * 2**k`` later; after the last
 #: retry the request is shed.
 RETRY_LIMIT = 3
 RETRY_BACKOFF_S = 0.05
-
-#: Circuit-breaker states (DESIGN.md "Fleet failure model" has the
-#: transition diagram).
-BREAKER_CLOSED = "closed"
-BREAKER_OPEN = "open"
-BREAKER_HALF_OPEN = "half-open"
-
-
-class CircuitBreaker:
-    """Per-node routing breaker on the virtual clock.
-
-    Closed counts consecutive failures; at
-    ``BREAKER_FAILURE_THRESHOLD`` it opens and the router stops
-    considering the node for reads.  After ``BREAKER_RESET_S`` the next
-    :meth:`allows` check moves it to half-open --- one probe may route;
-    a success closes it, a failure re-opens it (and restarts the reset
-    clock).
-    """
-
-    __slots__ = ("state", "failures", "opened_at_s")
-
-    def __init__(self):
-        self.state = BREAKER_CLOSED
-        self.failures = 0
-        self.opened_at_s = 0.0
-
-    def allows(self, now_s: float) -> bool:
-        if self.state == BREAKER_CLOSED:
-            return True
-        if self.state == BREAKER_OPEN:
-            if now_s - self.opened_at_s >= BREAKER_RESET_S:
-                self.state = BREAKER_HALF_OPEN
-                return True  # the probe
-            return False
-        return True  # half-open: probing
-
-    def record_failure(self, now_s: float) -> bool:
-        """Count a failure; True when this one tripped the breaker."""
-        if self.state == BREAKER_HALF_OPEN:
-            self.state = BREAKER_OPEN
-            self.opened_at_s = now_s
-            self.failures = 0
-            return True
-        self.failures += 1
-        if self.state == BREAKER_CLOSED \
-                and self.failures >= BREAKER_FAILURE_THRESHOLD:
-            self.state = BREAKER_OPEN
-            self.opened_at_s = now_s
-            self.failures = 0
-            return True
-        return False
-
-    def record_success(self) -> None:
-        self.state = BREAKER_CLOSED
-        self.failures = 0
 
 
 #: Commits per group-commit force on each shard's primary WAL --- the
@@ -341,18 +258,16 @@ class ClusterRouter:
         #: a stale replica on their way to a fresh node.
         self.replica_reads = 0
         self.stale_read_bounces = 0
-        #: Self-healing machinery; inert until a chaos plan arms it.
-        self.armed = False
-        self._breakers: Dict[int, CircuitBreaker] = {}
-        self._on_shed: Optional[Callable[[Request, int], None]] = None
-        self.breaker_trips = 0
-        self.breaker_skips = 0
         self.retries = 0
         self.shed_no_active = 0
         #: Degraded reads: served on a stale replica because the
         #: primary could not take the bounce (failover in progress).
         self.stale_reads_served = 0
-        #: Requests waiting on a scheduled retry (armed routers only);
+        #: ``on_shed(request, shard_id)`` absorbs every shed request;
+        #: a fleet cell hands it its recorder's ``on_rejection``, so a
+        #: shed counts as offered-and-rejected.
+        self.on_shed: Optional[Callable[[Request, int], None]] = None
+        #: Requests waiting on a scheduled retry;
         #: :meth:`flush_pending_retries` sheds any left at end of run.
         self._in_retry: List[Tuple[Request, ShardState]] = []
         self.tracer = sim.tracer
@@ -371,51 +286,15 @@ class ClusterRouter:
             shard.replication.on_write_committed(request.key)
 
     # ------------------------------------------------------------------
-    # Self-healing arming (chaos cells only)
-    # ------------------------------------------------------------------
-    def arm_self_healing(self,
-                         on_shed: Callable[[Request, int], None]) -> None:
-        """Arm breakers and retry.  ``on_shed(request, shard_id)``
-        absorbs requests that exhaust their retries (the experiment
-        counts them offered-and-rejected)."""
-        self.armed = True
-        self._on_shed = on_shed
-        self._breakers = {
-            node.node_id: CircuitBreaker()
-            for shard in self.shards
-            for node in [shard.primary] + shard.replicas}
-
-    def _breaker_allows(self, node: Node, now_s: float) -> bool:
-        if not self.armed:
-            return True
-        return self._breakers[node.node_id].allows(now_s)
-
-    def _note_failure(self, node: Node, now_s: float) -> None:
-        if not self.armed:
-            return
-        if self._breakers[node.node_id].record_failure(now_s):
-            self.breaker_trips += 1
-            if self.tracer.enabled:
-                self.tracer.instant(self.trace_track,
-                                    "router:breaker-open", now_s,
-                                    node=node.node_id,
-                                    shard=node.shard_id)
-
-    def _note_success(self, node: Node) -> None:
-        if self.armed:
-            self._breakers[node.node_id].record_success()
-
-    # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     def route(self, request: Request, key: int) -> Optional[Node]:
         """Pick the serving node for ``request`` and submit it.
 
-        Returns the node, or ``None`` when an armed router deferred the
-        request to a scheduled retry (or shed it through ``on_shed``).
-        Unarmed, a shard with no active target raises
-        :class:`NoActiveNodeError` instead.  The key rides on the
-        request, so a write commits it when it completes.
+        Returns the node, or ``None`` when the shard had no node to
+        serve it and the request was deferred to a scheduled retry (or
+        shed through :attr:`on_shed`).  The key rides on the request,
+        so a write commits it when it completes.
         """
         request.key = key
         shard = self.shards[key % len(self.shards)]
@@ -433,63 +312,59 @@ class ClusterRouter:
                 self.routed_writes += 1
         else:
             self._in_retry.remove((request, shard))
-        try:
-            if is_read:
-                target = self._pick_read_target(shard, request.key, now_s)
-            else:
-                target = self._pick_write_target(shard, now_s)
-        except NoActiveNodeError:
-            if not self.armed:
-                raise
-            if attempt < RETRY_LIMIT:
-                self.retries += 1
-                delay_s = RETRY_BACKOFF_S * (2 ** attempt)
-                self._in_retry.append((request, shard))
-                self.sim.schedule(delay_s, partial(self._route_attempt,
-                                                   request, shard,
-                                                   attempt + 1))
-                if self.tracer.enabled:
-                    self.tracer.instant(self.trace_track, "router:retry",
-                                        now_s, shard=shard.shard_id,
-                                        attempt=attempt + 1,
-                                        backoff_s=delay_s)
-                return None
-            self.shed_no_active += 1
-            if self.tracer.enabled:
-                self.tracer.instant(self.trace_track, "router:shed",
-                                    now_s, shard=shard.shard_id,
-                                    attempts=attempt + 1)
-            assert self._on_shed is not None
-            self._on_shed(request, shard.shard_id)
+        if is_read:
+            target = self._pick_read_target(shard, request.key, now_s)
+        elif shard.primary.state is NodeState.ACTIVE:
+            target = shard.primary  # writes have exactly one home
+        else:
+            target = None
+        if target is None:
+            self._retry_or_shed(request, shard, attempt, now_s)
             return None
         if self.tracer.enabled:
             self.tracer.counter(self.trace_track,
                                 f"shard_offered.s{shard.shard_id}",
                                 now_s, offered=shard.offered)
-        self._note_success(target)
         target.server.submit(request)
         return target
 
-    def _pick_write_target(self, shard: ShardState, now_s: float) -> Node:
-        # Writes have exactly one home; breakers never veto an active
-        # primary (they gate read targeting, where siblings exist).
-        primary = shard.primary
-        if primary.state is NodeState.ACTIVE:
-            return primary
-        self._note_failure(primary, now_s)
-        raise NoActiveNodeError(shard.shard_id, "write")
+    def _retry_or_shed(self, request: Request, shard: ShardState,
+                       attempt: int, now_s: float) -> None:
+        if attempt < RETRY_LIMIT:
+            self.retries += 1
+            delay_s = RETRY_BACKOFF_S * (2 ** attempt)
+            self._in_retry.append((request, shard))
+            self.sim.schedule(delay_s, partial(self._route_attempt,
+                                               request, shard,
+                                               attempt + 1))
+            if self.tracer.enabled:
+                self.tracer.instant(self.trace_track, "router:retry",
+                                    now_s, shard=shard.shard_id,
+                                    attempt=attempt + 1,
+                                    backoff_s=delay_s)
+            return
+        if self.tracer.enabled:
+            self.tracer.instant(self.trace_track, "router:shed",
+                                now_s, shard=shard.shard_id,
+                                attempts=attempt + 1)
+        self._shed(request, shard)
+
+    def _shed(self, request: Request, shard: ShardState) -> None:
+        self.shed_no_active += 1
+        if self.on_shed is not None:
+            self.on_shed(request, shard.shard_id)
 
     def _pick_read_target(self, shard: ShardState, key: int,
-                          now_s: float) -> Node:
+                          now_s: float) -> Optional[Node]:
         # The rotation runs over every node of the shard, primary
-        # first; the read takes the first usable node fresh for its key.
+        # first; the read takes the first active node fresh for its key.
         nodes = [shard.primary, *shard.replicas]
         count = len(nodes)
         stale: Optional[Node] = None
         for offset in range(count):
             index = (shard._rr_index + offset) % count
             node = nodes[index]
-            if not self._usable_for_read(node, now_s):
+            if node.state is not NodeState.ACTIVE:
                 continue
             if not shard.fresh(node, key, now_s):
                 if stale is None:
@@ -501,9 +376,8 @@ class ClusterRouter:
             if index:  # index 0 is the primary
                 self.replica_reads += 1
             return node
-        self._note_failure(shard.primary, now_s)
         if stale is None:
-            raise NoActiveNodeError(shard.shard_id, "read")
+            return None
         # Primary down (failover in progress): a stale answer beats no
         # answer --- serve the read degraded on the replica (counted
         # apart from the fresh replica_reads).
@@ -525,47 +399,27 @@ class ClusterRouter:
                 applied_lsn=replication.applied_lsn(replica, now_s),
                 key_lsn=replication.key_lsn[key])
 
-    def _usable_for_read(self, node: Node, now_s: float) -> bool:
-        if node.state is not NodeState.ACTIVE:
-            return False
-        if not self._breaker_allows(node, now_s):
-            self.breaker_skips += 1
-            return False
-        return True
-
     def flush_pending_retries(self) -> int:
         """End of run: requests still waiting on a scheduled retry will
         never re-route --- shed them so the books close (offered and
         rejected, never silently censored)."""
         flushed, self._in_retry = self._in_retry, []
         for request, shard in flushed:
-            self.shed_no_active += 1
-            assert self._on_shed is not None
-            self._on_shed(request, shard.shard_id)
+            self._shed(request, shard)
         return len(flushed)
 
     def decision_counts(self) -> Dict[str, int]:
-        """Deterministically ordered router decision counters.
-
-        The four routing counters always; the self-healing counters
-        only on an armed router.
-        """
-        counts = {
+        """Deterministically ordered router decision counters."""
+        return {
             "routed_writes": self.routed_writes,
             "routed_reads": self.routed_reads,
             "replica_reads": self.replica_reads,
             "stale_read_bounces": self.stale_read_bounces,
+            "retries": self.retries,
+            "shed_no_active": self.shed_no_active,
+            "stale_reads_served": self.stale_reads_served,
         }
-        if self.armed:
-            counts["breaker_trips"] = self.breaker_trips
-            counts["breaker_skips"] = self.breaker_skips
-            counts["retries"] = self.retries
-            counts["shed_no_active"] = self.shed_no_active
-            counts["stale_reads_served"] = self.stale_reads_served
-        return counts
 
 
-__all__ = ["BREAKER_CLOSED", "BREAKER_HALF_OPEN", "BREAKER_OPEN",
-           "CircuitBreaker", "ClusterRouter", "GROUP_COMMIT_SIZE",
-           "NoActiveNodeError", "ShardReplication", "ShardState",
-           "read_only_types"]
+__all__ = ["ClusterRouter", "GROUP_COMMIT_SIZE", "ShardReplication",
+           "ShardState", "read_only_types"]

@@ -185,19 +185,6 @@ def test_crashed_primary_pins_the_last_active_replica(sim):
     assert len(survivors) == 1
 
 
-def test_warming_primary_pins_the_last_active_replica(sim):
-    """Same guard while the primary is still booting (a failover spare
-    that has not come active yet)."""
-    fleet, shard, router, controller = build(sim)
-    shard.primary._transition(NodeState.WARMING)
-    controller.start()
-    advance(sim, 2.0)
-    controller.stop()
-    assert controller.actions["scale_in"] == 1
-    assert sum(r.state is NodeState.ACTIVE
-               for r in shard.replicas) == 1
-
-
 def test_min_active_replicas_floor(sim, monkeypatch):
     monkeypatch.setattr(elastic, "CONTROLLER_COOLDOWN_TICKS", 0)
     fleet, shard, router, controller = build(sim)

@@ -177,23 +177,48 @@ def test_single_server_rejects_fleet_fault_plans():
         run_experiment(config)
 
 
-def test_quick_chaos_cell_arms_the_self_healing_router(monkeypatch):
-    """A crash-per-shard plan on a 1-shard fleet: the chaos machinery
-    wires up end to end even at smoke scale."""
-    monkeypatch.setattr(failover, "HEARTBEAT_TIMEOUT_S", 0.1)
+@pytest.fixture(scope="module")
+def quick_chaos_result():
+    """A crash-per-shard plan on a 1-shard fleet (the scenario crashes
+    primaries at 1.5 s)."""
     config = _quick_fleet_config(faults="shard-crash")
-    config.test_seconds = 2.5  # the scenario crashes primaries at 1.5 s
+    config.test_seconds = 2.5
     config.fleet = FleetConfig(shards=1, replicas_per_shard=1,
                                node_workers=1, elastic=False)
-    result = run_experiment(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(failover, "HEARTBEAT_TIMEOUT_S", 0.1)
+        return run_experiment(config)
+
+
+def test_quick_chaos_cell_arms_the_self_healing_router(quick_chaos_result):
+    """The chaos machinery wires up end to end even at smoke scale."""
+    result = quick_chaos_result
     assert result.faults_injected == 1
     assert result.fleet_actions["node_crashes"] == 1
     assert result.fleet_actions["failovers"] == 1
     assert result.unserved_shards == 0
     assert result.failovers == 1
     assert 0.0 < result.availability["shard0"] < 1.0
-    # The armed router's counters surface on the result.
-    assert "retries" in result.fleet_actions or result.failovers == 1
+
+
+#: The router's counters, first in every fleet cell's ``fleet_actions``.
+ROUTER_COUNTERS = ["routed_writes", "routed_reads", "replica_reads",
+                   "stale_read_bounces", "retries", "shed_no_active",
+                   "stale_reads_served"]
+
+
+def test_healthy_and_chaos_cells_report_the_same_router_counters(
+        quick_chaos_result):
+    """One routing path: a healthy cell reports the counters a chaos
+    cell does, and no route of it failed."""
+    healthy = run_experiment(_quick_fleet_config())
+    chaos = quick_chaos_result
+    for result in (healthy, chaos):
+        assert list(result.fleet_actions)[:7] == ROUTER_COUNTERS
+    assert healthy.fleet_actions["retries"] == 0
+    assert healthy.fleet_actions["shed_no_active"] == 0
+    assert healthy.fleet_actions["stale_reads_served"] == 0
+    assert chaos.fleet_actions["retries"] > 0
 
 
 def test_fleet_rejects_tier_policy():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.sanitizer import SimulationInvariantError
 from repro.db.server import DatabaseServer, ServerConfig
 from repro.fleet.node import Fleet, Node, NodeState, PRIMARY, REPLICA
 from repro.sim.engine import Simulator
@@ -147,3 +148,36 @@ def test_fleet_accounting_clean_on_idle_fleet(sim):
                         make_node(sim, node_id=1)])
     fleet.sanitize_accounting()  # must not raise
     assert fleet.total_queue_length() == 0
+
+
+# ----------------------------------------------------------------------
+# simsan: a primary is active or crashed, and a crash is terminal
+# ----------------------------------------------------------------------
+def test_simsan_refuses_a_parked_primary():
+    sim = Simulator(sanitize=True)
+    primary = make_node(sim, role=PRIMARY)
+    with pytest.raises(SimulationInvariantError) as excinfo:
+        primary._transition(NodeState.PARKED)
+    assert excinfo.value.invariant == "primary-lifecycle"
+
+
+def test_simsan_keeps_a_crash_terminal():
+    sim = Simulator(sanitize=True)
+    replica = make_node(sim)
+    replica.crash()
+    with pytest.raises(SimulationInvariantError) as excinfo:
+        replica._transition(NodeState.ACTIVE)
+    assert excinfo.value.invariant == "crash-terminal"
+
+
+def test_fleet_audit_refuses_a_primary_out_of_its_states():
+    """A role that moves without a transition (a promotion of a node
+    that is not active) is caught by the fleet audit."""
+    sim = Simulator(sanitize=True)
+    spare = make_node(sim, node_id=1, start_parked=True)
+    fleet = Fleet(sim, [make_node(sim, node_id=0, role=PRIMARY), spare])
+    fleet.sanitize_accounting()  # must not raise
+    spare.role = PRIMARY
+    with pytest.raises(SimulationInvariantError) as excinfo:
+        fleet.sanitize_accounting()
+    assert excinfo.value.invariant == "primary-lifecycle"

@@ -1,6 +1,6 @@
 """ClusterRouter: sharding, the read rotation, per-key freshness and
-stale-read bounces, and the self-healing machinery (typed no-active
-errors, circuit breakers, retry-with-backoff) armed under chaos plans."""
+stale-read bounces, and the one path for a shard with no node to serve
+a request: retry with backoff, then shed."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +10,7 @@ from repro.core.workload import Workload
 from repro.db.server import DatabaseServer, ServerConfig
 from repro.fleet import router as router_module
 from repro.fleet.node import Node, NodeState, PRIMARY, REPLICA
-from repro.fleet.router import (
-    BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN, CircuitBreaker,
-    ClusterRouter, NoActiveNodeError, ShardState, read_only_types,
-)
+from repro.fleet.router import ClusterRouter, ShardState, read_only_types
 from repro.sim.engine import Simulator
 
 WORKLOAD = Workload("w", 0.050)
@@ -177,113 +174,73 @@ def test_router_needs_a_shard(sim):
         ClusterRouter(sim, [], frozenset())
 
 
-# ----------------------------------------------------------------------
-# Typed no-active errors (unarmed routers)
-# ----------------------------------------------------------------------
-def test_unarmed_router_raises_typed_error(sim):
-    shard = make_shard(sim, start_parked=True)
-    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    shard.primary.crash()
-    with pytest.raises(NoActiveNodeError) as excinfo:
-        router.route(request(sim, "Write"), key=0)
-    assert excinfo.value.shard_id == 0
-    assert excinfo.value.kind == "write"
-    with pytest.raises(NoActiveNodeError) as excinfo:
-        router.route(request(sim, "Read"), key=0)
-    assert excinfo.value.kind == "read"
-
-
-def test_decision_counts_grow_only_when_armed(sim):
-    shard = make_shard(sim)
-    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    assert set(router.decision_counts()) == {
+def test_decision_counts_report_every_counter(sim):
+    router = ClusterRouter(sim, [make_shard(sim)], frozenset({"Read"}))
+    assert list(router.decision_counts()) == [
         "routed_writes", "routed_reads", "replica_reads",
-        "stale_read_bounces"}
-    router.arm_self_healing(lambda r, s: None)
-    counts = router.decision_counts()
-    assert {"breaker_trips", "breaker_skips", "retries", "shed_no_active",
-            "stale_reads_served"} <= set(counts)
+        "stale_read_bounces", "retries", "shed_no_active",
+        "stale_reads_served"]
 
 
 # ----------------------------------------------------------------------
-# CircuitBreaker state machine
+# A shard with no node to serve: retry, then shed
 # ----------------------------------------------------------------------
-@pytest.fixture
-def trip_on_first_failure(monkeypatch):
-    monkeypatch.setattr(router_module, "BREAKER_FAILURE_THRESHOLD", 1)
+def shedding_router(sim, shard):
+    """A router whose sheds land in the returned list, as a fleet cell's
+    land in its recorder."""
+    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
+    sheds = []
+    router.on_shed = lambda req, shard_id: sheds.append((req, shard_id))
+    return router, sheds
 
 
-def test_breaker_opens_at_the_failure_threshold():
-    assert router_module.BREAKER_FAILURE_THRESHOLD == 3
-    assert router_module.BREAKER_RESET_S == 0.5
-    breaker = CircuitBreaker()
-    assert breaker.record_failure(0.0) is False
-    assert breaker.record_failure(0.0) is False
-    assert breaker.record_failure(0.0) is True  # the trip
-    assert breaker.state == BREAKER_OPEN
-    assert breaker.allows(0.4) is False  # still inside reset_s
+def promote(shard, node):
+    """FailoverManager's promotion, without its clock."""
+    shard.replication.promote_to(node, node.sim.now)
+    corpse = shard.primary
+    node.promote()
+    shard.replicas.remove(node)
+    corpse.role = REPLICA
+    shard.replicas.append(corpse)
+    shard.primary = node
 
 
-def test_breaker_half_open_probe_then_close(trip_on_first_failure):
-    breaker = CircuitBreaker()
-    breaker.record_failure(0.0)
-    assert breaker.allows(0.5) is True  # the probe
-    assert breaker.state == BREAKER_HALF_OPEN
-    breaker.record_success()
-    assert breaker.state == BREAKER_CLOSED
-
-
-def test_breaker_half_open_failure_reopens_and_restarts_the_clock(
-        trip_on_first_failure):
-    breaker = CircuitBreaker()
-    breaker.record_failure(0.0)
-    breaker.allows(0.5)  # -> half-open
-    assert breaker.record_failure(0.6) is True  # probe failed
-    assert breaker.state == BREAKER_OPEN
-    assert breaker.allows(1.0) is False  # reset clock restarted at 0.6
-    assert breaker.allows(1.1) is True
-
-
-def test_success_resets_the_consecutive_failure_count():
-    breaker = CircuitBreaker()
-    breaker.record_failure(0.0)
-    breaker.record_failure(0.0)
-    breaker.record_success()
-    assert breaker.record_failure(0.0) is False  # count restarted
-    assert breaker.state == BREAKER_CLOSED
-
-
-# ----------------------------------------------------------------------
-# Armed routing: retry, shed, breaker gating
-# ----------------------------------------------------------------------
-def arm(router, sheds):
-    router.arm_self_healing(lambda req, shard_id: sheds.append(
-        (req, shard_id)))
+def test_a_crashed_shard_retries_then_sheds_and_never_raises(sim):
+    """Every router takes the one path, with no chaos plan in sight:
+    a write and a read to a shard with nothing active each retry three
+    times and then shed."""
+    shard = make_shard(sim, start_parked=True)
+    router, sheds = shedding_router(sim, shard)
+    shard.primary.crash()
+    write, read = request(sim, "Write"), request(sim, "Read")
+    assert router.route(write, key=0) is None
+    assert router.route(read, key=0) is None
+    sim.run(until=5.0)
+    assert router.retries == 6
+    assert router.shed_no_active == 2
+    assert sheds == [(write, 0), (read, 0)]
 
 
 def test_armed_router_retries_until_the_shard_recovers(sim):
-    shard = make_shard(sim, start_parked=True)
-    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    sheds = []
-    arm(router, sheds)
+    shard = make_shard(sim)
+    router, sheds = shedding_router(sim, shard)
     shard.primary.crash()
     write = request(sim, "Write")
     assert router.route(write, key=0) is None  # deferred, not raised
     assert router.retries == 1
-    # The primary comes back before the first retry fires.
-    sim.schedule_at(0.01,
-                    lambda: shard.primary._transition(NodeState.ACTIVE))
+    # Failover promotes the replica before the first retry fires.
+    replica = shard.replicas[0]
+    sim.schedule_at(0.01, lambda: promote(shard, replica))
     sim.run(until=1.0)
-    assert shard.primary.server.submitted == 1
+    assert shard.primary is replica
+    assert replica.server.submitted == 1
     assert sheds == []
     assert router.shed_no_active == 0
 
 
 def test_armed_router_sheds_after_the_retry_budget(sim):
     shard = make_shard(sim, start_parked=True)
-    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    sheds = []
-    arm(router, sheds)
+    router, sheds = shedding_router(sim, shard)
     shard.primary.crash()
     write = request(sim, "Write")
     assert router.route(write, key=0) is None
@@ -292,17 +249,11 @@ def test_armed_router_sheds_after_the_retry_budget(sim):
     assert router.retries == 3
     assert sheds == [(write, 0)]
     assert router.shed_no_active == 1
-    # The four consecutive write failures also tripped the primary's
-    # breaker (threshold 3).
-    assert router.breaker_trips == 1
-    assert router._breakers[0].state == BREAKER_OPEN
 
 
 def test_flush_pending_retries_closes_the_books(sim):
     shard = make_shard(sim, start_parked=True)
-    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    sheds = []
-    arm(router, sheds)
+    router, sheds = shedding_router(sim, shard)
     shard.primary.crash()
     write = request(sim, "Write")
     router.route(write, key=0)
@@ -314,22 +265,21 @@ def test_flush_pending_retries_closes_the_books(sim):
     assert router.flush_pending_retries() == 0  # idempotent
 
 
-def test_open_primary_breaker_serves_stale_reads_degraded(
-        sim, trip_on_first_failure):
+def test_open_primary_breaker_serves_stale_reads_degraded(sim):
+    """With the primary crashed and every active replica stale for the
+    key, the read is served degraded on a replica: a stale answer
+    beats no answer."""
     shard = make_shard(sim, lag_s=0.05)
-    router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    arm(router, [])
+    router, sheds = shedding_router(sim, shard)
     router.route(request(sim, "Write"), key=0)
     sim.run()  # committed; still buffered, so shipped nowhere
-    # Trip the primary's breaker while it stays nominally active.
-    router._breakers[0].record_failure(sim.now)
+    shard.primary.crash()
+    shard.replication.on_primary_crash()
     target = router.route(request(sim, "Read"), key=0)
-    # The replica has not applied key 0's commit and the only fresh
-    # node is breaker-gated: a stale answer beats no answer.
     assert target is shard.replicas[0]
-    assert router.breaker_skips == 1
     assert router.stale_reads_served == 1
     assert router.stale_read_bounces == 0
+    assert router.retries == 0 and sheds == []
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +300,7 @@ FLEET_OPS = st.lists(st.tuples(
 @settings(max_examples=150, deadline=None)
 def test_fresh_replica_reads_never_see_a_stale_key(group, lags, ops):
     """Random writes, reads, clock steps, partitions, heals, slow-
-    follower windows, primary crashes and promotions through an armed
+    follower windows, primary crashes and promotions through the
     router: every read a replica serves fresh finds the key's last
     commit applied there, and no replica's apply position falls between
     promotions."""
@@ -361,7 +311,6 @@ def test_fresh_replica_reads_never_see_a_stale_key(group, lags, ops):
     shard = ShardState(0, primary, replicas)
     replication = shard.replication
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
-    router.arm_self_healing(lambda request, shard_id: None)
     pick = router._pick_read_target
     fresh_reads = []
 
@@ -401,14 +350,7 @@ def test_fresh_replica_reads_never_see_a_stale_key(group, lags, ops):
                 replication.on_primary_crash()
             elif op == "promote" and not alive \
                     and node.state is NodeState.ACTIVE:
-                # FailoverManager's promotion, without its clock.
-                replication.promote_to(node, sim.now)
-                corpse = shard.primary
-                node.promote()
-                shard.replicas.remove(node)
-                corpse.role = REPLICA
-                shard.replicas.append(corpse)
-                shard.primary = node
+                promote(shard, node)
                 seen.clear()
             for other in shard.replicas:
                 applied = replication.applied_lsn(other, sim.now)

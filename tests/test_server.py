@@ -363,7 +363,7 @@ TRACE_SHA256 = {
         "5b6e4e8ca0accfd2717e6026c4174a19cda441420a92586ec9fa98e3540f5784",
         "6b5bc54f0fc8093f93123dbb18be751b298556bdb7805ea6d3b7b04399e6730d"),
     "fleet-shard-crash": (
-        "4b779f013dae829f0a1e1baec5de9edcf7a3a4a73f1b668d14de2e391b63c8d2",
+        "182fe6f8bea0e0b92328ebf032062e3ee0e00078c844c38880b50410d48bde88",
         "6a2c483d938baff319eead7cff48af5909bf2b8e45c3fee13ca39a096efabf8d"),
 }
 

@@ -162,8 +162,8 @@ class FleetPlant:
 
     def attach(self, recorder: LatencyRecorder) -> None:
         """Wire the recorder (each server's outcomes under its shard,
-        and the router's sheds), arm chaos, start the failover and elastic timers --- in that
-        (pinned) order."""
+        and the router's sheds), arm chaos, start the failover and
+        elastic timers --- in that (pinned) order."""
         self.recorder = recorder
         for server, shard_id in self.shard_of.items():
             server.add_completion_listener(

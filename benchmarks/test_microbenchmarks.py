@@ -13,9 +13,13 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.engine import Simulator
 
 
-def _best_of(repeats, **simulator_kwargs):
-    """Best wall time of a 10,000-event self-rescheduling chain."""
-    def chain():
+def _best_pair(repeats, off, on):
+    """Best wall times of a 10,000-event self-rescheduling chain built
+    with the ``Simulator`` keywords ``off`` and with ``on``.  The two
+    are timed in alternating repetitions, which of them goes first
+    alternating too, so load on the host while one runs reaches the
+    other as well."""
+    def chain(simulator_kwargs):
         sim = Simulator(**simulator_kwargs)
         count = [0]
 
@@ -28,13 +32,16 @@ def _best_of(repeats, **simulator_kwargs):
         sim.run()
         assert count[0] == 10000
 
-    chain()  # warm
-    best = float("inf")
-    for _ in range(repeats):
-        start = perf_clock()
-        chain()
-        best = min(best, perf_clock() - start)
-    return best
+    chain(off)  # warm
+    chain(on)
+    best = {"off": float("inf"), "on": float("inf")}
+    for repeat in range(repeats):
+        turns = (("off", off), ("on", on))
+        for side, simulator_kwargs in turns[::1 if repeat % 2 else -1]:
+            start = perf_clock()
+            chain(simulator_kwargs)
+            best[side] = min(best[side], perf_clock() - start)
+    return best["off"], best["on"]
 
 
 def test_simsan_on_overhead():
@@ -42,8 +49,8 @@ def test_simsan_on_overhead():
     loop.  Per-event cost is one comparison; the O(heap) sweep runs once
     per run() and per compaction.  Generous bound: catches only a hook
     accidentally landing on the per-event path."""
-    off = _best_of(3, sanitize=False, tracer=NULL_TRACER)
-    on = _best_of(3, sanitize=True, tracer=NULL_TRACER)
+    off, on = _best_pair(3, dict(sanitize=False, tracer=NULL_TRACER),
+                         dict(sanitize=True, tracer=NULL_TRACER))
     assert on < off * 5, f"simsan on {on:.4f}s vs off {off:.4f}s"
 
 
@@ -51,6 +58,6 @@ def test_trace_overhead():
     """An enabled tracer adds two constant-time instants per run() and
     nothing per event.  Bounded generously against timer jitter --- the
     call-count test in tier-1 is the real guarantee."""
-    off = _best_of(5, sanitize=False, tracer=NULL_TRACER)
-    on = _best_of(5, sanitize=False, tracer=Tracer())
+    off, on = _best_pair(5, dict(sanitize=False, tracer=NULL_TRACER),
+                         dict(sanitize=False, tracer=Tracer()))
     assert on < off * 1.25, f"trace on {on:.4f}s vs off {off:.4f}s"

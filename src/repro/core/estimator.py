@@ -9,15 +9,23 @@ adapts Haerdle & Steiger's running-median maintenance to arbitrary
 percentiles.
 
 :class:`SlidingWindowPercentile` keeps the window in two structures: a
-ring buffer in arrival order (for eviction) and one flat sorted list
-(for the order statistic).  A full-window observation is one
-``bisect_left`` + ``del`` for the evicted value and one ``insort`` for
-the new one.  At the windows the reproduction runs (``S <= 1000``)
-those memmoves cost less than a chunked sorted list's method calls and
-run bookkeeping, which pay off only past ``S`` of about 2000 (DESIGN.md
-section 9).  The percentile itself is cached and only recomputed after
-the window changes, because POLARIS reads estimates far more often than
-it observes.
+ring buffer in arrival order (for eviction) and a sorted *tail* (for
+the order statistic).  The tail holds every window value at or above a
+pivot; the values below it are only counted.  POLARIS reads a high
+percentile, so on a full window of ``S = 1000`` at p95 the tail is
+about 130 values: nine observations in ten compare against the pivot
+and bump a counter, and the tenth does a ``bisect``/``del``/``insort``
+on that short list instead of on all 1,000 slots.  The tail is rebuilt
+from the ring buffer with one sort when the statistic's rank falls
+below it (its values drifted down) or it grows past a cap (they drifted
+up).  On a stationary stream that is rare: measured on lognormal
+draws, no rebuild in 200,000 observations at ``S = 1000`` and p90,
+p95 or p99, and one per 4,000 at ``S = 50``, p99.  A percentile low
+enough that the tail would be most of the window (p50) keeps the whole
+window as the tail and never rebuilds, which is the flat sorted list
+this replaced (DESIGN.md section 5, decision 10 (c)).  The percentile
+itself is cached and only recomputed after the window changes, because
+POLARIS reads estimates far more often than it observes.
 
 **The same-side rule.**  On a full window the percentile's rank is
 fixed, so when the evicted and the inserted value lie *strictly* on the
@@ -29,9 +37,9 @@ does); about one in-run observation in ten moves its p95.
 :meth:`ExecutionTimeEstimator.train` loads a workload's training
 columns, one per frequency, into empty windows with one sort.
 
-:class:`ListSlidingWindowPercentile` is the reference oracle: no memo,
-no same-side rule and no ``fill``, so the property tests can assert
-that those three shortcuts change no ``value()``.
+:class:`ListSlidingWindowPercentile` is the reference oracle: no tail,
+no memo, no same-side rule and no ``fill``, so the property tests can
+assert that those four shortcuts change no ``value()``.
 
 **Estimate rows.**  POLARIS scales over one P-state set, so an
 estimator serves one frequency ladder, fixed by the first scheduler
@@ -65,8 +73,9 @@ DEFAULT_PERCENTILE = 95.0
 class SlidingWindowPercentile:
     """Running p-th percentile over the last ``window`` observations."""
 
-    __slots__ = ("window", "percentile", "_order", "_sorted",
-                 "observations", "_cached_value", "_cached_at")
+    __slots__ = ("window", "percentile", "_order", "_tail", "_pivot",
+                 "_below", "_keep", "_cap", "observations",
+                 "_cached_value", "_cached_at")
 
     def __init__(self, window: int = DEFAULT_WINDOW,
                  percentile: float = DEFAULT_PERCENTILE):
@@ -77,8 +86,20 @@ class SlidingWindowPercentile:
         self.window = window
         self.percentile = percentile
         self._order: Deque[float] = deque()
-        #: The window's values in sorted order.
-        self._sorted: List[float] = []
+        #: The window's values at or above ``_pivot``, in sorted order;
+        #: ``_below`` counts the rest.  A pivot of 0.0 admits every
+        #: value, so the tail is then the whole sorted window.
+        self._tail: List[float] = []
+        self._pivot = 0.0
+        self._below = 0
+        # On a full window ``top`` values sit at or above the statistic.
+        # A rebuild keeps twice that plus sqrt(window) of slack below
+        # it, so the count of smaller values must drift by about three
+        # standard deviations of a stationary stream before the rank
+        # leaves the tail; twice the kept length caps its growth.
+        top = window - max(0, math.ceil(percentile / 100.0 * window) - 1)
+        self._keep = 2 * top + math.isqrt(window)
+        self._cap = 2 * self._keep
         self.observations = 0
         #: value() memo, keyed by the observation count it was computed
         #: at --- observe() already bumps the counter, so invalidation
@@ -86,18 +107,37 @@ class SlidingWindowPercentile:
         self._cached_value = 0.0
         self._cached_at = 0
 
+    def _partition(self, ordered: List[float]) -> None:
+        """Make the sorted window ``ordered`` the tail from about
+        ``_keep`` values below the top, never above the statistic's
+        index; ties with the pivot stay in the tail."""
+        n = len(ordered)
+        lo = min(n - self._keep,
+                 math.ceil(self.percentile / 100.0 * n) - 1)
+        if lo > 0:
+            lo = bisect_left(ordered, ordered[lo])
+        if lo > 0:
+            self._pivot = ordered[lo]
+            self._tail = ordered[lo:]
+            self._below = lo
+        else:
+            self._pivot = 0.0
+            self._tail = ordered
+            self._below = 0
+
     def observe(self, value: float) -> bool:
         """Add a measurement, evicting the oldest beyond the window.
         Returns whether :meth:`value` can have moved (the same-side
         rule of the module docstring); False keeps the memo valid."""
         # ``not >=`` rather than ``<``: NaN fails every comparison, and
-        # one NaN in the sorted list corrupts every later bisect.
+        # one NaN in the tail corrupts every later bisect.
         if not value >= 0.0:
             raise ValueError("execution times must be non-negative numbers")
         observations = self.observations
         self.observations = observations + 1
         order = self._order
-        ordered = self._sorted
+        pivot = self._pivot
+        below = self._below
         moved = True
         if len(order) == self.window:
             old = order.popleft()
@@ -108,9 +148,20 @@ class SlidingWindowPercentile:
                 if old < current > value or old > current < value:
                     self._cached_at = observations + 1
                     moved = False
-            del ordered[bisect_left(ordered, old)]
-        insort(ordered, value)
+            if old < pivot:
+                below -= 1
+            else:
+                tail = self._tail
+                del tail[bisect_left(tail, old)]
         order.append(value)
+        if value < pivot:
+            self._below = below + 1
+        else:
+            self._below = below
+            tail = self._tail
+            insort(tail, value)
+            if len(tail) > self._cap:
+                self._partition(sorted(order))
         return moved
 
     def fill(self, values: Sequence[float]) -> None:
@@ -122,12 +173,12 @@ class SlidingWindowPercentile:
 
     def load(self, values: Sequence[float], ordered: List[float]) -> None:
         """:meth:`fill` of checked ``values``; ``ordered``, the same float
-        objects sorted, becomes the sorted list of an empty window."""
+        objects sorted, is partitioned into an empty window's tail."""
         if self._order or len(values) > self.window:
             for value in values:
                 self.observe(value)
             return
-        self._sorted = ordered
+        self._partition(ordered)
         self._order.extend(values)
         self.observations += len(values)
 
@@ -136,36 +187,40 @@ class SlidingWindowPercentile:
 
         Memoized per window state: POLARIS calls ``estimate()`` once per
         (queued request x frequency) inside SetProcessorFreq, so reads
-        vastly outnumber updates.
+        vastly outnumber updates.  A rank that fell below the tail
+        rebuilds it from the ring buffer with one sort.
         """
         observations = self.observations
         if self._cached_at == observations:
             return self._cached_value
-        n = len(self._sorted)
+        n = len(self._order)
         if n == 0:
             result = 0.0
         else:
-            rank = math.ceil(self.percentile / 100.0 * n)
-            result = self._sorted[max(0, rank - 1)]
+            index = max(0, math.ceil(self.percentile / 100.0 * n) - 1)
+            if index < self._below:
+                self._partition(sorted(self._order))
+            result = self._tail[index - self._below]
         self._cached_value = result
         self._cached_at = observations
         return result
 
     def __len__(self) -> int:
-        return len(self._sorted)
+        return len(self._order)
 
     @property
     def full(self) -> bool:
-        return len(self._sorted) == self.window
+        return len(self._order) == self.window
 
 
 class ListSlidingWindowPercentile:
     """The plain sliding-window percentile (reference oracle).
 
-    Recomputes :meth:`value` from the sorted list on every call, so
-    property tests can assert that :class:`SlidingWindowPercentile`'s
-    memo, same-side rule and :meth:`~SlidingWindowPercentile.fill` are
-    observation-for-observation invisible.
+    Keeps the whole window sorted and recomputes :meth:`value` from it
+    on every call, so property tests can assert that
+    :class:`SlidingWindowPercentile`'s tail, memo, same-side rule and
+    :meth:`~SlidingWindowPercentile.fill` are observation-for-observation
+    invisible.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW,

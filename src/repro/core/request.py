@@ -49,6 +49,9 @@ class Request:
     key:
         The fleet key the cluster router shards this request by (None
         outside fleet cells); a write commits its LSN under it.
+    site:
+        The fleet shard the cluster router sent this request to (0 on a
+        single server); the latency recorder logs its outcome there.
     state:
         A :class:`RequestState` derived on read from ``rejected``,
         ``finish_time`` and ``dispatch_time``, which the server writes
@@ -58,7 +61,7 @@ class Request:
     __slots__ = ("request_id", "workload", "workload_name", "txn_type",
                  "arrival_time", "deadline", "work", "rejected",
                  "dispatch_time", "finish_time", "worker_id",
-                 "dispatch_freq", "single_freq", "mu", "key")
+                 "dispatch_freq", "single_freq", "mu", "key", "site")
 
     def __init__(self, workload, txn_type: str, arrival_time: float,
                  work: float, deadline: Optional[float] = None):
@@ -88,6 +91,7 @@ class Request:
         #: (see ``PolarisScheduler.enqueue``); None until then.
         self.mu: Optional[list] = None
         self.key: Optional[int] = None
+        self.site = 0
 
     # ------------------------------------------------------------------
     @property

@@ -22,7 +22,10 @@ per-shard deadline-miss rates.
 
 from __future__ import annotations
 
-from functools import partial
+import math
+from array import array
+from heapq import nlargest
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.request import Request
@@ -32,7 +35,7 @@ from repro.fleet.controller import ElasticController
 from repro.fleet.node import Fleet, Node, NodeState, PRIMARY, REPLICA
 from repro.fleet.router import ClusterRouter, ShardState, read_only_types
 from repro.harness.experiment import ExperimentConfig
-from repro.metrics.latency import LatencyRecorder, WorkloadStats, percentile
+from repro.metrics.latency import Books, LatencyRecorder, WorkloadStats
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
@@ -134,11 +137,10 @@ class FleetPlant:
         self.wall_energy = self.fleet.wall_energy
         self.sanitize_accounting = self.fleet.sanitize_accounting
         #: Per-shard books: no recorder of their own.  Every outcome is
-        #: logged in the kernel's one recorder under its shard as the
-        #: site, and the books are :meth:`LatencyRecorder.site_books`.
-        self.shard_of = {node.server: node.shard_id
-                         for node in self.fleet.nodes}
-        self.servers = list(self.shard_of)
+        #: logged in the kernel's one recorder under the shard the
+        #: router stamped on the request as its site, and the books are
+        #: the recorder's :attr:`~repro.metrics.latency.Books.sites`.
+        self.servers = [node.server for node in self.fleet.nodes]
         # Chaos cells only (see _arm_chaos); healthy cells build (and
         # import) none of it.
         self.tracker: Optional[AvailabilityTracker] = None
@@ -157,19 +159,14 @@ class FleetPlant:
 
         self.admit = admit
 
-    def site_of(self, server: DatabaseServer) -> int:
-        return self.shard_of[server]
-
     def attach(self, recorder: LatencyRecorder) -> None:
-        """Wire the recorder (each server's outcomes under its shard,
-        and the router's sheds), arm chaos, start the failover and
-        elastic timers --- in that (pinned) order."""
+        """Wire the recorder (each server's outcomes and the router's
+        sheds), arm chaos, start the failover and elastic timers --- in
+        that (pinned) order."""
         self.recorder = recorder
-        for server, shard_id in self.shard_of.items():
-            server.add_completion_listener(
-                partial(recorder.on_completion, site=shard_id))
-            server.add_rejection_listener(
-                partial(recorder.on_rejection, site=shard_id))
+        for server in self.servers:
+            server.add_completion_listener(recorder.on_completion)
+            server.add_rejection_listener(recorder.on_rejection)
         # Requests the router sheds (retries exhausted, or still waiting
         # at the end of the drain) are offered-and-rejected, the
         # unavailability the availability figure charges against the
@@ -193,7 +190,7 @@ class FleetPlant:
 
         def _on_crash(node: Node, lost: List[Request]) -> None:
             for request in lost:
-                recorder.on_lost(request, node.shard_id)
+                recorder.on_lost(request)
             if shards[node.shard_id].primary is node:
                 tracker.mark_down(node.shard_id)
 
@@ -229,20 +226,23 @@ class FleetPlant:
         """Unlink the run (see :mod:`repro.harness.experiment`)."""
         self.fleet.close()
 
-    def extras(self) -> Dict[str, object]:
+    def extras(self, books: Books,
+               latencies: Dict[str, array]) -> Dict[str, object]:
         fleet, router = self.fleet, self.router
         fleet_actions = dict(router.decision_counts())
         if self.controller is not None:
             fleet_actions.update(self.controller.actions)
         fleet_actions["boots"] = sum(n.boots for n in fleet.nodes)
         fleet_actions["drains"] = sum(n.drains for n in fleet.nodes)
-        all_latencies = [
-            latency for latencies
-            in self.recorder.latencies_by_workload().values()
-            for latency in latencies]
-        books = self.recorder.site_books()
-        shard_books = [books.get(shard.shard_id, WorkloadStats())
+        shard_books = [books.sites.get(shard.shard_id, WorkloadStats())
                        for shard in self.shards]
+        # The p999 by selection: the element a full sort would put at
+        # percentile()'s index, found among the top thousandth.
+        count = sum(map(len, latencies.values()))
+        index = max(0, math.ceil(99.9 / 100.0 * count) - 1)
+        p999 = nlargest(count - index,
+                        chain.from_iterable(latencies.values()))[-1] \
+            if count else 0.0
         extras: Dict[str, object] = dict(
             scheme_label=self.scheme_label,
             per_shard_failure={
@@ -254,8 +254,7 @@ class FleetPlant:
             stale_reads=router.stale_read_bounces,
             fleet_actions=fleet_actions,
             node_timeline=list(fleet.node_timeline),
-            p999_latency_s=(percentile(all_latencies, 99.9)
-                            if all_latencies else 0.0))
+            p999_latency_s=p999)
         if self.injector is not None:
             extras.update(
                 availability={

@@ -35,6 +35,10 @@ re-routed ``RETRY_BACKOFF_S * 2**k`` later, up to ``RETRY_LIMIT``
 times --- failover usually lands inside that envelope --- and then
 shed through :attr:`ClusterRouter.on_shed`.  A healthy cell never
 takes that path: its primaries are active and always fresh.
+
+:meth:`ClusterRouter.route` stamps the request's ``site`` with its
+shard, so whoever hears of it later --- served, shed or lost --- knows
+the shard from the request.
 """
 
 from __future__ import annotations
@@ -263,10 +267,10 @@ class ClusterRouter:
         #: Degraded reads: served on a stale replica because the
         #: primary could not take the bounce (failover in progress).
         self.stale_reads_served = 0
-        #: ``on_shed(request, shard_id)`` absorbs every shed request;
-        #: a fleet cell hands it its recorder's ``on_rejection``, so a
-        #: shed counts as offered-and-rejected.
-        self.on_shed: Optional[Callable[[Request, int], None]] = None
+        #: ``on_shed(request)`` absorbs every shed request; a fleet
+        #: cell hands it its recorder's ``on_rejection``, so a shed
+        #: counts as offered-and-rejected at the request's site.
+        self.on_shed: Optional[Callable[[Request], None]] = None
         #: Requests waiting on a scheduled retry;
         #: :meth:`flush_pending_retries` sheds any left at end of run.
         self._in_retry: List[Tuple[Request, ShardState]] = []
@@ -293,11 +297,13 @@ class ClusterRouter:
 
         Returns the node, or ``None`` when the shard had no node to
         serve it and the request was deferred to a scheduled retry (or
-        shed through :attr:`on_shed`).  The key rides on the request,
-        so a write commits it when it completes.
+        shed through :attr:`on_shed`).  The key and the shard ride on
+        the request (``key``, ``site``), so a write commits the key when
+        it completes and its outcome is logged under the shard.
         """
         request.key = key
         shard = self.shards[key % len(self.shards)]
+        request.site = shard.shard_id
         shard.offered += 1
         return self._route_attempt(request, shard, 0)
 
@@ -347,12 +353,12 @@ class ClusterRouter:
             self.tracer.instant(self.trace_track, "router:shed",
                                 now_s, shard=shard.shard_id,
                                 attempts=attempt + 1)
-        self._shed(request, shard)
+        self._shed(request)
 
-    def _shed(self, request: Request, shard: ShardState) -> None:
+    def _shed(self, request: Request) -> None:
         self.shed_no_active += 1
         if self.on_shed is not None:
-            self.on_shed(request, shard.shard_id)
+            self.on_shed(request)
 
     def _pick_read_target(self, shard: ShardState, key: int,
                           now_s: float) -> Optional[Node]:
@@ -404,8 +410,8 @@ class ClusterRouter:
         never re-route --- shed them so the books close (offered and
         rejected, never silently censored)."""
         flushed, self._in_retry = self._in_retry, []
-        for request, shard in flushed:
-            self._shed(request, shard)
+        for request, _shard in flushed:
+            self._shed(request)
         return len(flushed)
 
     def decision_counts(self) -> Dict[str, int]:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -54,7 +55,7 @@ from repro.faults import resolve_fault_plan
 from repro.fleet.config import FleetConfig
 from repro.harness.profiling import perf_clock
 from repro.harness.schemes import SCHEMES, scheme_named
-from repro.metrics.latency import LatencyRecorder
+from repro.metrics.latency import Books, LatencyRecorder, mean_latencies
 from repro.metrics.power import PowerMeter
 from repro.obs.trace import NULL_TRACER, Tracer, trace_enabled
 from repro.sim.engine import Simulator
@@ -378,10 +379,9 @@ class ServerPlant:
 
     A plant is what :func:`run_experiment` drives; it hides what differs
     between tiers (``FleetPlant`` in :mod:`repro.fleet.experiment` is
-    the other): the admit sink, the servers in a fixed order, the site
-    each server's outcomes are logged under, the wall energy, the trace
-    gauges, fault arming, timers, result extras and the teardown
-    (``close``).
+    the other): the admit sink, the servers in a fixed order, the wall
+    energy, the trace gauges, fault arming, timers, result extras (from
+    the collected books and latencies) and the teardown (``close``).
     """
 
     #: Prefix of the kernel's RNG stream names at this tier.
@@ -463,15 +463,12 @@ class ServerPlant:
     def end_of_drain(self) -> None:
         """No tier-level timers to stop."""
 
-    def site_of(self, server: DatabaseServer) -> int:
-        """One server, one site."""
-        return 0
-
     def close(self) -> None:
         """Unlink the run (see the module docstring's teardown)."""
         self.server.close()
 
-    def extras(self) -> Dict[str, object]:
+    def extras(self, books: Books,
+               latencies: Dict[str, array]) -> Dict[str, object]:
         return dict(
             scheme_label=self.scheme_label,
             faults_injected=(self.injector.total_injected
@@ -711,7 +708,7 @@ def run_experiment(config: ExperimentConfig,
                 if worker.current is not None:
                     stranded.append(worker.current)
                 for request in stranded:
-                    recorder.on_lost(request, plant.site_of(server))
+                    recorder.on_lost(request)
         if sim.sanitize:
             plant.sanitize_accounting()
 
@@ -738,16 +735,21 @@ def run_experiment(config: ExperimentConfig,
         for governors in governor_sets:
             governors.detach_all()
 
-        per_workload = recorder.per_workload.items()
+        # Two passes over the log: the outcome counts, and each
+        # workload's latencies (its mean, and a fleet's p999).
+        books = recorder.books()
+        latencies = recorder.latencies_by_workload()
+        total = books.total
+        per_workload = books.workloads.items()
         result = ExperimentResult(
             config=config,
             avg_power_watts=meter.average_power(test_start, test_end),
-            failure_rate=recorder.failure_rate,
-            offered=recorder.total_offered,
-            completed=recorder.total_completed,
-            missed=recorder.total_missed,
-            rejected=recorder.total_rejected,
-            throughput=recorder.total_completed / test_duration,
+            failure_rate=total.failure_rate,
+            offered=total.offered,
+            completed=total.completed,
+            missed=total.missed,
+            rejected=total.rejected,
+            throughput=total.completed / test_duration,
             peak_throughput=peak,
             per_workload_failure={
                 name: stats.failure_rate for name, stats in per_workload},
@@ -760,12 +762,12 @@ def run_experiment(config: ExperimentConfig,
                                                  TIMELINE_BIN_S)
                             if meter.samples else []),
             load_timeline=list(config.load_trace or []),
-            mean_latency_by_workload=recorder.mean_latency_by_workload(),
+            mean_latency_by_workload=mean_latencies(latencies),
             sim_events=sim.events_processed,
             wall_seconds=perf_clock() - wall_start,
             trace_events=trace_event_count,
-            lost=recorder.total_lost,
-            **plant.extras(),
+            lost=total.lost,
+            **plant.extras(books, latencies),
         )
         return result
     finally:

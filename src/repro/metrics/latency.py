@@ -23,8 +23,9 @@ column          type            per row
                                 frequency)
 ``outcomes``    ``array('B')``  :data:`MET`, :data:`LATE`,
                                 :data:`REJECTED` or :data:`LOST`
-``sites``       ``array('H')``  where it happened: the fleet's shard,
-                                0 on a single server
+``sites``       ``array('H')``  where it happened: the request's
+                                ``site``, the fleet shard its router
+                                stamped (0 on a single server)
 ==============  ==============  ======================================
 
 Fixed-size chunks rather than one array per column: an array grown by
@@ -40,20 +41,28 @@ re-derived bit for bit from ``finish - arrival``.
 
 The log is the recorder's only state: every read is a view over it,
 computed when asked.  The ``total_*`` counts and ``failure_rate`` scan
-the outcome column in C; :attr:`~LatencyRecorder.per_workload` and
-:meth:`~LatencyRecorder.site_books` (the fleet's per-shard books) tally
-(key, outcome) and (site, outcome) pairs; and
-:meth:`~LatencyRecorder.latencies_by_workload`,
-:meth:`~LatencyRecorder.mean_latency_by_workload`,
-:meth:`~LatencyRecorder.missed_under`,
+the outcome column in C; :meth:`~LatencyRecorder.books` tallies
+(key, outcome, site) triples in one pass into the per-workload, per-site
+(the fleet's per-shard books) and total counts, and
+:attr:`~LatencyRecorder.per_workload` reads the first; and
+:meth:`~LatencyRecorder.latencies_by_workload` (which
+:func:`mean_latencies` and a fleet's p999 both read),
+:meth:`~LatencyRecorder.missed_under` and
 :meth:`~LatencyRecorder.exec_times_by_pair` walk the rows
 (:func:`pooled_exec_time_stats` pools the last one's lists, so a
-reader of several pools scans once).  A view folds its floats in the order
+reader of several pools scans once).  So a run's collect reads the log
+twice.  A view folds its floats in the order
 the per-workload and per-(type, frequency) lists this log replaced held
 them --- the group's first row, then log order --- and with ``sum``, as
 they did, so every sum is the same sum on every CPython.  A completion costs
 one row and no counter: a run reads its counts a handful of times but
 completes tens of thousands of transactions.
+
+**Sites.**  Each hook takes the request alone: the row's site is
+``request.site``, which the fleet's router stamps with the shard it
+routes to and which is 0 on a single server.  A request never leaves
+its shard (a drained node's queue moves to a node of the same shard),
+so the site is the shard of whichever node served, shed or lost it.
 """
 
 from __future__ import annotations
@@ -63,7 +72,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.core.request import Request
 
@@ -102,8 +112,8 @@ def _scan(*columns: List[array]) -> Iterator[tuple]:
 
 @dataclass
 class WorkloadStats:
-    """Outcome counts of one workload (or, from
-    :meth:`LatencyRecorder.site_books`, of one site)."""
+    """Outcome counts of one workload (or, in :attr:`Books.sites`, of
+    one site; in :attr:`Books.total`, of the whole log)."""
 
     offered: int = 0
     completed: int = 0
@@ -131,14 +141,23 @@ class WorkloadStats:
             self.missed += rows
 
 
+class Books(NamedTuple):
+    """Outcome counts of a log (:meth:`LatencyRecorder.books`)."""
+
+    #: ``workload -> counts``, in the order the workloads first appear.
+    workloads: Dict[str, WorkloadStats]
+    #: ``site -> counts``, in the order the sites first appear.
+    sites: Dict[int, WorkloadStats]
+    total: WorkloadStats
+
+
 class LatencyRecorder:
     """Collects per-request outcomes during the measurement window.
 
     Attach via ``server.add_completion_listener(recorder.on_completion)``
     and :meth:`set_window` to the test phase --- warmup and training
     completions are then ignored, as in the paper's three-phase
-    methodology.  A listener for a fleet's shard passes the shard as
-    ``site``.
+    methodology.  A row's site is the request's own (module docstring).
     """
 
     def __init__(self):
@@ -188,7 +207,7 @@ class LatencyRecorder:
         self._append_row = tuple(chunk.append for chunk in chunks)
         self._room = CHUNK_ROWS
 
-    def _unfinished(self, request: Request, site: int, outcome: int) -> None:
+    def _unfinished(self, request: Request, outcome: int) -> None:
         """Log a request that is offered but never finishes: a miss by
         the paper's failure metric."""
         window = self.window
@@ -206,21 +225,21 @@ class LatencyRecorder:
         dispatches(_NAN)
         keys(key_id)
         outcomes(outcome)
-        sites(site)
+        sites(request.site)
 
-    def on_rejection(self, request: Request, site: int = 0) -> None:
+    def on_rejection(self, request: Request) -> None:
         """Count an admission-control rejection: offered but never
         finishes, so it is a miss by the paper's failure metric."""
-        self._unfinished(request, site, REJECTED)
+        self._unfinished(request, REJECTED)
 
-    def on_lost(self, request: Request, site: int = 0) -> None:
+    def on_lost(self, request: Request) -> None:
         """Count a request that will never finish --- stranded on a dead
         core or in an undrainable queue when a faulted run ends.  Like a
         rejection it is offered-and-missed, so dying-core scenarios
         cannot censor their casualties into a *better* failure rate."""
-        self._unfinished(request, site, LOST)
+        self._unfinished(request, LOST)
 
-    def on_completion(self, request: Request, site: int = 0) -> None:
+    def on_completion(self, request: Request) -> None:
         # The window test, the Request deadline property and _key_id are
         # inlined here (same tests, same arithmetic): this runs once per
         # completed transaction and the frames dominate its cost.
@@ -244,7 +263,7 @@ class LatencyRecorder:
         dispatches(request.dispatch_time)
         keys(key_id)
         outcomes(outcome)
-        sites(site)
+        sites(request.site)
 
     # ------------------------------------------------------------------
     # Counts (C scans of the outcome column)
@@ -285,58 +304,42 @@ class LatencyRecorder:
     # ------------------------------------------------------------------
     # Views over the log
     # ------------------------------------------------------------------
+    def books(self) -> Books:
+        """Per-workload, per-site and total outcome counts, from one
+        tally of (key, outcome, site) triples.  A ``Counter`` keeps the
+        order its keys first appear, and a site's first triple is its
+        first row, so both dicts are in first-appearance order."""
+        table = self.key_table
+        workloads = {workload: WorkloadStats() for workload, _, _ in table}
+        sites: Dict[int, WorkloadStats] = {}
+        total = WorkloadStats()
+        for (key, outcome, site), rows in Counter(
+                _scan(self.keys, self.outcomes, self.sites)).items():
+            workloads[table[key][0]].count(outcome, rows)
+            stats = sites.get(site)
+            if stats is None:
+                stats = sites[site] = WorkloadStats()
+            stats.count(outcome, rows)
+            total.count(outcome, rows)
+        return Books(workloads, sites, total)
+
     @property
     def per_workload(self) -> Dict[str, WorkloadStats]:
-        """``workload -> outcome counts``, in the order the workloads
-        first appear."""
-        table = self.key_table
-        stats = {workload: WorkloadStats() for workload, _, _ in table}
-        for (key, outcome), rows in Counter(
-                _scan(self.keys, self.outcomes)).items():
-            stats[table[key][0]].count(outcome, rows)
-        return stats
+        """``workload -> outcome counts`` (:attr:`Books.workloads`)."""
+        return self.books().workloads
 
     def workload_failure_rate(self, workload: str) -> float:
         stats = self.per_workload.get(workload)
         return stats.failure_rate if stats is not None else 0.0
 
-    def site_books(self) -> Dict[int, WorkloadStats]:
-        """``site -> outcome counts``, in the order the sites first
-        appear (a fleet's per-shard books)."""
-        books: Dict[int, WorkloadStats] = {}
-        for (site, outcome), rows in Counter(
-                _scan(self.sites, self.outcomes)).items():
-            stats = books.get(site)
-            if stats is None:
-                stats = books[site] = WorkloadStats()
-            stats.count(outcome, rows)
-        return books
-
-    def latencies_by_workload(self) -> Dict[str, List[float]]:
+    def latencies_by_workload(self) -> Dict[str, array]:
         """``workload -> response time of each counted completion``, in
         completion order, for every workload with a completion (in
-        :attr:`per_workload` order)."""
-        by_name: Dict[str, List[float]] = {
-            workload: [] for workload, _, _ in self.key_table}
-        # One list per key id: the key's workload's.
-        lists = [by_name[workload] for workload, _, _ in self.key_table]
-        for key, outcome, arrival, finish in _scan(
-                self.keys, self.outcomes, self.arrivals, self.finishes):
-            if outcome <= LATE:
-                lists[key].append(finish - arrival)
-        return {name: latencies for name, latencies in by_name.items()
-                if latencies}
-
-    def mean_latency_by_workload(self) -> Dict[str, float]:
-        """Mean response time of each workload with a completion.
+        :attr:`per_workload` order).
 
         One pass gathers each workload's latencies into an
-        ``array('d')`` (8 bytes a completion, where
-        :meth:`latencies_by_workload`'s boxed floats take 32), and
-        ``sum`` adds them, as it added the lists this log replaced: the
-        same floats in the same order, so the same mean on every CPython
-        (3.12's ``sum`` compensates its rounding, so a running ``+=``
-        would not be the same sum)."""
+        ``array('d')``: 8 bytes a completion, where a list of boxed
+        floats takes 32."""
         by_name = {workload: array("d") for workload, _, _ in self.key_table}
         # One append per key id: the key's workload's.
         appends = [by_name[workload].append
@@ -345,8 +348,8 @@ class LatencyRecorder:
                 self.keys, self.outcomes, self.arrivals, self.finishes):
             if outcome <= LATE:
                 appends[key](finish - arrival)
-        return {name: sum(latencies) / len(latencies)
-                for name, latencies in by_name.items() if latencies}
+        return {name: latencies for name, latencies in by_name.items()
+                if latencies}
 
     def missed_under(self, targets: Mapping[str, float]) -> Dict[str, int]:
         """What each workload's :attr:`WorkloadStats.missed` would read
@@ -381,6 +384,17 @@ class LatencyRecorder:
                     values = times[pair] = []
                 values.append(finish - dispatch)
         return times
+
+
+def mean_latencies(latencies: Mapping[str, Sequence[float]]
+                   ) -> Dict[str, float]:
+    """Each workload's mean of
+    :meth:`LatencyRecorder.latencies_by_workload`.  ``sum`` adds them,
+    as it added the lists the log replaced: the same floats in the same
+    order, so the same mean on every CPython (3.12's ``sum`` compensates
+    its rounding, so a running ``+=`` would not be the same sum)."""
+    return {name: sum(values) / len(values)
+            for name, values in latencies.items()}
 
 
 def pooled_exec_time_stats(

@@ -22,7 +22,7 @@ defaulted parameter of every function and method under ``src/repro``
 when a call in ``src/``, ``bench/`` or ``benchmarks/`` whose callee
 name matches (the class name for ``__init__``) passes it by keyword,
 or by position past it; tests and examples are not callers.  Indirect
-setters (``cls(..., sanitize=)``, ``partial(..., site=)``) and the
+setters (``cls(..., sanitize=)``, ``cls(workloads=)``) and the
 reference oracles tests compare against are on ``ALLOWED`` under
 ``"Qualname(parameter=)"`` keys, and go stale by the same three rules.
 """
@@ -82,10 +82,6 @@ ALLOWED = {
     "WorkloadManager(workloads=)": (
         "src/repro/core/workload.py",
         "WorkloadManager.tiers builds through cls(workloads=)"),
-    **{f"LatencyRecorder.{hook}(site=)": (
-        "src/repro/fleet/experiment.py",
-        "each shard's hooks are partial(recorder.<hook>, site=)")
-       for hook in ("on_completion", "on_rejection")},
     # ... and the reference oracles the tests compare against.
     **{f"ListSlidingWindowPercentile({name}=)": (
         "tests/test_estimator.py",

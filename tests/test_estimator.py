@@ -18,6 +18,18 @@ def reference_percentile(values, p):
     return ordered[max(0, rank - 1)]
 
 
+def window_of(tracker):
+    """``tracker``'s window in sorted order, after checking that its
+    tail is that order's top: every value at or above the pivot, above
+    ``_below`` smaller ones."""
+    ordered = sorted(tracker._order)
+    below = tracker._below
+    assert tracker._tail == ordered[below:]
+    assert all(value < tracker._pivot for value in ordered[:below])
+    assert all(value >= tracker._pivot for value in tracker._tail)
+    return ordered
+
+
 def test_empty_tracker_returns_zero():
     tracker = SlidingWindowPercentile()
     assert tracker.value() == 0.0
@@ -58,7 +70,7 @@ def test_duplicate_values_evict_correctly():
     tracker.observe(1.0)
     tracker.observe(1.0)
     tracker.observe(2.0)
-    assert sorted(tracker._sorted) == [1.0, 2.0]
+    assert window_of(tracker) == [1.0, 2.0]
 
 
 def test_validation():
@@ -97,9 +109,10 @@ def test_property_matches_reference_over_window(values, window, percentile):
                               allow_nan=False), min_size=1, max_size=400),
     window=st.integers(min_value=1, max_value=120),
     percentile=st.floats(min_value=1.0, max_value=100.0))
-def test_property_chunked_agrees_with_list_impl(values, window, percentile):
-    """The memoized tracker must be observationally identical to the
-    reference implementation: same value() after every observe, same
+def test_property_tail_window_agrees_with_list_impl(values, window,
+                                                   percentile):
+    """The memoized tail window must be observationally identical to
+    the reference implementation: same value() after every observe, same
     final window contents."""
     tracker = SlidingWindowPercentile(window, percentile)
     listy = ListSlidingWindowPercentile(window, percentile)
@@ -109,13 +122,13 @@ def test_property_chunked_agrees_with_list_impl(values, window, percentile):
         assert tracker.value() == listy.value()
     assert len(tracker) == len(listy)
     assert tracker.full == listy.full
-    assert list(tracker._sorted) == list(listy._sorted)
+    assert window_of(tracker) == listy._sorted
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0]),
                 min_size=1, max_size=300))
-def test_property_chunked_agrees_on_heavy_duplicates(values):
+def test_property_tail_window_agrees_on_heavy_duplicates(values):
     """Duplicate-dense streams stress the eviction bookkeeping (many
     equal keys, each eviction picking one of them)."""
     tracker = SlidingWindowPercentile(window=7, percentile=95)
@@ -124,7 +137,53 @@ def test_property_chunked_agrees_on_heavy_duplicates(values):
         tracker.observe(v)
         listy.observe(v)
     assert tracker.value() == listy.value()
-    assert list(tracker._sorted) == list(listy._sorted)
+    assert window_of(tracker) == listy._sorted
+
+
+def drift(monkeypatch, window, percentile):
+    """Feed a tail window and the oracle a rising, then a falling, then
+    a tied stream, from an empty window, comparing ``value()`` after
+    every observe; returns the pivot before and after each rebuild."""
+    pivots = []
+    partition = SlidingWindowPercentile._partition
+
+    def recorded(tracker, ordered):
+        before = tracker._pivot
+        partition(tracker, ordered)
+        pivots.append((before, tracker._pivot))
+
+    monkeypatch.setattr(SlidingWindowPercentile, "_partition", recorded)
+    rng = random.Random(window * 1000 + int(percentile))
+    span = min(3 * window, 1500)
+    rise = [step + rng.random() for step in range(span)]
+    ties = [rng.choice([1.0, 2.0, 2.0]) for _ in range(span)]
+    tracker = SlidingWindowPercentile(window, percentile)
+    listy = ListSlidingWindowPercentile(window, percentile)
+    for value in rise + rise[::-1] + ties:
+        tracker.observe(value)
+        listy.observe(value)
+        assert tracker.value() == listy.value()
+    assert window_of(tracker) == listy._sorted
+    return pivots
+
+
+@pytest.mark.parametrize("window", [50, 1000])
+@pytest.mark.parametrize("percentile", [90.0, 95.0, 99.0, 100.0])
+def test_tail_window_follows_a_drifting_stream(monkeypatch, window,
+                                               percentile):
+    """The rising stream outgrows the tail (a cap rebuild raises the
+    pivot) and the falling one drops the rank below it (a rank rebuild
+    lowers it)."""
+    pivots = drift(monkeypatch, window, percentile)
+    assert any(after > before for before, after in pivots)
+    assert any(after < before for before, after in pivots)
+
+
+def test_tail_window_follows_a_drift_while_growing(monkeypatch):
+    """A window of 5000 is never full over the 4500 observations, so
+    its rank moves with its length; its tail still outgrows the cap."""
+    pivots = drift(monkeypatch, 5000, 95.0)
+    assert any(after > before for before, after in pivots)
 
 
 #: Few distinct values, so evicted and inserted values tie with the
@@ -151,7 +210,7 @@ def test_property_same_side_rule_never_keeps_a_stale_percentile(
         listy.observe(v)
         assert tracker.value() == listy.value()
         assert moved or (was_full and tracker.value() == before)
-    assert list(tracker._sorted) == list(listy._sorted)
+    assert window_of(tracker) == listy._sorted
 
 
 @settings(max_examples=150, deadline=None)
@@ -184,7 +243,7 @@ def test_property_fill_equals_sequential_observes(head, values, window,
         assert filled.observations == stepped.observations
         v = rng.choice([rng.random() * 10.0, 1.0, 2.0])
         assert filled.observe(v) == stepped.observe(v), step
-    assert filled._sorted == stepped._sorted
+    assert window_of(filled) == window_of(stepped)
     assert list(filled._order) == list(stepped._order)
 
 
@@ -267,7 +326,7 @@ def test_nan_observation_is_rejected_before_it_corrupts_the_window():
     assert tracker.observations == 2
     for value in (2.0, 4.0):
         tracker.observe(value)
-    assert tracker._sorted == [1.0, 2.0, 3.0, 4.0]
+    assert window_of(tracker) == [1.0, 2.0, 3.0, 4.0]
     assert tracker.value() == 4.0
     with pytest.raises(ValueError):
         ListSlidingWindowPercentile().observe(float("nan"))
@@ -308,11 +367,11 @@ def test_property_train_is_a_fill_per_frequency(work, freqs, window):
         filled[freq] = SlidingWindowPercentile(window, 95.0)
         filled[freq].fill([gcycles / freq for gcycles in work])
         twin = trained._trackers[("w", freq)]
-        assert twin._sorted == filled[freq]._sorted
+        assert window_of(twin) == window_of(filled[freq])
         assert list(twin._order) == list(filled[freq]._order)
         assert twin.observations == filled[freq].observations
         if len(work) <= window:
-            assert set(map(id, twin._sorted)) == set(map(id, twin._order))
+            assert set(map(id, twin._tail)) <= set(map(id, twin._order))
     assert trained.row("w") == [filled[freq].value() for freq in ladder]
     assert trained.rising == rising_pairs(trained.row("w"))
 

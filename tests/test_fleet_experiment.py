@@ -190,7 +190,7 @@ def quick_chaos_result():
         return run_experiment(config)
 
 
-def test_quick_chaos_cell_arms_the_self_healing_router(quick_chaos_result):
+def test_quick_chaos_cell_crashes_and_fails_over(quick_chaos_result):
     """The chaos machinery wires up end to end even at smoke scale."""
     result = quick_chaos_result
     assert result.faults_injected == 1

@@ -11,6 +11,7 @@ from repro.db.server import DatabaseServer, ServerConfig
 from repro.fleet import router as router_module
 from repro.fleet.node import Node, NodeState, PRIMARY, REPLICA
 from repro.fleet.router import ClusterRouter, ShardState, read_only_types
+from repro.metrics.latency import LatencyRecorder
 from repro.sim.engine import Simulator
 
 WORKLOAD = Workload("w", 0.050)
@@ -187,10 +188,10 @@ def test_decision_counts_report_every_counter(sim):
 # ----------------------------------------------------------------------
 def shedding_router(sim, shard):
     """A router whose sheds land in the returned list, as a fleet cell's
-    land in its recorder."""
+    land in its recorder: each with the site the router stamped."""
     router = ClusterRouter(sim, [shard], frozenset({"Read"}))
     sheds = []
-    router.on_shed = lambda req, shard_id: sheds.append((req, shard_id))
+    router.on_shed = lambda req: sheds.append((req, req.site))
     return router, sheds
 
 
@@ -221,7 +222,7 @@ def test_a_crashed_shard_retries_then_sheds_and_never_raises(sim):
     assert sheds == [(write, 0), (read, 0)]
 
 
-def test_armed_router_retries_until_the_shard_recovers(sim):
+def test_a_crashed_primary_retries_until_failover_promotes(sim):
     shard = make_shard(sim)
     router, sheds = shedding_router(sim, shard)
     shard.primary.crash()
@@ -238,7 +239,7 @@ def test_armed_router_retries_until_the_shard_recovers(sim):
     assert router.shed_no_active == 0
 
 
-def test_armed_router_sheds_after_the_retry_budget(sim):
+def test_a_crashed_shard_sheds_after_the_retry_budget(sim):
     shard = make_shard(sim, start_parked=True)
     router, sheds = shedding_router(sim, shard)
     shard.primary.crash()
@@ -265,7 +266,7 @@ def test_flush_pending_retries_closes_the_books(sim):
     assert router.flush_pending_retries() == 0  # idempotent
 
 
-def test_open_primary_breaker_serves_stale_reads_degraded(sim):
+def test_a_crashed_primary_serves_stale_reads_degraded(sim):
     """With the primary crashed and every active replica stale for the
     key, the read is served degraded on a replica: a stale answer
     beats no answer."""
@@ -280,6 +281,39 @@ def test_open_primary_breaker_serves_stale_reads_degraded(sim):
     assert router.stale_reads_served == 1
     assert router.stale_read_bounces == 0
     assert router.retries == 0 and sheds == []
+
+
+def test_routed_shed_and_lost_requests_land_in_their_shards_books(sim):
+    """The router stamps each request's shard as its site, and every
+    recorder hook logs the site the request carries: a request served
+    on shard 0, one shed by crashed shard 1 and one lost in shard 2's
+    crash each count in their own shard's row of the per-site books."""
+    shards = []
+    for shard_id in range(3):
+        server = DatabaseServer(sim, ServerConfig(workers=1,
+                                                  request_handlers=1))
+        primary = Node(sim, shard_id, shard_id, PRIMARY, server,
+                       parked_floor_watts=4.0)
+        shards.append(ShardState(shard_id, primary, []))
+    router = ClusterRouter(sim, shards, frozenset({"Read"}))
+    recorder = LatencyRecorder()
+    recorder.set_window(0.0, 10.0)
+    for shard in shards:
+        shard.primary.server.add_completion_listener(recorder.on_completion)
+    router.on_shed = recorder.on_rejection
+    shards[1].primary.crash()
+    served, shed, lost = (request(sim) for _ in range(3))
+    assert router.route(served, key=3) is shards[0].primary
+    assert router.route(shed, key=4) is None
+    assert router.route(lost, key=5) is shards[2].primary
+    assert [r.site for r in (served, shed, lost)] == [0, 1, 2]
+    for corpse in shards[2].primary.crash():
+        recorder.on_lost(corpse)
+    sim.run(until=5.0)
+    books = recorder.books().sites
+    assert {site: (stats.offered, stats.completed, stats.rejected,
+                   stats.lost) for site, stats in books.items()} == {
+        0: (1, 1, 0, 0), 1: (1, 0, 1, 0), 2: (1, 0, 0, 1)}
 
 
 # ----------------------------------------------------------------------

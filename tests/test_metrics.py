@@ -11,7 +11,7 @@ from repro.core.request import Request
 from repro.core.workload import Workload
 from repro.metrics import latency, power
 from repro.metrics.latency import (
-    LatencyRecorder, percentile, pooled_exec_time_stats,
+    LatencyRecorder, mean_latencies, percentile, pooled_exec_time_stats,
 )
 from repro.metrics.power import PowerMeter
 from repro.metrics.report import (
@@ -182,7 +182,8 @@ def test_recorder_mean_latency():
     recorder.set_window(0.0, math.inf)
     recorder.on_completion(finished_request(workload, 0.0, 1.0))
     recorder.on_completion(finished_request(workload, 0.0, 3.0))
-    assert recorder.mean_latency_by_workload() == {"w": pytest.approx(2.0)}
+    assert mean_latencies(recorder.latencies_by_workload()) \
+        == {"w": pytest.approx(2.0)}
 
 
 _instant = st.floats(min_value=0.0, max_value=10.0)
@@ -220,11 +221,11 @@ def test_missed_under_equals_the_live_count(outcomes, live_target, targets):
         return
     completed = [(arrival, latency) for outcome, arrival, latency
                  in outcomes if outcome == "completed"]
-    latencies = recorder.latencies_by_workload().get("w", [])
+    latencies = list(recorder.latencies_by_workload().get("w", []))
     assert latencies == [(arrival + latency) - arrival
                          for arrival, latency in completed]
     if completed:
-        assert recorder.mean_latency_by_workload()["w"] \
+        assert mean_latencies(recorder.latencies_by_workload())["w"] \
             == sum(latencies) / len(completed)
     # Targets that sit exactly on a latency included: there the
     # comparison is decided in the last bit of ``arrival + target``.
@@ -275,16 +276,17 @@ def _check_log_views(rows, rescore):
     outcomes, instants, exec_times, sites = {}, {}, {}, {}
     for outcome, name, txn, freq, site, arrival, latency, share in rows:
         request = Request(workloads[name], txn, arrival, work=1.0)
+        request.site = site
         if outcome == "rejected":
-            recorder.on_rejection(request, site)
+            recorder.on_rejection(request)
         elif outcome == "lost":
             request.dispatch_freq = freq
-            recorder.on_lost(request, site)
+            recorder.on_lost(request)
         else:
             request.dispatch_time = arrival + latency - latency * share
             request.finish_time = arrival + latency
             request.dispatch_freq = freq
-            recorder.on_completion(request, site)
+            recorder.on_completion(request)
         if not 0.5 <= arrival < 3.5:
             continue
         if outcome == "completed":
@@ -313,18 +315,20 @@ def _check_log_views(rows, rescore):
     assert (recorder.total_offered, recorder.total_completed,
             recorder.total_missed, recorder.total_rejected,
             recorder.total_lost) == tally(every)
-    books = recorder.site_books()
+    books = recorder.books().sites
     assert list(books) == list(sites)
     assert {site: _stats_tuple(stats) for site, stats in books.items()} \
         == {site: tally(kinds) for site, kinds in sites.items()}
+    assert _stats_tuple(recorder.books().total) == tally(every)
 
     latencies = {name: [finish - arrival for arrival, finish in pairs]
                  for name, pairs in instants.items()}
-    assert recorder.latencies_by_workload() == {
+    logged = recorder.latencies_by_workload()
+    assert {name: list(values) for name, values in logged.items()} == {
         name: latencies[name] for name in outcomes if name in latencies}
-    assert recorder.mean_latency_by_workload() == {
+    assert mean_latencies(logged) == {
         name: sum(values) / len(values) for name, values
-        in recorder.latencies_by_workload().items()}
+        in latencies.items()}
     targets = dict(zip(sorted(_TARGETS), rescore))
     assert recorder.missed_under(targets) == {
         name: sum(not finish <= (arrival + targets[name]) + 1e-12

@@ -94,7 +94,7 @@ class _Crash(Exception):
 class _CrashingRecorder(LatencyRecorder):
     """Raises out of the first completion it hears about."""
 
-    def on_completion(self, request, site=0):
+    def on_completion(self, request):
         raise _Crash
 
 

@@ -94,9 +94,10 @@ class SlidingWindowPercentile:
         self._below = 0
         # On a full window ``top`` values sit at or above the statistic.
         # A rebuild keeps twice that plus sqrt(window) of slack below
-        # it, so the count of smaller values must drift by about three
-        # standard deviations of a stationary stream before the rank
-        # leaves the tail; twice the kept length caps its growth.
+        # it, so on a stationary stream the count of smaller values
+        # must drift by three standard deviations (S = 50, p99) to
+        # eight (S = 1000, p95) before the rank leaves the tail; twice
+        # the kept length caps its growth.
         top = window - max(0, math.ceil(percentile / 100.0 * window) - 1)
         self._keep = 2 * top + math.isqrt(window)
         self._cap = 2 * self._keep

@@ -218,8 +218,7 @@ class PolarisScheduler:
                 }
             return freqs[-1]
         last = len(freqs) - 1
-        items, index = self.queue.scan()
-        live = items[index:] if index < len(items) else ()
+        live = self.queue.pending()
         # _stamp_running, inlined: this runs on every selection.
         if running is not None and running.mu is None:
             running.mu = self.estimator.row(running.workload_name)
@@ -268,7 +267,7 @@ class PolarisScheduler:
                           level=start, floor_index=floor_index, now=now,
                           hinted=(chosen, scanned, early_exit),
                           literal=literal)
-            walked = list(live[:scanned])
+            walked = live[:scanned]
             if running is not None:
                 walked.append(running)
             self._sanitize_rows(walked, now)

@@ -6,18 +6,16 @@ disciplines share one interface so workers and schedulers are agnostic:
 
 * ``push(request)`` --- enqueue;
 * ``pop()`` --- dequeue the next request to execute;
-* iteration --- yields waiting requests **in queue order** (EDF order
-  for the EDF queue), which is exactly the order SetProcessorFreq scans
-  the queue in (Figure 2, line 6).
+* iteration and ``pending()`` --- the waiting requests **in queue
+  order** (EDF order for the EDF queue), which is exactly the order
+  SetProcessorFreq scans the queue in (Figure 2, line 6).
 """
 
 from __future__ import annotations
 
 import bisect
 from collections import deque
-from typing import (
-    TYPE_CHECKING, Deque, Iterator, List, Optional, Sequence, Tuple,
-)
+from typing import TYPE_CHECKING, Deque, Iterator, List, Optional
 
 if TYPE_CHECKING:  # layering: queues sit below the request layer
     from repro.core.request import Request
@@ -41,16 +39,10 @@ class RequestQueue:
     def __iter__(self) -> Iterator[Request]:
         raise NotImplementedError
 
-    def scan(self) -> Tuple[Sequence[Request], int]:
-        """Return ``(items, start)`` for index-based iteration.
-
-        The queue's contents in pop order are ``items[start:]``.  The
-        POLARIS SetProcessorFreq walk is the engine's hottest loop;
-        indexing a concrete sequence avoids the generator protocol's
-        per-item resume cost.  The returned sequence must not be
-        mutated and is only valid until the next queue operation.
-        """
-        return list(self), 0
+    def pending(self) -> List[Request]:
+        """The waiting requests in pop order, as a new list: the POLARIS
+        walk indexes and slices it, which a generator cannot do."""
+        raise NotImplementedError
 
 
 class FifoQueue(RequestQueue):
@@ -74,8 +66,8 @@ class FifoQueue(RequestQueue):
     def __iter__(self) -> Iterator[Request]:
         return iter(self._items)
 
-    def scan(self) -> Tuple[Sequence[Request], int]:
-        return list(self._items), 0
+    def pending(self) -> List[Request]:
+        return list(self._items)
 
 
 class EdfQueue(RequestQueue):
@@ -135,7 +127,5 @@ class EdfQueue(RequestQueue):
         for idx in range(self._head, len(self._items)):
             yield self._items[idx]
 
-    def scan(self) -> Tuple[Sequence[Request], int]:
-        # Zero-copy: the walk indexes the live backing list from the
-        # head pointer (entries before it are cleared, never yielded).
-        return self._items, self._head
+    def pending(self) -> List[Request]:
+        return self._items[self._head:]

@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed")
     parser.add_argument("--jobs", "-j", type=int, default=None,
                         help="processes for sweep cells (default: "
-                             "REPRO_JOBS or the machine's cpu count)")
+                             "REPRO_JOBS or the CPUs this process may "
+                             "run on)")
     parser.add_argument("--trace", metavar="DIR", default=None,
                         help="export a Perfetto trace (.trace.json, open "
                              "at ui.perfetto.dev) and metric-series CSV "

@@ -28,9 +28,11 @@ exploits both properties:
   file under ``repro/`` invalidates everything (coarse, but sound --- a
   stale figure is worse than a re-run).
 
-Worker count resolves ``jobs`` argument > ``REPRO_JOBS`` env >
-``os.cpu_count()``.  ``jobs=1`` runs serially in-process (no executor),
-which is also the fallback wherever process pools are unavailable.
+Worker count resolves ``jobs`` argument > ``REPRO_JOBS`` env > the
+CPUs this process may run on (``os.sched_getaffinity`` where the
+platform has it, else ``os.cpu_count()``).  ``jobs=1`` runs serially
+in-process (no executor), which is also the fallback wherever process
+pools are unavailable.
 
 Cache layout (see README):
 
@@ -79,7 +81,7 @@ _code_salt_memo: Optional[str] = None
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument > ``REPRO_JOBS`` > cpu count."""
+    """Worker count: explicit argument > ``REPRO_JOBS`` > usable CPUs."""
     if jobs is None:
         env = os.environ.get(JOBS_ENV)
         if env:
@@ -89,7 +91,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
                 raise ValueError(
                     f"{JOBS_ENV} must be an integer, got {env!r}") from None
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = len(os.sched_getaffinity(0)) \
+            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs

@@ -63,6 +63,19 @@ def test_resolve_jobs_explicit_beats_env(monkeypatch):
     assert resolve_jobs() >= 1
 
 
+def test_default_jobs_count_only_the_cpus_this_process_may_use(
+        monkeypatch):
+    """An affinity mask of one CPU on a bigger machine (``taskset -c 0``)
+    gives one worker, not one per CPU of the machine."""
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert resolve_jobs() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_jobs() == 8
+
+
 def test_resolve_jobs_rejects_nonpositive():
     with pytest.raises(ValueError):
         resolve_jobs(0)

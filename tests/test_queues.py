@@ -90,6 +90,7 @@ def test_property_fifo_preserves_arrival_sequence(arrivals):
     requests = [make_request(a) for a in arrivals]
     for request in requests:
         queue.push(request)
+    assert queue.pending() == requests
     assert [queue.pop() for _ in requests] == requests
 
 
@@ -138,7 +139,7 @@ def test_property_edf_equivalent_to_naive_oracle(ops):
     """The head-pointer queue is operation-for-operation identical to
     the naive two-list implementation under any interleaving of pushes
     and pops: same pop results (identity, not just deadline), same
-    lengths, same peeks, same iteration order."""
+    lengths, same peeks, same iteration order and pending view."""
     fast, oracle = EdfQueue(), NaiveEdfOracle()
     for op, arrival, target in ops:
         if op == "push":
@@ -150,6 +151,7 @@ def test_property_edf_equivalent_to_naive_oracle(ops):
         assert len(fast) == len(oracle)
         assert fast.peek() is oracle.peek()
         assert list(fast) == list(oracle)
+        assert fast.pending() == oracle._items
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,6 +186,7 @@ def test_edf_head_pointer_compaction_crosses_threshold():
     # The dead prefix was reclaimed (without compaction the backing
     # list would still hold all `total` slots).
     assert len(queue._items) < total
+    assert queue.pending() == requests[total - 5:]
     urgent = make_request(0.0, target=0.0001)  # earliest deadline now
     queue.push(urgent)
     assert queue.pop() is urgent

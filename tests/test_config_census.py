@@ -6,7 +6,8 @@ it to a second value: a ``FIGURES`` cell, the CLI, the frozen
 ``bench/`` or a documented experiment.  A field with one value in use
 is a module constant of the component that reads it instead, and
 stays out of the dataclass, its ``validate()`` and the sweep-cache
-key (DESIGN.md §9 lists each field that went).
+key (DESIGN.md §9 lists the constants; the CHANGES.md line of the
+PR that removed a field names it).
 
 The census runs what it can: every ``FIGURES`` cell, and every fault
 scenario and checked-in plan.  A field set from anywhere else is on
